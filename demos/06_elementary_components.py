@@ -27,4 +27,6 @@ m = first_perfect_matching(g)
 d, _ = digraph_of(g, m)
 print("\nderived digraph:", d.sorted_arcs())
 print("its strong components:", [sorted(c) for c in strong_components(d)])
-# the alignment is verified inside elementary_components on every call
+# the pieces are read off the strong components of one derived digraph, so
+# they align with them by construction; the tests check them against the
+# components of the non-fixed subgraph found by enumerating perfect matchings

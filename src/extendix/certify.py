@@ -26,20 +26,38 @@ from .matching import (first_perfect_matching, has_perfect_matching,
 from .matrixlab import is_k_partly_decomposable, is_k_reducible
 
 
-def _sample_pairs(n: int, seed, cap: int = 6) -> list:
-    pairs = [(u, w) for u in range(n) for w in range(n)]
+def _sample(pairs: list, seed, cap: int = 6) -> list:
+    """All pairs when there are at most cap of them, else a seeded sorted
+    sample of cap."""
     if len(pairs) <= cap:
         return pairs
     rng = random.Random(seed)
     return sorted(rng.sample(pairs, cap))
 
 
-def _sample_ordered(n: int, seed, cap: int = 6) -> list:
-    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
-    if len(pairs) <= cap:
-        return pairs
-    rng = random.Random(seed)
-    return sorted(rng.sample(pairs, cap))
+def _edges_text(edges) -> str:
+    """Edge list as ``1-2 3-1 ...`` (1-based, sorted)."""
+    return " ".join(f"{i + 1}-{j + 1}" for i, j in sorted(edges))
+
+
+def _parse_edges(text: str) -> frozenset:
+    """Inverse of _edges_text."""
+    return frozenset((int(i) - 1, int(j) - 1)
+                     for i, j in (token.split("-") for token in text.split()))
+
+
+def _field(lines, prefix: str) -> str | None:
+    """The text after ``prefix`` on the last line that starts with it."""
+    value = None
+    for line in lines:
+        if line.startswith(prefix):
+            value = line[len(prefix):]
+    return value
+
+
+def _indices(lines, prefix: str) -> list[int]:
+    """The 1-based numbers of a ``prefix`` line as 0-based indices."""
+    return [int(x) - 1 for x in (_field(lines, prefix) or "").split()]
 
 
 def _walk_text(walk) -> str:
@@ -63,8 +81,8 @@ def _parse_walk(text: str) -> tuple:
 
 
 def _alt_system_lines(g: BipartiteGraph, m: Matching, k: int, seed) -> list[str]:
-    lines = ["matching: " + " ".join(f"{i + 1}-{j + 1}" for i, j in sorted(m.edges))]
-    for u, w in _sample_pairs(g.n, seed):
+    lines = ["matching: " + _edges_text(m.edges)]
+    for u, w in _sample([(u, w) for u in range(g.n) for w in range(g.n)], seed):
         system = alternating_path_system(g, m, u, w, k)
         lines.append(f"pair: {u_label(u)} {w_label(w)}")
         lines += [f"path: {_walk_text(walk)}" for walk in system.paths]
@@ -73,7 +91,8 @@ def _alt_system_lines(g: BipartiteGraph, m: Matching, k: int, seed) -> list[str]
 
 def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
     lines = []
-    for s, t in _sample_ordered(d.n, seed):
+    pairs = [(s, t) for s in range(d.n) for t in range(d.n) if s != t]
+    for s, t in _sample(pairs, seed):
         system = menger_paths(d, s, t, k)
         lines.append(f"pair: {s + 1} {t + 1}")
         lines += ["path: " + " ".join(str(v + 1) for v in p) for p in system.paths]
@@ -90,14 +109,24 @@ def _negative_extendability_witness(g: BipartiteGraph, k: int):
     if g.n <= 8:
         verdict = is_k_extendable_oracle(g, k)
         if verdict.witness is not None:
-            edges = " ".join(f"{i + 1}-{j + 1}"
-                             for i, j in verdict.witness.sorted_edges())
-            return "non-extendable-matching", (f"edges: {edges}",)
+            return "non-extendable-matching", (
+                "edges: " + _edges_text(verdict.witness.edges),)
     nb = is_k_extendable_via_neighborhood(g, k)
     if nb.deficient_set is not None:
         return "deficient-set", ("u-set: " + " ".join(str(i + 1)
                                                       for i in nb.deficient_set),)
     raise AssertionError("no witness found although the property fails")
+
+
+def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, seed) -> Certificate:
+    """Positive certificate for a k-extendable graph g (obj is g or its
+    matrix): a perfect matching at k = 0, alternating path systems above."""
+    m = first_perfect_matching(g)
+    if k == 0:
+        return Certificate(claim, k, True, obj, "perfect-matching",
+                           ("edges: " + _edges_text(m.edges),))
+    return Certificate(claim, k, True, obj, "alt-path-systems",
+                       tuple(_alt_system_lines(g, m, k, seed)))
 
 
 def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
@@ -109,14 +138,7 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             raise ValueError("k must be nonnegative")
         holds = is_k_extendable(obj, k)
         if holds:
-            if k == 0:
-                m = first_perfect_matching(obj)
-                lines = ["edges: " + " ".join(f"{i + 1}-{j + 1}"
-                                              for i, j in m.sorted_edges())]
-                return Certificate(claim, k, True, obj, "perfect-matching", tuple(lines))
-            m = first_perfect_matching(obj)
-            return Certificate(claim, k, True, obj, "alt-path-systems",
-                               tuple(_alt_system_lines(obj, m, k, seed)))
+            return _matching_certificate(claim, k, obj, obj, seed)
         kind, lines = _negative_extendability_witness(obj, k)
         return Certificate(claim, k, False, obj, kind, tuple(lines))
 
@@ -145,15 +167,7 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             lines = ("rows: " + " ".join(str(i + 1) for i in w.row_subset),
                      "cols: " + " ".join(str(j + 1) for j in w.col_subset))
             return Certificate(claim, k, False, obj, "zero-block", lines)
-        g = bipartite_of_matrix(obj)
-        if k == 0:
-            m = first_perfect_matching(g)
-            lines = ["edges: " + " ".join(f"{i + 1}-{j + 1}"
-                                          for i, j in m.sorted_edges())]
-            return Certificate(claim, k, True, obj, "perfect-matching", tuple(lines))
-        m = first_perfect_matching(g)
-        return Certificate(claim, k, True, obj, "alt-path-systems",
-                           tuple(_alt_system_lines(g, m, k, seed)))
+        return _matching_certificate(claim, k, obj, bipartite_of_matrix(obj), seed)
 
     if claim == "k-irreducible":
         if not isinstance(obj, ZeroOneMatrix):
@@ -212,16 +226,11 @@ def _check_witness(cert: Certificate) -> list[str]:
 
     if kind == "alt-path-systems":
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
-        m_edges = None
-        for line in cert.witness_lines:
-            if line.startswith("matching:"):
-                m_edges = frozenset(
-                    (int(p.split("-")[0]) - 1, int(p.split("-")[1]) - 1)
-                    for p in line[len("matching:"):].split())
-        if m_edges is None:
+        m_text = _field(cert.witness_lines, "matching:")
+        if m_text is None:
             return ["alt-path witness is missing its matching line"]
         try:
-            matching = Matching(m_edges, g)
+            matching = Matching(_parse_edges(m_text), g)
         except ValueError as exc:
             return [f"embedded matching invalid: {exc}"]
         if not matching.is_perfect:
@@ -249,10 +258,7 @@ def _check_witness(cert: Certificate) -> list[str]:
 
     if kind == "separator":
         d = obj.loop_free()
-        sep = []
-        for line in cert.witness_lines:
-            if line.startswith("vertices:"):
-                sep = [int(x) - 1 for x in line[len("vertices:"):].split()]
+        sep = _indices(cert.witness_lines, "vertices:")
         if len(sep) >= k:
             problems.append(f"separator has order {len(sep)}, not below k={k}")
         keep = [v for v in range(d.n) if v not in sep]
@@ -268,14 +274,8 @@ def _check_witness(cert: Certificate) -> list[str]:
 
     if kind == "non-extendable-matching":
         g = obj
-        edges = frozenset()
-        for line in cert.witness_lines:
-            if line.startswith("edges:"):
-                edges = frozenset(
-                    (int(p.split("-")[0]) - 1, int(p.split("-")[1]) - 1)
-                    for p in line[len("edges:"):].split())
         try:
-            m0 = Matching(edges, g)
+            m0 = Matching(_parse_edges(_field(cert.witness_lines, "edges:") or ""), g)
         except ValueError as exc:
             return [f"witness matching invalid: {exc}"]
         if m0.size != k:
@@ -286,10 +286,7 @@ def _check_witness(cert: Certificate) -> list[str]:
 
     if kind == "deficient-set":
         g = obj
-        x = []
-        for line in cert.witness_lines:
-            if line.startswith("u-set:"):
-                x = [int(v) - 1 for v in line[len("u-set:"):].split()]
+        x = _indices(cert.witness_lines, "u-set:")
         if not x:
             return ["deficient set is empty"]
         nbhd = set()
@@ -301,12 +298,8 @@ def _check_witness(cert: Certificate) -> list[str]:
 
     if kind == "zero-block":
         a = obj
-        rows = cols = []
-        for line in cert.witness_lines:
-            if line.startswith("rows:"):
-                rows = [int(x) - 1 for x in line[len("rows:"):].split()]
-            if line.startswith("cols:"):
-                cols = [int(x) - 1 for x in line[len("cols:"):].split()]
+        rows = _indices(cert.witness_lines, "rows:")
+        cols = _indices(cert.witness_lines, "cols:")
         if not rows or not cols:
             return ["zero block needs nonempty row and column sets"]
         if len(rows) + len(cols) != a.n - k + 1:
@@ -321,14 +314,8 @@ def _check_witness(cert: Certificate) -> list[str]:
 
     if kind == "perfect-matching":
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
-        edges = frozenset()
-        for line in cert.witness_lines:
-            if line.startswith("edges:"):
-                edges = frozenset(
-                    (int(p.split("-")[0]) - 1, int(p.split("-")[1]) - 1)
-                    for p in line[len("edges:"):].split())
         try:
-            m = Matching(edges, g)
+            m = Matching(_parse_edges(_field(cert.witness_lines, "edges:") or ""), g)
         except ValueError as exc:
             return [f"witness matching invalid: {exc}"]
         if not m.is_perfect:

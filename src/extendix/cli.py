@@ -16,11 +16,12 @@ from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                    random_digraph, u_label, w_label)
 from .correspond import (bipartite_of_digraph, bipartite_of_matrix, digraph_of,
                          reduced_adjacency)
-from .connectivity import (ear_decomposition_digraph, strong_components,
+from .connectivity import (anti_directed_trail_find, ear_decomposition_digraph,
+                           minimal_k_strong_degree_audit, strong_components,
                            vertex_connectivity)
-from .extendability import elementary_components, max_extendability
-from .matching import (classify_edges, count_perfect_matchings,
-                       first_perfect_matching)
+from .extendability import (elementary_components, high_degree_subgraph_forest_check,
+                            max_extendability, minimal_k_extendable_degree_audit)
+from .matching import count_perfect_matchings, first_perfect_matching
 from .matrixlab import (is_k_partly_decomposable, is_k_reducible, is_partly_decomposable,
                         is_reducible, nonzero_diagonal_count)
 from .certify import build_certificate, check_certificate
@@ -50,12 +51,11 @@ def _analyze_bipartite(g: BipartiteGraph) -> str:
     ext = max_extendability(g)
     lines.append(f"max-extendability: {ext}")
     if pm_count > 0:
-        cls = classify_edges(g)
-        c = cls.counts
-        lines.append("edge-classes: fixed_single={fixed_single} "
-                     "fixed_double={fixed_double} "
-                     "allowed_nonfixed={allowed_nonfixed}".format(**c))
         comap = elementary_components(g)
+        nonfixed = sum(len(p.edges) for p in comap.elementary)
+        lines.append(f"edge-classes: fixed_single={len(comap.fixed_single_edges)} "
+                     f"fixed_double={len(comap.fixed_double_singletons)} "
+                     f"allowed_nonfixed={nonfixed}")
         lines.append(f"elementary-components: {len(comap.elementary)}")
         lines.append(f"fixed-double-singletons: {len(comap.fixed_double_singletons)}")
         for idx, piece in enumerate(comap.pieces, 1):
@@ -255,74 +255,62 @@ def cmd_verify(args) -> int:
 # search
 
 
-def cmd_search(args) -> int:
-    from .connectivity import anti_directed_trail_find, minimal_k_strong_degree_audit
-    from .extendability import (high_degree_subgraph_forest_check,
-                                minimal_k_extendable_degree_audit)
+def _instance_block(header: str, obj) -> list[str]:
+    return [header] + format_instance(obj).rstrip("\n").split("\n") + ["end-instance"]
 
+
+def _strong_audit_lines(d: Digraph, k: int, idx: int) -> list[str]:
+    audit = minimal_k_strong_degree_audit(d, k)
+    trail = anti_directed_trail_find(d, k)
+    return [f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
+            f"out-degree-{k}-count={audit.out_degree_k_count} "
+            f"in-degree-{k}-count={audit.in_degree_k_count}",
+            f"anti-directed-trail {idx}: "
+            + ("none" if trail is None else
+               " ".join(f"{a + 1}->{b + 1}" for a, b in trail))]
+
+
+def _extendable_audit_lines(g: BipartiteGraph, k: int, idx: int) -> list[str]:
+    audit = minimal_k_extendable_degree_audit(g, k)
+    forest = high_degree_subgraph_forest_check(g, k)
+    return [f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
+            f"degree-{k + 1}-total={audit.degree_k_plus_1_total} "
+            f"u={audit.degree_k_plus_1_u} w={audit.degree_k_plus_1_w}",
+            f"forest-check {idx}: {'ok' if forest.ok else 'VIOLATION'}"]
+
+
+def cmd_search(args) -> int:
     k = args.k
     lines = [f"target: {args.target}", f"k: {k}", f"n-max: {args.n_max}"]
     found = 0
     body: list[str] = []
-    if args.target == "minimal_k_strong":
-        for n in range(2, args.n_max + 1):
+    if args.target in ("minimal_k_strong", "minimal_k_extendable"):
+        if args.target == "minimal_k_strong":
+            n_min, generate, audit_lines = (2, minimal_k_strong_digraphs,
+                                            _strong_audit_lines)
+        else:
+            n_min, generate, audit_lines = (1, minimal_k_extendable_graphs,
+                                            _extendable_audit_lines)
+        for n in range(n_min, args.n_max + 1):
             if found >= args.limit:
                 break
             try:
-                instances = list(minimal_k_strong_digraphs(n, k))
+                instances = list(generate(n, k))
             except ValueError as exc:
                 print(f"note: stopping at n={n - 1}: {exc}", file=sys.stderr)
                 break
-            for d in instances:
+            for obj in instances:
                 found += 1
-                body.append(f"instance {found}:")
-                body += format_instance(d).rstrip("\n").split("\n")
-                body.append("end-instance")
-                audit = minimal_k_strong_degree_audit(d, k)
-                body.append(f"degree-audit {found}: "
-                            f"{'ok' if audit.ok else 'VIOLATION'} "
-                            f"out-degree-{k}-count={audit.out_degree_k_count} "
-                            f"in-degree-{k}-count={audit.in_degree_k_count}")
-                trail = anti_directed_trail_find(d, k)
-                body.append(f"anti-directed-trail {found}: "
-                            + ("none" if trail is None else
-                               " ".join(f"{a + 1}->{b + 1}" for a, b in trail)))
-                if found >= args.limit:
-                    break
-    elif args.target == "minimal_k_extendable":
-        for n in range(1, args.n_max + 1):
-            if found >= args.limit:
-                break
-            try:
-                instances = list(minimal_k_extendable_graphs(n, k))
-            except ValueError as exc:
-                print(f"note: stopping at n={n - 1}: {exc}", file=sys.stderr)
-                break
-            for g in instances:
-                found += 1
-                body.append(f"instance {found}:")
-                body += format_instance(g).rstrip("\n").split("\n")
-                body.append("end-instance")
-                audit = minimal_k_extendable_degree_audit(g, k)
-                body.append(f"degree-audit {found}: "
-                            f"{'ok' if audit.ok else 'VIOLATION'} "
-                            f"degree-{k + 1}-total={audit.degree_k_plus_1_total} "
-                            f"u={audit.degree_k_plus_1_u} w={audit.degree_k_plus_1_w}")
-                forest = high_degree_subgraph_forest_check(g, k)
-                body.append(f"forest-check {found}: "
-                            f"{'ok' if forest.ok else 'VIOLATION'}")
+                body += _instance_block(f"instance {found}:", obj)
+                body += audit_lines(obj, k, found)
                 if found >= args.limit:
                     break
     elif args.target == "minimality_counterexample":
         hits = find_minimality_counterexamples(args.n_max, k, limit=args.limit)
         for d, g, edge in hits:
             found += 1
-            body.append(f"instance {found}:")
-            body += format_instance(d).rstrip("\n").split("\n")
-            body.append("end-instance")
-            body.append(f"graph {found}:")
-            body += format_instance(g).rstrip("\n").split("\n")
-            body.append("end-instance")
+            body += _instance_block(f"instance {found}:", d)
+            body += _instance_block(f"graph {found}:", g)
             body.append(f"deletable-matching-edge {found}: "
                         f"{edge[0] + 1}-{edge[1] + 1}")
     else:
@@ -436,3 +424,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -528,29 +528,37 @@ def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[
     return problems
 
 
-def _shortest_cycle(d: Digraph) -> tuple | None:
+def _shortest_cycle_through(d: Digraph, v: int) -> tuple | None:
+    """Shortest directed cycle through v as an open vertex tuple starting
+    at v, ties broken by the smaller tuple; None when there is none."""
+    dist = {v: 0}
+    parent = {}
+    queue = deque([v])
+    while queue:
+        x = queue.popleft()
+        for y in d.out_neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                parent[y] = x
+                queue.append(y)
     best = None
-    for v in range(d.n):
-        dist = {v: 0}
-        parent = {}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for y in d.out_neighbors(x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-        for x in d.in_neighbors(v):
-            if x != v and x in dist:
-                path = [x]
-                while path[-1] != v:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                cand = tuple(path)
-                if best is None or (len(cand), cand) < (len(best), best):
-                    best = cand
+    for x in d.in_neighbors(v):
+        if x != v and x in dist:
+            path = [x]
+            while path[-1] != v:
+                path.append(parent[path[-1]])
+            path.reverse()
+            cand = tuple(path)
+            if best is None or (len(cand), cand) < (len(best), best):
+                best = cand
     return best
+
+
+def _shortest_cycle(d: Digraph) -> tuple | None:
+    """Shortest directed cycle of D under the same order, or None."""
+    cycles = (_shortest_cycle_through(d, v) for v in range(d.n))
+    return min((c for c in cycles if c is not None),
+               key=lambda c: (len(c), c), default=None)
 
 
 def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD:
@@ -709,6 +717,41 @@ def is_anti_directed_trail(arcs_seq) -> bool:
     return matches(True) or matches(False)
 
 
+def _first_cycle(edges) -> tuple | None:
+    """Scan undirected edges in order and stop at the first one that
+    closes a cycle; return that cycle's nodes as the forest path from the
+    edge's first end to its second, or None when the edges form a forest."""
+    leader: dict = {}
+    forest: dict = {}
+
+    def find(x):
+        while leader[x] != x:
+            leader[x] = leader[leader[x]]
+            x = leader[x]
+        return x
+
+    for a, b in edges:
+        leader.setdefault(a, a)
+        leader.setdefault(b, b)
+        if find(a) == find(b):
+            parent = {a: None}
+            queue = deque([a])
+            while queue and b not in parent:
+                x = queue.popleft()
+                for y in forest.get(x, ()):
+                    if y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+            nodes = [b]
+            while parent[nodes[-1]] is not None:
+                nodes.append(parent[nodes[-1]])
+            return tuple(reversed(nodes))
+        leader[find(a)] = find(b)
+        forest.setdefault(a, []).append(b)
+        forest.setdefault(b, []).append(a)
+    return None
+
+
 def anti_directed_trail_find(d: Digraph, k: int):
     """Search the arcs whose tail has out-degree >= k+1 and whose head has
     in-degree >= k+1 for an anti-directed trail; None when there is none.
@@ -719,44 +762,15 @@ def anti_directed_trail_find(d: Digraph, k: int):
     """
     qual = [(u, v) for u, v in sorted(d.arcs)
             if u != v and d.out_degree(u) >= k + 1 and d.in_degree(v) >= k + 1]
-    edge_arc: dict[frozenset, tuple] = {}
-    forest: dict[tuple, list] = {}
-    leader: dict[tuple, tuple] = {}
-
-    def find(x):
-        while leader[x] != x:
-            leader[x] = leader[leader[x]]
-            x = leader[x]
-        return x
-
-    for u, v in qual:
-        tn, hn = ("t", u), ("h", v)
-        leader.setdefault(tn, tn)
-        leader.setdefault(hn, hn)
-        if find(tn) == find(hn):
-            # this arc closes a cycle: recover the unique forest path tn..hn
-            parent = {tn: None}
-            queue = deque([tn])
-            while queue and hn not in parent:
-                x = queue.popleft()
-                for y in forest.get(x, ()):
-                    if y not in parent:
-                        parent[y] = x
-                        queue.append(y)
-            nodes = [hn]
-            while parent[nodes[-1]] is not None:
-                nodes.append(parent[nodes[-1]])
-            nodes.reverse()  # tn ... hn
-            arcs_seq = [edge_arc[frozenset(pair)] for pair in zip(nodes, nodes[1:])]
-            arcs_seq.append((u, v))
-            if not is_anti_directed_trail(arcs_seq):
-                raise AssertionError("auxiliary cycle is not an anti-directed trail")
-            return tuple(arcs_seq)
-        leader[find(tn)] = find(hn)
-        forest.setdefault(tn, []).append(hn)
-        forest.setdefault(hn, []).append(tn)
-        edge_arc[frozenset((tn, hn))] = (u, v)
-    return None
+    nodes = _first_cycle([(("t", u), ("h", v)) for u, v in qual])
+    if nodes is None:
+        return None
+    closed = nodes + (nodes[0],)
+    arcs_seq = tuple((x[1], y[1]) if x[0] == "t" else (y[1], x[1])
+                     for x, y in zip(closed, closed[1:]))
+    if not is_anti_directed_trail(arcs_seq):
+        raise AssertionError("auxiliary cycle is not an anti-directed trail")
+    return arcs_seq
 
 
 # ---------------------------------------------------------------------------

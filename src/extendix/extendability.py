@@ -26,12 +26,13 @@ from dataclasses import dataclass
 from .core import (BipartiteGraph, Digraph, Matching, TooLargeError, connected,
                    u_label, w_label)
 from .correspond import alternating_path_from_digraph_path, digraph_of
-from .matching import (classify_edges, enumerate_matchings, first_perfect_matching,
-                       has_perfect_matching, matching_extends)
+from .matching import (enumerate_matchings, first_perfect_matching,
+                       has_perfect_matching, matching_extends, max_matching)
 from .connectivity import (cycles_through_vertex, ear_decomposition_digraph,
                            is_k_strong, is_minimal_k_strong, menger_paths,
                            strong_components, MinimalityResult,
-                           anti_directed_trail_find)
+                           anti_directed_trail_find, _first_cycle,
+                           _shortest_cycle_through)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def bipartite_ear_decomposition(g: BipartiteGraph, start_edge) -> EarDecompositi
         return EarDecompositionB(start_edge, (), m)
     d, cmap = digraph_of(g, m)
     hub = cmap.vertex_of_matching_edge(start_edge)
-    cycle = _cycle_through(d, hub)
+    cycle = _shortest_cycle_through(d, hub)
     ddec = ear_decomposition_digraph(d, cycle)
 
     # the base cycle's pullback runs from the u-side to the w-side of the
@@ -317,35 +318,6 @@ def _pm_through_edge(g: BipartiteGraph, edge) -> Matching:
         raise ValueError(f"edge {edge} lies in no perfect matching")
     pairs[i] = j
     return Matching(frozenset(pairs.items()), g)
-
-
-def _cycle_through(d: Digraph, v: int) -> tuple:
-    """Shortest directed cycle through v, as an open vertex tuple."""
-    from collections import deque
-
-    dist = {v: 0}
-    parent = {}
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        for y in d.out_neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                parent[y] = x
-                queue.append(y)
-    best = None
-    for x in d.in_neighbors(v):
-        if x in dist and x != v:
-            path = [x]
-            while path[-1] != v:
-                path.append(parent[path[-1]])
-            path.reverse()
-            cand = tuple(path)
-            if best is None or (len(cand), cand) < (len(best), best):
-                best = cand
-    if best is None:
-        raise ValueError(f"no cycle through vertex {v}")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -465,77 +437,43 @@ class ComponentMap:
 
 
 def elementary_components(g: BipartiteGraph, matching: Matching | None = None) -> ComponentMap:
-    """Split G into elementary components (components of the non-fixed
-    subgraph) plus one singleton piece per fixed double edge, and align the
-    pieces one-to-one with the strong components of the derived digraph.
+    """Split G into elementary components plus one singleton piece per
+    fixed double edge: one piece per strong component of the digraph of
+    (G, M), in order of its smallest vertex.
 
-    The alignment and the fact that the matching restricts to a perfect
-    matching of every piece are verified on the spot.
+    The Dulmage-Mendelsohn rule does the work.  For any perfect matching
+    M, a non-matching edge lies in some perfect matching iff its arc stays
+    inside one strong component, and a matching edge lies in every perfect
+    matching iff its vertex is a singleton strong component.  So a
+    singleton component C is a fixed double piece, any other is the
+    elementary piece with U = C, W = M(C), and as edges the matching edges
+    plus the non-matching edges whose arcs stay inside C; every arc
+    between components is a fixed single edge.  M defaults to a maximum
+    matching of G.
     """
-    cls = classify_edges(g)
     if matching is None:
-        matching = first_perfect_matching(g)
-    if matching is None or not matching.is_perfect:
+        matching = max_matching(g)
+    if not matching.is_perfect:
         raise ValueError("graph has no perfect matching")
-    pairing = matching.pairing()
-
-    # components of the subgraph formed by the non-fixed edges
-    adj: dict[tuple, list] = {}
-    for i, j in sorted(cls.nonfixed):
-        adj.setdefault(("u", i), []).append(("w", j))
-        adj.setdefault(("w", j), []).append(("u", i))
-    seen = set()
-    pieces = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for nb in adj[v]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        us = frozenset(v[1] for v in comp if v[0] == "u")
-        ws = frozenset(v[1] for v in comp if v[0] == "w")
-        edges = frozenset(e for e in g.edges if e[0] in us and e[1] in ws
-                          and e in cls.nonfixed)
-        mpart = frozenset((i, pairing[i]) for i in us if pairing[i] in ws)
-        pieces.append(ComponentPiece("elementary", us, ws, edges, mpart,
-                                     frozenset()))
-    for i, j in sorted(cls.fixed_double):
-        pieces.append(ComponentPiece("fixed_double", frozenset({i}), frozenset({j}),
-                                     frozenset({(i, j)}), frozenset({(i, j)}),
-                                     frozenset()))
-
-    # every piece must pick up its vertices' matching edges in full
-    for p in pieces:
-        if frozenset(e[0] for e in p.matching_part) != p.u_vertices or \
-                frozenset(e[1] for e in p.matching_part) != p.w_vertices:
-            raise AssertionError("matching does not restrict to a perfect "
-                                 "matching of a piece")
-
     d, cmap = digraph_of(g, matching)
-    sccs = strong_components(d)
-    scc_sets = {frozenset(c) for c in sccs}
-    aligned = []
-    used = set()
-    for p in pieces:
-        vertex_set = frozenset(cmap.vertex_of_matching_edge(e)
-                               for e in p.matching_part)
-        if vertex_set not in scc_sets:
-            raise AssertionError(f"piece {sorted(vertex_set)} is not a strong component")
-        if vertex_set in used:
-            raise AssertionError("two pieces map to one strong component")
-        used.add(vertex_set)
-        aligned.append(ComponentPiece(p.kind, p.u_vertices, p.w_vertices,
-                                      p.edges, p.matching_part, vertex_set))
-    if used != scc_sets:
-        raise AssertionError("some strong component has no piece")
-    aligned.sort(key=lambda p: min(p.scc))
-    return ComponentMap(g, matching, d, tuple(aligned), cls.fixed_single)
+    sccs = sorted(strong_components(d), key=min)
+    comp_of = {v: idx for idx, c in enumerate(sccs) for v in c}
+    inside = [set() for _ in sccs]
+    fixed_single = set()
+    for t, h in d.arcs:
+        edge = cmap.nonmatching_edge_of_arc((t, h))
+        if comp_of[t] == comp_of[h]:
+            inside[comp_of[t]].add(edge)
+        else:
+            fixed_single.add(edge)
+    pieces = []
+    for c, inner in zip(sccs, inside):
+        mpart = frozenset(cmap.matching_edge_of_vertex(v) for v in c)
+        kind = "fixed_double" if len(c) == 1 else "elementary"
+        pieces.append(ComponentPiece(kind, frozenset(e[0] for e in mpart),
+                                     frozenset(e[1] for e in mpart),
+                                     mpart | inner, mpart, c))
+    return ComponentMap(g, matching, d, tuple(pieces), frozenset(fixed_single))
 
 
 # ---------------------------------------------------------------------------
@@ -599,38 +537,9 @@ def high_degree_subgraph_forest_check(g: BipartiteGraph, k: int) -> ForestCheckR
 
 def _find_cycle_bipartite(edges):
     """A cycle in the subgraph spanned by the given edges, or None."""
-    leader = {}
-
-    def find(x):
-        while leader[x] != x:
-            leader[x] = leader[leader[x]]
-            x = leader[x]
-        return x
-
-    forest: dict[tuple, list] = {}
-    for i, j in sorted(edges):
-        a, b = ("u", i), ("w", j)
-        leader.setdefault(a, a)
-        leader.setdefault(b, b)
-        if find(a) == find(b):
-            from collections import deque
-
-            parent = {a: None}
-            queue = deque([a])
-            while queue and b not in parent:
-                x = queue.popleft()
-                for y in forest.get(x, ()):
-                    if y not in parent:
-                        parent[y] = x
-                        queue.append(y)
-            nodes = [b]
-            while parent[nodes[-1]] is not None:
-                nodes.append(parent[nodes[-1]])
-            nodes.reverse()
-            closed = nodes + [nodes[0]]
-            return tuple((x[1], y[1]) if x[0] == "u" else (y[1], x[1])
-                         for x, y in zip(closed, closed[1:]))
-        leader[find(a)] = find(b)
-        forest.setdefault(a, []).append(b)
-        forest.setdefault(b, []).append(a)
-    return None
+    nodes = _first_cycle([(("u", i), ("w", j)) for i, j in sorted(edges)])
+    if nodes is None:
+        return None
+    closed = nodes + (nodes[0],)
+    return tuple((x[1], y[1]) if x[0] == "u" else (y[1], x[1])
+                 for x, y in zip(closed, closed[1:]))

@@ -1,8 +1,9 @@
 """Matching computation, enumeration, edge classification.
 
-Classification of fixed edges uses the two polynomial deletion criteria
-(graph minus an edge's endpoints; graph minus the edge itself); the
-enumeration-based definition survives only as a test oracle.
+Edges are classified from the strong components of the derived digraph
+of one maximum matching (see ``extendability.elementary_components``);
+the enumeration- and deletion-based definitions survive only as test
+oracles.
 """
 
 from __future__ import annotations
@@ -31,17 +32,15 @@ def _augment(adj, match_w, i, seen) -> bool:
 
 def max_matching_pairs(g: BipartiteGraph,
                        dead_u: frozenset = frozenset(),
-                       dead_w: frozenset = frozenset(),
-                       banned_edge=None) -> dict[int, int]:
-    """u -> w pairing of a maximum matching, optionally avoiding vertices
-    or one edge.  Deterministic for a fixed graph."""
+                       dead_w: frozenset = frozenset()) -> dict[int, int]:
+    """u -> w pairing of a maximum matching, optionally avoiding vertices.
+    Deterministic for a fixed graph."""
     adj = []
     for i in range(g.n):
         if i in dead_u:
             adj.append(())
         else:
-            adj.append(tuple(j for j in g.u_neighbors(i)
-                             if j not in dead_w and (i, j) != banned_edge))
+            adj.append(tuple(j for j in g.u_neighbors(i) if j not in dead_w))
     match_w: dict[int, int] = {}
     for i in range(g.n):
         if i not in dead_u:
@@ -57,13 +56,12 @@ def max_matching(g: BipartiteGraph) -> Matching:
 
 def has_perfect_matching(g: BipartiteGraph,
                          dead_u: frozenset = frozenset(),
-                         dead_w: frozenset = frozenset(),
-                         banned_edge=None) -> bool:
-    """Whether the graph minus the given vertices/edge has a matching that
+                         dead_w: frozenset = frozenset()) -> bool:
+    """Whether the graph minus the given vertices has a matching that
     saturates every remaining vertex (requires |dead_u| == |dead_w|)."""
     if len(dead_u) != len(dead_w):
         return False
-    pairs = max_matching_pairs(g, dead_u, dead_w, banned_edge)
+    pairs = max_matching_pairs(g, dead_u, dead_w)
     return len(pairs) == g.n - len(dead_u)
 
 
@@ -188,22 +186,16 @@ class EdgeClassification:
 def classify_edges(g: BipartiteGraph) -> EdgeClassification:
     """Classify every edge.  Requires at least one perfect matching.
 
-    An edge uw lies in some perfect matching iff G - {u, w} has one, and in
-    every perfect matching iff G - uw has none.
+    Read off the elementary components: the fixed double edges are the
+    singleton pieces, the non-fixed edges are the edges of the elementary
+    pieces, and the fixed single edges are the rest.
     """
-    if not has_perfect_matching(g):
-        raise ValueError("graph has no perfect matching")
-    single, double, nonfixed = set(), set(), set()
-    for i, j in g.sorted_edges():
-        in_some = has_perfect_matching(g, frozenset({i}), frozenset({j}))
-        if not in_some:
-            single.add((i, j))
-        elif not has_perfect_matching(g, banned_edge=(i, j)):
-            double.add((i, j))
-        else:
-            nonfixed.add((i, j))
-    return EdgeClassification(g, frozenset(single), frozenset(double),
-                              frozenset(nonfixed))
+    from .extendability import elementary_components
+
+    cm = elementary_components(g)
+    double = frozenset().union(*(p.edges for p in cm.fixed_double_singletons))
+    nonfixed = frozenset().union(*(p.edges for p in cm.elementary))
+    return EdgeClassification(g, cm.fixed_single_edges, double, nonfixed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared instances and seeded suites.
+"""Shared instances, seeded suites and definitional oracles.
 
 The named small graphs are hand-checkable: every expected value asserted
 against them in the tests was derived by hand from the definitions
@@ -97,3 +97,96 @@ def random_digraph_suite(count: int = 120, n_lo: int = 5, n_hi: int = 6) -> list
         n = n_lo + i % (n_hi - n_lo + 1)
         out.append(random_digraph(n, ps[i % 5], seed=7000 + i))
     return out
+
+
+# ---------------------------------------------------------------------------
+# definitional oracles for the edge classes and the elementary pieces
+
+
+def classify_by_enumeration(g) -> tuple:
+    """(fixed single, fixed double, non-fixed) edges, tagged by membership
+    across all perfect matchings."""
+    from extendix import perfect_matchings
+
+    pms = [m.edges for m in perfect_matchings(g)]
+    single, double, nonfixed = set(), set(), set()
+    for e in g.edges:
+        holding = sum(1 for pm in pms if e in pm)
+        if holding == 0:
+            single.add(e)
+        elif holding == len(pms):
+            double.add(e)
+        else:
+            nonfixed.add(e)
+    return frozenset(single), frozenset(double), frozenset(nonfixed)
+
+
+def classify_by_deletion(g) -> tuple:
+    """The same classes from two deletion criteria per edge: uw lies in
+    some perfect matching iff G - {u, w} has one, and in every perfect
+    matching iff G - uw has none."""
+    from extendix import has_perfect_matching
+
+    single, double, nonfixed = set(), set(), set()
+    for i, j in g.sorted_edges():
+        if not has_perfect_matching(g, frozenset({i}), frozenset({j})):
+            single.add((i, j))
+        elif not has_perfect_matching(g.without_edge((i, j))):
+            double.add((i, j))
+        else:
+            nonfixed.add((i, j))
+    return frozenset(single), frozenset(double), frozenset(nonfixed)
+
+
+def components_by_enumeration(g) -> tuple:
+    """(pieces, fixed single edges) by the enumeration classes.  The pieces
+    are (kind, U, W, edges): the components of the non-fixed subgraph plus
+    one singleton per fixed double edge."""
+    single, double, nonfixed = classify_by_enumeration(g)
+    adj: dict = {}
+    for i, j in nonfixed:
+        adj.setdefault(("u", i), []).append(("w", j))
+        adj.setdefault(("w", j), []).append(("u", i))
+    pieces, seen = [], set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in comp:
+                    comp.add(nb)
+                    stack.append(nb)
+        seen |= comp
+        us = frozenset(v[1] for v in comp if v[0] == "u")
+        ws = frozenset(v[1] for v in comp if v[0] == "w")
+        edges = frozenset(e for e in nonfixed if e[0] in us)
+        pieces.append(("elementary", us, ws, edges))
+    for i, j in double:
+        pieces.append(("fixed_double", frozenset({i}), frozenset({j}),
+                       frozenset({(i, j)})))
+    return pieces, single
+
+
+def assert_components_match(cm, oracle) -> None:
+    """The component map cm of (G, M) has exactly the pieces and fixed
+    single edges of ``components_by_enumeration(G)``, and the pieces'
+    digraph vertex sets are exactly the strong components of D(G, M)."""
+    oracle_pieces, single = oracle
+    from extendix import digraph_of, strong_components
+
+    g, m = cm.graph, cm.matching
+    d, cmap = digraph_of(g, m)
+    assert cm.digraph == d
+    expected = []
+    for kind, us, ws, edges in oracle_pieces:
+        mpart = frozenset(e for e in m.edges if e[0] in us)
+        assert frozenset(e[1] for e in mpart) == ws
+        scc = frozenset(cmap.vertex_of_matching_edge(e) for e in mpart)
+        expected.append((kind, us, ws, edges, mpart, scc))
+    expected.sort(key=lambda p: min(p[5]))
+    assert {p[5] for p in expected} == set(strong_components(d))
+    got = [(p.kind, p.u_vertices, p.w_vertices, p.edges, p.matching_part, p.scc)
+           for p in cm.pieces]
+    assert got == expected
+    assert cm.fixed_single_edges == single

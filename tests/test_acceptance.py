@@ -35,7 +35,8 @@ from extendix.matrixlab import (fully_indecomposable_by_diagonals,
 from extendix.search import (find_minimality_counterexamples,
                              minimal_k_extendable_graphs, minimal_k_strong_digraphs)
 
-from conftest import random_graph_suite, random_matrix_suite
+from conftest import (assert_components_match, components_by_enumeration,
+                      random_graph_suite, random_matrix_suite)
 
 
 def _report(num: int, text: str) -> None:
@@ -105,8 +106,10 @@ def test_criterion_02_one_extendable_iff_strong_and_unique_pm_acyclic(all_graphs
 def test_criterion_03_components_align(all_graphs):
     pieces_total = 0
     for g in all_graphs:
+        oracle = components_by_enumeration(g)
         for m in perfect_matchings(g):
-            cm = elementary_components(g, m)  # verifies alignment internally
+            cm = elementary_components(g, m)
+            assert_components_match(cm, oracle)
             pieces_total += len(cm.pieces)
             for piece in cm.pieces:
                 part = piece.matching_part

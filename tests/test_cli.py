@@ -186,3 +186,21 @@ class TestRandgen:
 
     def test_bad_n(self, capsys):
         assert main(["randgen", "--kind", "bg", "--n", "0"]) == 2
+
+
+@pytest.mark.parametrize("module", ["extendix", "extendix.cli"])
+def test_python_m_reports_missing_file(module, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import extendix
+
+    env = dict(os.environ, PYTHONPATH=str(Path(extendix.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", module, "analyze",
+                           str(tmp_path / "missing.bg")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""

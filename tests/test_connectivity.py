@@ -326,8 +326,9 @@ class TestAntiDirectedTrails:
     def test_four_arc_trail(self):
         d = Digraph(4, frozenset({(0, 2), (1, 2), (1, 3), (0, 3)}))
         trail = anti_directed_trail_find(d, 0)
-        assert trail is not None
         assert is_anti_directed_trail(trail)
+        # the forest path from the closing arc's tail slot, then that arc
+        assert trail == ((1, 2), (0, 2), (0, 3), (1, 3))
 
     def test_degree_threshold_filters(self):
         # all degrees are 2, so k = 2 demands degree 3 and nothing qualifies

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,8 @@ from extendix import (Digraph, Matching, ZeroOneMatrix,
                       complete_bipartite, complete_digraph, digraph_of,
                       digraph_of_matrix, directed_cycle, flip_alternating_cycle,
                       iter_bipartite_with_canonical, iter_digraphs, matching_graph,
-                      matrix_of_digraph, perfect_matchings, reduced_adjacency)
+                      matrix_of_digraph, max_matching, perfect_matchings,
+                      random_bipartite_with_pm, reduced_adjacency)
 from extendix.correspond import alternating_cycle_edges_from_digraph_cycle
 
 from conftest import make_c6, make_p4
@@ -44,6 +47,18 @@ class TestReducedAdjacency:
             a = matrix_of_digraph(d)
             assert digraph_of_matrix(a).loop_free() == d
             assert matrix_of_digraph(digraph_of_matrix(a)) == a
+
+
+def _digraph_by_matrix(g, m) -> frozenset:
+    """Arcs of D(G, M) by the matrix route: permute the columns of the
+    reduced adjacency matrix so that M is the main diagonal, then read off
+    the off-diagonal ones."""
+    a = reduced_adjacency(g)
+    pairing = m.pairing()
+    permuted = ZeroOneMatrix(tuple(
+        tuple(0 if i == j else a.rows[i][pairing[j]] for j in range(g.n))
+        for i in range(g.n)))
+    return digraph_of_matrix(permuted).arcs
 
 
 class TestDigraphOf:
@@ -91,6 +106,18 @@ class TestDigraphOf:
                 d, cmap = digraph_of(g, m)
                 assert d.m == g.m - g.n
                 assert cmap.check_bijections(g, m, d)
+
+    def test_equals_matrix_route_exhaustive(self):
+        for n in (1, 2, 3):
+            for g in iter_bipartite_with_canonical(n):
+                for m in perfect_matchings(g):
+                    assert digraph_of(g, m)[0].arcs == _digraph_by_matrix(g, m)
+
+    def test_equals_matrix_route_random(self):
+        for seed in range(10):
+            g = random_bipartite_with_pm(10, 0.3, seed=400 + seed)
+            for m in [max_matching(g)] + list(islice(perfect_matchings(g), 5)):
+                assert digraph_of(g, m)[0].arcs == _digraph_by_matrix(g, m)
 
     def test_different_matchings_can_give_nonisomorphic_digraphs(self):
         # degree multisets are isomorphism invariants, so differing ones

@@ -6,13 +6,14 @@ from extendix import (BipartiteGraph, alternating_path_system,
                       high_degree_subgraph_forest_check, is_k_extendable,
                       is_k_extendable_oracle, is_k_extendable_via_digraph,
                       is_k_extendable_via_neighborhood, is_minimal_k_extendable,
-                      matching_graph, max_extendability,
+                      matching_graph, max_extendability, max_matching,
                       minimal_k_extendable_degree_audit, minimality_transfer_check,
                       perfect_matchings, random_bipartite_with_pm)
 from extendix.extendability import (check_alternating_path_system,
                                     check_bipartite_ear_decomposition)
 
-from conftest import make_c4_pendant, make_c6, make_p4
+from conftest import (assert_components_match, components_by_enumeration,
+                      make_c4_pendant, make_c6, make_p4)
 
 
 class TestOracle:
@@ -219,9 +220,43 @@ class TestElementaryComponents:
     def test_alignment_verified_for_every_matching(self):
         for seed in range(30):
             g = random_bipartite_with_pm(5, 0.3, seed=seed)
+            oracle = components_by_enumeration(g)
             for m in perfect_matchings(g):
-                cm = elementary_components(g, m)  # raises if misaligned
+                cm = elementary_components(g, m)
+                assert_components_match(cm, oracle)
                 assert sum(len(p.u_vertices) for p in cm.pieces) == g.n
+
+    def test_default_matching_is_maximum(self):
+        g = random_bipartite_with_pm(6, 0.4, seed=3)
+        cm = elementary_components(g)
+        assert cm.matching == max_matching(g)
+        assert_components_match(cm, components_by_enumeration(g))
+
+
+@pytest.mark.parametrize("target", ["matching.classify_edges",
+                                    "extendability.elementary_components"])
+def test_one_matching_digraph_and_component_pass(target, monkeypatch):
+    import importlib
+    import sys
+
+    counts = {}
+    for module_path, name in (("extendix.matching", "max_matching_pairs"),
+                              ("extendix.correspond", "digraph_of"),
+                              ("extendix.connectivity", "strong_components")):
+        original = getattr(importlib.import_module(module_path), name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        # rebind the name wherever the package binds it
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("extendix") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    module_name, func_name = target.split(".")
+    func = getattr(importlib.import_module(f"extendix.{module_name}"), func_name)
+    func(random_bipartite_with_pm(30, 0.1, seed=11))
+    assert counts == {"max_matching_pairs": 1, "digraph_of": 1, "strong_components": 1}
 
 
 class TestAudits:
@@ -239,6 +274,15 @@ class TestAudits:
         rep = high_degree_subgraph_forest_check(make_c6(), 1)
         assert rep.ok and rep.qualifying_edges == frozenset()
         assert rep.digraph_trail is None
+
+    def test_cycle_of_qualifying_edges(self):
+        from extendix.extendability import _find_cycle_bipartite
+
+        # the first edge to close a cycle is u3w1; the cycle starts there
+        c6_edges = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)}
+        assert _find_cycle_bipartite(c6_edges) == \
+            ((2, 0), (0, 0), (0, 1), (1, 1), (1, 2), (2, 2))
+        assert _find_cycle_bipartite({(0, 0), (0, 1), (1, 1)}) is None
 
     def test_forest_check_rejects_non_minimal(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,116 @@
+"""Byte-for-byte CLI outputs on fixed instances.
+
+The files under ``tests/golden/`` pin what ``analyze``, ``convert``,
+``certify``, ``verify`` and ``search`` print.  A refactor of the library
+must leave every one of them unchanged.  The ``certify`` outputs double as
+inputs of the ``verify`` cases.
+
+Regenerate (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import random
+from pathlib import Path
+
+import pytest
+
+from extendix import (ZeroOneMatrix, complete_bipartite, random_bipartite_with_pm,
+                      random_digraph)
+from extendix.cli import main
+from extendix.fileio import write_instance
+
+from conftest import make_c4_pendant, make_c6, make_p4
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _seeded_matrix(n: int, p: float, seed: int) -> ZeroOneMatrix:
+    """Unit diagonal plus each off-diagonal one with probability p."""
+    rng = random.Random(seed)
+    return ZeroOneMatrix(tuple(
+        tuple(1 if i == j or rng.random() < p else 0 for j in range(n))
+        for i in range(n)))
+
+
+def _instances() -> dict:
+    return {
+        "c6.bg": make_c6(),
+        "p4.bg": make_p4(),
+        "c4_pendant.bg": make_c4_pendant(),
+        "k33.bg": complete_bipartite(3),
+        # connected, three elementary components, two fixed double edges
+        "bg10.bg": random_bipartite_with_pm(10, 0.25, seed=75),
+        # strong, kappa 1
+        "dg6.dg": random_digraph(6, 0.45, seed=4),
+        # partly decomposable and reducible
+        "dec6.mat": _seeded_matrix(6, 0.35, seed=0),
+        # fully indecomposable and irreducible
+        "full6.mat": _seeded_matrix(6, 0.35, seed=4),
+        "j3.mat": ZeroOneMatrix.ones(3),
+    }
+
+
+# (output name, argv with instance names relative to GOLDEN, exit code)
+CASES = [(f"analyze-{name.split('.')[0]}", ["analyze", name], 0)
+         for name in ("c6.bg", "p4.bg", "c4_pendant.bg", "k33.bg", "bg10.bg",
+                      "dg6.dg", "dec6.mat", "full6.mat")]
+CASES += [(f"convert-g2d-{name.split('.')[0]}",
+           ["convert", name, "--direction", "g2d"], 0)
+          for name in ("c6.bg", "c4_pendant.bg", "bg10.bg")]
+CASES += [("convert-g2d-c6-explicit",
+           ["convert", "c6.bg", "--direction", "g2d", "--matching", "1-2,2-3,3-1"], 0)]
+CERTIFY = [
+    ("p4.bg", "k-extendable", 0, 0),
+    ("c6.bg", "k-extendable", 1, 0),
+    ("k33.bg", "k-extendable", 2, 0),
+    ("c6.bg", "k-extendable", 2, 1),
+    ("p4.bg", "k-extendable", 1, 1),
+    ("bg10.bg", "k-extendable", 1, 1),
+    ("dg6.dg", "k-strong", 1, 0),
+    ("dg6.dg", "k-strong", 2, 1),
+    ("full6.mat", "k-indecomposable", 1, 0),
+    ("j3.mat", "k-indecomposable", 2, 0),
+    ("dec6.mat", "k-indecomposable", 1, 1),
+    ("full6.mat", "k-irreducible", 1, 0),
+    ("dec6.mat", "k-irreducible", 1, 1),
+]
+for _name, _claim, _k, _code in CERTIFY:
+    _stem = f"{_claim}-{_k}-{_name.split('.')[0]}"
+    CASES += [(f"certify-{_stem}", ["certify", _name, "--claim", _claim, "--k", str(_k)],
+               _code),
+              (f"verify-{_stem}", ["verify", f"certify-{_stem}.out"], 0)]
+CASES += [
+    ("search-minimal_k_strong",
+     ["search", "--target", "minimal_k_strong", "--n-max", "4", "--limit", "100"], 0),
+    ("search-minimal_k_extendable",
+     ["search", "--target", "minimal_k_extendable", "--n-max", "3"], 0),
+]
+
+
+def _run(argv) -> tuple[int, str]:
+    args = [str(GOLDEN / a) if (GOLDEN / a).is_file() else a for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(args)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(name, argv, code):
+    got_code, out = _run(argv)
+    assert got_code == code
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for fname, obj in _instances().items():
+        write_instance(obj, GOLDEN / fname)
+    for name, argv, code in CASES:
+        got_code, out = _run(argv)
+        assert got_code == code, (name, got_code)
+        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")

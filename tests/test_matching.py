@@ -9,7 +9,7 @@ from extendix import (BipartiteGraph, Matching, canonical_matching, classify_edg
                       symmetric_difference, unique_pm_acyclic_check,
                       iter_bipartite_with_canonical)
 
-from conftest import make_c6, make_p4
+from conftest import classify_by_deletion, classify_by_enumeration, make_c6, make_p4
 
 
 class TestMaxMatching:
@@ -84,22 +84,6 @@ class TestCounting:
             assert count_perfect_matchings(g) == len(list(perfect_matchings(g)))
 
 
-def _classify_by_enumeration(g):
-    """Definitional oracle: tag edges by membership across all perfect
-    matchings."""
-    pms = [m.edges for m in perfect_matchings(g)]
-    single, double, nonfixed = set(), set(), set()
-    for e in g.edges:
-        holding = sum(1 for pm in pms if e in pm)
-        if holding == 0:
-            single.add(e)
-        elif holding == len(pms):
-            double.add(e)
-        else:
-            nonfixed.add(e)
-    return frozenset(single), frozenset(double), frozenset(nonfixed)
-
-
 class TestClassifyEdges:
     def test_p4(self):
         cls = classify_edges(make_p4())
@@ -124,7 +108,7 @@ class TestClassifyEdges:
             for g in iter_bipartite_with_canonical(n):
                 cls = classify_edges(g)
                 assert (cls.fixed_single, cls.fixed_double, cls.nonfixed) == \
-                    _classify_by_enumeration(g)
+                    classify_by_enumeration(g)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_against_enumeration_random(self, n):
@@ -132,7 +116,15 @@ class TestClassifyEdges:
             g = random_bipartite_with_pm(n, 0.35, seed=100 * n + seed)
             cls = classify_edges(g)
             assert (cls.fixed_single, cls.fixed_double, cls.nonfixed) == \
-                _classify_by_enumeration(g)
+                classify_by_enumeration(g)
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_against_deletion_large(self, n):
+        for seed in range(3):
+            g = random_bipartite_with_pm(n, 2.0 / n, seed=1000 * n + seed)
+            cls = classify_edges(g)
+            assert (cls.fixed_single, cls.fixed_double, cls.nonfixed) == \
+                classify_by_deletion(g)
 
     def test_double_edges_form_matching_and_isolate_neighbors(self):
         for seed in range(40):

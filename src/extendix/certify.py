@@ -3,10 +3,15 @@
 A positive certificate carries path systems (alternating ones on the
 bipartite side, vertex-disjoint ones on the digraph side) or a perfect
 matching for the k = 0 boundary; a negative certificate carries a
-separator, a non-extendable matching, a deficient vertex set, or a zero
-block.  ``check_certificate`` re-derives the verdict from the embedded
-instance and re-validates the witness structurally, so it is independent
-of however the certificate was produced.
+separator, a deficient vertex set read off a separator, or a zero block
+(older certificates may carry a non-extendable matching).
+``check_certificate`` re-derives the verdict from the embedded instance
+and re-validates the witness structurally.
+
+Cost: k-strong and k-extendable certificates take one or two
+``is_k_strong`` decisions, O(k^2 n (n + m)), plus matchings and at most
+six path flows.  The matrix claims decide the same way, but a failing
+one searches row subsets for its zero block, exponential in n.
 """
 
 from __future__ import annotations
@@ -14,15 +19,15 @@ from __future__ import annotations
 import random
 
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
-                   connected, u_label, w_label)
-from .correspond import bipartite_of_matrix, digraph_of_matrix
-from .connectivity import is_k_strong, is_strong, menger_paths, check_path_system, PathSystem
-from .extendability import (AltPathSystem, alternating_path_system,
-                            check_alternating_path_system, is_k_extendable,
-                            is_k_extendable_oracle, is_k_extendable_via_neighborhood)
+                   connected, parse_vertex_label, u_label, w_label)
+from .correspond import bipartite_of_matrix, digraph_of, digraph_of_matrix
+from .connectivity import (is_k_strong, is_strong, menger_paths, check_path_system,
+                           strong_components, PathSystem)
+from .extendability import (AltPathSystem, _alternating_paths,
+                            check_alternating_path_system, is_k_extendable)
 from .fileio import Certificate
 from .matching import (first_perfect_matching, has_perfect_matching,
-                       matching_extends)
+                       matching_extends, max_matching)
 from .matrixlab import is_k_partly_decomposable, is_k_reducible
 
 
@@ -60,13 +65,22 @@ def _indices(lines, prefix: str) -> list[int]:
     return [int(x) - 1 for x in (_field(lines, prefix) or "").split()]
 
 
+def _induced(d: Digraph, keep: list) -> Digraph:
+    """The subdigraph on the vertices in keep, vertex keep[i] renamed i."""
+    remap = {v: i for i, v in enumerate(keep)}
+    return Digraph(len(keep), frozenset((remap[a], remap[b]) for a, b in d.arcs
+                                        if a in remap and b in remap))
+
+
+def _distinct_in_range(indices: list, n: int) -> bool:
+    return len(set(indices)) == len(indices) and all(0 <= i < n for i in indices)
+
+
 def _walk_text(walk) -> str:
     return " ".join((u_label(v) if side == "u" else w_label(v)) for side, v in walk)
 
 
 def _parse_walk(text: str) -> tuple:
-    from .core import parse_vertex_label
-
     out = []
     for token in text.split():
         parsed = parse_vertex_label(token)
@@ -81,9 +95,11 @@ def _parse_walk(text: str) -> tuple:
 
 
 def _alt_system_lines(g: BipartiteGraph, m: Matching, k: int, seed) -> list[str]:
+    """Path systems of a G known k-extendable, all read off one D(G, M)."""
     lines = ["matching: " + _edges_text(m.edges)]
+    d, cmap = digraph_of(g, m)
     for u, w in _sample([(u, w) for u in range(g.n) for w in range(g.n)], seed):
-        system = alternating_path_system(g, m, u, w, k)
+        system = _alternating_paths(g, m, d, cmap, u, w, k)
         lines.append(f"pair: {u_label(u)} {w_label(w)}")
         lines += [f"path: {_walk_text(walk)}" for walk in system.paths]
     return lines
@@ -100,22 +116,27 @@ def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
 
 
 def _negative_extendability_witness(g: BipartiteGraph, k: int):
+    """Why G is not k-extendable: past the size cap, the connectivity
+    (k >= 1) and the perfect matching, a deficient set read off the
+    separator S (|S| < k) of D = D(G, M) for a maximum matching M.
+
+    Vertex i of D stands for u_i.  Every arc leaving the last strong
+    component X of D - S ends in S, so N(U_X) lies in M(U_X) and M(U_S):
+    |N(U_X)| <= |X| + |S| < |X| + k.  For X', the n - k smallest of X,
+    N(U_X') still misses the partners of the rest of D - S, so
+    |N(U_X')| <= n - 1 < |X'| + k; 1 <= |X'| <= n - k either way.
+    """
     if k > g.n - 1:
         return "size-cap", (f"reason: k={k} exceeds n-1={g.n - 1}",)
-    if not connected(g):
+    if k >= 1 and not connected(g):
         return "disconnected", ()
     if not has_perfect_matching(g):
         return "no-perfect-matching", ()
-    if g.n <= 8:
-        verdict = is_k_extendable_oracle(g, k)
-        if verdict.witness is not None:
-            return "non-extendable-matching", (
-                "edges: " + _edges_text(verdict.witness.edges),)
-    nb = is_k_extendable_via_neighborhood(g, k)
-    if nb.deficient_set is not None:
-        return "deficient-set", ("u-set: " + " ".join(str(i + 1)
-                                                      for i in nb.deficient_set),)
-    raise AssertionError("no witness found although the property fails")
+    d, _ = digraph_of(g, max_matching(g))
+    sep = is_k_strong(d, k).separator
+    keep = [v for v in range(d.n) if v not in sep]
+    x = sorted(keep[v] for v in strong_components(_induced(d, keep))[-1])
+    return "deficient-set", ("u-set: " + " ".join(str(i + 1) for i in x[:g.n - k]),)
 
 
 def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, seed) -> Certificate:
@@ -127,6 +148,12 @@ def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, seed) -> C
                            ("edges: " + _edges_text(m.edges),))
     return Certificate(claim, k, True, obj, "alt-path-systems",
                        tuple(_alt_system_lines(g, m, k, seed)))
+
+
+def _zero_block_certificate(claim: str, k: int, a: ZeroOneMatrix, w) -> Certificate:
+    return Certificate(claim, k, False, a, "zero-block", (
+        "rows: " + " ".join(str(i + 1) for i in w.row_subset),
+        "cols: " + " ".join(str(j + 1) for j in w.col_subset)))
 
 
 def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
@@ -163,10 +190,7 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             raise ValueError("k-indecomposable applies to matrix instances")
         res = is_k_partly_decomposable(obj, k)
         if res.holds:
-            w = res.witness
-            lines = ("rows: " + " ".join(str(i + 1) for i in w.row_subset),
-                     "cols: " + " ".join(str(j + 1) for j in w.col_subset))
-            return Certificate(claim, k, False, obj, "zero-block", lines)
+            return _zero_block_certificate(claim, k, obj, res.witness)
         return _matching_certificate(claim, k, obj, bipartite_of_matrix(obj), seed)
 
     if claim == "k-irreducible":
@@ -174,10 +198,7 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             raise ValueError("k-irreducible applies to matrix instances")
         res = is_k_reducible(obj, k)
         if res.holds:
-            w = res.witness
-            lines = ("rows: " + " ".join(str(i + 1) for i in w.row_subset),
-                     "cols: " + " ".join(str(j + 1) for j in w.col_subset))
-            return Certificate(claim, k, False, obj, "zero-block", lines)
+            return _zero_block_certificate(claim, k, obj, res.witness)
         if k == obj.n:
             return Certificate(claim, k, True, obj, "size-cap",
                                ("reason: no matrix of order n is n-reducible",))
@@ -264,11 +285,7 @@ def _check_witness(cert: Certificate) -> list[str]:
         keep = [v for v in range(d.n) if v not in sep]
         if len(keep) < 2:
             problems.append("separator leaves fewer than two vertices")
-        remap = {v: i for i, v in enumerate(keep)}
-        sub = Digraph(len(keep), frozenset(
-            (remap[a], remap[b]) for a, b in d.arcs
-            if a in remap and b in remap))
-        if is_strong(sub):
+        if is_strong(_induced(d, keep)):
             problems.append("removing the separator leaves a strong digraph")
         return problems
 
@@ -287,12 +304,9 @@ def _check_witness(cert: Certificate) -> list[str]:
     if kind == "deficient-set":
         g = obj
         x = _indices(cert.witness_lines, "u-set:")
-        if not x:
-            return ["deficient set is empty"]
-        nbhd = set()
-        for i in x:
-            nbhd.update(g.u_neighbors(i))
-        if len(nbhd) >= len(x) + k:
+        if not (_distinct_in_range(x, g.n) and 1 <= len(x) <= g.n - k):
+            return [f"deficient set must be 1 to n-k={g.n - k} distinct vertices of U"]
+        if len({j for i in x for j in g.u_neighbors(i)}) >= len(x) + k:
             problems.append("the set is not deficient")
         return problems
 
@@ -300,8 +314,9 @@ def _check_witness(cert: Certificate) -> list[str]:
         a = obj
         rows = _indices(cert.witness_lines, "rows:")
         cols = _indices(cert.witness_lines, "cols:")
-        if not rows or not cols:
-            return ["zero block needs nonempty row and column sets"]
+        if not (rows and cols and _distinct_in_range(rows, a.n)
+                and _distinct_in_range(cols, a.n)):
+            return ["zero block needs nonempty sets of distinct rows and columns"]
         if len(rows) + len(cols) != a.n - k + 1:
             problems.append(f"block sizes {len(rows)}+{len(cols)} != n-k+1")
         if cert.claim == "k-irreducible" and set(rows) & set(cols):
@@ -323,6 +338,8 @@ def _check_witness(cert: Certificate) -> list[str]:
         return problems
 
     if kind == "disconnected":
+        if k == 0:
+            problems.append("a disconnected graph can still be 0-extendable")
         if connected(obj):
             problems.append("instance is connected")
         return problems

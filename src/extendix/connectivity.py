@@ -2,7 +2,9 @@
 systems, ear decompositions, minimality and degree audits.
 
 Loops never influence anything here; every computation works on the
-loop-free view of its input.
+loop-free view of its input.  Disjoint paths come from one flow kernel,
+``_FlowNet``, at O(k (n + m)) per pair: ``is_k_strong`` takes O(k n)
+pairs, ``vertex_connectivity`` O(kappa n), the path systems one each.
 """
 
 from __future__ import annotations
@@ -132,108 +134,79 @@ def is_strong(d: Digraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # unit-capacity flow with vertex splitting
-#
-# node 2v is "into v", node 2v+1 is "out of v"; the split arc carries the
-# vertex capacity.  Ordinary arcs are uncapped so that minimum cuts consist
-# of split arcs (= vertices) only; a direct source->sink arc is capped at 1
-# because the direct path counts exactly once among internally disjoint
-# paths.  Every ordinary arc still carries at most one unit since its head
-# split is capped.
 
 
 _BIG = 1 << 20
 
 
-def _residual(d: Digraph, direct=None) -> dict:
-    res: dict[int, dict[int, int]] = {}
+class _FlowNet:
+    """The split-vertex network of a digraph as flat int lists, built once
+    and reused for every source/sink pair.  Node 2v is "into v", 2v+1 "out
+    of v", joined by a split edge of capacity 1; arcs are uncapped, so
+    minimum cuts are vertices, except the direct arc s->t, capped at 1 as
+    that path counts once.  Edges e and e ^ 1 are a forward/reverse pair;
+    each node's edges are sorted by head node."""
 
-    def add(x, y, cap):
-        res.setdefault(x, {})[y] = cap
-        res.setdefault(y, {}).setdefault(x, 0)
+    def __init__(self, d: Digraph):
+        self.n = d.n
+        edges = [(2 * v, 2 * v + 1, 1) for v in range(d.n)]
+        edges += [(2 * a + 1, 2 * b, _BIG) for a, b in sorted(d.arcs) if a != b]
+        self.arc_edge = {(x >> 1, y >> 1): 2 * e
+                         for e, (x, y, cap) in enumerate(edges) if cap == _BIG}
+        self.head = [z for x, y, _ in edges for z in (y, x)]
+        self.base = [z for _, _, cap in edges for z in (cap, 0)]
+        out: list[list[int]] = [[] for _ in range(2 * d.n)]
+        for e in range(len(self.head)):
+            out[self.head[e ^ 1]].append(e)
+        self.adj = [sorted(es, key=self.head.__getitem__) for es in out]
 
-    for v in range(d.n):
-        add(2 * v, 2 * v + 1, 1)
-    for a, b in sorted(d.arcs):
-        if a != b:
-            add(2 * a + 1, 2 * b, 1 if (a, b) == direct else _BIG)
-    return res
+    def flow(self, s: int, t: int, limit: int) -> int:
+        """Disjoint s->t paths up to limit, by shortest augmenting paths;
+        leaves the residual network in ``cap``, the last reach in ``via``."""
+        cap = self.cap = self.base[:]
+        if (s, t) in self.arc_edge:
+            cap[self.arc_edge[s, t]] = 1
+        head, adj = self.head, self.adj
+        src, snk = 2 * s + 1, 2 * t
+        for value in range(limit):
+            via = self.via = [None] * len(adj)
+            via[src] = -1
+            queue = [src]
+            for x in queue:
+                for e in adj[x]:
+                    if cap[e] and via[head[e]] is None:
+                        via[head[e]] = e
+                        queue.append(head[e])
+                if via[snk] is not None:
+                    break
+            if via[snk] is None:
+                return value
+            y = snk
+            while y != src:
+                cap[via[y]] -= 1
+                cap[via[y] ^ 1] += 1
+                y = head[via[y] ^ 1]
+        return limit
 
+    def cut(self) -> tuple:
+        """After a flow below its limit: the vertices whose split edge
+        leaves the source side, a minimum cut."""
+        via = self.via
+        return tuple(v for v in range(self.n)
+                     if via[2 * v] is not None and via[2 * v + 1] is None)
 
-def _augment_once(res: dict, s: int, t: int) -> bool:
-    parent = {s: None}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        if x == t:
-            break
-        for y in sorted(res.get(x, ())):
-            if res[x][y] > 0 and y not in parent:
-                parent[y] = x
-                queue.append(y)
-    if t not in parent:
-        return False
-    y = t
-    while parent[y] is not None:
-        x = parent[y]
-        res[x][y] -= 1
-        res[y][x] += 1
-        y = x
-    return True
-
-
-def _max_flow(res: dict, s: int, t: int, limit: int) -> int:
-    value = 0
-    while value < limit and _augment_once(res, s, t):
-        value += 1
-    return value
-
-
-def _reachable(res: dict, s: int) -> set:
-    seen = {s}
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        for y, cap in res.get(x, {}).items():
-            if cap > 0 and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _cut_vertices(res: dict, d: Digraph, s: int) -> tuple:
-    reach = _reachable(res, 2 * s + 1)
-    return tuple(v for v in range(d.n) if 2 * v in reach and 2 * v + 1 not in reach)
-
-
-def _disjoint_path_count(d: Digraph, s: int, t: int, limit: int):
-    """(value, residual): max internally disjoint s->t paths, capped."""
-    res = _residual(d, direct=(s, t))
-    value = _max_flow(res, 2 * s + 1, 2 * t, limit)
-    return value, res
-
-
-def _used_arcs(res: dict, d: Digraph) -> dict:
-    """Arcs carrying net flow, read off the reverse residual capacities."""
-    used: dict[int, list] = {}
-    for a, b in d.arcs:
-        if a != b and res[2 * b].get(2 * a + 1, 0) > 0:
-            used.setdefault(a, []).append(b)
-    for v in used:
-        used[v].sort()
-    return used
-
-
-def _paths_from_flow(res: dict, d: Digraph, s: int, t: int) -> list:
-    used = _used_arcs(res, d)
-    paths = []
-    while used.get(s):
-        path = [s]
-        here = s
-        while here != t:
-            here = used[here].pop(0)
-            path.append(here)
-        paths.append(tuple(path))
-    return paths
+    def paths(self, s: int, t: int) -> list:
+        """The s->t paths of the last flow, smallest next vertex first."""
+        head, cap = self.head, self.cap
+        used = [[head[e] >> 1 for e in self.adj[2 * a + 1] if not e & 1 and cap[e ^ 1]]
+                for a in range(self.n)]
+        paths = []
+        while used[s]:
+            path = [s]
+            while path[-1] != t:
+                path.append(used[path[-1]].pop(0))
+            paths.append(tuple(path))
+        return paths
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +216,25 @@ def _paths_from_flow(res: dict, d: Digraph, s: int, t: int) -> list:
 def vertex_connectivity(d: Digraph) -> int:
     """The largest k for which D is k-strong: at least k+1 vertices and no
     separator of order below k.  A complete digraph has connectivity n-1
-    because no separator exists and the vertex-count clause caps k."""
+    because no separator exists and the vertex-count clause caps k.
+
+    For i = 0, 1, ... while i <= the best value so far, flows from v_i to
+    every later vertex and back: at most 2(kappa+1)(n-1) flows.  Every
+    local value is at least kappa (a direct arc counts once), and a minimum
+    separator S misses some v_i with i <= kappa, whose pair with a vertex
+    across D - S is non-adjacent with local value kappa.
+    """
     n = d.n
     if n == 1 or not is_strong(d):
         return 0
+    net = _FlowNet(d)
     best = n - 1
-    for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            value, _ = _disjoint_path_count(d, s, t, best)
-            if value < best:
-                best = value
-                if best == 0:
-                    return 0
+    i = 0
+    while i <= best:
+        for j in range(i + 1, n):
+            for s, t in ((i, j), (j, i)):
+                best = min(best, net.flow(s, t, best))
+        i += 1
     return best
 
 
@@ -275,22 +253,31 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     below k (or the vertex-count obstruction).
 
     A violating pair joined by a direct arc yields a cut containing that
-    arc rather than a vertex separator, but whenever the digraph is not
-    k-strong some non-adjacent pair is violating too, so the scan keeps
-    going until the cut is purely made of vertices.
+    arc, so the scan goes on until a pair fails with a cut of vertices
+    only.  It takes the ordered pairs (s, t) with s < k or t < k in
+    lexicographic order: 2k(n-1) - k(k-1) flows of O(k (n + m)).
+
+    The scan over all n(n-1) pairs stops at the same pair.  Let (s, t) be
+    its pair, S its separator (|S| < k), X what s reaches in D - S and Y
+    the rest.  Some v_i with i < k is not in S.  If s, t >= k, then
+    (v_i, t) for v_i in X, or (s, v_i) for v_i in Y, is non-adjacent and
+    separated by S, so its cut is vertices only, and it comes before
+    (s, t): a contradiction.  Likewise no failing scheduled pair means D
+    is k-strong.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if d.n < k + 1:
         return KStrongResult(False, None, f"needs at least {k + 1} vertices, has {d.n}")
+    net = _FlowNet(d)
     impure = None
     for s in range(d.n):
-        for t in range(d.n):
+        for t in range(d.n) if s < k else range(k):
             if s == t:
                 continue
-            value, res = _disjoint_path_count(d, s, t, k)
+            value = net.flow(s, t, k)
             if value < k:
-                sep = _cut_vertices(res, d, s)
+                sep = net.cut()
                 if len(sep) == value:
                     return KStrongResult(False, sep,
                                          f"only {value} disjoint paths from {s} to {t}")
@@ -366,10 +353,11 @@ def menger_paths(d: Digraph, s: int, t: int, k: int) -> PathSystem:
         raise ValueError("endpoint out of range")
     if k < 1:
         raise ValueError("k must be at least 1")
-    value, res = _disjoint_path_count(d, s, t, k)
+    net = _FlowNet(d)
+    value = net.flow(s, t, k)
     if value < k:
-        raise InsufficientPathsError(k, value, _cut_vertices(res, d, s))
-    system = PathSystem(tuple(_paths_from_flow(res, d, s, t)),
+        raise InsufficientPathsError(k, value, net.cut())
+    system = PathSystem(tuple(net.paths(s, t)),
                         "internally_disjoint_same_endpoints", (s,), (t,))
     problems = check_path_system(d, system)
     if problems:
@@ -380,7 +368,8 @@ def menger_paths(d: Digraph, s: int, t: int, k: int) -> PathSystem:
 def independent_path_system(d: Digraph, sources, sinks) -> PathSystem:
     """k vertex-disjoint paths, each from one source to one sink, every
     source and sink used exactly once.  Exists whenever D is k-strong and
-    the 2k endpoints are distinct."""
+    the 2k endpoints are distinct.  One flow from a super source, with an
+    arc to each source, to a super sink, with an arc from each sink."""
     sources, sinks = tuple(sources), tuple(sinks)
     k = len(sources)
     if k == 0 or len(sinks) != k:
@@ -391,33 +380,14 @@ def independent_path_system(d: Digraph, sources, sinks) -> PathSystem:
     if not all(0 <= v < d.n for v in endpoints):
         raise ValueError("endpoint out of range")
 
-    res = _residual(d)
-    super_s, super_t = 2 * d.n, 2 * d.n + 1
-    for x in sources:
-        res.setdefault(super_s, {})[2 * x] = 1
-        res.setdefault(2 * x, {}).setdefault(super_s, 0)
-    for y in sinks:
-        res.setdefault(2 * y + 1, {})[super_t] = 1
-        res.setdefault(super_t, {}).setdefault(2 * y + 1, 0)
-    value = _max_flow(res, super_s, super_t, k)
+    top, bottom = d.n, d.n + 1
+    net = _FlowNet(Digraph(d.n + 2, d.arcs | {(top, x) for x in sources}
+                           | {(y, bottom) for y in sinks}))
+    value = net.flow(top, bottom, k)
     if value < k:
-        reach = _reachable(res, super_s)
-        blockers = tuple(v for v in range(d.n)
-                         if 2 * v in reach and 2 * v + 1 not in reach)
-        raise InsufficientPathsError(k, value, blockers)
-
-    used = _used_arcs(res, d)
-    # every vertex carries at most one flow unit, so each walk is forced;
-    # it ends where the flow exits to the super sink
-    paths = []
-    for start in sorted(sources):
-        path = [start]
-        here = start
-        while used.get(here):
-            here = used[here].pop(0)
-            path.append(here)
-        paths.append(tuple(path))
-    system = PathSystem(tuple(paths), "independent_multi_endpoint", sources, sinks)
+        raise InsufficientPathsError(k, value, net.cut())
+    paths = tuple(path[1:-1] for path in net.paths(top, bottom))
+    system = PathSystem(paths, "independent_multi_endpoint", sources, sinks)
     problems = check_path_system(d, system)
     if problems:
         raise AssertionError(f"invalid path system produced: {problems}")
@@ -436,15 +406,14 @@ def cycles_through_vertex(d: Digraph, x: int, k: int) -> tuple:
     verdict = is_k_strong(d, k)
     if not verdict.holds:
         raise ValueError(f"digraph is not {k}-strong: {verdict.reason}")
+    return _cycles_through(d, x, k)
+
+
+def _cycles_through(d: Digraph, x: int, k: int) -> tuple:
+    """The body of cycles_through_vertex for a D already known k-strong."""
     clone = d.n
-    arcs = set(a for a in d.arcs if a[0] != a[1])
-    for u, v in d.arcs:
-        if u == v:
-            continue
-        if v == x:
-            arcs.add((u, clone))
-        if u == x:
-            arcs.add((clone, v))
+    arcs = {(u, v) for u, v in d.arcs if u != v}
+    arcs |= {(u, clone) for u, v in arcs if v == x} | {(clone, v) for u, v in arcs if u == x}
     extended = Digraph(d.n + 1, frozenset(arcs))
     system = menger_paths(extended, x, clone, k)
     cycles = tuple(path[:-1] + (x,) for path in system.paths)

@@ -26,13 +26,13 @@ from dataclasses import dataclass
 from .core import (BipartiteGraph, Digraph, Matching, TooLargeError, connected,
                    u_label, w_label)
 from .correspond import alternating_path_from_digraph_path, digraph_of
-from .matching import (enumerate_matchings, first_perfect_matching,
-                       has_perfect_matching, matching_extends, max_matching)
-from .connectivity import (cycles_through_vertex, ear_decomposition_digraph,
-                           is_k_strong, is_minimal_k_strong, menger_paths,
+from .matching import (enumerate_matchings, has_perfect_matching,
+                       matching_extends, max_matching)
+from .connectivity import (ear_decomposition_digraph, is_k_strong,
+                           is_minimal_k_strong, menger_paths,
                            strong_components, MinimalityResult,
-                           anti_directed_trail_find, _first_cycle,
-                           _shortest_cycle_through)
+                           anti_directed_trail_find, vertex_connectivity,
+                           _cycles_through, _first_cycle, _shortest_cycle_through)
 
 
 # ---------------------------------------------------------------------------
@@ -41,15 +41,14 @@ from .connectivity import (cycles_through_vertex, ear_decomposition_digraph,
 
 def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
     """The fast decision: connectivity plus k-strength of the derived
-    digraph under the lexicographically first perfect matching."""
+    digraph under a maximum matching, when that matching is perfect.
+    O(n m) for the matching plus one ``is_k_strong`` call."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return has_perfect_matching(g)
-    if g.n >= 2 and not connected(g):
-        return False
-    m = first_perfect_matching(g)
-    if m is None:
+    m = max_matching(g)
+    if not m.is_perfect or (g.n >= 2 and not connected(g)):
         return False
     d, _ = digraph_of(g, m)
     return is_k_strong(d, k).holds
@@ -65,12 +64,8 @@ def is_k_extendable_via_digraph(g: BipartiteGraph, m: Matching, k: int) -> bool:
 def max_extendability(g: BipartiteGraph) -> int:
     """Largest k with G k-extendable; 0 when there is none (no perfect
     matching, or disconnected on n >= 2)."""
-    from .connectivity import vertex_connectivity
-
-    m = first_perfect_matching(g)
-    if m is None:
-        return 0
-    if g.n >= 2 and not connected(g):
+    m = max_matching(g)
+    if not m.is_perfect or (g.n >= 2 and not connected(g)):
         return 0
     d, _ = digraph_of(g, m)
     return vertex_connectivity(d)
@@ -382,23 +377,22 @@ def alternating_path_system(g: BipartiteGraph, m: Matching, u: int, w: int,
     if not is_k_extendable(g, k):
         raise ValueError(f"graph is not {k}-extendable")
     d, cmap = digraph_of(g, m)
+    return _alternating_paths(g, m, d, cmap, u, w, k)
+
+
+def _alternating_paths(g: BipartiteGraph, m: Matching, d: Digraph, cmap,
+                       u: int, w: int, k: int) -> AltPathSystem:
+    """alternating_path_system for a G known k-extendable, given
+    (d, cmap) = digraph_of(g, m)."""
     pairing = m.pairing()
+    s = cmap.vertex_of_matching_edge((u, pairing[u]))
     if pairing[u] == w:
-        hub = cmap.vertex_of_matching_edge((u, w))
-        cycles = cycles_through_vertex(d, hub, k)
-        walks = []
-        for cyc in cycles:
-            walk = alternating_path_from_digraph_path(cmap, cyc)
-            walks.append(walk)
-        system = AltPathSystem(tuple(walks), m, u, w)
+        paths = _cycles_through(d, s, k)
     else:
-        s = cmap.vertex_of_matching_edge((u, pairing[u]))
-        t_vertex = next(i for i, j in m.edges if j == w)
-        t = cmap.vertex_of_matching_edge((t_vertex, w))
-        paths = menger_paths(d, s, t, k)
-        walks = tuple(alternating_path_from_digraph_path(cmap, p)
-                      for p in paths.paths)
-        system = AltPathSystem(walks, m, u, w)
+        t = cmap.vertex_of_matching_edge(next((i, j) for i, j in m.edges if j == w))
+        paths = menger_paths(d, s, t, k).paths
+    system = AltPathSystem(tuple(alternating_path_from_digraph_path(cmap, p) for p in paths),
+                           m, u, w)
     problems = check_alternating_path_system(g, system)
     if problems:
         raise AssertionError(f"invalid alternating path system: {problems}")
@@ -527,8 +521,7 @@ def high_degree_subgraph_forest_check(g: BipartiteGraph, k: int) -> ForestCheckR
                      if g.degree_u(i) >= k + 2 and g.degree_w(j) >= k + 2)
     cycle = _find_cycle_bipartite(qual)
 
-    m = first_perfect_matching(g)
-    d, cmap = digraph_of(g, m)
+    d, _ = digraph_of(g, max_matching(g))
     trail = anti_directed_trail_find(d, k)
     if cycle is None and trail is not None:
         raise AssertionError("digraph search found a trail the forest check missed")

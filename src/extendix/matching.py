@@ -115,36 +115,58 @@ def perfect_matchings(g: BipartiteGraph) -> Iterator[Matching]:
 
 
 def first_perfect_matching(g: BipartiteGraph) -> Matching | None:
-    """The lexicographically first perfect matching, or None."""
-    for m in perfect_matchings(g):
-        return m
-    return None
+    """The lexicographically first perfect matching, or None.  Greedy: for
+    u_1, u_2, ... take the smallest w that still leaves a perfect matching
+    of the rest, tested by one O(m) alternating-path search each."""
+    pairs = max_matching_pairs(g)
+    if len(pairs) < g.n:
+        return None
+    owner = {j: i for i, j in pairs.items()}
+    for i in range(g.n):
+        for j in g.u_neighbors(i):
+            if owner[j] == i or (owner[j] > i and _rematch(g, pairs, owner, i, j)):
+                break
+    return Matching(frozenset(pairs.items()), g)
+
+
+def _rematch(g: BipartiteGraph, pairs: dict, owner: dict, i: int, j: int) -> bool:
+    """Give u_i the partner w_j, shifting partners along an alternating
+    path from w_j's owner back to u_i through u_(i+1)..u_n; False if none."""
+    parent = {owner[j]: None}
+    queue = [owner[j]]
+    for x in queue:
+        for w in g.u_neighbors(x):
+            if owner[w] == i:
+                step = (x, w)
+                while step:
+                    pairs[step[0]], owner[step[1]] = step[1], step[0]
+                    step = parent[step[0]]
+                pairs[i], owner[j] = j, i
+                return True
+            if owner[w] > i and owner[w] not in parent:
+                parent[owner[w]] = (x, w)
+                queue.append(owner[w])
+    return False
 
 
 def count_perfect_matchings(g: BipartiteGraph) -> int:
-    """Exact count by dynamic programming over free-column masks."""
-    n = g.n
-    masks = [0] * n
+    """Exact count by dynamic programming over the column sets that the
+    first i rows can cover, one row at a time, so that only two layers of
+    sets are held: O(2^n n) time, O(C(n, n/2)) memory."""
+    masks = [0] * g.n
     for i, j in g.edges:
         masks[i] |= 1 << j
-    memo: dict[int, int] = {}
-
-    def rec(i: int, free: int) -> int:
-        if i == n:
-            return 1
-        key = free  # row index is implied by popcount
-        if key in memo:
-            return memo[key]
-        total = 0
-        avail = masks[i] & free
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            total += rec(i + 1, free ^ bit)
-        memo[key] = total
-        return total
-
-    return rec(0, (1 << n) - 1)
+    layer = {0: 1}
+    for row in masks:
+        nxt: dict[int, int] = {}
+        for used, count in layer.items():
+            avail = row & ~used
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                nxt[used | bit] = nxt.get(used | bit, 0) + count
+        layer = nxt
+    return layer.get((1 << g.n) - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +240,7 @@ def unique_pm_acyclic_check(g: BipartiteGraph) -> AcyclicCheckReport:
     count = count_perfect_matchings(g)
     if count != 1:
         raise ValueError(f"graph has {count} perfect matchings, expected exactly 1")
-    m = first_perfect_matching(g)
-    d, _ = digraph_of(g, m)
+    d, _ = digraph_of(g, max_matching(g))
     comps = strong_components(d)
     acyclic = all(len(c) == 1 for c in comps) and not any(
         (v, v) in d.arcs for v in range(d.n))

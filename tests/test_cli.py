@@ -1,6 +1,7 @@
 import pytest
 
-from extendix import ZeroOneMatrix, complete_bipartite, directed_cycle
+from extendix import (ZeroOneMatrix, complete_bipartite, connected, directed_cycle,
+                      max_extendability, random_bipartite_with_pm)
 from extendix.cli import main
 from extendix.fileio import read_certificate, write_instance
 
@@ -114,13 +115,50 @@ class TestCertifyVerify:
         assert code == expected
         assert main(["verify", cert_path]) == 0
 
-    def test_c6_negative_witness_matching(self, files, tmp_path):
-        cert_path = str(tmp_path / "neg.cert")
+    def test_c6_negative_witness_matching(self, files, tmp_path, capsys):
+        # certify emits a deficient set read off the separator; certificates
+        # carrying a non-extendable matching, as older versions wrote, still
+        # verify when the matching is one
+        cert_path = tmp_path / "neg.cert"
         assert main(["certify", files["c6.bg"], "--claim", "k-extendable",
-                     "--k", "2", "--out", cert_path]) == 1
-        cert = read_certificate(cert_path)
-        assert cert.witness_kind == "non-extendable-matching"
-        assert "edges: 1-1 2-3" in cert.witness_lines
+                     "--k", "2", "--out", str(cert_path)]) == 1
+        cert = read_certificate(str(cert_path))
+        assert (cert.witness_kind, cert.witness_lines) == ("deficient-set", ("u-set: 1",))
+        text = cert_path.read_text().replace(
+            "witness: deficient-set\nu-set: 1", "witness: non-extendable-matching\n{}")
+        for edges, code in (("edges: 1-1 2-3", 0), ("edges: 1-1 2-2", 1)):
+            cert_path.write_text(text.format(edges))
+            assert main(["verify", str(cert_path)]) == code
+
+    @pytest.mark.parametrize("n,p", [(18, 0.25), (24, 0.25), (30, 0.4)])
+    def test_negative_extendability_past_the_audit_sizes(self, tmp_path, capsys, n, p):
+        g = random_bipartite_with_pm(n, p, seed=n)
+        assert connected(g)
+        k = max_extendability(g) + 1
+        path, cert_path = tmp_path / "g.bg", str(tmp_path / "neg.cert")
+        write_instance(g, path)
+        assert main(["certify", str(path), "--claim", "k-extendable", "--k", str(k),
+                     "--out", cert_path]) == 1
+        assert read_certificate(cert_path).witness_kind == "deficient-set"
+        assert main(["verify", cert_path]) == 0
+
+    def test_negative_witness_is_a_deficient_set(self):
+        from extendix.certify import build_certificate
+
+        checked = 0
+        for i in range(300):
+            n = 2 + i % 19
+            g = random_bipartite_with_pm(n, (0.15, 0.25, 0.4)[i % 3], seed=500 + i)
+            k = max_extendability(g) + 1
+            if not connected(g) or k > n - 1:
+                continue
+            cert = build_certificate(g, "k-extendable", k)
+            assert cert.witness_kind == "deficient-set"
+            x = [int(v) - 1 for v in cert.witness_lines[0].split()[1:]]
+            assert 1 <= len(x) == len(set(x)) <= n - k
+            assert len({j for i in x for j in g.u_neighbors(i)}) < len(x) + k
+            checked += 1
+        assert checked > 150
 
     def test_tampered_certificate_rejected(self, files, tmp_path, capsys):
         cert_path = tmp_path / "t.cert"

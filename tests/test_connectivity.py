@@ -11,7 +11,8 @@ from extendix import (Digraph, InsufficientPathsError, complete_digraph,
                       menger_paths, minimal_k_strong_degree_audit,
                       one_way_pair_audit, random_digraph, strong_components,
                       vertex_connectivity)
-from extendix.connectivity import check_ear_decomposition_digraph, check_path_system
+from extendix.connectivity import (KStrongResult, _FlowNet, check_ear_decomposition_digraph,
+                                   check_path_system)
 
 
 def _kappa_by_separator_search(d: Digraph) -> int:
@@ -130,6 +131,57 @@ class TestIsKStrong:
             is_k_strong(directed_cycle(3), 0)
 
 
+def _k_strong_all_pairs(d: Digraph, k: int) -> KStrongResult:
+    """The rule of is_k_strong over all n(n-1) ordered pairs, on the same
+    flow kernel: stop at the first failing pair whose cut is all vertices."""
+    if d.n < k + 1:
+        return KStrongResult(False, None, f"needs at least {k + 1} vertices, has {d.n}")
+    net = _FlowNet(d)
+    for s, t in itertools.permutations(range(d.n), 2):
+        value = net.flow(s, t, k)
+        if value < k and len(net.cut()) == value:
+            return KStrongResult(False, net.cut(), f"only {value} disjoint paths from {s} to {t}")
+    return KStrongResult(True)
+
+
+class TestPairSchedule:
+    """is_k_strong and vertex_connectivity scan O(k n) pairs; the scan over
+    all ordered pairs is the reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_result_as_all_pairs_exhaustive(self, n):
+        for d in iter_digraphs(n):
+            for k in range(1, n + 1):
+                assert is_k_strong(d, k) == _k_strong_all_pairs(d, k)
+
+    def test_same_result_as_all_pairs_seeded(self):
+        for i in range(120):
+            d = random_digraph(5 + i % 8, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=300 + i)
+            for k in range(1, 5):
+                assert is_k_strong(d, k) == _k_strong_all_pairs(d, k)
+            kappa = vertex_connectivity(d)
+            assert kappa == 0 or is_k_strong(d, kappa).holds
+            assert not is_k_strong(d, kappa + 1).holds
+
+    def test_flow_call_bounds(self, monkeypatch):
+        calls = []
+        flow = _FlowNet.flow
+
+        def counted(self, s, t, limit):
+            calls.append((s, t))
+            return flow(self, s, t, limit)
+
+        monkeypatch.setattr(_FlowNet, "flow", counted)
+        d = random_digraph(30, 0.5, seed=1)
+        n = d.n
+        kappa = vertex_connectivity(d)
+        assert 0 < len(calls) <= 2 * (kappa + 1) * (n - 1)
+        for k in (1, 2, 3, kappa, kappa + 1):
+            calls.clear()
+            assert is_k_strong(d, k).holds == (k <= kappa)
+            assert len(calls) <= 2 * k * (n - 1)
+
+
 class TestMengerPaths:
     def test_triangle_single_path(self):
         ps = menger_paths(directed_cycle(3), 0, 1, 1)
@@ -186,6 +238,38 @@ class TestIndependentPathSystem:
         with pytest.raises(InsufficientPathsError) as err:
             independent_path_system(Digraph(2, frozenset({(0, 1)})), [1], [0])
         assert err.value.achievable == 0
+
+    def test_outputs_pinned(self):
+        # exact paths, so that a change to the flow kernel cannot reorder
+        # or reroute them unnoticed
+        for seed, expected in ((1, [((0, 1),), ((0, 4, 3), (1, 2)),
+                                    ((0, 4), (1, 6, 3), (2, 5))]),
+                               (2, [((0, 8, 1),), ((0, 3), (1, 5, 2))])):
+            d = random_digraph(9, 0.6, seed=seed)
+            assert [independent_path_system(d, range(k), range(2 * k - 1, k - 1, -1)).paths
+                    for k in range(1, len(expected) + 1)] == expected
+
+    def test_obstruction_is_a_minimum_vertex_cut(self):
+        seen = 0
+        for seed in range(40):
+            d = random_digraph(7, 0.3, seed=seed)
+            for k in (1, 2, 3):
+                sources, sinks = range(k), range(k, 2 * k)
+                try:
+                    independent_path_system(d, sources, sinks)
+                except InsufficientPathsError as err:
+                    seen += 1
+                    cut = set(err.cut)
+                    assert len(cut) == err.achievable
+                    reach = {v for v in sources if v not in cut}
+                    stack = list(reach)
+                    while stack:
+                        for w in d.out_neighbors(stack.pop()):
+                            if w not in cut and w not in reach:
+                                reach.add(w)
+                                stack.append(w)
+                    assert not reach & set(sinks)
+        assert seen > 20
 
     def test_exists_whenever_k_strong(self):
         for seed in range(30):

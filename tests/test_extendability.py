@@ -90,6 +90,21 @@ class TestMaxExtendability:
     def test_disconnected(self):
         assert max_extendability(matching_graph(3)) == 0
 
+    def test_connected_without_perfect_matching_at_n12(self, tmp_path, capsys):
+        # u1 and u2 see only w1, the rest is complete: enumerating matchings
+        # for a first perfect one takes hours here
+        from extendix.cli import main
+        from extendix.fileio import write_instance
+
+        n = 12
+        g = BipartiteGraph(n, frozenset({(0, 0), (1, 0)} | {
+            (i, j) for i in range(2, n) for j in range(n)}))
+        assert max_extendability(g) == 0
+        assert not any(is_k_extendable(g, k) for k in range(3))
+        write_instance(g, tmp_path / "g.bg")
+        assert main(["convert", str(tmp_path / "g.bg"), "--direction", "g2d"]) == 2
+        assert "no perfect matching" in capsys.readouterr().err
+
     def test_monotone_by_construction(self):
         for seed in range(25):
             g = random_bipartite_with_pm(5, 0.4, seed=seed)
@@ -191,6 +206,19 @@ class TestAlternatingPaths:
                             system = alternating_path_system(g, m, u, w, k)
                             assert len(system.paths) == k
                             assert not check_alternating_path_system(g, system)
+
+    def test_positive_certificate_decides_once(self, monkeypatch):
+        import extendix.extendability as ext
+        from extendix.certify import build_certificate, check_certificate
+
+        calls = []
+        decide = ext.is_k_strong
+        monkeypatch.setattr(ext, "is_k_strong",
+                            lambda d, k: calls.append(k) or decide(d, k))
+        g = random_bipartite_with_pm(14, 0.45, seed=2)
+        cert = build_certificate(g, "k-extendable", 1)
+        assert cert.verdict and calls == [1]
+        assert check_certificate(cert) == []
 
 
 class TestElementaryComponents:

@@ -54,6 +54,14 @@ class TestEnumeration:
         assert first_perfect_matching(make_c6()).edges == frozenset(
             {(0, 0), (1, 1), (2, 2)})
 
+    def test_first_is_first_of_the_enumeration(self):
+        graphs = [g for n in (1, 2, 3) for g in iter_bipartite_with_canonical(n)]
+        graphs += [random_bipartite_with_pm(n, p, seed=s) for n in (5, 7)
+                   for p in (0.2, 0.5) for s in range(15)]
+        graphs += [g.without_edge(e) for g in graphs[-20:] for e in g.sorted_edges()[:3]]
+        for g in graphs:
+            assert first_perfect_matching(g) == next(perfect_matchings(g), None)
+
     def test_size_zero(self):
         assert [m.size for m in enumerate_matchings(make_c6(), 0)] == [0]
 

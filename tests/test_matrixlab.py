@@ -183,3 +183,33 @@ class TestHelpers:
 
         bogus = DecompositionWitness("reducible", (0,), (1,), 1, 1, (0, 1), (0, 1))
         assert check_witness(ZeroOneMatrix.ones(2), bogus)
+
+    @pytest.mark.parametrize("source,lines", [
+        # more than n - k vertices: the neighbourhood criterion's own bound
+        ("certify-k-extendable-1-bg10.out", ("u-set: 1 2 3 4 5 6 7 8 9 10",)),
+        ("certify-k-extendable-1-bg10.out", ("u-set: 1 1 1",)),
+        ("certify-k-extendable-1-bg10.out", ("u-set: 0",)),
+        ("certify-k-indecomposable-1-dec6.out", ("rows: 1 1 1 1 1", "cols: 2")),
+        ("certify-k-indecomposable-1-dec6.out", ("rows: 1 2 3 4 0", "cols: 2")),
+    ])
+    def test_certificate_checker_spots_lies(self, source, lines):
+        from dataclasses import replace
+        from pathlib import Path
+
+        from extendix.certify import check_certificate
+        from extendix.fileio import read_certificate
+
+        cert = read_certificate(str(Path(__file__).parent / "golden" / source))
+        assert check_certificate(cert) == []
+        assert check_certificate(replace(cert, witness_lines=lines))
+
+    def test_disconnected_proves_nothing_at_k0(self):
+        from extendix import BipartiteGraph
+        from extendix.certify import build_certificate, check_certificate
+        from extendix.fileio import Certificate
+
+        # disconnected without a perfect matching; u1w1, u2w2 is disconnected
+        # and 0-extendable
+        g = BipartiteGraph(2, frozenset({(0, 0), (1, 0)}))
+        assert build_certificate(g, "k-extendable", 0).witness_kind == "no-perfect-matching"
+        assert check_certificate(Certificate("k-extendable", 0, False, g, "disconnected", ()))

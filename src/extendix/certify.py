@@ -8,10 +8,11 @@ separator, a deficient vertex set read off a separator, or a zero block
 ``check_certificate`` re-derives the verdict from the embedded instance
 and re-validates the witness structurally.
 
-Cost: k-strong and k-extendable certificates take one or two
-``is_k_strong`` decisions, O(k^2 n (n + m)), plus matchings and at most
-six path flows.  The matrix claims decide the same way, but a failing
-one searches row subsets for its zero block, exponential in n.
+Cost: every certificate takes one decision, a maximum matching and at
+most one ``is_k_strong`` call of O(k^2 n (n + m)), and a positive one at
+most six path flows more.  A negative witness is read off the decision
+itself: a separator, a deficient set or a zero block from the failing
+flow, or a Hall violator from the failing matching.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ import random
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
                    connected, parse_vertex_label, u_label, w_label)
 from .correspond import bipartite_of_matrix, digraph_of, digraph_of_matrix
-from .connectivity import (is_k_strong, is_strong, menger_paths, check_path_system,
-                           strong_components, PathSystem)
-from .extendability import (AltPathSystem, _alternating_paths,
+from .connectivity import (_induced, is_k_strong, is_strong, menger_paths,
+                           check_path_system, PathSystem)
+from .extendability import (AltPathSystem, _alternating_paths, _deficient_set,
                             check_alternating_path_system, is_k_extendable)
 from .fileio import Certificate
-from .matching import (first_perfect_matching, has_perfect_matching,
-                       matching_extends, max_matching)
-from .matrixlab import is_k_partly_decomposable, is_k_reducible
+from .matching import first_perfect_matching, has_perfect_matching, matching_extends
+from .matrixlab import (_distinct_in_range, _independent_witness, _symmetric_witness,
+                        check_witness, is_k_partly_decomposable, is_k_reducible)
 
 
 def _sample(pairs: list, seed, cap: int = 6) -> list:
@@ -63,17 +64,6 @@ def _field(lines, prefix: str) -> str | None:
 def _indices(lines, prefix: str) -> list[int]:
     """The 1-based numbers of a ``prefix`` line as 0-based indices."""
     return [int(x) - 1 for x in (_field(lines, prefix) or "").split()]
-
-
-def _induced(d: Digraph, keep: list) -> Digraph:
-    """The subdigraph on the vertices in keep, vertex keep[i] renamed i."""
-    remap = {v: i for i, v in enumerate(keep)}
-    return Digraph(len(keep), frozenset((remap[a], remap[b]) for a, b in d.arcs
-                                        if a in remap and b in remap))
-
-
-def _distinct_in_range(indices: list, n: int) -> bool:
-    return len(set(indices)) == len(indices) and all(0 <= i < n for i in indices)
 
 
 def _walk_text(walk) -> str:
@@ -115,30 +105,6 @@ def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
     return lines
 
 
-def _negative_extendability_witness(g: BipartiteGraph, k: int):
-    """Why G is not k-extendable: past the size cap, the connectivity
-    (k >= 1) and the perfect matching, a deficient set read off the
-    separator S (|S| < k) of D = D(G, M) for a maximum matching M.
-
-    Vertex i of D stands for u_i.  Every arc leaving the last strong
-    component X of D - S ends in S, so N(U_X) lies in M(U_X) and M(U_S):
-    |N(U_X)| <= |X| + |S| < |X| + k.  For X', the n - k smallest of X,
-    N(U_X') still misses the partners of the rest of D - S, so
-    |N(U_X')| <= n - 1 < |X'| + k; 1 <= |X'| <= n - k either way.
-    """
-    if k > g.n - 1:
-        return "size-cap", (f"reason: k={k} exceeds n-1={g.n - 1}",)
-    if k >= 1 and not connected(g):
-        return "disconnected", ()
-    if not has_perfect_matching(g):
-        return "no-perfect-matching", ()
-    d, _ = digraph_of(g, max_matching(g))
-    sep = is_k_strong(d, k).separator
-    keep = [v for v in range(d.n) if v not in sep]
-    x = sorted(keep[v] for v in strong_components(_induced(d, keep))[-1])
-    return "deficient-set", ("u-set: " + " ".join(str(i + 1) for i in x[:g.n - k]),)
-
-
 def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, seed) -> Certificate:
     """Positive certificate for a k-extendable graph g (obj is g or its
     matrix): a perfect matching at k = 0, alternating path systems above."""
@@ -163,11 +129,18 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             raise ValueError("k-extendable applies to bipartite graph instances")
         if k < 0:
             raise ValueError("k must be nonnegative")
-        holds = is_k_extendable(obj, k)
-        if holds:
+        if k > obj.n - 1:
+            return Certificate(claim, k, False, obj, "size-cap",
+                               (f"reason: k={k} exceeds n-1={obj.n - 1}",))
+        x = _deficient_set(obj, k)
+        if x is None:
             return _matching_certificate(claim, k, obj, obj, seed)
-        kind, lines = _negative_extendability_witness(obj, k)
-        return Certificate(claim, k, False, obj, kind, tuple(lines))
+        if k >= 1 and not connected(obj):
+            return Certificate(claim, k, False, obj, "disconnected", ())
+        if not has_perfect_matching(obj):
+            return Certificate(claim, k, False, obj, "no-perfect-matching", ())
+        return Certificate(claim, k, False, obj, "deficient-set",
+                           ("u-set: " + " ".join(str(i + 1) for i in x),))
 
     if claim == "k-strong":
         if not isinstance(obj, Digraph):
@@ -311,21 +284,12 @@ def _check_witness(cert: Certificate) -> list[str]:
         return problems
 
     if kind == "zero-block":
-        a = obj
-        rows = _indices(cert.witness_lines, "rows:")
-        cols = _indices(cert.witness_lines, "cols:")
-        if not (rows and cols and _distinct_in_range(rows, a.n)
-                and _distinct_in_range(cols, a.n)):
-            return ["zero block needs nonempty sets of distinct rows and columns"]
-        if len(rows) + len(cols) != a.n - k + 1:
-            problems.append(f"block sizes {len(rows)}+{len(cols)} != n-k+1")
-        if cert.claim == "k-irreducible" and set(rows) & set(cols):
-            problems.append("row and column sets overlap in the symmetric family")
-        for i in rows:
-            for j in cols:
-                if a.rows[i][j]:
-                    problems.append(f"entry ({i + 1},{j + 1}) is 1")
-        return problems
+        rows = tuple(_indices(cert.witness_lines, "rows:"))
+        cols = tuple(_indices(cert.witness_lines, "cols:"))
+        if cert.claim == "k-irreducible":
+            return check_witness(obj, _symmetric_witness("k_reducible", obj, rows, cols, k))
+        return check_witness(obj, _independent_witness("k_partly_decomposable", obj,
+                                                       rows, cols, k))
 
     if kind == "perfect-matching":
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)

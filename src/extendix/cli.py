@@ -15,15 +15,14 @@ from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                    ZeroOneMatrix, connected, random_bipartite_with_pm,
                    random_digraph, u_label, w_label)
 from .correspond import (bipartite_of_digraph, bipartite_of_matrix, digraph_of,
-                         reduced_adjacency)
+                         digraph_of_matrix, reduced_adjacency)
 from .connectivity import (anti_directed_trail_find, ear_decomposition_digraph,
                            minimal_k_strong_degree_audit, strong_components,
                            vertex_connectivity)
 from .extendability import (elementary_components, high_degree_subgraph_forest_check,
                             max_extendability, minimal_k_extendable_degree_audit)
 from .matching import count_perfect_matchings, first_perfect_matching
-from .matrixlab import (is_k_partly_decomposable, is_k_reducible, is_partly_decomposable,
-                        is_reducible, nonzero_diagonal_count)
+from .matrixlab import nonzero_diagonal_count
 from .certify import build_certificate, check_certificate
 from .fileio import (ParseError, format_correspondence, format_instance,
                      instance_kind, read_certificate, read_instance)
@@ -102,24 +101,28 @@ def _analyze_digraph(d: Digraph) -> str:
 
 
 def _analyze_matrix(a: ZeroOneMatrix) -> str:
-    lines = [f"kind: mat", f"n: {a.n}",
-             f"ones: {sum(sum(r) for r in a.rows)}"]
-    lines.append(f"nonzero-diagonals: {nonzero_diagonal_count(a)}")
-    irr = not is_reducible(a).holds
-    lines.append(f"irreducible: {'yes' if irr else 'no'}")
-    fully = not is_partly_decomposable(a).holds
-    lines.append(f"fully-indecomposable: {'yes' if fully else 'no'}")
-    indec_ks = [k for k in range(0, a.n) if not is_k_partly_decomposable(a, k).holds]
-    irred_ks = [k for k in range(1, a.n) if not is_k_reducible(a, k).holds]
-    lines.append("k-indecomposable: " + (" ".join(map(str, indec_ks)) or "none"))
-    lines.append("k-irreducible: " + (" ".join(map(str, irred_ks)) or "none"))
-    parts = []
-    parts.append("fully indecomposable" if fully else "partly decomposable")
-    if indec_ks and max(indec_ks) >= 1:
-        parts.append(f"{max(indec_ks)}-indecomposable")
+    """A is 0-indecomposable iff it has a nonzero diagonal, k-indecomposable
+    (k >= 1) iff B(A) is k-extendable and k-irreducible iff D(A) is
+    k-strong, so the k-lists are read off max-extendability and kappa.
+    Order 1 is irreducible and fully indecomposable by definition."""
+    diagonals = nonzero_diagonal_count(a)
+    ext = max_extendability(bipartite_of_matrix(a))
+    kappa = vertex_connectivity(digraph_of_matrix(a).loop_free())
+    irr = a.n == 1 or kappa >= 1
+    fully = a.n == 1 or ext >= 1
+    indec_ks = ([0] if diagonals else []) + list(range(1, ext + 1))
+    lines = [f"kind: mat", f"n: {a.n}", f"ones: {sum(sum(r) for r in a.rows)}",
+             f"nonzero-diagonals: {diagonals}",
+             f"irreducible: {'yes' if irr else 'no'}",
+             f"fully-indecomposable: {'yes' if fully else 'no'}",
+             "k-indecomposable: " + (" ".join(map(str, indec_ks)) or "none"),
+             "k-irreducible: " + (" ".join(map(str, range(1, kappa + 1))) or "none")]
+    parts = ["fully indecomposable" if fully else "partly decomposable"]
+    if ext >= 1:
+        parts.append(f"{ext}-indecomposable")
     parts.append("irreducible" if irr else "reducible")
-    if irred_ks:
-        parts.append(f"{max(irred_ks)}-irreducible")
+    if kappa >= 1:
+        parts.append(f"{kappa}-irreducible")
     lines.append("summary: " + ", ".join(parts))
     return "\n".join(lines) + "\n"
 

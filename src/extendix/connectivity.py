@@ -132,6 +132,20 @@ def is_strong(d: Digraph) -> bool:
     return len(seen) == d.n
 
 
+def _induced(d: Digraph, keep: list) -> Digraph:
+    """The subdigraph on the vertices in keep, vertex keep[i] renamed i."""
+    remap = {v: i for i, v in enumerate(keep)}
+    return Digraph(len(keep), frozenset((remap[a], remap[b]) for a, b in d.arcs
+                                        if a in remap and b in remap))
+
+
+def _sink_component(d: Digraph, removed) -> list:
+    """The last strong component of D - removed, sorted, in D's numbering:
+    every arc leaving it ends in removed."""
+    keep = [v for v in range(d.n) if v not in removed]
+    return sorted(keep[v] for v in strong_components(_induced(d, keep))[-1])
+
+
 # ---------------------------------------------------------------------------
 # unit-capacity flow with vertex splitting
 

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from .core import (BipartiteGraph, Digraph, Matching, TooLargeError, connected,
                    u_label, w_label)
 from .correspond import alternating_path_from_digraph_path, digraph_of
-from .matching import (enumerate_matchings, has_perfect_matching,
-                       matching_extends, max_matching)
+from .matching import (_augment, enumerate_matchings, has_perfect_matching,
+                       matching_extends, max_matching, max_matching_pairs)
 from .connectivity import (ear_decomposition_digraph, is_k_strong,
                            is_minimal_k_strong, menger_paths,
                            strong_components, MinimalityResult,
                            anti_directed_trail_find, vertex_connectivity,
-                           _cycles_through, _first_cycle, _shortest_cycle_through)
+                           _cycles_through, _first_cycle, _shortest_cycle_through,
+                           _sink_component)
 
 
 # ---------------------------------------------------------------------------
@@ -40,18 +41,47 @@ from .connectivity import (ear_decomposition_digraph, is_k_strong,
 
 
 def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
-    """The fast decision: connectivity plus k-strength of the derived
-    digraph under a maximum matching, when that matching is perfect.
+    """The fast decision: no deficient set (see ``_deficient_set``).
     O(n m) for the matching plus one ``is_k_strong`` call."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return has_perfect_matching(g)
-    m = max_matching(g)
-    if not m.is_perfect or (g.n >= 2 and not connected(g)):
-        return False
-    d, _ = digraph_of(g, m)
-    return is_k_strong(d, k).holds
+    return k <= g.n - 1 and _deficient_set(g, k) is None
+
+
+def _deficient_set(g: BipartiteGraph, k: int) -> list | None:
+    """For 0 <= k <= n-1: None when G is k-extendable, else a sorted X in
+    U (vertex i is u_i) with 1 <= |X| <= n-k and |N(X)| < |X| + k.
+
+    Without a perfect matching (Koenig): X is the set of rows reached by
+    alternating paths from the first unmatched row, and the failed
+    augmenting search from it has seen exactly N(X), |X| - 1 columns.
+    Keeping the n-k smallest drops at most k rows, so |N(X)| stays below
+    |X| + k.
+
+    With a perfect matching M and k >= 1, G is k-extendable iff D = D(G, M)
+    is k-strong (which forces G connected).  Otherwise let S (|S| < k) be
+    the separator ``is_k_strong`` finds and X the last strong component of
+    D - S.  Every arc leaving X ends in S, so N(U_X) lies in M(U_X) and
+    M(U_S): |N(U_X)| <= |X| + |S| < |X| + k.  For X', the n-k smallest of
+    X, N(U_X') still misses the partners of the rest of D - S, so
+    |N(U_X')| <= n - 1 < |X'| + k.
+    """
+    pairs = max_matching_pairs(g)
+    if len(pairs) < g.n:
+        match_w = {j: i for i, j in pairs.items()}
+        root = min(i for i in range(g.n) if i not in pairs)
+        seen: set = set()
+        _augment([g.u_neighbors(i) for i in range(g.n)], match_w, root, seen)
+        x = sorted([root] + [match_w[j] for j in seen])
+    elif k == 0:
+        return None
+    else:
+        d, _ = digraph_of(g, Matching(frozenset(pairs.items()), g))
+        verdict = is_k_strong(d, k)
+        if verdict.holds:
+            return None
+        x = _sink_component(d, verdict.separator)
+    return x[:g.n - k]
 
 
 def is_k_extendable_via_digraph(g: BipartiteGraph, m: Matching, k: int) -> bool:
@@ -305,8 +335,6 @@ def bipartite_ear_decomposition(g: BipartiteGraph, start_edge) -> EarDecompositi
 
 
 def _pm_through_edge(g: BipartiteGraph, edge) -> Matching:
-    from .matching import max_matching_pairs
-
     i, j = edge
     pairs = max_matching_pairs(g, frozenset({i}), frozenset({j}))
     if len(pairs) != g.n - 1:

@@ -6,8 +6,14 @@ l x (n-l) block (equivalently: its digraph is not strong), and partly
 decomposable when independent row/column permutations do (equivalently:
 its bipartite graph is not 1-extendable).  The k-variants relax the block
 to l x (n-k+1-l) and line up with k-strong connectivity respectively
-k-extendability.  Decisions run through the graph routes; witnesses and
-the definitional oracles come from direct block/permutation search.
+k-extendability.  Decisions and witnesses come from the same failing
+flow: a k-reducible block is the last strong component of D(A) - S
+against the rest of D(A) - S, for the separator S of ``is_k_strong``; a
+k-partly decomposable block is a deficient row set X of B(A) (see
+``extendability._deficient_set``) against the columns outside N(X).  Each
+costs one ``is_k_strong`` call, plus a maximum matching on the bipartite
+side.  The block and permutation searches are definitional test oracles
+only.
 
 Boundary cases pinned here rather than discovered later:
 
@@ -30,7 +36,8 @@ from typing import Iterator
 
 from .core import TooLargeError, ZeroOneMatrix
 from .correspond import bipartite_of_matrix, digraph_of_matrix
-from .connectivity import is_k_strong, is_strong, strong_components
+from .connectivity import _sink_component, is_k_strong
+from .extendability import _deficient_set
 from .matching import count_perfect_matchings, has_perfect_matching
 
 
@@ -51,6 +58,10 @@ def has_positive_main_diagonal(a: ZeroOneMatrix) -> bool:
 
 def _zero_columns(a: ZeroOneMatrix, rows) -> list[int]:
     return [j for j in range(a.n) if all(a.rows[i][j] == 0 for i in rows)]
+
+
+def _distinct_in_range(indices, n: int) -> bool:
+    return len(set(indices)) == len(indices) and all(0 <= i < n for i in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +85,11 @@ class DecompositionWitness:
 
 
 def check_witness(a: ZeroOneMatrix, w: DecompositionWitness) -> list[str]:
-    problems = []
     n = a.n
     rows, cols = w.row_subset, w.col_subset
-    if not rows or not cols:
-        problems.append("row or column subset empty")
-        return problems
+    if not (rows and cols and _distinct_in_range(rows, n) and _distinct_in_range(cols, n)):
+        return ["row and column subsets must be nonempty sets of distinct indices"]
+    problems = []
     if w.l != len(rows):
         problems.append("l does not match the row subset size")
     # the plain kinds carry k = 1, so one formula covers all four
@@ -98,6 +108,10 @@ def check_witness(a: ZeroOneMatrix, w: DecompositionWitness) -> list[str]:
     for perm in (w.row_permutation, w.col_permutation):
         if sorted(perm) != list(range(n)):
             problems.append(f"{perm} is not a permutation of 0..{n - 1}")
+    if set(w.row_permutation[:len(rows)]) != set(rows):
+        problems.append("the row permutation does not start with the block rows")
+    if set(w.col_permutation[n - len(cols):]) != set(cols):
+        problems.append("the column permutation does not end with the block columns")
     return problems
 
 
@@ -117,32 +131,28 @@ def _independent_witness(kind: str, a: ZeroOneMatrix, rows: tuple, cols: tuple,
                                 row_perm, col_perm)
 
 
+def _block(rows, cols, cells: int) -> tuple:
+    """Rows and columns cut to exactly ``cells`` in total, rows first,
+    both sides nonempty."""
+    rows = tuple(rows[:cells - 1])
+    return rows, tuple(cols[:cells - len(rows)])
+
+
 # ---------------------------------------------------------------------------
-# block searches (definitional; also provide normalised witnesses)
+# block searches (definitional test oracles)
 
 
-def _search_block_disjoint(a: ZeroOneMatrix, k: int):
-    """Smallest-l, lexicographically first disjoint (rows, cols) pair with
-    |rows| + |cols| = n - k + 1 and an all-zero block."""
-    n = a.n
-    for l in range(1, n - k + 1):
-        want = n - k + 1 - l
-        for rows in combinations(range(n), l):
-            zero = [j for j in _zero_columns(a, rows) if j not in rows]
-            if len(zero) >= want:
-                return rows, tuple(zero[:want])
-    return None
-
-
-def _search_block_independent(a: ZeroOneMatrix, k: int):
-    """Same, but rows and columns chosen independently; l may reach n when
+def _search_block(a: ZeroOneMatrix, k: int, disjoint: bool):
+    """Smallest-l, lexicographically first (rows, cols) pair with
+    |rows| + |cols| = n - k + 1 and an all-zero block; the two sets are
+    disjoint when asked, else independent, and then l may reach n when
     k = 0 (an all-zero column block)."""
     n = a.n
     top = n if k == 0 else n - k
     for l in range(1, top + 1):
         want = n - k + 1 - l
         for rows in combinations(range(n), l):
-            zero = _zero_columns(a, rows)
+            zero = [j for j in _zero_columns(a, rows) if not (disjoint and j in rows)]
             if len(zero) >= want:
                 return rows, tuple(zero[:want])
     return None
@@ -183,14 +193,14 @@ def k_reducible_by_blocks(a: ZeroOneMatrix, k: int) -> bool:
         raise ValueError(f"k must lie in 1..{a.n}")
     if k == a.n:
         return False
-    return _search_block_disjoint(a, k) is not None
+    return _search_block(a, k, disjoint=True) is not None
 
 
 def k_partly_decomposable_by_blocks(a: ZeroOneMatrix, k: int) -> bool:
     """Pure zero-submatrix condition with independent row/column choices."""
     if not 0 <= k <= a.n - 1:
         raise ValueError(f"k must lie in 0..{a.n - 1}")
-    return _search_block_independent(a, k) is not None
+    return _search_block(a, k, disjoint=False) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -206,86 +216,62 @@ class MatrixPropertyResult:
         return self.holds
 
 
-def is_reducible(a: ZeroOneMatrix) -> MatrixPropertyResult:
-    """Reducible iff the digraph of A is not strong (loops ignored).
-
-    The witness row set is the smallest sink strong component: no arcs
-    leave it, so the complementary columns are all zero.
-    """
-    d = digraph_of_matrix(a).loop_free()
-    if a.n == 1 or is_strong(d):
+def _reducible(a: ZeroOneMatrix, k: int, kind: str) -> MatrixPropertyResult:
+    """Rows: the last strong component X of D(A) - S for the separator S
+    (|S| < k) of ``is_k_strong``; columns: the rest of D(A) - S.  No arc
+    runs from X to them, and together they hold n - |S| >= n - k + 1."""
+    if k == a.n:
         return MatrixPropertyResult(False)
-    comps = strong_components(d)
-    outgoing = {c: False for c in comps}
-    comp_of = {}
-    for c in comps:
-        for v in c:
-            comp_of[v] = c
-    for x, y in d.arcs:
-        if comp_of[x] != comp_of[y]:
-            outgoing[comp_of[x]] = True
-    sinks = [tuple(sorted(c)) for c in comps if not outgoing[c]]
-    rows = min(sinks, key=lambda c: (len(c), c))
-    cols = tuple(v for v in range(a.n) if v not in rows)
-    return MatrixPropertyResult(True, _symmetric_witness("reducible", a, rows, cols, 1))
+    d = digraph_of_matrix(a).loop_free()
+    verdict = is_k_strong(d, k)
+    if verdict.holds:
+        return MatrixPropertyResult(False)
+    sep = verdict.separator
+    rows = _sink_component(d, sep)
+    cols = [v for v in range(a.n) if v not in sep and v not in rows]
+    return MatrixPropertyResult(
+        True, _symmetric_witness(kind, a, *_block(rows, cols, a.n - k + 1), k))
+
+
+def _decomposable(a: ZeroOneMatrix, k: int, kind: str) -> MatrixPropertyResult:
+    """Rows: a deficient set X of B(A) (|X| <= n - k, |N(X)| < |X| + k);
+    columns: those outside N(X), at least n - k + 1 - |X| of them."""
+    rows = _deficient_set(bipartite_of_matrix(a), k)
+    if rows is None:
+        return MatrixPropertyResult(False)
+    cols = _zero_columns(a, rows)
+    return MatrixPropertyResult(
+        True, _independent_witness(kind, a, *_block(rows, cols, a.n - k + 1), k))
+
+
+def is_reducible(a: ZeroOneMatrix) -> MatrixPropertyResult:
+    """Reducible iff the digraph of A is not strong (loops ignored); the
+    witness rows are its last strong component, a sink."""
+    return _reducible(a, 1, "reducible")
 
 
 def is_k_reducible(a: ZeroOneMatrix, k: int) -> MatrixPropertyResult:
     """k-reducible iff the digraph of A is not k-strong, for k <= n-1;
     k = n is impossible by the definition."""
-    n = a.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in 1..{n}")
-    if k == n:
-        return MatrixPropertyResult(False)
-    d = digraph_of_matrix(a).loop_free()
-    if is_k_strong(d, k).holds:
-        return MatrixPropertyResult(False)
-    found = _search_block_disjoint(a, k)
-    if found is None:
-        raise AssertionError("digraph route says k-reducible but no block exists")
-    rows, cols = found
-    return MatrixPropertyResult(True, _symmetric_witness("k_reducible", a, rows, cols, k))
+    if not 1 <= k <= a.n:
+        raise ValueError(f"k must lie in 1..{a.n}")
+    return _reducible(a, k, "k_reducible")
 
 
 def is_partly_decomposable(a: ZeroOneMatrix) -> MatrixPropertyResult:
     """Partly decomposable iff B(A) is not 1-extendable (n >= 2); order-1
     matrices are never partly decomposable."""
-    from .extendability import is_k_extendable
-
     if a.n == 1:
         return MatrixPropertyResult(False)
-    if is_k_extendable(bipartite_of_matrix(a), 1):
-        return MatrixPropertyResult(False)
-    found = _search_block_independent(a, 1)
-    if found is None:
-        raise AssertionError("graph route says partly decomposable but no block exists")
-    rows, cols = found
-    return MatrixPropertyResult(
-        True, _independent_witness("partly_decomposable", a, rows, cols, 1))
+    return _decomposable(a, 1, "partly_decomposable")
 
 
 def is_k_partly_decomposable(a: ZeroOneMatrix, k: int) -> MatrixPropertyResult:
     """k-partly decomposable iff B(A) is not k-extendable; at k = 0 this is
     exactly the absence of a perfect matching."""
-    from .extendability import is_k_extendable
-
-    n = a.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must lie in 0..{n - 1}")
-    g = bipartite_of_matrix(a)
-    if k == 0:
-        decomposable = not has_perfect_matching(g)
-    else:
-        decomposable = not is_k_extendable(g, k)
-    if not decomposable:
-        return MatrixPropertyResult(False)
-    found = _search_block_independent(a, k)
-    if found is None:
-        raise AssertionError("graph route says k-partly decomposable but no block exists")
-    rows, cols = found
-    return MatrixPropertyResult(
-        True, _independent_witness("k_partly_decomposable", a, rows, cols, k))
+    if not 0 <= k <= a.n - 1:
+        raise ValueError(f"k must lie in 0..{a.n - 1}")
+    return _decomposable(a, k, "k_partly_decomposable")
 
 
 def fully_indecomposable_by_diagonals(a: ZeroOneMatrix) -> bool:

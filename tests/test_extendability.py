@@ -9,7 +9,7 @@ from extendix import (BipartiteGraph, alternating_path_system,
                       matching_graph, max_extendability, max_matching,
                       minimal_k_extendable_degree_audit, minimality_transfer_check,
                       perfect_matchings, random_bipartite_with_pm)
-from extendix.extendability import (check_alternating_path_system,
+from extendix.extendability import (_deficient_set, check_alternating_path_system,
                                     check_bipartite_ear_decomposition)
 
 from conftest import (assert_components_match, components_by_enumeration,
@@ -219,6 +219,87 @@ class TestAlternatingPaths:
         cert = build_certificate(g, "k-extendable", 1)
         assert cert.verdict and calls == [1]
         assert check_certificate(cert) == []
+
+    def test_negative_certificate_decides_once(self, monkeypatch):
+        import extendix.certify as cert_mod
+        import extendix.extendability as ext
+        from extendix import connected
+        from extendix.certify import build_certificate, check_certificate
+
+        calls = []
+        for mod in (ext, cert_mod):
+            monkeypatch.setattr(mod, "is_k_strong",
+                                lambda d, k, decide=mod.is_k_strong:
+                                calls.append(k) or decide(d, k))
+        failing = 0
+        for seed in range(6):
+            g = random_bipartite_with_pm(24, 0.25, seed=seed)
+            if not connected(g):
+                continue
+            k = max_extendability(g) + 1
+            calls.clear()
+            cert = build_certificate(g, "k-extendable", k)
+            assert cert.witness_kind == "deficient-set" and calls == [k]
+            assert check_certificate(cert) == []
+            failing += 1
+        assert failing >= 3
+
+
+def _random_bipartite(n: int, p: float, seed: int) -> BipartiteGraph:
+    """Each of the n^2 edges independently, so a perfect matching may lack."""
+    import random
+
+    rng = random.Random(seed)
+    return BipartiteGraph(n, frozenset((i, j) for i in range(n) for j in range(n)
+                                       if rng.random() < p))
+
+
+class TestDeficientSet:
+    """``_deficient_set`` decides k-extendability and builds the witness
+    in one routine."""
+
+    @staticmethod
+    def _check(g, k, extendable):
+        x = _deficient_set(g, k)
+        assert (x is None) == extendable, (g, k)
+        if x is not None:
+            assert x == sorted(set(x)) and all(0 <= i < g.n for i in x)
+            assert 1 <= len(x) <= g.n - k
+            assert len({j for i in x for j in g.u_neighbors(i)}) < len(x) + k
+
+    def test_every_graph_up_to_n3_against_the_oracle(self):
+        from extendix import bipartite_of_matrix, iter_matrices
+
+        for n in (1, 2, 3):
+            for a in iter_matrices(n):
+                g = bipartite_of_matrix(a)
+                for k in range(n):
+                    self._check(g, k, is_k_extendable_oracle(g, k).holds)
+
+    def test_seeded_graphs_against_the_neighbourhood_route(self):
+        from extendix import has_perfect_matching
+
+        for i in range(160):
+            n = 4 + i % 17
+            p = (0.15, 0.25, 0.4, 0.6)[i % 4]
+            g = (random_bipartite_with_pm if i % 3 else _random_bipartite)(n, p, 300 + i)
+            ext = max_extendability(g)
+            for k in range(n):
+                if k == 0:
+                    self._check(g, 0, has_perfect_matching(g))
+                elif n <= 10 or (n <= 14 and k > ext):
+                    self._check(g, k, is_k_extendable_via_neighborhood(g, k).holds)
+                else:
+                    self._check(g, k, k <= ext)
+
+    def test_koenig_set_without_a_perfect_matching(self):
+        # u1 and u2 see only w1: the Hall violator is {u1, u2}
+        n = 5
+        g = BipartiteGraph(n, frozenset({(0, 0), (1, 0)} | {(i, j) for i in range(2, n)
+                                                              for j in range(n)}))
+        assert _deficient_set(g, 0) == [0, 1]
+        assert _deficient_set(g, 1) == [0, 1]
+        assert _deficient_set(g, 4) == [0]
 
 
 class TestElementaryComponents:

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from extendix import (ZeroOneMatrix, bipartite_of_matrix,
+from extendix import (DecompositionWitness, ZeroOneMatrix, bipartite_of_matrix,
                       count_perfect_matchings, cycle_bipartite, diagonals,
                       irreducible_indecomposable_cross_check,
                       is_k_partly_decomposable, is_k_reducible,
@@ -213,3 +215,117 @@ class TestHelpers:
         g = BipartiteGraph(2, frozenset({(0, 0), (1, 0)}))
         assert build_certificate(g, "k-extendable", 0).witness_kind == "no-perfect-matching"
         assert check_certificate(Certificate("k-extendable", 0, False, g, "disconnected", ()))
+
+
+FULL3 = ZeroOneMatrix(((1, 0, 1), (1, 1, 1), (1, 1, 1)))
+
+
+class TestWitnessChecker:
+    @pytest.mark.parametrize("a,witness", [
+        # repeated rows: FULL3 is fully indecomposable and irreducible
+        (FULL3, DecompositionWitness("partly_decomposable", (0, 0), (1,), 2, 1,
+                                     (0, 1, 2), (0, 2, 1))),
+        (FULL3, DecompositionWitness("reducible", (0, 0), (1,), 2, 1,
+                                     (0, 2, 1), (0, 2, 1))),
+        # a true block whose permutations do not put it in the corner
+        (TRIANGULAR, DecompositionWitness("reducible", (1,), (0,), 1, 1, (0, 1), (0, 1))),
+        (TRIANGULAR, DecompositionWitness("partly_decomposable", (1,), (0,), 1, 1,
+                                          (1, 0), (0, 1))),
+        (TRIANGULAR, DecompositionWitness("partly_decomposable", (1,), (2,), 1, 1,
+                                          (1, 0), (1, 0))),
+    ])
+    def test_forgeries_rejected(self, a, witness):
+        assert check_witness(a, witness)
+
+    def test_true_block_accepted(self):
+        w = DecompositionWitness("partly_decomposable", (1,), (0,), 1, 1, (1, 0), (1, 0))
+        assert check_witness(TRIANGULAR, w) == []
+        assert not is_partly_decomposable(FULL3).holds and not is_reducible(FULL3).holds
+
+
+def _seeded(n: int, p: float, seed: int) -> ZeroOneMatrix:
+    rng = random.Random(seed)
+    return ZeroOneMatrix(tuple(tuple(1 if rng.random() < p else 0 for _ in range(n))
+                               for _ in range(n)))
+
+
+SEEDED = [_seeded(4 + i % 6, (0.3, 0.5, 0.7, 0.85)[i % 4], 800 + i) for i in range(120)]
+
+
+def _block_triangular(n: int) -> ZeroOneMatrix:
+    """[[J, J], [0, J]] with n/2 rows per block."""
+    h = n // 2
+    return ZeroOneMatrix(tuple(tuple(0 if i >= h and j < h else 1 for j in range(n))
+                               for i in range(n)))
+
+
+class TestFlowRoute:
+    """Zero blocks read off the failing flow, at every k."""
+
+    def test_witnesses_at_every_k(self):
+        mats = [a for n in (1, 2, 3) for a in iter_matrices(n)] + SEEDED
+        for a in mats:
+            for k in range(a.n):
+                res = is_k_partly_decomposable(a, k)
+                if 4 <= a.n <= 7:
+                    assert res.holds == k_partly_decomposable_by_blocks(a, k)
+                if res.holds:
+                    assert res.witness.k == k and check_witness(a, res.witness) == []
+            for k in range(1, a.n + 1):
+                res = is_k_reducible(a, k)
+                if 4 <= a.n <= 7:
+                    assert res.holds == k_reducible_by_blocks(a, k)
+                if res.holds:
+                    assert res.witness.k == k and check_witness(a, res.witness) == []
+
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    def test_block_triangular_certificates(self, n, tmp_path, capsys):
+        from extendix.cli import main
+        from extendix.fileio import write_instance
+
+        path, cert = tmp_path / "a.mat", str(tmp_path / "a.cert")
+        write_instance(_block_triangular(n), path)
+        for claim in ("k-indecomposable", "k-irreducible"):
+            for k in (1, 2):
+                assert main(["certify", str(path), "--claim", claim, "--k", str(k),
+                             "--out", cert]) == 1
+                assert main(["verify", cert]) == 0
+
+    def test_block_triangular_analyze(self, tmp_path, capsys):
+        from extendix.cli import main
+        from extendix.fileio import write_instance
+
+        path = tmp_path / "a.mat"
+        write_instance(_block_triangular(18), path)
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "irreducible: no\nfully-indecomposable: no\n" in out
+        assert "k-indecomposable: 0\nk-irreducible: none\n" in out
+
+    def test_no_production_path_reaches_the_block_search(self, monkeypatch, tmp_path,
+                                                         capsys):
+        from pathlib import Path
+
+        import extendix.matrixlab as ml
+        from extendix.cli import main
+        from extendix.fileio import write_instance
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("block search reached")
+
+        monkeypatch.setattr(ml, "combinations", forbidden)
+        monkeypatch.setattr(ml, "_search_block", forbidden)
+        paths = [str(p) for p in sorted((Path(__file__).parent / "golden").glob("*.mat"))]
+        for i, a in enumerate(SEEDED[:30]):
+            write_instance(a, tmp_path / f"s{i}.mat")
+            paths.append(str(tmp_path / f"s{i}.mat"))
+        cert = str(tmp_path / "a.cert")
+        for path in paths:
+            assert main(["analyze", path]) == 0
+            n = int(Path(path).read_text().split()[1])
+            for claim, ks in (("k-indecomposable", range(n)),
+                              ("k-irreducible", range(1, n + 1))):
+                for k in ks:
+                    assert main(["certify", path, "--claim", claim, "--k", str(k),
+                                 "--out", cert]) in (0, 1)
+                    assert main(["verify", cert]) == 0

@@ -12,15 +12,15 @@ import random
 import sys
 
 from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
-                   ZeroOneMatrix, connected, random_bipartite_with_pm,
+                   TooLargeError, ZeroOneMatrix, connected, random_bipartite_with_pm,
                    random_digraph, u_label, w_label)
 from .correspond import (bipartite_of_digraph, bipartite_of_matrix, digraph_of,
                          digraph_of_matrix, reduced_adjacency)
-from .connectivity import (anti_directed_trail_find, ear_decomposition_digraph,
-                           minimal_k_strong_degree_audit, strong_components,
+from .connectivity import (_degree_audit, anti_directed_trail_find,
+                           ear_decomposition_digraph, strong_components,
                            vertex_connectivity)
-from .extendability import (elementary_components, high_degree_subgraph_forest_check,
-                            max_extendability, minimal_k_extendable_degree_audit)
+from .extendability import (_degree_audit_bipartite, _forest_check,
+                            elementary_components, max_extendability)
 from .matching import count_perfect_matchings, first_perfect_matching
 from .matrixlab import nonzero_diagonal_count
 from .certify import build_certificate, check_certificate
@@ -263,7 +263,7 @@ def _instance_block(header: str, obj) -> list[str]:
 
 
 def _strong_audit_lines(d: Digraph, k: int, idx: int) -> list[str]:
-    audit = minimal_k_strong_degree_audit(d, k)
+    audit = _degree_audit(d, k)
     trail = anti_directed_trail_find(d, k)
     return [f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
             f"out-degree-{k}-count={audit.out_degree_k_count} "
@@ -274,8 +274,8 @@ def _strong_audit_lines(d: Digraph, k: int, idx: int) -> list[str]:
 
 
 def _extendable_audit_lines(g: BipartiteGraph, k: int, idx: int) -> list[str]:
-    audit = minimal_k_extendable_degree_audit(g, k)
-    forest = high_degree_subgraph_forest_check(g, k)
+    audit = _degree_audit_bipartite(g, k)
+    forest = _forest_check(g, k)
     return [f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
             f"degree-{k + 1}-total={audit.degree_k_plus_1_total} "
             f"u={audit.degree_k_plus_1_u} w={audit.degree_k_plus_1_w}",
@@ -284,22 +284,23 @@ def _extendable_audit_lines(g: BipartiteGraph, k: int, idx: int) -> list[str]:
 
 def cmd_search(args) -> int:
     k = args.k
+    if k < 1:
+        print(f"error: search needs k >= 1, got {k}", file=sys.stderr)
+        return 2
     lines = [f"target: {args.target}", f"k: {k}", f"n-max: {args.n_max}"]
     found = 0
     body: list[str] = []
-    if args.target in ("minimal_k_strong", "minimal_k_extendable"):
-        if args.target == "minimal_k_strong":
-            n_min, generate, audit_lines = (2, minimal_k_strong_digraphs,
-                                            _strong_audit_lines)
-        else:
-            n_min, generate, audit_lines = (1, minimal_k_extendable_graphs,
-                                            _extendable_audit_lines)
-        for n in range(n_min, args.n_max + 1):
+    sweeps = {"minimal_k_strong": (minimal_k_strong_digraphs, _strong_audit_lines),
+              "minimal_k_extendable": (minimal_k_extendable_graphs,
+                                       _extendable_audit_lines)}
+    if args.target in sweeps:
+        generate, audit_lines = sweeps[args.target]
+        for n in range(2, args.n_max + 1):
             if found >= args.limit:
                 break
             try:
                 instances = list(generate(n, k))
-            except ValueError as exc:
+            except TooLargeError as exc:
                 print(f"note: stopping at n={n - 1}: {exc}", file=sys.stderr)
                 break
             for obj in instances:
@@ -411,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .core import TooLargeError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

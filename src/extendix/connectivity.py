@@ -774,6 +774,11 @@ def minimal_k_strong_degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
     verdict = is_minimal_k_strong(d, k)
     if not verdict.holds:
         raise ValueError(f"digraph is not minimal {k}-strong: {verdict.reason}")
+    return _degree_audit(d, k)
+
+
+def _degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
+    """The body of minimal_k_strong_degree_audit for a minimal k-strong D."""
     out_count = sum(1 for v in range(d.n) if d.out_degree(v) == k)
     in_count = sum(1 for v in range(d.n) if d.in_degree(v) == k)
     return DegreeAuditReport(out_count >= k and in_count >= k, k, out_count, in_count)

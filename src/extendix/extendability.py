@@ -517,6 +517,11 @@ def minimal_k_extendable_degree_audit(g: BipartiteGraph, k: int) -> BipartiteDeg
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
+    return _degree_audit_bipartite(g, k)
+
+
+def _degree_audit_bipartite(g: BipartiteGraph, k: int) -> BipartiteDegreeAuditReport:
+    """The body of minimal_k_extendable_degree_audit for a minimal G."""
     u_count = sum(1 for i in range(g.n) if g.degree_u(i) == k + 1)
     w_count = sum(1 for j in range(g.n) if g.degree_w(j) == k + 1)
     total = u_count + w_count
@@ -545,6 +550,11 @@ def high_degree_subgraph_forest_check(g: BipartiteGraph, k: int) -> ForestCheckR
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
+    return _forest_check(g, k)
+
+
+def _forest_check(g: BipartiteGraph, k: int) -> ForestCheckReport:
+    """The body of high_degree_subgraph_forest_check for a minimal G."""
     qual = frozenset((i, j) for i, j in g.edges
                      if g.degree_u(i) >= k + 2 and g.degree_w(j) >= k + 2)
     cycle = _find_cycle_bipartite(qual)

@@ -7,10 +7,13 @@ against them in the tests was derived by hand from the definitions
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix,
                       random_bipartite_with_pm)
+from extendix.search import minimal_k_strong_digraphs
 
 
 def make_c6() -> BipartiteGraph:
@@ -70,6 +73,13 @@ def random_graph_suite(count: int = 500) -> list:
     ps = [0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
     return [random_bipartite_with_pm(ns[i % 6], ps[i % 7], seed=9000 + i)
             for i in range(count)]
+
+
+@functools.lru_cache(maxsize=None)
+def minimal_strong(n: int, k: int) -> tuple:
+    """The minimal k-strong digraph sweep, run once per session (the n = 5
+    sweep takes about a second)."""
+    return tuple(minimal_k_strong_digraphs(n, k))
 
 
 def random_matrix_suite(count: int = 300) -> list:

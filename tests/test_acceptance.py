@@ -36,7 +36,7 @@ from extendix.search import (find_minimality_counterexamples,
                              minimal_k_extendable_graphs, minimal_k_strong_digraphs)
 
 from conftest import (assert_components_match, components_by_enumeration,
-                      random_graph_suite, random_matrix_suite)
+                      minimal_strong, random_graph_suite, random_matrix_suite)
 
 
 def _report(num: int, text: str) -> None:
@@ -280,7 +280,7 @@ def test_criterion_06_path_system_machinery(exhaustive_graphs, random_graphs):
 
 @pytest.fixture(scope="module")
 def minimal_instances():
-    strong_1 = {n: list(minimal_k_strong_digraphs(n, 1)) for n in (2, 3, 4, 5)}
+    strong_1 = {n: list(minimal_strong(n, 1)) for n in (2, 3, 4, 5)}
     strong_2 = {n: list(minimal_k_strong_digraphs(n, 2)) for n in (3, 4)}
     extendable_1 = {n: list(minimal_k_extendable_graphs(n, 1)) for n in (1, 2, 3, 4)}
     return strong_1, strong_2, extendable_1

@@ -88,6 +88,15 @@ CASES += [
      ["search", "--target", "minimal_k_strong", "--n-max", "4", "--limit", "100"], 0),
     ("search-minimal_k_extendable",
      ["search", "--target", "minimal_k_extendable", "--n-max", "3"], 0),
+    ("search-minimality_counterexample-1",
+     ["search", "--target", "minimality_counterexample", "--n-max", "4", "--k", "1",
+      "--limit", "100"], 0),
+    ("search-minimal_k_extendable-2",
+     ["search", "--target", "minimal_k_extendable", "--n-max", "4", "--k", "2",
+      "--limit", "100"], 0),
+    ("search-minimal_k_strong-2",
+     ["search", "--target", "minimal_k_strong", "--n-max", "4", "--k", "2",
+      "--limit", "100"], 0),
 ]
 
 

@@ -1,0 +1,165 @@
+"""The minimality sweep against the definitional routes, and what the
+``search`` command decides.
+
+``minimal_k_strong_digraphs`` is compared with ``is_minimal_k_strong`` on
+every digraph, ``minimal_k_extendable_graphs`` with
+``is_minimal_k_extendable`` on every graph that contains the canonical
+matching, and the transfer counterexamples with ``is_minimal_k_extendable``
+on B(D), all as ordered lists.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import extendix.cli as cli
+import extendix.connectivity as connectivity
+import extendix.extendability as extendability
+import extendix.search as search
+from extendix import (TooLargeError, bipartite_of_digraph, is_k_strong,
+                      is_minimal_k_extendable, is_minimal_k_strong,
+                      iter_bipartite_with_canonical, iter_digraphs)
+from extendix.cli import main
+from extendix.search import (find_minimality_counterexamples,
+                             minimal_k_extendable_graphs, minimal_k_strong_digraphs)
+
+from conftest import minimal_strong
+
+TARGETS = ("minimal_k_strong", "minimal_k_extendable", "minimality_counterexample")
+
+
+KS = (1, 2, 3)
+
+
+def _minimal_by_definition(instances, decide, failing_reason) -> dict:
+    """{k: [x for x in instances if decide(x, k).holds] for k in KS}.  An
+    instance that is not k-strong (k-extendable) is not (k+1)-strong
+    ((k+1)-extendable) either, so its later k are not decided."""
+    hits = {k: [] for k in KS}
+    for x in instances:
+        for k in KS:
+            verdict = decide(x, k)
+            if verdict.holds:
+                hits[k].append(x)
+            elif verdict.reason == failing_reason(k):
+                break
+    return hits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mask_kernel_matches_is_k_strong(n):
+    for d in iter_digraphs(n):
+        outs, ins = [0] * n, [0] * n
+        for a, b in d.arcs:
+            outs[a] |= 1 << b
+            ins[b] |= 1 << a
+        strong = True
+        for k in KS:
+            strong = strong and is_k_strong(d, k).holds
+            assert search._mask_k_strong(outs, ins, k) == strong
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_minimal_k_strong_digraphs_match_the_flow_filter(n):
+    expected = _minimal_by_definition(iter_digraphs(n), is_minimal_k_strong,
+                                      lambda k: f"not {k}-strong")
+    for k in KS:
+        assert list(minimal_k_strong_digraphs(n, k)) == expected[k]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_minimal_k_extendable_graphs_match_the_definitional_sweep(n):
+    expected = _minimal_by_definition(iter_bipartite_with_canonical(n),
+                                      is_minimal_k_extendable,
+                                      lambda k: f"not {k}-extendable")
+    for k in KS:
+        assert list(minimal_k_extendable_graphs(n, k)) == expected[k]
+
+
+@pytest.mark.parametrize("n_max,k", [(5, 1), (4, 2)])
+def test_counterexamples_match_the_definitional_filter(n_max, k, monkeypatch):
+    # the sweep itself is checked above; run it once for both sides
+    monkeypatch.setattr(search, "minimal_k_strong_digraphs",
+                        lambda n, k: iter(minimal_strong(n, k)))
+    expected = []
+    for n in range(2, n_max + 1):
+        for d in minimal_strong(n, k):
+            g, _, _ = bipartite_of_digraph(d)
+            verdict = is_minimal_k_extendable(g, k)
+            if not verdict.holds:
+                expected.append((d, g, verdict.witness))
+    assert find_minimality_counterexamples(n_max, k, limit=10 ** 6) == expected
+
+
+def test_search_decides_no_minimality(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("search re-decided minimality")
+
+    for module in (connectivity, extendability, search, cli):
+        for name in ("is_minimal_k_strong", "is_minimal_k_extendable"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for target in TARGETS:
+        assert main(["search", "--target", target, "--n-max", "4", "--k", "1",
+                     "--limit", "1000"]) == 0
+
+
+def test_minimal_k_extendable_search_checks_each_matching_edge_once(monkeypatch, capsys):
+    bound = sum(n * len(list(minimal_k_strong_digraphs(n, 1))) for n in range(2, 5))
+    calls = []
+    original = extendability.is_k_extendable
+
+    def counting(g, k):
+        calls.append(g.n)
+        return original(g, k)
+
+    monkeypatch.setattr(extendability, "is_k_extendable", counting)
+    monkeypatch.setattr(search, "is_k_extendable", counting, raising=False)
+    assert main(["search", "--target", "minimal_k_extendable", "--n-max", "4",
+                 "--k", "1", "--limit", "1000"]) == 0
+    assert 0 < len(calls) <= bound
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("k", [0, -1])
+def test_search_rejects_k_below_one(target, k, capsys):
+    assert main(["search", "--target", target, "--n-max", "4", "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_sweeps_reject_k_below_one(k):
+    with pytest.raises(ValueError):
+        list(minimal_k_strong_digraphs(3, k))
+    with pytest.raises(ValueError):
+        list(minimal_k_extendable_graphs(3, k))
+    with pytest.raises(ValueError):
+        find_minimality_counterexamples(3, k)
+
+
+def test_sweep_guards_raise_too_large():
+    for call in (lambda: minimal_k_strong_digraphs(6, 1),
+                 lambda: minimal_k_strong_digraphs(5, 2),
+                 lambda: minimal_k_extendable_graphs(5, 1)):
+        with pytest.raises(TooLargeError):
+            list(call())
+
+
+def test_guard_stops_the_search_with_a_note(capsys):
+    assert main(["search", "--target", "minimal_k_strong", "--n-max", "5",
+                 "--k", "2", "--limit", "100"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("note: stopping at n=4: exhaustive sweep for k >= 2 "
+                            "is guarded to n <= 4\n")
+    assert "found: 18" in captured.out
+
+
+def test_other_value_errors_are_not_notes(monkeypatch):
+    def broken(n, k):
+        raise ValueError("not a guard")
+
+    monkeypatch.setattr(cli, "minimal_k_strong_digraphs", broken)
+    with pytest.raises(ValueError, match="not a guard"):
+        main(["search", "--target", "minimal_k_strong", "--n-max", "3"])

@@ -10,9 +10,10 @@ and re-validates the witness structurally.
 
 Cost: every certificate takes one decision, a maximum matching and at
 most one ``is_k_strong`` call of O(k^2 n (n + m)), and a positive one at
-most six path flows more.  A negative witness is read off the decision
-itself: a separator, a deficient set or a zero block from the failing
-flow, or a Hall violator from the failing matching.
+most six path flows more, on one flow network.  A negative witness is
+read off the decision itself: a separator, a deficient set or a zero
+block from the failing flow, or a Hall violator from the failing
+matching.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
                    connected, parse_vertex_label, u_label, w_label)
 from .correspond import bipartite_of_matrix, digraph_of, digraph_of_matrix
-from .connectivity import (_induced, is_k_strong, is_strong, menger_paths,
+from .connectivity import (_FlowNet, _induced, _menger, is_k_strong, is_strong,
                            check_path_system, PathSystem)
 from .extendability import (AltPathSystem, _alternating_paths, _deficient_set,
                             check_alternating_path_system, is_k_extendable)
@@ -88,18 +89,21 @@ def _alt_system_lines(g: BipartiteGraph, m: Matching, k: int, seed) -> list[str]
     """Path systems of a G known k-extendable, all read off one D(G, M)."""
     lines = ["matching: " + _edges_text(m.edges)]
     d, cmap = digraph_of(g, m)
+    net = _FlowNet(d)
     for u, w in _sample([(u, w) for u in range(g.n) for w in range(g.n)], seed):
-        system = _alternating_paths(g, m, d, cmap, u, w, k)
+        system = _alternating_paths(g, m, net, cmap, u, w, k)
         lines.append(f"pair: {u_label(u)} {w_label(w)}")
         lines += [f"path: {_walk_text(walk)}" for walk in system.paths]
     return lines
 
 
 def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
+    """Menger systems of a D known k-strong, all read off one network."""
     lines = []
+    net = _FlowNet(d)
     pairs = [(s, t) for s in range(d.n) for t in range(d.n) if s != t]
     for s, t in _sample(pairs, seed):
-        system = menger_paths(d, s, t, k)
+        system = _menger(net, s, t, k)
         lines.append(f"pair: {s + 1} {t + 1}")
         lines += ["path: " + " ".join(str(v + 1) for v in p) for p in system.paths]
     return lines
@@ -242,6 +246,8 @@ def _check_witness(cert: Certificate) -> list[str]:
         d = (obj if isinstance(obj, Digraph) else digraph_of_matrix(obj)).loop_free()
         for (pair, path_lines) in _split_sections(cert.witness_lines):
             s, t = int(pair[0]) - 1, int(pair[1]) - 1
+            if s == t:
+                problems.append(f"pair {pair} does not join two vertices")
             paths = tuple(tuple(int(x) - 1 for x in p.split()) for p in path_lines)
             if len(paths) != k:
                 problems.append(f"pair {pair}: {len(paths)} paths, expected {k}")

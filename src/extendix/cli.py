@@ -287,6 +287,9 @@ def cmd_search(args) -> int:
     if k < 1:
         print(f"error: search needs k >= 1, got {k}", file=sys.stderr)
         return 2
+    if args.limit < 1:
+        print(f"error: search needs limit >= 1, got {args.limit}", file=sys.stderr)
+        return 2
     lines = [f"target: {args.target}", f"k: {k}", f"n-max: {args.n_max}"]
     found = 0
     body: list[str] = []

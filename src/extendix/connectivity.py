@@ -9,11 +9,10 @@ pairs, ``vertex_connectivity`` O(kappa n), the path systems one each.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .core import Digraph, ExtendixError, TooLargeError
+from .core import Digraph, ExtendixError, TooLargeError, _bfs_path
 
 
 class InsufficientPathsError(ExtendixError):
@@ -108,28 +107,19 @@ def strong_components(d: Digraph) -> tuple:
 
 
 def is_strong(d: Digraph) -> bool:
-    """True iff D has exactly one strong component (single vertex counts)."""
-    if d.n == 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in d.out_neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != d.n:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in d.in_neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == d.n
+    """True iff D has exactly one strong component (single vertex counts):
+    vertex 0 reaches every vertex and every vertex reaches it."""
+    for neighbors in (d.out_neighbors, d.in_neighbors):
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in neighbors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != d.n:
+            return False
+    return True
 
 
 def _induced(d: Digraph, keep: list) -> Digraph:
@@ -159,9 +149,11 @@ class _FlowNet:
     of v", joined by a split edge of capacity 1; arcs are uncapped, so
     minimum cuts are vertices, except the direct arc s->t, capped at 1 as
     that path counts once.  Edges e and e ^ 1 are a forward/reverse pair;
-    each node's edges are sorted by head node."""
+    each node's edges are sorted by head node.  From node 2s+1 to node 2s
+    the paths are cycles through s, meeting only there."""
 
     def __init__(self, d: Digraph):
+        self.d = d
         self.n = d.n
         edges = [(2 * v, 2 * v + 1, 1) for v in range(d.n)]
         edges += [(2 * a + 1, 2 * b, _BIG) for a, b in sorted(d.arcs) if a != b]
@@ -216,7 +208,7 @@ class _FlowNet:
                 for a in range(self.n)]
         paths = []
         while used[s]:
-            path = [s]
+            path = [s, used[s].pop(0)]
             while path[-1] != t:
                 path.append(used[path[-1]].pop(0))
             paths.append(tuple(path))
@@ -307,8 +299,9 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
 
 @dataclass(frozen=True)
 class PathSystem:
-    """Directed paths, either internally disjoint with shared endpoints or
-    fully vertex-disjoint between sources and sinks."""
+    """Directed paths, either internally disjoint with shared endpoints
+    (cycles through one vertex when the endpoints coincide) or fully
+    vertex-disjoint between sources and sinks."""
 
     paths: tuple
     mode: str  # "internally_disjoint_same_endpoints" | "independent_multi_endpoint"
@@ -319,11 +312,12 @@ class PathSystem:
 def check_path_system(d: Digraph, system: PathSystem) -> list[str]:
     """Structural verification; returns a list of problems (empty = valid)."""
     problems = []
+    cycles = system.sources == system.sinks and system.mode != "independent_multi_endpoint"
     for path in system.paths:
         for x, y in zip(path, path[1:]):
             if (x, y) not in d.arcs:
                 problems.append(f"missing arc {(x, y)} in path {path}")
-        if len(set(path)) != len(path):
+        if len(set(path)) != len(path) - (cycles and len(path) > 2):
             problems.append(f"repeated vertex in path {path}")
     if system.mode == "internally_disjoint_same_endpoints":
         s, t = system.sources[0], system.sinks[0]
@@ -367,13 +361,19 @@ def menger_paths(d: Digraph, s: int, t: int, k: int) -> PathSystem:
         raise ValueError("endpoint out of range")
     if k < 1:
         raise ValueError("k must be at least 1")
-    net = _FlowNet(d)
+    return _menger(_FlowNet(d), s, t, k)
+
+
+def _menger(net: _FlowNet, s: int, t: int, k: int) -> PathSystem:
+    """menger_paths on a network built once per digraph (for s == t, k
+    cycles through s meeting only there).  Each flow restarts from the
+    base capacities, so earlier calls do not change the paths."""
     value = net.flow(s, t, k)
     if value < k:
         raise InsufficientPathsError(k, value, net.cut())
     system = PathSystem(tuple(net.paths(s, t)),
                         "internally_disjoint_same_endpoints", (s,), (t,))
-    problems = check_path_system(d, system)
+    problems = check_path_system(net.d, system)
     if problems:
         raise AssertionError(f"invalid path system produced: {problems}")
     return system
@@ -411,26 +411,21 @@ def independent_path_system(d: Digraph, sources, sinks) -> PathSystem:
 def cycles_through_vertex(d: Digraph, x: int, k: int) -> tuple:
     """k cycles, any two of which intersect exactly in {x}.
 
-    Construction: clone x into a fresh vertex that copies x's arcs, take k
-    internally disjoint paths from x to the clone, fold the clone back.
-    Requires D k-strong.
+    Construction: k internally disjoint paths from "out of x" to "into x"
+    in the split-vertex network, that is, from x back to itself.  Requires
+    D k-strong.
     """
     if not 0 <= x < d.n:
         raise ValueError("vertex out of range")
     verdict = is_k_strong(d, k)
     if not verdict.holds:
         raise ValueError(f"digraph is not {k}-strong: {verdict.reason}")
-    return _cycles_through(d, x, k)
+    return _cycles_through(_FlowNet(d), x, k)
 
 
-def _cycles_through(d: Digraph, x: int, k: int) -> tuple:
+def _cycles_through(net: _FlowNet, x: int, k: int) -> tuple:
     """The body of cycles_through_vertex for a D already known k-strong."""
-    clone = d.n
-    arcs = {(u, v) for u, v in d.arcs if u != v}
-    arcs |= {(u, clone) for u, v in arcs if v == x} | {(clone, v) for u, v in arcs if u == x}
-    extended = Digraph(d.n + 1, frozenset(arcs))
-    system = menger_paths(extended, x, clone, k)
-    cycles = tuple(path[:-1] + (x,) for path in system.paths)
+    cycles = _menger(net, x, x, k).paths
     for a in range(len(cycles)):
         for b in range(a + 1, len(cycles)):
             if set(cycles[a]) & set(cycles[b]) != {x}:
@@ -513,28 +508,11 @@ def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[
 
 def _shortest_cycle_through(d: Digraph, v: int) -> tuple | None:
     """Shortest directed cycle through v as an open vertex tuple starting
-    at v, ties broken by the smaller tuple; None when there is none."""
-    dist = {v: 0}
-    parent = {}
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        for y in d.out_neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                parent[y] = x
-                queue.append(y)
-    best = None
-    for x in d.in_neighbors(v):
-        if x != v and x in dist:
-            path = [x]
-            while path[-1] != v:
-                path.append(parent[path[-1]])
-            path.reverse()
-            cand = tuple(path)
-            if best is None or (len(cand), cand) < (len(best), best):
-                best = cand
-    return best
+    at v, ties broken by the smaller tuple; None when there is none.  The
+    first return to v of a breadth-first search over sorted out-neighbours
+    is that cycle (see ``core._bfs_path``)."""
+    cycle = _bfs_path(v, d.out_neighbors, lambda y: y == v)
+    return None if cycle is None else tuple(cycle[:-1])
 
 
 def _shortest_cycle(d: Digraph) -> tuple | None:
@@ -546,7 +524,15 @@ def _shortest_cycle(d: Digraph) -> tuple | None:
 
 def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD:
     """Build an ear decomposition of a strong digraph; exists iff D is
-    strong.  Any directed cycle may serve as the starting ear."""
+    strong.  Any directed cycle may serve as the starting ear.
+
+    Each next ear is the smallest uncovered arc (u, v) with u already in,
+    then, when v is new, the breadth-first path from v to the first old
+    vertex met (``core._bfs_path``).  An arc enters a heap once, when its
+    tail joins, and covered arcs are skipped on popping, so the heap
+    minimum is that arc, and as D is strong an empty heap means every arc
+    is covered.  A path ear adds a vertex: O(n (n + m) + m log m) in all.
+    """
     if d.has_loops():
         raise ValueError("ear decomposition requires a loop-free digraph")
     if d.n < 2:
@@ -568,33 +554,19 @@ def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD
     ears = [closed]
     covered = set(zip(closed, closed[1:]))
     members = set(start_cycle)
-    all_arcs = set(d.arcs)
-    while covered != all_arcs:
-        candidates = sorted(a for a in all_arcs - covered if a[0] in members)
-        u, v = candidates[0]
-        if v in members:
-            ear = (u, v)
-        else:
-            parent = {v: None}
-            queue = deque([v])
-            hit = None
-            while queue and hit is None:
-                x = queue.popleft()
-                for y in d.out_neighbors(x):
-                    if y in members:
-                        hit = (x, y)
-                        break
-                    if y not in parent:
-                        parent[y] = x
-                        queue.append(y)
-            tail = [hit[1], hit[0]]
-            while parent[tail[-1]] is not None:
-                tail.append(parent[tail[-1]])
-            tail.reverse()
-            ear = (u,) + tuple(tail)
+    heap = sorted((x, y) for x in members for y in d.out_neighbors(x))
+    while heap:
+        u, v = heappop(heap)
+        if (u, v) in covered:
+            continue
+        ear = (u, v) if v in members else (
+            (u,) + tuple(_bfs_path(v, d.out_neighbors, members.__contains__)))
         ears.append(ear)
         covered.update(zip(ear, ear[1:]))
-        members.update(ear)
+        for x in ear[1:-1]:
+            members.add(x)
+            for y in d.out_neighbors(x):
+                heappush(heap, (x, y))
     dec = EarDecompositionD(tuple(ears))
     problems = check_ear_decomposition_digraph(d, dec)
     if problems:
@@ -701,9 +673,10 @@ def is_anti_directed_trail(arcs_seq) -> bool:
 
 
 def _first_cycle(edges) -> tuple | None:
-    """Scan undirected edges in order and stop at the first one that
-    closes a cycle; return that cycle's nodes as the forest path from the
-    edge's first end to its second, or None when the edges form a forest."""
+    """Scan undirected edges (between distinct nodes) in order and stop at
+    the first one that closes a cycle; return that cycle's nodes as the
+    forest path, unique, from the edge's first end to its second, or None
+    when the edges form a forest."""
     leader: dict = {}
     forest: dict = {}
 
@@ -717,18 +690,7 @@ def _first_cycle(edges) -> tuple | None:
         leader.setdefault(a, a)
         leader.setdefault(b, b)
         if find(a) == find(b):
-            parent = {a: None}
-            queue = deque([a])
-            while queue and b not in parent:
-                x = queue.popleft()
-                for y in forest.get(x, ()):
-                    if y not in parent:
-                        parent[y] = x
-                        queue.append(y)
-            nodes = [b]
-            while parent[nodes[-1]] is not None:
-                nodes.append(parent[nodes[-1]])
-            return tuple(reversed(nodes))
+            return tuple(_bfs_path(a, lambda x: forest.get(x, ()), lambda y: y == b))
         leader[find(a)] = find(b)
         forest.setdefault(a, []).append(b)
         forest.setdefault(b, []).append(a)

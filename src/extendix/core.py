@@ -288,6 +288,27 @@ def _in_adj(d: Digraph) -> tuple:
     return tuple(tuple(x) for x in adj)
 
 
+def _bfs_path(start, neighbors, stop) -> list | None:
+    """Breadth-first search from start: the path [start, ..., x, y] to the
+    first y with stop(y) met while scanning neighbors(x), or None (a stop
+    at start closes a cycle).  With sorted neighbour lists, vertices leave
+    the queue in (distance, tree path) order, so the first hit is the
+    smallest such path by (length, tuple)."""
+    parent = {start: None}
+    queue = [start]
+    for x in queue:
+        for y in neighbors(x):
+            if stop(y):
+                path = [y, x]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # validation
 

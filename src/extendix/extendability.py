@@ -29,11 +29,10 @@ from .correspond import alternating_path_from_digraph_path, digraph_of
 from .matching import (_augment, enumerate_matchings, has_perfect_matching,
                        matching_extends, max_matching, max_matching_pairs)
 from .connectivity import (ear_decomposition_digraph, is_k_strong,
-                           is_minimal_k_strong, menger_paths,
-                           strong_components, MinimalityResult,
+                           is_minimal_k_strong, strong_components, MinimalityResult,
                            anti_directed_trail_find, vertex_connectivity,
-                           _cycles_through, _first_cycle, _shortest_cycle_through,
-                           _sink_component)
+                           _FlowNet, _cycles_through, _first_cycle, _menger,
+                           _shortest_cycle_through, _sink_component)
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +404,17 @@ def alternating_path_system(g: BipartiteGraph, m: Matching, u: int, w: int,
     if not is_k_extendable(g, k):
         raise ValueError(f"graph is not {k}-extendable")
     d, cmap = digraph_of(g, m)
-    return _alternating_paths(g, m, d, cmap, u, w, k)
+    return _alternating_paths(g, m, _FlowNet(d), cmap, u, w, k)
 
 
-def _alternating_paths(g: BipartiteGraph, m: Matching, d: Digraph, cmap,
+def _alternating_paths(g: BipartiteGraph, m: Matching, net: _FlowNet, cmap,
                        u: int, w: int, k: int) -> AltPathSystem:
-    """alternating_path_system for a G known k-extendable, given
-    (d, cmap) = digraph_of(g, m)."""
+    """alternating_path_system for a G known k-extendable, given the flow
+    network of (d, cmap) = digraph_of(g, m)."""
     pairing = m.pairing()
     s = cmap.vertex_of_matching_edge((u, pairing[u]))
-    if pairing[u] == w:
-        paths = _cycles_through(d, s, k)
-    else:
-        t = cmap.vertex_of_matching_edge(next((i, j) for i, j in m.edges if j == w))
-        paths = menger_paths(d, s, t, k).paths
+    t = cmap.vertex_of_matching_edge(next((i, j) for i, j in m.edges if j == w))
+    paths = _cycles_through(net, s, k) if s == t else _menger(net, s, t, k).paths
     system = AltPathSystem(tuple(alternating_path_from_digraph_path(cmap, p) for p in paths),
                            m, u, w)
     problems = check_alternating_path_system(g, system)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .core import BipartiteGraph, Matching
+from .core import BipartiteGraph, Matching, _bfs_path
 
 
 # ---------------------------------------------------------------------------
@@ -20,14 +20,29 @@ from .core import BipartiteGraph, Matching
 
 
 def _augment(adj, match_w, i, seen) -> bool:
-    for j in adj[i]:
-        if j in seen:
-            continue
-        seen.add(j)
-        if match_w.get(j) is None or _augment(adj, match_w, match_w[j], seen):
-            match_w[j] = i
-            return True
-    return False
+    """Depth-first search for an augmenting path from row i, entering each
+    column once, in adjacency order, and adding it to seen; on success the
+    rows on the path shift columns.  Iterative: no recursion limit on paths."""
+    below = []  # (row, its scan, column taken) for each row below the current one
+    scan = iter(adj[i])
+    while True:
+        for j in scan:
+            if j in seen:
+                continue
+            seen.add(j)
+            if match_w.get(j) is None:
+                match_w[j] = i
+                for row, _, col in below:
+                    match_w[col] = row
+                return True
+            below.append((i, scan, j))
+            i = match_w[j]
+            scan = iter(adj[i])
+            break
+        else:
+            if not below:
+                return False
+            i, scan, _ = below.pop()
 
 
 def max_matching_pairs(g: BipartiteGraph,
@@ -131,22 +146,17 @@ def first_perfect_matching(g: BipartiteGraph) -> Matching | None:
 
 def _rematch(g: BipartiteGraph, pairs: dict, owner: dict, i: int, j: int) -> bool:
     """Give u_i the partner w_j, shifting partners along an alternating
-    path from w_j's owner back to u_i through u_(i+1)..u_n; False if none."""
-    parent = {owner[j]: None}
-    queue = [owner[j]]
-    for x in queue:
-        for w in g.u_neighbors(x):
-            if owner[w] == i:
-                step = (x, w)
-                while step:
-                    pairs[step[0]], owner[step[1]] = step[1], step[0]
-                    step = parent[step[0]]
-                pairs[i], owner[j] = j, i
-                return True
-            if owner[w] > i and owner[w] not in parent:
-                parent[owner[w]] = (x, w)
-                queue.append(owner[w])
-    return False
+    path from w_j's owner back to u_i through u_(i+1)..u_n; False if none.
+    A breadth-first search over rows: a row's neighbours are the owners of
+    its columns, in column order."""
+    rows = _bfs_path(owner[j], lambda x: [owner[w] for w in g.u_neighbors(x)
+                                          if owner[w] >= i], lambda y: y == i)
+    if rows is None:
+        return False
+    cols = [pairs[x] for x in rows]
+    for x, w in zip(rows, cols[1:] + cols[:1]):
+        pairs[x], owner[w] = w, x
+    return True
 
 
 def count_perfect_matchings(g: BipartiteGraph) -> int:

@@ -147,4 +147,4 @@ def find_minimality_counterexamples(n_max: int, k: int = 1,
     """
     hits = (hit for n in range(2, min(n_max, _largest_n(k)) + 1)
             for hit in _transfers(n, k) if hit[2] is not None)
-    return list(islice(hits, max(limit, 1)))
+    return list(islice(hits, limit))

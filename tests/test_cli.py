@@ -1,7 +1,7 @@
 import pytest
 
-from extendix import (ZeroOneMatrix, complete_bipartite, connected, directed_cycle,
-                      max_extendability, random_bipartite_with_pm)
+from extendix import (BipartiteGraph, ZeroOneMatrix, complete_bipartite, connected,
+                      directed_cycle, max_extendability, random_bipartite_with_pm)
 from extendix.cli import main
 from extendix.fileio import read_certificate, write_instance
 
@@ -115,6 +115,18 @@ class TestCertifyVerify:
         assert code == expected
         assert main(["verify", cert_path]) == 0
 
+    def test_staircase_beyond_the_recursion_limit(self, tmp_path, capsys):
+        # u_i sees w_(i-1) and w_i: each augmenting search walks back
+        # through every earlier row, deeper than Python's recursion limit
+        n = 1100
+        path, cert_path = tmp_path / "stair.bg", str(tmp_path / "stair.cert")
+        write_instance(BipartiteGraph(n, frozenset({(i, i) for i in range(n)}
+                                                   | {(i, i - 1) for i in range(1, n)})),
+                       path)
+        assert main(["certify", str(path), "--claim", "k-extendable", "--k", "0",
+                     "--out", cert_path]) == 0
+        assert main(["verify", cert_path]) == 0
+
     def test_c6_negative_witness_matching(self, files, tmp_path, capsys):
         # certify emits a deficient set read off the separator; certificates
         # carrying a non-extendable matching, as older versions wrote, still
@@ -167,6 +179,18 @@ class TestCertifyVerify:
         text = cert_path.read_text().replace("verdict: fails", "verdict: holds")
         cert_path.write_text(text)
         assert main(["verify", str(cert_path)]) == 1
+
+    def test_menger_pair_must_join_two_vertices(self, files, tmp_path, capsys):
+        # a cycle through vertex 1 is a valid closed path system, but not a
+        # Menger system for a pair of the certificate
+        cert_path = tmp_path / "loop.cert"
+        assert main(["certify", files["d3.dg"], "--claim", "k-strong",
+                     "--k", "1", "--out", str(cert_path)]) == 0
+        text = cert_path.read_text()
+        cert_path.write_text(text.replace("pair: 1 2\npath: 1 2\n",
+                                          "pair: 1 1\npath: 1 2 3 1\n"))
+        assert main(["verify", str(cert_path)]) == 1
+        assert "does not join two vertices" in capsys.readouterr().out
 
     def test_claim_kind_mismatch(self, files, capsys):
         assert main(["certify", files["c6.bg"], "--claim", "k-strong",

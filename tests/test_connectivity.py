@@ -11,7 +11,8 @@ from extendix import (Digraph, InsufficientPathsError, complete_digraph,
                       menger_paths, minimal_k_strong_degree_audit,
                       one_way_pair_audit, random_digraph, strong_components,
                       vertex_connectivity)
-from extendix.connectivity import (KStrongResult, _FlowNet, check_ear_decomposition_digraph,
+from extendix.connectivity import (KStrongResult, PathSystem, _FlowNet, _cycles_through,
+                                   _shortest_cycle_through, check_ear_decomposition_digraph,
                                    check_path_system)
 
 
@@ -308,6 +309,51 @@ class TestCyclesThroughVertex:
                             assert set(cycles[a]) & set(cycles[b]) == {x}
 
 
+def _cycles_through_clone(d: Digraph, x: int, k: int) -> tuple:
+    """The construction the library replaced: clone x into a fresh vertex
+    that copies x's arcs, take k internally disjoint paths from x to the
+    clone, fold the clone back."""
+    clone = d.n
+    arcs = {(u, v) for u, v in d.arcs if u != v}
+    arcs |= {(u, clone) for u, v in arcs if v == x} | {(clone, v) for u, v in arcs if u == x}
+    system = menger_paths(Digraph(d.n + 1, frozenset(arcs)), x, clone, k)
+    return tuple(path[:-1] + (x,) for path in system.paths)
+
+
+class TestCyclesFromOneNetwork:
+    """Cycles through x come from the flow from "out of x" to "into x" in
+    the digraph's own network; they equal those of the clone construction,
+    and one network serves every vertex and pair."""
+
+    @staticmethod
+    def _assert_same_cycles(d: Digraph) -> None:
+        net = _FlowNet(d)
+        for k in range(1, vertex_connectivity(d) + 1):
+            for x in range(d.n):
+                assert (_cycles_through(net, x, k) == cycles_through_vertex(d, x, k)
+                        == _cycles_through_clone(d, x, k))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_digraph(self, n):
+        for d in iter_digraphs(n):
+            self._assert_same_cycles(d)
+
+    def test_seeded(self):
+        for i in range(40):
+            self._assert_same_cycles(random_digraph(5 + i % 6, 0.5, seed=900 + i))
+
+    def test_check_accepts_cycles_only_for_equal_endpoints(self):
+        d = complete_digraph(3)
+        cycles = PathSystem(((0, 1, 0), (0, 2, 0)), "internally_disjoint_same_endpoints",
+                            (0,), (0,))
+        assert check_path_system(d, cycles) == []
+        closed = PathSystem(((0, 1, 0),), "internally_disjoint_same_endpoints", (0,), (1,))
+        assert any("repeated vertex" in p for p in check_path_system(d, closed))
+        twice = PathSystem(((0, 1, 2, 1, 0),), "internally_disjoint_same_endpoints",
+                           (0,), (0,))
+        assert any("repeated vertex" in p for p in check_path_system(d, twice))
+
+
 class TestEarDecomposition:
     def test_triangle_single_ear(self):
         dec = ear_decomposition_digraph(directed_cycle(3))
@@ -346,6 +392,94 @@ class TestEarDecomposition:
         with pytest.raises(ValueError):
             ear_decomposition_digraph(
                 Digraph(2, frozenset({(0, 1), (1, 0), (0, 0)}), loops_allowed=True))
+
+
+def _shortest_cycle_through_scan(d: Digraph, v: int):
+    """The scan the library replaced: one full breadth-first search from v,
+    then the tree path to every in-neighbour of v, keeping the smallest by
+    (length, tuple)."""
+    dist, parent, queue = {v: 0}, {}, [v]
+    for x in queue:
+        for y in d.out_neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                parent[y] = x
+                queue.append(y)
+    best = None
+    for x in d.in_neighbors(v):
+        if x != v and x in dist:
+            path = [x]
+            while path[-1] != v:
+                path.append(parent[path[-1]])
+            cand = tuple(reversed(path))
+            if best is None or (len(cand), cand) < (len(best), best):
+                best = cand
+    return best
+
+
+def _ear_decomposition_resorting(d: Digraph, start_cycle: tuple) -> tuple:
+    """The ear loop the library replaced: for each ear, re-sort every
+    uncovered arc whose tail is in the decomposition, take the smallest,
+    and close it off by a breadth-first search to the old vertices."""
+    closed = start_cycle + (start_cycle[0],)
+    ears = [closed]
+    covered = set(zip(closed, closed[1:]))
+    members = set(start_cycle)
+    all_arcs = set(d.arcs)
+    while covered != all_arcs:
+        u, v = sorted(a for a in all_arcs - covered if a[0] in members)[0]
+        if v in members:
+            ear = (u, v)
+        else:
+            parent, queue, hit = {v: None}, [v], None
+            for x in queue:
+                for y in d.out_neighbors(x):
+                    if y in members:
+                        hit = (x, y)
+                        break
+                    if y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+                if hit:
+                    break
+            tail = [hit[1], hit[0]]
+            while parent[tail[-1]] is not None:
+                tail.append(parent[tail[-1]])
+            ear = (u,) + tuple(reversed(tail))
+        ears.append(ear)
+        covered.update(zip(ear, ear[1:]))
+        members.update(ear)
+    return tuple(ears)
+
+
+def _assert_matches_replaced_scans(d: Digraph) -> None:
+    cycles = [_shortest_cycle_through_scan(d, v) for v in range(d.n)]
+    assert cycles == [_shortest_cycle_through(d, v) for v in range(d.n)]
+    if d.n < 2 or not is_strong(d):
+        return
+    start = min((c for c in cycles if c is not None), key=lambda c: (len(c), c))
+    assert ear_decomposition_digraph(d).ears == _ear_decomposition_resorting(d, start)
+    assert (ear_decomposition_digraph(d, cycles[-1]).ears
+            == _ear_decomposition_resorting(d, cycles[-1]))
+
+
+class TestReplacedScans:
+    """Shortest cycles and ear decompositions equal those of the scans they
+    replaced: the per-vertex all-in-neighbours cycle scan and the per-ear
+    re-sort of the uncovered arcs."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_digraph(self, n):
+        for d in iter_digraphs(n):
+            _assert_matches_replaced_scans(d)
+
+    def test_seeded_up_to_24(self):
+        strong = 0
+        for i in range(240):
+            d = random_digraph(5 + i % 20, (0.35, 0.45, 0.55)[i % 3], seed=700 + i)
+            _assert_matches_replaced_scans(d)
+            strong += is_strong(d)
+        assert strong >= 200
 
 
 class TestMinimality:

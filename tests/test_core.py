@@ -6,6 +6,7 @@ from extendix import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                       iter_bipartite_with_canonical, iter_digraphs, iter_matrices,
                       matching_graph, random_bipartite_with_pm, random_digraph,
                       validate)
+from extendix.core import _bfs_path
 
 
 class TestValidate:
@@ -134,3 +135,46 @@ class TestHelpers:
         a = ZeroOneMatrix.from_array(np.eye(3, dtype=int))
         assert a == ZeroOneMatrix.identity(3)
         assert (a.to_array() == np.eye(3, dtype=int)).all()
+
+
+def _smallest_path_by_enumeration(d: Digraph, start: int, stop) -> list | None:
+    """Every simple path from start (or cycle back to it) whose last vertex
+    is its first to satisfy stop, the smallest by (length, tuple)."""
+    best = None
+    stack = [[start]]
+    while stack:
+        path = stack.pop()
+        for y in d.out_neighbors(path[-1]):
+            if stop(y):
+                cand = path + [y]
+                if best is None or (len(cand), cand) < (len(best), best):
+                    best = cand
+            elif y not in path:
+                stack.append(path + [y])
+    return best
+
+
+class TestBfsPath:
+    def test_stop_on_start_closes_a_cycle(self):
+        d = Digraph(4, frozenset({(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)}))
+        assert _bfs_path(0, d.out_neighbors, lambda y: y == 0) == [0, 1, 2, 0]
+
+    def test_unreachable_target_gives_none(self):
+        d = Digraph(3, frozenset({(0, 1), (1, 0), (2, 0)}))
+        assert _bfs_path(0, d.out_neighbors, lambda y: y == 2) is None
+        assert _bfs_path(2, d.out_neighbors, lambda y: False) is None
+
+    def test_lexicographic_tie_break(self):
+        # two shortest paths to 6; the winner is the smaller tuple, which
+        # leaves the queue first although its third vertex is the larger
+        d = Digraph(7, frozenset({(0, 2), (0, 1), (2, 3), (1, 4), (3, 6), (4, 6)}))
+        assert _bfs_path(0, d.out_neighbors, lambda y: y == 6) == [0, 1, 4, 6]
+        assert _bfs_path(0, d.out_neighbors, lambda y: y in (3, 4)) == [0, 1, 4]
+
+    def test_smallest_path_by_enumeration(self):
+        for seed in range(60):
+            d = random_digraph(7, 0.35, seed=seed)
+            for v in range(d.n):
+                for stop in ((lambda y: y == v), (lambda y: y > v), (lambda y: y % 3 == 0)):
+                    assert (_bfs_path(v, d.out_neighbors, stop)
+                            == _smallest_path_by_enumeration(d, v, stop))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from extendix import (BipartiteGraph, Matching, canonical_matching, classify_edg
                       max_matching, perfect_matchings, random_bipartite_with_pm,
                       symmetric_difference, unique_pm_acyclic_check,
                       iter_bipartite_with_canonical)
+from extendix.matching import _augment
 
 from conftest import classify_by_deletion, classify_by_enumeration, make_c6, make_p4
 
@@ -221,3 +224,30 @@ def test_max_matching_saturates_or_certifies(seed):
     m = max_matching(g)
     assert m.size == 4  # the canonical matching guarantees perfection
     assert has_perfect_matching(g)
+
+
+def _augment_recursive(adj, match_w, i, seen) -> bool:
+    """The recursive augmenting-path search the library replaced."""
+    for j in adj[i]:
+        if j in seen:
+            continue
+        seen.add(j)
+        if match_w.get(j) is None or _augment_recursive(adj, match_w, match_w[j], seen):
+            match_w[j] = i
+            return True
+    return False
+
+
+class TestIterativeAugment:
+    def test_same_matching_and_seen_sets_as_recursive(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            p = rng.choice((0.1, 0.2, 0.3, 0.5))
+            adj = [tuple(j for j in range(n) if rng.random() < p) for _ in range(n)]
+            mine, theirs = {}, {}
+            for i in range(n):
+                seen_mine, seen_theirs = set(), set()
+                assert (_augment(adj, mine, i, seen_mine)
+                        == _augment_recursive(adj, theirs, i, seen_theirs))
+                assert (mine, seen_mine) == (theirs, seen_theirs)

@@ -129,6 +129,21 @@ def test_search_rejects_k_below_one(target, k, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("limit", [0, -1])
+def test_search_rejects_limit_below_one(target, limit, capsys):
+    assert main(["search", "--target", target, "--n-max", "4", "--k", "1",
+                 "--limit", str(limit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_counterexample_limit_is_exact():
+    assert find_minimality_counterexamples(4, 1, limit=0) == []
+    assert len(find_minimality_counterexamples(4, 1, limit=2)) == 2
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_sweeps_reject_k_below_one(k):
     with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ import random
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
                    connected, parse_vertex_label, u_label, w_label)
 from .correspond import bipartite_of_matrix, digraph_of, digraph_of_matrix
-from .connectivity import (_FlowNet, _induced, _menger, is_k_strong, is_strong,
+from .connectivity import (_FlowNet, _menger, is_k_strong, strong_components,
                            check_path_system, PathSystem)
 from .extendability import (AltPathSystem, _alternating_paths, _deficient_set,
                             check_alternating_path_system, is_k_extendable)
@@ -259,12 +259,13 @@ def _check_witness(cert: Certificate) -> list[str]:
     if kind == "separator":
         d = obj.loop_free()
         sep = _indices(cert.witness_lines, "vertices:")
+        if not _distinct_in_range(sep, d.n):
+            return [f"separator must list distinct vertices of 1..{d.n}"]
         if len(sep) >= k:
             problems.append(f"separator has order {len(sep)}, not below k={k}")
-        keep = [v for v in range(d.n) if v not in sep]
-        if len(keep) < 2:
+        if d.n - len(sep) < 2:
             problems.append("separator leaves fewer than two vertices")
-        if is_strong(_induced(d, keep)):
+        if len(strong_components(d, sep)) == 1:
             problems.append("removing the separator leaves a strong digraph")
         return problems
 

@@ -32,15 +32,25 @@ class InsufficientPathsError(ExtendixError):
 # strong components
 
 
-def strong_components(d: Digraph) -> tuple:
-    """Partition of V(D) into strong components, ordered topologically in
-    the condensation; ties broken by smallest contained vertex."""
+def strong_components(d: Digraph, removed=()) -> tuple:
+    """Partition of V(D) - removed into strong components, ordered
+    topologically in the condensation; ties broken by smallest contained
+    vertex.  One iterative Tarjan pass, O(n log n + m) with the order.
+
+    A removed vertex counts as visited and is never on the stack, and
+    arcs with a removed end are left out of the condensation, so this is
+    the pass on D - removed without building it: renumbering the kept
+    vertices in increasing order, with sorted neighbour lists, would make
+    Tarjan visit the same vertices in the same order, and the min-vertex
+    tie-breaks compare the same way."""
     n = d.n
     comp_of = [-1] * n
     comps: list[frozenset] = []
 
     # iterative Tarjan
     index_of = [-1] * n
+    for v in removed:
+        index_of[v] = n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
@@ -65,8 +75,8 @@ def strong_components(d: Digraph) -> tuple:
                     work.append((w, 0))
                     recurse = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
+                if on_stack[w] and index_of[w] < low[v]:
+                    low[v] = index_of[w]
             if recurse:
                 continue
             if low[v] == index_of[v]:
@@ -82,17 +92,18 @@ def strong_components(d: Digraph) -> tuple:
             work.pop()
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
 
     # deterministic condensation order: Kahn with a min-vertex heap
     k = len(comps)
     succ = [set() for _ in range(k)]
     indeg = [0] * k
     for a, b in d.arcs:
-        if a != b and comp_of[a] != comp_of[b]:
-            if comp_of[b] not in succ[comp_of[a]]:
-                succ[comp_of[a]].add(comp_of[b])
-                indeg[comp_of[b]] += 1
+        ca, cb = comp_of[a], comp_of[b]
+        if ca != cb and min(ca, cb) >= 0 and cb not in succ[ca]:
+            succ[ca].add(cb)
+            indeg[cb] += 1
     heap = [(min(comps[c]), c) for c in range(k) if indeg[c] == 0]
     heap.sort()
     ordered = []
@@ -107,33 +118,14 @@ def strong_components(d: Digraph) -> tuple:
 
 
 def is_strong(d: Digraph) -> bool:
-    """True iff D has exactly one strong component (single vertex counts):
-    vertex 0 reaches every vertex and every vertex reaches it."""
-    for neighbors in (d.out_neighbors, d.in_neighbors):
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in neighbors(stack.pop()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != d.n:
-            return False
-    return True
-
-
-def _induced(d: Digraph, keep: list) -> Digraph:
-    """The subdigraph on the vertices in keep, vertex keep[i] renamed i."""
-    remap = {v: i for i, v in enumerate(keep)}
-    return Digraph(len(keep), frozenset((remap[a], remap[b]) for a, b in d.arcs
-                                        if a in remap and b in remap))
+    """True iff D has exactly one strong component (single vertex counts)."""
+    return len(strong_components(d)) == 1
 
 
 def _sink_component(d: Digraph, removed) -> list:
-    """The last strong component of D - removed, sorted, in D's numbering:
-    every arc leaving it ends in removed."""
-    keep = [v for v in range(d.n) if v not in removed]
-    return sorted(keep[v] for v in strong_components(_induced(d, keep))[-1])
+    """The last strong component of D - removed, sorted: every arc leaving
+    it ends in removed."""
+    return sorted(strong_components(d, removed)[-1])
 
 
 # ---------------------------------------------------------------------------

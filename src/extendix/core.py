@@ -314,9 +314,9 @@ def _bfs_path(start, neighbors, stop) -> list | None:
 
 
 def _validate_pair_list(pairs, n: int, kind: str) -> list[str]:
-    """Shared edge/arc checks.  Accepts index pairs and label pairs so that
-    malformed raw input (duplicates, intra-class edges) can be reported
-    instead of rejected at construction time."""
+    """Shared edge/arc checks on 0-based index pairs, so that malformed raw
+    input (non-pairs, non-integers, duplicates) can be reported instead of
+    rejected at construction time."""
     problems = []
     seen = set()
     for item in pairs:
@@ -325,18 +325,6 @@ def _validate_pair_list(pairs, n: int, kind: str) -> list[str]:
         except (TypeError, ValueError):
             problems.append(f"not a pair: {item!r}")
             continue
-        if isinstance(a, str) or isinstance(b, str):
-            pa, pb = parse_vertex_label(str(a)), parse_vertex_label(str(b))
-            if pa is None or pb is None:
-                problems.append(f"malformed vertex label in {item!r}")
-                continue
-            if kind == "bg":
-                if pa[0] == pb[0]:
-                    problems.append(f"intra-class edge {a}-{b}")
-                    continue
-                if pa[0] == "w":
-                    pa, pb = pb, pa
-            a, b = pa[1], pb[1]
         if not (isinstance(a, int) and isinstance(b, int)):
             problems.append(f"non-integer endpoints in {item!r}")
             continue
@@ -352,8 +340,8 @@ def _validate_pair_list(pairs, n: int, kind: str) -> list[str]:
 def validate(obj) -> ValidationReport:
     """Report every violated invariant of a graph, digraph or matrix.
 
-    Total: never raises, reports instead.  Edges/arcs may be given either
-    as 0-based index pairs or as 1-based labels like ``("u1", "w2")``.
+    Total: never raises, reports instead.  Edges/arcs are 0-based index
+    pairs; labels like ``u1``/``w2`` belong to the file formats only.
     """
     problems: list[str] = []
     if isinstance(obj, BipartiteGraph):

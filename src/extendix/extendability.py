@@ -92,9 +92,12 @@ def is_k_extendable_via_digraph(g: BipartiteGraph, m: Matching, k: int) -> bool:
 
 def max_extendability(g: BipartiteGraph) -> int:
     """Largest k with G k-extendable; 0 when there is none (no perfect
-    matching, or disconnected on n >= 2)."""
+    matching, or disconnected on n >= 2).  With a perfect matching M, every
+    arc of D(G, M) joins two pairs of M that an edge of G joins, so a
+    disconnected G gives a D(G, M) that is not even weakly connected, whose
+    vertex connectivity is already 0."""
     m = max_matching(g)
-    if not m.is_perfect or (g.n >= 2 and not connected(g)):
+    if not m.is_perfect:
         return 0
     d, _ = digraph_of(g, m)
     return vertex_connectivity(d)

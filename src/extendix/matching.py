@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .core import BipartiteGraph, Matching, _bfs_path
+from .core import BipartiteGraph, Matching
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +132,31 @@ def perfect_matchings(g: BipartiteGraph) -> Iterator[Matching]:
 def first_perfect_matching(g: BipartiteGraph) -> Matching | None:
     """The lexicographically first perfect matching, or None.  Greedy: for
     u_1, u_2, ... take the smallest w that still leaves a perfect matching
-    of the rest, tested by one O(m) alternating-path search each."""
+    of the rest.  A trial gives u_i the column w_j and lets w_j's owner
+    augment (``_augment``) to u_i's old column, with the columns of
+    u_1..u_i seen, so only the rows after u_i move.  A failed search
+    leaves the matching untouched, so two entries undo the trial.  The
+    result does not depend on the maximum matching it starts from."""
     pairs = max_matching_pairs(g)
     if len(pairs) < g.n:
         return None
-    owner = {j: i for i, j in pairs.items()}
+    adj = [g.u_neighbors(i) for i in range(g.n)]
+    match_w = {j: i for i, j in pairs.items()}
+    fixed: set = set()
     for i in range(g.n):
-        for j in g.u_neighbors(i):
-            if owner[j] == i or (owner[j] > i and _rematch(g, pairs, owner, i, j)):
+        c = next(j for j in adj[i] if match_w[j] == i)
+        for j in adj[i]:
+            if j == c:
                 break
-    return Matching(frozenset(pairs.items()), g)
-
-
-def _rematch(g: BipartiteGraph, pairs: dict, owner: dict, i: int, j: int) -> bool:
-    """Give u_i the partner w_j, shifting partners along an alternating
-    path from w_j's owner back to u_i through u_(i+1)..u_n; False if none.
-    A breadth-first search over rows: a row's neighbours are the owners of
-    its columns, in column order."""
-    rows = _bfs_path(owner[j], lambda x: [owner[w] for w in g.u_neighbors(x)
-                                          if owner[w] >= i], lambda y: y == i)
-    if rows is None:
-        return False
-    cols = [pairs[x] for x in rows]
-    for x, w in zip(rows, cols[1:] + cols[:1]):
-        pairs[x], owner[w] = w, x
-    return True
+            r = match_w[j]
+            if r > i:
+                match_w[j] = i
+                del match_w[c]
+                if _augment(adj, match_w, r, fixed | {j}):
+                    break
+                match_w[j], match_w[c] = r, i
+        fixed.add(j)
+    return Matching(frozenset((i, j) for j, i in match_w.items()), g)
 
 
 def count_perfect_matchings(g: BipartiteGraph) -> int:

@@ -161,15 +161,7 @@ def _search_block(a: ZeroOneMatrix, k: int, disjoint: bool):
 def reducible_by_permutation_search(a: ZeroOneMatrix) -> bool:
     """Literal definition: some symmetric permutation puts an all-zero
     l x (n-l) block in the upper right corner."""
-    n = a.n
-    if n > 7:
-        raise TooLargeError("permutation search is factorial; guard is n <= 7")
-    for perm in permutations(range(n)):
-        for l in range(1, n):
-            if all(a.rows[perm[i]][perm[j]] == 0
-                   for i in range(l) for j in range(l, n)):
-                return True
-    return False
+    return k_reducible_by_permutation_search(a, 1)
 
 
 def k_reducible_by_permutation_search(a: ZeroOneMatrix, k: int) -> bool:

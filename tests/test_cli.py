@@ -180,6 +180,20 @@ class TestCertifyVerify:
         cert_path.write_text(text)
         assert main(["verify", str(cert_path)]) == 1
 
+    @pytest.mark.parametrize("vertices", ["99", "0", "-3", "2 2"])
+    def test_forged_separator_rejected(self, tmp_path, capsys, vertices):
+        # removing any of these leaves the path 1 -> 2 -> 3 -> 4 not strong,
+        # so only the range and repetition checks can catch them
+        path, cert_path = tmp_path / "p4.dg", tmp_path / "p4.cert"
+        path.write_text("dg 4 3\n1 2\n2 3\n3 4\n")
+        assert main(["certify", str(path), "--claim", "k-strong", "--k", "3",
+                     "--out", str(cert_path)]) == 1
+        text = cert_path.read_text()
+        assert "vertices: 2\n" in text
+        cert_path.write_text(text.replace("vertices: 2\n", f"vertices: {vertices}\n"))
+        assert main(["verify", str(cert_path)]) == 1
+        assert "distinct vertices" in capsys.readouterr().out
+
     def test_menger_pair_must_join_two_vertices(self, files, tmp_path, capsys):
         # a cycle through vertex 1 is a valid closed path system, but not a
         # Menger system for a pair of the certificate

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,8 @@ from extendix import (Digraph, InsufficientPathsError, complete_digraph,
                       one_way_pair_audit, random_digraph, strong_components,
                       vertex_connectivity)
 from extendix.connectivity import (KStrongResult, PathSystem, _FlowNet, _cycles_through,
-                                   _shortest_cycle_through, check_ear_decomposition_digraph,
-                                   check_path_system)
+                                   _shortest_cycle_through, _sink_component,
+                                   check_ear_decomposition_digraph, check_path_system)
 
 
 def _kappa_by_separator_search(d: Digraph) -> int:
@@ -33,6 +34,22 @@ def _kappa_by_separator_search(d: Digraph) -> int:
             if not is_strong(sub):
                 return min(best, size)
     return best
+
+
+def _is_strong_two_searches(d: Digraph) -> bool:
+    """The strongness test the library replaced: vertex 0 reaches every
+    vertex and every vertex reaches it."""
+    for neighbors in (d.out_neighbors, d.in_neighbors):
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in neighbors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != d.n:
+            return False
+    return True
 
 
 class TestStrongComponents:
@@ -62,8 +79,66 @@ class TestStrongComponents:
         assert is_strong(Digraph(1, frozenset()))
 
     def test_agrees_with_is_strong_exhaustively(self):
-        for d in iter_digraphs(3):
-            assert (len(strong_components(d)) == 1) == is_strong(d)
+        for n in (1, 2, 3, 4):
+            for d in iter_digraphs(n):
+                assert is_strong(d) == _is_strong_two_searches(d)
+
+
+def _components_of_induced_copy(d: Digraph, removed) -> tuple:
+    """The route the library replaced: copy D - removed into a digraph with
+    the kept vertices renumbered in increasing order, take its components
+    and map them back."""
+    keep = [v for v in range(d.n) if v not in removed]
+    remap = {v: i for i, v in enumerate(keep)}
+    sub = Digraph(len(keep), frozenset((remap[a], remap[b]) for a, b in d.arcs
+                                       if a in remap and b in remap))
+    return tuple(frozenset(keep[v] for v in c) for c in strong_components(sub))
+
+
+def _assert_one_pass_matches(d: Digraph, removed) -> None:
+    comps = strong_components(d, removed)
+    assert comps == _components_of_induced_copy(d, removed)
+    if comps:
+        assert _sink_component(d, removed) == sorted(comps[-1])
+    # the partition is mutual reachability in D - removed
+    for c in comps:
+        v = min(c)
+        for neighbors in (d.out_neighbors, d.in_neighbors):
+            seen, stack = {v}, [v]
+            while stack:
+                for w in neighbors(stack.pop()):
+                    if w not in seen and w not in removed:
+                        seen.add(w)
+                        stack.append(w)
+            assert c <= seen
+
+
+class TestOneComponentPass:
+    """``strong_components(d, removed)`` against the two-search strongness
+    test and the induced-copy component route it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_digraph_every_removed_set(self, n):
+        subsets = [s for size in range(n + 1)
+                   for s in itertools.combinations(range(n), size)]
+        for d in iter_digraphs(n):
+            for removed in subsets:
+                _assert_one_pass_matches(d, removed)
+
+    def test_seeded_up_to_42(self):
+        rng = random.Random(11)
+        strong = 0
+        for i in range(220):
+            n = 5 + i % 38
+            d = random_digraph(n, rng.choice((0.05, 0.1, 0.2, 0.4)), seed=900 + i)
+            assert is_strong(d) == _is_strong_two_searches(d)
+            strong += is_strong(d)
+            for _ in range(4):
+                _assert_one_pass_matches(d, rng.sample(range(n), rng.randint(0, n // 2)))
+            verdict = is_k_strong(d, 3)
+            if not verdict.holds and verdict.separator:
+                _assert_one_pass_matches(d, verdict.separator)
+        assert 20 <= strong <= 200
 
 
 class TestVertexConnectivity:

@@ -14,14 +14,22 @@ class TestValidate:
         assert validate(BipartiteGraph(1, frozenset({(0, 0)}))).valid
 
     def test_intra_class_edge_reported(self):
+        # labels belong to the file formats: in memory an edge is an index pair
         g = BipartiteGraph(2, frozenset({("u1", "u2")}))
         report = validate(g)
         assert not report.valid
-        assert any("intra-class" in v for v in report.violations)
+        assert any("non-integer" in v for v in report.violations)
 
-    def test_labeled_edges_accepted(self):
+    def test_labeled_edges_reported(self):
         report = validate(BipartiteGraph(2, frozenset({("u1", "w2"), ("w1", "u2")})))
-        assert report.valid
+        assert not report.valid
+        assert all("non-integer" in v for v in report.violations)
+
+    def test_labeled_pairs_rejected_by_build(self):
+        with pytest.raises(InvalidInstanceError):
+            BipartiteGraph.build(2, [("u1", "w1"), ("u2", "w2"), ("u1", "w2")])
+        with pytest.raises(InvalidInstanceError):
+            Digraph.build(2, [("u1", "w2"), ("u2", "w1")])
 
     def test_non_binary_matrix_entry(self):
         report = validate(ZeroOneMatrix(((2, 0), (0, 1))))

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from extendix import (BipartiteGraph, alternating_path_system,
                       bipartite_ear_decomposition, canonical_matching,
-                      complete_bipartite, directed_cycle, elementary_components,
-                      high_degree_subgraph_forest_check, is_k_extendable,
-                      is_k_extendable_oracle, is_k_extendable_via_digraph,
-                      is_k_extendable_via_neighborhood, is_minimal_k_extendable,
+                      complete_bipartite, connected, directed_cycle,
+                      elementary_components, high_degree_subgraph_forest_check,
+                      is_k_extendable, is_k_extendable_oracle,
+                      is_k_extendable_via_digraph, is_k_extendable_via_neighborhood,
+                      is_minimal_k_extendable, iter_bipartite_with_canonical,
                       matching_graph, max_extendability, max_matching,
                       minimal_k_extendable_degree_audit, minimality_transfer_check,
                       perfect_matchings, random_bipartite_with_pm)
@@ -89,6 +92,24 @@ class TestMaxExtendability:
 
     def test_disconnected(self):
         assert max_extendability(matching_graph(3)) == 0
+
+    def test_disconnected_with_perfect_matching_sweep(self):
+        # no connectivity check of its own: kappa of D(G, M) is already 0;
+        # disjoint unions, and sparse graphs (often disconnected), W shuffled
+        graphs = [g for n in (1, 2, 3) for g in iter_bipartite_with_canonical(n)]
+        rng = random.Random(21)
+        for s in range(300):
+            a = random_bipartite_with_pm(1 + s % 6, 0.5, seed=2 * s)
+            b = random_bipartite_with_pm(1 + s % 5, 0.5, seed=2 * s + 1)
+            n = a.n + b.n
+            g = BipartiteGraph(n, a.edges | {(i + a.n, j + a.n) for i, j in b.edges})
+            if s % 3:
+                g = random_bipartite_with_pm(n, 0.15, seed=s)
+            perm = rng.sample(range(n), n)
+            graphs.append(BipartiteGraph(n, frozenset((i, perm[j]) for i, j in g.edges)))
+        disconnected = [g for g in graphs if g.n >= 2 and not connected(g)]
+        assert len(disconnected) >= 150
+        assert all(max_extendability(g) == 0 for g in disconnected)
 
     def test_connected_without_perfect_matching_at_n12(self, tmp_path, capsys):
         # u1 and u2 see only w1, the rest is complete: enumerating matchings

@@ -10,7 +10,8 @@ from extendix import (BipartiteGraph, Matching, canonical_matching, classify_edg
                       max_matching, perfect_matchings, random_bipartite_with_pm,
                       symmetric_difference, unique_pm_acyclic_check,
                       iter_bipartite_with_canonical)
-from extendix.matching import _augment
+from extendix.core import _bfs_path
+from extendix.matching import _augment, max_matching_pairs
 
 from conftest import classify_by_deletion, classify_by_enumeration, make_c6, make_p4
 
@@ -62,6 +63,9 @@ class TestEnumeration:
         graphs += [random_bipartite_with_pm(n, p, seed=s) for n in (5, 7)
                    for p in (0.2, 0.5) for s in range(15)]
         graphs += [g.without_edge(e) for g in graphs[-20:] for e in g.sorted_edges()[:3]]
+        rng = random.Random(3)
+        graphs += [_shuffled_w(random_bipartite_with_pm(2 + s % 5, 0.3, seed=s), rng)
+                   for s in range(60)]
         for g in graphs:
             assert first_perfect_matching(g) == next(perfect_matchings(g), None)
 
@@ -251,3 +255,56 @@ class TestIterativeAugment:
                 assert (_augment(adj, mine, i, seen_mine)
                         == _augment_recursive(adj, theirs, i, seen_theirs))
                 assert (mine, seen_mine) == (theirs, seen_theirs)
+
+
+def _first_pm_by_rematch(g: BipartiteGraph) -> Matching | None:
+    """The greedy first perfect matching the library replaced: each trial
+    is a breadth-first row search from w_j's owner back to u_i, and the
+    partners rotate along the rows found."""
+    pairs = max_matching_pairs(g)
+    if len(pairs) < g.n:
+        return None
+    owner = {j: i for i, j in pairs.items()}
+
+    def rematch(i, j):
+        rows = _bfs_path(owner[j], lambda x: [owner[w] for w in g.u_neighbors(x)
+                                              if owner[w] >= i], lambda y: y == i)
+        if rows is None:
+            return False
+        cols = [pairs[x] for x in rows]
+        for x, w in zip(rows, cols[1:] + cols[:1]):
+            pairs[x], owner[w] = w, x
+        return True
+
+    for i in range(g.n):
+        for j in g.u_neighbors(i):
+            if owner[j] == i or (owner[j] > i and rematch(i, j)):
+                break
+    return Matching(frozenset(pairs.items()), g)
+
+
+def _shuffled_w(g: BipartiteGraph, rng: random.Random) -> BipartiteGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return BipartiteGraph(g.n, frozenset((i, perm[j]) for i, j in g.edges))
+
+
+class TestFirstPerfectMatchingByAugment:
+    """The one-``_augment`` greedy against the row-search greedy it
+    replaced, on graphs whose canonical matching is shuffled away from the
+    diagonal so that the greedy must move partners."""
+
+    def test_matches_row_search_on_shuffled_graphs(self):
+        rng = random.Random(17)
+        moved = none = 0
+        for s in range(400):
+            n = 2 + s % 30
+            g = _shuffled_w(random_bipartite_with_pm(
+                n, rng.choice((0.05, 0.1, 0.2, 0.4)), seed=1200 + s), rng)
+            if s % 5 == 0:
+                g = g.without_edge(rng.choice(g.sorted_edges()))
+            mine = first_perfect_matching(g)
+            assert mine == _first_pm_by_rematch(g)
+            none += mine is None
+            moved += mine is not None and mine.edges != frozenset(max_matching_pairs(g).items())
+        assert none >= 10 and moved >= 200

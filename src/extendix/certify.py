@@ -22,8 +22,8 @@ import random
 
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
                    connected, parse_vertex_label, u_label, w_label)
-from .correspond import bipartite_of_matrix, digraph_of, digraph_of_matrix
-from .connectivity import (_FlowNet, _menger, is_k_strong, strong_components,
+from .correspond import bipartite_of_matrix, digraph_of_matrix
+from .connectivity import (_path_systems, is_k_strong, strong_components,
                            check_path_system, PathSystem)
 from .extendability import (AltPathSystem, _alternating_paths, _deficient_set,
                             check_alternating_path_system, is_k_extendable)
@@ -88,11 +88,9 @@ def _parse_walk(text: str) -> tuple:
 def _alt_system_lines(g: BipartiteGraph, m: Matching, k: int, seed) -> list[str]:
     """Path systems of a G known k-extendable, all read off one D(G, M)."""
     lines = ["matching: " + _edges_text(m.edges)]
-    d, cmap = digraph_of(g, m)
-    net = _FlowNet(d)
-    for u, w in _sample([(u, w) for u in range(g.n) for w in range(g.n)], seed):
-        system = _alternating_paths(g, m, net, cmap, u, w, k)
-        lines.append(f"pair: {u_label(u)} {w_label(w)}")
+    pairs = _sample([(u, w) for u in range(g.n) for w in range(g.n)], seed)
+    for system in _alternating_paths(g, m, pairs, k):
+        lines.append(f"pair: {u_label(system.u)} {w_label(system.w)}")
         lines += [f"path: {_walk_text(walk)}" for walk in system.paths]
     return lines
 
@@ -100,11 +98,9 @@ def _alt_system_lines(g: BipartiteGraph, m: Matching, k: int, seed) -> list[str]
 def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
     """Menger systems of a D known k-strong, all read off one network."""
     lines = []
-    net = _FlowNet(d)
     pairs = [(s, t) for s in range(d.n) for t in range(d.n) if s != t]
-    for s, t in _sample(pairs, seed):
-        system = _menger(net, s, t, k)
-        lines.append(f"pair: {s + 1} {t + 1}")
+    for system in _path_systems(d, _sample(pairs, seed), k):
+        lines.append(f"pair: {system.sources[0] + 1} {system.sinks[0] + 1}")
         lines += ["path: " + " ".join(str(v + 1) for v in p) for p in system.paths]
     return lines
 
@@ -151,11 +147,10 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             raise ValueError("k-strong applies to digraph instances")
         if k < 1:
             raise ValueError("k must be at least 1")
-        d = obj.loop_free()
-        verdict = is_k_strong(d, k)
+        verdict = is_k_strong(obj, k)
         if verdict.holds:
             return Certificate(claim, k, True, obj, "menger-path-systems",
-                               tuple(_menger_lines(d, k, seed)))
+                               tuple(_menger_lines(obj, k, seed)))
         if verdict.separator is None:
             return Certificate(claim, k, False, obj, "too-few-vertices",
                                (f"reason: {verdict.reason}",))
@@ -180,7 +175,7 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             return Certificate(claim, k, True, obj, "size-cap",
                                ("reason: no matrix of order n is n-reducible",))
         return Certificate(claim, k, True, obj, "menger-path-systems",
-                           tuple(_menger_lines(digraph_of_matrix(obj).loop_free(), k, seed)))
+                           tuple(_menger_lines(digraph_of_matrix(obj), k, seed)))
 
     raise ValueError(f"unknown claim {claim!r}")
 
@@ -194,7 +189,7 @@ def _recompute_verdict(cert: Certificate) -> bool:
     if cert.claim == "k-extendable":
         return is_k_extendable(obj, k)
     if cert.claim == "k-strong":
-        return is_k_strong(obj.loop_free(), k).holds
+        return is_k_strong(obj, k).holds
     if cert.claim == "k-indecomposable":
         return not is_k_partly_decomposable(obj, k).holds
     if cert.claim == "k-irreducible":
@@ -243,7 +238,7 @@ def _check_witness(cert: Certificate) -> list[str]:
         return problems
 
     if kind == "menger-path-systems":
-        d = (obj if isinstance(obj, Digraph) else digraph_of_matrix(obj)).loop_free()
+        d = obj if isinstance(obj, Digraph) else digraph_of_matrix(obj)
         for (pair, path_lines) in _split_sections(cert.witness_lines):
             s, t = int(pair[0]) - 1, int(pair[1]) - 1
             if s == t:
@@ -257,15 +252,14 @@ def _check_witness(cert: Certificate) -> list[str]:
         return problems
 
     if kind == "separator":
-        d = obj.loop_free()
         sep = _indices(cert.witness_lines, "vertices:")
-        if not _distinct_in_range(sep, d.n):
-            return [f"separator must list distinct vertices of 1..{d.n}"]
+        if not _distinct_in_range(sep, obj.n):
+            return [f"separator must list distinct vertices of 1..{obj.n}"]
         if len(sep) >= k:
             problems.append(f"separator has order {len(sep)}, not below k={k}")
-        if d.n - len(sep) < 2:
+        if obj.n - len(sep) < 2:
             problems.append("separator leaves fewer than two vertices")
-        if len(strong_components(d, sep)) == 1:
+        if len(strong_components(obj, sep)) == 1:
             problems.append("removing the separator leaves a strong digraph")
         return problems
 

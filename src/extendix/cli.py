@@ -83,7 +83,7 @@ def _analyze_digraph(d: Digraph) -> str:
     lines.append(f"strong-components: {len(comps)}")
     for idx, comp in enumerate(comps, 1):
         lines.append(f"component {idx}: " + " ".join(str(v + 1) for v in sorted(comp)))
-    kappa = vertex_connectivity(d.loop_free())
+    kappa = vertex_connectivity(d)
     lines.append(f"kappa: {kappa}")
     if strong and d.n >= 2 and not d.has_loops():
         dec = ear_decomposition_digraph(d)
@@ -107,7 +107,7 @@ def _analyze_matrix(a: ZeroOneMatrix) -> str:
     Order 1 is irreducible and fully indecomposable by definition."""
     diagonals = nonzero_diagonal_count(a)
     ext = max_extendability(bipartite_of_matrix(a))
-    kappa = vertex_connectivity(digraph_of_matrix(a).loop_free())
+    kappa = vertex_connectivity(digraph_of_matrix(a))
     irr = a.n == 1 or kappa >= 1
     fully = a.n == 1 or ext >= 1
     indec_ks = ([0] if diagonals else []) + list(range(1, ext + 1))
@@ -204,14 +204,11 @@ def cmd_convert(args) -> int:
             return 2
         _emit(format_instance(reduced_adjacency(obj)), args.out)
         return 0
-    if direction == "m2g":
-        if not isinstance(obj, ZeroOneMatrix):
-            print("error: m2g needs a mat instance", file=sys.stderr)
-            return 2
-        _emit(format_instance(bipartite_of_matrix(obj)), args.out)
-        return 0
-    print(f"error: unknown direction {direction!r}", file=sys.stderr)
-    return 2
+    if not isinstance(obj, ZeroOneMatrix):  # m2g, the last choice
+        print("error: m2g needs a mat instance", file=sys.stderr)
+        return 2
+    _emit(format_instance(bipartite_of_matrix(obj)), args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +309,7 @@ def cmd_search(args) -> int:
                 body += audit_lines(obj, k, found)
                 if found >= args.limit:
                     break
-    elif args.target == "minimality_counterexample":
+    else:  # minimality_counterexample
         hits = find_minimality_counterexamples(args.n_max, k, limit=args.limit)
         for d, g, edge in hits:
             found += 1
@@ -320,9 +317,6 @@ def cmd_search(args) -> int:
             body += _instance_block(f"graph {found}:", g)
             body.append(f"deletable-matching-edge {found}: "
                         f"{edge[0] + 1}-{edge[1] + 1}")
-    else:
-        print(f"error: unknown target {args.target!r}", file=sys.stderr)
-        return 2
     lines.append(f"found: {found}")
     lines += body
     _emit("\n".join(lines) + "\n", args.out)
@@ -341,14 +335,11 @@ def cmd_randgen(args) -> int:
         obj = random_bipartite_with_pm(args.n, args.p, args.seed)
     elif args.kind == "dg":
         obj = random_digraph(args.n, args.p, args.seed)
-    elif args.kind == "mat":
+    else:  # mat
         rng = random.Random(args.seed)
         rows = tuple(tuple(1 if rng.random() < args.p else 0
                            for _ in range(args.n)) for _ in range(args.n))
         obj = ZeroOneMatrix(rows)
-    else:
-        print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
-        return 2
     _emit(format_instance(obj), args.out)
     return 0
 

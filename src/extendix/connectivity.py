@@ -2,15 +2,19 @@
 systems, ear decompositions, minimality and degree audits.
 
 Loops never influence anything here; every computation works on the
-loop-free view of its input.  Disjoint paths come from one flow kernel,
-``_FlowNet``, at O(k (n + m)) per pair: ``is_k_strong`` takes O(k n)
-pairs, ``vertex_connectivity`` O(kappa n), the path systems one each.
+loop-free view of its input, so callers pass digraphs with loops as they
+are.  Disjoint paths come from one flow kernel, ``_FlowNet``, at
+O(k (n + m)) per pair, built only by ``is_k_strong``, which takes O(k n)
+pairs, and ``_path_systems``, one pair per path system.
+``vertex_connectivity`` makes at most delta - kappa + 1 ``is_k_strong``
+calls (delta the least in- or out-degree), one in the common case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import combinations
 
 from .core import Digraph, ExtendixError, TooLargeError, _bfs_path
 
@@ -145,7 +149,6 @@ class _FlowNet:
     the paths are cycles through s, meeting only there."""
 
     def __init__(self, d: Digraph):
-        self.d = d
         self.n = d.n
         edges = [(2 * v, 2 * v + 1, 1) for v in range(d.n)]
         edges += [(2 * a + 1, 2 * b, _BIG) for a, b in sorted(d.arcs) if a != b]
@@ -216,24 +219,23 @@ def vertex_connectivity(d: Digraph) -> int:
     separator of order below k.  A complete digraph has connectivity n-1
     because no separator exists and the vertex-count clause caps k.
 
-    For i = 0, 1, ... while i <= the best value so far, flows from v_i to
-    every later vertex and back: at most 2(kappa+1)(n-1) flows.  Every
-    local value is at least kappa (a direct arc counts once), and a minimum
-    separator S misses some v_i with i <= kappa, whose pair with a vertex
-    across D - S is non-adjacent with local value kappa.
+    The out- (in-) neighbours of a vertex of degree below n-1 separate it
+    from another vertex, so kappa is at most the least in- or out-degree
+    delta.  k starts there, and each failing ``is_k_strong(d, k)`` sets k
+    to the order of its separator, an upper bound on kappa below k; the
+    first k that holds is kappa, after at most delta - kappa + 1 calls.
+    The strongness pass comes first because it answers 0 without flows,
+    where a failing scan at k = delta would pay several.
     """
     n = d.n
     if n == 1 or not is_strong(d):
         return 0
-    net = _FlowNet(d)
-    best = n - 1
-    i = 0
-    while i <= best:
-        for j in range(i + 1, n):
-            for s, t in ((i, j), (j, i)):
-                best = min(best, net.flow(s, t, best))
-        i += 1
-    return best
+    k = min(min(d.out_degree(v), d.in_degree(v)) for v in range(n))
+    verdict = is_k_strong(d, k)
+    while not verdict.holds:
+        k = len(verdict.separator)
+        verdict = is_k_strong(d, k)
+    return k
 
 
 @dataclass(frozen=True)
@@ -307,7 +309,7 @@ def check_path_system(d: Digraph, system: PathSystem) -> list[str]:
     cycles = system.sources == system.sinks and system.mode != "independent_multi_endpoint"
     for path in system.paths:
         for x, y in zip(path, path[1:]):
-            if (x, y) not in d.arcs:
+            if x == y or (x, y) not in d.arcs:
                 problems.append(f"missing arc {(x, y)} in path {path}")
         if len(set(path)) != len(path) - (cycles and len(path) > 2):
             problems.append(f"repeated vertex in path {path}")
@@ -353,22 +355,31 @@ def menger_paths(d: Digraph, s: int, t: int, k: int) -> PathSystem:
         raise ValueError("endpoint out of range")
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _menger(_FlowNet(d), s, t, k)
+    return _path_systems(d, [(s, t)], k)[0]
 
 
-def _menger(net: _FlowNet, s: int, t: int, k: int) -> PathSystem:
-    """menger_paths on a network built once per digraph (for s == t, k
-    cycles through s meeting only there).  Each flow restarts from the
-    base capacities, so earlier calls do not change the paths."""
-    value = net.flow(s, t, k)
-    if value < k:
-        raise InsufficientPathsError(k, value, net.cut())
-    system = PathSystem(tuple(net.paths(s, t)),
-                        "internally_disjoint_same_endpoints", (s,), (t,))
-    problems = check_path_system(net.d, system)
-    if problems:
-        raise AssertionError(f"invalid path system produced: {problems}")
-    return system
+def _path_systems(d: Digraph, pairs, k: int) -> list:
+    """One PathSystem of k internally disjoint s->t paths per (s, t) in
+    pairs, all read off one flow network; for s == t, k cycles through s
+    meeting only there.  Each flow restarts from the base capacities, so
+    earlier pairs do not change the paths.  Raises InsufficientPathsError
+    at the first pair with fewer than k."""
+    net = _FlowNet(d)
+    systems = []
+    for s, t in pairs:
+        value = net.flow(s, t, k)
+        if value < k:
+            raise InsufficientPathsError(k, value, net.cut())
+        system = PathSystem(tuple(net.paths(s, t)),
+                            "internally_disjoint_same_endpoints", (s,), (t,))
+        problems = check_path_system(d, system)
+        if problems:
+            raise AssertionError(f"invalid path system produced: {problems}")
+        if s == t and any(set(a) & set(b) != {s}
+                          for a, b in combinations(system.paths, 2)):
+            raise AssertionError("cycles intersect outside the hub vertex")
+        systems.append(system)
+    return systems
 
 
 def independent_path_system(d: Digraph, sources, sinks) -> PathSystem:
@@ -387,13 +398,11 @@ def independent_path_system(d: Digraph, sources, sinks) -> PathSystem:
         raise ValueError("endpoint out of range")
 
     top, bottom = d.n, d.n + 1
-    net = _FlowNet(Digraph(d.n + 2, d.arcs | {(top, x) for x in sources}
-                           | {(y, bottom) for y in sinks}))
-    value = net.flow(top, bottom, k)
-    if value < k:
-        raise InsufficientPathsError(k, value, net.cut())
-    paths = tuple(path[1:-1] for path in net.paths(top, bottom))
-    system = PathSystem(paths, "independent_multi_endpoint", sources, sinks)
+    wired = Digraph(d.n + 2, d.arcs | {(top, x) for x in sources}
+                    | {(y, bottom) for y in sinks})
+    wide = _path_systems(wired, [(top, bottom)], k)[0]
+    system = PathSystem(tuple(path[1:-1] for path in wide.paths),
+                        "independent_multi_endpoint", sources, sinks)
     problems = check_path_system(d, system)
     if problems:
         raise AssertionError(f"invalid path system produced: {problems}")
@@ -412,17 +421,7 @@ def cycles_through_vertex(d: Digraph, x: int, k: int) -> tuple:
     verdict = is_k_strong(d, k)
     if not verdict.holds:
         raise ValueError(f"digraph is not {k}-strong: {verdict.reason}")
-    return _cycles_through(_FlowNet(d), x, k)
-
-
-def _cycles_through(net: _FlowNet, x: int, k: int) -> tuple:
-    """The body of cycles_through_vertex for a D already known k-strong."""
-    cycles = _menger(net, x, x, k).paths
-    for a in range(len(cycles)):
-        for b in range(a + 1, len(cycles)):
-            if set(cycles[a]) & set(cycles[b]) != {x}:
-                raise AssertionError("cycles intersect outside the hub vertex")
-    return cycles
+    return _path_systems(d, [(x, x)], k)[0].paths
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +442,6 @@ class EarDecompositionD:
         out = set()
         for ear in self.ears:
             out.update(zip(ear, ear[1:]))
-        return out
-
-    def vertices(self) -> set:
-        out = set()
-        for ear in self.ears:
-            out.update(ear)
         return out
 
 

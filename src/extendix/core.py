@@ -102,9 +102,6 @@ class BipartiteGraph:
     def degree_w(self, j: int) -> int:
         return len(_w_adj(self)[j])
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
     def without_edge(self, edge: tuple[int, int]) -> "BipartiteGraph":
         return BipartiteGraph(self.n, self.edges - {tuple(edge)})
 
@@ -142,9 +139,6 @@ class Matching:
     def pairing(self) -> dict[int, int]:
         """u index -> matched w index."""
         return {i: j for i, j in self.edges}
-
-    def covers_u(self, i: int) -> bool:
-        return any(e[0] == i for e in self.edges)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

@@ -31,8 +31,8 @@ from .matching import (_augment, enumerate_matchings, has_perfect_matching,
 from .connectivity import (ear_decomposition_digraph, is_k_strong,
                            is_minimal_k_strong, strong_components, MinimalityResult,
                            anti_directed_trail_find, vertex_connectivity,
-                           _FlowNet, _cycles_through, _first_cycle, _menger,
-                           _shortest_cycle_through, _sink_component)
+                           _first_cycle, _path_systems, _shortest_cycle_through,
+                           _sink_component)
 
 
 # ---------------------------------------------------------------------------
@@ -406,24 +406,27 @@ def alternating_path_system(g: BipartiteGraph, m: Matching, u: int, w: int,
         raise ValueError("need a perfect matching of the graph")
     if not is_k_extendable(g, k):
         raise ValueError(f"graph is not {k}-extendable")
+    return _alternating_paths(g, m, [(u, w)], k)[0]
+
+
+def _alternating_paths(g: BipartiteGraph, m: Matching, pairs, k: int) -> list:
+    """alternating_path_system for each (u, w) in pairs, for a G known
+    k-extendable: D(G, M) is built once and every digraph path system is
+    pulled back."""
     d, cmap = digraph_of(g, m)
-    return _alternating_paths(g, m, _FlowNet(d), cmap, u, w, k)
-
-
-def _alternating_paths(g: BipartiteGraph, m: Matching, net: _FlowNet, cmap,
-                       u: int, w: int, k: int) -> AltPathSystem:
-    """alternating_path_system for a G known k-extendable, given the flow
-    network of (d, cmap) = digraph_of(g, m)."""
     pairing = m.pairing()
-    s = cmap.vertex_of_matching_edge((u, pairing[u]))
-    t = cmap.vertex_of_matching_edge(next((i, j) for i, j in m.edges if j == w))
-    paths = _cycles_through(net, s, k) if s == t else _menger(net, s, t, k).paths
-    system = AltPathSystem(tuple(alternating_path_from_digraph_path(cmap, p) for p in paths),
-                           m, u, w)
-    problems = check_alternating_path_system(g, system)
-    if problems:
-        raise AssertionError(f"invalid alternating path system: {problems}")
-    return system
+    owner = {j: i for i, j in m.edges}
+    ends = [(cmap.vertex_of_matching_edge((u, pairing[u])),
+             cmap.vertex_of_matching_edge((owner[w], w))) for u, w in pairs]
+    systems = []
+    for (u, w), paths in zip(pairs, _path_systems(d, ends, k)):
+        system = AltPathSystem(tuple(alternating_path_from_digraph_path(cmap, p)
+                                     for p in paths.paths), m, u, w)
+        problems = check_alternating_path_system(g, system)
+        if problems:
+            raise AssertionError(f"invalid alternating path system: {problems}")
+        systems.append(system)
+    return systems
 
 
 # ---------------------------------------------------------------------------

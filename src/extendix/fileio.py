@@ -173,9 +173,6 @@ class Certificate:
     witness_kind: str
     witness_lines: tuple  # payload lines, already rendered
 
-    def holds(self) -> bool:
-        return self.verdict
-
 
 CLAIMS = ("k-extendable", "k-strong", "k-indecomposable", "k-irreducible")
 
@@ -232,8 +229,3 @@ def parse_certificate(text: str) -> Certificate:
 def read_certificate(path) -> Certificate:
     with open(path, encoding="utf-8") as fh:
         return parse_certificate(fh.read())
-
-
-def write_certificate(cert: Certificate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_certificate(cert))

@@ -196,16 +196,6 @@ class EdgeClassification:
     fixed_double: frozenset
     nonfixed: frozenset
 
-    def tag(self, edge) -> str:
-        edge = tuple(edge)
-        if edge in self.fixed_single:
-            return "fixed_single"
-        if edge in self.fixed_double:
-            return "fixed_double"
-        if edge in self.nonfixed:
-            return "allowed_nonfixed"
-        raise KeyError(f"{edge} is not an edge of the graph")
-
     @property
     def counts(self) -> dict[str, int]:
         return {

@@ -214,7 +214,7 @@ def _reducible(a: ZeroOneMatrix, k: int, kind: str) -> MatrixPropertyResult:
     runs from X to them, and together they hold n - |S| >= n - k + 1."""
     if k == a.n:
         return MatrixPropertyResult(False)
-    d = digraph_of_matrix(a).loop_free()
+    d = digraph_of_matrix(a)
     verdict = is_k_strong(d, k)
     if verdict.holds:
         return MatrixPropertyResult(False)
@@ -308,7 +308,7 @@ def irreducible_indecomposable_cross_check(a: ZeroOneMatrix, k: int) -> CrossChe
     k_indec = not is_k_partly_decomposable(a, k).holds
     k_irr = not is_k_reducible(a, k).holds
     plus_indec = not is_k_partly_decomposable(with_unit_diagonal(a), k).holds
-    k_strong = is_k_strong(digraph_of_matrix(a).loop_free(), k).holds
+    k_strong = is_k_strong(digraph_of_matrix(a), k).holds
     positive = has_positive_main_diagonal(a)
     violations = []
     if k_indec and not k_irr:

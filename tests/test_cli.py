@@ -1,7 +1,8 @@
 import pytest
 
-from extendix import (BipartiteGraph, ZeroOneMatrix, complete_bipartite, connected,
-                      directed_cycle, max_extendability, random_bipartite_with_pm)
+from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_bipartite,
+                      connected, directed_cycle, max_extendability,
+                      random_bipartite_with_pm, random_digraph, vertex_connectivity)
 from extendix.cli import main
 from extendix.fileio import read_certificate, write_instance
 
@@ -206,6 +207,24 @@ class TestCertifyVerify:
         assert main(["verify", str(cert_path)]) == 1
         assert "does not join two vertices" in capsys.readouterr().out
 
+    def test_loops_leave_k_strong_witnesses_alone(self, tmp_path, capsys):
+        plain = random_digraph(8, 0.6, seed=1)
+        loopy = Digraph(8, plain.arcs | {(0, 0), (3, 3), (7, 7)}, loops_allowed=True)
+        kappa = vertex_connectivity(plain)
+        assert kappa >= 2
+        for k in (1, kappa, kappa + 1):
+            seen = []
+            for name, d in (("plain", plain), ("loopy", loopy)):
+                path, cert_path = tmp_path / f"{name}.dg", str(tmp_path / f"{name}.cert")
+                write_instance(d, path)
+                code = main(["certify", str(path), "--claim", "k-strong", "--k", str(k),
+                             "--out", cert_path])
+                assert main(["verify", cert_path]) == 0
+                cert = read_certificate(cert_path)
+                seen.append((code, cert.verdict, cert.witness_kind, cert.witness_lines))
+            assert seen[0] == seen[1]
+            assert seen[0][0] == (0 if k <= kappa else 1)
+
     def test_claim_kind_mismatch(self, files, capsys):
         assert main(["certify", files["c6.bg"], "--claim", "k-strong",
                      "--k", "1"]) == 2
@@ -262,6 +281,19 @@ class TestRandgen:
 
     def test_bad_n(self, capsys):
         assert main(["randgen", "--kind", "bg", "--n", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "x.bg", "--direction", "g2x"],
+    ["search", "--target", "maximal_k_strong", "--n-max", "3"],
+    ["randgen", "--kind", "graph", "--n", "3"],
+    ["certify", "x.bg", "--claim", "k-planar", "--k", "1"],
+])
+def test_choices_reject_unknown_values(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("module", ["extendix", "extendix.cli"])

@@ -12,7 +12,8 @@ from extendix import (Digraph, InsufficientPathsError, complete_digraph,
                       menger_paths, minimal_k_strong_degree_audit,
                       one_way_pair_audit, random_digraph, strong_components,
                       vertex_connectivity)
-from extendix.connectivity import (KStrongResult, PathSystem, _FlowNet, _cycles_through,
+from extendix import connectivity
+from extendix.connectivity import (KStrongResult, PathSystem, _FlowNet, _path_systems,
                                    _shortest_cycle_through, _sink_component,
                                    check_ear_decomposition_digraph, check_path_system)
 
@@ -220,9 +221,27 @@ def _k_strong_all_pairs(d: Digraph, k: int) -> KStrongResult:
     return KStrongResult(True)
 
 
+def _kappa_pair_scan(d: Digraph) -> int:
+    """The kappa route the library replaced: flows from v_i to every later
+    vertex and back for i = 0, 1, ... while i <= the best value so far."""
+    n = d.n
+    if n == 1 or not is_strong(d):
+        return 0
+    net = _FlowNet(d)
+    best = n - 1
+    i = 0
+    while i <= best:
+        for j in range(i + 1, n):
+            for s, t in ((i, j), (j, i)):
+                best = min(best, net.flow(s, t, best))
+        i += 1
+    return best
+
+
 class TestPairSchedule:
-    """is_k_strong and vertex_connectivity scan O(k n) pairs; the scan over
-    all ordered pairs is the reference."""
+    """is_k_strong scans O(k n) pairs and vertex_connectivity calls it at
+    most delta - kappa + 1 times; the scan over all ordered pairs and the
+    replaced kappa scan are the references."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_same_result_as_all_pairs_exhaustive(self, n):
@@ -256,6 +275,33 @@ class TestPairSchedule:
             calls.clear()
             assert is_k_strong(d, k).holds == (k <= kappa)
             assert len(calls) <= 2 * k * (n - 1)
+
+    @staticmethod
+    def _assert_kappa_calls(d: Digraph, monkeypatch) -> None:
+        calls = []
+        decide = connectivity.is_k_strong
+
+        def counted(digraph, k):
+            calls.append(k)
+            return decide(digraph, k)
+
+        monkeypatch.setattr(connectivity, "is_k_strong", counted)
+        kappa = vertex_connectivity(d)
+        monkeypatch.undo()
+        assert kappa == _kappa_pair_scan(d)
+        delta = min(min(d.out_degree(v), d.in_degree(v)) for v in range(d.n))
+        assert len(calls) <= delta - kappa + 1
+        assert calls == sorted(calls, reverse=True) and calls[-1:] in ([], [kappa])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kappa_calls_exhaustive(self, n, monkeypatch):
+        for d in iter_digraphs(n):
+            self._assert_kappa_calls(d, monkeypatch)
+
+    def test_kappa_calls_seeded(self, monkeypatch):
+        for i in range(120):
+            d = random_digraph(5 + i % 8, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=300 + i)
+            self._assert_kappa_calls(d, monkeypatch)
 
 
 class TestMengerPaths:
@@ -402,10 +448,10 @@ class TestCyclesFromOneNetwork:
 
     @staticmethod
     def _assert_same_cycles(d: Digraph) -> None:
-        net = _FlowNet(d)
         for k in range(1, vertex_connectivity(d) + 1):
-            for x in range(d.n):
-                assert (_cycles_through(net, x, k) == cycles_through_vertex(d, x, k)
+            systems = _path_systems(d, [(x, x) for x in range(d.n)], k)
+            for x, system in enumerate(systems):
+                assert (system.paths == cycles_through_vertex(d, x, k)
                         == _cycles_through_clone(d, x, k))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -650,10 +696,31 @@ def digraphs_with_loops(draw):
             Digraph(n, frozenset(arcs) | {(v, v) for v in loops}, loops_allowed=True))
 
 
+def _menger_outcome(d: Digraph, s: int, t: int, k: int):
+    """The paths of menger_paths, or the count and cut it raises with."""
+    try:
+        return menger_paths(d, s, t, k).paths
+    except InsufficientPathsError as err:
+        return err.achievable, err.cut
+
+
 @given(digraphs_with_loops())
 @settings(max_examples=60, deadline=None)
 def test_loops_never_change_connectivity(pair):
     plain, loopy = pair
     assert is_strong(plain) == is_strong(loopy)
     assert strong_components(plain) == strong_components(loopy)
-    assert vertex_connectivity(plain) == vertex_connectivity(loopy.loop_free())
+    assert vertex_connectivity(plain) == vertex_connectivity(loopy)
+    for k in (1, 2, 3):
+        assert is_k_strong(plain, k) == is_k_strong(loopy, k)
+        for s, t in itertools.permutations(range(plain.n), 2):
+            assert _menger_outcome(plain, s, t, k) == _menger_outcome(loopy, s, t, k)
+
+
+def test_loop_steps_are_missing_arcs():
+    plain = directed_cycle(3)
+    loopy = Digraph(3, plain.arcs | {(0, 0)}, loops_allowed=True)
+    forged = PathSystem(((0, 0, 1),), "internally_disjoint_same_endpoints", (0,), (1,))
+    assert check_path_system(loopy, forged) == check_path_system(plain, forged) == [
+        "missing arc (0, 0) in path (0, 0, 1)", "repeated vertex in path (0, 0, 1)"]
+

@@ -1,0 +1,73 @@
+"""The flow kernel stays inside ``connectivity``, and no module strips loops.
+
+``_FlowNet`` is built by two functions only: ``is_k_strong``, which decides
+k-strong connectivity, and ``_path_systems``, which reads every disjoint
+path system.  Every other module asks them.  Every connectivity function
+ignores loops, so no module makes a loop-free copy before calling one.
+The sources are read with ``ast``, so the check sees names, not behaviour.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "extendix"
+FLOW_BUILDERS = {"is_k_strong", "_path_systems"}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every identifier a module names: names, attributes, imports, classes
+    and functions."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+        elif isinstance(sub, (ast.ClassDef, ast.FunctionDef)):
+            found.add(sub.name)
+    return found
+
+
+def _calls(node: ast.AST, enclosing: str = "") -> list[tuple[str, ast.Call]]:
+    """(innermost enclosing function name, call) for every call under node."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        name = child.name if isinstance(child, ast.FunctionDef) else enclosing
+        if isinstance(child, ast.Call):
+            out.append((enclosing, child))
+        out += _calls(child, name)
+    return out
+
+
+def _callee(call: ast.Call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def test_flow_net_is_named_in_connectivity_only():
+    modules = _modules()
+    assert "connectivity.py" in modules
+    naming = sorted(name for name, tree in modules.items() if "_FlowNet" in _names(tree))
+    assert naming == ["connectivity.py"]
+
+
+def test_flow_net_is_built_by_two_functions_only():
+    builders = {enclosing for enclosing, call in _calls(_modules()["connectivity.py"])
+                if _callee(call) == "_FlowNet"}
+    assert builders == FLOW_BUILDERS
+
+
+def test_no_module_strips_loops():
+    strippers = sorted(name for name, tree in _modules().items()
+                       for _, call in _calls(tree)
+                       if isinstance(call.func, ast.Attribute)
+                       and call.func.attr == "loop_free")
+    assert strippers == []

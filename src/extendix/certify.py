@@ -28,7 +28,8 @@ from .connectivity import (_path_systems, is_k_strong, strong_components,
 from .extendability import (AltPathSystem, _alternating_paths, _deficient_set,
                             check_alternating_path_system, is_k_extendable)
 from .fileio import Certificate
-from .matching import first_perfect_matching, has_perfect_matching, matching_extends
+from .matching import (first_perfect_matching, has_perfect_matching, matching_extends,
+                       max_matching_pairs)
 from .matrixlab import (_distinct_in_range, _independent_witness, _symmetric_witness,
                         check_witness, is_k_partly_decomposable, is_k_reducible)
 
@@ -105,10 +106,12 @@ def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
     return lines
 
 
-def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, seed) -> Certificate:
+def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, seed,
+                          pairs: dict | None = None) -> Certificate:
     """Positive certificate for a k-extendable graph g (obj is g or its
-    matrix): a perfect matching at k = 0, alternating path systems above."""
-    m = first_perfect_matching(g)
+    matrix): a perfect matching at k = 0, alternating path systems above.
+    pairs is a maximum matching of g when the caller holds one."""
+    m = first_perfect_matching(g, pairs)
     if k == 0:
         return Certificate(claim, k, True, obj, "perfect-matching",
                            ("edges: " + _edges_text(m.edges),))
@@ -132,12 +135,13 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
         if k > obj.n - 1:
             return Certificate(claim, k, False, obj, "size-cap",
                                (f"reason: k={k} exceeds n-1={obj.n - 1}",))
-        x = _deficient_set(obj, k)
+        pairs = max_matching_pairs(obj)
+        x = _deficient_set(obj, k, pairs)
         if x is None:
-            return _matching_certificate(claim, k, obj, obj, seed)
+            return _matching_certificate(claim, k, obj, obj, seed, pairs)
         if k >= 1 and not connected(obj):
             return Certificate(claim, k, False, obj, "disconnected", ())
-        if not has_perfect_matching(obj):
+        if len(pairs) < obj.n:
             return Certificate(claim, k, False, obj, "no-perfect-matching", ())
         return Certificate(claim, k, False, obj, "deficient-set",
                            ("u-set: " + " ".join(str(i + 1) for i in x),))

@@ -5,7 +5,10 @@ Loops never influence anything here; every computation works on the
 loop-free view of its input, so callers pass digraphs with loops as they
 are.  Disjoint paths come from one flow kernel, ``_FlowNet``, at
 O(k (n + m)) per pair, built only by ``is_k_strong``, which takes O(k n)
-pairs, and ``_path_systems``, one pair per path system.
+pairs, and ``_path_systems``, one pair per path system.  Each flow of
+``is_k_strong`` first pushes a greedy seed of short disjoint paths (the
+direct arc, then paths of length 2 and 3) and augments along shortest
+paths only from there; the bound per flow is unchanged.
 ``vertex_connectivity`` makes at most delta - kappa + 1 ``is_k_strong``
 calls (delta the least in- or out-degree), one in the common case.
 """
@@ -161,15 +164,25 @@ class _FlowNet:
             out[self.head[e ^ 1]].append(e)
         self.adj = [sorted(es, key=self.head.__getitem__) for es in out]
 
-    def flow(self, s: int, t: int, limit: int) -> int:
-        """Disjoint s->t paths up to limit, by shortest augmenting paths;
-        leaves the residual network in ``cap``, the last reach in ``via``."""
+    def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
+        """Disjoint s->t paths up to limit; leaves the residual network in
+        ``cap``, the last reach in ``via``.  Seeded (see ``_seed``), the
+        short paths are pushed greedily first and shortest augmenting paths
+        take the flow on from there, still at most limit searches of
+        O(n + m).  ``_path_systems`` runs unseeded, so the paths read off
+        the flow are those of shortest augmenting paths alone.
+
+        Seeding cannot change the value or ``cut()``.  ``cut()`` is read
+        only after a flow that stopped below its limit, and such a flow is
+        maximum.  Every maximum flow leaves the same residual reach from
+        the source: the minimum cut closest to s.  So the value, ``cut()``
+        and every ``KStrongResult`` are those of the unseeded flow."""
         cap = self.cap = self.base[:]
         if (s, t) in self.arc_edge:
             cap[self.arc_edge[s, t]] = 1
         head, adj = self.head, self.adj
         src, snk = 2 * s + 1, 2 * t
-        for value in range(limit):
+        for value in range(self._seed(s, t, limit) if seeded else 0, limit):
             via = self.via = [None] * len(adj)
             via[src] = -1
             queue = [src]
@@ -188,6 +201,46 @@ class _FlowNet:
                 cap[via[y] ^ 1] += 1
                 y = head[via[y] ^ 1]
         return limit
+
+    def _seed(self, s: int, t: int, limit: int) -> int:
+        """Push flow, stopping at limit, on the direct arc s->t, then on
+        each s->x->t, then on one s->x->y->t for each x still unused, x and
+        y in increasing order, all on distinct interior vertices; return
+        the value.  Node 2x, "into x", is also the id of x's split edge,
+        so ``cap[2x]`` is 1 while x is unused."""
+        cap, head, adj, arc_edge = self.cap, self.head, self.adj, self.arc_edge
+        direct = arc_edge.get((s, t))
+        pushed = [direct] if limit and direct is not None else []
+        value = len(pushed)
+        firsts = [e for e in adj[2 * s + 1] if not e & 1 and head[e] != 2 * t]
+        for e in firsts:
+            if value == limit:
+                break
+            last = arc_edge.get((head[e] >> 1, t))
+            if last is not None:
+                pushed += (e, head[e], last)
+                value += 1
+        for e in pushed:
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+        for e in firsts:
+            if value == limit:
+                break
+            x = head[e]
+            if not cap[x]:
+                continue
+            for f in adj[x + 1]:
+                y = head[f]
+                if f & 1 or y == 2 * s or not cap[y]:
+                    continue
+                last = arc_edge.get((y >> 1, t))
+                if last is not None:
+                    for g in (e, x, f, y, last):
+                        cap[g] -= 1
+                        cap[g ^ 1] += 1
+                    value += 1
+                    break
+        return value
 
     def cut(self) -> tuple:
         """After a flow below its limit: the vertices whose split edge
@@ -255,7 +308,11 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     A violating pair joined by a direct arc yields a cut containing that
     arc, so the scan goes on until a pair fails with a cut of vertices
     only.  It takes the ordered pairs (s, t) with s < k or t < k in
-    lexicographic order: 2k(n-1) - k(k-1) flows of O(k (n + m)).
+    lexicographic order: 2k(n-1) - k(k-1) flows of O(k (n + m)).  Each
+    flow starts from a greedy seed of disjoint paths of length at most 3
+    (``_FlowNet._seed``), so on dense digraphs most pairs need no
+    breadth-first search; the seed leaves value and separator unchanged
+    (see ``_FlowNet.flow``).
 
     The scan over all n(n-1) pairs stops at the same pair.  Let (s, t) be
     its pair, S its separator (|S| < k), X what s reaches in D - S and Y
@@ -367,7 +424,7 @@ def _path_systems(d: Digraph, pairs, k: int) -> list:
     net = _FlowNet(d)
     systems = []
     for s, t in pairs:
-        value = net.flow(s, t, k)
+        value = net.flow(s, t, k, seeded=False)
         if value < k:
             raise InsufficientPathsError(k, value, net.cut())
         system = PathSystem(tuple(net.paths(s, t)),

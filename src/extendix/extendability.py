@@ -47,7 +47,7 @@ def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
     return k <= g.n - 1 and _deficient_set(g, k) is None
 
 
-def _deficient_set(g: BipartiteGraph, k: int) -> list | None:
+def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None) -> list | None:
     """For 0 <= k <= n-1: None when G is k-extendable, else a sorted X in
     U (vertex i is u_i) with 1 <= |X| <= n-k and |N(X)| < |X| + k.
 
@@ -64,8 +64,12 @@ def _deficient_set(g: BipartiteGraph, k: int) -> list | None:
     M(U_S): |N(U_X)| <= |X| + |S| < |X| + k.  For X', the n-k smallest of
     X, N(U_X') still misses the partners of the rest of D - S, so
     |N(U_X')| <= n - 1 < |X'| + k.
+
+    pairs is a maximum matching of G as ``max_matching_pairs`` returns
+    it, computed here when the caller holds none.
     """
-    pairs = max_matching_pairs(g)
+    if pairs is None:
+        pairs = max_matching_pairs(g)
     if len(pairs) < g.n:
         match_w = {j: i for i, j in pairs.items()}
         root = min(i for i in range(g.n) if i not in pairs)

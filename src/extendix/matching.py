@@ -129,15 +129,17 @@ def perfect_matchings(g: BipartiteGraph) -> Iterator[Matching]:
     return enumerate_matchings(g, g.n)
 
 
-def first_perfect_matching(g: BipartiteGraph) -> Matching | None:
+def first_perfect_matching(g: BipartiteGraph, pairs: dict | None = None) -> Matching | None:
     """The lexicographically first perfect matching, or None.  Greedy: for
     u_1, u_2, ... take the smallest w that still leaves a perfect matching
     of the rest.  A trial gives u_i the column w_j and lets w_j's owner
     augment (``_augment``) to u_i's old column, with the columns of
     u_1..u_i seen, so only the rows after u_i move.  A failed search
     leaves the matching untouched, so two entries undo the trial.  The
-    result does not depend on the maximum matching it starts from."""
-    pairs = max_matching_pairs(g)
+    result does not depend on the maximum matching it starts from: pairs,
+    as ``max_matching_pairs`` returns it, when the caller holds one."""
+    if pairs is None:
+        pairs = max_matching_pairs(g)
     if len(pairs) < g.n:
         return None
     adj = [g.u_neighbors(i) for i in range(g.n)]

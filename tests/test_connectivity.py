@@ -209,13 +209,14 @@ class TestIsKStrong:
 
 
 def _k_strong_all_pairs(d: Digraph, k: int) -> KStrongResult:
-    """The rule of is_k_strong over all n(n-1) ordered pairs, on the same
-    flow kernel: stop at the first failing pair whose cut is all vertices."""
+    """The rule of is_k_strong over all n(n-1) ordered pairs, on the
+    unseeded flow kernel: stop at the first failing pair whose cut is all
+    vertices."""
     if d.n < k + 1:
         return KStrongResult(False, None, f"needs at least {k + 1} vertices, has {d.n}")
     net = _FlowNet(d)
     for s, t in itertools.permutations(range(d.n), 2):
-        value = net.flow(s, t, k)
+        value = net.flow(s, t, k, seeded=False)
         if value < k and len(net.cut()) == value:
             return KStrongResult(False, net.cut(), f"only {value} disjoint paths from {s} to {t}")
     return KStrongResult(True)
@@ -302,6 +303,40 @@ class TestPairSchedule:
         for i in range(120):
             d = random_digraph(5 + i % 8, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=300 + i)
             self._assert_kappa_calls(d, monkeypatch)
+
+
+def _assert_seed_keeps_value_and_cut(d: Digraph) -> None:
+    """Seeded and unseeded flows agree on the value and, below the limit,
+    on ``cut()``, for every ordered pair at every limit 1..n.  The unseeded
+    flow at limit L makes the first L augmentations of the flow at limit
+    n, so one unseeded flow per pair gives the reference at every limit."""
+    net = _FlowNet(d)
+    for s, t in itertools.permutations(range(d.n), 2):
+        best = net.flow(s, t, d.n, seeded=False)
+        cut = net.cut() if best < d.n else None
+        for limit in range(1, d.n + 1):
+            value = net.flow(s, t, limit)
+            assert value == min(limit, best), (d, s, t, limit)
+            if value < limit:
+                assert net.cut() == cut, (d, s, t, limit)
+
+
+class TestSeededFlow:
+    """The greedy seed of short paths changes neither the flow value nor
+    the separator read off the residual network."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_digraph(self, n):
+        for d in iter_digraphs(n):
+            _assert_seed_keeps_value_and_cut(d)
+
+    def test_seeded(self):
+        for i, n in enumerate((5, 7, 10, 14, 19, 24, 30)):
+            _assert_seed_keeps_value_and_cut(
+                random_digraph(n, (0.15, 0.3, 0.5, 0.7)[i % 4], seed=900 + i))
+
+    def test_kappa_at_n_80(self):
+        assert vertex_connectivity(random_digraph(80, 0.5, seed=1)) == 25
 
 
 class TestMengerPaths:

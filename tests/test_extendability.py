@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 
@@ -92,6 +93,9 @@ class TestMaxExtendability:
 
     def test_disconnected(self):
         assert max_extendability(matching_graph(3)) == 0
+
+    def test_at_n_80(self):
+        assert max_extendability(random_bipartite_with_pm(80, 0.5, seed=2)) == 29
 
     def test_disconnected_with_perfect_matching_sweep(self):
         # no connectivity check of its own: kappa of D(G, M) is already 0;
@@ -240,6 +244,24 @@ class TestAlternatingPaths:
         cert = build_certificate(g, "k-extendable", 1)
         assert cert.verdict and calls == [1]
         assert check_certificate(cert) == []
+
+    @pytest.mark.parametrize("g, k, kind", [
+        (random_bipartite_with_pm(14, 0.45, seed=2), 0, "perfect-matching"),
+        (random_bipartite_with_pm(14, 0.45, seed=2), 1, "alt-path-systems"),
+        (random_bipartite_with_pm(14, 0.45, seed=2), 3, "deficient-set"),
+        (BipartiteGraph(3, frozenset({(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)})), 1,
+         "no-perfect-matching")])
+    def test_certificate_takes_one_maximum_matching(self, g, k, kind):
+        import extendix.certify as cert_mod
+        import extendix.extendability as ext
+        import extendix.matching as mat
+
+        spy = mock.Mock(wraps=mat.max_matching_pairs)
+        with mock.patch.object(cert_mod, "max_matching_pairs", spy), \
+                mock.patch.object(ext, "max_matching_pairs", spy), \
+                mock.patch.object(mat, "max_matching_pairs", spy):
+            cert = cert_mod.build_certificate(g, "k-extendable", k)
+        assert cert.witness_kind == kind and spy.call_count == 1
 
     def test_negative_certificate_decides_once(self, monkeypatch):
         import extendix.certify as cert_mod

@@ -2,8 +2,11 @@
 
 ``_FlowNet`` is built by two functions only: ``is_k_strong``, which decides
 k-strong connectivity, and ``_path_systems``, which reads every disjoint
-path system.  Every other module asks them.  Every connectivity function
-ignores loops, so no module makes a loop-free copy before calling one.
+path system.  Every other module asks them.  Only ``_path_systems`` runs
+the flow unseeded, so the paths it reads, and the certificate path lines
+built from them, come from shortest augmenting paths alone.  Every
+connectivity function ignores loops, so no module makes a loop-free copy
+before calling one.
 The sources are read with ``ast``, so the check sees names, not behaviour.
 """
 
@@ -63,6 +66,14 @@ def test_flow_net_is_built_by_two_functions_only():
     builders = {enclosing for enclosing, call in _calls(_modules()["connectivity.py"])
                 if _callee(call) == "_FlowNet"}
     assert builders == FLOW_BUILDERS
+
+
+def test_only_path_systems_runs_the_flow_unseeded():
+    unseeded = sorted((module, enclosing) for module, tree in _modules().items()
+                      for enclosing, call in _calls(tree)
+                      if _callee(call) == "flow"
+                      and any(kw.arg == "seeded" for kw in call.keywords))
+    assert unseeded == [("connectivity.py", "_path_systems")]
 
 
 def test_no_module_strips_loops():

@@ -20,9 +20,8 @@ from .connectivity import (_degree_audit, anti_directed_trail_find,
                            ear_decomposition_digraph, strong_components,
                            vertex_connectivity)
 from .extendability import (_degree_audit_bipartite, _forest_check,
-                            elementary_components, max_extendability)
-from .matching import count_perfect_matchings, first_perfect_matching
-from .matrixlab import nonzero_diagonal_count
+                            elementary_components)
+from .matching import count_perfect_matchings, first_perfect_matching, max_matching
 from .certify import build_certificate, check_certificate
 from .fileio import (ParseError, format_correspondence, format_instance,
                      instance_kind, read_certificate, read_instance)
@@ -42,15 +41,37 @@ def _emit(text: str, out_path) -> None:
 # analyze
 
 
+COUNT_BUDGET = 24  # largest elementary component order whose matchings analyze counts
+
+
+def _component_map(g: BipartiteGraph):
+    """The one instance view of ``analyze``: the component map of one
+    maximum matching, or None when that matching is not perfect."""
+    m = max_matching(g)
+    return elementary_components(g, m) if m.is_perfect else None
+
+
+def _count_text(comap) -> str:
+    """The value of ``perfect-matchings:`` and ``nonzero-diagonals:``.  The
+    count takes 2^(c-1) c steps per elementary component of order c (about
+    4 s at order 24 on a Xeon vCPU with Python 3.11), so above order
+    COUNT_BUDGET it is not attempted."""
+    if comap is None:
+        return "0"
+    order = max((len(p.scc) for p in comap.elementary), default=0)
+    if order > COUNT_BUDGET:
+        return f"not counted (elementary component of order {order} > {COUNT_BUDGET})"
+    return str(count_perfect_matchings(comap.graph, comap))
+
+
 def _analyze_bipartite(g: BipartiteGraph) -> str:
     lines = [f"kind: bg", f"n: {g.n}", f"edges: {g.m}"]
     lines.append(f"connected: {'yes' if connected(g) else 'no'}")
-    pm_count = count_perfect_matchings(g)
-    lines.append(f"perfect-matchings: {pm_count}")
-    ext = max_extendability(g)
+    comap = _component_map(g)
+    lines.append(f"perfect-matchings: {_count_text(comap)}")
+    ext = vertex_connectivity(comap.digraph) if comap is not None else 0
     lines.append(f"max-extendability: {ext}")
-    if pm_count > 0:
-        comap = elementary_components(g)
+    if comap is not None:
         nonfixed = sum(len(p.edges) for p in comap.elementary)
         lines.append(f"edge-classes: fixed_single={len(comap.fixed_single_edges)} "
                      f"fixed_double={len(comap.fixed_double_singletons)} "
@@ -105,14 +126,14 @@ def _analyze_matrix(a: ZeroOneMatrix) -> str:
     (k >= 1) iff B(A) is k-extendable and k-irreducible iff D(A) is
     k-strong, so the k-lists are read off max-extendability and kappa.
     Order 1 is irreducible and fully indecomposable by definition."""
-    diagonals = nonzero_diagonal_count(a)
-    ext = max_extendability(bipartite_of_matrix(a))
+    comap = _component_map(bipartite_of_matrix(a))
+    ext = vertex_connectivity(comap.digraph) if comap is not None else 0
     kappa = vertex_connectivity(digraph_of_matrix(a))
     irr = a.n == 1 or kappa >= 1
     fully = a.n == 1 or ext >= 1
-    indec_ks = ([0] if diagonals else []) + list(range(1, ext + 1))
+    indec_ks = ([0] if comap is not None else []) + list(range(1, ext + 1))
     lines = [f"kind: mat", f"n: {a.n}", f"ones: {sum(sum(r) for r in a.rows)}",
-             f"nonzero-diagonals: {diagonals}",
+             f"nonzero-diagonals: {_count_text(comap)}",
              f"irreducible: {'yes' if irr else 'no'}",
              f"fully-indecomposable: {'yes' if fully else 'no'}",
              "k-indecomposable: " + (" ".join(map(str, indec_ks)) or "none"),

@@ -1,4 +1,4 @@
-"""Matching computation, enumeration, edge classification.
+"""Matching computation, enumeration, counting, edge classification.
 
 Edges are classified from the strong components of the derived digraph
 of one maximum matching (see ``extendability.elementary_components``);
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterator
 
 from .core import BipartiteGraph, Matching
@@ -161,24 +162,81 @@ def first_perfect_matching(g: BipartiteGraph, pairs: dict | None = None) -> Matc
     return Matching(frozenset((i, j) for j, i in match_w.items()), g)
 
 
-def count_perfect_matchings(g: BipartiteGraph) -> int:
-    """Exact count by dynamic programming over the column sets that the
-    first i rows can cover, one row at a time, so that only two layers of
-    sets are held: O(2^n n) time, O(C(n, n/2)) memory."""
-    masks = [0] * g.n
-    for i, j in g.edges:
-        masks[i] |= 1 << j
-    layer = {0: 1}
-    for row in masks:
-        nxt: dict[int, int] = {}
-        for used, count in layer.items():
-            avail = row & ~used
-            while avail:
-                bit = avail & -avail
-                avail ^= bit
-                nxt[used | bit] = nxt.get(used | bit, 0) + count
-        layer = nxt
-    return layer.get((1 << g.n) - 1, 0)
+def count_perfect_matchings(g: BipartiteGraph, comap=None) -> int:
+    """Exact count: 0 without a perfect matching, else the product of the
+    counts of the elementary components, each by Glynn's formula.
+
+    Product rule.  Every perfect matching uses only allowed edges, and
+    each allowed edge is a fixed double edge or lies inside one elementary
+    component (``extendability.elementary_components``).  So a perfect
+    matching of G is a choice of one perfect matching per elementary
+    component, plus every fixed double edge, and #PM(G) is the product of
+    the components' counts; a fixed double singleton counts 1.
+
+    Glynn's identity.  For the c x c 0-1 matrix A of one component, with
+    rows indexed from 0,
+
+        sum over d in {+1, -1}^c with d_0 = +1 of
+            (d_0 d_1 ... d_(c-1)) * prod_j (sum_i d_i a_ij)  =  2^(c-1) perm A.
+
+    Expanding the product over the columns gives one term per map f from
+    columns to rows, sign prod_i d_i^(1 + m_i) with m_i = |f^-1(i)|.
+    Summed over d_i = +-1, a row i >= 1 gives 2 when m_i is odd and 0
+    otherwise.  The c - 1 odd m_i with i >= 1 sum to at most c and to
+    c - 1 mod 2, so m_0 = 1 and every m_i = 1: only the c! bijections
+    survive, each 2^(c-1) times.  The sum is 2^(c-1) perm A, so the final
+    shift by c - 1 is exact.  ``_glynn`` visits the 2^(c-1) sign vectors
+    in Gray-code order (Nijenhuis & Wilf), one row flipped per step.
+
+    comap is ``elementary_components(g, m)`` for a perfect matching m,
+    when the caller holds one.  O(sum over the elementary components of
+    order c of 2^(c-1) c) time, O(n) memory beyond the component map."""
+    if comap is None:
+        from .extendability import elementary_components
+
+        m = max_matching(g)
+        if not m.is_perfect:
+            return 0
+        comap = elementary_components(g, m)
+    return prod(_glynn(piece) for piece in comap.elementary)
+
+
+def _glynn(piece) -> int:
+    """perm A for the c x c matrix A of one elementary piece, by the sum in
+    ``count_perfect_matchings``.  Column sum j, offset by c into [0, 2c],
+    is byte j of one int, so flipping d_k is one add of twice row k packed
+    the same way.  A term with a zero column sum is skipped; otherwise two
+    byte translations give the absolute column sums, whose product is
+    taken, and the number of negative ones.  One byte holds 2c up to
+    c = 127; a larger order would need 2^127 or more terms."""
+    c = len(piece.scc)
+    if c > 127:
+        raise ValueError(f"elementary component of order {c}: "
+                         f"Glynn's sum would need 2^{c - 1} terms")
+    row = {i: r for r, i in enumerate(sorted(piece.u_vertices))}
+    shift = {j: 8 * s for s, j in enumerate(sorted(piece.w_vertices))}
+    step = [0] * c
+    for i, j in piece.edges:
+        step[row[i]] += 2 << shift[j]
+    col = sum(step) // 2 + sum(c << s for s in shift.values())  # every d_i = +1
+    size = bytes(range(c, 0, -1)) + bytes(range(c + 1)) + bytes(255 - 2 * c)
+    below = b"\x01" * c + bytes(256 - c)
+    total = 0
+    for t in range(1 << (c - 1)):
+        if t:
+            k = (t & -t).bit_length()  # Gray code: flip d_k, k >= 1
+            col -= step[k]
+            step[k] = -step[k]
+        sums = col.to_bytes(c, "little")
+        if c in sums:
+            continue
+        term = prod(sums.translate(size))
+        # the sign is d_0 ... d_(c-1) = (-1)^t times one per negative sum
+        if (sum(sums.translate(below)) ^ t) & 1:
+            total -= term
+        else:
+            total += term
+    return total >> (c - 1)
 
 
 # ---------------------------------------------------------------------------

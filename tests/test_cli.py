@@ -2,7 +2,8 @@ import pytest
 
 from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_bipartite,
                       connected, directed_cycle, max_extendability,
-                      random_bipartite_with_pm, random_digraph, vertex_connectivity)
+                      random_bipartite_with_pm, random_digraph, reduced_adjacency,
+                      vertex_connectivity)
 from extendix.cli import main
 from extendix.fileio import read_certificate, write_instance
 
@@ -52,6 +53,92 @@ class TestAnalyze:
         bad = tmp_path / "bad.bg"
         bad.write_text("bg 2 1\n9 9\n")
         assert main(["analyze", str(bad)]) == 2
+
+
+    @pytest.mark.parametrize("kind", ["bg", "mat"])
+    def test_one_matching_and_one_digraph(self, tmp_path, capsys, kind):
+        """analyze reads the count, max-extendability and the component
+        lines off one maximum matching and one D(G, M)."""
+        from unittest import mock
+
+        import extendix
+        import extendix.correspond
+        import extendix.matching
+
+        spies = {}
+        patches = []
+        for module, name in ((extendix.matching, "max_matching_pairs"),
+                             (extendix.correspond, "digraph_of")):
+            original = getattr(module, name)
+            spies[name] = mock.Mock(wraps=original)
+            for layer in ("cli", "certify", "connectivity", "correspond", "extendability",
+                          "matching", "matrixlab", "search"):
+                mod = getattr(extendix, layer)
+                if getattr(mod, name, None) is original:
+                    patches.append(mock.patch.object(mod, name, spies[name]))
+        objs = [random_bipartite_with_pm(n, 0.4, seed=n) for n in (1, 6, 12)]
+        objs += [BipartiteGraph(3, frozenset({(0, 0), (1, 0), (2, 2)}))]  # no perfect matching
+        if kind == "mat":
+            objs = [reduced_adjacency(g) for g in objs]
+        for idx, obj in enumerate(objs):
+            path = str(tmp_path / f"a{idx}.{kind}")
+            write_instance(obj, path)
+            for spy in spies.values():
+                spy.reset_mock()
+            for p in patches:
+                p.start()
+            try:
+                assert main(["analyze", path]) == 0
+            finally:
+                for p in patches:
+                    p.stop()
+            no_pm = idx == 3
+            assert spies["max_matching_pairs"].call_count == 1
+            assert spies["digraph_of"].call_count == (0 if no_pm else 1)
+            out = capsys.readouterr().out
+            assert ("perfect-matchings: 0" in out or "nonzero-diagonals: 0" in out) == no_pm
+
+    def test_count_budget(self, tmp_path, capsys):
+        """Above order 24 an elementary component's matchings are not
+        counted; everything else in the report stays."""
+        import signal
+
+        def cap(signum, frame):
+            raise TimeoutError("analyze ran past its cap")
+
+        bg, mat = str(tmp_path / "big.bg"), str(tmp_path / "big.mat")
+        assert main(["randgen", "--kind", "bg", "--n", "40", "--p", "0.5", "--seed", "3",
+                     "--out", bg]) == 0
+        assert main(["convert", bg, "--direction", "g2m", "--out", mat]) == 0
+        old = signal.signal(signal.SIGALRM, cap)
+        signal.alarm(10)
+        try:
+            assert main(["analyze", bg]) == 0
+            assert main(["analyze", mat]) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        out = capsys.readouterr().out
+        line = "not counted (elementary component of order 40 > 24)\n"
+        assert f"perfect-matchings: {line}" in out and f"nonzero-diagonals: {line}" in out
+        assert "edge-classes: fixed_single=0 fixed_double=0 allowed_nonfixed=" in out
+        assert "elementary component\n" in out and "k-indecomposable: 0 1 " in out
+
+    def test_count_budget_is_on_the_largest_order(self, tmp_path, capsys, monkeypatch):
+        import extendix.cli as cli
+
+        monkeypatch.setattr(cli, "COUNT_BUDGET", 3)
+        path = str(tmp_path / "a.bg")
+        g = BipartiteGraph(7, frozenset((i, j) for i in range(7) for j in range(7)
+                                        if (i < 3) == (j < 3)))  # J_3 and J_4
+        write_instance(g, path)
+        assert main(["analyze", path]) == 0
+        out = capsys.readouterr().out
+        assert "perfect-matchings: not counted (elementary component of order 4 > 3)\n" in out
+        assert "elementary-components: 2\n" in out
+        write_instance(BipartiteGraph(6, frozenset(e for e in g.edges if max(e) < 6)), path)
+        assert main(["analyze", path]) == 0
+        assert "perfect-matchings: 36\n" in capsys.readouterr().out
 
 
 class TestConvert:

@@ -1,10 +1,12 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from extendix import (BipartiteGraph, Matching, canonical_matching, classify_edges,
-                      complete_bipartite, count_perfect_matchings,
+                      complete_bipartite, count_perfect_matchings, cycle_bipartite,
+                      elementary_components,
                       enumerate_matchings, first_perfect_matching,
                       flip_alternating_cycle, has_perfect_matching, matching_graph,
                       max_matching, perfect_matchings, random_bipartite_with_pm,
@@ -13,7 +15,8 @@ from extendix import (BipartiteGraph, Matching, canonical_matching, classify_edg
 from extendix.core import _bfs_path
 from extendix.matching import _augment, max_matching_pairs
 
-from conftest import classify_by_deletion, classify_by_enumeration, make_c6, make_p4
+from conftest import (classify_by_deletion, classify_by_enumeration, count_by_row_dp,
+                      make_c6, make_p4)
 
 
 class TestMaxMatching:
@@ -77,6 +80,37 @@ class TestEnumeration:
             list(enumerate_matchings(make_c6(), 4))
 
 
+def _union(*graphs) -> BipartiteGraph:
+    """Disjoint union, each graph's indices shifted past the ones before."""
+    edges, off = set(), 0
+    for g in graphs:
+        edges |= {(i + off, j + off) for i, j in g.edges}
+        off += g.n
+    return BipartiteGraph(off, frozenset(edges))
+
+
+def _several_components(n: int, seed: int) -> BipartiteGraph:
+    """Block upper-triangular: diagonal blocks of random orders (order 1 is
+    a fixed double edge) that each carry a perfect matching, random edges
+    above them (fixed single edges), rows and columns then shuffled."""
+    rng = random.Random(seed)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.choice((1, 2, 3, 4, 5, 6)), n - sum(sizes)))
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    edges = set()
+    for b, (lo, size) in enumerate(zip(starts, sizes)):
+        block = random_bipartite_with_pm(size, rng.choice((0.3, 0.5, 0.8)),
+                                         seed=rng.randrange(1 << 30))
+        edges |= {(i + lo, j + lo) for i, j in block.edges}
+        for i in range(lo, lo + size):
+            edges |= {(i, j) for j in range(lo + size, n) if rng.random() < 0.3}
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return BipartiteGraph(n, frozenset((rows[i], cols[j]) for i, j in edges))
+
+
 class TestCounting:
     def test_complete_3(self):
         assert count_perfect_matchings(complete_bipartite(3)) == 6
@@ -90,13 +124,90 @@ class TestCounting:
 
     def test_matches_enumeration_exhaustively(self):
         for n in (1, 2, 3):
-            for g in iter_bipartite_with_canonical(n):
-                assert count_perfect_matchings(g) == len(list(perfect_matchings(g)))
+            cells = [(i, j) for i in range(n) for j in range(n)]
+            for mask in range(1 << len(cells)):
+                g = BipartiteGraph(n, frozenset(c for b, c in enumerate(cells)
+                                                if mask >> b & 1))
+                assert count_perfect_matchings(g) == count_by_row_dp(g) == \
+                    len(list(perfect_matchings(g)))
 
     def test_matches_enumeration_random(self):
         for seed in range(25):
             g = random_bipartite_with_pm(5, 0.4, seed=seed)
             assert count_perfect_matchings(g) == len(list(perfect_matchings(g)))
+
+    def test_several_components(self):
+        pieces = []
+        for seed in range(60):
+            g = _several_components(4 + seed % 11, seed)
+            count = count_perfect_matchings(g)
+            assert count == count_by_row_dp(g) > 0
+            if g.n <= 8:
+                assert count == len(list(perfect_matchings(g)))
+            pieces.append(len(elementary_components(g).pieces))
+        assert sum(p >= 3 for p in pieces) >= 40
+
+    def test_disjoint_unions_multiply(self):
+        for seed in range(10):
+            parts = [random_bipartite_with_pm(n, 0.5, seed=10 * seed + n) for n in (3, 4, 6)]
+            g = _union(*parts)
+            assert count_perfect_matchings(g) == count_by_row_dp(g) == \
+                count_perfect_matchings(parts[0]) * count_perfect_matchings(parts[1]) \
+                * count_perfect_matchings(parts[2])
+
+    def test_block_triangular(self):
+        for h in range(1, 8):
+            n = 2 * h
+            g = BipartiteGraph(n, frozenset((i, j) for i in range(n) for j in range(n)
+                                            if i < h or j >= h))
+            assert len(elementary_components(g).elementary) == (2 if h > 1 else 0)
+            assert count_perfect_matchings(g) == count_by_row_dp(g) == math.factorial(h) ** 2
+
+    def test_complete_graphs(self):
+        for n in range(1, 21):
+            assert count_perfect_matchings(complete_bipartite(n)) == math.factorial(n)
+
+    def test_no_perfect_matching(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = 2 + seed % 9
+            g = BipartiteGraph(n, frozenset((i, j) for i in range(n) for j in range(n)
+                                            if rng.random() < 0.3))
+            if len(max_matching_pairs(g)) < n:
+                assert count_perfect_matchings(g) == count_by_row_dp(g) == 0
+        # a Hall violator inside an otherwise dense graph
+        g = BipartiteGraph(8, frozenset((i, j) for i in range(8) for j in range(8)
+                                        if i >= 3 or j < 2))
+        assert count_perfect_matchings(g) == 0
+
+    def test_extreme_column_sums(self):
+        """Order 1, a full row and a full column, or a column that misses
+        only row 0: Glynn's column sums reach c and, when the graph is one
+        elementary component (d_0 stays +1), -(c - 1)."""
+        assert count_perfect_matchings(BipartiteGraph(1, frozenset({(0, 0)}))) == 1
+        assert count_perfect_matchings(BipartiteGraph(1, frozenset())) == 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            c = 2 + seed % 12
+            edges = set(random_bipartite_with_pm(c, 0.3, seed=seed).edges)
+            full, other = rng.randrange(c), rng.randrange(c)
+            if seed % 2:
+                edges |= {(full, j) for j in range(c)} | {(i, other) for i in range(c)}
+            else:
+                edges |= {(i, other) for i in range(1, c)}
+                edges -= {(0, other)}
+            g = BipartiteGraph(c, frozenset(edges))
+            assert count_perfect_matchings(g) == count_by_row_dp(g)
+
+    def test_component_map_passed_in(self):
+        g = _several_components(12, 5)
+        cm = elementary_components(g)
+        assert count_perfect_matchings(g, cm) == count_perfect_matchings(g) == \
+            count_by_row_dp(g)
+
+    def test_order_above_127_is_refused(self):
+        with pytest.raises(ValueError, match="order 128"):
+            count_perfect_matchings(cycle_bipartite(128))
 
 
 class TestClassifyEdges:

@@ -302,6 +302,12 @@ class TestFlowRoute:
         assert "irreducible: no\nfully-indecomposable: no\n" in out
         assert "k-indecomposable: 0\nk-irreducible: none\n" in out
 
+    def test_block_triangular_diagonals(self):
+        """Two elementary components of order 12: 12! 12! diagonals."""
+        import math
+
+        assert nonzero_diagonal_count(_block_triangular(24)) == math.factorial(12) ** 2
+
     def test_no_production_path_reaches_the_block_search(self, monkeypatch, tmp_path,
                                                          capsys):
         from pathlib import Path

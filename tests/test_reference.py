@@ -1,7 +1,9 @@
-"""Vertex connectivity against the benchmark's reference code, which never imports extendix.
+"""Vertex connectivity and the perfect-matching count against the
+benchmark's reference code, which never imports extendix.
 
 ``perfbench/ref.py`` computes vertex connectivity with networkx flows, as
-the minimum local connectivity over the ordered pairs without an arc.
+the minimum local connectivity over the ordered pairs without an arc, and
+the permanent by a dynamic programme over column masks in numpy.
 It is loaded read-only from the benchmark directory, with that directory
 on ``sys.path`` for its own ``gen`` import; without networkx the module
 is skipped.
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from extendix import random_digraph, vertex_connectivity
+from extendix import (BipartiteGraph, count_perfect_matchings, elementary_components,
+                      random_bipartite_with_pm, random_digraph, vertex_connectivity)
 
 pytest.importorskip("networkx")
 
@@ -41,3 +44,20 @@ def test_kappa_matches_reference(ref):
         kappas.append(vertex_connectivity(d))
         assert kappas[-1] == ref.kappa(d.n, d.arcs), (d.n, d.arcs)
     assert len(set(kappas)) >= 5
+
+
+def test_permanent_matches_reference(ref):
+    """Seeded graphs with n = 12-18: one elementary component, several (a
+    sparse graph, with fixed single edges), and no perfect matching."""
+    orders = []
+    for i in range(8):
+        n = 12 + i if i < 7 else 18
+        g = random_bipartite_with_pm(n, (0.2, 0.35, 0.5)[i % 3], seed=900 + i)
+        if i == 7:  # row 0 loses its edges: no perfect matching
+            g = BipartiteGraph(n, frozenset(e for e in g.edges if e[0] != 0))
+        count = count_perfect_matchings(g)
+        assert count == ref.permanent(g.n, g.edges), (g.n, sorted(g.edges))
+        if count:
+            orders.append(sorted(len(p.scc) for p in elementary_components(g).elementary))
+    assert any(len(o) >= 2 for o in orders) and max(map(max, orders)) >= 14
+    assert count == 0

@@ -293,7 +293,10 @@ def _strong_audit_lines(d: Digraph, k: int, idx: int) -> list[str]:
 
 def _extendable_audit_lines(g: BipartiteGraph, k: int, idx: int) -> list[str]:
     audit = _degree_audit_bipartite(g, k)
-    forest = _forest_check(g, k)
+    # the sweep's graphs hold the canonical matching, whose digraph has the
+    # off-diagonal edges as arcs
+    forest = _forest_check(g, k, Digraph(g.n, frozenset(e for e in g.edges
+                                                        if e[0] != e[1])))
     return [f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
             f"degree-{k + 1}-total={audit.degree_k_plus_1_total} "
             f"u={audit.degree_k_plus_1_u} w={audit.degree_k_plus_1_w}",

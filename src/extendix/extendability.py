@@ -556,16 +556,16 @@ def high_degree_subgraph_forest_check(g: BipartiteGraph, k: int) -> ForestCheckR
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
-    return _forest_check(g, k)
+    return _forest_check(g, k, digraph_of(g, max_matching(g))[0])
 
 
-def _forest_check(g: BipartiteGraph, k: int) -> ForestCheckReport:
-    """The body of high_degree_subgraph_forest_check for a minimal G."""
+def _forest_check(g: BipartiteGraph, k: int, d: Digraph) -> ForestCheckReport:
+    """The body of high_degree_subgraph_forest_check for a minimal G, with
+    d the digraph of G under any perfect matching."""
     qual = frozenset((i, j) for i, j in g.edges
                      if g.degree_u(i) >= k + 2 and g.degree_w(j) >= k + 2)
     cycle = _find_cycle_bipartite(qual)
 
-    d, _ = digraph_of(g, max_matching(g))
     trail = anti_directed_trail_find(d, k)
     if cycle is None and trail is not None:
         raise AssertionError("digraph search found a trail the forest check missed")

@@ -293,14 +293,21 @@ class AcyclicCheckReport:
 
 def unique_pm_acyclic_check(g: BipartiteGraph) -> AcyclicCheckReport:
     """For a graph with exactly one perfect matching, derive the digraph and
-    certify it acyclic with a topological order of its vertices."""
-    from .correspond import digraph_of
-    from .connectivity import strong_components
+    certify it acyclic with a topological order of its vertices.
 
-    count = count_perfect_matchings(g)
-    if count != 1:
+    One maximum matching M and one D(G, M) serve: by the paper's
+    correspondence the perfect matching is unique iff M is perfect and G
+    has no elementary component, that is, no strong component of D(G, M)
+    has an arc inside.  The count runs only for the error message."""
+    from .connectivity import strong_components
+    from .extendability import elementary_components
+
+    m = max_matching(g)
+    comap = elementary_components(g, m) if m.is_perfect else None
+    if comap is None or comap.elementary:
+        count = 0 if comap is None else count_perfect_matchings(g, comap)
         raise ValueError(f"graph has {count} perfect matchings, expected exactly 1")
-    d, _ = digraph_of(g, max_matching(g))
+    d = comap.digraph
     comps = strong_components(d)
     acyclic = all(len(c) == 1 for c in comps) and not any(
         (v, v) in d.arcs for v in range(d.n))

@@ -6,8 +6,20 @@ canonical matching whose derived digraph is D, is k-extendable iff D is
 k-strong, and deleting its non-matching edge u_a w_b deletes the arc
 (a, b) of D.  So B(D) is minimal k-extendable iff D is minimal k-strong
 and no matching edge of B(D) is deletable; a deletable one shows that
-minimality does not transfer back from D to B(D).  The sweep works on
-neighbourhood bitmasks; what it finds leaves as the ordinary types.
+minimality does not transfer back from D to B(D).
+
+The sweep works on neighbourhood bitmasks; what it finds leaves as the
+ordinary types.  It picks the out-neighbourhood rows of D one vertex at
+a time, each of at least k bits, and prunes on the running arc count (at
+most 2(n-1) arcs for k = 1); a leaf that leaves some in-degree below k
+is dropped before any strongness test.  For k = 1 minimality costs one
+reach per arc (``_is_minimal_k_strong``).  Whether a matching edge u_i w_i
+of B(D) is deletable is decided without a flow or a matching: B(D) - u_i
+w_i has a perfect matching rotated along a cycle of D through i, and its
+digraph is k-strong iff the graph is k-extendable
+(``_extendable_without_matching_edge``).  At n = 5, k = 1 the sweep
+tests 42,329 sets of rows and keeps 1,069 digraphs, and the transfer
+makes 3,265 ``_mask_k_strong`` calls on them, at most n per digraph.
 """
 
 from __future__ import annotations
@@ -17,10 +29,9 @@ from typing import Iterator
 
 from .core import BipartiteGraph, Digraph, TooLargeError, _off_diagonal_cells
 from .correspond import bipartite_of_digraph
-from .extendability import is_k_extendable
 
-# The walk over all 2^(n^2-n) arc sets stops at n = 4; for k = 1 the sweep
-# reaches n = 5 by enumerating only n..2(n-1) arcs.
+# Without an arc cap (k >= 2) the sweep stops at n = 4; for k = 1 the cap
+# of 2(n-1) arcs lets it reach n = 5.
 _MASK_N_MAX = 4
 
 
@@ -62,25 +73,101 @@ def _mask_k_strong(outs: list[int], ins: list[int], k: int) -> bool:
     return True
 
 
-def _is_minimal_k_strong_arcs(n: int, arcs, k: int) -> bool:
-    """k-strong, and not k-strong after any single-arc deletion, which flips
-    one bit of ``outs`` and one of ``ins`` and then flips them back."""
-    outs = [0] * n
-    ins = [0] * n
-    for a, b in arcs:
-        outs[a] |= 1 << b
-        ins[b] |= 1 << a
-    if not _mask_k_strong(outs, ins, k):
-        return False
-    for a, b in arcs:
-        outs[a] ^= 1 << b
-        ins[b] ^= 1 << a
-        deletable = _mask_k_strong(outs, ins, k)
-        outs[a] ^= 1 << b
-        ins[b] ^= 1 << a
-        if deletable:
+def _in_rows(outs: list[int]) -> list[int]:
+    """The in-neighbourhood rows of the digraph with out-rows ``outs``."""
+    ins = [0] * len(outs)
+    for a, row in enumerate(outs):
+        while row:
+            bit = row & -row
+            row ^= bit
+            ins[bit.bit_length() - 1] |= 1 << a
+    return ins
+
+
+def _is_minimal_k_strong(outs: list[int], k: int) -> bool:
+    """k-strong, and not k-strong after any single-arc deletion, which
+    clears one bit of ``outs`` and sets it back.
+
+    For k = 1 each deletion costs one reach, by a lemma: if D is strong,
+    D - (a, b) is strong iff b is reachable from a in D - (a, b).  The
+    condition is needed, and if a path P from a to b avoids (a, b), every
+    walk of D through (a, b) can take P instead, so D - (a, b) keeps the
+    reachability of D.  Such a path rules D out whether or not D is
+    strong, so the backward half of the strongness test waits until every
+    arc has failed it.  For k >= 2 the deletion also flips one bit of
+    ``ins``, and ``_mask_k_strong`` decides; there a leaf with an
+    in-degree below k is dropped first."""
+    full = (1 << len(outs)) - 1
+    if k == 1:
+        if _mask_reach(outs, 0, full) != full:
             return False
-    return True
+    else:
+        ins = _in_rows(outs)
+        if min(row.bit_count() for row in ins) < k or not _mask_k_strong(outs, ins, k):
+            return False
+    for a, row in enumerate(outs):
+        rest = row
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            outs[a] = row ^ bit
+            if k == 1:
+                deletable = _mask_reach(outs, a, full) & bit
+            else:
+                b = bit.bit_length() - 1
+                ins[b] ^= 1 << a
+                deletable = _mask_k_strong(outs, ins, k)
+                ins[b] ^= 1 << a
+            outs[a] = row
+            if deletable:
+                return False
+    return k > 1 or _mask_reach(_in_rows(outs), 0, full) == full
+
+
+def _extendable_without_matching_edge(outs: list[int], i: int, k: int) -> bool:
+    """Whether G' = B(D) - u_i w_i is k-extendable, for D strong with
+    out-rows ``outs``, decided on one rotated digraph and no flow.
+
+    Let C be a shortest cycle of D through i (breadth-first from i, with
+    parents), and sigma the permutation that moves each vertex of C to its
+    successor on C and fixes the rest.  Then M_C = {u_a w_sigma(a)} is a
+    perfect matching of G': for a on C, u_a w_sigma(a) is the edge of the
+    arc (a, sigma(a)), and for a off C it is the matching edge u_a w_a,
+    a != i.  In D(G', M_C) vertex a stands for u_a w_sigma(a), and a -> b
+    (b != a) is an arc iff u_a is adjacent in G' to w_sigma(b), the
+    partner of u_b; so the out-row of a is sigma^-1(N_G'(u_a)) - {a},
+    where N_G'(u_a) is outs[a] plus a itself unless a = i.  G' is
+    k-extendable iff D(G', M_C) is k-strong, by the paper's theorem that
+    holds for every perfect matching.  O(n^2) for the rotation, then one
+    ``_mask_k_strong``."""
+    n = len(outs)
+    parent = [-1] * n
+    seen = 1 << i
+    queue = [i]
+    for v in queue:
+        if outs[v] >> i & 1:
+            break
+        rest = outs[v] & ~seen
+        seen |= rest
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            parent[bit.bit_length() - 1] = v
+            queue.append(bit.bit_length() - 1)
+    back = list(range(n))  # sigma^-1
+    back[i] = v
+    while v != i:
+        back[v] = parent[v]
+        v = parent[v]
+    rotated = [0] * n
+    for a in range(n):
+        nbrs = outs[a] if a == i else outs[a] | 1 << a
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            rotated[a] |= 1 << back[bit.bit_length() - 1]
+        rotated[a] &= ~(1 << a)
+    return _mask_k_strong(rotated, _in_rows(rotated), k)
 
 
 # ---------------------------------------------------------------------------
@@ -90,38 +177,71 @@ def _is_minimal_k_strong_arcs(n: int, arcs, k: int) -> bool:
 def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
     """All minimal k-strong digraphs on n labelled vertices, exhaustively.
 
-    For k = 1 and n = 5 the sweep enumerates arc sets of size n..2(n-1)
-    only: a minimal strong digraph admits no single-arc ear, so every ear
-    beyond the base cycle brings a new vertex, which caps the arc count at
-    2(n-1).  Up to n = 4 it walks all 2^(n^2-n) digraphs in the order of
-    ``iter_digraphs`` (and corroborates the cap in the tests).
+    The rows outs[0..n-1] are picked depth first, each a set of at least
+    k other vertices.  The running arc count prunes: the rows still to
+    pick need k arcs each, and for k = 1 the total is capped at 2(n-1),
+    since a minimal strong digraph admits no single-arc ear, so every ear
+    beyond the base cycle brings a new vertex.  A leaf whose rows leave
+    some vertex without an in-arc is dropped before
+    ``_is_minimal_k_strong`` runs.  The hits are sorted
+    into the order of the exhaustive walks: the mask order of
+    ``iter_digraphs`` up to n = 4 (where the tests corroborate the cap
+    against every digraph), and at n = 5 (arc count, lexicographic cell
+    tuple), the order of ``combinations`` over the off-diagonal cells.
+    At n = 5, k = 1, 103,424 sets of rows fit the cap, 42,329 give every
+    vertex an in-arc, and 1,069 are minimal strong.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if n > _largest_n(k):
         raise TooLargeError(f"exhaustive sweep for k {'= 1' if k == 1 else '>= 2'} "
                             f"is guarded to n <= {_largest_n(k)}")
-    cells = _off_diagonal_cells(n)
-    if n > _MASK_N_MAX:
-        arc_sets = (chosen for m in range(n, 2 * n - 1)
-                    for chosen in combinations(cells, m))
+    if n <= k:
+        return
+    cap = 2 * (n - 1) if k == 1 else n * (n - 1)
+    full = (1 << n) - 1
+    choices = [sorted(((row.bit_count(), row) for row in range(1 << n)
+                       if not row >> v & 1 and row.bit_count() >= k))
+               for v in range(n)]
+    outs = [0] * n
+    hits = []
+
+    def pick(v: int, arcs: int, union: int) -> None:
+        spare = cap - arcs - k * (n - 1 - v)
+        for size, row in choices[v]:
+            if size > spare:
+                break
+            outs[v] = row
+            if v < n - 1:
+                pick(v + 1, arcs + size, union | row)
+            elif union | row == full and _is_minimal_k_strong(outs, k):
+                hits.append([(a, b) for a in range(n) for b in range(n)
+                             if outs[a] >> b & 1])
+
+    pick(0, 0, 0)
+    if n > _MASK_N_MAX:  # each arc list is in cell order already
+        hits.sort(key=lambda arcs: (len(arcs), arcs))
     else:
-        arc_sets = (tuple(c for b, c in enumerate(cells) if mask >> b & 1)
-                    for mask in range(1 << len(cells)))
-    for chosen in arc_sets:
-        if _is_minimal_k_strong_arcs(n, chosen, k):
-            yield Digraph(n, frozenset(chosen))
+        index = {c: b for b, c in enumerate(_off_diagonal_cells(n))}
+        hits.sort(key=lambda arcs: sum(1 << index[c] for c in arcs))
+    for arcs in hits:
+        yield Digraph(n, frozenset(arcs))
 
 
 def _transfers(n: int, k: int) -> Iterator[tuple]:
     """(D, B(D), edge) for every minimal k-strong D on n vertices: edge is
     the first matching edge (i, i) whose deletion leaves B(D) k-extendable,
     or None when B(D) is minimal k-extendable.  No non-matching edge is
-    deletable, so this is the first deletable edge of B(D) overall."""
+    deletable, so this is the first deletable edge of B(D) overall.  Each
+    matching edge costs one ``_extendable_without_matching_edge``, so at
+    most n ``_mask_k_strong`` calls per D."""
     for d in minimal_k_strong_digraphs(n, k):
+        outs = [0] * n
+        for a, b in d.arcs:
+            outs[a] |= 1 << b
         g, _, _ = bipartite_of_digraph(d)
         edge = next(((i, i) for i in range(n)
-                     if is_k_extendable(g.without_edge((i, i)), k)), None)
+                     if _extendable_without_matching_edge(outs, i, k)), None)
         yield d, g, edge
 
 

@@ -77,9 +77,41 @@ def random_graph_suite(count: int = 500) -> list:
 
 @functools.lru_cache(maxsize=None)
 def minimal_strong(n: int, k: int) -> tuple:
-    """The minimal k-strong digraph sweep, run once per session (the n = 5
-    sweep takes about a second)."""
+    """The minimal k-strong digraph sweep, run once per session."""
     return tuple(minimal_k_strong_digraphs(n, k))
+
+
+def minimal_strong_by_arc_sets(n: int, k: int) -> list:
+    """Minimal k-strong digraphs by the walk the sweep used to take: every
+    arc set in ``combinations`` order over the off-diagonal cells, by size
+    n..2(n-1) for k = 1, filtered by ``_mask_k_strong`` on the set and on
+    each single-arc deletion.  About a second at n = 5."""
+    from itertools import combinations
+
+    from extendix.core import _off_diagonal_cells
+    from extendix.search import _mask_k_strong
+
+    cells = _off_diagonal_cells(n)
+    found = []
+    for m in range(n, 2 * n - 1):
+        for chosen in combinations(cells, m):
+            outs, ins = [0] * n, [0] * n
+            for a, b in chosen:
+                outs[a] |= 1 << b
+                ins[b] |= 1 << a
+            if not _mask_k_strong(outs, ins, k):
+                continue
+            for a, b in chosen:
+                outs[a] ^= 1 << b
+                ins[b] ^= 1 << a
+                deletable = _mask_k_strong(outs, ins, k)
+                outs[a] ^= 1 << b
+                ins[b] ^= 1 << a
+                if deletable:
+                    break
+            else:
+                found.append(Digraph(n, frozenset(chosen)))
+    return found
 
 
 def random_matrix_suite(count: int = 300) -> list:

@@ -16,7 +16,7 @@ from extendix.core import _bfs_path
 from extendix.matching import _augment, max_matching_pairs
 
 from conftest import (classify_by_deletion, classify_by_enumeration, count_by_row_dp,
-                      make_c6, make_p4)
+                      make_c4_pendant, make_c6, make_p4)
 
 
 class TestMaxMatching:
@@ -287,6 +287,38 @@ class TestUniquePmAcyclic:
     def test_rejects_zero_matchings(self):
         with pytest.raises(ValueError):
             unique_pm_acyclic_check(BipartiteGraph(2, frozenset({(0, 0)})))
+
+    def test_error_messages_carry_the_count(self):
+        with pytest.raises(ValueError, match="graph has 2 perfect matchings"):
+            unique_pm_acyclic_check(make_c6())
+        with pytest.raises(ValueError, match="graph has 0 perfect matchings"):
+            unique_pm_acyclic_check(BipartiteGraph(2, frozenset({(0, 0)})))
+
+    def test_one_matching_and_one_digraph(self):
+        from unittest import mock
+
+        import extendix
+
+        spies = {}
+        patches = []
+        for module, name in ((extendix.matching, "max_matching_pairs"),
+                             (extendix.correspond, "digraph_of")):
+            original = getattr(module, name)
+            spies[name] = mock.Mock(wraps=original)
+            for layer in ("connectivity", "correspond", "extendability", "matching"):
+                mod = getattr(extendix, layer)
+                if getattr(mod, name, None) is original:
+                    patches.append(mock.patch.object(mod, name, spies[name]))
+        for p in patches:
+            p.start()
+        try:
+            rep = unique_pm_acyclic_check(make_c4_pendant().without_edge((1, 0)))
+        finally:
+            for p in patches:
+                p.stop()
+        assert rep.acyclic and rep.topological_order == (0, 1, 2)
+        assert spies["max_matching_pairs"].call_count == 1
+        assert spies["digraph_of"].call_count == 1
 
 
 class TestSymmetricDifference:

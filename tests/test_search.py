@@ -14,16 +14,18 @@ import pytest
 
 import extendix.cli as cli
 import extendix.connectivity as connectivity
+import extendix.correspond as correspond
 import extendix.extendability as extendability
+import extendix.matching as matching
 import extendix.search as search
-from extendix import (TooLargeError, bipartite_of_digraph, is_k_strong,
+from extendix import (TooLargeError, bipartite_of_digraph, is_k_extendable, is_k_strong,
                       is_minimal_k_extendable, is_minimal_k_strong,
                       iter_bipartite_with_canonical, iter_digraphs)
 from extendix.cli import main
 from extendix.search import (find_minimality_counterexamples,
                              minimal_k_extendable_graphs, minimal_k_strong_digraphs)
 
-from conftest import minimal_strong
+from conftest import minimal_strong, minimal_strong_by_arc_sets
 
 TARGETS = ("minimal_k_strong", "minimal_k_extendable", "minimality_counterexample")
 
@@ -91,33 +93,60 @@ def test_counterexamples_match_the_definitional_filter(n_max, k, monkeypatch):
     assert find_minimality_counterexamples(n_max, k, limit=10 ** 6) == expected
 
 
-def test_search_decides_no_minimality(monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError("search re-decided minimality")
+def test_n5_sweep_keeps_the_order_of_the_arc_set_walk():
+    assert list(minimal_strong(5, 1)) == minimal_strong_by_arc_sets(5, 1)
+    assert len(minimal_strong(5, 1)) == 1069
 
-    for module in (connectivity, extendability, search, cli):
-        for name in ("is_minimal_k_strong", "is_minimal_k_extendable"):
+
+def test_search_decides_no_minimality(monkeypatch, capsys):
+    """No flow, matching or derived digraph is built on the search path:
+    minimality and the transfer are decided on bitmasks."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("search left the bitmask kernel")
+
+    for module in (connectivity, correspond, extendability, matching, search, cli):
+        for name in ("is_minimal_k_strong", "is_minimal_k_extendable", "is_k_strong",
+                     "is_k_extendable", "max_matching_pairs", "digraph_of"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    for target in TARGETS:
-        assert main(["search", "--target", target, "--n-max", "4", "--k", "1",
-                     "--limit", "1000"]) == 0
+    for k in (1, 2):
+        for target in TARGETS:
+            assert main(["search", "--target", target, "--n-max", "4", "--k", str(k),
+                         "--limit", "1000"]) == 0
 
 
-def test_minimal_k_extendable_search_checks_each_matching_edge_once(monkeypatch, capsys):
-    bound = sum(n * len(list(minimal_k_strong_digraphs(n, 1))) for n in range(2, 5))
+@pytest.mark.parametrize("n_max,k", [(5, 1), (4, 2), (4, 3)])
+def test_mask_transfer_matches_is_k_extendable(n_max, k):
+    for n in range(2, n_max + 1):
+        for d in minimal_strong(n, k):
+            g, _, _ = bipartite_of_digraph(d)
+            outs = [0] * n
+            for a, b in d.arcs:
+                outs[a] |= 1 << b
+            for i in range(n):
+                assert (search._extendable_without_matching_edge(outs, i, k)
+                        == is_k_extendable(g.without_edge((i, i)), k)), (d, i)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (5, 1), (4, 2)])
+def test_transfer_makes_at_most_n_mask_calls_per_digraph(n, k, monkeypatch):
+    monkeypatch.setattr(search, "minimal_k_strong_digraphs",
+                        lambda n, k: iter(minimal_strong(n, k)))
     calls = []
-    original = extendability.is_k_extendable
+    original = search._mask_k_strong
 
-    def counting(g, k):
-        calls.append(g.n)
-        return original(g, k)
+    def counting(outs, ins, k):
+        calls.append(len(outs))
+        return original(outs, ins, k)
 
-    monkeypatch.setattr(extendability, "is_k_extendable", counting)
-    monkeypatch.setattr(search, "is_k_extendable", counting, raising=False)
-    assert main(["search", "--target", "minimal_k_extendable", "--n-max", "4",
-                 "--k", "1", "--limit", "1000"]) == 0
-    assert 0 < len(calls) <= bound
+    monkeypatch.setattr(search, "_mask_k_strong", counting)
+    seen = 0
+    for d, _, edge in search._transfers(n, k):
+        seen += 1
+        assert 1 <= len(calls) <= n
+        assert len(calls) == (n if edge is None else edge[0] + 1)
+        calls.clear()
+    assert seen == len(minimal_strong(n, k))
 
 
 @pytest.mark.parametrize("target", TARGETS)

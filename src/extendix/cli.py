@@ -3,6 +3,11 @@
 Exit codes: 0 = property holds / operation succeeded, 1 = property fails
 (witness emitted), 2 = input error, 3 = search exhausted without result.
 Output is deterministic for fixed seeds.
+
+The command table in ``build_parser`` is the only place a subcommand is
+declared: its name, help text, argument function and ``cmd_*`` handler.
+Each call builds only the invoked subcommand's parser; the other five are
+built only when the first argument names no command.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from .extendability import (_degree_audit_bipartite, _forest_check,
                             elementary_components)
 from .matching import count_perfect_matchings, first_perfect_matching, max_matching
 from .certify import build_certificate, check_certificate
-from .fileio import (ParseError, format_correspondence, format_instance,
-                     instance_kind, read_certificate, read_instance)
+from .fileio import (ParseError, format_certificate, format_correspondence,
+                     format_instance, instance_kind, read_certificate,
+                     read_instance)
 from .search import (find_minimality_counterexamples, minimal_k_extendable_graphs,
                      minimal_k_strong_digraphs)
 
@@ -243,16 +249,10 @@ def cmd_certify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .fileio import format_certificate
-
-    text = format_certificate(cert)
+    _emit(format_certificate(cert), args.out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"{'holds' if cert.verdict else 'fails'}: "
               f"{args.claim} k={args.k}; certificate written to {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0 if cert.verdict else 1
 
 
@@ -372,29 +372,21 @@ def cmd_randgen(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="extendix",
-        description="Analyze, translate and certify bipartite matching "
-                    "extendability, digraph connectivity and 0-1 matrix "
-                    "decomposability.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="report the property battery of an instance")
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--kind", choices=["bg", "dg", "mat"])
     p.add_argument("--out")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("convert", help="translate between the three instance kinds")
+
+def _convert_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--direction", required=True, choices=["g2d", "d2g", "g2m", "m2g"])
     p.add_argument("--matching", default="auto",
                    help="perfect matching for g2d: 'auto' or like '1-1,2-2,3-3'")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("certify", help="emit a re-checkable certificate for a claim")
+
+def _certify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--claim", required=True,
                    choices=["k-extendable", "k-strong", "k-indecomposable",
@@ -402,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("verify", help="re-check a certificate file")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search", help="hunt for minimal instances or counterexamples")
+
+def _search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True,
                    choices=["minimal_k_strong", "minimal_k_extendable",
                             "minimality_counterexample"])
@@ -416,22 +408,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--limit", type=int, default=5)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("randgen", help="write a seeded random instance")
+
+def _randgen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=["bg", "dg", "mat"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_randgen)
 
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the subparser of ``argv[0]`` when it
+    names a command, all of them otherwise (help, no arguments, an unknown
+    command).  A subparser's prog and texts do not depend on its siblings,
+    and the top level names every command in its usage line either way."""
+    # The table is built per call so that each handler is read from the
+    # module when the parser is built, as a rebound cmd_* must be.
+    commands = (
+        ("analyze", "report the property battery of an instance",
+         _analyze_args, cmd_analyze),
+        ("convert", "translate between the three instance kinds",
+         _convert_args, cmd_convert),
+        ("certify", "emit a re-checkable certificate for a claim",
+         _certify_args, cmd_certify),
+        ("verify", "re-check a certificate file", _verify_args, cmd_verify),
+        ("search", "hunt for minimal instances or counterexamples",
+         _search_args, cmd_search),
+        ("randgen", "write a seeded random instance", _randgen_args, cmd_randgen),
+    )
+    names = [name for name, *_ in commands]
+    wanted = argv[0] if argv and argv[0] in names else None
+    parser = argparse.ArgumentParser(
+        prog="extendix",
+        description="Analyze, translate and certify bipartite matching "
+                    "extendability, digraph connectivity and 0-1 matrix "
+                    "decomposability.")
+    # With one subparser built, the metavar keeps all six commands in the
+    # usage line of an "unrecognized arguments" error.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if wanted is None else "{" + ",".join(names) + "}")
+    for name, help_text, add_arguments, func in commands:
+        if wanted in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, InvalidInstanceError, TooLargeError) as exc:

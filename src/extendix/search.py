@@ -219,6 +219,7 @@ def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
                              if outs[a] >> b & 1])
 
     pick(0, 0, 0)
+    del pick  # pick holds itself through its closure; free the sweep's lists now
     if n > _MASK_N_MAX:  # each arc list is in cell order already
         hits.sort(key=lambda arcs: (len(arcs), arcs))
     else:

@@ -184,6 +184,23 @@ class TestConvert:
     def test_wrong_kind(self, files, capsys):
         assert main(["convert", files["d3.dg"], "--direction", "g2d"]) == 2
 
+    def test_handler_is_read_from_the_module_per_call(self, files, monkeypatch, capsys):
+        """A rebound ``cli.cmd_convert`` (as a tracer binds it) is the one
+        that runs."""
+        import extendix.cli as cli
+
+        calls = []
+        original = cli.cmd_convert
+
+        def wrapper(args):
+            calls.append(args.direction)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_convert", wrapper)
+        assert main(["convert", files["c6.bg"], "--direction", "g2m"]) == 0
+        assert calls == ["g2m"]
+        assert capsys.readouterr().out.startswith("mat 3")
+
 
 class TestCertifyVerify:
     @pytest.mark.parametrize("name,claim,k,expected", [

@@ -10,6 +10,8 @@ on B(D), all as ordered lists.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 import extendix.cli as cli
@@ -207,3 +209,19 @@ def test_other_value_errors_are_not_notes(monkeypatch):
     monkeypatch.setattr(cli, "minimal_k_strong_digraphs", broken)
     with pytest.raises(ValueError, match="not a guard"):
         main(["search", "--target", "minimal_k_strong", "--n-max", "3"])
+
+
+@pytest.mark.parametrize("sweep", [lambda: list(minimal_k_strong_digraphs(4, 1)),
+                                   lambda: find_minimality_counterexamples(4, 1, 5)],
+                         ids=["minimal_k_strong", "minimality_counterexample"])
+def test_sweep_leaves_nothing_for_the_cycle_collector(sweep):
+    """The sweep's lists are freed by reference counting when it ends, not
+    kept alive by a reference cycle until a full collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        sweep()
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left < 10

@@ -131,10 +131,16 @@ def _analyze_matrix(a: ZeroOneMatrix) -> str:
     """A is 0-indecomposable iff it has a nonzero diagonal, k-indecomposable
     (k >= 1) iff B(A) is k-extendable and k-irreducible iff D(A) is
     k-strong, so the k-lists are read off max-extendability and kappa.
-    Order 1 is irreducible and fully indecomposable by definition."""
+    With every a_ii = 1, D(A) is D(B(A), I) up to loops, and kappa of
+    D(G, M) is the same for every perfect matching M (the paper's
+    theorem), so kappa is max-extendability.  Order 1 is irreducible and
+    fully indecomposable by definition."""
     comap = _component_map(bipartite_of_matrix(a))
     ext = vertex_connectivity(comap.digraph) if comap is not None else 0
-    kappa = vertex_connectivity(digraph_of_matrix(a))
+    if all(a.rows[i][i] for i in range(a.n)):
+        kappa = ext
+    else:
+        kappa = vertex_connectivity(digraph_of_matrix(a))
     irr = a.n == 1 or kappa >= 1
     fully = a.n == 1 or ext >= 1
     indec_ks = ([0] if comap is not None else []) + list(range(1, ext + 1))

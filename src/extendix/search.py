@@ -11,14 +11,15 @@ minimality does not transfer back from D to B(D).
 The sweep works on neighbourhood bitmasks; what it finds leaves as the
 ordinary types.  It picks the out-neighbourhood rows of D one vertex at
 a time, each of at least k bits, and prunes on the running arc count (at
-most 2(n-1) arcs for k = 1); a leaf that leaves some in-degree below k
-is dropped before any strongness test.  For k = 1 minimality costs one
+most 2(n-1) arcs for k = 1) and, for k = 1, on rows that close a
+transitive triangle; a leaf that leaves some in-degree below k is
+dropped before any strongness test.  For k = 1 minimality costs one
 reach per arc (``_is_minimal_k_strong``).  Whether a matching edge u_i w_i
 of B(D) is deletable is decided without a flow or a matching: B(D) - u_i
 w_i has a perfect matching rotated along a cycle of D through i, and its
 digraph is k-strong iff the graph is k-extendable
 (``_extendable_without_matching_edge``).  At n = 5, k = 1 the sweep
-tests 42,329 sets of rows and keeps 1,069 digraphs, and the transfer
+tests 8,109 sets of rows and keeps 1,069 digraphs, and the transfer
 makes 3,265 ``_mask_k_strong`` calls on them, at most n per digraph.
 """
 
@@ -181,15 +182,28 @@ def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
     k other vertices.  The running arc count prunes: the rows still to
     pick need k arcs each, and for k = 1 the total is capped at 2(n-1),
     since a minimal strong digraph admits no single-arc ear, so every ear
-    beyond the base cycle brings a new vertex.  A leaf whose rows leave
-    some vertex without an in-arc is dropped before
-    ``_is_minimal_k_strong`` runs.  The hits are sorted
+    beyond the base cycle brings a new vertex.
+
+    For k = 1 no row is taken that closes a transitive triangle a -> c,
+    c -> b, a -> b with the rows already fixed.  The detour a -> c -> b
+    makes the arc (a, b) deletable (the lemma in
+    ``_is_minimal_k_strong``), and later rows only add arcs, so the
+    detour stays in every completion and none of them is minimal.  At
+    the node of vertex v two masks find such rows: the union of outs[a]
+    over the fixed a with a -> v (triangles a -> v -> b), and for each c
+    in the row, outs[c] (triangles v -> c -> b).  Rows of vertices not
+    yet fixed are 0, since each node clears its row when its loop ends.
+    k >= 2 has no such rule: a minimal 2-strong digraph can hold a
+    transitive triangle.
+
+    A leaf whose rows leave some vertex without an in-arc is dropped
+    before ``_is_minimal_k_strong`` runs.  The hits are sorted
     into the order of the exhaustive walks: the mask order of
     ``iter_digraphs`` up to n = 4 (where the tests corroborate the cap
     against every digraph), and at n = 5 (arc count, lexicographic cell
     tuple), the order of ``combinations`` over the off-diagonal cells.
-    At n = 5, k = 1, 103,424 sets of rows fit the cap, 42,329 give every
-    vertex an in-arc, and 1,069 are minimal strong.
+    At n = 5, k = 1, 16,789 triangle-free sets of rows fit the cap, 8,109
+    give every vertex an in-arc, and 1,069 are minimal strong.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -200,23 +214,36 @@ def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
         return
     cap = 2 * (n - 1) if k == 1 else n * (n - 1)
     full = (1 << n) - 1
-    choices = [sorted(((row.bit_count(), row) for row in range(1 << n)
+    choices = [sorted(((row.bit_count(), row, [c for c in range(n) if row >> c & 1])
+                       for row in range(1 << n)
                        if not row >> v & 1 and row.bit_count() >= k))
                for v in range(n)]
-    outs = [0] * n
+    outs = [0] * n  # rows not yet picked stay 0
     hits = []
 
     def pick(v: int, arcs: int, union: int) -> None:
         spare = cap - arcs - k * (n - 1 - v)
-        for size, row in choices[v]:
+        ban = 0  # k = 1: the heads b of the triangles a -> v -> b, a -> b
+        if k == 1:
+            for a in range(v):
+                if outs[a] >> v & 1:
+                    ban |= outs[a]
+        for size, row, heads in choices[v]:
             if size > spare:
                 break
+            if k == 1:
+                shut = ban  # ... and of the triangles v -> c -> b, v -> b
+                for c in heads:
+                    shut |= outs[c]
+                if shut & row:
+                    continue
             outs[v] = row
             if v < n - 1:
                 pick(v + 1, arcs + size, union | row)
             elif union | row == full and _is_minimal_k_strong(outs, k):
                 hits.append([(a, b) for a in range(n) for b in range(n)
                              if outs[a] >> b & 1])
+        outs[v] = 0
 
     pick(0, 0, 0)
     del pick  # pick holds itself through its closure; free the sweep's lists now
@@ -230,20 +257,20 @@ def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
 
 
 def _transfers(n: int, k: int) -> Iterator[tuple]:
-    """(D, B(D), edge) for every minimal k-strong D on n vertices: edge is
-    the first matching edge (i, i) whose deletion leaves B(D) k-extendable,
-    or None when B(D) is minimal k-extendable.  No non-matching edge is
+    """(D, edge) for every minimal k-strong D on n vertices: edge is the
+    first matching edge (i, i) whose deletion leaves B(D) k-extendable, or
+    None when B(D) is minimal k-extendable.  No non-matching edge is
     deletable, so this is the first deletable edge of B(D) overall.  Each
     matching edge costs one ``_extendable_without_matching_edge``, so at
-    most n ``_mask_k_strong`` calls per D."""
+    most n ``_mask_k_strong`` calls per D; B(D) itself is left to the
+    callers, which build it only for the digraphs they list."""
     for d in minimal_k_strong_digraphs(n, k):
         outs = [0] * n
         for a, b in d.arcs:
             outs[a] |= 1 << b
-        g, _, _ = bipartite_of_digraph(d)
         edge = next(((i, i) for i in range(n)
                      if _extendable_without_matching_edge(outs, i, k)), None)
-        yield d, g, edge
+        yield d, edge
 
 
 def minimal_k_extendable_graphs(n: int, k: int) -> Iterator[BipartiteGraph]:
@@ -254,9 +281,9 @@ def minimal_k_extendable_graphs(n: int, k: int) -> Iterator[BipartiteGraph]:
     """
     if n > _MASK_N_MAX:
         raise TooLargeError(f"exhaustive bipartite sweep is guarded to n <= {_MASK_N_MAX}")
-    for _, g, edge in _transfers(n, k):
+    for d, edge in _transfers(n, k):
         if edge is None:
-            yield g
+            yield bipartite_of_digraph(d)[0]
 
 
 def find_minimality_counterexamples(n_max: int, k: int = 1,
@@ -267,5 +294,5 @@ def find_minimality_counterexamples(n_max: int, k: int = 1,
     hits appear long before it binds).
     """
     hits = (hit for n in range(2, min(n_max, _largest_n(k)) + 1)
-            for hit in _transfers(n, k) if hit[2] is not None)
-    return list(islice(hits, limit))
+            for hit in _transfers(n, k) if hit[1] is not None)
+    return [(d, bipartite_of_digraph(d)[0], edge) for d, edge in islice(hits, limit)]

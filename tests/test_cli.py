@@ -98,6 +98,53 @@ class TestAnalyze:
             out = capsys.readouterr().out
             assert ("perfect-matchings: 0" in out or "nonzero-diagonals: 0" in out) == no_pm
 
+    @pytest.mark.parametrize("rows,calls,irreducible", [
+        (((1, 1, 0), (0, 1, 1), (1, 0, 1)), 1, "1"),
+        (((1, 1, 0), (0, 0, 1), (1, 1, 1)), 2, "1"),
+        (((0, 1, 1), (1, 0, 1), (1, 1, 0)), 2, "1 2"),
+    ], ids=["full-diagonal", "one-zero", "zero-diagonal"])
+    def test_full_diagonal_reads_kappa_off_max_extendability(self, tmp_path, capsys,
+                                                              rows, calls, irreducible):
+        """With every a_ii = 1, D(A) is D(B(A), I) up to loops, so one
+        vertex connectivity answers both k-lists."""
+        from unittest import mock
+
+        import extendix.cli as cli
+
+        path = str(tmp_path / "a.mat")
+        write_instance(ZeroOneMatrix(rows), path)
+        with mock.patch.object(cli, "vertex_connectivity",
+                               mock.Mock(wraps=vertex_connectivity)) as spy:
+            assert main(["analyze", path]) == 0
+        assert spy.call_count == calls
+        assert f"k-irreducible: {irreducible}\n" in capsys.readouterr().out
+
+    def test_full_diagonal_kappa_matches_the_digraph(self):
+        """kappa(D(A)) equals max-extendability on every full-diagonal matrix
+        of order <= 3 and on seeded ones of order 4-12."""
+        import itertools
+        import random
+
+        from extendix import digraph_of_matrix
+        from extendix.cli import _analyze_matrix
+
+        mats = []
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * (n - 1)):
+                cells = iter(bits)
+                mats.append(ZeroOneMatrix(tuple(tuple(1 if i == j else next(cells)
+                                                      for j in range(n))
+                                                for i in range(n))))
+        for seed in range(40):
+            rng = random.Random(seed)
+            n, p = 4 + seed % 9, (0.2, 0.35, 0.5, 0.7)[seed % 4]
+            mats.append(ZeroOneMatrix(tuple(tuple(1 if i == j or rng.random() < p else 0
+                                                  for j in range(n)) for i in range(n))))
+        for a in mats:
+            kappa = vertex_connectivity(digraph_of_matrix(a))
+            line = "k-irreducible: " + (" ".join(map(str, range(1, kappa + 1))) or "none")
+            assert line + "\n" in _analyze_matrix(a), a
+
     def test_count_budget(self, tmp_path, capsys):
         """Above order 24 an elementary component's matchings are not
         counted; everything else in the report stays."""

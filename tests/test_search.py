@@ -11,6 +11,7 @@ on B(D), all as ordered lists.
 from __future__ import annotations
 
 import gc
+import hashlib
 
 import pytest
 
@@ -100,6 +101,50 @@ def test_n5_sweep_keeps_the_order_of_the_arc_set_walk():
     assert len(minimal_strong(5, 1)) == 1069
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_no_digraph_with_a_transitive_triangle_is_minimal_strong(n):
+    """The rule the k = 1 sweep prunes on, checked with the flow route: an
+    arc a -> b with a detour a -> c -> b is deletable."""
+    triangles = 0
+    for d in iter_digraphs(n):
+        if any((a, b) in d.arcs for a, c in d.arcs for c2, b in d.arcs
+               if c2 == c and b != a):
+            triangles += 1
+            assert not is_minimal_k_strong(d, 1).holds, d
+    assert triangles > 0
+
+
+@pytest.mark.parametrize("n,k,leaves", [(5, 1, 8109), (4, 1, 157), (4, 2, 240)])
+def test_sweep_leaf_counts(n, k, leaves, monkeypatch):
+    """The complete row sets the sweep hands to ``_is_minimal_k_strong``;
+    without the transitive-triangle rule n = 5, k = 1 would hand over
+    42,329 and n = 4, k = 1 469."""
+    calls = []
+    original = search._is_minimal_k_strong
+
+    def counting(outs, k):
+        calls.append(len(outs))
+        return original(outs, k)
+
+    monkeypatch.setattr(search, "_is_minimal_k_strong", counting)
+    list(minimal_k_strong_digraphs(n, k))
+    assert len(calls) == leaves
+
+
+@pytest.mark.parametrize("target,sha1", [
+    ("minimal_k_strong", "31dfcec0156e97c10ad7b9943594d2e4e7b76a8c"),
+    ("minimality_counterexample", "fcbeb5f98948e0a2464836fde6722d41e98a8512"),
+])
+def test_n5_search_listing_is_pinned(target, sha1, capsys):
+    """The whole n = 5, k = 1 listing, byte for byte (the goldens stop at
+    n = 4): every hit, its order and its audit lines."""
+    assert main(["search", "--target", target, "--n-max", "5", "--k", "1",
+                 "--limit", "1000000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha1(captured.out.encode()).hexdigest() == sha1
+
+
 def test_search_decides_no_minimality(monkeypatch, capsys):
     """No flow, matching or derived digraph is built on the search path:
     minimality and the transfer are decided on bitmasks."""
@@ -143,7 +188,7 @@ def test_transfer_makes_at_most_n_mask_calls_per_digraph(n, k, monkeypatch):
 
     monkeypatch.setattr(search, "_mask_k_strong", counting)
     seen = 0
-    for d, _, edge in search._transfers(n, k):
+    for d, edge in search._transfers(n, k):
         seen += 1
         assert 1 <= len(calls) <= n
         assert len(calls) == (n if edge is None else edge[0] + 1)

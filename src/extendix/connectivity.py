@@ -6,9 +6,10 @@ loop-free view of its input, so callers pass digraphs with loops as they
 are.  Disjoint paths come from one flow kernel, ``_FlowNet``, at
 O(k (n + m)) per pair, built only by ``is_k_strong``, which takes O(k n)
 pairs, and ``_path_systems``, one pair per path system.  Each flow of
-``is_k_strong`` first pushes a greedy seed of short disjoint paths (the
-direct arc, then paths of length 2 and 3) and augments along shortest
-paths only from there; the bound per flow is unchanged.
+``is_k_strong`` first picks a greedy seed of short disjoint paths (the
+direct arc, then paths of length 2 and 3) on neighbourhood bitmasks and
+augments along shortest paths only when the seed falls short; the bound
+per flow is unchanged.
 ``vertex_connectivity`` makes at most delta - kappa + 1 ``is_k_strong``
 calls (delta the least in- or out-degree), one in the common case.
 """
@@ -143,46 +144,97 @@ _BIG = 1 << 20
 
 
 class _FlowNet:
-    """The split-vertex network of a digraph as flat int lists, built once
-    and reused for every source/sink pair.  Node 2v is "into v", 2v+1 "out
-    of v", joined by a split edge of capacity 1; arcs are uncapped, so
-    minimum cuts are vertices, except the direct arc s->t, capped at 1 as
-    that path counts once.  Edges e and e ^ 1 are a forward/reverse pair;
-    each node's edges are sorted by head node.  From node 2s+1 to node 2s
-    the paths are cycles through s, meeting only there."""
+    """A digraph's out- and in-neighbourhoods as bitmasks, one int per
+    vertex, and, built on demand, its split-vertex network as flat int
+    lists; both are reused for every source/sink pair.  Node 2v is "into
+    v", 2v+1 "out of v", joined by a split edge of capacity 1; arcs are
+    uncapped, so minimum cuts are vertices, except the direct arc s->t,
+    capped at 1 as that path counts once.  Edges e and e ^ 1 are a
+    forward/reverse pair; each node's edges are sorted by head node.  From
+    node 2s+1 to node 2s the paths are cycles through s, meeting only
+    there.
+
+    The masks take one pass over the arcs.  The network (``head``,
+    ``base``, ``adj``, ``arc_edge``) takes O(n + m) and is built by
+    the first flow whose seed falls short of its limit; a pair the greedy
+    seed settles (see ``_seed``) costs a few word operations on the masks
+    and never builds, copies or touches it."""
 
     def __init__(self, d: Digraph):
         self.n = d.n
-        edges = [(2 * v, 2 * v + 1, 1) for v in range(d.n)]
-        edges += [(2 * a + 1, 2 * b, _BIG) for a, b in sorted(d.arcs) if a != b]
-        self.arc_edge = {(x >> 1, y >> 1): 2 * e
-                         for e, (x, y, cap) in enumerate(edges) if cap == _BIG}
-        self.head = [z for x, y, _ in edges for z in (y, x)]
-        self.base = [z for _, _, cap in edges for z in (cap, 0)]
-        out: list[list[int]] = [[] for _ in range(2 * d.n)]
-        for e in range(len(self.head)):
-            out[self.head[e ^ 1]].append(e)
-        self.adj = [sorted(es, key=self.head.__getitem__) for es in out]
+        self.outs = outs = [0] * d.n
+        self.ins = ins = [0] * d.n
+        for a, b in d.arcs:
+            if a != b:
+                outs[a] |= 1 << b
+                ins[b] |= 1 << a
+        self.head = None
+
+    def _build(self) -> None:
+        """The split-vertex network, read off the masks: edge 2v is v's
+        split edge, then one edge per arc in sorted order.  Tails are
+        walked in increasing order, so node 2a gets its split edge after
+        the arcs into a from smaller tails and before those from larger
+        ones, and node 2a+1 gets a's arcs by head with the reverse split
+        edge (head 2a) put in at the count of a's smaller out-neighbours:
+        every node's edges come sorted by head, with no sort."""
+        n, outs = self.n, self.outs
+        head = [z for v in range(n) for z in (2 * v + 1, 2 * v)]
+        base = [1, 0] * n
+        adj: list[list[int]] = [[] for _ in range(2 * n)]
+        arc_edge = {}
+        for a in range(n):
+            adj[2 * a].append(2 * a)
+            out_a = adj[2 * a + 1]
+            rest = outs[a]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
+                e = arc_edge[a, b] = len(head)
+                head += (2 * b, 2 * a + 1)
+                base += (_BIG, 0)
+                out_a.append(e)
+                adj[2 * b].append(e + 1)
+            out_a.insert((outs[a] & (1 << a) - 1).bit_count(), 2 * a + 1)
+        self.head, self.base, self.adj, self.arc_edge = head, base, adj, arc_edge
 
     def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
-        """Disjoint s->t paths up to limit; leaves the residual network in
-        ``cap``, the last reach in ``via``.  Seeded (see ``_seed``), the
-        short paths are pushed greedily first and shortest augmenting paths
-        take the flow on from there, still at most limit searches of
-        O(n + m).  ``_path_systems`` runs unseeded, so the paths read off
-        the flow are those of shortest augmenting paths alone.
+        """Disjoint s->t paths up to limit; when it augments, leaves the
+        residual network in ``cap`` and the last reach in ``via``.  Seeded
+        (see ``_seed``), a pair whose short paths reach limit returns at
+        once, with no array built, copied or touched; otherwise the network
+        is built if missing, the base capacities are copied, the seed's
+        paths are pushed, and shortest augmenting paths take the flow on
+        from there, still at most limit searches of O(n + m).
+        ``_path_systems`` runs unseeded, so the paths read off the flow are
+        those of shortest augmenting paths alone.
 
         Seeding cannot change the value or ``cut()``.  ``cut()`` is read
-        only after a flow that stopped below its limit, and such a flow is
+        only after a flow that stopped below its limit: such a flow ran a
+        search, so the network exists and ``via`` is its own, and it is
         maximum.  Every maximum flow leaves the same residual reach from
         the source: the minimum cut closest to s.  So the value, ``cut()``
         and every ``KStrongResult`` are those of the unseeded flow."""
+        value, paths = self._seed(s, t, limit) if seeded else (0, ())
+        if value == limit:
+            return limit
+        if self.head is None:
+            self._build()
         cap = self.cap = self.base[:]
-        if (s, t) in self.arc_edge:
-            cap[self.arc_edge[s, t]] = 1
-        head, adj = self.head, self.adj
+        head, adj, arc_edge = self.head, self.adj, self.arc_edge
+        if (s, t) in arc_edge:
+            cap[arc_edge[s, t]] = 1
+        for path in paths:
+            for x, y in zip(path, path[1:]):
+                e = arc_edge[x, y]
+                cap[e] -= 1
+                cap[e ^ 1] += 1
+            for x in path[1:-1]:
+                cap[2 * x] -= 1
+                cap[2 * x + 1] += 1
         src, snk = 2 * s + 1, 2 * t
-        for value in range(self._seed(s, t, limit) if seeded else 0, limit):
+        for value in range(value, limit):
             via = self.via = [None] * len(adj)
             via[src] = -1
             queue = [src]
@@ -202,45 +254,46 @@ class _FlowNet:
                 y = head[via[y] ^ 1]
         return limit
 
-    def _seed(self, s: int, t: int, limit: int) -> int:
-        """Push flow, stopping at limit, on the direct arc s->t, then on
-        each s->x->t, then on one s->x->y->t for each x still unused, x and
-        y in increasing order, all on distinct interior vertices; return
-        the value.  Node 2x, "into x", is also the id of x's split edge,
-        so ``cap[2x]`` is 1 while x is unused."""
-        cap, head, adj, arc_edge = self.cap, self.head, self.adj, self.arc_edge
-        direct = arc_edge.get((s, t))
-        pushed = [direct] if limit and direct is not None else []
-        value = len(pushed)
-        firsts = [e for e in adj[2 * s + 1] if not e & 1 and head[e] != 2 * t]
-        for e in firsts:
-            if value == limit:
-                break
-            last = arc_edge.get((head[e] >> 1, t))
-            if last is not None:
-                pushed += (e, head[e], last)
+    def _seed(self, s: int, t: int, limit: int) -> tuple:
+        """A greedy set of disjoint short s->t paths, read off the masks:
+        the direct arc, then every s->x->t, then one s->x->y->t for each x
+        still unused, x and y lowest first among the unused interior
+        vertices, stopping at limit.  Returns (limit, None) when these
+        reach limit, so a settled pair lists no paths; otherwise the value
+        and the paths as vertex tuples.  The direct arc and the paths of
+        length 2 are counted by popcount, so a pair they settle costs a
+        few word operations; each x tried costs a few more.  A y, having
+        an arc to t, is never a later x: such an x would be the middle of
+        a path of length 2, already taken."""
+        outs, ins = self.outs, self.ins
+        direct = outs[s] >> t & 1
+        used = 1 << s | 1 << t
+        mids = outs[s] & ins[t] & ~used
+        value = direct + mids.bit_count()
+        if value >= limit:
+            return limit, None
+        used |= mids
+        firsts, lasts = outs[s] & ~used, ins[t] & ~used
+        paths = []
+        while firsts and value < limit:
+            low = firsts & -firsts
+            firsts ^= low
+            x = low.bit_length() - 1
+            seconds = outs[x] & lasts
+            if seconds:
+                second = seconds & -seconds
+                lasts ^= second
+                paths.append((s, x, second.bit_length() - 1, t))
                 value += 1
-        for e in pushed:
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-        for e in firsts:
-            if value == limit:
-                break
-            x = head[e]
-            if not cap[x]:
-                continue
-            for f in adj[x + 1]:
-                y = head[f]
-                if f & 1 or y == 2 * s or not cap[y]:
-                    continue
-                last = arc_edge.get((y >> 1, t))
-                if last is not None:
-                    for g in (e, x, f, y, last):
-                        cap[g] -= 1
-                        cap[g ^ 1] += 1
-                    value += 1
-                    break
-        return value
+        if value == limit:
+            return limit, None
+        if direct:
+            paths.append((s, t))
+        while mids:
+            low = mids & -mids
+            paths.append((s, low.bit_length() - 1, t))
+            mids ^= low
+        return value, paths
 
     def cut(self) -> tuple:
         """After a flow below its limit: the vertices whose split edge
@@ -310,9 +363,11 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     only.  It takes the ordered pairs (s, t) with s < k or t < k in
     lexicographic order: 2k(n-1) - k(k-1) flows of O(k (n + m)).  Each
     flow starts from a greedy seed of disjoint paths of length at most 3
-    (``_FlowNet._seed``), so on dense digraphs most pairs need no
-    breadth-first search; the seed leaves value and separator unchanged
-    (see ``_FlowNet.flow``).
+    (``_FlowNet._seed``) on neighbourhood bitmasks.  A pair the seed
+    settles touches no flow array, and the split-vertex network is built,
+    once, only when some pair falls short, so on dense digraphs most calls
+    never build it.  The seed leaves value and separator unchanged (see
+    ``_FlowNet.flow``).
 
     The scan over all n(n-1) pairs stops at the same pair.  Let (s, t) be
     its pair, S its separator (|S| < k), X what s reaches in D - S and Y

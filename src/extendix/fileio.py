@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
-                   ValidationReport, ZeroOneMatrix, validate)
+                   ValidationReport, ZeroOneMatrix)
 
 
 class ParseError(InvalidInstanceError):
@@ -57,13 +57,32 @@ def format_instance(obj) -> str:
 
 
 def _parse_pairs(lines, start_line: int, count: int, n: int, what: str):
+    """The count lines from start_line as 0-based pairs, each line two
+    integers in 1..n.  All lines are parsed in one pass; only when that
+    fails are they diagnosed one by one, so the first bad line is the one
+    reported.  ``int`` also reads a ``+`` sign and ``_`` between digits,
+    which the format does not allow, so the one pass stands only when the
+    lines hold neither."""
+    body = lines[start_line - 1:start_line - 1 + count]
+    text = "\n".join(body)
+    if len(body) == count and "+" not in text and "_" not in text:
+        try:
+            pairs = [(int(a) - 1, int(b) - 1) for a, b in map(str.split, body)]
+        except ValueError:
+            pass
+        else:
+            if not pairs:
+                return pairs
+            tails, heads = zip(*pairs)
+            if min(tails) >= 0 and min(heads) >= 0 and max(tails) < n and max(heads) < n:
+                return pairs
     pairs = []
     for offset in range(count):
         line_no = start_line + offset
         if line_no - 1 >= len(lines):
             raise ParseError(line_no, f"expected {count} {what} lines, file ended early")
         parts = lines[line_no - 1].split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
             raise ParseError(line_no, f"expected two integers, got {lines[line_no - 1]!r}")
         a, b = int(parts[0]), int(parts[1])
         if not (1 <= a <= n and 1 <= b <= n):
@@ -74,7 +93,11 @@ def _parse_pairs(lines, start_line: int, count: int, n: int, what: str):
 
 def parse_instance(text: str):
     """Parse any of the three instance formats by its header."""
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
+    return _parse_lines(text.splitlines())
+
+
+def _parse_lines(lines: list):
+    """``parse_instance`` on the text's lines; drops trailing blank ones."""
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -83,7 +106,7 @@ def parse_instance(text: str):
     if not head:
         raise ParseError(1, "blank header line")
     if head[0] == "bg":
-        if len(head) != 3 or not head[1].isdigit() or not head[2].isdigit():
+        if len(head) != 3 or not head[1].isdecimal() or not head[2].isdecimal():
             raise ParseError(1, f"malformed header {lines[0]!r}")
         n, m = int(head[1]), int(head[2])
         if n < 1:
@@ -91,12 +114,13 @@ def parse_instance(text: str):
         if len(lines) - 1 != m:
             raise ParseError(1, f"header promises {m} edges, file has {len(lines) - 1}")
         pairs = _parse_pairs(lines, 2, m, n, "edge")
-        if len(set(pairs)) != len(pairs):
-            dup = sorted(p for p in set(pairs) if pairs.count(p) > 1)[0]
+        pair_set = frozenset(pairs)
+        if len(pair_set) != len(pairs):
+            dup = sorted(p for p in pair_set if pairs.count(p) > 1)[0]
             raise ParseError(1, f"duplicate edge {dup[0] + 1} {dup[1] + 1}")
-        return BipartiteGraph(n, frozenset(pairs))
+        return BipartiteGraph(n, pair_set)
     if head[0] == "dg":
-        if len(head) != 3 or not head[1].isdigit() or not head[2].isdigit():
+        if len(head) != 3 or not head[1].isdecimal() or not head[2].isdecimal():
             raise ParseError(1, f"malformed header {lines[0]!r}")
         n, m = int(head[1]), int(head[2])
         if n < 1:
@@ -104,13 +128,14 @@ def parse_instance(text: str):
         if len(lines) - 1 != m:
             raise ParseError(1, f"header promises {m} arcs, file has {len(lines) - 1}")
         pairs = _parse_pairs(lines, 2, m, n, "arc")
-        if len(set(pairs)) != len(pairs):
-            dup = sorted(p for p in set(pairs) if pairs.count(p) > 1)[0]
+        pair_set = frozenset(pairs)
+        if len(pair_set) != len(pairs):
+            dup = sorted(p for p in pair_set if pairs.count(p) > 1)[0]
             raise ParseError(1, f"duplicate arc {dup[0] + 1} {dup[1] + 1}")
         loops = any(a == b for a, b in pairs)
-        return Digraph(n, frozenset(pairs), loops_allowed=loops)
+        return Digraph(n, pair_set, loops_allowed=loops)
     if head[0] == "mat":
-        if len(head) != 2 or not head[1].isdigit():
+        if len(head) != 2 or not head[1].isdecimal():
             raise ParseError(1, f"malformed header {lines[0]!r}")
         n = int(head[1])
         if n < 1:
@@ -128,12 +153,11 @@ def parse_instance(text: str):
 
 
 def read_instance(path):
+    """The instance in the file at path.  ``parse_instance`` already checks
+    every invariant ``core.validate`` would: ranges, duplicates, loops and
+    the matrix shape."""
     with open(path, encoding="utf-8") as fh:
-        obj = parse_instance(fh.read())
-    report = validate(obj)
-    if not report.valid:
-        raise InvalidInstanceError(report)
-    return obj
+        return parse_instance(fh.read())
 
 
 def write_instance(obj, path) -> None:
@@ -192,7 +216,7 @@ def format_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
+    lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines or lines[0] != "extendix-cert 1":
@@ -207,7 +231,7 @@ def parse_certificate(text: str) -> Certificate:
     if claim not in CLAIMS:
         raise ParseError(2, f"unknown claim {claim!r}")
     k_text = expect(2, "k:")
-    if not k_text.lstrip("-").isdigit():
+    if not k_text.removeprefix("-").isdecimal():
         raise ParseError(3, f"k must be an integer, got {k_text!r}")
     verdict_text = expect(3, "verdict:")
     if verdict_text not in ("holds", "fails"):
@@ -217,7 +241,7 @@ def parse_certificate(text: str) -> Certificate:
         end_instance = lines.index("end-instance")
     except ValueError:
         raise ParseError(len(lines), "missing end-instance") from None
-    instance = parse_instance("\n".join(lines[5:end_instance]) + "\n")
+    instance = _parse_lines(lines[5:end_instance])
     witness_kind = expect(end_instance + 1, "witness:")
     if lines[-1] != "end-witness":
         raise ParseError(len(lines), "missing end-witness")

@@ -447,6 +447,50 @@ def test_choices_reject_unknown_values(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+_CERT = ("extendix-cert 1\nclaim: k-strong\nk: {k}\nverdict: holds\ninstance:\n"
+         "dg 2 2\n1 2\n2 1\nend-instance\nwitness: menger-path-systems\nend-witness\n")
+
+
+@pytest.mark.parametrize("command,text,message", [
+    pytest.param("analyze", "dg 2 1\n2 \u00b2\n",
+                 "line 2: expected two integers, got '2 \u00b2'", id="superscript"),
+    pytest.param("analyze", "dg 2 1\n2 --1\n",
+                 "line 2: expected two integers, got '2 --1'", id="double-minus"),
+    pytest.param("analyze", "dg 3 2\n1 2\n2 \u00b2\n",
+                 "line 3: expected two integers, got '2 \u00b2'", id="second-line"),
+    pytest.param("analyze", "dg 2 1\n+1 2\n",
+                 "line 2: expected two integers, got '+1 2'", id="plus"),
+    pytest.param("analyze", "dg 2 1\n1_0 2\n",
+                 "line 2: expected two integers, got '1_0 2'", id="underscore"),
+    pytest.param("analyze", "dg 2 1\n1 2 1\n",
+                 "line 2: expected two integers, got '1 2 1'", id="three-tokens"),
+    pytest.param("analyze", "dg 2 1\n-1 2\n",
+                 "line 2: index out of range 1..2 in (-1, 2)", id="negative"),
+    pytest.param("analyze", "dg 2 1\n1 0\n",
+                 "line 2: index out of range 1..2 in (1, 0)", id="zero"),
+    pytest.param("analyze", "dg \u00b2 0\n",
+                 "line 1: malformed header 'dg \u00b2 0'", id="header-n"),
+    pytest.param("analyze", "dg 2 \u00b2\n",
+                 "line 1: malformed header 'dg 2 \u00b2'", id="header-m"),
+    pytest.param("analyze", "bg 2 1\n1 \u00b2\n",
+                 "line 2: expected two integers, got '1 \u00b2'", id="bg-superscript"),
+    pytest.param("analyze", "mat \u00b2\n",
+                 "line 1: malformed header 'mat \u00b2'", id="mat-header"),
+    pytest.param("verify", _CERT.format(k="--1"),
+                 "line 3: k must be an integer, got '--1'", id="cert-k-double-minus"),
+    pytest.param("verify", _CERT.format(k="\u00b2"),
+                 "line 3: k must be an integer, got '\u00b2'", id="cert-k-superscript"),
+])
+def test_malformed_numbers_exit_2(command, text, message, tmp_path, capsys):
+    """A token that looks numeric but is no integer of the format (a
+    superscript digit, a doubled sign, a plus sign, an underscore) is a
+    parse error with its line, never a traceback."""
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("module", ["extendix", "extendix.cli"])
 def test_python_m_reports_missing_file(module, tmp_path):
     import os

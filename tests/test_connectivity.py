@@ -338,6 +338,45 @@ class TestSeededFlow:
     def test_kappa_at_n_80(self):
         assert vertex_connectivity(random_digraph(80, 0.5, seed=1)) == 25
 
+    def test_network_layout(self):
+        """Split edges first, then one edge pair per arc in sorted order;
+        every node lists each of its edges once, sorted by head."""
+        digraphs = list(iter_digraphs(3)) + [random_digraph(n, p, seed=950 + n)
+                                             for n, p in ((9, 0.3), (17, 0.6), (40, 0.2))]
+        for d in digraphs + [Digraph(3, frozenset({(0, 0), (0, 1), (1, 2)}), True)]:
+            net = _FlowNet(d)
+            net._build()
+            n, arcs = d.n, sorted(a for a in d.arcs if a[0] != a[1])
+            edges = [(2 * v, 2 * v + 1, 1) for v in range(n)]
+            edges += [(2 * a + 1, 2 * b, connectivity._BIG) for a, b in arcs]
+            assert net.head == [z for x, y, _ in edges for z in (y, x)]
+            assert net.base == [z for _, _, c in edges for z in (c, 0)]
+            assert net.arc_edge == {arc: 2 * (n + j) for j, arc in enumerate(arcs)}
+            for x, es in enumerate(net.adj):
+                assert all(net.head[e ^ 1] == x for e in es)
+                assert [net.head[e] for e in es] == sorted({net.head[e] for e in es})
+            assert sorted(e for es in net.adj for e in es) == list(range(len(net.head)))
+
+    def test_network_built_only_when_the_seed_falls_short(self, monkeypatch):
+        """Pairs that short paths settle never build the split-vertex
+        network; a circulant, whose far pairs need augmenting, builds it
+        once per call."""
+        builds = []
+        build = _FlowNet._build
+
+        def counted(self):
+            builds.append(self.n)
+            build(self)
+
+        monkeypatch.setattr(_FlowNet, "_build", counted)
+        assert is_k_strong(random_digraph(80, 0.5, seed=1), 3).holds
+        assert is_k_strong(complete_digraph(8), 7).holds
+        assert builds == []
+        c40 = Digraph(40, frozenset((v, (v + j) % 40) for v in range(40) for j in range(1, 6)))
+        for calls in (1, 2):
+            assert is_k_strong(c40, 5).holds
+            assert builds == [40] * calls
+
 
 class TestMengerPaths:
     def test_triangle_single_path(self):

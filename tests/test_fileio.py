@@ -1,6 +1,6 @@
 import pytest
 
-from extendix import (BipartiteGraph, ZeroOneMatrix, complete_digraph,
+from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_digraph,
                       cycle_bipartite, directed_cycle)
 from extendix.fileio import (Certificate, ParseError, format_certificate,
                              format_instance, parse_certificate, parse_instance,
@@ -34,6 +34,18 @@ class TestInstanceFormats:
     def test_loops_parse_with_flag(self):
         d = parse_instance("dg 2 2\n1 1\n1 2\n")
         assert d.loops_allowed and d.has_loops()
+
+
+    @pytest.mark.parametrize("text", [
+        "dg 3 2\n1 2\n3 1\n",
+        "dg 3 2\n01 2\n  3\t1  \n",
+        "dg \u0663 \u0662\n\u0661 \u0662\n\u0663 \u0661\n",
+        "dg 3 2\n1 2\n3 1\n\n\n",
+    ])
+    def test_numerals_int_reads(self, text):
+        """Leading zeros, other whitespace and non-ASCII decimal digits
+        read as the integers they spell."""
+        assert parse_instance(text) == Digraph(3, frozenset({(0, 1), (2, 0)}))
 
 
 class TestParseErrors:

@@ -18,7 +18,7 @@ import sys
 
 from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                    TooLargeError, ZeroOneMatrix, connected, random_bipartite_with_pm,
-                   random_digraph, u_label, w_label)
+                   is_int_token, random_digraph, u_label, w_label)
 from .correspond import (bipartite_of_digraph, bipartite_of_matrix, digraph_of,
                          digraph_of_matrix, reduced_adjacency)
 from .connectivity import (_degree_audit, anti_directed_trail_find,
@@ -185,7 +185,7 @@ def _parse_matching_arg(g: BipartiteGraph, text: str) -> Matching:
     for token in text.split(","):
         token = token.strip()
         halves = token.split("-")
-        if len(halves) != 2 or not all(h.isdigit() for h in halves):
+        if len(halves) != 2 or not all(map(is_int_token, halves)):
             raise ValueError(f"bad matching token {token!r}, expected like 1-2")
         edges.add((int(halves[0]) - 1, int(halves[1]) - 1))
     return Matching(frozenset(edges), g)

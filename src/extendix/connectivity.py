@@ -200,15 +200,18 @@ class _FlowNet:
         self.head, self.base, self.adj, self.arc_edge = head, base, adj, arc_edge
 
     def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
-        """Disjoint s->t paths up to limit; when it augments, leaves the
-        residual network in ``cap`` and the last reach in ``via``.  Seeded
+        """Disjoint s->t paths up to limit; leaves the residual network in
+        ``cap`` and, when it searched, the last reach in ``via``.  Seeded
         (see ``_seed``), a pair whose short paths reach limit returns at
-        once, with no array built, copied or touched; otherwise the network
-        is built if missing, the base capacities are copied, the seed's
-        paths are pushed, and shortest augmenting paths take the flow on
-        from there, still at most limit searches of O(n + m).
-        ``_path_systems`` runs unseeded, so the paths read off the flow are
-        those of shortest augmenting paths alone.
+        once, with no array built, copied or touched, and leaves ``cap``
+        and ``via`` as they were; otherwise the network is built if
+        missing, the base capacities are copied, the seed's paths are
+        pushed, and shortest augmenting paths take the flow on from there,
+        still at most limit searches of O(n + m).  An unseeded flow always
+        builds and copies, also at limit 0, so ``paths()`` after it reads
+        its own residual network.  ``_path_systems`` runs unseeded, so the
+        paths read off the flow are those of shortest augmenting paths
+        alone.
 
         Seeding cannot change the value or ``cut()``.  ``cut()`` is read
         only after a flow that stopped below its limit: such a flow ran a
@@ -217,7 +220,7 @@ class _FlowNet:
         the source: the minimum cut closest to s.  So the value, ``cut()``
         and every ``KStrongResult`` are those of the unseeded flow."""
         value, paths = self._seed(s, t, limit) if seeded else (0, ())
-        if value == limit:
+        if paths is None:
             return limit
         if self.head is None:
             self._build()

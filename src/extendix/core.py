@@ -54,9 +54,17 @@ def w_label(j: int) -> str:
     return f"w{j + 1}"
 
 
+def is_int_token(text: str, signed: bool = False) -> bool:
+    """Whether text is an integer as the text formats write it: decimal
+    digits, after one optional leading ``-`` when signed.  ``int`` reads
+    every such token; ``isdigit`` also passes digits ``int`` rejects (a
+    superscript two), and ``int`` also takes ``+``, ``_`` and spaces."""
+    return (text.removeprefix("-") if signed else text).isdecimal()
+
+
 def parse_vertex_label(text: str) -> tuple[str, int] | None:
     """Parse ``u3``/``w1`` into (side, 0-based index); None if malformed."""
-    if len(text) >= 2 and text[0] in "uw" and text[1:].isdigit():
+    if len(text) >= 2 and text[0] in "uw" and is_int_token(text[1:]):
         k = int(text[1:])
         if k >= 1:
             return text[0], k - 1

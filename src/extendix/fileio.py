@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
-                   ValidationReport, ZeroOneMatrix)
+                   ValidationReport, ZeroOneMatrix, is_int_token)
 
 
 class ParseError(InvalidInstanceError):
@@ -56,34 +56,16 @@ def format_instance(obj) -> str:
     raise TypeError(f"cannot format {type(obj).__name__}")
 
 
-def _parse_pairs(lines, start_line: int, count: int, n: int, what: str):
-    """The count lines from start_line as 0-based pairs, each line two
-    integers in 1..n.  All lines are parsed in one pass; only when that
-    fails are they diagnosed one by one, so the first bad line is the one
-    reported.  ``int`` also reads a ``+`` sign and ``_`` between digits,
-    which the format does not allow, so the one pass stands only when the
-    lines hold neither."""
-    body = lines[start_line - 1:start_line - 1 + count]
-    text = "\n".join(body)
-    if len(body) == count and "+" not in text and "_" not in text:
-        try:
-            pairs = [(int(a) - 1, int(b) - 1) for a, b in map(str.split, body)]
-        except ValueError:
-            pass
-        else:
-            if not pairs:
-                return pairs
-            tails, heads = zip(*pairs)
-            if min(tails) >= 0 and min(heads) >= 0 and max(tails) < n and max(heads) < n:
-                return pairs
+def _parse_pairs(lines, n: int):
+    """The lines after the header as 0-based pairs, each line two integers
+    in 1..n; the first bad line is the one reported.  The caller has
+    matched the line count against the header."""
     pairs = []
-    for offset in range(count):
-        line_no = start_line + offset
-        if line_no - 1 >= len(lines):
-            raise ParseError(line_no, f"expected {count} {what} lines, file ended early")
-        parts = lines[line_no - 1].split()
-        if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
-            raise ParseError(line_no, f"expected two integers, got {lines[line_no - 1]!r}")
+    for line_no, line in enumerate(lines[1:], 2):
+        parts = line.split()
+        if len(parts) != 2 or not (is_int_token(parts[0], True)
+                                   and is_int_token(parts[1], True)):
+            raise ParseError(line_no, f"expected two integers, got {line!r}")
         a, b = int(parts[0]), int(parts[1])
         if not (1 <= a <= n and 1 <= b <= n):
             raise ParseError(line_no, f"index out of range 1..{n} in {(a, b)}")
@@ -106,28 +88,28 @@ def _parse_lines(lines: list):
     if not head:
         raise ParseError(1, "blank header line")
     if head[0] == "bg":
-        if len(head) != 3 or not head[1].isdecimal() or not head[2].isdecimal():
+        if len(head) != 3 or not is_int_token(head[1]) or not is_int_token(head[2]):
             raise ParseError(1, f"malformed header {lines[0]!r}")
         n, m = int(head[1]), int(head[2])
         if n < 1:
             raise ParseError(1, "n must be at least 1")
         if len(lines) - 1 != m:
             raise ParseError(1, f"header promises {m} edges, file has {len(lines) - 1}")
-        pairs = _parse_pairs(lines, 2, m, n, "edge")
+        pairs = _parse_pairs(lines, n)
         pair_set = frozenset(pairs)
         if len(pair_set) != len(pairs):
             dup = sorted(p for p in pair_set if pairs.count(p) > 1)[0]
             raise ParseError(1, f"duplicate edge {dup[0] + 1} {dup[1] + 1}")
         return BipartiteGraph(n, pair_set)
     if head[0] == "dg":
-        if len(head) != 3 or not head[1].isdecimal() or not head[2].isdecimal():
+        if len(head) != 3 or not is_int_token(head[1]) or not is_int_token(head[2]):
             raise ParseError(1, f"malformed header {lines[0]!r}")
         n, m = int(head[1]), int(head[2])
         if n < 1:
             raise ParseError(1, "n must be at least 1")
         if len(lines) - 1 != m:
             raise ParseError(1, f"header promises {m} arcs, file has {len(lines) - 1}")
-        pairs = _parse_pairs(lines, 2, m, n, "arc")
+        pairs = _parse_pairs(lines, n)
         pair_set = frozenset(pairs)
         if len(pair_set) != len(pairs):
             dup = sorted(p for p in pair_set if pairs.count(p) > 1)[0]
@@ -135,7 +117,7 @@ def _parse_lines(lines: list):
         loops = any(a == b for a, b in pairs)
         return Digraph(n, pair_set, loops_allowed=loops)
     if head[0] == "mat":
-        if len(head) != 2 or not head[1].isdecimal():
+        if len(head) != 2 or not is_int_token(head[1]):
             raise ParseError(1, f"malformed header {lines[0]!r}")
         n = int(head[1])
         if n < 1:
@@ -231,7 +213,7 @@ def parse_certificate(text: str) -> Certificate:
     if claim not in CLAIMS:
         raise ParseError(2, f"unknown claim {claim!r}")
     k_text = expect(2, "k:")
-    if not k_text.removeprefix("-").isdecimal():
+    if not is_int_token(k_text, signed=True):
         raise ParseError(3, f"k must be an integer, got {k_text!r}")
     verdict_text = expect(3, "verdict:")
     if verdict_text not in ("holds", "fails"):

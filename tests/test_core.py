@@ -6,7 +6,22 @@ from extendix import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                       iter_bipartite_with_canonical, iter_digraphs, iter_matrices,
                       matching_graph, random_bipartite_with_pm, random_digraph,
                       validate)
-from extendix.core import _bfs_path
+from extendix.core import _bfs_path, is_int_token, parse_vertex_label
+
+
+class TestTokens:
+    @pytest.mark.parametrize("text, signed, expected", [
+        ("12", False, True), ("-12", True, True), ("-12", False, False),
+        ("--1", True, False), ("\u00b2", False, False), ("+1", True, False),
+        ("1_0", False, False), ("", False, False), ("-", True, False),
+    ])
+    def test_int_token_rule(self, text, signed, expected):
+        assert is_int_token(text, signed) is expected
+
+    def test_vertex_label_rejects_superscript(self):
+        assert parse_vertex_label("u3") == ("u", 2)
+        assert parse_vertex_label("u\u00b2") is None
+        assert parse_vertex_label("w0") is None
 
 
 class TestValidate:

@@ -215,6 +215,15 @@ class TestAlternatingPaths:
         assert len(system.paths) == 2
         assert not check_alternating_path_system(k33, system)
 
+    @pytest.mark.parametrize("w", [0, 1], ids=["matching-pair", "non-matching-pair"])
+    def test_k0_gives_no_paths(self, c6, w):
+        """Any G with a perfect matching is 0-extendable, so k = 0 asks for
+        an empty system, not for paths of some earlier flow."""
+        m = canonical_matching(c6)
+        system = alternating_path_system(c6, m, 0, w, 0)
+        assert system.paths == ()
+        assert not check_alternating_path_system(c6, system)
+
     def test_p4_rejected(self):
         g = make_p4()
         with pytest.raises(ValueError):

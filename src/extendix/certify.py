@@ -27,11 +27,14 @@ from .connectivity import (_path_systems, is_k_strong, strong_components,
                            check_path_system, PathSystem)
 from .extendability import (AltPathSystem, _alternating_paths, _deficient_set,
                             check_alternating_path_system, is_k_extendable)
-from .fileio import Certificate
+from .fileio import CLAIMS, Certificate
 from .matching import (first_perfect_matching, has_perfect_matching, matching_extends,
                        max_matching_pairs)
 from .matrixlab import (_distinct_in_range, _independent_witness, _symmetric_witness,
                         check_witness, is_k_partly_decomposable, is_k_reducible)
+
+
+_NOUNS = {BipartiteGraph: "bipartite graph", Digraph: "digraph", ZeroOneMatrix: "matrix"}
 
 
 def _sample(pairs: list, seed, cap: int = 6) -> list:
@@ -127,9 +130,11 @@ def _zero_block_certificate(claim: str, k: int, a: ZeroOneMatrix, w) -> Certific
 
 def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
     """Decide the claim on the instance and package a re-checkable witness."""
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    if not isinstance(obj, CLAIMS[claim]):
+        raise ValueError(f"{claim} applies to {_NOUNS[CLAIMS[claim]]} instances")
     if claim == "k-extendable":
-        if not isinstance(obj, BipartiteGraph):
-            raise ValueError("k-extendable applies to bipartite graph instances")
         if k < 0:
             raise ValueError("k must be nonnegative")
         if k > obj.n - 1:
@@ -147,8 +152,6 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
                            ("u-set: " + " ".join(str(i + 1) for i in x),))
 
     if claim == "k-strong":
-        if not isinstance(obj, Digraph):
-            raise ValueError("k-strong applies to digraph instances")
         if k < 1:
             raise ValueError("k must be at least 1")
         verdict = is_k_strong(obj, k)
@@ -162,16 +165,12 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
         return Certificate(claim, k, False, obj, "separator", (f"vertices: {sep}",))
 
     if claim == "k-indecomposable":
-        if not isinstance(obj, ZeroOneMatrix):
-            raise ValueError("k-indecomposable applies to matrix instances")
         res = is_k_partly_decomposable(obj, k)
         if res.holds:
             return _zero_block_certificate(claim, k, obj, res.witness)
         return _matching_certificate(claim, k, obj, bipartite_of_matrix(obj), seed)
 
     if claim == "k-irreducible":
-        if not isinstance(obj, ZeroOneMatrix):
-            raise ValueError("k-irreducible applies to matrix instances")
         res = is_k_reducible(obj, k)
         if res.holds:
             return _zero_block_certificate(claim, k, obj, res.witness)
@@ -180,8 +179,6 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
                                ("reason: no matrix of order n is n-reducible",))
         return Certificate(claim, k, True, obj, "menger-path-systems",
                            tuple(_menger_lines(digraph_of_matrix(obj), k, seed)))
-
-    raise ValueError(f"unknown claim {claim!r}")
 
 
 # ---------------------------------------------------------------------------

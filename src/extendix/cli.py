@@ -28,7 +28,7 @@ from .extendability import (_degree_audit_bipartite, _forest_check,
                             elementary_components)
 from .matching import count_perfect_matchings, first_perfect_matching, max_matching
 from .certify import build_certificate, check_certificate
-from .fileio import (ParseError, format_certificate, format_correspondence,
+from .fileio import (CLAIMS, ParseError, format_certificate, format_correspondence,
                      format_instance, instance_kind, read_certificate,
                      read_instance)
 from .search import (find_minimality_counterexamples, minimal_k_extendable_graphs,
@@ -394,9 +394,7 @@ def _convert_args(p: argparse.ArgumentParser) -> None:
 
 def _certify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
-    p.add_argument("--claim", required=True,
-                   choices=["k-extendable", "k-strong", "k-indecomposable",
-                            "k-irreducible"])
+    p.add_argument("--claim", required=True, choices=CLAIMS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -40,68 +40,63 @@ class InsufficientPathsError(ExtendixError):
 # strong components
 
 
+def _rows(d: Digraph) -> tuple[list[int], list[int]]:
+    """D's out- and in-neighbourhoods as bitmasks, one int per vertex,
+    loops left out; one pass over the arcs."""
+    outs, ins = [0] * d.n, [0] * d.n
+    for a, b in d.arcs:
+        if a != b:
+            outs[a] |= 1 << b
+            ins[b] |= 1 << a
+    return outs, ins
+
+
+def _reach(rows: list[int], start: int, keep: int) -> int:
+    """The vertices of ``keep`` reachable from ``start`` inside ``keep``,
+    as a mask with ``start`` in it; each vertex reached costs one OR of
+    its row."""
+    reach = frontier = 1 << start
+    while frontier:
+        new = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            new |= rows[bit.bit_length() - 1]
+        frontier = new & keep & ~reach
+        reach |= frontier
+    return reach
+
+
 def strong_components(d: Digraph, removed=()) -> tuple:
     """Partition of V(D) - removed into strong components, ordered
     topologically in the condensation; ties broken by smallest contained
-    vertex.  One iterative Tarjan pass, O(n log n + m) with the order.
+    vertex.
 
-    A removed vertex counts as visited and is never on the stack, and
-    arcs with a removed end are left out of the condensation, so this is
-    the pass on D - removed without building it: renumbering the kept
-    vertices in increasing order, with sorted neighbour lists, would make
-    Tarjan visit the same vertices in the same order, and the min-vertex
-    tie-breaks compare the same way."""
+    The component of the smallest unassigned vertex v is what v reaches
+    among the vertices that reach v, both reaches (``_reach``) kept to the
+    unassigned vertices outside removed, so D - removed is never built.
+    That is exact: a path between two members of a strong component never
+    leaves it.  Two reaches per component, each of at most n steps (one OR
+    of a row): O(n) steps when every arc runs up the vertex order, as each
+    backward reach stops at once, and O(n^2) in the worst case, every arc
+    running down it, as each backward reach takes every vertex left.
+    Kahn's algorithm with a min-vertex heap orders the condensation in
+    O(n log n + m)."""
     n = d.n
+    outs, ins = _rows(d)
+    rest = (1 << n) - 1
+    for v in removed:
+        rest &= ~(1 << v)
     comp_of = [-1] * n
     comps: list[frozenset] = []
-
-    # iterative Tarjan
-    index_of = [-1] * n
-    for v in removed:
-        index_of[v] = n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            outs = d.out_neighbors(v)
-            for k in range(pi, len(outs)):
-                w = outs[k]
-                if index_of[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w] and index_of[w] < low[v]:
-                    low[v] = index_of[w]
-            if recurse:
-                continue
-            if low[v] == index_of[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    comp_of[w] = len(comps)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        comp = _reach(outs, v, _reach(ins, v, rest))
+        rest ^= comp
+        members = frozenset(w for w in range(v, comp.bit_length()) if comp >> w & 1)
+        for w in members:
+            comp_of[w] = len(comps)
+        comps.append(members)
 
     # deterministic condensation order: Kahn with a min-vertex heap
     k = len(comps)
@@ -112,16 +107,16 @@ def strong_components(d: Digraph, removed=()) -> tuple:
         if ca != cb and min(ca, cb) >= 0 and cb not in succ[ca]:
             succ[ca].add(cb)
             indeg[cb] += 1
-    heap = [(min(comps[c]), c) for c in range(k) if indeg[c] == 0]
-    heap.sort()
+    # comps is listed by smallest member, so an index is its min-vertex key
+    heap = [c for c in range(k) if indeg[c] == 0]
     ordered = []
     while heap:
-        _, c = heappop(heap)
+        c = heappop(heap)
         ordered.append(comps[c])
         for nc in succ[c]:
             indeg[nc] -= 1
             if indeg[nc] == 0:
-                heappush(heap, (min(comps[nc]), nc))
+                heappush(heap, nc)
     return tuple(ordered)
 
 
@@ -154,7 +149,8 @@ class _FlowNet:
     node 2s+1 to node 2s the paths are cycles through s, meeting only
     there.
 
-    The masks take one pass over the arcs.  The network (``head``,
+    The masks are ``_rows``, the ones ``strong_components`` reaches
+    over, and take one pass over the arcs.  The network (``head``,
     ``base``, ``adj``, ``arc_edge``) takes O(n + m) and is built by
     the first flow whose seed falls short of its limit; a pair the greedy
     seed settles (see ``_seed``) costs a few word operations on the masks
@@ -162,12 +158,7 @@ class _FlowNet:
 
     def __init__(self, d: Digraph):
         self.n = d.n
-        self.outs = outs = [0] * d.n
-        self.ins = ins = [0] * d.n
-        for a, b in d.arcs:
-            if a != b:
-                outs[a] |= 1 << b
-                ins[b] |= 1 << a
+        self.outs, self.ins = _rows(d)
         self.head = None
 
     def _build(self) -> None:

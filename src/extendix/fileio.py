@@ -12,6 +12,7 @@ verifier needs nothing but the certificate file.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
@@ -87,35 +88,23 @@ def _parse_lines(lines: list):
     head = lines[0].split()
     if not head:
         raise ParseError(1, "blank header line")
-    if head[0] == "bg":
+    if head[0] in ("bg", "dg"):
+        noun = "edge" if head[0] == "bg" else "arc"
         if len(head) != 3 or not is_int_token(head[1]) or not is_int_token(head[2]):
             raise ParseError(1, f"malformed header {lines[0]!r}")
         n, m = int(head[1]), int(head[2])
         if n < 1:
             raise ParseError(1, "n must be at least 1")
         if len(lines) - 1 != m:
-            raise ParseError(1, f"header promises {m} edges, file has {len(lines) - 1}")
+            raise ParseError(1, f"header promises {m} {noun}s, file has {len(lines) - 1}")
         pairs = _parse_pairs(lines, n)
         pair_set = frozenset(pairs)
         if len(pair_set) != len(pairs):
-            dup = sorted(p for p in pair_set if pairs.count(p) > 1)[0]
-            raise ParseError(1, f"duplicate edge {dup[0] + 1} {dup[1] + 1}")
-        return BipartiteGraph(n, pair_set)
-    if head[0] == "dg":
-        if len(head) != 3 or not is_int_token(head[1]) or not is_int_token(head[2]):
-            raise ParseError(1, f"malformed header {lines[0]!r}")
-        n, m = int(head[1]), int(head[2])
-        if n < 1:
-            raise ParseError(1, "n must be at least 1")
-        if len(lines) - 1 != m:
-            raise ParseError(1, f"header promises {m} arcs, file has {len(lines) - 1}")
-        pairs = _parse_pairs(lines, n)
-        pair_set = frozenset(pairs)
-        if len(pair_set) != len(pairs):
-            dup = sorted(p for p in pair_set if pairs.count(p) > 1)[0]
-            raise ParseError(1, f"duplicate arc {dup[0] + 1} {dup[1] + 1}")
-        loops = any(a == b for a, b in pairs)
-        return Digraph(n, pair_set, loops_allowed=loops)
+            dup = min(p for p, count in Counter(pairs).items() if count > 1)
+            raise ParseError(1, f"duplicate {noun} {dup[0] + 1} {dup[1] + 1}")
+        if head[0] == "bg":
+            return BipartiteGraph(n, pair_set)
+        return Digraph(n, pair_set, loops_allowed=any(a == b for a, b in pairs))
     if head[0] == "mat":
         if len(head) != 2 or not is_int_token(head[1]):
             raise ParseError(1, f"malformed header {lines[0]!r}")
@@ -147,8 +136,11 @@ def write_instance(obj, path) -> None:
         fh.write(format_instance(obj))
 
 
+_KINDS = {BipartiteGraph: "bg", Digraph: "dg", ZeroOneMatrix: "mat"}
+
+
 def instance_kind(obj) -> str:
-    return {BipartiteGraph: "bg", Digraph: "dg", ZeroOneMatrix: "mat"}[type(obj)]
+    return _KINDS[type(obj)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +172,9 @@ class Certificate:
     witness_lines: tuple  # payload lines, already rendered
 
 
-CLAIMS = ("k-extendable", "k-strong", "k-indecomposable", "k-irreducible")
+# each claim and the type of instance it is made about
+CLAIMS = {"k-extendable": BipartiteGraph, "k-strong": Digraph,
+          "k-indecomposable": ZeroOneMatrix, "k-irreducible": ZeroOneMatrix}
 
 
 def format_certificate(cert: Certificate) -> str:
@@ -224,6 +218,9 @@ def parse_certificate(text: str) -> Certificate:
     except ValueError:
         raise ParseError(len(lines), "missing end-instance") from None
     instance = _parse_lines(lines[5:end_instance])
+    if not isinstance(instance, CLAIMS[claim]):
+        raise ParseError(6, f"{claim} needs a {_KINDS[CLAIMS[claim]]} instance, "
+                            f"got {instance_kind(instance)}")
     witness_kind = expect(end_instance + 1, "witness:")
     if lines[-1] != "end-witness":
         raise ParseError(len(lines), "missing end-witness")

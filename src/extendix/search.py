@@ -8,8 +8,9 @@ k-strong, and deleting its non-matching edge u_a w_b deletes the arc
 and no matching edge of B(D) is deletable; a deletable one shows that
 minimality does not transfer back from D to B(D).
 
-The sweep works on neighbourhood bitmasks; what it finds leaves as the
-ordinary types.  It picks the out-neighbourhood rows of D one vertex at
+The sweep works on neighbourhood bitmasks, and every reach in it is
+``connectivity._reach``, the search ``strong_components`` runs; what it
+finds leaves as the ordinary types.  It picks the out-neighbourhood rows of D one vertex at
 a time, each of at least k bits, and prunes on the running arc count (at
 most 2(n-1) arcs for k = 1) and, for k = 1, on rows that close a
 transitive triangle; a leaf that leaves some in-degree below k is
@@ -28,6 +29,7 @@ from __future__ import annotations
 from itertools import combinations, islice
 from typing import Iterator
 
+from .connectivity import _reach, _rows
 from .core import BipartiteGraph, Digraph, TooLargeError, _off_diagonal_cells
 from .correspond import bipartite_of_digraph
 
@@ -44,20 +46,6 @@ def _largest_n(k: int) -> int:
 # bitmask k-strong connectivity
 
 
-def _mask_reach(nbrs: list[int], start: int, keep: int) -> int:
-    """The vertices of ``keep`` reachable from ``start`` inside ``keep``."""
-    reach = frontier = 1 << start
-    while frontier:
-        new = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            new |= nbrs[bit.bit_length() - 1]
-        frontier = new & keep & ~reach
-        reach |= frontier
-    return reach
-
-
 def _mask_k_strong(outs: list[int], ins: list[int], k: int) -> bool:
     """For the small k used in sweeps: n >= k + 1 and D - S strong for every
     vertex set S of size below k, so no mask is 0.  O(n^(k-1) (n + m))."""
@@ -68,8 +56,8 @@ def _mask_k_strong(outs: list[int], ins: list[int], k: int) -> bool:
         for removed in combinations(range(n), size):
             keep = (1 << n) - 1 - sum(1 << v for v in removed)
             start = (keep & -keep).bit_length() - 1
-            if (_mask_reach(outs, start, keep) != keep
-                    or _mask_reach(ins, start, keep) != keep):
+            if (_reach(outs, start, keep) != keep
+                    or _reach(ins, start, keep) != keep):
                 return False
     return True
 
@@ -100,7 +88,7 @@ def _is_minimal_k_strong(outs: list[int], k: int) -> bool:
     in-degree below k is dropped first."""
     full = (1 << len(outs)) - 1
     if k == 1:
-        if _mask_reach(outs, 0, full) != full:
+        if _reach(outs, 0, full) != full:
             return False
     else:
         ins = _in_rows(outs)
@@ -113,7 +101,7 @@ def _is_minimal_k_strong(outs: list[int], k: int) -> bool:
             rest ^= bit
             outs[a] = row ^ bit
             if k == 1:
-                deletable = _mask_reach(outs, a, full) & bit
+                deletable = _reach(outs, a, full) & bit
             else:
                 b = bit.bit_length() - 1
                 ins[b] ^= 1 << a
@@ -122,7 +110,7 @@ def _is_minimal_k_strong(outs: list[int], k: int) -> bool:
             outs[a] = row
             if deletable:
                 return False
-    return k > 1 or _mask_reach(_in_rows(outs), 0, full) == full
+    return k > 1 or _reach(_in_rows(outs), 0, full) == full
 
 
 def _extendable_without_matching_edge(outs: list[int], i: int, k: int) -> bool:
@@ -265,9 +253,7 @@ def _transfers(n: int, k: int) -> Iterator[tuple]:
     most n ``_mask_k_strong`` calls per D; B(D) itself is left to the
     callers, which build it only for the digraphs they list."""
     for d in minimal_k_strong_digraphs(n, k):
-        outs = [0] * n
-        for a, b in d.arcs:
-            outs[a] |= 1 << b
+        outs = _rows(d)[0]
         edge = next(((i, i) for i in range(n)
                      if _extendable_without_matching_edge(outs, i, k)), None)
         yield d, edge

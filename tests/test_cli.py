@@ -380,6 +380,25 @@ class TestCertifyVerify:
         assert main(["certify", files["c6.bg"], "--claim", "k-strong",
                      "--k", "1"]) == 2
 
+    @pytest.mark.parametrize("claim,kind", [
+        ("k-strong", "bg"), ("k-strong", "mat"), ("k-extendable", "dg"),
+        ("k-extendable", "mat"), ("k-indecomposable", "dg"), ("k-indecomposable", "bg"),
+        ("k-irreducible", "dg"), ("k-irreducible", "bg"),
+    ])
+    def test_verify_rejects_claim_kind_mismatch(self, tmp_path, capsys, claim, kind):
+        """A claim embedded over the wrong kind of instance is a parse error
+        on the instance header, line 6, not a traceback."""
+        instance = {"bg": "bg 2 2\n1 1\n2 2", "dg": "dg 2 2\n1 2\n2 1",
+                    "mat": "mat 2\n11\n01"}[kind]
+        path = tmp_path / "mismatch.cert"
+        path.write_text(f"extendix-cert 1\nclaim: {claim}\nk: 1\nverdict: holds\n"
+                        f"instance:\n{instance}\nend-instance\nwitness: separator\n"
+                        "vertices: 1\nend-witness\n")
+        assert main(["verify", str(path)]) == 2
+        wanted = {"k-strong": "dg", "k-extendable": "bg"}.get(claim, "mat")
+        assert capsys.readouterr() == (
+            "", f"error: line 6: {claim} needs a {wanted} instance, got {kind}\n")
+
 
 class TestSearch:
     def test_counterexample_found(self, capsys):

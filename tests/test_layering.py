@@ -6,7 +6,10 @@ path system.  Every other module asks them.  Only ``_path_systems`` runs
 the flow unseeded, so the paths it reads, and the certificate path lines
 built from them, come from shortest augmenting paths alone.  Every
 connectivity function ignores loops, so no module makes a loop-free copy
-before calling one.
+before calling one.  The neighbourhood bitmasks (``_rows``) and the reach
+over them (``_reach``) are defined once, in ``connectivity``: strong
+components, the flow kernel's masks and the exhaustive sweep in
+``search`` share them.
 The sources are read with ``ast``, so the check sees names, not behaviour.
 """
 
@@ -82,3 +85,23 @@ def test_no_module_strips_loops():
                        if isinstance(call.func, ast.Attribute)
                        and call.func.attr == "loop_free")
     assert strippers == []
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_rows_and_reach_are_defined_once_in_connectivity():
+    modules = _modules()
+    for helper in ("_rows", "_reach"):
+        defining = sorted((name, fn) for name, tree in modules.items()
+                          for fn in _defined(tree) if fn == helper)
+        assert defining == [("connectivity.py", helper)]
+
+
+def test_search_imports_the_one_reach():
+    tree = _modules()["search.py"]
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert ("connectivity", "_reach") in imported
+    assert [fn for fn in _defined(tree) if "reach" in fn] == []

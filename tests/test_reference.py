@@ -1,9 +1,12 @@
-"""Vertex connectivity, max-extendability and the perfect-matching count
-against the benchmark's reference code, which never imports extendix.
+"""Strong components, vertex connectivity, max-extendability and the
+perfect-matching count against the benchmark's reference code, which
+never imports extendix.
 
-``perfbench/ref.py`` computes vertex connectivity with networkx flows, as
-the minimum local connectivity over the ordered pairs without an arc, and
-the permanent by a dynamic programme over column masks in numpy.
+``perfbench/ref.py`` takes strong components from networkx, computes
+vertex connectivity with networkx flows, as the minimum local
+connectivity over the ordered pairs without an arc, and the permanent by
+a dynamic programme over column masks in numpy.  The order of the
+components is checked against networkx's condensation.
 It is loaded read-only from the benchmark directory, with that directory
 on ``sys.path`` for its own ``gen`` import; without networkx the module
 is skipped.
@@ -12,6 +15,7 @@ is skipped.
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -19,9 +23,9 @@ import pytest
 
 from extendix import (BipartiteGraph, Digraph, count_perfect_matchings,
                       elementary_components, max_extendability, random_bipartite_with_pm,
-                      random_digraph, vertex_connectivity)
+                      random_digraph, strong_components, vertex_connectivity)
 
-pytest.importorskip("networkx")
+nx = pytest.importorskip("networkx")
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,6 +40,65 @@ def ref():
     finally:
         sys.path.remove(str(PERFBENCH))
     return module
+
+
+def _reference_components(ref, d: Digraph, removed) -> tuple:
+    """The strong components of D - removed: the partition from
+    ``ref.strong_components``, where the removed vertices keep no arc and
+    stay singletons, and the order of networkx's condensation, sorted
+    topologically with ties broken by smallest member."""
+    arcs = [(a, b) for a, b in d.arcs if a not in removed and b not in removed]
+    partition = [c for c in ref.strong_components(d.n, arcs) if c[0] not in removed]
+    g = ref.digraph(d.n, arcs)
+    g.remove_nodes_from(removed)
+    c = nx.condensation(g)
+    members = [c.nodes[i]["members"] for i in
+               nx.lexicographical_topological_sort(c, key=lambda i: min(c.nodes[i]["members"]))]
+    assert sorted(sorted(m) for m in members) == partition
+    return tuple(frozenset(m) for m in members)
+
+
+def _acyclic(n: int, p: float, seed: int, backward: bool) -> Digraph:
+    """A random acyclic digraph whose arcs all run up (or all down) the
+    vertex order."""
+    rng = random.Random(seed)
+    return Digraph(n, frozenset((b, a) if backward else (a, b) for a in range(n)
+                                for b in range(a + 1, n) if rng.random() < p))
+
+
+def _cycle_chain(blocks: int, seed: int) -> Digraph:
+    """Directed 4-cycles, each joined to the next by one arc, under a
+    random relabelling: one component per cycle, in a path order."""
+    rng = random.Random(seed)
+    label = list(range(4 * blocks))
+    rng.shuffle(label)
+    arcs = {(4 * i + j, 4 * i + (j + 1) % 4) for i in range(blocks) for j in range(4)}
+    arcs |= {(4 * i + rng.randrange(4), 4 * i + 4 + rng.randrange(4)) for i in range(blocks - 1)}
+    return Digraph(4 * blocks, frozenset((label[a], label[b]) for a, b in arcs))
+
+
+def test_strong_components_match_reference(ref):
+    """Seeded digraphs with n = 10-80: sparse and dense random ones, acyclic
+    ones in both orientations and chains of 4-cycles, where the components
+    are many and each reach is long, some with loops and some with removed
+    vertices."""
+    rng = random.Random(17)
+    cases = []
+    for i in range(12):
+        n = 10 + 6 * i
+        cases += [random_digraph(n, (0.02, 0.05, 0.1, 0.3)[i % 4], seed=760 + i),
+                  _acyclic(n, 0.2, 780 + i, backward=i % 2 == 1),
+                  _cycle_chain(max(3, n // 4), 800 + i)]
+    many = 0
+    for i, d in enumerate(cases):
+        if i % 3 == 0:
+            loops = {(v, v) for v in rng.sample(range(d.n), 3)}
+            d = Digraph(d.n, d.arcs | loops, loops_allowed=True)
+        for removed in ((), set(rng.sample(range(d.n), rng.randint(1, d.n // 3)))):
+            comps = strong_components(d, removed)
+            assert comps == _reference_components(ref, d, removed), (d.n, removed)
+            many += len(comps) >= d.n // 4
+    assert many >= 40
 
 
 def test_kappa_matches_reference(ref):

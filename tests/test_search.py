@@ -54,10 +54,7 @@ def _minimal_by_definition(instances, decide, failing_reason) -> dict:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mask_kernel_matches_is_k_strong(n):
     for d in iter_digraphs(n):
-        outs, ins = [0] * n, [0] * n
-        for a, b in d.arcs:
-            outs[a] |= 1 << b
-            ins[b] |= 1 << a
+        outs, ins = connectivity._rows(d)
         strong = True
         for k in KS:
             strong = strong and is_k_strong(d, k).holds
@@ -167,9 +164,7 @@ def test_mask_transfer_matches_is_k_extendable(n_max, k):
     for n in range(2, n_max + 1):
         for d in minimal_strong(n, k):
             g, _, _ = bipartite_of_digraph(d)
-            outs = [0] * n
-            for a, b in d.arcs:
-                outs[a] |= 1 << b
+            outs = connectivity._rows(d)[0]
             for i in range(n):
                 assert (search._extendable_without_matching_edge(outs, i, k)
                         == is_k_extendable(g.without_edge((i, i)), k)), (d, i)

@@ -85,7 +85,7 @@ def test_strong_components_match_reference(ref):
     rng = random.Random(17)
     cases = []
     for i in range(12):
-        n = 10 + 6 * i
+        n = 10 + 70 * i // 11
         cases += [random_digraph(n, (0.02, 0.05, 0.1, 0.3)[i % 4], seed=760 + i),
                   _acyclic(n, 0.2, 780 + i, backward=i % 2 == 1),
                   _cycle_chain(max(3, n // 4), 800 + i)]

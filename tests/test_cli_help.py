@@ -34,7 +34,14 @@ CASES = [
     ["certify", "x", "--claim", "foo", "--k", "1"], ["randgen", "--kind", "bg"],
     ["analyze", "x", "--bogus"], ["verify", "x", "y"],
     ["search", "--target", "minimal_k_strong", "--n-max", "x"],
-] + [[command, "--help"] for command in COMMANDS]
+] + [[command, "--help"] for command in COMMANDS] + [
+    ["certify", "x", "--cl", "k-strong", "--k", "1"],
+    ["certify", "x", "--claim", "k-strong", "--k=1", "--bogus"],
+    ["convert", "x", "--direction", "g2d", "extra"],
+    ["search", "--target", "minimal_k_strong", "--n-max", "2", "--bogus"],
+    ["analyze", "--", "x"], ["analyze", "--he"], ["verify", "-h", "x"],
+    ["certify", "x", "--claim", "k-strong", "--k", "-1"],
+]
 
 
 def _run(argv) -> dict:

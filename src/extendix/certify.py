@@ -30,8 +30,9 @@ from .extendability import (AltPathSystem, _alternating_paths, _deficient_set,
 from .fileio import CLAIMS, Certificate
 from .matching import (first_perfect_matching, has_perfect_matching, matching_extends,
                        max_matching_pairs)
-from .matrixlab import (_distinct_in_range, _independent_witness, _symmetric_witness,
-                        check_witness, is_k_partly_decomposable, is_k_reducible)
+from .matrixlab import (_decomposable, _distinct_in_range, _independent_witness, _reducible,
+                        _symmetric_witness, check_witness, is_k_partly_decomposable,
+                        is_k_reducible)
 
 
 _NOUNS = {BipartiteGraph: "bipartite graph", Digraph: "digraph", ZeroOneMatrix: "matrix"}
@@ -165,20 +166,23 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
         return Certificate(claim, k, False, obj, "separator", (f"vertices: {sep}",))
 
     if claim == "k-indecomposable":
-        res = is_k_partly_decomposable(obj, k)
+        g = bipartite_of_matrix(obj)
+        pairs = max_matching_pairs(g)
+        res = _decomposable(obj, k, "k_partly_decomposable", g, pairs)
         if res.holds:
             return _zero_block_certificate(claim, k, obj, res.witness)
-        return _matching_certificate(claim, k, obj, bipartite_of_matrix(obj), seed)
+        return _matching_certificate(claim, k, obj, g, seed, pairs)
 
     if claim == "k-irreducible":
-        res = is_k_reducible(obj, k)
+        d = digraph_of_matrix(obj)
+        res = _reducible(obj, k, "k_reducible", d)
         if res.holds:
             return _zero_block_certificate(claim, k, obj, res.witness)
         if k == obj.n:
             return Certificate(claim, k, True, obj, "size-cap",
                                ("reason: no matrix of order n is n-reducible",))
         return Certificate(claim, k, True, obj, "menger-path-systems",
-                           tuple(_menger_lines(digraph_of_matrix(obj), k, seed)))
+                           tuple(_menger_lines(d, k, seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Exit codes: 0 = property holds / operation succeeded, 1 = property fails
 (witness emitted), 2 = input error, 3 = search exhausted without result.
 Output is deterministic for fixed seeds.
 
-The command table in ``build_parser`` is the only place a subcommand is
+The command table in ``_commands`` is the only place a subcommand is
 declared: its name, help text, argument function and ``cmd_*`` handler.
-Each call builds only the invoked subcommand's parser; the other five are
-built only when the first argument names no command.
+A call that names a command builds that command's parser alone; the full
+parser is built only for help, an unknown command or leftover arguments.
 """
 
 from __future__ import annotations
@@ -422,14 +422,9 @@ def _randgen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out")
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for ``argv``: only the subparser of ``argv[0]`` when it
-    names a command, all of them otherwise (help, no arguments, an unknown
-    command).  A subparser's prog and texts do not depend on its siblings,
-    and the top level names every command in its usage line either way."""
-    # The table is built per call so that each handler is read from the
-    # module when the parser is built, as a rebound cmd_* must be.
-    commands = (
+def _commands() -> tuple:
+    """Built per call, so that a rebound cmd_* is the handler that runs."""
+    return (
         ("analyze", "report the property battery of an instance",
          _analyze_args, cmd_analyze),
         ("convert", "translate between the three instance kinds",
@@ -441,30 +436,37 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
          _search_args, cmd_search),
         ("randgen", "write a seeded random instance", _randgen_args, cmd_randgen),
     )
-    names = [name for name, *_ in commands]
-    wanted = argv[0] if argv and argv[0] in names else None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """All six subcommands under ``extendix``, for the calls whose help,
+    usage and error texts argparse words at the top level."""
     parser = argparse.ArgumentParser(
         prog="extendix",
         description="Analyze, translate and certify bipartite matching "
                     "extendability, digraph connectivity and 0-1 matrix "
                     "decomposability.")
-    # With one subparser built, the metavar keeps all six commands in the
-    # usage line of an "unrecognized arguments" error.
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if wanted is None else "{" + ",".join(names) + "}")
-    for name, help_text, add_arguments, func in commands:
-        if wanted in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments, func in _commands():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = None  # a known command's own parser acts as its subparser would
+    for name, _, add_arguments, func in _commands():
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"extendix {name}")
+            add_arguments(parser)
+            parser.set_defaults(func=func)
+            args, rest = parser.parse_known_args(argv[1:])
+            args = None if rest else args
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, InvalidInstanceError, TooLargeError) as exc:

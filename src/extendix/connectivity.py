@@ -796,8 +796,9 @@ def anti_directed_trail_find(d: Digraph, k: int):
     bipartite graph on tail- and head-slots, so an anti-directed trail
     exists exactly when that auxiliary graph has a cycle.
     """
+    outs, ins = _rows(d)
     qual = [(u, v) for u, v in sorted(d.arcs)
-            if u != v and d.out_degree(u) >= k + 1 and d.in_degree(v) >= k + 1]
+            if u != v and outs[u].bit_count() > k and ins[v].bit_count() > k]
     nodes = _first_cycle([(("t", u), ("h", v)) for u, v in qual])
     if nodes is None:
         return None
@@ -832,6 +833,6 @@ def minimal_k_strong_degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
 
 def _degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
     """The body of minimal_k_strong_degree_audit for a minimal k-strong D."""
-    out_count = sum(1 for v in range(d.n) if d.out_degree(v) == k)
-    in_count = sum(1 for v in range(d.n) if d.in_degree(v) == k)
+    outs, ins = ([row.bit_count() for row in rows] for rows in _rows(d))
+    out_count, in_count = outs.count(k), ins.count(k)
     return DegreeAuditReport(out_count >= k and in_count >= k, k, out_count, in_count)

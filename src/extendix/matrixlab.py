@@ -208,13 +208,16 @@ class MatrixPropertyResult:
         return self.holds
 
 
-def _reducible(a: ZeroOneMatrix, k: int, kind: str) -> MatrixPropertyResult:
+def _reducible(a: ZeroOneMatrix, k: int, kind: str, d=None) -> MatrixPropertyResult:
     """Rows: the last strong component X of D(A) - S for the separator S
     (|S| < k) of ``is_k_strong``; columns: the rest of D(A) - S.  No arc
-    runs from X to them, and together they hold n - |S| >= n - k + 1."""
+    runs from X to them, and together they hold n - |S| >= n - k + 1.  d
+    is D(A) when the caller holds it."""
+    if not 1 <= k <= a.n:
+        raise ValueError(f"k must lie in 1..{a.n}")
     if k == a.n:
         return MatrixPropertyResult(False)
-    d = digraph_of_matrix(a)
+    d = d or digraph_of_matrix(a)
     verdict = is_k_strong(d, k)
     if verdict.holds:
         return MatrixPropertyResult(False)
@@ -225,10 +228,14 @@ def _reducible(a: ZeroOneMatrix, k: int, kind: str) -> MatrixPropertyResult:
         True, _symmetric_witness(kind, a, *_block(rows, cols, a.n - k + 1), k))
 
 
-def _decomposable(a: ZeroOneMatrix, k: int, kind: str) -> MatrixPropertyResult:
+def _decomposable(a: ZeroOneMatrix, k: int, kind: str, g=None,
+                  pairs=None) -> MatrixPropertyResult:
     """Rows: a deficient set X of B(A) (|X| <= n - k, |N(X)| < |X| + k);
-    columns: those outside N(X), at least n - k + 1 - |X| of them."""
-    rows = _deficient_set(bipartite_of_matrix(a), k)
+    columns: those outside N(X), at least n - k + 1 - |X| of them.  g is
+    B(A) and pairs a maximum matching of it when the caller holds them."""
+    if not 0 <= k <= a.n - 1:
+        raise ValueError(f"k must lie in 0..{a.n - 1}")
+    rows = _deficient_set(g or bipartite_of_matrix(a), k, pairs)
     if rows is None:
         return MatrixPropertyResult(False)
     cols = _zero_columns(a, rows)
@@ -245,8 +252,6 @@ def is_reducible(a: ZeroOneMatrix) -> MatrixPropertyResult:
 def is_k_reducible(a: ZeroOneMatrix, k: int) -> MatrixPropertyResult:
     """k-reducible iff the digraph of A is not k-strong, for k <= n-1;
     k = n is impossible by the definition."""
-    if not 1 <= k <= a.n:
-        raise ValueError(f"k must lie in 1..{a.n}")
     return _reducible(a, k, "k_reducible")
 
 
@@ -261,8 +266,6 @@ def is_partly_decomposable(a: ZeroOneMatrix) -> MatrixPropertyResult:
 def is_k_partly_decomposable(a: ZeroOneMatrix, k: int) -> MatrixPropertyResult:
     """k-partly decomposable iff B(A) is not k-extendable; at k = 0 this is
     exactly the absence of a perfect matching."""
-    if not 0 <= k <= a.n - 1:
-        raise ValueError(f"k must lie in 0..{a.n - 1}")
     return _decomposable(a, k, "k_partly_decomposable")
 
 

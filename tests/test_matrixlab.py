@@ -308,6 +308,31 @@ class TestFlowRoute:
 
         assert nonzero_diagonal_count(_block_triangular(24)) == math.factorial(12) ** 2
 
+    @pytest.mark.parametrize("claim, built", [
+        ("k-indecomposable", ("bipartite_of_matrix", "max_matching_pairs")),
+        ("k-irreducible", ("digraph_of_matrix",))])
+    def test_certificate_builds_each_view_once(self, claim, built, monkeypatch):
+        """A positive certificate reads its path systems off the B(A) and
+        maximum matching, or the D(A), that decided the claim."""
+        import sys
+        from unittest import mock
+
+        import extendix.certify as cert_mod
+
+        spies = {}
+        for name in built:
+            original = getattr(cert_mod, name)
+            spies[name] = mock.Mock(wraps=original)
+            # rebind the name wherever the package binds it
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("extendix") and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, spies[name])
+        cert = cert_mod.build_certificate(with_unit_diagonal(_seeded(10, 0.6, 0)), claim, 2)
+        assert cert.verdict and cert.witness_kind in ("alt-path-systems",
+                                                      "menger-path-systems")
+        assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(
+            built, 1)
+
     def test_no_production_path_reaches_the_block_search(self, monkeypatch, tmp_path,
                                                          capsys):
         from pathlib import Path

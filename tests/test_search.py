@@ -142,6 +142,19 @@ def test_n5_search_listing_is_pinned(target, sha1, capsys):
     assert hashlib.sha1(captured.out.encode()).hexdigest() == sha1
 
 
+def test_strong_audit_reads_degrees_off_the_arcs(capsys):
+    """The degree audit and the anti-directed trail count degrees in one
+    pass over each hit's arcs; no cached adjacency tuple is built."""
+    import extendix.core as core
+
+    core._out_adj.cache_clear()
+    core._in_adj.cache_clear()
+    assert main(["search", "--target", "minimal_k_strong", "--n-max", "4",
+                 "--k", "1"]) == 0
+    assert core._out_adj.cache_info().currsize == 0
+    assert core._in_adj.cache_info().currsize == 0
+
+
 def test_search_decides_no_minimality(monkeypatch, capsys):
     """No flow, matching or derived digraph is built on the search path:
     minimality and the transfer are decided on bitmasks."""

@@ -7,7 +7,7 @@ Output is deterministic for fixed seeds.
 The command table in ``_commands`` is the only place a subcommand is
 declared: its name, help text, argument function and ``cmd_*`` handler.
 A call that names a command builds that command's parser alone; the full
-parser is built only for help, an unknown command or leftover arguments.
+parser is built for help, a missing or unknown command and leftovers.
 """
 
 from __future__ import annotations

@@ -310,7 +310,7 @@ class TestFlowRoute:
 
     @pytest.mark.parametrize("claim, built", [
         ("k-indecomposable", ("bipartite_of_matrix", "max_matching_pairs")),
-        ("k-irreducible", ("digraph_of_matrix",))])
+        ("k-irreducible", ("digraph_of_matrix",))], ids=["k-indecomposable", "k-irreducible"])
     def test_certificate_builds_each_view_once(self, claim, built, monkeypatch):
         """A positive certificate reads its path systems off the B(A) and
         maximum matching, or the D(A), that decided the claim."""

@@ -21,12 +21,12 @@ from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                    is_int_token, random_digraph, u_label, w_label)
 from .correspond import (bipartite_of_digraph, bipartite_of_matrix, digraph_of,
                          digraph_of_matrix, reduced_adjacency)
-from .connectivity import (_degree_audit, anti_directed_trail_find,
-                           ear_decomposition_digraph, strong_components,
+from .connectivity import (_strong_audit, ear_decomposition_digraph, strong_components,
                            vertex_connectivity)
 from .extendability import (_degree_audit_bipartite, _forest_check,
                             elementary_components)
-from .matching import count_perfect_matchings, first_perfect_matching, max_matching
+from .matching import (COUNT_BUDGET, count_perfect_matchings, first_perfect_matching,
+                       max_matching)
 from .certify import build_certificate, check_certificate
 from .fileio import (CLAIMS, ParseError, format_certificate, format_correspondence,
                      format_instance, instance_kind, read_certificate,
@@ -47,9 +47,6 @@ def _emit(text: str, out_path) -> None:
 # analyze
 
 
-COUNT_BUDGET = 24  # largest elementary component order whose matchings analyze counts
-
-
 def _component_map(g: BipartiteGraph):
     """The one instance view of ``analyze``: the component map of one
     maximum matching, or None when that matching is not perfect."""
@@ -59,9 +56,9 @@ def _component_map(g: BipartiteGraph):
 
 def _count_text(comap) -> str:
     """The value of ``perfect-matchings:`` and ``nonzero-diagonals:``.  The
-    count takes 2^(c-1) c steps per elementary component of order c (about
-    4 s at order 24 on a Xeon vCPU with Python 3.11), so above order
-    COUNT_BUDGET it is not attempted."""
+    count visits 2^(c-1) terms per elementary component of order c (at
+    order 24 about 1-2 s and 5-8 MB on a Xeon vCPU with Python 3.11), so
+    above order COUNT_BUDGET it is not attempted."""
     if comap is None:
         return "0"
     order = max((len(p.scc) for p in comap.elementary), default=0)
@@ -287,8 +284,7 @@ def _instance_block(header: str, obj) -> list[str]:
 
 
 def _strong_audit_lines(d: Digraph, k: int, idx: int) -> list[str]:
-    audit = _degree_audit(d, k)
-    trail = anti_directed_trail_find(d, k)
+    audit, trail = _strong_audit(d, k)
     return [f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
             f"out-degree-{k}-count={audit.out_degree_k_count} "
             f"in-degree-{k}-count={audit.in_degree_k_count}",

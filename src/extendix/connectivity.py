@@ -796,8 +796,13 @@ def anti_directed_trail_find(d: Digraph, k: int):
     bipartite graph on tail- and head-slots, so an anti-directed trail
     exists exactly when that auxiliary graph has a cycle.
     """
-    outs, ins = _rows(d)
-    qual = [(u, v) for u, v in sorted(d.arcs)
+    return _anti_directed_trail(d.arcs, _rows(d), k)
+
+
+def _anti_directed_trail(arcs, rows, k: int):
+    """The body of anti_directed_trail_find on D's arcs and ``_rows``."""
+    outs, ins = rows
+    qual = [(u, v) for u, v in sorted(arcs)
             if u != v and outs[u].bit_count() > k and ins[v].bit_count() > k]
     nodes = _first_cycle([(("t", u), ("h", v)) for u, v in qual])
     if nodes is None:
@@ -828,11 +833,20 @@ def minimal_k_strong_degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
     verdict = is_minimal_k_strong(d, k)
     if not verdict.holds:
         raise ValueError(f"digraph is not minimal {k}-strong: {verdict.reason}")
-    return _degree_audit(d, k)
+    return _degree_audit(_rows(d), k)
 
 
-def _degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
-    """The body of minimal_k_strong_degree_audit for a minimal k-strong D."""
-    outs, ins = ([row.bit_count() for row in rows] for rows in _rows(d))
+def _degree_audit(rows, k: int) -> DegreeAuditReport:
+    """The body of minimal_k_strong_degree_audit on the ``_rows`` of a
+    minimal k-strong D."""
+    outs, ins = ([row.bit_count() for row in masks] for masks in rows)
     out_count, in_count = outs.count(k), ins.count(k)
     return DegreeAuditReport(out_count >= k and in_count >= k, k, out_count, in_count)
+
+
+def _strong_audit(d: Digraph, k: int) -> tuple:
+    """The degree audit and the anti-directed trail (or None) of a minimal
+    k-strong D, both read off one build of its ``_rows``; ``search`` prints
+    the pair for every hit."""
+    rows = _rows(d)
+    return _degree_audit(rows, k), _anti_directed_trail(d.arcs, rows, k)

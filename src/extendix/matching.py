@@ -9,8 +9,10 @@ oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
 from math import prod
+from operator import getitem, or_, xor
 from typing import Iterator
 
 from .core import BipartiteGraph, Matching
@@ -162,6 +164,9 @@ def first_perfect_matching(g: BipartiteGraph, pairs: dict | None = None) -> Matc
     return Matching(frozenset((i, j) for j, i in match_w.items()), g)
 
 
+COUNT_BUDGET = 24  # largest elementary component order whose matchings are counted
+
+
 def count_perfect_matchings(g: BipartiteGraph, comap=None) -> int:
     """Exact count: 0 without a perfect matching, else the product of the
     counts of the elementary components, each by Glynn's formula.
@@ -186,11 +191,14 @@ def count_perfect_matchings(g: BipartiteGraph, comap=None) -> int:
     c - 1 mod 2, so m_0 = 1 and every m_i = 1: only the c! bijections
     survive, each 2^(c-1) times.  The sum is 2^(c-1) perm A, so the final
     shift by c - 1 is exact.  ``_glynn`` visits the 2^(c-1) sign vectors
-    in Gray-code order (Nijenhuis & Wilf), one row flipped per step.
+    a block at a time, the blocks in Gray-code order (Nijenhuis & Wilf),
+    and multiplies out only the terms without a zero column sum.
 
     comap is ``elementary_components(g, m)`` for a perfect matching m,
-    when the caller holds one.  O(sum over the elementary components of
-    order c of 2^(c-1) c) time, O(n) memory beyond the component map."""
+    when the caller holds one.  Time: per elementary component of order c,
+    2^(c-1) terms, of which only the survivors cost a product of c column
+    sums, plus O(c) big-int operations per block of 2^b terms, b about
+    c/2 (``_inner_rows``).  Memory: O(2^b c^2) bytes per component."""
     if comap is None:
         from .extendability import elementary_components
 
@@ -201,41 +209,114 @@ def count_perfect_matchings(g: BipartiteGraph, comap=None) -> int:
     return prod(_glynn(piece) for piece in comap.elementary)
 
 
+# A column sum s of an order c <= 127 is held as the byte 127 + s.
+_ABS = bytes(range(127, 0, -1)) + bytes(range(129))  # 127 + s -> |s|
+_IS_ZERO = bytes(127) + b"\x01" + bytes(128)  # s == 0 -> 1
+_IS_NEG = b"\x01" * 127 + bytes(129)  # s < 0 -> 1
+_HALF = bytes(v // 2 for v in range(256))
+_NONZERO = b"\x00" + b"\x01" * 255
+_ODD = b"\x00\x01" * 128
+_SWAP01 = b"\x01\x00" + bytes(254)
+
+
+def _inner_rows(c: int) -> int:
+    """b, the rows after row 0 that form ``_glynn``'s inner block: all of
+    them up to order 8, then about half.  A wider block costs 2^b set-up,
+    a narrower one more outer steps of c mask lookups each; this split was
+    at or near the fastest measured at each order from 2 to 20."""
+    return min(c - 1, max(7, c // 2 + 1))
+
+
 def _glynn(piece) -> int:
     """perm A for the c x c matrix A of one elementary piece, by the sum in
-    ``count_perfect_matchings``.  Column sum j, offset by c into [0, 2c],
-    is byte j of one int, so flipping d_k is one add of twice row k packed
-    the same way.  A term with a zero column sum is skipped; otherwise two
-    byte translations give the absolute column sums, whose product is
-    taken, and the number of negative ones.  One byte holds 2c up to
-    c = 127; a larger order would need 2^127 or more terms."""
+    ``count_perfect_matchings``, a block of sign vectors at a time.
+
+    Packing.  Column sum j, offset by 127, is byte j of one int; flipping
+    d_k subtracts twice row k packed the same way (``step[k]``).  A sum
+    stays in [127 - c, 127 + c], so no byte borrows up to c = 127; a
+    larger order would need 2^127 or more terms.
+
+    Blocking.  Rows 1..b, b = ``_inner_rows(c)``, form the inner block, and
+    the outer loop visits the sign vectors of rows b+1..c-1 in Gray-code
+    order.  Flipping the inner rows of a set x turns column sum S_j (every
+    inner d_i = +1) into S_j - 2 f_j(x), f_j(x) the rows of x adjacent to
+    column j.  So term x has a zero sum when some f_j(x) = S_j / 2, and
+    its sign is (-1)^|x| times the outer sign times -1 per column with
+    f_j(x) > S_j / 2.  S_j is column j's degree less twice the number g_j
+    of its outer rows flipped, so per column and per g_j the dead and the
+    negative states are a fixed mask over x, one byte per state; all of
+    them are tabulated once from the packed sums of every block state.
+    Each outer step ORs the c dead masks and XORs the c sign masks of its
+    g_j, and only the surviving terms pay a ``to_bytes``, a ``translate``
+    to absolute values and a product, added or subtracted by their sign
+    mask.  Up to order 8 the block is every row but row 0, so there is a
+    single step, and the zero and negative sums of each state are counted
+    over all columns at once instead of per column.
+
+    2^(c-1) terms, products only for the survivors, 2^(c-1-b) outer steps;
+    the block's 2^b packed offsets and at most 2c (c - b) masks of 2^b
+    bytes, O(2^b c^2) bytes of memory."""
     c = len(piece.scc)
     if c > 127:
         raise ValueError(f"elementary component of order {c}: "
                          f"Glynn's sum would need 2^{c - 1} terms")
-    row = {i: r for r, i in enumerate(sorted(piece.u_vertices))}
-    shift = {j: 8 * s for s, j in enumerate(sorted(piece.w_vertices))}
+    row = dict(zip(sorted(piece.u_vertices), range(c)))
+    bit = dict(zip(sorted(piece.w_vertices), [2 << s for s in range(0, 8 * c, 8)]))
     step = [0] * c
     for i, j in piece.edges:
-        step[row[i]] += 2 << shift[j]
-    col = sum(step) // 2 + sum(c << s for s in shift.values())  # every d_i = +1
-    size = bytes(range(c, 0, -1)) + bytes(range(c + 1)) + bytes(255 - 2 * c)
-    below = b"\x01" * c + bytes(256 - c)
+        step[row[i]] += bit[j]
+    col0 = col = sum(step) // 2 + int.from_bytes(b"\x7f" * c, "little")  # every d_i = +1
+    b = _inner_rows(c)
+    # deltas[x]: the packed offset of inner state x; flat: all of them, c
+    # bytes each; rep: a 1 in the first byte of each; odd: 1 for odd |x|
+    deltas, flat, rep, odd = [0], 0, 1, b"\x00"
+    for s in step[1:b + 1]:
+        w = 8 * c * len(deltas)
+        flat |= (flat + s * rep) << w
+        rep |= rep << w
+        deltas += [d + s for d in deltas]
+        odd += odd.translate(_SWAP01)
+    size = len(deltas)
+    n = size * c
+    full = int.from_bytes(b"\x01" * size, "little")
+    sums = (col0 * rep - flat).to_bytes(n, "little")  # every state's sums, c bytes each
+    odd = int.from_bytes(odd, "little")
+    if b == c - 1:
+        # one block: multiplying by ones adds up each state's c bytes into
+        # its last one, which counts its zero and its negative sums
+        ones = int.from_bytes(b"\x01" * c, "little")
+        zeros = int.from_bytes(sums.translate(_IS_ZERO), "little") * ones
+        negs = int.from_bytes(sums.translate(_IS_NEG), "little") * ones
+        dead = int.from_bytes(zeros.to_bytes(n + c, "little")[c - 1:n:c].translate(_NONZERO),
+                              "little")
+        odd ^= int.from_bytes(negs.to_bytes(n + c, "little")[c - 1:n:c].translate(_ODD), "little")
+        dead_by = neg_by = ()
+    else:
+        # per column, its dead and negative masks indexed by g_j
+        outer = (sum(step[b + 1:]) // 2).to_bytes(c, "little")  # outer rows per column
+        by_g = [sums]
+        for g in range(1, max(outer) + 1):
+            capped = outer.translate(bytes(range(g)) + bytes([g]) * (256 - g))
+            colg = col0 - 2 * int.from_bytes(capped, "little")
+            by_g.append((colg * rep - flat).to_bytes(n, "little"))
+        cols = [[s[j::c] for s in by_g[:outer[j] + 1]] for j in range(c)]
+        dead_by = [[int.from_bytes(p.translate(_IS_ZERO), "little") for p in per] for per in cols]
+        neg_by = [[int.from_bytes(p.translate(_IS_NEG), "little") for p in per] for per in cols]
+        dead = 0
+    signs = (odd, odd ^ full)  # negative terms after an even, an odd number of outer flips
     total = 0
-    for t in range(1 << (c - 1)):
+    for t in range(1 << (c - 1 - b)):
         if t:
-            k = (t & -t).bit_length()  # Gray code: flip d_k, k >= 1
+            k = b + (t & -t).bit_length()  # Gray code: flip d_k, an outer row
             col -= step[k]
             step[k] = -step[k]
-        sums = col.to_bytes(c, "little")
-        if c in sums:
-            continue
-        term = prod(sums.translate(size))
-        # the sign is d_0 ... d_(c-1) = (-1)^t times one per negative sum
-        if (sum(sums.translate(below)) ^ t) & 1:
-            total -= term
-        else:
-            total += term
+        flips = (col0 - col).to_bytes(c, "little").translate(_HALF)  # g_j per column
+        alive = full ^ reduce(or_, map(getitem, dead_by, flips), dead)
+        neg = alive & reduce(xor, map(getitem, neg_by, flips), signs[t & 1])
+        total += sum([prod((col - d).to_bytes(c, "little").translate(_ABS))
+                      for d in compress(deltas, (alive ^ neg).to_bytes(size, "little"))])
+        total -= sum([prod((col - d).to_bytes(c, "little").translate(_ABS))
+                      for d in compress(deltas, neg.to_bytes(size, "little"))])
     return total >> (c - 1)
 
 
@@ -298,15 +379,21 @@ def unique_pm_acyclic_check(g: BipartiteGraph) -> AcyclicCheckReport:
     One maximum matching M and one D(G, M) serve: by the paper's
     correspondence the perfect matching is unique iff M is perfect and G
     has no elementary component, that is, no strong component of D(G, M)
-    has an arc inside.  The count runs only for the error message."""
+    has an arc inside.  The count runs only for the error message, and
+    only while every elementary component is within ``COUNT_BUDGET``;
+    past it the message names the largest order instead."""
     from .connectivity import strong_components
     from .extendability import elementary_components
 
     m = max_matching(g)
     comap = elementary_components(g, m) if m.is_perfect else None
     if comap is None or comap.elementary:
-        count = 0 if comap is None else count_perfect_matchings(g, comap)
-        raise ValueError(f"graph has {count} perfect matchings, expected exactly 1")
+        order = 0 if comap is None else max(len(p.scc) for p in comap.elementary)
+        if order > COUNT_BUDGET:
+            count = f"more than one perfect matching (elementary component of order {order})"
+        else:
+            count = f"{0 if comap is None else count_perfect_matchings(g, comap)} perfect matchings"
+        raise ValueError(f"graph has {count}, expected exactly 1")
     d = comap.digraph
     comps = strong_components(d)
     acyclic = all(len(c) == 1 for c in comps) and not any(

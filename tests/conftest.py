@@ -8,6 +8,9 @@ against them in the tests was derived by hand from the definitions
 from __future__ import annotations
 
 import functools
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +167,25 @@ def count_by_row_dp(g) -> int:
                 nxt[used | bit] = nxt.get(used | bit, 0) + count
         layer = nxt
     return layer.get((1 << g.n) - 1, 0)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def perfbench_ref():
+    """``perfbench/ref.py``, the benchmark's reference code, which never
+    imports extendix; loaded read-only, with its directory on ``sys.path``
+    for its own ``gen`` import.  Skips without networkx."""
+    pytest.importorskip("networkx")
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_ref", PERFBENCH / "ref.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
 import random
+import signal
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from extendix import (BipartiteGraph, Matching, canonical_matching, classify_edg
                       symmetric_difference, unique_pm_acyclic_check,
                       iter_bipartite_with_canonical)
 from extendix.core import _bfs_path
-from extendix.matching import _augment, max_matching_pairs
+from extendix.matching import _augment, _glynn, _inner_rows, max_matching_pairs
 
 from conftest import (classify_by_deletion, classify_by_enumeration, count_by_row_dp,
                       make_c4_pendant, make_c6, make_p4)
@@ -210,6 +212,107 @@ class TestCounting:
             count_perfect_matchings(cycle_bipartite(128))
 
 
+def _matrix_piece(c: int, edges) -> SimpleNamespace:
+    """A c x c 0-1 matrix dressed as an elementary piece: row r of
+    ``_glynn``'s sum is u_r, so row 0, the inner block (rows 1..b) and the
+    outer rows are known to the test."""
+    everyone = frozenset(range(c))
+    return SimpleNamespace(scc=everyone, u_vertices=everyone, w_vertices=everyone,
+                           edges=frozenset(edges))
+
+
+def _elementary_piece(c: int, seed: int):
+    """The first seeded graph from seed on that is one elementary component
+    of order c, and that component."""
+    while True:
+        g = random_bipartite_with_pm(c, 0.25 + 0.05 * (seed % 6), seed=seed)
+        pieces = elementary_components(g).elementary
+        if len(pieces) == 1 and len(pieces[0].scc) == c:
+            return g, pieces[0]
+        seed += 1
+
+
+def _shaped_matrices(c: int, rng: random.Random) -> dict:
+    """Seeded c x c matrices with the identity in them (so the permanent is
+    at least 1), each with one column shape that decides which block terms
+    die: every column of even degree (many zero sums), every column of odd
+    degree, a column only row 0 sees, one only inner-block rows see and,
+    when there are outer rows, one only outer rows see."""
+    b = _inner_rows(c)
+
+    def base():
+        return {(i, j) for i in range(c) for j in range(c)
+                if i == j or rng.random() < 0.45}
+
+    def parity(want: int):
+        edges = base()
+        for j in range(c):
+            if sum((i, j) in edges for i in range(c)) % 2 != want:
+                edges ^= {(rng.choice([i for i in range(c) if i != j]), j)}
+        return edges
+
+    def only(j: int, rows):
+        edges = {e for e in base() if e[1] != j}
+        return edges | {(j, j)} | {(i, j) for i in rows if rng.random() < 0.6}
+
+    shapes = {"even": parity(0), "odd": parity(1), "row 0": only(0, ()),
+              "inner": only(1, range(1, b + 1))}
+    if b < c - 1:
+        shapes["outer"] = only(c - 1, range(b + 1, c))
+    return shapes
+
+
+class TestBlockedGlynn:
+    """``_glynn`` against a count that does not use Glynn's sum: the row DP
+    of ``count_by_row_dp`` up to order 14, the benchmark's numpy DP over
+    column masks from 15 to 20."""
+
+    @pytest.mark.parametrize("c", range(2, 15))
+    def test_against_the_row_dp(self, c):
+        rng = random.Random(c)
+        g, piece = _elementary_piece(c, 100 * c)
+        assert _glynn(piece) == count_by_row_dp(g) > 1
+        for shape, edges in _shaped_matrices(c, rng).items():
+            expected = count_by_row_dp(BipartiteGraph(c, frozenset(edges)))
+            assert _glynn(_matrix_piece(c, edges)) == expected >= 1, shape
+
+    @pytest.mark.parametrize("c", range(15, 21))
+    def test_against_the_reference_permanent(self, c, perfbench_ref):
+        rng = random.Random(c)
+        g, piece = _elementary_piece(c, 100 * c)
+        assert _glynn(piece) == perfbench_ref.permanent(c, g.edges) > 1
+        for shape, edges in _shaped_matrices(c, rng).items():
+            assert _glynn(_matrix_piece(c, edges)) == \
+                perfbench_ref.permanent(c, edges) >= 1, shape
+
+    def test_degenerate_blocks(self):
+        """Orders 1 to 3: one inner row or none, and a single block."""
+        assert [_inner_rows(c) for c in (1, 2, 3)] == [0, 1, 2]
+        assert _glynn(_matrix_piece(1, {(0, 0)})) == 1
+        assert _glynn(_matrix_piece(1, ())) == 0
+        assert _glynn(_matrix_piece(2, {(0, 0), (0, 1), (1, 0), (1, 1)})) == 2
+        assert _glynn(_matrix_piece(2, {(0, 0), (0, 1), (1, 1)})) == 1
+        assert _glynn(_matrix_piece(3, {(i, j) for i in range(3) for j in range(3)})) == 6
+        assert _glynn(_matrix_piece(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)})) == 2
+
+    @pytest.mark.parametrize("c", (5, 9, 11))
+    def test_no_zero_sum_anywhere(self, c):
+        """J_c with c odd: every column sum is odd, no term dies."""
+        assert _glynn(_matrix_piece(c, {(i, j) for i in range(c) for j in range(c)})) == \
+            math.factorial(c)
+
+    def test_only_survivors_are_multiplied(self, monkeypatch):
+        """A column sum d_i + d_(i+1) of the 2n-cycle vanishes unless the two
+        signs agree, so of the 2^(n-1) terms only d = (+1, ..., +1) survives:
+        one product of column sums, 2^n = 2 * 2^(n-1)."""
+        import extendix.matching as matching
+
+        piece, = elementary_components(cycle_bipartite(12)).elementary
+        calls = []
+        monkeypatch.setattr(matching, "prod", lambda xs: calls.append(1) or math.prod(xs))
+        assert _glynn(piece) == 2 and len(calls) == 1
+
+
 class TestClassifyEdges:
     def test_p4(self):
         cls = classify_edges(make_p4())
@@ -293,6 +396,25 @@ class TestUniquePmAcyclic:
             unique_pm_acyclic_check(make_c6())
         with pytest.raises(ValueError, match="graph has 0 perfect matchings"):
             unique_pm_acyclic_check(BipartiteGraph(2, frozenset({(0, 0)})))
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_past_the_count_budget_the_message_names_the_order(self):
+        """One elementary component of order 30: the message does not wait
+        for 2^29 terms of Glynn's sum."""
+        def cap(signum, frame):
+            raise TimeoutError("the error message waited for the count")
+
+        g = random_bipartite_with_pm(30, 0.3, 1)
+        old = signal.signal(signal.SIGALRM, cap)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match=r"graph has more than one perfect matching "
+                                                 r"\(elementary component of order 30\), "
+                                                 r"expected exactly 1"):
+                unique_pm_acyclic_check(g)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_one_matching_and_one_digraph(self):
         from unittest import mock

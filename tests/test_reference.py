@@ -14,10 +14,7 @@ is skipped.
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -27,19 +24,10 @@ from extendix import (BipartiteGraph, Digraph, count_perfect_matchings,
 
 nx = pytest.importorskip("networkx")
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
 
 @pytest.fixture(scope="module")
-def ref():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_ref", PERFBENCH / "ref.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return module
+def ref(perfbench_ref):
+    return perfbench_ref
 
 
 def _reference_components(ref, d: Digraph, removed) -> tuple:

@@ -155,6 +155,18 @@ def test_strong_audit_reads_degrees_off_the_arcs(capsys):
     assert core._in_adj.cache_info().currsize == 0
 
 
+def test_strong_audit_builds_the_masks_once_per_hit(monkeypatch, capsys):
+    """The degree audit and the anti-directed trail of a hit share one
+    ``_rows`` build: the n = 5 listing costs one call per hit."""
+    calls = []
+    rows = connectivity._rows
+    monkeypatch.setattr(connectivity, "_rows", lambda d: calls.append(d) or rows(d))
+    assert main(["search", "--target", "minimal_k_strong", "--n-max", "5", "--k", "1",
+                 "--limit", "1000000"]) == 0
+    hits = capsys.readouterr().out.count("\ndegree-audit ")
+    assert hits > 1000 and len(calls) == hits
+
+
 def test_search_decides_no_minimality(monkeypatch, capsys):
     """No flow, matching or derived digraph is built on the search path:
     minimality and the transfer are decided on bitmasks."""

@@ -4,17 +4,22 @@ Exit codes: 0 = property holds / operation succeeded, 1 = property fails
 (witness emitted), 2 = input error, 3 = search exhausted without result.
 Output is deterministic for fixed seeds.
 
-The command table in ``_commands`` is the only place a subcommand is
-declared: its name, help text, argument function and ``cmd_*`` handler.
-A call that names a command builds that command's parser alone; the full
-parser is built for help, a missing or unknown command and leftovers.
+A subcommand is declared once: its name, help text and ``cmd_*`` handler
+in ``_commands``, its positionals and options in ``_ARGUMENTS``.  A
+well-formed command line is read straight off that table, with no
+argparse parser built.  Anything else (help, ``--``, ``--flag=value``,
+abbreviations, negative numbers, a bad value, a missing or extra
+argument) goes to argparse, which words help, usage and errors: the
+named command's own parser first, the full parser for help, a missing or
+unknown command and leftovers.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
+from types import SimpleNamespace
+from typing import Callable, Collection, NamedTuple
 
 from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                    TooLargeError, ZeroOneMatrix, connected, random_bipartite_with_pm,
@@ -28,7 +33,7 @@ from .extendability import (_degree_audit_bipartite, _forest_check,
 from .matching import (COUNT_BUDGET, count_perfect_matchings, first_perfect_matching,
                        max_matching)
 from .certify import build_certificate, check_certificate
-from .fileio import (CLAIMS, ParseError, format_certificate, format_correspondence,
+from .fileio import (CLAIMS, format_certificate, format_correspondence,
                      format_instance, instance_kind, read_certificate,
                      read_instance)
 from .search import (find_minimality_counterexamples, minimal_k_extendable_graphs,
@@ -357,6 +362,9 @@ def cmd_randgen(args) -> int:
     if args.n < 1:
         print("error: n must be at least 1", file=sys.stderr)
         return 2
+    if not 0.0 <= args.p <= 1.0:
+        print(f"error: p must lie in [0, 1], got {args.p}", file=sys.stderr)
+        return 2
     if args.kind == "bg":
         obj = random_bipartite_with_pm(args.n, args.p, args.seed)
     elif args.kind == "dg":
@@ -371,104 +379,161 @@ def cmd_randgen(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command line
 
 
-def _analyze_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path")
-    p.add_argument("--kind", choices=["bg", "dg", "mat"])
-    p.add_argument("--out")
+class _Option(NamedTuple):
+    """One ``--flag value`` option, with the fields ``add_argument`` takes."""
+
+    flag: str
+    type: Callable | None = None  # None keeps the value as given
+    choices: Collection | None = None
+    required: bool = False
+    default: object = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def _convert_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path")
-    p.add_argument("--direction", required=True, choices=["g2d", "d2g", "g2m", "m2g"])
-    p.add_argument("--matching", default="auto",
-                   help="perfect matching for g2d: 'auto' or like '1-1,2-2,3-3'")
-    p.add_argument("--out")
+_KINDS = ("bg", "dg", "mat")
 
-
-def _certify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path")
-    p.add_argument("--claim", required=True, choices=CLAIMS)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path")
-
-
-def _search_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", required=True,
-                   choices=["minimal_k_strong", "minimal_k_extendable",
-                            "minimality_counterexample"])
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--limit", type=int, default=5)
-    p.add_argument("--out")
-
-
-def _randgen_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", required=True, choices=["bg", "dg", "mat"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
+# The only place a command's arguments are declared: its positionals and
+# its options.  The reader and both argparse parsers are built from it.
+_ARGUMENTS = {
+    "analyze": (("path",), (_Option("--kind", choices=_KINDS), _Option("--out"))),
+    "convert": (("path",), (
+        _Option("--direction", choices=("g2d", "d2g", "g2m", "m2g"), required=True),
+        _Option("--matching", default="auto",
+                help="perfect matching for g2d: 'auto' or like '1-1,2-2,3-3'"),
+        _Option("--out"))),
+    "certify": (("path",), (
+        _Option("--claim", choices=CLAIMS, required=True),
+        _Option("--k", type=int, required=True),
+        _Option("--seed", type=int, default=0),
+        _Option("--out"))),
+    "verify": (("path",), ()),
+    "search": ((), (
+        _Option("--target", required=True,
+                choices=("minimal_k_strong", "minimal_k_extendable",
+                         "minimality_counterexample")),
+        _Option("--n-max", type=int, required=True),
+        _Option("--k", type=int, default=1),
+        _Option("--limit", type=int, default=5),
+        _Option("--out"))),
+    "randgen": ((), (
+        _Option("--kind", choices=_KINDS, required=True),
+        _Option("--n", type=int, required=True),
+        _Option("--p", type=float, default=0.5),
+        _Option("--seed", type=int, default=0),
+        _Option("--out"))),
+}
 
 
 def _commands() -> tuple:
     """Built per call, so that a rebound cmd_* is the handler that runs."""
     return (
-        ("analyze", "report the property battery of an instance",
-         _analyze_args, cmd_analyze),
-        ("convert", "translate between the three instance kinds",
-         _convert_args, cmd_convert),
-        ("certify", "emit a re-checkable certificate for a claim",
-         _certify_args, cmd_certify),
-        ("verify", "re-check a certificate file", _verify_args, cmd_verify),
-        ("search", "hunt for minimal instances or counterexamples",
-         _search_args, cmd_search),
-        ("randgen", "write a seeded random instance", _randgen_args, cmd_randgen),
+        ("analyze", "report the property battery of an instance", cmd_analyze),
+        ("convert", "translate between the three instance kinds", cmd_convert),
+        ("certify", "emit a re-checkable certificate for a claim", cmd_certify),
+        ("verify", "re-check a certificate file", cmd_verify),
+        ("search", "hunt for minimal instances or counterexamples", cmd_search),
+        ("randgen", "write a seeded random instance", cmd_randgen),
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """All six subcommands under ``extendix``, for the calls whose help,
-    usage and error texts argparse words at the top level."""
+def _read_args(name: str, func, tokens) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed command line, read off
+    the table, or None for anything the table alone cannot settle.
+
+    Accepted are the declared positionals in order and exact ``--flag
+    value`` pairs in any order, the last of a repeated flag winning, whose
+    values do not start with '-', convert by the option's type and lie in
+    its choices, with every required option given.  Help, ``--``,
+    ``--flag=value``, abbreviations, negative numbers and every error are
+    left to argparse."""
+    positionals, options = _ARGUMENTS[name]
+    flags = {opt.flag: opt for opt in options}
+    values = {opt.dest: opt.default for opt in options}
+    pending, given = list(positionals), set()
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            if not pending:
+                return None
+            values[pending.pop(0)] = token
+            continue
+        opt, value = flags.get(token), next(tokens, "-")  # "-": no value left
+        if opt is None or value.startswith("-"):
+            return None
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except (TypeError, ValueError):
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+        given.add(opt.flag)
+    if pending or any(opt.required and opt.flag not in given for opt in options):
+        return None
+    return SimpleNamespace(**values, func=func)
+
+
+def _declare(parser, name: str, func):
+    """Add command ``name``'s arguments from the table to an argparse parser."""
+    positionals, options = _ARGUMENTS[name]
+    for dest in positionals:
+        parser.add_argument(dest)
+    for opt in options:
+        parser.add_argument(opt.flag, type=opt.type, choices=opt.choices,
+                            required=opt.required, default=opt.default, help=opt.help)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _command_parser(name: str, func):
+    """Command ``name``'s own argparse parser, which acts as its subparser
+    in ``build_parser`` would."""
+    import argparse
+
+    return _declare(argparse.ArgumentParser(prog=f"extendix {name}"), name, func)
+
+
+def build_parser():
+    """The argparse parser of all six subcommands under ``extendix``, for
+    the calls whose help, usage and error texts argparse words at the top
+    level."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="extendix",
         description="Analyze, translate and certify bipartite matching "
                     "extendability, digraph connectivity and 0-1 matrix "
                     "decomposability.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments, func in _commands():
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=func)
+    for name, help_text, func in _commands():
+        _declare(sub.add_parser(name, help=help_text), name, func)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = None  # a known command's own parser acts as its subparser would
-    for name, _, add_arguments, func in _commands():
-        if argv and argv[0] == name:
-            parser = argparse.ArgumentParser(prog=f"extendix {name}")
-            add_arguments(parser)
-            parser.set_defaults(func=func)
-            args, rest = parser.parse_known_args(argv[1:])
+    handlers = {name: func for name, _, func in _commands()}
+    func = handlers.get(argv[0]) if argv else None
+    args = None
+    if func is not None:
+        args = _read_args(argv[0], func, argv[1:])
+        if args is None:
+            args, rest = _command_parser(argv[0], func).parse_known_args(argv[1:])
             args = None if rest else args
     if args is None:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidInstanceError, TooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidInstanceError, TooLargeError, OSError) as exc:  # ParseError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,18 @@ class ParseError(InvalidInstanceError):
         super().__init__(ValidationReport(False, (f"line {line_no}: {message}",)))
 
 
+def _read_text(path) -> str:
+    """The text of the file at path; bytes that are not UTF-8 are a
+    ParseError on the line that holds the first of them."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+                             ) from None
+
+
 # ---------------------------------------------------------------------------
 # instance formats
 
@@ -127,8 +139,7 @@ def read_instance(path):
     """The instance in the file at path.  ``parse_instance`` already checks
     every invariant ``core.validate`` would: ranges, duplicates, loops and
     the matrix shape."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(_read_text(path))
 
 
 def write_instance(obj, path) -> None:
@@ -230,5 +241,4 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def read_certificate(path) -> Certificate:
-    with open(path, encoding="utf-8") as fh:
-        return parse_certificate(fh.read())
+    return parse_certificate(_read_text(path))

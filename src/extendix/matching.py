@@ -377,29 +377,30 @@ def unique_pm_acyclic_check(g: BipartiteGraph) -> AcyclicCheckReport:
     certify it acyclic with a topological order of its vertices.
 
     One maximum matching M and one D(G, M) serve: by the paper's
-    correspondence the perfect matching is unique iff M is perfect and G
-    has no elementary component, that is, no strong component of D(G, M)
-    has an arc inside.  The count runs only for the error message, and
-    only while every elementary component is within ``COUNT_BUDGET``;
-    past it the message names the largest order instead."""
+    correspondence the perfect matching is unique iff M is perfect and
+    every strong component of D(G, M), which has no loops, is a single
+    vertex, and those components, taken once, are the topological order.
+    Only a failing check builds the component map, for its error message:
+    the count runs only while every elementary component is within
+    ``COUNT_BUDGET``; past it the message names the largest order
+    instead."""
     from .connectivity import strong_components
+    from .correspond import digraph_of
     from .extendability import elementary_components
 
     m = max_matching(g)
+    if m.is_perfect:
+        d, _ = digraph_of(g, m)
+        comps = strong_components(d)
+        if all(len(c) == 1 for c in comps):
+            return AcyclicCheckReport(g, True, tuple(min(c) for c in comps))
     comap = elementary_components(g, m) if m.is_perfect else None
-    if comap is None or comap.elementary:
-        order = 0 if comap is None else max(len(p.scc) for p in comap.elementary)
-        if order > COUNT_BUDGET:
-            count = f"more than one perfect matching (elementary component of order {order})"
-        else:
-            count = f"{0 if comap is None else count_perfect_matchings(g, comap)} perfect matchings"
-        raise ValueError(f"graph has {count}, expected exactly 1")
-    d = comap.digraph
-    comps = strong_components(d)
-    acyclic = all(len(c) == 1 for c in comps) and not any(
-        (v, v) in d.arcs for v in range(d.n))
-    order = tuple(min(c) for c in comps)
-    return AcyclicCheckReport(g, acyclic, order if acyclic else ())
+    order = 0 if comap is None else max(len(p.scc) for p in comap.elementary)
+    if order > COUNT_BUDGET:
+        count = f"more than one perfect matching (elementary component of order {order})"
+    else:
+        count = f"{0 if comap is None else count_perfect_matchings(g, comap)} perfect matchings"
+    raise ValueError(f"graph has {count}, expected exactly 1")
 
 
 # ---------------------------------------------------------------------------

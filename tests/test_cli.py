@@ -516,6 +516,36 @@ def test_malformed_numbers_exit_2(command, text, message, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "{dir}"], id="analyze-directory"),
+    pytest.param(["verify", "{dir}"], id="verify-directory"),
+    pytest.param(["analyze", "{c6.bg}", "--out", "{dir}"], id="analyze-out-directory"),
+    pytest.param(["certify", "{c6.bg}", "--claim", "k-extendable", "--k", "1",
+                  "--out", "{dir}"], id="certify-out-directory"),
+    pytest.param(["convert", "{c6.bg}", "--direction", "g2m", "--out", "{dir}"],
+                 id="convert-out-directory"),
+    pytest.param(["search", "--target", "minimal_k_strong", "--n-max", "2",
+                  "--out", "{dir}"], id="search-out-directory"),
+    pytest.param(["analyze", "{latin1}"], id="analyze-not-utf8"),
+    pytest.param(["verify", "{latin1}"], id="verify-not-utf8"),
+    pytest.param(["randgen", "--kind", "dg", "--n", "3", "--p", "2"], id="randgen-dg-p"),
+    pytest.param(["randgen", "--kind", "bg", "--n", "3", "--p", "-0.5"], id="randgen-bg-p"),
+    pytest.param(["randgen", "--kind", "mat", "--n", "3", "--p", "nan"], id="randgen-mat-p"),
+])
+def test_os_encoding_and_range_errors_exit_2(argv, files, capsys):
+    """A directory where a file belongs, bytes that are not UTF-8 and a
+    probability outside [0, 1] are input errors: exit 2 and one ``error:``
+    line, never a traceback with the exit code of a failing property."""
+    latin1 = files["dir"] / "latin1.bg"
+    latin1.write_bytes(b"bg 2 2\n1 1\n2 \xff2\n")
+    paths = dict(files, dir=str(files["dir"]), latin1=str(latin1))
+    assert main([paths.get(token.strip("{}"), token) for token in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "Traceback" not in err
+    if "{latin1}" in argv:
+        assert err == "error: line 3: not UTF-8 text (byte 0xff)\n"
+
+
 @pytest.mark.parametrize("module", ["extendix", "extendix.cli"])
 def test_python_m_reports_missing_file(module, tmp_path):
     import os

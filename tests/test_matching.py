@@ -442,6 +442,20 @@ class TestUniquePmAcyclic:
         assert spies["max_matching_pairs"].call_count == 1
         assert spies["digraph_of"].call_count == 1
 
+    def test_one_strong_component_pass(self):
+        """A unique matching takes the strong components of D(G, M) once:
+        they are both the test and the order, and no component map is built."""
+        from unittest import mock
+
+        import extendix
+
+        with mock.patch.object(extendix.connectivity, "strong_components",
+                               wraps=extendix.connectivity.strong_components) as spy, \
+                mock.patch.object(extendix.extendability, "elementary_components") as comap:
+            rep = unique_pm_acyclic_check(make_p4())
+        assert rep.acyclic and rep.topological_order == (0, 1)
+        assert spy.call_count == 1 and comap.call_count == 0
+
 
 class TestSymmetricDifference:
     def test_equal_matchings(self):

@@ -127,19 +127,21 @@ def _corpus(count: int, seed: int) -> list[list[str]]:
     valid or wrong values, shuffled, repeated, dropped and salted with
     tokens only argparse reads."""
     rng = random.Random(seed)
+
+    def pair(opt):
+        good = [str(c) for c in opt.choices or ()] or {
+            int: ["0", "1", "3"], float: ["0.5", "1"]}.get(opt.type, ["x", "o"])
+        return [opt.flag, rng.choice(good) if rng.random() < 0.8 else rng.choice(VALUES)]
+
     out = []
     for _ in range(count):
         name = rng.choice(COMMANDS)
         positionals, options = cli._ARGUMENTS[name]
         pairs = [[rng.choice(VALUES + ["x", "x", "x"])] for _ in positionals]
-        for opt in options:
-            if opt.required or rng.random() < 0.5:
-                good = [str(c) for c in opt.choices or ()] or {
-                    int: ["0", "1", "3"], float: ["0.5", "1"]}.get(opt.type, ["x", "o"])
-                value = rng.choice(good) if rng.random() < 0.8 else rng.choice(VALUES)
-                pairs.append([opt.flag, value])
-        if rng.random() < 0.3 and len(pairs) > 1:
-            pairs.append(list(rng.choice(pairs)))
+        given = [opt for opt in options if opt.required or rng.random() < 0.5]
+        pairs += [pair(opt) for opt in given]
+        if given and rng.random() < 0.3:  # a repeated flag, most often with another value
+            pairs.append(pair(rng.choice(given)))
         if rng.random() < 0.2 and pairs:
             pairs.pop(rng.randrange(len(pairs)))
         rng.shuffle(pairs)

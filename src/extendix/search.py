@@ -10,36 +10,41 @@ minimality does not transfer back from D to B(D).
 
 The sweep works on neighbourhood bitmasks, and every reach in it is
 ``connectivity._reach``, the search ``strong_components`` runs; what it
-finds leaves as the ordinary types.  It picks the out-neighbourhood rows of D one vertex at
-a time, each of at least k bits, and prunes on the running arc count (at
-most 2(n-1) arcs for k = 1) and, for k = 1, on rows that close a
-transitive triangle; a leaf that leaves some in-degree below k is
-dropped before any strongness test.  For k = 1 minimality costs one
-reach per arc (``_is_minimal_k_strong``).  Whether a matching edge u_i w_i
-of B(D) is deletable is decided without a flow or a matching: B(D) - u_i
+finds leaves as the ordinary types.  For k = 1 it builds every minimal
+strong digraph as a smaller one plus one ear through new vertices, and
+accepts or rejects each ear with one bit test (``_ear_ends``,
+``_minimal_strong_rows``): at n = 5 it reads the 1,069 digraphs off 355
+smaller ones with 3,400 reaches, and at n = 6 the 27,816 off 7,405 with
+96,180 reaches.  For k >= 2 it picks the out-neighbourhood rows of D one
+vertex at a time, each of at least k bits; a row set that leaves some
+in-degree below k is dropped before any k-strong test
+(``_is_minimal_k_strong``).  Whether a matching edge u_i w_i of B(D) is
+deletable is decided without a flow or a matching.  It is not when u_i
+or w_i keeps k or fewer edges in B(D) - u_i w_i.  Otherwise B(D) - u_i
 w_i has a perfect matching rotated along a cycle of D through i, and its
 digraph is k-strong iff the graph is k-extendable
-(``_extendable_without_matching_edge``).  At n = 5, k = 1 the sweep
-tests 8,109 sets of rows and keeps 1,069 digraphs, and the transfer
-makes 3,265 ``_mask_k_strong`` calls on them, at most n per digraph.
+(``_extendable_without_matching_edge``).  At n = 5, k = 1 the transfer
+makes 845 ``_mask_k_strong`` calls on the 1,069 digraphs, at most n per
+digraph.  The sweep is guarded to n <= 6 for k = 1 and to n <= 4 for
+k >= 2 and for the graph target.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations, product
 from typing import Iterator
 
 from .connectivity import _reach, _rows
 from .core import BipartiteGraph, Digraph, TooLargeError, _off_diagonal_cells
 from .correspond import bipartite_of_digraph
 
-# Without an arc cap (k >= 2) the sweep stops at n = 4; for k = 1 the cap
-# of 2(n-1) arcs lets it reach n = 5.
+# The row walk (k >= 2) and the graph target stop at n = 4; the ear
+# construction (k = 1) reaches n = 6 in under a second.
 _MASK_N_MAX = 4
 
 
 def _largest_n(k: int) -> int:
-    return _MASK_N_MAX + 1 if k == 1 else _MASK_N_MAX
+    return _MASK_N_MAX + 2 if k == 1 else _MASK_N_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -75,42 +80,26 @@ def _in_rows(outs: list[int]) -> list[int]:
 
 def _is_minimal_k_strong(outs: list[int], k: int) -> bool:
     """k-strong, and not k-strong after any single-arc deletion, which
-    clears one bit of ``outs`` and sets it back.
-
-    For k = 1 each deletion costs one reach, by a lemma: if D is strong,
-    D - (a, b) is strong iff b is reachable from a in D - (a, b).  The
-    condition is needed, and if a path P from a to b avoids (a, b), every
-    walk of D through (a, b) can take P instead, so D - (a, b) keeps the
-    reachability of D.  Such a path rules D out whether or not D is
-    strong, so the backward half of the strongness test waits until every
-    arc has failed it.  For k >= 2 the deletion also flips one bit of
-    ``ins``, and ``_mask_k_strong`` decides; there a leaf with an
-    in-degree below k is dropped first."""
-    full = (1 << len(outs)) - 1
-    if k == 1:
-        if _reach(outs, 0, full) != full:
-            return False
-    else:
-        ins = _in_rows(outs)
-        if min(row.bit_count() for row in ins) < k or not _mask_k_strong(outs, ins, k):
-            return False
+    clears one bit of ``outs`` and one of ``ins`` and sets them back.  A
+    row set with an in-degree below k is dropped before ``_mask_k_strong``
+    runs."""
+    ins = _in_rows(outs)
+    if min(row.bit_count() for row in ins) < k or not _mask_k_strong(outs, ins, k):
+        return False
     for a, row in enumerate(outs):
         rest = row
         while rest:
             bit = rest & -rest
             rest ^= bit
+            b = bit.bit_length() - 1
             outs[a] = row ^ bit
-            if k == 1:
-                deletable = _reach(outs, a, full) & bit
-            else:
-                b = bit.bit_length() - 1
-                ins[b] ^= 1 << a
-                deletable = _mask_k_strong(outs, ins, k)
-                ins[b] ^= 1 << a
+            ins[b] ^= 1 << a
+            deletable = _mask_k_strong(outs, ins, k)
+            ins[b] ^= 1 << a
             outs[a] = row
             if deletable:
                 return False
-    return k > 1 or _reach(_in_rows(outs), 0, full) == full
+    return True
 
 
 def _extendable_without_matching_edge(outs: list[int], i: int, k: int) -> bool:
@@ -163,35 +152,130 @@ def _extendable_without_matching_edge(outs: list[int], i: int, k: int) -> bool:
 # the sweep
 
 
+def _ear_ends(outs: list[int], ins: list[int], keep: int) -> list[int]:
+    """For a minimal strong digraph D' on the vertex set ``keep`` (rows of
+    other vertices 0): ``forbidden[x]``, the mask of the ends y for which
+    D' plus an ear x -> t_1 -> ... -> t_r -> y through new vertices is not
+    minimal strong.
+
+    For each arc e = (a, b) of D', A_e is what a reaches in D' - e and B_e
+    what reaches b there; every x in A_e forbids every y in B_e.  Exact
+    (see ``_minimal_strong_rows``).  Two reaches per arc, so O(m'(n + m'))."""
+    forbidden = [0] * len(outs)
+    for a, row in enumerate(outs):
+        rest = row
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            b = bit.bit_length() - 1
+            outs[a] = row ^ bit
+            ins[b] ^= 1 << a
+            tails = _reach(outs, a, keep)
+            heads = _reach(ins, b, keep)
+            ins[b] ^= 1 << a
+            outs[a] = row
+            while tails:
+                x = tails & -tails
+                tails ^= x
+                forbidden[x.bit_length() - 1] |= heads
+    return forbidden
+
+
+def _minimal_strong_rows(n: int) -> set[tuple[int, ...]]:
+    """The out-row tuples of all minimal strong digraphs on {0..n-1}, built
+    by ears, for n >= 2.
+
+    Every minimal strong D on a vertex set S, |S| >= 2, is D' + P: D' a
+    minimal strong digraph on a proper subset S' of S, and P an ear
+    x -> t_1 -> ... -> t_r -> y with x, y in S' (x = y allowed) whose inner
+    vertices are S - S' in some order, r >= 1.  The bases D' are taken
+    bottom-up by vertex set, from the single vertices, and each ear is
+    accepted iff bit y of ``_ear_ends``'s ``forbidden[x]`` is clear.  A
+    digraph with several removable last ears is built once per ear, so
+    the digraphs of each vertex set are collected as a set.
+
+    Lemma A: if D is strong, D - (a, b) is strong iff b is reachable from
+    a in D - (a, b).  The condition is needed, and if a path Q from a to b
+    avoids (a, b), every walk of D through (a, b) can take Q instead.
+
+    Every D arises.  Take an ear decomposition of D.  Its last ear has an
+    inner vertex, since a one-arc ear would be a deletable arc.  Removing
+    those inner vertices leaves D', which is strong, and minimal: were
+    D' - e strong, D - e would be D' - e plus an ear, strong too.
+
+    The bit test is exact.  D' + P is strong.  Each arc of P is
+    essential, since each inner vertex has in- and out-degree 1.  For an
+    arc e = (a, b) of D', a path from a to b in D - e cannot stay in D' - e,
+    because e is essential in D' (Lemma A).  So it runs through P,
+    entering only at x and leaving only at y, which it can iff x is in A_e
+    and y in B_e; by Lemma A again, e is deletable from D' + P exactly
+    then.
+
+    Time: summed over the bases D' on S', with c = n - |S'|, 2 m' reaches
+    of O(n + m') and at most e c! |S'|^2 bit tests (c!/(c - r)! orders of r
+    inner vertices, for each r <= c), each accepted ear an O(n) copy of
+    the rows.  Exponential in n, so guarded by ``_largest_n``: 0.2 s at
+    n = 6 on a Xeon vCPU with Python 3.11."""
+    full = (1 << n) - 1
+    found = {1 << v: {(0,) * n} for v in range(n)}  # by vertex set
+    for keep in sorted(range(1, full), key=int.bit_count):
+        spare = full ^ keep
+        ears = []  # (vertex set, first inner vertex's bit, last inner vertex, path rows)
+        inner = spare
+        while inner:  # every nonempty subset of the vertices not in keep
+            vertices = [v for v in range(n) if inner >> v & 1]
+            for order in permutations(vertices):
+                ears.append((keep | inner, 1 << order[0], order[-1],
+                             [(t, 1 << u) for t, u in zip(order, order[1:])]))
+            inner = (inner - 1) & spare
+        ends = [x for x in range(n) if keep >> x & 1]
+        for base in found.pop(keep):
+            outs = list(base)
+            forbidden = _ear_ends(outs, _in_rows(outs), keep)
+            allowed = [(x, outs[x], [y for y in ends if not forbidden[x] >> y & 1])
+                       for x in ends]
+            for into, first, last, path in ears:
+                built = found.setdefault(into, set())
+                rows = list(base)
+                for t, row in path:
+                    rows[t] = row
+                for x, row, ys in allowed:
+                    rows[x] = row | first
+                    for y in ys:
+                        rows[last] = 1 << y
+                        built.add(tuple(rows))
+                    rows[x] = row
+    return found[full]
+
+
+def _row_walk(n: int, k: int) -> list[tuple[int, ...]]:
+    """The out-rows of all minimal k-strong digraphs on {0..n-1}, for
+    k >= 2, in no particular order: every choice of rows of at least k
+    other vertices that gives every vertex an in-arc, tested by
+    ``_is_minimal_k_strong``."""
+    full = (1 << n) - 1
+    choices = [[row for row in range(1 << n) if not row >> v & 1 and row.bit_count() >= k]
+               for v in range(n)]
+    hits = []
+    for outs in product(*choices):
+        union = 0
+        for row in outs:
+            union |= row
+        if union == full and _is_minimal_k_strong(list(outs), k):
+            hits.append(outs)
+    return hits
+
+
 def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
-    """All minimal k-strong digraphs on n labelled vertices, exhaustively.
+    """All minimal k-strong digraphs on n labelled vertices, exhaustively:
+    by ears for k = 1 (``_minimal_strong_rows``), by a walk over the
+    out-neighbourhood rows for k >= 2 (``_row_walk``).
 
-    The rows outs[0..n-1] are picked depth first, each a set of at least
-    k other vertices.  The running arc count prunes: the rows still to
-    pick need k arcs each, and for k = 1 the total is capped at 2(n-1),
-    since a minimal strong digraph admits no single-arc ear, so every ear
-    beyond the base cycle brings a new vertex.
-
-    For k = 1 no row is taken that closes a transitive triangle a -> c,
-    c -> b, a -> b with the rows already fixed.  The detour a -> c -> b
-    makes the arc (a, b) deletable (the lemma in
-    ``_is_minimal_k_strong``), and later rows only add arcs, so the
-    detour stays in every completion and none of them is minimal.  At
-    the node of vertex v two masks find such rows: the union of outs[a]
-    over the fixed a with a -> v (triangles a -> v -> b), and for each c
-    in the row, outs[c] (triangles v -> c -> b).  Rows of vertices not
-    yet fixed are 0, since each node clears its row when its loop ends.
-    k >= 2 has no such rule: a minimal 2-strong digraph can hold a
-    transitive triangle.
-
-    A leaf whose rows leave some vertex without an in-arc is dropped
-    before ``_is_minimal_k_strong`` runs.  The hits are sorted
-    into the order of the exhaustive walks: the mask order of
-    ``iter_digraphs`` up to n = 4 (where the tests corroborate the cap
-    against every digraph), and at n = 5 (arc count, lexicographic cell
-    tuple), the order of ``combinations`` over the off-diagonal cells.
-    At n = 5, k = 1, 16,789 triangle-free sets of rows fit the cap, 8,109
-    give every vertex an in-arc, and 1,069 are minimal strong.
+    The hits are sorted into the order of the exhaustive walks: the mask
+    order of ``iter_digraphs`` up to n = 4 (where the tests corroborate
+    both routes against every digraph), and above it (arc count,
+    lexicographic cell tuple), the order of ``combinations`` over the
+    off-diagonal cells.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -200,41 +284,10 @@ def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
                             f"is guarded to n <= {_largest_n(k)}")
     if n <= k:
         return
-    cap = 2 * (n - 1) if k == 1 else n * (n - 1)
-    full = (1 << n) - 1
-    choices = [sorted(((row.bit_count(), row, [c for c in range(n) if row >> c & 1])
-                       for row in range(1 << n)
-                       if not row >> v & 1 and row.bit_count() >= k))
-               for v in range(n)]
-    outs = [0] * n  # rows not yet picked stay 0
-    hits = []
-
-    def pick(v: int, arcs: int, union: int) -> None:
-        spare = cap - arcs - k * (n - 1 - v)
-        ban = 0  # k = 1: the heads b of the triangles a -> v -> b, a -> b
-        if k == 1:
-            for a in range(v):
-                if outs[a] >> v & 1:
-                    ban |= outs[a]
-        for size, row, heads in choices[v]:
-            if size > spare:
-                break
-            if k == 1:
-                shut = ban  # ... and of the triangles v -> c -> b, v -> b
-                for c in heads:
-                    shut |= outs[c]
-                if shut & row:
-                    continue
-            outs[v] = row
-            if v < n - 1:
-                pick(v + 1, arcs + size, union | row)
-            elif union | row == full and _is_minimal_k_strong(outs, k):
-                hits.append([(a, b) for a in range(n) for b in range(n)
-                             if outs[a] >> b & 1])
-        outs[v] = 0
-
-    pick(0, 0, 0)
-    del pick  # pick holds itself through its closure; free the sweep's lists now
+    arcs_of = [[[(a, b) for b in range(n) if row >> b & 1] for row in range(1 << n)]
+               for a in range(n)]
+    hits = [[arc for a, row in enumerate(outs) for arc in arcs_of[a][row]]
+            for outs in (_minimal_strong_rows(n) if k == 1 else _row_walk(n, k))]
     if n > _MASK_N_MAX:  # each arc list is in cell order already
         hits.sort(key=lambda arcs: (len(arcs), arcs))
     else:
@@ -248,14 +301,23 @@ def _transfers(n: int, k: int) -> Iterator[tuple]:
     """(D, edge) for every minimal k-strong D on n vertices: edge is the
     first matching edge (i, i) whose deletion leaves B(D) k-extendable, or
     None when B(D) is minimal k-extendable.  No non-matching edge is
-    deletable, so this is the first deletable edge of B(D) overall.  Each
-    matching edge costs one ``_extendable_without_matching_edge``, so at
+    deletable, so this is the first deletable edge of B(D) overall.
+
+    In G' = B(D) - u_i w_i, u_i keeps d+(i) edges and w_i keeps d-(i).  If
+    G' is k-extendable, D(G', M) is k-strong for a perfect matching M, so
+    each of its n >= k + 1 vertices has in- and out-degree at least k;
+    the vertex of the edge at u_i has out-degree deg(u_i) - 1, and the one
+    at w_i in-degree deg(w_i) - 1.  So an i with d+(i) <= k or d-(i) <= k
+    is skipped; the bound is Plummer's, "On n-extendable graphs" (1980):
+    a k-extendable graph on at least 2k + 2 vertices is (k+1)-connected.
+    Every other i costs one ``_extendable_without_matching_edge``, so at
     most n ``_mask_k_strong`` calls per D; B(D) itself is left to the
     callers, which build it only for the digraphs they list."""
     for d in minimal_k_strong_digraphs(n, k):
-        outs = _rows(d)[0]
+        outs, ins = _rows(d)
         edge = next(((i, i) for i in range(n)
-                     if _extendable_without_matching_edge(outs, i, k)), None)
+                     if outs[i].bit_count() > k and ins[i].bit_count() > k
+                     and _extendable_without_matching_edge(outs, i, k)), None)
         yield d, edge
 
 

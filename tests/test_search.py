@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
+from itertools import permutations
 
 import pytest
 
@@ -21,10 +23,11 @@ import extendix.correspond as correspond
 import extendix.extendability as extendability
 import extendix.matching as matching
 import extendix.search as search
-from extendix import (TooLargeError, bipartite_of_digraph, is_k_extendable, is_k_strong,
-                      is_minimal_k_extendable, is_minimal_k_strong,
+from extendix import (Digraph, TooLargeError, bipartite_of_digraph, is_k_extendable,
+                      is_k_strong, is_minimal_k_extendable, is_minimal_k_strong,
                       iter_bipartite_with_canonical, iter_digraphs)
 from extendix.cli import main
+from extendix.core import _off_diagonal_cells
 from extendix.search import (find_minimality_counterexamples,
                              minimal_k_extendable_graphs, minimal_k_strong_digraphs)
 
@@ -100,8 +103,9 @@ def test_n5_sweep_keeps_the_order_of_the_arc_set_walk():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_no_digraph_with_a_transitive_triangle_is_minimal_strong(n):
-    """The rule the k = 1 sweep prunes on, checked with the flow route: an
-    arc a -> b with a detour a -> c -> b is deletable."""
+    """No minimal strong digraph holds a transitive triangle, checked with
+    the flow route: an arc a -> b with a detour a -> c -> b is deletable
+    (the lemma in ``_minimal_strong_rows``).  No sweep relies on it."""
     triangles = 0
     for d in iter_digraphs(n):
         if any((a, b) in d.arcs for a, c in d.arcs for c2, b in d.arcs
@@ -111,11 +115,10 @@ def test_no_digraph_with_a_transitive_triangle_is_minimal_strong(n):
     assert triangles > 0
 
 
-@pytest.mark.parametrize("n,k,leaves", [(5, 1, 8109), (4, 1, 157), (4, 2, 240)])
+@pytest.mark.parametrize("n,k,leaves", [(4, 2, 240)])
 def test_sweep_leaf_counts(n, k, leaves, monkeypatch):
-    """The complete row sets the sweep hands to ``_is_minimal_k_strong``;
-    without the transitive-triangle rule n = 5, k = 1 would hand over
-    42,329 and n = 4, k = 1 469."""
+    """The complete row sets the k >= 2 row walk hands to
+    ``_is_minimal_k_strong``: those that give every vertex an in-arc."""
     calls = []
     original = search._is_minimal_k_strong
 
@@ -126,6 +129,73 @@ def test_sweep_leaf_counts(n, k, leaves, monkeypatch):
     monkeypatch.setattr(search, "_is_minimal_k_strong", counting)
     list(minimal_k_strong_digraphs(n, k))
     assert len(calls) == leaves
+
+
+@pytest.mark.parametrize("n,bases,reaches", [(4, 30, 168), (5, 355, 3400)])
+def test_ear_construction_counts(n, bases, reaches, monkeypatch):
+    """The k = 1 sweep tests the ears of every minimal strong digraph on a
+    proper subset of the vertices, with two reaches per arc of each; the
+    row walk it replaced made 34,417 reaches at n = 5."""
+    ends, reached = [], []
+    original_ends, original_reach = search._ear_ends, search._reach
+    monkeypatch.setattr(search, "_ear_ends",
+                        lambda *args: ends.append(args) or original_ends(*args))
+    monkeypatch.setattr(search, "_reach",
+                        lambda *args: reached.append(args) or original_reach(*args))
+    list(minimal_k_strong_digraphs(n, 1))
+    assert (len(ends), len(reached)) == (bases, reaches)
+
+
+def test_ear_bit_test_matches_the_flow_route():
+    """For every minimal strong D' on at most 3 of the vertices 0..3 (by
+    the flow route, plus the single vertices), every ear onto all four,
+    every order of its inner vertices and every pair of ends x, y,
+    ``_ear_ends`` accepts the ear iff D' + P is minimal strong by the flow
+    route."""
+    n, checked = 4, 0
+    for keep in range(1, (1 << n) - 1):
+        labels = [v for v in range(n) if keep >> v & 1]
+        inner = [v for v in range(n) if not keep >> v & 1]
+        if len(labels) == 1:
+            bases = [frozenset()]
+        else:
+            bases = [frozenset((labels[a], labels[b]) for a, b in d.arcs)
+                     for d in iter_digraphs(len(labels)) if is_minimal_k_strong(d, 1).holds]
+        for arcs in bases:
+            outs = [0] * n
+            for a, b in arcs:
+                outs[a] |= 1 << b
+            forbidden = search._ear_ends(outs, search._in_rows(outs), keep)
+            for order in permutations(inner):
+                for x in labels:
+                    for y in labels:
+                        path = (x, *order, y)
+                        d = Digraph(n, arcs | set(zip(path, path[1:])))
+                        assert ((not forbidden[x] >> y & 1)
+                                == is_minimal_k_strong(d, 1).holds), (arcs, path)
+                        checked += 1
+    assert checked == 4 * 6 + 6 * 2 * 4 + 4 * 5 * 9
+
+
+def test_n6_sweep_counts_and_samples_by_the_flow_route(monkeypatch):
+    """The k = 1 guard reaches n = 6: 27,816 minimal strong digraphs, and
+    24,744 counterexamples for n <= 6.  A seeded sample of 100 hits is
+    minimal by the flow route, and so is each of them with one arc moved
+    to another cell iff the sweep lists it."""
+    hits = minimal_strong(6, 1)
+    assert len(hits) == 27816
+    listed = set(hits)
+    rng = random.Random(6)
+    cells = _off_diagonal_cells(6)
+    for d in rng.sample(hits, 100):
+        assert is_minimal_k_strong(d, 1).holds, d
+        arc = rng.choice(sorted(d.arcs))
+        cell = rng.choice([c for c in cells if c not in d.arcs])
+        moved = Digraph(6, d.arcs - {arc} | {cell})
+        assert (moved in listed) == is_minimal_k_strong(moved, 1).holds, moved
+    monkeypatch.setattr(search, "minimal_k_strong_digraphs",
+                        lambda n, k: iter(minimal_strong(n, k)))
+    assert len(find_minimality_counterexamples(6, 1, limit=10 ** 6)) == 24744
 
 
 @pytest.mark.parametrize("target,sha1", [
@@ -189,14 +259,20 @@ def test_mask_transfer_matches_is_k_extendable(n_max, k):
     for n in range(2, n_max + 1):
         for d in minimal_strong(n, k):
             g, _, _ = bipartite_of_digraph(d)
-            outs = connectivity._rows(d)[0]
+            outs, ins = connectivity._rows(d)
             for i in range(n):
+                extendable = is_k_extendable(g.without_edge((i, i)), k)
                 assert (search._extendable_without_matching_edge(outs, i, k)
-                        == is_k_extendable(g.without_edge((i, i)), k)), (d, i)
+                        == extendable), (d, i)
+                # the degree bound ``_transfers`` skips on
+                if outs[i].bit_count() <= k or ins[i].bit_count() <= k:
+                    assert not extendable, (d, i)
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (5, 1), (4, 2)])
 def test_transfer_makes_at_most_n_mask_calls_per_digraph(n, k, monkeypatch):
+    """One call per matching edge up to the first deletable one (or all n)
+    whose ends both keep more than k edges."""
     monkeypatch.setattr(search, "minimal_k_strong_digraphs",
                         lambda n, k: iter(minimal_strong(n, k)))
     calls = []
@@ -210,8 +286,11 @@ def test_transfer_makes_at_most_n_mask_calls_per_digraph(n, k, monkeypatch):
     seen = 0
     for d, edge in search._transfers(n, k):
         seen += 1
-        assert 1 <= len(calls) <= n
-        assert len(calls) == (n if edge is None else edge[0] + 1)
+        outs, ins = connectivity._rows(d)
+        tested = n if edge is None else edge[0] + 1
+        assert len(calls) <= n
+        assert len(calls) == sum(outs[i].bit_count() > k and ins[i].bit_count() > k
+                                 for i in range(tested))
         calls.clear()
     assert seen == len(minimal_strong(n, k))
 
@@ -251,7 +330,7 @@ def test_sweeps_reject_k_below_one(k):
 
 
 def test_sweep_guards_raise_too_large():
-    for call in (lambda: minimal_k_strong_digraphs(6, 1),
+    for call in (lambda: minimal_k_strong_digraphs(7, 1),
                  lambda: minimal_k_strong_digraphs(5, 2),
                  lambda: minimal_k_extendable_graphs(5, 1)):
         with pytest.raises(TooLargeError):

@@ -30,14 +30,13 @@ from .connectivity import (_strong_audit, ear_decomposition_digraph, strong_comp
                            vertex_connectivity)
 from .extendability import (_degree_audit_bipartite, _forest_check,
                             elementary_components)
-from .matching import (COUNT_BUDGET, count_perfect_matchings, first_perfect_matching,
-                       max_matching)
+from .matching import count_perfect_matchings, first_perfect_matching, max_matching
 from .certify import build_certificate, check_certificate
 from .fileio import (CLAIMS, format_certificate, format_correspondence,
                      format_instance, instance_kind, read_certificate,
                      read_instance)
-from .search import (find_minimality_counterexamples, minimal_k_extendable_graphs,
-                     minimal_k_strong_digraphs)
+from .search import (minimal_k_extendable_graphs, minimal_k_strong_digraphs,
+                     minimality_counterexamples)
 
 
 def _emit(text: str, out_path) -> None:
@@ -63,13 +62,13 @@ def _count_text(comap) -> str:
     """The value of ``perfect-matchings:`` and ``nonzero-diagonals:``.  The
     count visits 2^(c-1) terms per elementary component of order c (at
     order 24 about 1-2 s and 5-8 MB on a Xeon vCPU with Python 3.11), so
-    above order COUNT_BUDGET it is not attempted."""
+    past its budget it is not attempted."""
     if comap is None:
         return "0"
-    order = max((len(p.scc) for p in comap.elementary), default=0)
-    if order > COUNT_BUDGET:
-        return f"not counted (elementary component of order {order} > {COUNT_BUDGET})"
-    return str(count_perfect_matchings(comap.graph, comap))
+    try:
+        return str(count_perfect_matchings(comap.graph, comap))
+    except TooLargeError as exc:
+        return f"not counted (elementary component of order {exc.size} > {exc.limit})"
 
 
 def _analyze_bipartite(g: BipartiteGraph) -> str:
@@ -290,7 +289,8 @@ def _instance_block(header: str, obj) -> list[str]:
 
 def _strong_audit_lines(d: Digraph, k: int, idx: int) -> list[str]:
     audit, trail = _strong_audit(d, k)
-    return [f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
+    return _instance_block(f"instance {idx}:", d) + [
+            f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
             f"out-degree-{k}-count={audit.out_degree_k_count} "
             f"in-degree-{k}-count={audit.in_degree_k_count}",
             f"anti-directed-trail {idx}: "
@@ -304,10 +304,18 @@ def _extendable_audit_lines(g: BipartiteGraph, k: int, idx: int) -> list[str]:
     # off-diagonal edges as arcs
     forest = _forest_check(g, k, Digraph(g.n, frozenset(e for e in g.edges
                                                         if e[0] != e[1])))
-    return [f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
+    return _instance_block(f"instance {idx}:", g) + [
+            f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
             f"degree-{k + 1}-total={audit.degree_k_plus_1_total} "
             f"u={audit.degree_k_plus_1_u} w={audit.degree_k_plus_1_w}",
             f"forest-check {idx}: {'ok' if forest.ok else 'VIOLATION'}"]
+
+
+def _counterexample_lines(hit: tuple, k: int, idx: int) -> list[str]:
+    d, (i, j) = hit
+    return (_instance_block(f"instance {idx}:", d)
+            + _instance_block(f"graph {idx}:", bipartite_of_digraph(d)[0])
+            + [f"deletable-matching-edge {idx}: {i + 1}-{j + 1}"])
 
 
 def cmd_search(args) -> int:
@@ -323,31 +331,22 @@ def cmd_search(args) -> int:
     body: list[str] = []
     sweeps = {"minimal_k_strong": (minimal_k_strong_digraphs, _strong_audit_lines),
               "minimal_k_extendable": (minimal_k_extendable_graphs,
-                                       _extendable_audit_lines)}
-    if args.target in sweeps:
-        generate, audit_lines = sweeps[args.target]
-        for n in range(2, args.n_max + 1):
-            if found >= args.limit:
-                break
-            try:
-                instances = list(generate(n, k))
-            except TooLargeError as exc:
-                print(f"note: stopping at n={n - 1}: {exc}", file=sys.stderr)
-                break
-            for obj in instances:
+                                       _extendable_audit_lines),
+              "minimality_counterexample": (minimality_counterexamples,
+                                            _counterexample_lines)}
+    generate, hit_lines = sweeps[args.target]
+    for n in range(2, args.n_max + 1):
+        if found >= args.limit:
+            break
+        try:
+            for hit in generate(n, k):
                 found += 1
-                body += _instance_block(f"instance {found}:", obj)
-                body += audit_lines(obj, k, found)
+                body += hit_lines(hit, k, found)
                 if found >= args.limit:
                     break
-    else:  # minimality_counterexample
-        hits = find_minimality_counterexamples(args.n_max, k, limit=args.limit)
-        for d, g, edge in hits:
-            found += 1
-            body += _instance_block(f"instance {found}:", d)
-            body += _instance_block(f"graph {found}:", g)
-            body.append(f"deletable-matching-edge {found}: "
-                        f"{edge[0] + 1}-{edge[1] + 1}")
+        except TooLargeError as exc:  # a guard raises before the size's first hit
+            print(f"note: stopping at n={n - 1}: {exc}", file=sys.stderr)
+            break
     lines.append(f"found: {found}")
     lines += body
     _emit("\n".join(lines) + "\n", args.out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
 
-from .core import Digraph, ExtendixError, TooLargeError, _bfs_path
+from .core import Digraph, ExtendixError, _bfs_path, check_budget
 
 
 class InsufficientPathsError(ExtendixError):
@@ -330,7 +330,7 @@ def vertex_connectivity(d: Digraph) -> int:
     n = d.n
     if n == 1 or not is_strong(d):
         return 0
-    k = min(min(d.out_degree(v), d.in_degree(v)) for v in range(n))
+    k = min(row.bit_count() for rows in _rows(d) for row in rows)
     verdict = is_k_strong(d, k)
     while not verdict.holds:
         k = len(verdict.separator)
@@ -711,8 +711,7 @@ def one_way_pair_audit(d: Digraph, k: int):
     (True, None) or (False, violating pair).
     """
     n = d.n
-    if n > 12:
-        raise TooLargeError(f"one-way pair audit is exhaustive; n={n} exceeds the guard")
+    check_budget("one_way_pairs", n, f"the one-way pair audit at n={n}")
     arcs = [a for a in d.arcs if a[0] != a[1]]
     vertices = list(range(n))
     for xm in range(1, 1 << n):

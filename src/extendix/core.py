@@ -30,7 +30,12 @@ class InvalidInstanceError(ExtendixError):
 
 
 class TooLargeError(ExtendixError):
-    """An exhaustive operation was asked to run beyond its guard."""
+    """An exhaustive route was asked to run past ``BUDGETS[budget]``: size
+    is what was asked for, limit the most that budget allows."""
+
+    def __init__(self, budget: str, size: int, limit: int, message: str):
+        self.budget, self.size, self.limit = budget, size, limit
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,21 @@ class ValidationReport:
 
     def __str__(self) -> str:
         return "valid" if self.valid else "; ".join(self.violations)
+
+
+# The size limits of the exhaustive routes: name -> (limit, the size it
+# bounds).  ``count`` must stay <= 127, the orders ``_glynn``'s bytes hold.
+BUDGETS = {"count": (24, "order"), "sweep_k1": (6, "n"), "sweep": (4, "n"),
+           "oracle": (9, "n"), "neighborhood": (16, "n"), "one_way_pairs": (12, "n"),
+           "permutations": (7, "n"), "diagonals": (9, "n"), "blocks": (16, "n")}
+
+
+def check_budget(name: str, size: int, route: str) -> None:
+    """Raise ``TooLargeError``, "<route> is guarded to <n or order> <= <limit>",
+    when size exceeds the limit of budget name; exhaustive routes call it first."""
+    limit, kind = BUDGETS[name]
+    if size > limit:
+        raise TooLargeError(name, size, limit, f"{route} is guarded to {kind} <= {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +242,9 @@ class ZeroOneMatrix:
 
     @classmethod
     def from_array(cls, array) -> "ZeroOneMatrix":
-        """Build from anything numpy can coerce to a 2-d integer array."""
-        import numpy as np
-
-        a = np.asarray(array)
-        return cls.from_rows(a.tolist())
+        """Build from nested sequences of 0/1 or anything with ``tolist()``,
+        such as a 2-d numpy array."""
+        return cls.from_rows(array.tolist() if hasattr(array, "tolist") else array)
 
     @classmethod
     def identity(cls, n: int) -> "ZeroOneMatrix":

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (BipartiteGraph, Digraph, Matching, TooLargeError, connected,
+from .core import (BipartiteGraph, Digraph, Matching, check_budget, connected,
                    u_label, w_label)
 from .correspond import alternating_path_from_digraph_path, digraph_of
 from .matching import (_augment, enumerate_matchings, has_perfect_matching,
@@ -130,8 +130,7 @@ def is_k_extendable_oracle(g: BipartiteGraph, k: int) -> ExtendabilityVerdict:
     The size cap (k <= n-1 for n >= 2) is reported via ``cap_violated``
     rather than forced into the verdict.
     """
-    if g.n > 9:
-        raise TooLargeError(f"oracle enumerates matchings; n={g.n} exceeds the guard")
+    check_budget("oracle", g.n, f"the matching-enumeration oracle at n={g.n}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
@@ -171,8 +170,7 @@ def is_k_extendable_via_neighborhood(g: BipartiteGraph, k: int) -> NeighborhoodV
     """Neighborhood-count criterion: G connected and |N(X)| >= |X| + k for
     every nonempty X in U with |X| <= n - k.  Subset-exhaustive."""
     n = g.n
-    if n > 16:
-        raise TooLargeError(f"neighborhood audit enumerates subsets; n={n} exceeds the guard")
+    check_budget("neighborhood", n, f"the neighborhood audit at n={n}")
     if k < 1:
         raise ValueError("k must be at least 1 for the neighborhood route")
     cap = 2 * k + 1 > 2 * n - 1

@@ -15,7 +15,7 @@ from math import prod
 from operator import getitem, or_, xor
 from typing import Iterator
 
-from .core import BipartiteGraph, Matching
+from .core import BipartiteGraph, Matching, TooLargeError, check_budget
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +164,6 @@ def first_perfect_matching(g: BipartiteGraph, pairs: dict | None = None) -> Matc
     return Matching(frozenset((i, j) for j, i in match_w.items()), g)
 
 
-COUNT_BUDGET = 24  # largest elementary component order whose matchings are counted
-
-
 def count_perfect_matchings(g: BipartiteGraph, comap=None) -> int:
     """Exact count: 0 without a perfect matching, else the product of the
     counts of the elementary components, each by Glynn's formula.
@@ -206,6 +203,8 @@ def count_perfect_matchings(g: BipartiteGraph, comap=None) -> int:
         if not m.is_perfect:
             return 0
         comap = elementary_components(g, m)
+    order = max((len(p.scc) for p in comap.elementary), default=0)
+    check_budget("count", order, f"counting an elementary component of order {order}")
     return prod(_glynn(piece) for piece in comap.elementary)
 
 
@@ -233,8 +232,8 @@ def _glynn(piece) -> int:
 
     Packing.  Column sum j, offset by 127, is byte j of one int; flipping
     d_k subtracts twice row k packed the same way (``step[k]``).  A sum
-    stays in [127 - c, 127 + c], so no byte borrows up to c = 127; a
-    larger order would need 2^127 or more terms.
+    stays in [127 - c, 127 + c], so no byte borrows up to c = 127, which
+    the ``count`` budget keeps well clear of.
 
     Blocking.  Rows 1..b, b = ``_inner_rows(c)``, form the inner block, and
     the outer loop visits the sign vectors of rows b+1..c-1 in Gray-code
@@ -257,9 +256,6 @@ def _glynn(piece) -> int:
     the block's 2^b packed offsets and at most 2c (c - b) masks of 2^b
     bytes, O(2^b c^2) bytes of memory."""
     c = len(piece.scc)
-    if c > 127:
-        raise ValueError(f"elementary component of order {c}: "
-                         f"Glynn's sum would need 2^{c - 1} terms")
     row = dict(zip(sorted(piece.u_vertices), range(c)))
     bit = dict(zip(sorted(piece.w_vertices), [2 << s for s in range(0, 8 * c, 8)]))
     step = [0] * c
@@ -380,10 +376,9 @@ def unique_pm_acyclic_check(g: BipartiteGraph) -> AcyclicCheckReport:
     correspondence the perfect matching is unique iff M is perfect and
     every strong component of D(G, M), which has no loops, is a single
     vertex, and those components, taken once, are the topological order.
-    Only a failing check builds the component map, for its error message:
-    the count runs only while every elementary component is within
-    ``COUNT_BUDGET``; past it the message names the largest order
-    instead."""
+    Only a failing check builds the component map, for its ValueError:
+    the message gives the count, or past the ``count`` budget the largest
+    elementary component order."""
     from .connectivity import strong_components
     from .correspond import digraph_of
     from .extendability import elementary_components
@@ -395,11 +390,10 @@ def unique_pm_acyclic_check(g: BipartiteGraph) -> AcyclicCheckReport:
         if all(len(c) == 1 for c in comps):
             return AcyclicCheckReport(g, True, tuple(min(c) for c in comps))
     comap = elementary_components(g, m) if m.is_perfect else None
-    order = 0 if comap is None else max(len(p.scc) for p in comap.elementary)
-    if order > COUNT_BUDGET:
-        count = f"more than one perfect matching (elementary component of order {order})"
-    else:
+    try:
         count = f"{0 if comap is None else count_perfect_matchings(g, comap)} perfect matchings"
+    except TooLargeError as exc:
+        count = f"more than one perfect matching (elementary component of order {exc.size})"
     raise ValueError(f"graph has {count}, expected exactly 1")
 
 

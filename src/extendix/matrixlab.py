@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator
 
-from .core import TooLargeError, ZeroOneMatrix
+from .core import ZeroOneMatrix, check_budget
 from .correspond import bipartite_of_matrix, digraph_of_matrix
 from .connectivity import _sink_component, is_k_strong
 from .extendability import _deficient_set
@@ -148,6 +148,7 @@ def _search_block(a: ZeroOneMatrix, k: int, disjoint: bool):
     disjoint when asked, else independent, and then l may reach n when
     k = 0 (an all-zero column block)."""
     n = a.n
+    check_budget("blocks", n, f"the block search at n={n}")
     top = n if k == 0 else n - k
     for l in range(1, top + 1):
         want = n - k + 1 - l
@@ -166,8 +167,7 @@ def reducible_by_permutation_search(a: ZeroOneMatrix) -> bool:
 
 def k_reducible_by_permutation_search(a: ZeroOneMatrix, k: int) -> bool:
     n = a.n
-    if n > 7:
-        raise TooLargeError("permutation search is factorial; guard is n <= 7")
+    check_budget("permutations", n, f"the permutation search at n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     for perm in permutations(range(n)):
@@ -343,8 +343,7 @@ class Diagonal:
 def diagonals(a: ZeroOneMatrix, zero_count: int | None = None) -> Iterator[Diagonal]:
     """Stream all n! diagonals in lexicographic order, optionally only
     those with a given number of zero entries."""
-    if a.n > 9:
-        raise TooLargeError(f"diagonal enumeration is factorial; n={a.n} exceeds the guard")
+    check_budget("diagonals", a.n, f"diagonal enumeration at n={a.n}")
     for perm in permutations(range(a.n)):
         zeros = sum(1 for i, c in enumerate(perm) if a.rows[i][c] == 0)
         if zero_count is None or zeros == zero_count:

@@ -25,8 +25,8 @@ w_i has a perfect matching rotated along a cycle of D through i, and its
 digraph is k-strong iff the graph is k-extendable
 (``_extendable_without_matching_edge``).  At n = 5, k = 1 the transfer
 makes 845 ``_mask_k_strong`` calls on the 1,069 digraphs, at most n per
-digraph.  The sweep is guarded to n <= 6 for k = 1 and to n <= 4 for
-k >= 2 and for the graph target.
+digraph.  The sweep is guarded by the ``sweep_k1`` budget (n <= 6) for
+k = 1 and by ``sweep`` (n <= 4) for k >= 2 and for the graph target.
 """
 
 from __future__ import annotations
@@ -35,16 +35,9 @@ from itertools import combinations, islice, permutations, product
 from typing import Iterator
 
 from .connectivity import _reach, _rows
-from .core import BipartiteGraph, Digraph, TooLargeError, _off_diagonal_cells
+from .core import (BipartiteGraph, Digraph, TooLargeError, _bfs_path, _off_diagonal_cells,
+                   check_budget)
 from .correspond import bipartite_of_digraph
-
-# The row walk (k >= 2) and the graph target stop at n = 4; the ear
-# construction (k = 1) reaches n = 6 in under a second.
-_MASK_N_MAX = 4
-
-
-def _largest_n(k: int) -> int:
-    return _MASK_N_MAX + 2 if k == 1 else _MASK_N_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -106,37 +99,23 @@ def _extendable_without_matching_edge(outs: list[int], i: int, k: int) -> bool:
     """Whether G' = B(D) - u_i w_i is k-extendable, for D strong with
     out-rows ``outs``, decided on one rotated digraph and no flow.
 
-    Let C be a shortest cycle of D through i (breadth-first from i, with
-    parents), and sigma the permutation that moves each vertex of C to its
-    successor on C and fixes the rest.  Then M_C = {u_a w_sigma(a)} is a
-    perfect matching of G': for a on C, u_a w_sigma(a) is the edge of the
-    arc (a, sigma(a)), and for a off C it is the matching edge u_a w_a,
-    a != i.  In D(G', M_C) vertex a stands for u_a w_sigma(a), and a -> b
-    (b != a) is an arc iff u_a is adjacent in G' to w_sigma(b), the
+    Let C be a cycle of D through i (the shortest, by ``core._bfs_path``;
+    any would do), and sigma the permutation that moves each vertex of C
+    to its successor on C and fixes the rest.  Then M_C = {u_a w_sigma(a)}
+    is a perfect matching of G': for a on C, u_a w_sigma(a) is the edge of
+    the arc (a, sigma(a)), and for a off C it is the matching edge u_a
+    w_a, a != i.  In D(G', M_C) vertex a stands for u_a w_sigma(a), and
+    a -> b (b != a) is an arc iff u_a is adjacent in G' to w_sigma(b), the
     partner of u_b; so the out-row of a is sigma^-1(N_G'(u_a)) - {a},
     where N_G'(u_a) is outs[a] plus a itself unless a = i.  G' is
     k-extendable iff D(G', M_C) is k-strong, by the paper's theorem that
     holds for every perfect matching.  O(n^2) for the rotation, then one
     ``_mask_k_strong``."""
     n = len(outs)
-    parent = [-1] * n
-    seen = 1 << i
-    queue = [i]
-    for v in queue:
-        if outs[v] >> i & 1:
-            break
-        rest = outs[v] & ~seen
-        seen |= rest
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            parent[bit.bit_length() - 1] = v
-            queue.append(bit.bit_length() - 1)
+    cycle = _bfs_path(i, lambda v: [b for b in range(n) if outs[v] >> b & 1], lambda v: v == i)
     back = list(range(n))  # sigma^-1
-    back[i] = v
-    while v != i:
-        back[v] = parent[v]
-        v = parent[v]
+    for a, b in zip(cycle, cycle[1:]):
+        back[b] = a
     rotated = [0] * n
     for a in range(n):
         nbrs = outs[a] if a == i else outs[a] | 1 << a
@@ -214,8 +193,8 @@ def _minimal_strong_rows(n: int) -> set[tuple[int, ...]]:
     Time: summed over the bases D' on S', with c = n - |S'|, 2 m' reaches
     of O(n + m') and at most e c! |S'|^2 bit tests (c!/(c - r)! orders of r
     inner vertices, for each r <= c), each accepted ear an O(n) copy of
-    the rows.  Exponential in n, so guarded by ``_largest_n``: 0.2 s at
-    n = 6 on a Xeon vCPU with Python 3.11."""
+    the rows.  Exponential in n, so guarded by the ``sweep_k1`` budget:
+    0.2 s at n = 6 on a Xeon vCPU with Python 3.11."""
     full = (1 << n) - 1
     found = {1 << v: {(0,) * n} for v in range(n)}  # by vertex set
     for keep in sorted(range(1, full), key=int.bit_count):
@@ -279,16 +258,15 @@ def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if n > _largest_n(k):
-        raise TooLargeError(f"exhaustive sweep for k {'= 1' if k == 1 else '>= 2'} "
-                            f"is guarded to n <= {_largest_n(k)}")
+    check_budget("sweep_k1" if k == 1 else "sweep", n,
+                 f"exhaustive sweep for k {'= 1' if k == 1 else '>= 2'}")
     if n <= k:
         return
     arcs_of = [[[(a, b) for b in range(n) if row >> b & 1] for row in range(1 << n)]
                for a in range(n)]
     hits = [[arc for a, row in enumerate(outs) for arc in arcs_of[a][row]]
             for outs in (_minimal_strong_rows(n) if k == 1 else _row_walk(n, k))]
-    if n > _MASK_N_MAX:  # each arc list is in cell order already
+    if n > 4:  # each arc list is in cell order already
         hits.sort(key=lambda arcs: (len(arcs), arcs))
     else:
         index = {c: b for b, c in enumerate(_off_diagonal_cells(n))}
@@ -327,11 +305,17 @@ def minimal_k_extendable_graphs(n: int, k: int) -> Iterator[BipartiteGraph]:
     Every graph with a perfect matching is a W-relabelling of such a graph,
     so degree-profile audits lose nothing.
     """
-    if n > _MASK_N_MAX:
-        raise TooLargeError(f"exhaustive bipartite sweep is guarded to n <= {_MASK_N_MAX}")
+    check_budget("sweep", n, "exhaustive bipartite sweep")
     for d, edge in _transfers(n, k):
         if edge is None:
             yield bipartite_of_digraph(d)[0]
+
+
+def minimality_counterexamples(n: int, k: int) -> Iterator[tuple]:
+    """(D, edge) for every minimal k-strong digraph D on n vertices whose
+    B(D) is not minimal k-extendable, edge being its first deletable
+    matching edge, in the order of ``minimal_k_strong_digraphs``."""
+    return ((d, edge) for d, edge in _transfers(n, k) if edge is not None)
 
 
 def find_minimality_counterexamples(n_max: int, k: int = 1,
@@ -341,6 +325,11 @@ def find_minimality_counterexamples(n_max: int, k: int = 1,
     edge).  Sizes beyond the sweep guard are skipped silently (the small
     hits appear long before it binds).
     """
-    hits = (hit for n in range(2, min(n_max, _largest_n(k)) + 1)
-            for hit in _transfers(n, k) if hit[1] is not None)
-    return [(d, bipartite_of_digraph(d)[0], edge) for d, edge in islice(hits, limit)]
+    def hits():
+        for n in range(2, n_max + 1):
+            try:
+                yield from minimality_counterexamples(n, k)
+            except TooLargeError:  # the first size past the guard ends the sweep
+                return
+
+    return [(d, bipartite_of_digraph(d)[0], edge) for d, edge in islice(hits(), limit)]

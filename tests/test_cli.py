@@ -5,6 +5,7 @@ from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_bipartite
                       random_bipartite_with_pm, random_digraph, reduced_adjacency,
                       vertex_connectivity)
 from extendix.cli import main
+from extendix.core import BUDGETS
 from extendix.fileio import read_certificate, write_instance
 
 from conftest import make_c6, make_p4
@@ -172,9 +173,7 @@ class TestAnalyze:
         assert "elementary component\n" in out and "k-indecomposable: 0 1 " in out
 
     def test_count_budget_is_on_the_largest_order(self, tmp_path, capsys, monkeypatch):
-        import extendix.cli as cli
-
-        monkeypatch.setattr(cli, "COUNT_BUDGET", 3)
+        monkeypatch.setitem(BUDGETS, "count", (3, "order"))
         path = str(tmp_path / "a.bg")
         g = BipartiteGraph(7, frozenset((i, j) for i in range(7) for j in range(7)
                                         if (i < 3) == (j < 3)))  # J_3 and J_4

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from extendix import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
@@ -158,6 +160,10 @@ class TestHelpers:
         a = ZeroOneMatrix.from_array(np.eye(3, dtype=int))
         assert a == ZeroOneMatrix.identity(3)
         assert (a.to_array() == np.eye(3, dtype=int)).all()
+
+    def test_from_array_takes_nested_sequences_without_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any numpy import fails
+        assert ZeroOneMatrix.from_array([[1, 0], (0, 1)]) == ZeroOneMatrix.identity(2)
 
 
 def _smallest_path_by_enumeration(d: Digraph, start: int, stop) -> list | None:

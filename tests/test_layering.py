@@ -9,7 +9,9 @@ connectivity function ignores loops, so no module makes a loop-free copy
 before calling one.  The neighbourhood bitmasks (``_rows``) and the reach
 over them (``_reach``) are defined once, in ``connectivity``: strong
 components, the flow kernel's masks and the exhaustive sweep in
-``search`` share them.
+``search`` share them.  Every size budget is enforced by one helper,
+``core.check_budget``, and from every command but ``search`` the call
+graph reaches no budget check but the count's.
 The sources are read with ``ast``, so the check sees names, not behaviour.
 """
 
@@ -140,3 +142,97 @@ def test_argparse_is_imported_inside_functions_only():
     found = {(name, inside) for name, tree in _modules().items()
              for package, inside in _imports(tree) if package == "argparse"}
     assert found == {("cli.py", True)}
+
+
+# ---------------------------------------------------------------------------
+# budgets: one raise, and no budget on a command but ``search``
+
+
+def _functions() -> dict[str, list[ast.AST]]:
+    """Every function, method and nested function in the package, by name."""
+    found: dict[str, list[ast.AST]] = {}
+    for tree in _modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                found.setdefault(node.name, []).append(node)
+    return found
+
+
+def _referenced(fn: ast.AST) -> set[str]:
+    """The names a function calls or passes on: every loaded name and
+    called attribute in its body, lambdas and nested functions included."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            names.add(node.func.attr)
+    return names
+
+
+def _call_graph() -> dict[str, set[str]]:
+    """name -> the package's function names it may reach in one step.
+    Calls are resolved by name alone, so a name shared by several
+    functions reaches all of them: an over-approximation."""
+    functions = _functions()
+    return {name: {callee for fn in fns for callee in _referenced(fn)
+                   if callee in functions and callee != name}
+            for name, fns in functions.items()}
+
+
+def _reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    seen, todo = {start}, [start]
+    while todo:
+        for callee in graph[todo.pop()] - seen:
+            seen.add(callee)
+            todo.append(callee)
+    return seen
+
+
+def _budget_checkers() -> set[str]:
+    return {name for name, fns in _functions().items()
+            if any(_callee(call) == "check_budget" for fn in fns for _, call in _calls(fn))}
+
+
+def _raises(node: ast.AST, enclosing: str = "") -> list[tuple[str, ast.Raise]]:
+    """(innermost enclosing function name, raise) for every raise under node."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        name = child.name if isinstance(child, ast.FunctionDef) else enclosing
+        if isinstance(child, ast.Raise):
+            out.append((enclosing, child))
+        out += _raises(child, name)
+    return out
+
+
+def test_too_large_is_raised_by_check_budget_only():
+    raisers = sorted((module, enclosing) for module, tree in _modules().items()
+                     for enclosing, node in _raises(tree)
+                     if "TooLargeError" in _names(node))
+    assert raisers == [("core.py", "check_budget")]
+
+
+def test_commands_but_search_reach_no_budget_but_the_count():
+    """The exhaustive routes are definitional cross-checks: from every
+    command handler but ``cmd_search`` the only function that checks a
+    budget is ``count_perfect_matchings``, whose refusal ``analyze``
+    prints as ``not counted``."""
+    graph, checkers = _call_graph(), _budget_checkers()
+    handlers = sorted(name for name in graph if name.startswith("cmd_"))
+    assert handlers == ["cmd_analyze", "cmd_certify", "cmd_convert", "cmd_randgen",
+                        "cmd_search", "cmd_verify"]
+    reached = {name: _reachable(graph, name) & checkers for name in handlers}
+    assert reached.pop("cmd_search") >= {"minimal_k_strong_digraphs",
+                                         "minimal_k_extendable_graphs"}
+    assert reached.pop("cmd_analyze") == {"count_perfect_matchings"}
+    assert all(found <= {"count_perfect_matchings"} for found in reached.values()), reached
+
+
+def test_every_budget_is_checked():
+    from extendix.core import BUDGETS
+
+    named = {const.value for _, tree in _modules().items() for _, call in _calls(tree)
+             if _callee(call) == "check_budget" and call.args
+             for const in ast.walk(call.args[0])
+             if isinstance(const, ast.Constant) and isinstance(const.value, str)}
+    assert named == set(BUDGETS)

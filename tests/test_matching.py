@@ -14,7 +14,7 @@ from extendix import (BipartiteGraph, Matching, canonical_matching, classify_edg
                       max_matching, perfect_matchings, random_bipartite_with_pm,
                       symmetric_difference, unique_pm_acyclic_check,
                       iter_bipartite_with_canonical)
-from extendix.core import _bfs_path
+from extendix.core import BUDGETS, TooLargeError, _bfs_path
 from extendix.matching import _augment, _glynn, _inner_rows, max_matching_pairs
 
 from conftest import (classify_by_deletion, classify_by_enumeration, count_by_row_dp,
@@ -208,8 +208,14 @@ class TestCounting:
             count_by_row_dp(g)
 
     def test_order_above_127_is_refused(self):
-        with pytest.raises(ValueError, match="order 128"):
+        with pytest.raises(TooLargeError, match="order 128") as caught:
             count_perfect_matchings(cycle_bipartite(128))
+        assert (caught.value.budget, caught.value.size) == ("count", 128)
+
+    def test_count_budget_stays_within_the_byte_packing(self):
+        """``_glynn`` packs each column sum, offset by 127, into one byte, which
+        cannot borrow up to order 127; the budget keeps every order below."""
+        assert BUDGETS["count"][0] <= 127
 
 
 def _matrix_piece(c: int, edges) -> SimpleNamespace:

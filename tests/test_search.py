@@ -346,6 +346,45 @@ def test_guard_stops_the_search_with_a_note(capsys):
     assert "found: 18" in captured.out
 
 
+@pytest.mark.parametrize("target, route", [
+    ("minimal_k_strong", "exhaustive sweep for k >= 2"),
+    ("minimal_k_extendable", "exhaustive bipartite sweep"),
+    ("minimality_counterexample", "exhaustive sweep for k >= 2")])
+def test_every_target_notes_the_guard(capsys, target, route):
+    """One size loop serves the three targets, so the counterexample search
+    no longer skips the sizes past its guard without a word."""
+    main(["search", "--target", target, "--n-max", "5", "--k", "2", "--limit", "1000"])
+    assert capsys.readouterr().err == f"note: stopping at n=4: {route} is guarded to n <= 4\n"
+
+
+def test_the_guard_is_not_reached_once_the_limit_is_met(capsys):
+    assert main(["search", "--target", "minimality_counterexample", "--n-max", "7",
+                 "--k", "1", "--limit", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "found: 3\n" in captured.out
+
+
+@pytest.mark.parametrize("target, name", [
+    ("minimal_k_strong", "minimal_k_strong_digraphs"),
+    ("minimal_k_extendable", "minimal_k_extendable_graphs"),
+    ("minimality_counterexample", "minimality_counterexamples")])
+def test_search_takes_no_more_hits_than_the_limit(monkeypatch, capsys, target, name):
+    """Each size is read lazily: the sweep is not asked for a hit past
+    ``--limit``."""
+    real = getattr(cli, name)
+    pulled = []
+
+    def counted(n, k):
+        for hit in real(n, k):
+            pulled.append(hit)
+            yield hit
+
+    monkeypatch.setattr(cli, name, counted)
+    assert main(["search", "--target", target, "--n-max", "4", "--limit", "2"]) == 0
+    assert "found: 2\n" in capsys.readouterr().out
+    assert len(pulled) == 2
+
+
 def test_other_value_errors_are_not_notes(monkeypatch):
     def broken(n, k):
         raise ValueError("not a guard")

@@ -40,15 +40,21 @@ class InsufficientPathsError(ExtendixError):
 # strong components
 
 
-def _rows(d: Digraph) -> tuple[list[int], list[int]]:
+def _rows(d: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """D's out- and in-neighbourhoods as bitmasks, one int per vertex,
-    loops left out; one pass over the arcs."""
-    outs, ins = [0] * d.n, [0] * d.n
-    for a, b in d.arcs:
-        if a != b:
-            outs[a] |= 1 << b
-            ins[b] |= 1 << a
-    return outs, ins
+    loops left out: ``Digraph._masks``, built once per instance, so every
+    kernel run on one digraph shares a single pass over its arcs."""
+    return d._masks
+
+
+def _bits(mask: int) -> list[int]:
+    """The vertices of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _reach(rows: list[int], start: int, keep: int) -> int:
@@ -93,7 +99,7 @@ def strong_components(d: Digraph, removed=()) -> tuple:
         v = (rest & -rest).bit_length() - 1
         comp = _reach(outs, v, _reach(ins, v, rest))
         rest ^= comp
-        members = frozenset(w for w in range(v, comp.bit_length()) if comp >> w & 1)
+        members = frozenset(_bits(comp))
         for w in members:
             comp_of[w] = len(comps)
         comps.append(members)
@@ -121,8 +127,12 @@ def strong_components(d: Digraph, removed=()) -> tuple:
 
 
 def is_strong(d: Digraph) -> bool:
-    """True iff D has exactly one strong component (single vertex counts)."""
-    return len(strong_components(d)) == 1
+    """True iff D has exactly one strong component (single vertex counts):
+    vertex 0 reaches every vertex and is reached by every vertex.
+    Time: O(n) mask operations (two ``_reach``es) once the masks exist."""
+    outs, ins = _rows(d)
+    full = (1 << d.n) - 1
+    return d.n > 0 and _reach(outs, 0, full) == full == _reach(ins, 0, full)
 
 
 def _sink_component(d: Digraph, removed) -> list:
@@ -177,11 +187,7 @@ class _FlowNet:
         for a in range(n):
             adj[2 * a].append(2 * a)
             out_a = adj[2 * a + 1]
-            rest = outs[a]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                b = low.bit_length() - 1
+            for b in _bits(outs[a]):
                 e = arc_edge[a, b] = len(head)
                 head += (2 * b, 2 * a + 1)
                 base += (_BIG, 0)
@@ -283,11 +289,7 @@ class _FlowNet:
             return limit, None
         if direct:
             paths.append((s, t))
-        while mids:
-            low = mids & -mids
-            paths.append((s, low.bit_length() - 1, t))
-            mids ^= low
-        return value, paths
+        return value, paths + [(s, x, t) for x in _bits(mids)]
 
     def cut(self) -> tuple:
         """After a flow below its limit: the vertices whose split edge
@@ -326,6 +328,9 @@ def vertex_connectivity(d: Digraph) -> int:
     first k that holds is kappa, after at most delta - kappa + 1 calls.
     The strongness pass comes first because it answers 0 without flows,
     where a failing scan at k = delta would pay several.
+
+    Time: O((delta - kappa + 1) delta^2 n (n + m)), the ``is_k_strong``
+    calls at k <= delta.
     """
     n = d.n
     if n == 1 or not is_strong(d):
@@ -552,65 +557,79 @@ class EarDecompositionD:
 
 
 def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[str]:
-    """Verify arc-disjointness, the attachment rules, and exact coverage."""
-    problems = []
+    """Verify arc-disjointness, the attachment rules, and exact coverage, on
+    masks of the vertices met and, per tail, of the arcs covered so far.  An
+    ear that is empty or holds a non-vertex of D is reported alone.
+    Time: O(n + m + L) mask operations, L the total length of the ears."""
     if not dec.ears:
         return ["empty decomposition"]
+    n, outs = d.n, _rows(d)[0]
+    vertices = set(range(n))
+    if not all(dec.ears) or not set().union(*dec.ears) <= vertices:
+        idx = next(idx for idx, ear in enumerate(dec.ears)
+                   if not ear or not vertices.issuperset(ear))
+        return [f"ear {idx} {dec.ears[idx]} is not a sequence of vertices of D"]
+    problems = []
     first = dec.ears[0]
     if len(first) < 3 or first[0] != first[-1] or len(set(first[:-1])) != len(first) - 1:
         problems.append(f"initial ear {first} is not a cycle")
-    seen_arcs: set = set()
-    seen_vertices: set = set(first)
+    covered, seen = [0] * n, 0
     for idx, ear in enumerate(dec.ears):
-        arcs = list(zip(ear, ear[1:]))
-        for arc in arcs:
-            if arc not in d.arcs:
-                problems.append(f"ear {idx} uses missing arc {arc}")
-            if arc in seen_arcs:
-                problems.append(f"ear {idx} repeats arc {arc}")
-            seen_arcs.add(arc)
-        if idx == 0:
-            continue
-        closed = ear[0] == ear[-1]
-        interior = ear[1:-1]
-        if closed:
-            if ear[0] not in seen_vertices:
-                problems.append(f"cycle ear {idx} attaches at a new vertex")
-            overlap = set(interior) & seen_vertices
-            if overlap:
-                problems.append(f"cycle ear {idx} re-enters old vertices {sorted(overlap)}")
-            if len(set(ear[:-1])) != len(ear) - 1:
-                problems.append(f"cycle ear {idx} repeats a vertex")
-        else:
-            if ear[0] == ear[-1] or ear[0] not in seen_vertices or ear[-1] not in seen_vertices:
-                problems.append(f"path ear {idx} endpoints must be distinct old vertices")
-            overlap = set(interior) & seen_vertices
-            if overlap:
-                problems.append(f"path ear {idx} re-enters old vertices {sorted(overlap)}")
-            if len(set(ear)) != len(ear):
-                problems.append(f"path ear {idx} repeats a vertex")
-        seen_vertices |= set(ear)
-    if seen_vertices != set(range(d.n)):
+        x, inner, bit = ear[0], 0, 0
+        for y in ear[1:]:
+            inner |= bit  # every head but the last: the interior
+            bit = 1 << y
+            if not outs[x] & bit and (x, y) not in d.arcs:
+                problems.append(f"ear {idx} uses missing arc {(x, y)}")
+            if covered[x] & bit:
+                problems.append(f"ear {idx} repeats arc {(x, y)}")
+            covered[x] |= bit
+            x = y
+        a, b, ends = ear[0], x, 1 << ear[0] | 1 << x
+        if idx:
+            kind = "cycle" if a == b else "path"
+            if not (seen >> a & 1 and seen >> b & 1):
+                problems.append(f"cycle ear {idx} attaches at a new vertex" if a == b else
+                                f"path ear {idx} endpoints must be distinct old vertices")
+            if inner & seen:
+                problems.append(f"{kind} ear {idx} re-enters old vertices {_bits(inner & seen)}")
+            # the vertices of a path ear, or of a cycle ear but its last, are distinct
+            if len(ear) > 1 and (inner | ends).bit_count() != len(ear) - (a == b):
+                problems.append(f"{kind} ear {idx} repeats a vertex")
+        seen |= inner | ends
+    if seen != (1 << n) - 1:
         problems.append("vertices not fully covered")
-    if seen_arcs != set(a for a in d.arcs if a[0] != a[1]):
+    if tuple(covered) != outs:
         problems.append("arcs not exactly covered")
     return problems
 
 
-def _shortest_cycle_through(d: Digraph, v: int) -> tuple | None:
-    """Shortest directed cycle through v as an open vertex tuple starting
-    at v, ties broken by the smaller tuple; None when there is none.  The
-    first return to v of a breadth-first search over sorted out-neighbours
-    is that cycle (see ``core._bfs_path``)."""
-    cycle = _bfs_path(v, d.out_neighbors, lambda y: y == v)
+def _out_lists(d: Digraph) -> list[list[int]]:
+    """D's sorted out-neighbour lists, read off the masks."""
+    return [_bits(row) for row in _rows(d)[0]]
+
+
+def _shortest_cycle_through(adj, v: int) -> tuple | None:
+    """Shortest directed cycle through v as an open vertex tuple starting at
+    v, ties broken by the smaller tuple, over the out-neighbour lists adj
+    (``_out_lists``); None when there is none.  It is the first return to v
+    of a breadth-first search (``core._bfs_path``).
+    Time: O(n + m)."""
+    cycle = _bfs_path(v, adj.__getitem__, lambda y: y == v)
     return None if cycle is None else tuple(cycle[:-1])
 
 
-def _shortest_cycle(d: Digraph) -> tuple | None:
-    """Shortest directed cycle of D under the same order, or None."""
-    cycles = (_shortest_cycle_through(d, v) for v in range(d.n))
-    return min((c for c in cycles if c is not None),
-               key=lambda c: (len(c), c), default=None)
+def _shortest_cycle(adj) -> tuple | None:
+    """Shortest directed cycle under the same order, or None: a later start
+    wins only by being shorter, so the first 2-cycle ends the scan."""
+    best = None
+    for v in range(len(adj)):
+        cycle = _shortest_cycle_through(adj, v)
+        if cycle is not None and (best is None or len(cycle) < len(best)):
+            best = cycle
+            if len(best) == 2:
+                break
+    return best
 
 
 def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD:
@@ -619,10 +638,14 @@ def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD
 
     Each next ear is the smallest uncovered arc (u, v) with u already in,
     then, when v is new, the breadth-first path from v to the first old
-    vertex met (``core._bfs_path``).  An arc enters a heap once, when its
-    tail joins, and covered arcs are skipped on popping, so the heap
-    minimum is that arc, and as D is strong an empty heap means every arc
-    is covered.  A path ear adds a vertex: O(n (n + m) + m log m) in all.
+    vertex met (``core._bfs_path``).  Each vertex x in keeps its uncovered
+    out-arcs as a mask pending[x], and ``active`` marks the x whose mask is
+    not empty.  Arcs compare by tail first, so the lowest bit of pending[u]
+    for the lowest active u is the smallest such arc, the minimum a heap of
+    them would give; as D is strong, no active vertex means every arc is
+    covered.  All the searches read one set of ``_out_lists``.
+    Time: O(n (n + m)): at most n searches of O(n + m) for the start cycle,
+    one per path ear, which adds a vertex, and O(n) per ear otherwise.
     """
     if d.has_loops():
         raise ValueError("ear decomposition requires a loop-free digraph")
@@ -630,8 +653,9 @@ def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD
         raise ValueError("ear decomposition needs at least two vertices")
     if not is_strong(d):
         raise ValueError("digraph is not strong")
+    adj = _out_lists(d)
     if start_cycle is None:
-        start_cycle = _shortest_cycle(d)
+        start_cycle = _shortest_cycle(adj)
     start_cycle = tuple(start_cycle)
     if len(start_cycle) >= 2 and start_cycle[0] == start_cycle[-1]:
         start_cycle = start_cycle[:-1]
@@ -643,21 +667,19 @@ def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD
             raise ValueError(f"start cycle uses missing arc {arc}")
 
     ears = [closed]
-    covered = set(zip(closed, closed[1:]))
-    members = set(start_cycle)
-    heap = sorted((x, y) for x in members for y in d.out_neighbors(x))
-    while heap:
-        u, v = heappop(heap)
-        if (u, v) in covered:
-            continue
-        ear = (u, v) if v in members else (
-            (u,) + tuple(_bfs_path(v, d.out_neighbors, members.__contains__)))
-        ears.append(ear)
-        covered.update(zip(ear, ear[1:]))
-        for x in ear[1:-1]:
-            members.add(x)
-            for y in d.out_neighbors(x):
-                heappush(heap, (x, y))
+    pending = list(_rows(d)[0])
+    members = active = 0
+    while True:
+        for x, y in zip(ears[-1], ears[-1][1:]):
+            members |= 1 << x
+            pending[x] ^= 1 << y
+            active = active | 1 << x if pending[x] else active & ~(1 << x)
+        if not active:
+            break
+        u = (active & -active).bit_length() - 1
+        v = (pending[u] & -pending[u]).bit_length() - 1
+        ears.append((u, v) if members >> v & 1 else
+                    (u, *_bfs_path(v, adj.__getitem__, lambda y: members >> y & 1)))
     dec = EarDecompositionD(tuple(ears))
     problems = check_ear_decomposition_digraph(d, dec)
     if problems:

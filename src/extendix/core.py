@@ -6,14 +6,15 @@ intra-class edges are unrepresentable by construction.  Labels such as
 ``u3``/``w1`` (1-based) appear only in file formats and rendered output.
 
 All types are immutable after construction; nothing here mutates shared
-state, so concurrent readers are always safe.
+state, so concurrent readers are always safe.  A digraph builds its
+neighbourhood bitmasks on first use and keeps them, outside its fields.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 
@@ -203,6 +204,12 @@ class Digraph:
     def loop_free(self) -> "Digraph":
         return Digraph(self.n, frozenset((a, b) for a, b in self.arcs if a != b))
 
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``_neighbourhood_masks``, built on first use and kept, but not as a
+        field: equality, hashing, repr and the constructor do not see it."""
+        return _neighbourhood_masks(self)
+
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return _out_adj(self)[v]
 
@@ -306,6 +313,17 @@ def _in_adj(d: Digraph) -> tuple:
         if a != b:
             adj[b].append(a)
     return tuple(tuple(x) for x in adj)
+
+
+def _neighbourhood_masks(d: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """D's out- and in-neighbourhoods as bitmasks, one int per vertex, loops
+    left out, as tuples so that no reader changes them; one pass over the arcs."""
+    outs, ins = [0] * d.n, [0] * d.n
+    for a, b in d.arcs:
+        if a != b:
+            outs[a] |= 1 << b
+            ins[b] |= 1 << a
+    return tuple(outs), tuple(ins)
 
 
 def _bfs_path(start, neighbors, stop) -> list | None:

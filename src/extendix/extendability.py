@@ -31,7 +31,7 @@ from .matching import (_augment, enumerate_matchings, has_perfect_matching,
 from .connectivity import (ear_decomposition_digraph, is_k_strong,
                            is_minimal_k_strong, strong_components, MinimalityResult,
                            anti_directed_trail_find, vertex_connectivity,
-                           _first_cycle, _path_systems, _shortest_cycle_through,
+                           _first_cycle, _out_lists, _path_systems, _shortest_cycle_through,
                            _sink_component)
 
 
@@ -323,7 +323,7 @@ def bipartite_ear_decomposition(g: BipartiteGraph, start_edge) -> EarDecompositi
         return EarDecompositionB(start_edge, (), m)
     d, cmap = digraph_of(g, m)
     hub = cmap.vertex_of_matching_edge(start_edge)
-    cycle = _shortest_cycle_through(d, hub)
+    cycle = _shortest_cycle_through(_out_lists(d), hub)
     ddec = ear_decomposition_digraph(d, cycle)
 
     # the base cycle's pullback runs from the u-side to the w-side of the

@@ -4,6 +4,7 @@ from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_bipartite
                       connected, directed_cycle, max_extendability,
                       random_bipartite_with_pm, random_digraph, reduced_adjacency,
                       vertex_connectivity)
+from extendix import core
 from extendix.cli import main
 from extendix.core import BUDGETS
 from extendix.fileio import read_certificate, write_instance
@@ -26,6 +27,27 @@ def files(tmp_path):
 
 
 class TestAnalyze:
+    def test_dg_builds_the_masks_once(self, tmp_path, monkeypatch, capsys):
+        """The strong components, the strongness test and degree line of
+        kappa, the flow kernel and the ear decomposition read one build of
+        the parsed digraph's masks; the ear route calls no
+        ``Digraph.out_neighbors`` and fills no adjacency cache."""
+        path = tmp_path / "r.dg"
+        write_instance(random_digraph(20, 0.4, seed=3), path)
+        builds = []
+        build = core._neighbourhood_masks
+        monkeypatch.setattr(core, "_neighbourhood_masks", lambda d: builds.append(d) or build(d))
+
+        def refuse(self, v):
+            raise AssertionError("out_neighbors called")
+
+        monkeypatch.setattr(Digraph, "out_neighbors", refuse)
+        core._out_adj.cache_clear()
+        assert main(["analyze", str(path)]) == 0
+        assert "ear-decomposition: " in capsys.readouterr().out
+        assert len(builds) == 1
+        assert core._out_adj.cache_info().currsize == 0
+
     def test_c6_summary(self, files, capsys):
         assert main(["analyze", files["c6.bg"]]) == 0
         out = capsys.readouterr().out

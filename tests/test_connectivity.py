@@ -13,8 +13,9 @@ from extendix import (Digraph, InsufficientPathsError, complete_digraph,
                       one_way_pair_audit, random_digraph, strong_components,
                       vertex_connectivity)
 from extendix import connectivity
-from extendix.connectivity import (KStrongResult, PathSystem, _FlowNet, _path_systems,
-                                   _shortest_cycle_through, _sink_component,
+from extendix.connectivity import (EarDecompositionD, KStrongResult, PathSystem, _FlowNet,
+                                   _path_systems,
+                                   _out_lists, _shortest_cycle_through, _sink_component,
                                    check_ear_decomposition_digraph, check_path_system)
 
 
@@ -649,7 +650,7 @@ def _ear_decomposition_resorting(d: Digraph, start_cycle: tuple) -> tuple:
 
 def _assert_matches_replaced_scans(d: Digraph) -> None:
     cycles = [_shortest_cycle_through_scan(d, v) for v in range(d.n)]
-    assert cycles == [_shortest_cycle_through(d, v) for v in range(d.n)]
+    assert cycles == [_shortest_cycle_through(_out_lists(d), v) for v in range(d.n)]
     if d.n < 2 or not is_strong(d):
         return
     start = min((c for c in cycles if c is not None), key=lambda c: (len(c), c))
@@ -675,6 +676,150 @@ class TestReplacedScans:
             _assert_matches_replaced_scans(d)
             strong += is_strong(d)
         assert strong >= 200
+
+
+def _check_ear_decomposition_by_sets(d: Digraph, dec) -> list:
+    """The checker the library replaced, on per-ear sets: the reference for
+    the problem lists of the mask checker."""
+    problems = []
+    if not dec.ears:
+        return ["empty decomposition"]
+    first = dec.ears[0]
+    if len(first) < 3 or first[0] != first[-1] or len(set(first[:-1])) != len(first) - 1:
+        problems.append(f"initial ear {first} is not a cycle")
+    seen_arcs: set = set()
+    seen_vertices: set = set(first)
+    for idx, ear in enumerate(dec.ears):
+        for arc in zip(ear, ear[1:]):
+            if arc not in d.arcs:
+                problems.append(f"ear {idx} uses missing arc {arc}")
+            if arc in seen_arcs:
+                problems.append(f"ear {idx} repeats arc {arc}")
+            seen_arcs.add(arc)
+        if idx == 0:
+            continue
+        interior = ear[1:-1]
+        if ear[0] == ear[-1]:
+            if ear[0] not in seen_vertices:
+                problems.append(f"cycle ear {idx} attaches at a new vertex")
+            overlap = set(interior) & seen_vertices
+            if overlap:
+                problems.append(f"cycle ear {idx} re-enters old vertices {sorted(overlap)}")
+            if len(set(ear[:-1])) != len(ear) - 1:
+                problems.append(f"cycle ear {idx} repeats a vertex")
+        else:
+            if ear[0] not in seen_vertices or ear[-1] not in seen_vertices:
+                problems.append(f"path ear {idx} endpoints must be distinct old vertices")
+            overlap = set(interior) & seen_vertices
+            if overlap:
+                problems.append(f"path ear {idx} re-enters old vertices {sorted(overlap)}")
+            if len(set(ear)) != len(ear):
+                problems.append(f"path ear {idx} repeats a vertex")
+        seen_vertices |= set(ear)
+    if seen_vertices != set(range(d.n)):
+        problems.append("vertices not fully covered")
+    if seen_arcs != set(a for a in d.arcs if a[0] != a[1]):
+        problems.append("arcs not exactly covered")
+    return problems
+
+
+def _circulant(n: int, steps) -> Digraph:
+    return Digraph(n, frozenset((v, (v + j) % n) for v in range(n) for j in steps))
+
+
+def _both_checks(d: Digraph, ears) -> list:
+    dec = EarDecompositionD(tuple(ears))
+    problems = check_ear_decomposition_digraph(d, dec)
+    assert problems == _check_ear_decomposition_by_sets(d, dec), ears
+    return problems
+
+
+PHRASES = ("is not a cycle", "uses missing arc", "repeats arc", "attaches at a new vertex",
+           "endpoints must be distinct old vertices", "re-enters old vertices",
+           "repeats a vertex", "vertices not fully covered", "arcs not exactly covered")
+
+
+class TestEarsAtProductionSizes:
+    """The mask-based ear loop against the per-ear re-sort it replaced, and
+    the mask checker against the set checker, at the sizes ``analyze``
+    meets (n = 20 at p = 0.4 in the benchmark).  The re-sort costs
+    O(m^2 log m), so the n = 80 digraphs are sparse."""
+
+    @pytest.mark.parametrize("n,p", [(20, 0.25), (20, 0.4), (40, 0.15), (40, 0.25),
+                                     (80, 0.08), (80, 0.12)])
+    def test_seeded_random(self, n, p):
+        strong = 0
+        for seed in range(3):
+            d = random_digraph(n, p, seed=2400 + n + seed)
+            _assert_matches_replaced_scans(d)
+            if is_strong(d):
+                strong += 1
+                assert _both_checks(d, ear_decomposition_digraph(d).ears) == []
+        assert strong >= 2
+
+    @pytest.mark.parametrize("n", [4, 7, 20, 40, 80])
+    def test_circulants(self, n):
+        d = _circulant(n, (1, 2, 3))
+        _assert_matches_replaced_scans(d)
+        assert _both_checks(d, ear_decomposition_digraph(d).ears) == []
+
+    def test_broken_decompositions_get_the_set_checkers_problems(self):
+        d = random_digraph(12, 0.35, seed=5)
+        ears = list(ear_decomposition_digraph(d).ears)
+        single = next(i for i, ear in enumerate(ears) if len(ear) == 2)
+        path = next(i for i, ear in enumerate(ears) if len(ear) > 2 and ear[0] != ear[-1])
+        u = ears[single][0]
+        non_arc = next((u, w) for w in range(d.n) if w != u and (u, w) not in d.arcs)
+        a, *rest = ears[path]
+        old = next(v for v in ears[0] if v != a)
+        cases = {
+            "uses missing arc": ears[:single] + [non_arc] + ears[single + 1:],
+            "repeats arc": ears + [ears[single]],
+            f"path ear {path} re-enters old vertices [{old}]":
+                ears[:path] + [(a, old, *rest)] + ears[path + 1:],
+            "vertices not fully covered": [ear for ear in ears if rest[0] not in ear],
+            "arcs not exactly covered": ears[:single] + ears[single + 1:],
+        }
+        for expected, broken in cases.items():
+            problems = _both_checks(d, broken)
+            assert any(expected in p for p in problems), (expected, problems)
+
+    def test_seeded_mutations_get_the_set_checkers_problems(self):
+        """Deleted, doubled, reversed, cut, swapped and rewritten ears,
+        degenerate ones such as (x,) and (x, x) among them."""
+        rng = random.Random(24)
+        seen = set()
+        for case in range(400):
+            d = random_digraph(rng.randint(3, 9), rng.choice((0.35, 0.5, 0.7)), seed=case)
+            if not is_strong(d):
+                continue
+            ears = [list(ear) for ear in ear_decomposition_digraph(d).ears]
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(ears))
+                kind = rng.randrange(7)
+                if kind == 0 and len(ears) > 1:
+                    del ears[i]
+                elif kind == 1:
+                    ears.insert(rng.randrange(len(ears) + 1), list(ears[i]))
+                elif kind == 2:
+                    ears[i].reverse()
+                elif kind == 3:
+                    ears[i] = ears[i][:rng.randint(1, len(ears[i]))]
+                elif kind == 4:
+                    j = rng.randrange(len(ears))
+                    ears[i], ears[j] = ears[j], ears[i]
+                elif kind == 5:
+                    ears[i][rng.randrange(len(ears[i]))] = rng.randrange(d.n)
+                else:
+                    ears[i].insert(rng.randrange(len(ears[i]) + 1), rng.randrange(d.n))
+            problems = _both_checks(d, [tuple(ear) for ear in ears])
+            seen.update(phrase for phrase in PHRASES if any(phrase in p for p in problems))
+        assert seen == set(PHRASES)
+
+    def test_an_empty_ear_or_a_stray_vertex_is_reported_alone(self):
+        for ears, bad in [(((0, 1, 0), (1, 2), (2, 7)), 2), (((0, 1, 0), (), (1, -1)), 1)]:
+            assert check_ear_decomposition_digraph(complete_digraph(3), EarDecompositionD(ears)) \
+                == [f"ear {bad} {ears[bad]} is not a sequence of vertices of D"]
 
 
 class TestMinimality:

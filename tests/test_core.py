@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -164,6 +165,17 @@ class TestHelpers:
     def test_from_array_takes_nested_sequences_without_numpy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)  # any numpy import fails
         assert ZeroOneMatrix.from_array([[1, 0], (0, 1)]) == ZeroOneMatrix.identity(2)
+
+    def test_digraph_masks_are_built_once_and_kept_off_the_fields(self):
+        """The masks leave equality, hashing, repr and the constructor as
+        they were, and are tuples, so no reader can change them."""
+        d = Digraph(3, frozenset({(0, 1), (1, 2), (2, 0), (1, 1)}), loops_allowed=True)
+        twin = Digraph(3, d.arcs, True)
+        before = repr(d), hash(d)
+        assert d._masks == ((0b010, 0b100, 0b001), (0b100, 0b001, 0b010))
+        assert d._masks is d._masks
+        assert (repr(d), hash(d)) == before and d == twin and "_masks" not in twin.__dict__
+        assert [f.name for f in dataclasses.fields(d)] == ["n", "arcs", "loops_allowed"]
 
 
 def _smallest_path_by_enumeration(d: Digraph, start: int, stop) -> list | None:

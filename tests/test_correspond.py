@@ -201,9 +201,9 @@ class TestCycleTransport:
             if not is_strong(d) or d.n < 2 or d.m == 0:
                 continue
             g, m, cmap = bipartite_of_digraph(d)
-            from extendix.connectivity import _shortest_cycle
+            from extendix.connectivity import _out_lists, _shortest_cycle
 
-            cyc = _shortest_cycle(d)
+            cyc = _shortest_cycle(_out_lists(d))
             closed = tuple(cyc) + (cyc[0],)
             edges = alternating_cycle_edges_from_digraph_cycle(cmap, closed)
             assert flip_alternating_cycle(m, edges).is_perfect

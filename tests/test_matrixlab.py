@@ -4,6 +4,7 @@ import pytest
 
 from extendix import (DecompositionWitness, ZeroOneMatrix, bipartite_of_matrix,
                       count_perfect_matchings, cycle_bipartite, diagonals,
+                      has_perfect_matching,
                       irreducible_indecomposable_cross_check,
                       is_k_partly_decomposable, is_k_reducible,
                       is_partly_decomposable, is_reducible, iter_matrices,
@@ -98,6 +99,40 @@ class TestPartlyDecomposable:
         for a in iter_matrices(1):
             assert not is_partly_decomposable(a).holds
             assert fully_indecomposable_by_diagonals(a)
+
+
+def _every_minor_has_a_perfect_matching(a: ZeroOneMatrix) -> bool:
+    """The diagonal criterion as it was computed before: one maximum
+    matching from scratch per minor."""
+    g = bipartite_of_matrix(a)
+    return all(has_perfect_matching(g, frozenset({i}), frozenset({j}))
+               for i in range(a.n) for j in range(a.n))
+
+
+class TestDiagonalCriterion:
+    """One maximum matching repaired by one augmentation per minor gives
+    the answers of n^2 fresh matchings."""
+
+    def test_every_order_3_matrix(self):
+        held = 0
+        for a in iter_matrices(3):
+            answer = fully_indecomposable_by_diagonals(a)
+            assert answer == _every_minor_has_a_perfect_matching(a), a
+            held += answer
+        assert 0 < held < 512
+
+    def test_seeded_orders_4_to_12(self):
+        rng = random.Random(2024)
+        answers = []
+        for n in range(4, 13):
+            for case in range(16):
+                p = (0.2, 0.35, 0.5, 0.7)[case % 4]
+                a = ZeroOneMatrix(tuple(
+                    tuple(int(case % 3 == 0 and i == j or rng.random() < p) for j in range(n))
+                    for i in range(n)))
+                answers.append(fully_indecomposable_by_diagonals(a))
+                assert answers[-1] == _every_minor_has_a_perfect_matching(a), a
+        assert 20 < sum(answers) < len(answers) - 20
 
 
 class TestKPartlyDecomposable:

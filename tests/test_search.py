@@ -19,6 +19,7 @@ import pytest
 
 import extendix.cli as cli
 import extendix.connectivity as connectivity
+import extendix.core as core
 import extendix.correspond as correspond
 import extendix.extendability as extendability
 import extendix.matching as matching
@@ -227,10 +228,10 @@ def test_strong_audit_reads_degrees_off_the_arcs(capsys):
 
 def test_strong_audit_builds_the_masks_once_per_hit(monkeypatch, capsys):
     """The degree audit and the anti-directed trail of a hit share one
-    ``_rows`` build: the n = 5 listing costs one call per hit."""
+    build of its masks: the n = 5 listing builds once per hit."""
     calls = []
-    rows = connectivity._rows
-    monkeypatch.setattr(connectivity, "_rows", lambda d: calls.append(d) or rows(d))
+    build = core._neighbourhood_masks
+    monkeypatch.setattr(core, "_neighbourhood_masks", lambda d: calls.append(d) or build(d))
     assert main(["search", "--target", "minimal_k_strong", "--n-max", "5", "--k", "1",
                  "--limit", "1000000"]) == 0
     hits = capsys.readouterr().out.count("\ndegree-audit ")

@@ -36,15 +36,16 @@ from .matrixlab import (_decomposable, _distinct_in_range, _independent_witness,
 
 
 _NOUNS = {BipartiteGraph: "bipartite graph", Digraph: "digraph", ZeroOneMatrix: "matrix"}
+_SAMPLED = 6  # the most pairs a positive certificate carries path systems for
 
 
-def _sample(pairs: list, seed, cap: int = 6) -> list:
-    """All pairs when there are at most cap of them, else a seeded sorted
-    sample of cap."""
-    if len(pairs) <= cap:
+def _sample(pairs: list, seed) -> list:
+    """All pairs when there are at most _SAMPLED of them, else a seeded
+    sorted sample of _SAMPLED."""
+    if len(pairs) <= _SAMPLED:
         return pairs
     rng = random.Random(seed)
-    return sorted(rng.sample(pairs, cap))
+    return sorted(rng.sample(pairs, _SAMPLED))
 
 
 def _edges_text(edges) -> str:
@@ -111,10 +112,10 @@ def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
 
 
 def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, seed,
-                          pairs: dict | None = None) -> Certificate:
+                          pairs: dict) -> Certificate:
     """Positive certificate for a k-extendable graph g (obj is g or its
     matrix): a perfect matching at k = 0, alternating path systems above.
-    pairs is a maximum matching of g when the caller holds one."""
+    pairs is a maximum matching of g."""
     m = first_perfect_matching(g, pairs)
     if k == 0:
         return Certificate(claim, k, True, obj, "perfect-matching",
@@ -234,7 +235,11 @@ def _check_witness(cert: Certificate) -> list[str]:
         if not matching.is_perfect:
             return ["embedded matching is not perfect"]
         for (pair, path_lines) in _split_sections(cert.witness_lines):
-            pu, pw = _parse_walk(" ".join(pair))
+            ends = _parse_walk(" ".join(pair))
+            if [side for side, _ in ends] != ["u", "w"]:
+                problems.append(f"pair {pair} does not name a U vertex and then a W vertex")
+                continue
+            pu, pw = ends
             walks = tuple(_parse_walk(p) for p in path_lines)
             if len(walks) != k:
                 problems.append(f"pair {pair}: {len(walks)} paths, expected {k}")
@@ -245,6 +250,9 @@ def _check_witness(cert: Certificate) -> list[str]:
     if kind == "menger-path-systems":
         d = obj if isinstance(obj, Digraph) else digraph_of_matrix(obj)
         for (pair, path_lines) in _split_sections(cert.witness_lines):
+            if len(pair) != 2:
+                problems.append(f"pair {pair} does not name exactly two vertices")
+                continue
             s, t = int(pair[0]) - 1, int(pair[1]) - 1
             if s == t:
                 problems.append(f"pair {pair} does not join two vertices")

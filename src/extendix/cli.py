@@ -9,9 +9,8 @@ in ``_commands``, its positionals and options in ``_ARGUMENTS``.  A
 well-formed command line is read straight off that table, with no
 argparse parser built.  Anything else (help, ``--``, ``--flag=value``,
 abbreviations, negative numbers, a bad value, a missing or extra
-argument) goes to argparse, which words help, usage and errors: the
-named command's own parser first, the full parser for help, a missing or
-unknown command and leftovers.
+argument, a missing or unknown command) goes to the full argparse
+parser, ``build_parser``, which words help, usage and errors.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                    is_int_token, random_digraph, u_label, w_label)
 from .correspond import (bipartite_of_digraph, bipartite_of_matrix, digraph_of,
                          digraph_of_matrix, reduced_adjacency)
-from .connectivity import (_strong_audit, ear_decomposition_digraph, strong_components,
-                           vertex_connectivity)
+from .connectivity import (_degree_audit, anti_directed_trail_find,
+                           ear_decomposition_digraph, strong_components, vertex_connectivity)
 from .extendability import (_degree_audit_bipartite, _forest_check,
                             elementary_components)
 from .matching import count_perfect_matchings, first_perfect_matching, max_matching
@@ -288,7 +287,7 @@ def _instance_block(header: str, obj) -> list[str]:
 
 
 def _strong_audit_lines(d: Digraph, k: int, idx: int) -> list[str]:
-    audit, trail = _strong_audit(d, k)
+    audit, trail = _degree_audit(d, k), anti_directed_trail_find(d, k)
     return _instance_block(f"instance {idx}:", d) + [
             f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
             f"out-degree-{k}-count={audit.out_degree_k_count} "
@@ -399,7 +398,7 @@ class _Option(NamedTuple):
 _KINDS = ("bg", "dg", "mat")
 
 # The only place a command's arguments are declared: its positionals and
-# its options.  The reader and both argparse parsers are built from it.
+# its options.  The reader and the argparse parser are built from it.
 _ARGUMENTS = {
     "analyze": (("path",), (_Option("--kind", choices=_KINDS), _Option("--out"))),
     "convert": (("path",), (
@@ -492,18 +491,10 @@ def _declare(parser, name: str, func):
     return parser
 
 
-def _command_parser(name: str, func):
-    """Command ``name``'s own argparse parser, which acts as its subparser
-    in ``build_parser`` would."""
-    import argparse
-
-    return _declare(argparse.ArgumentParser(prog=f"extendix {name}"), name, func)
-
-
 def build_parser():
     """The argparse parser of all six subcommands under ``extendix``, for
-    the calls whose help, usage and error texts argparse words at the top
-    level."""
+    the command lines the table reader declines: argparse words their help,
+    usage and error texts."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -522,12 +513,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     handlers = {name: func for name, _, func in _commands()}
     func = handlers.get(argv[0]) if argv else None
-    args = None
-    if func is not None:
-        args = _read_args(argv[0], func, argv[1:])
-        if args is None:
-            args, rest = _command_parser(argv[0], func).parse_known_args(argv[1:])
-            args = None if rest else args
+    args = _read_args(argv[0], func, argv[1:]) if func is not None else None
     if args is None:
         args = build_parser().parse_args(argv)
     try:

@@ -17,7 +17,6 @@ calls (delta the least in- or out-degree), one in the common case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import combinations
 
 from .core import Digraph, ExtendixError, _bfs_path, check_budget
@@ -86,43 +85,37 @@ def strong_components(d: Digraph, removed=()) -> tuple:
     of a row): O(n) steps when every arc runs up the vertex order, as each
     backward reach stops at once, and O(n^2) in the worst case, every arc
     running down it, as each backward reach takes every vertex left.
-    Kahn's algorithm with a min-vertex heap orders the condensation in
-    O(n log n + m)."""
+
+    Components are then placed one at a time, each time the first listed
+    (the one with the smallest vertex) whose in-mask, the OR of its
+    members' in-rows less itself, misses every unplaced vertex outside
+    removed.  One always exists, the condensation being acyclic, and this
+    is the order of Kahn's algorithm with a min-vertex heap: the heap holds
+    exactly the unplaced components with no unplaced predecessor, and pops
+    the first listed.
+    Time: O(n^2) mask operations, and O(c^2) to order c components."""
     n = d.n
     outs, ins = _rows(d)
     rest = (1 << n) - 1
     for v in removed:
         rest &= ~(1 << v)
-    comp_of = [-1] * n
-    comps: list[frozenset] = []
+    unplaced = rest
+    comps = []
     while rest:
         v = (rest & -rest).bit_length() - 1
         comp = _reach(outs, v, _reach(ins, v, rest))
         rest ^= comp
-        members = frozenset(_bits(comp))
+        members = _bits(comp)
+        into = 0
         for w in members:
-            comp_of[w] = len(comps)
-        comps.append(members)
-
-    # deterministic condensation order: Kahn with a min-vertex heap
-    k = len(comps)
-    succ = [set() for _ in range(k)]
-    indeg = [0] * k
-    for a, b in d.arcs:
-        ca, cb = comp_of[a], comp_of[b]
-        if ca != cb and min(ca, cb) >= 0 and cb not in succ[ca]:
-            succ[ca].add(cb)
-            indeg[cb] += 1
-    # comps is listed by smallest member, so an index is its min-vertex key
-    heap = [c for c in range(k) if indeg[c] == 0]
+            into |= ins[w]
+        comps.append((frozenset(members), comp, into & ~comp))
     ordered = []
-    while heap:
-        c = heappop(heap)
-        ordered.append(comps[c])
-        for nc in succ[c]:
-            indeg[nc] -= 1
-            if indeg[nc] == 0:
-                heappush(heap, nc)
+    while comps:
+        i = next(i for i, (_, _, into) in enumerate(comps) if not into & unplaced)
+        members, comp, _ = comps.pop(i)
+        unplaced ^= comp
+        ordered.append(members)
     return tuple(ordered)
 
 
@@ -784,11 +777,13 @@ def is_anti_directed_trail(arcs_seq) -> bool:
     return matches(True) or matches(False)
 
 
-def _first_cycle(edges) -> tuple | None:
-    """Scan undirected edges (between distinct nodes) in order and stop at
-    the first one that closes a cycle; return that cycle's nodes as the
-    forest path, unique, from the edge's first end to its second, or None
-    when the edges form a forest."""
+def _bipartite_cycle(pairs) -> tuple | None:
+    """The first cycle closed when the edges (a, b) of a bipartite graph, a
+    on one side and b on the other, are added in the order given: its edges
+    (a, b), from the closing edge's a along the forest path to its b and
+    back by that edge; None when the edges form a forest.  a is node 2a
+    and b node 2b + 1 of one union-find forest.
+    Time: O(m log m) for m edges, plus O(m) for the forest path."""
     leader: dict = {}
     forest: dict = {}
 
@@ -798,14 +793,17 @@ def _first_cycle(edges) -> tuple | None:
             x = leader[x]
         return x
 
-    for a, b in edges:
-        leader.setdefault(a, a)
-        leader.setdefault(b, b)
-        if find(a) == find(b):
-            return tuple(_bfs_path(a, lambda x: forest.get(x, ()), lambda y: y == b))
-        leader[find(a)] = find(b)
-        forest.setdefault(a, []).append(b)
-        forest.setdefault(b, []).append(a)
+    for a, b in pairs:
+        x, y = 2 * a, 2 * b + 1
+        leader.setdefault(x, x)
+        leader.setdefault(y, y)
+        if find(x) == find(y):
+            nodes = _bfs_path(x, lambda z: forest.get(z, ()), lambda z: z == y) + [x]
+            return tuple((p >> 1, q >> 1) if p & 1 == 0 else (q >> 1, p >> 1)
+                         for p, q in zip(nodes, nodes[1:]))
+        leader[find(x)] = find(y)
+        forest.setdefault(x, []).append(y)
+        forest.setdefault(y, []).append(x)
     return None
 
 
@@ -815,25 +813,17 @@ def anti_directed_trail_find(d: Digraph, k: int):
 
     Two arcs sharing a head (tail) are adjacent edges of an auxiliary
     bipartite graph on tail- and head-slots, so an anti-directed trail
-    exists exactly when that auxiliary graph has a cycle.
+    exists exactly when that auxiliary graph has a cycle
+    (``_bipartite_cycle`` on the arcs in sorted order).
+    Time: O(m log m) for m arcs, degrees read off the masks.
     """
-    return _anti_directed_trail(d.arcs, _rows(d), k)
-
-
-def _anti_directed_trail(arcs, rows, k: int):
-    """The body of anti_directed_trail_find on D's arcs and ``_rows``."""
-    outs, ins = rows
-    qual = [(u, v) for u, v in sorted(arcs)
-            if u != v and outs[u].bit_count() > k and ins[v].bit_count() > k]
-    nodes = _first_cycle([(("t", u), ("h", v)) for u, v in qual])
-    if nodes is None:
-        return None
-    closed = nodes + (nodes[0],)
-    arcs_seq = tuple((x[1], y[1]) if x[0] == "t" else (y[1], x[1])
-                     for x, y in zip(closed, closed[1:]))
-    if not is_anti_directed_trail(arcs_seq):
+    outs, ins = _rows(d)
+    trail = _bipartite_cycle([(u, v) for u, v in sorted(d.arcs)
+                              if u != v and outs[u].bit_count() > k
+                              and ins[v].bit_count() > k])
+    if trail is not None and not is_anti_directed_trail(trail):
         raise AssertionError("auxiliary cycle is not an anti-directed trail")
-    return arcs_seq
+    return trail
 
 
 # ---------------------------------------------------------------------------
@@ -854,20 +844,12 @@ def minimal_k_strong_degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
     verdict = is_minimal_k_strong(d, k)
     if not verdict.holds:
         raise ValueError(f"digraph is not minimal {k}-strong: {verdict.reason}")
-    return _degree_audit(_rows(d), k)
+    return _degree_audit(d, k)
 
 
-def _degree_audit(rows, k: int) -> DegreeAuditReport:
-    """The body of minimal_k_strong_degree_audit on the ``_rows`` of a
-    minimal k-strong D."""
-    outs, ins = ([row.bit_count() for row in masks] for masks in rows)
+def _degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
+    """The body of minimal_k_strong_degree_audit, with no minimality check:
+    ``search`` prints it for hits it knows minimal."""
+    outs, ins = ([row.bit_count() for row in masks] for masks in _rows(d))
     out_count, in_count = outs.count(k), ins.count(k)
     return DegreeAuditReport(out_count >= k and in_count >= k, k, out_count, in_count)
-
-
-def _strong_audit(d: Digraph, k: int) -> tuple:
-    """The degree audit and the anti-directed trail (or None) of a minimal
-    k-strong D, both read off one build of its ``_rows``; ``search`` prints
-    the pair for every hit."""
-    rows = _rows(d)
-    return _degree_audit(rows, k), _anti_directed_trail(d.arcs, rows, k)

@@ -31,7 +31,7 @@ from .matching import (_augment, enumerate_matchings, has_perfect_matching,
 from .connectivity import (ear_decomposition_digraph, is_k_strong,
                            is_minimal_k_strong, strong_components, MinimalityResult,
                            anti_directed_trail_find, vertex_connectivity,
-                           _first_cycle, _out_lists, _path_systems, _shortest_cycle_through,
+                           _bipartite_cycle, _out_lists, _path_systems, _shortest_cycle_through,
                            _sink_component)
 
 
@@ -562,19 +562,10 @@ def _forest_check(g: BipartiteGraph, k: int, d: Digraph) -> ForestCheckReport:
     d the digraph of G under any perfect matching."""
     qual = frozenset((i, j) for i, j in g.edges
                      if g.degree_u(i) >= k + 2 and g.degree_w(j) >= k + 2)
-    cycle = _find_cycle_bipartite(qual)
+    cycle = _bipartite_cycle(sorted(qual))
 
     trail = anti_directed_trail_find(d, k)
     if cycle is None and trail is not None:
         raise AssertionError("digraph search found a trail the forest check missed")
     return ForestCheckReport(cycle is None, k, qual, cycle, trail)
 
-
-def _find_cycle_bipartite(edges):
-    """A cycle in the subgraph spanned by the given edges, or None."""
-    nodes = _first_cycle([(("u", i), ("w", j)) for i, j in sorted(edges)])
-    if nodes is None:
-        return None
-    closed = nodes + (nodes[0],)
-    return tuple((x[1], y[1]) if x[0] == "u" else (y[1], x[1])
-                 for x, y in zip(closed, closed[1:]))

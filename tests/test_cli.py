@@ -379,6 +379,37 @@ class TestCertifyVerify:
         assert main(["verify", str(cert_path)]) == 1
         assert "does not join two vertices" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name,claim,pair,problem", [
+        ("c6.bg", "k-extendable", "u1 w1", None),
+        ("c6.bg", "k-extendable", "w1 u1", "does not name a U vertex and then a W vertex"),
+        ("c6.bg", "k-extendable", "u1 u2", "does not name a U vertex and then a W vertex"),
+        ("c6.bg", "k-extendable", "u1 w1 w2", "does not name a U vertex and then a W vertex"),
+        ("c6.bg", "k-extendable", "u1", "does not name a U vertex and then a W vertex"),
+        ("j3.mat", "k-indecomposable", "w1 w1", "does not name a U vertex and then a W vertex"),
+        ("d3.dg", "k-strong", "1 2", None),
+        ("d3.dg", "k-strong", "1 2 3", "does not name exactly two vertices"),
+        ("d3.dg", "k-strong", "1", "does not name exactly two vertices"),
+        ("j3.mat", "k-irreducible", "1 2 1", "does not name exactly two vertices"),
+    ])
+    def test_pair_lines_name_their_two_ends(self, files, tmp_path, capsys, name, claim,
+                                            pair, problem):
+        # the first pair of each certificate is u1 w1 or 1 2; its path lines stay
+        cert_path = tmp_path / "pair.cert"
+        assert main(["certify", files[name], "--claim", claim, "--k", "1",
+                     "--out", str(cert_path)]) == 0
+        text = cert_path.read_text()
+        first = "pair: u1 w1\n" if "alt-path" in text else "pair: 1 2\n"
+        assert first in text
+        cert_path.write_text(text.replace(first, f"pair: {pair}\n", 1))
+        capsys.readouterr()
+        if problem is None:
+            assert main(["verify", str(cert_path)]) == 0
+            assert capsys.readouterr().out == f"certificate verified: {claim} k=1 holds\n"
+        else:
+            assert main(["verify", str(cert_path)]) == 1
+            assert capsys.readouterr().out == (f"certificate INVALID:\n  - pair "
+                                               f"{pair.split()} {problem}\n")
+
     def test_loops_leave_k_strong_witnesses_alone(self, tmp_path, capsys):
         plain = random_digraph(8, 0.6, seed=1)
         loopy = Digraph(8, plain.arcs | {(0, 0), (3, 3), (7, 7)}, loops_allowed=True)

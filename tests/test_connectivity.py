@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from extendix import (Digraph, InsufficientPathsError, complete_digraph,
                       one_way_pair_audit, random_digraph, strong_components,
                       vertex_connectivity)
 from extendix import connectivity
+from extendix.core import _bfs_path
 from extendix.connectivity import (EarDecompositionD, KStrongResult, PathSystem, _FlowNet,
                                    _path_systems,
                                    _out_lists, _shortest_cycle_through, _sink_component,
@@ -141,6 +143,79 @@ class TestOneComponentPass:
             if not verdict.holds and verdict.separator:
                 _assert_one_pass_matches(d, verdict.separator)
         assert 20 <= strong <= 200
+
+
+def _components_by_kahn(d: Digraph, removed) -> tuple:
+    """The condensation order the library replaced: the components of
+    D - removed (mutual reachability), listed by smallest vertex, ordered
+    by Kahn's algorithm over d.arcs with a min-vertex heap."""
+    live = [v for v in range(d.n) if v not in removed]
+    reach = {}
+    for v in live:
+        seen, stack = {v}, [v]
+        while stack:
+            for w in d.out_neighbors(stack.pop()):
+                if w not in seen and w not in removed:
+                    seen.add(w)
+                    stack.append(w)
+        reach[v] = seen
+    comps, comp_of = [], {}
+    for v in live:
+        if v not in comp_of:
+            comps.append(frozenset(w for w in reach[v] if v in reach[w]))
+            comp_of.update((w, len(comps) - 1) for w in comps[-1])
+    succ = [set() for _ in comps]
+    indeg = [0] * len(comps)
+    for a, b in d.arcs:
+        if a in comp_of and b in comp_of and comp_of[a] != comp_of[b] \
+                and comp_of[b] not in succ[comp_of[a]]:
+            succ[comp_of[a]].add(comp_of[b])
+            indeg[comp_of[b]] += 1
+    heap = [c for c in range(len(comps)) if indeg[c] == 0]
+    ordered = []
+    while heap:
+        c = heapq.heappop(heap)
+        ordered.append(comps[c])
+        for nc in succ[c]:
+            indeg[nc] -= 1
+            if indeg[nc] == 0:
+                heapq.heappush(heap, nc)
+    return tuple(ordered)
+
+
+def _one_way(n: int, p: float, seed: int, up: bool) -> Digraph:
+    """Random arcs that all run up (or all down) the vertex order: n
+    singleton components, whose order the tie-break decides."""
+    rng = random.Random(seed)
+    return Digraph(n, frozenset((a, b) if up else (b, a)
+                                for a in range(n) for b in range(a + 1, n)
+                                if rng.random() < p))
+
+
+class TestCondensationOrder:
+    """The in-mask scan of ``strong_components`` against the Kahn pass it
+    replaced: the same components in the same order."""
+
+    def test_seeded_small_with_loops_and_removed_sets(self):
+        rng = random.Random(25)
+        for i in range(4000):
+            n = 1 + i % 12
+            d = random_digraph(n, rng.choice((0.05, 0.1, 0.2, 0.35)), seed=2500 + i)
+            loops = {(v, v) for v in range(n) if rng.random() < 0.2}
+            d = Digraph(n, d.arcs | loops, loops_allowed=True)
+            removed = rng.sample(range(n), rng.randint(0, n // 2))
+            assert strong_components(d, removed) == _components_by_kahn(d, removed)
+
+    @pytest.mark.parametrize("family", ["up", "down", "random"])
+    def test_n_80(self, family):
+        for seed in range(3):
+            if family == "random":
+                d = random_digraph(80, (0.01, 0.03, 0.4)[seed], seed=seed)
+            else:
+                d = _one_way(80, 0.1, seed, family == "up")
+            comps = strong_components(d)
+            assert comps == _components_by_kahn(d, ())
+            assert family == "random" or len(comps) == 80
 
 
 class TestVertexConnectivity:
@@ -893,6 +968,46 @@ class TestAntiDirectedTrails:
         d = Digraph(4, frozenset({(0, 2), (1, 2), (1, 3), (0, 3)}))
         assert anti_directed_trail_find(d, 1) is not None
         assert anti_directed_trail_find(d, 2) is None
+
+
+def _trail_on_tagged_slots(d: Digraph, k: int):
+    """The trail search the library replaced: union-find over ("t", u)
+    tail slots and ("h", v) head slots, the arcs taken in sorted order, the
+    cycle read back as (tail, head) arcs."""
+    qual = [(u, v) for u, v in sorted(d.arcs) if u != v
+            and len(d.out_neighbors(u)) > k and len(d.in_neighbors(v)) > k]
+    leader, forest = {}, {}
+
+    def find(x):
+        while leader[x] != x:
+            leader[x] = leader[leader[x]]
+            x = leader[x]
+        return x
+
+    for u, v in qual:
+        a, b = ("t", u), ("h", v)
+        leader.setdefault(a, a)
+        leader.setdefault(b, b)
+        if find(a) == find(b):
+            nodes = _bfs_path(a, lambda x: forest.get(x, ()), lambda y: y == b)
+            closed = nodes + [a]
+            return tuple((x[1], y[1]) if x[0] == "t" else (y[1], x[1])
+                         for x, y in zip(closed, closed[1:]))
+        leader[find(a)] = find(b)
+        forest.setdefault(a, []).append(b)
+        forest.setdefault(b, []).append(a)
+    return None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_trail_matches_the_tagged_slot_search(k):
+    found = 0
+    for seed in range(400):
+        d = random_digraph(4 + seed % 9, (0.2, 0.35, 0.5)[seed % 3], seed=seed)
+        trail = anti_directed_trail_find(d, k)
+        assert trail == _trail_on_tagged_slots(d, k)
+        found += trail is not None
+    assert 40 <= found <= 360
 
 
 class TestDegreeAudit:

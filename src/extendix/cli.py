@@ -25,7 +25,7 @@ from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                    is_int_token, random_digraph, u_label, w_label)
 from .correspond import (bipartite_of_digraph, bipartite_of_matrix, digraph_of,
                          digraph_of_matrix, reduced_adjacency)
-from .connectivity import (_degree_audit, anti_directed_trail_find,
+from .connectivity import (_anti_directed_trail, _bits, _degree_audit,
                            ear_decomposition_digraph, strong_components, vertex_connectivity)
 from .extendability import (_degree_audit_bipartite, _forest_check,
                             elementary_components)
@@ -34,8 +34,8 @@ from .certify import build_certificate, check_certificate
 from .fileio import (CLAIMS, format_certificate, format_correspondence,
                      format_instance, instance_kind, read_certificate,
                      read_instance)
-from .search import (minimal_k_extendable_graphs, minimal_k_strong_digraphs,
-                     minimality_counterexamples)
+from .search import (_counterexample_rows, _in_rows, _minimal_k_extendable_rows,
+                     _minimal_k_strong_rows, _with_diagonal)
 
 
 def _emit(text: str, out_path) -> None:
@@ -282,42 +282,61 @@ def cmd_verify(args) -> int:
 # search
 
 
-def _instance_block(header: str, obj) -> list[str]:
-    return [header] + format_instance(obj).rstrip("\n").split("\n") + ["end-instance"]
+def _line_table(n: int) -> list[list[str]]:
+    """``table[a][row]``: the instance-file lines "a b", 1-based, of the arcs
+    (a, b) or edges u_a w_b for the bits b of ``row``, in bit order."""
+    return [["".join(f"{a + 1} {b + 1}\n" for b in _bits(row)) for row in range(1 << n)]
+            for a in range(n)]
 
 
-def _strong_audit_lines(d: Digraph, k: int, idx: int) -> list[str]:
-    audit, trail = _degree_audit(d, k), anti_directed_trail_find(d, k)
-    return _instance_block(f"instance {idx}:", d) + [
-            f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
+def _rows_block(header: str, kind: str, rows, table) -> str:
+    """The block ``format_instance`` gives, between ``header`` and
+    ``end-instance``, for the dg instance with out-rows ``rows`` or the bg
+    instance with u-rows ``rows``: row order, then bit order, is the sorted
+    order of the arcs or edges.  ``table`` is ``_line_table(n)``.
+    Time: O(n) joins of the table's strings, O(n + m) characters."""
+    return (f"{header}\n{kind} {len(rows)} {sum(map(int.bit_count, rows))}\n"
+            + "".join([lines[row] for lines, row in zip(table, rows)]) + "end-instance\n")
+
+
+def _strong_audit_text(outs, k: int, idx: int, table) -> str:
+    ins = _in_rows(outs)
+    audit, trail = _degree_audit(outs, ins, k), _anti_directed_trail(outs, ins, k)
+    return (_rows_block(f"instance {idx}:", "dg", outs, table)
+            + f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
             f"out-degree-{k}-count={audit.out_degree_k_count} "
-            f"in-degree-{k}-count={audit.in_degree_k_count}",
+            f"in-degree-{k}-count={audit.in_degree_k_count}\n"
             f"anti-directed-trail {idx}: "
-            + ("none" if trail is None else
-               " ".join(f"{a + 1}->{b + 1}" for a, b in trail))]
+            + ("none" if trail is None else " ".join(f"{a + 1}->{b + 1}" for a, b in trail))
+            + "\n")
 
 
-def _extendable_audit_lines(g: BipartiteGraph, k: int, idx: int) -> list[str]:
-    audit = _degree_audit_bipartite(g, k)
-    # the sweep's graphs hold the canonical matching, whose digraph has the
-    # off-diagonal edges as arcs
-    forest = _forest_check(g, k, Digraph(g.n, frozenset(e for e in g.edges
-                                                        if e[0] != e[1])))
-    return _instance_block(f"instance {idx}:", g) + [
-            f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
+def _extendable_audit_text(outs, k: int, idx: int, table) -> str:
+    # B(D) holds the canonical matching, whose digraph is D
+    ins = _in_rows(outs)
+    u_rows, w_rows = _with_diagonal(outs), _with_diagonal(ins)
+    audit = _degree_audit_bipartite(u_rows, w_rows, k)
+    _, cycle, _ = _forest_check(u_rows, w_rows, (outs, ins), k)
+    return (_rows_block(f"instance {idx}:", "bg", u_rows, table)
+            + f"degree-audit {idx}: {'ok' if audit.ok else 'VIOLATION'} "
             f"degree-{k + 1}-total={audit.degree_k_plus_1_total} "
-            f"u={audit.degree_k_plus_1_u} w={audit.degree_k_plus_1_w}",
-            f"forest-check {idx}: {'ok' if forest.ok else 'VIOLATION'}"]
+            f"u={audit.degree_k_plus_1_u} w={audit.degree_k_plus_1_w}\n"
+            f"forest-check {idx}: {'ok' if cycle is None else 'VIOLATION'}\n")
 
 
-def _counterexample_lines(hit: tuple, k: int, idx: int) -> list[str]:
-    d, (i, j) = hit
-    return (_instance_block(f"instance {idx}:", d)
-            + _instance_block(f"graph {idx}:", bipartite_of_digraph(d)[0])
-            + [f"deletable-matching-edge {idx}: {i + 1}-{j + 1}"])
+def _counterexample_text(hit: tuple, k: int, idx: int, table) -> str:
+    outs, (i, j) = hit
+    return (_rows_block(f"instance {idx}:", "dg", outs, table)
+            + _rows_block(f"graph {idx}:", "bg", _with_diagonal(outs), table)
+            + f"deletable-matching-edge {idx}: {i + 1}-{j + 1}\n")
 
 
 def cmd_search(args) -> int:
+    """List the sweep's hits with their audit lines, each printed from its
+    out-rows (``_rows_block``): no instance object is built.
+    Time: the sweeps, then O(n + m) per listed hit for its text and audits
+    (the trail's union-find O(m log m)), and a line table of n 2^n strings
+    per size."""
     k = args.k
     if k < 1:
         print(f"error: search needs k >= 1, got {k}", file=sys.stderr)
@@ -325,30 +344,28 @@ def cmd_search(args) -> int:
     if args.limit < 1:
         print(f"error: search needs limit >= 1, got {args.limit}", file=sys.stderr)
         return 2
-    lines = [f"target: {args.target}", f"k: {k}", f"n-max: {args.n_max}"]
     found = 0
-    body: list[str] = []
-    sweeps = {"minimal_k_strong": (minimal_k_strong_digraphs, _strong_audit_lines),
-              "minimal_k_extendable": (minimal_k_extendable_graphs,
-                                       _extendable_audit_lines),
-              "minimality_counterexample": (minimality_counterexamples,
-                                            _counterexample_lines)}
-    generate, hit_lines = sweeps[args.target]
+    body: list[str] = []  # one string per hit
+    sweeps = {"minimal_k_strong": (_minimal_k_strong_rows, _strong_audit_text),
+              "minimal_k_extendable": (_minimal_k_extendable_rows, _extendable_audit_text),
+              "minimality_counterexample": (_counterexample_rows, _counterexample_text)}
+    generate, hit_text = sweeps[args.target]
     for n in range(2, args.n_max + 1):
         if found >= args.limit:
             break
         try:
-            for hit in generate(n, k):
+            hits = generate(n, k)
+            table = _line_table(n)
+            for hit in hits:
                 found += 1
-                body += hit_lines(hit, k, found)
+                body.append(hit_text(hit, k, found, table))
                 if found >= args.limit:
                     break
         except TooLargeError as exc:  # a guard raises before the size's first hit
             print(f"note: stopping at n={n - 1}: {exc}", file=sys.stderr)
             break
-    lines.append(f"found: {found}")
-    lines += body
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(f"target: {args.target}\nk: {k}\nn-max: {args.n_max}\nfound: {found}\n"
+          + "".join(body), args.out)
     return 0 if found else 3
 
 

@@ -817,10 +817,15 @@ def anti_directed_trail_find(d: Digraph, k: int):
     (``_bipartite_cycle`` on the arcs in sorted order).
     Time: O(m log m) for m arcs, degrees read off the masks.
     """
-    outs, ins = _rows(d)
-    trail = _bipartite_cycle([(u, v) for u, v in sorted(d.arcs)
-                              if u != v and outs[u].bit_count() > k
-                              and ins[v].bit_count() > k])
+    return _anti_directed_trail(*_rows(d), k)
+
+
+def _anti_directed_trail(outs, ins, k: int):
+    """The body of anti_directed_trail_find on D's out- and in-rows: row
+    order, then bit order, is the sorted order of the arcs."""
+    heads = sum(1 << b for b, row in enumerate(ins) if row.bit_count() > k)
+    trail = _bipartite_cycle([(a, b) for a, row in enumerate(outs) if row.bit_count() > k
+                              for b in _bits(row & heads)])
     if trail is not None and not is_anti_directed_trail(trail):
         raise AssertionError("auxiliary cycle is not an anti-directed trail")
     return trail
@@ -844,12 +849,13 @@ def minimal_k_strong_degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
     verdict = is_minimal_k_strong(d, k)
     if not verdict.holds:
         raise ValueError(f"digraph is not minimal {k}-strong: {verdict.reason}")
-    return _degree_audit(d, k)
+    return _degree_audit(*_rows(d), k)
 
 
-def _degree_audit(d: Digraph, k: int) -> DegreeAuditReport:
-    """The body of minimal_k_strong_degree_audit, with no minimality check:
-    ``search`` prints it for hits it knows minimal."""
-    outs, ins = ([row.bit_count() for row in masks] for masks in _rows(d))
-    out_count, in_count = outs.count(k), ins.count(k)
+def _degree_audit(outs, ins, k: int) -> DegreeAuditReport:
+    """The body of minimal_k_strong_degree_audit on D's out- and in-rows,
+    with no minimality check: ``search`` prints it for hits it knows
+    minimal."""
+    out_count = list(map(int.bit_count, outs)).count(k)
+    in_count = list(map(int.bit_count, ins)).count(k)
     return DegreeAuditReport(out_count >= k and in_count >= k, k, out_count, in_count)

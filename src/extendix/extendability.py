@@ -30,8 +30,8 @@ from .matching import (_augment, enumerate_matchings, has_perfect_matching,
                        matching_extends, max_matching, max_matching_pairs)
 from .connectivity import (ear_decomposition_digraph, is_k_strong,
                            is_minimal_k_strong, strong_components, MinimalityResult,
-                           anti_directed_trail_find, vertex_connectivity,
-                           _bipartite_cycle, _out_lists, _path_systems, _shortest_cycle_through,
+                           vertex_connectivity, _anti_directed_trail, _bipartite_cycle,
+                           _bits, _out_lists, _path_systems, _rows, _shortest_cycle_through,
                            _sink_component)
 
 
@@ -521,13 +521,24 @@ def minimal_k_extendable_degree_audit(g: BipartiteGraph, k: int) -> BipartiteDeg
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
-    return _degree_audit_bipartite(g, k)
+    return _degree_audit_bipartite(*_bipartite_rows(g), k)
 
 
-def _degree_audit_bipartite(g: BipartiteGraph, k: int) -> BipartiteDegreeAuditReport:
-    """The body of minimal_k_extendable_degree_audit for a minimal G."""
-    u_count = sum(1 for i in range(g.n) if g.degree_u(i) == k + 1)
-    w_count = sum(1 for j in range(g.n) if g.degree_w(j) == k + 1)
+def _bipartite_rows(g: BipartiteGraph) -> tuple[list[int], list[int]]:
+    """G's neighbourhoods as bitmasks: bit j of the u-row i and bit i of the
+    w-row j for each edge u_i w_j.  One pass over the edges."""
+    u_rows, w_rows = [0] * g.n, [0] * g.n
+    for i, j in g.edges:
+        u_rows[i] |= 1 << j
+        w_rows[j] |= 1 << i
+    return u_rows, w_rows
+
+
+def _degree_audit_bipartite(u_rows, w_rows, k: int) -> BipartiteDegreeAuditReport:
+    """The body of minimal_k_extendable_degree_audit on G's u- and w-rows,
+    for a minimal G: ``search`` prints it for hits it knows minimal."""
+    u_count = list(map(int.bit_count, u_rows)).count(k + 1)
+    w_count = list(map(int.bit_count, w_rows)).count(k + 1)
     total = u_count + w_count
     ok = total >= 2 * k + 2 and u_count >= k + 1 and w_count >= k + 1
     return BipartiteDegreeAuditReport(ok, k, total, u_count, w_count)
@@ -554,18 +565,23 @@ def high_degree_subgraph_forest_check(g: BipartiteGraph, k: int) -> ForestCheckR
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
-    return _forest_check(g, k, digraph_of(g, max_matching(g))[0])
+    qual, cycle, trail = _forest_check(*_bipartite_rows(g),
+                                       _rows(digraph_of(g, max_matching(g))[0]), k)
+    return ForestCheckReport(cycle is None, k, frozenset(qual), cycle, trail)
 
 
-def _forest_check(g: BipartiteGraph, k: int, d: Digraph) -> ForestCheckReport:
-    """The body of high_degree_subgraph_forest_check for a minimal G, with
-    d the digraph of G under any perfect matching."""
-    qual = frozenset((i, j) for i, j in g.edges
-                     if g.degree_u(i) >= k + 2 and g.degree_w(j) >= k + 2)
-    cycle = _bipartite_cycle(sorted(qual))
-
-    trail = anti_directed_trail_find(d, k)
+def _forest_check(u_rows, w_rows, d_rows, k: int) -> tuple:
+    """The body of high_degree_subgraph_forest_check for a minimal G, on its
+    u- and w-rows and on d_rows, the out- and in-rows of its digraph under
+    any perfect matching: (the qualifying edges in sorted order, the first
+    cycle among them, the digraph-side trail).  ``search`` reads its
+    verdict for hits it knows minimal."""
+    heads = sum(1 << j for j, row in enumerate(w_rows) if row.bit_count() >= k + 2)
+    qual = [(i, j) for i, row in enumerate(u_rows) if row.bit_count() >= k + 2
+            for j in _bits(row & heads)]
+    cycle = _bipartite_cycle(qual)
+    trail = _anti_directed_trail(*d_rows, k)
     if cycle is None and trail is not None:
         raise AssertionError("digraph search found a trail the forest check missed")
-    return ForestCheckReport(cycle is None, k, qual, cycle, trail)
+    return qual, cycle, trail
 

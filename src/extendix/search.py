@@ -9,24 +9,29 @@ and no matching edge of B(D) is deletable; a deletable one shows that
 minimality does not transfer back from D to B(D).
 
 The sweep works on neighbourhood bitmasks, and every reach in it is
-``connectivity._reach``, the search ``strong_components`` runs; what it
-finds leaves as the ordinary types.  For k = 1 it builds every minimal
-strong digraph as a smaller one plus one ear through new vertices, and
-accepts or rejects each ear with one bit test (``_ear_ends``,
-``_minimal_strong_rows``): at n = 5 it reads the 1,069 digraphs off 355
-smaller ones with 3,400 reaches, and at n = 6 the 27,816 off 7,405 with
-96,180 reaches.  For k >= 2 it picks the out-neighbourhood rows of D one
-vertex at a time, each of at least k bits; a row set that leaves some
-in-degree below k is dropped before any k-strong test
-(``_is_minimal_k_strong``).  Whether a matching edge u_i w_i of B(D) is
-deletable is decided without a flow or a matching.  It is not when u_i
-or w_i keeps k or fewer edges in B(D) - u_i w_i.  Otherwise B(D) - u_i
-w_i has a perfect matching rotated along a cycle of D through i, and its
-digraph is k-strong iff the graph is k-extendable
+``connectivity._reach``, the search ``strong_components`` runs.  For
+k = 1 it builds every minimal strong digraph as a smaller one plus one
+ear through new vertices, and accepts or rejects each ear with one bit
+test (``_ear_ends``, ``_minimal_strong_rows``): at n = 5 it reads the
+1,069 digraphs off 355 smaller ones with 3,400 reaches, and at n = 6 the
+27,816 off 7,405 with 96,180 reaches.  For k >= 2 it picks the
+out-neighbourhood rows of D one vertex at a time, each of at least k
+bits; a row set that leaves some in-degree below k is dropped before
+any k-strong test (``_is_minimal_k_strong``).  Whether a matching edge
+u_i w_i of B(D) is deletable is decided without a flow or a matching.
+It is not when u_i or w_i keeps k or fewer edges in B(D) - u_i w_i.
+Otherwise B(D) - u_i w_i has a perfect matching rotated along a cycle of
+D through i, and its digraph is k-strong iff the graph is k-extendable
 (``_extendable_without_matching_edge``).  At n = 5, k = 1 the transfer
 makes 845 ``_mask_k_strong`` calls on the 1,069 digraphs, at most n per
 digraph.  The sweep is guarded by the ``sweep_k1`` budget (n <= 6) for
 k = 1 and by ``sweep`` (n <= 4) for k >= 2 and for the graph target.
+
+Each hit leaves the sweep as the tuple of D's out-rows, in listing order
+(``_minimal_k_strong_rows``, ``_minimal_k_extendable_rows``,
+``_counterexample_rows``); B(D) is the same rows with the diagonal bit
+set (``_with_diagonal``).  The ``search`` command prints every hit from
+its rows; only the public functions build the ordinary types.
 """
 
 from __future__ import annotations
@@ -34,10 +39,8 @@ from __future__ import annotations
 from itertools import combinations, islice, permutations, product
 from typing import Iterator
 
-from .connectivity import _reach, _rows
-from .core import (BipartiteGraph, Digraph, TooLargeError, _bfs_path, _off_diagonal_cells,
-                   check_budget)
-from .correspond import bipartite_of_digraph
+from .connectivity import _bits, _reach
+from .core import BipartiteGraph, Digraph, TooLargeError, _bfs_path, check_budget
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +98,10 @@ def _is_minimal_k_strong(outs: list[int], k: int) -> bool:
     return True
 
 
-def _extendable_without_matching_edge(outs: list[int], i: int, k: int) -> bool:
+def _extendable_without_matching_edge(outs, ins, i: int, k: int, bits: list) -> bool:
     """Whether G' = B(D) - u_i w_i is k-extendable, for D strong with
-    out-rows ``outs``, decided on one rotated digraph and no flow.
+    out- and in-rows ``outs`` and ``ins``, decided on one rotated digraph
+    and no flow; ``bits`` is ``_bit_lists(n)``.
 
     Let C be a cycle of D through i (the shortest, by ``core._bfs_path``;
     any would do), and sigma the permutation that moves each vertex of C
@@ -107,24 +111,29 @@ def _extendable_without_matching_edge(outs: list[int], i: int, k: int) -> bool:
     w_a, a != i.  In D(G', M_C) vertex a stands for u_a w_sigma(a), and
     a -> b (b != a) is an arc iff u_a is adjacent in G' to w_sigma(b), the
     partner of u_b; so the out-row of a is sigma^-1(N_G'(u_a)) - {a},
-    where N_G'(u_a) is outs[a] plus a itself unless a = i.  G' is
-    k-extendable iff D(G', M_C) is k-strong, by the paper's theorem that
-    holds for every perfect matching.  O(n^2) for the rotation, then one
-    ``_mask_k_strong``."""
-    n = len(outs)
-    cycle = _bfs_path(i, lambda v: [b for b in range(n) if outs[v] >> b & 1], lambda v: v == i)
-    back = list(range(n))  # sigma^-1
+    where N_G'(u_a) is outs[a] plus a itself unless a = i, and the in-row
+    of b is N_G'(w_sigma(b)) - {b}, where N_G'(w_c) is ins[c] plus c itself
+    unless c = i.  G' is k-extendable iff D(G', M_C) is k-strong, by the
+    paper's theorem that holds for every perfect matching.
+
+    Time: O(n + m) for the search and the rotation, each bit of a row read
+    off its bit list, then one ``_mask_k_strong``."""
+    cycle = _bfs_path(i, lambda v: bits[outs[v]], lambda v: v == i)
+    ahead = list(range(len(outs)))  # sigma
+    moved = [1 << v for v in ahead]  # the bit of sigma^-1(v)
     for a, b in zip(cycle, cycle[1:]):
-        back[b] = a
-    rotated = [0] * n
-    for a in range(n):
-        nbrs = outs[a] if a == i else outs[a] | 1 << a
-        while nbrs:
-            bit = nbrs & -nbrs
-            nbrs ^= bit
-            rotated[a] |= 1 << back[bit.bit_length() - 1]
-        rotated[a] &= ~(1 << a)
-    return _mask_k_strong(rotated, _in_rows(rotated), k)
+        ahead[a] = b
+        moved[b] = 1 << a
+    rotated_outs = [sum([moved[b] for b in bits[row if a == i else row | 1 << a]]) & ~(1 << a)
+                    for a, row in enumerate(outs)]
+    rotated_ins = [(ins[c] if c == i else ins[c] | 1 << c) & ~(1 << b)
+                   for b, c in enumerate(ahead)]
+    return _mask_k_strong(rotated_outs, rotated_ins, k)
+
+
+def _bit_lists(n: int) -> list[list[int]]:
+    """``_bits(row)`` for every row on n vertices, indexed by the row."""
+    return [_bits(row) for row in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +254,50 @@ def _row_walk(n: int, k: int) -> list[tuple[int, ...]]:
     return hits
 
 
+def _listing_key(n: int):
+    """The sort key of out-row tuples on n vertices that
+    ``minimal_k_strong_digraphs`` documents.
+
+    Above n = 4 it is (arc count, arc list): of two sorted arc lists of one
+    length, the smaller holds the least cell in which they differ, which
+    is the lowest differing bit of the first row in which they differ; bit
+    reversal makes that bit the highest, so the row whose reversal is
+    larger comes first.  Up to n = 4 it is the mask over the off-diagonal
+    cells, row a holding bits a(n - 1) on with its own bit a left out."""
+    if n > 4:
+        full = (1 << n) - 1
+        flip = [full - int(f"{row:0{n}b}"[::-1], 2) for row in range(1 << n)]
+        return lambda outs: (sum(map(int.bit_count, outs)), [flip[row] for row in outs])
+    return lambda outs: sum(((row & (1 << a) - 1) | (row >> a + 1) << a) << a * (n - 1)
+                            for a, row in enumerate(outs))
+
+
+def _minimal_k_strong_rows(n: int, k: int) -> list[tuple[int, ...]]:
+    """The out-row tuples of all minimal k-strong digraphs on {0..n-1} in
+    the order of ``minimal_k_strong_digraphs``, after the budget check."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    check_budget("sweep_k1" if k == 1 else "sweep", n,
+                 f"exhaustive sweep for k {'= 1' if k == 1 else '>= 2'}")
+    if n <= k:
+        return []
+    hits = list(_minimal_strong_rows(n) if k == 1 else _row_walk(n, k))
+    hits.sort(key=_listing_key(n))
+    return hits
+
+
+def _with_diagonal(outs) -> list[int]:
+    """The u-rows of B(D) for D's out-rows, and its w-rows for D's in-rows:
+    each row with its own bit set, the edge of the canonical matching."""
+    return [row | 1 << a for a, row in enumerate(outs)]
+
+
+def _pairs(rows) -> frozenset:
+    """(a, b) for every bit b of rows[a]: D's arcs for its out-rows, B(D)'s
+    edges for its u-rows."""
+    return frozenset((a, b) for a, row in enumerate(rows) for b in _bits(row))
+
+
 def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
     """All minimal k-strong digraphs on n labelled vertices, exhaustively:
     by ears for k = 1 (``_minimal_strong_rows``), by a walk over the
@@ -256,30 +309,16 @@ def minimal_k_strong_digraphs(n: int, k: int) -> Iterator[Digraph]:
     lexicographic cell tuple), the order of ``combinations`` over the
     off-diagonal cells.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    check_budget("sweep_k1" if k == 1 else "sweep", n,
-                 f"exhaustive sweep for k {'= 1' if k == 1 else '>= 2'}")
-    if n <= k:
-        return
-    arcs_of = [[[(a, b) for b in range(n) if row >> b & 1] for row in range(1 << n)]
-               for a in range(n)]
-    hits = [[arc for a, row in enumerate(outs) for arc in arcs_of[a][row]]
-            for outs in (_minimal_strong_rows(n) if k == 1 else _row_walk(n, k))]
-    if n > 4:  # each arc list is in cell order already
-        hits.sort(key=lambda arcs: (len(arcs), arcs))
-    else:
-        index = {c: b for b, c in enumerate(_off_diagonal_cells(n))}
-        hits.sort(key=lambda arcs: sum(1 << index[c] for c in arcs))
-    for arcs in hits:
-        yield Digraph(n, frozenset(arcs))
+    for outs in _minimal_k_strong_rows(n, k):
+        yield Digraph(n, _pairs(outs))
 
 
 def _transfers(n: int, k: int) -> Iterator[tuple]:
-    """(D, edge) for every minimal k-strong D on n vertices: edge is the
-    first matching edge (i, i) whose deletion leaves B(D) k-extendable, or
-    None when B(D) is minimal k-extendable.  No non-matching edge is
-    deletable, so this is the first deletable edge of B(D) overall.
+    """(outs, edge) for every minimal k-strong D on n vertices, outs its
+    out-rows: edge is the first matching edge (i, i) whose deletion leaves
+    B(D) k-extendable, or None when B(D) is minimal k-extendable.  No
+    non-matching edge is deletable, so this is the first deletable edge of
+    B(D) overall.
 
     In G' = B(D) - u_i w_i, u_i keeps d+(i) edges and w_i keeps d-(i).  If
     G' is k-extendable, D(G', M) is k-strong for a perfect matching M, so
@@ -288,15 +327,33 @@ def _transfers(n: int, k: int) -> Iterator[tuple]:
     at w_i in-degree deg(w_i) - 1.  So an i with d+(i) <= k or d-(i) <= k
     is skipped; the bound is Plummer's, "On n-extendable graphs" (1980):
     a k-extendable graph on at least 2k + 2 vertices is (k+1)-connected.
-    Every other i costs one ``_extendable_without_matching_edge``, so at
-    most n ``_mask_k_strong`` calls per D; B(D) itself is left to the
-    callers, which build it only for the digraphs they list."""
-    for d in minimal_k_strong_digraphs(n, k):
-        outs, ins = _rows(d)
+    Every other i costs one ``_extendable_without_matching_edge``.
+
+    Time: after the sweep, O(n + m) per D for its in-rows and at most n
+    ``_extendable_without_matching_edge`` calls, so at most n
+    ``_mask_k_strong`` calls; one table of 2^n bit lists per call."""
+    hits = _minimal_k_strong_rows(n, k)
+    bits = _bit_lists(n)
+    for outs in hits:
+        ins = _in_rows(outs)
         edge = next(((i, i) for i in range(n)
                      if outs[i].bit_count() > k and ins[i].bit_count() > k
-                     and _extendable_without_matching_edge(outs, i, k)), None)
-        yield d, edge
+                     and _extendable_without_matching_edge(outs, ins, i, k, bits)), None)
+        yield outs, edge
+
+
+def _minimal_k_extendable_rows(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The out-rows of every minimal k-strong D whose B(D) is minimal
+    k-extendable, in the order of ``minimal_k_strong_digraphs``."""
+    check_budget("sweep", n, "exhaustive bipartite sweep")
+    return (outs for outs, edge in _transfers(n, k) if edge is None)
+
+
+def _counterexample_rows(n: int, k: int) -> Iterator[tuple]:
+    """(outs, edge) for every minimal k-strong D whose B(D) is not minimal
+    k-extendable, outs its out-rows and edge the first deletable matching
+    edge, in the order of ``minimal_k_strong_digraphs``."""
+    return ((outs, edge) for outs, edge in _transfers(n, k) if edge is not None)
 
 
 def minimal_k_extendable_graphs(n: int, k: int) -> Iterator[BipartiteGraph]:
@@ -305,17 +362,15 @@ def minimal_k_extendable_graphs(n: int, k: int) -> Iterator[BipartiteGraph]:
     Every graph with a perfect matching is a W-relabelling of such a graph,
     so degree-profile audits lose nothing.
     """
-    check_budget("sweep", n, "exhaustive bipartite sweep")
-    for d, edge in _transfers(n, k):
-        if edge is None:
-            yield bipartite_of_digraph(d)[0]
+    for outs in _minimal_k_extendable_rows(n, k):
+        yield BipartiteGraph(n, _pairs(_with_diagonal(outs)))
 
 
 def minimality_counterexamples(n: int, k: int) -> Iterator[tuple]:
     """(D, edge) for every minimal k-strong digraph D on n vertices whose
     B(D) is not minimal k-extendable, edge being its first deletable
     matching edge, in the order of ``minimal_k_strong_digraphs``."""
-    return ((d, edge) for d, edge in _transfers(n, k) if edge is not None)
+    return ((Digraph(n, _pairs(outs)), edge) for outs, edge in _counterexample_rows(n, k))
 
 
 def find_minimality_counterexamples(n_max: int, k: int = 1,
@@ -328,8 +383,10 @@ def find_minimality_counterexamples(n_max: int, k: int = 1,
     def hits():
         for n in range(2, n_max + 1):
             try:
-                yield from minimality_counterexamples(n, k)
+                yield from _counterexample_rows(n, k)
             except TooLargeError:  # the first size past the guard ends the sweep
                 return
 
-    return [(d, bipartite_of_digraph(d)[0], edge) for d, edge in islice(hits(), limit)]
+    return [(Digraph(len(outs), _pairs(outs)),
+             BipartiteGraph(len(outs), _pairs(_with_diagonal(outs))), edge)
+            for outs, edge in islice(hits(), limit)]

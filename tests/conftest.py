@@ -16,7 +16,7 @@ import pytest
 
 from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix,
                       random_bipartite_with_pm)
-from extendix.search import minimal_k_strong_digraphs
+from extendix.search import _minimal_k_strong_rows, minimal_k_strong_digraphs
 
 
 def make_c6() -> BipartiteGraph:
@@ -82,6 +82,14 @@ def random_graph_suite(count: int = 500) -> list:
 def minimal_strong(n: int, k: int) -> tuple:
     """The minimal k-strong digraph sweep, run once per session."""
     return tuple(minimal_k_strong_digraphs(n, k))
+
+
+@functools.lru_cache(maxsize=None)
+def minimal_strong_rows(n: int, k: int) -> tuple:
+    """The out-rows of ``minimal_strong(n, k)``, in its order, from the row
+    sweep itself: a test that patches ``search._minimal_k_strong_rows`` with
+    this still reaches the sweep."""
+    return tuple(_minimal_k_strong_rows(n, k))
 
 
 def minimal_strong_by_arc_sets(n: int, k: int) -> list:

@@ -28,11 +28,12 @@ from extendix import (Digraph, TooLargeError, bipartite_of_digraph, is_k_extenda
                       is_k_strong, is_minimal_k_extendable, is_minimal_k_strong,
                       iter_bipartite_with_canonical, iter_digraphs)
 from extendix.cli import main
+from extendix.fileio import format_instance
 from extendix.core import _off_diagonal_cells
 from extendix.search import (find_minimality_counterexamples,
                              minimal_k_extendable_graphs, minimal_k_strong_digraphs)
 
-from conftest import minimal_strong, minimal_strong_by_arc_sets
+from conftest import minimal_strong, minimal_strong_by_arc_sets, minimal_strong_rows
 
 TARGETS = ("minimal_k_strong", "minimal_k_extendable", "minimality_counterexample")
 
@@ -85,8 +86,8 @@ def test_minimal_k_extendable_graphs_match_the_definitional_sweep(n):
 @pytest.mark.parametrize("n_max,k", [(5, 1), (4, 2)])
 def test_counterexamples_match_the_definitional_filter(n_max, k, monkeypatch):
     # the sweep itself is checked above; run it once for both sides
-    monkeypatch.setattr(search, "minimal_k_strong_digraphs",
-                        lambda n, k: iter(minimal_strong(n, k)))
+    monkeypatch.setattr(search, "_minimal_k_strong_rows",
+                        lambda n, k: list(minimal_strong_rows(n, k)))
     expected = []
     for n in range(2, n_max + 1):
         for d in minimal_strong(n, k):
@@ -194,8 +195,8 @@ def test_n6_sweep_counts_and_samples_by_the_flow_route(monkeypatch):
         cell = rng.choice([c for c in cells if c not in d.arcs])
         moved = Digraph(6, d.arcs - {arc} | {cell})
         assert (moved in listed) == is_minimal_k_strong(moved, 1).holds, moved
-    monkeypatch.setattr(search, "minimal_k_strong_digraphs",
-                        lambda n, k: iter(minimal_strong(n, k)))
+    monkeypatch.setattr(search, "_minimal_k_strong_rows",
+                        lambda n, k: list(minimal_strong_rows(n, k)))
     assert len(find_minimality_counterexamples(6, 1, limit=10 ** 6)) == 24744
 
 
@@ -227,15 +228,92 @@ def test_strong_audit_reads_degrees_off_the_arcs(capsys):
 
 
 def test_strong_audit_builds_the_masks_once_per_hit(monkeypatch, capsys):
-    """The degree audit and the anti-directed trail of a hit share one
-    build of its masks: the n = 5 listing builds once per hit."""
+    """The degree audit and the anti-directed trail of a hit read the
+    out-rows the sweep yields and the in-rows made from them: the n = 5
+    listing builds no masks at all."""
     calls = []
     build = core._neighbourhood_masks
     monkeypatch.setattr(core, "_neighbourhood_masks", lambda d: calls.append(d) or build(d))
     assert main(["search", "--target", "minimal_k_strong", "--n-max", "5", "--k", "1",
                  "--limit", "1000000"]) == 0
     hits = capsys.readouterr().out.count("\ndegree-audit ")
-    assert hits > 1000 and len(calls) == hits
+    assert hits > 1000 and len(calls) == 0
+
+
+@pytest.mark.parametrize("target,n_max", [("minimal_k_strong", 5), ("minimal_k_extendable", 4),
+                                          ("minimality_counterexample", 5)])
+def test_search_builds_no_instance_per_hit(target, n_max, monkeypatch, capsys):
+    """Every hit is printed from its rows: one k = 1 search of each target
+    builds no Digraph, BipartiteGraph or Matching and no masks."""
+    built = []
+    for cls in (core.Digraph, core.BipartiteGraph, core.Matching):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init, **kwargs:
+                            built.append(type(self)) or init(self, *args, **kwargs))
+    build = core._neighbourhood_masks
+    monkeypatch.setattr(core, "_neighbourhood_masks", lambda d: built.append(d) or build(d))
+    assert main(["search", "--target", target, "--n-max", str(n_max), "--k", "1",
+                 "--limit", "1000000"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("end-instance") > 20 and built == []
+
+
+def _block(header: str, obj) -> str:
+    return "\n".join([header] + format_instance(obj).rstrip("\n").split("\n")
+                     + ["end-instance"]) + "\n"
+
+
+def test_rows_block_is_the_instance_block():
+    """``_rows_block`` gives the ``format_instance`` block of D and of B(D)
+    for every minimal k-strong D with n <= 5 (k = 1, and k = 2, 3 up to
+    n = 4) and for 200 seeded n = 6 ones."""
+    checked = 0
+    hits = [d for n in range(2, 6) for d in minimal_strong(n, 1)]
+    hits += [d for k in (2, 3) for n in range(k + 1, 5) for d in minimal_strong(n, k)]
+    hits += random.Random(26).sample(minimal_strong(6, 1), 200)
+    tables = {n: cli._line_table(n) for n in range(2, 7)}
+    for d in hits:
+        outs = connectivity._rows(d)[0]
+        table = tables[d.n]
+        assert cli._rows_block("instance 7:", "dg", outs, table) == _block("instance 7:", d)
+        assert (cli._rows_block("graph 7:", "bg", search._with_diagonal(outs), table)
+                == _block("graph 7:", bipartite_of_digraph(d)[0]))
+        checked += 1
+    assert checked == 1133 + 18 + 1 + 200
+
+
+@pytest.mark.parametrize("n_max,k", [(5, 1), (4, 2)])
+def test_rows_audits_match_their_definitions(n_max, k):
+    """The rows-level audit bodies ``search`` prints against the audits'
+    definitions read off the instance objects, for every minimal k-strong
+    D and its B(D): vertices of degree k (k + 1 in B(D)), and the edges of
+    B(D) whose two ends both have degree at least k + 2."""
+    for n in range(2, n_max + 1):
+        for d in minimal_strong(n, k):
+            g = bipartite_of_digraph(d)[0]
+            u_rows, w_rows = extendability._bipartite_rows(g)
+            audit = connectivity._degree_audit(*connectivity._rows(d), k)
+            assert (audit.out_degree_k_count, audit.in_degree_k_count) == (
+                sum(d.out_degree(v) == k for v in range(n)),
+                sum(d.in_degree(v) == k for v in range(n)))
+            audit = extendability._degree_audit_bipartite(u_rows, w_rows, k)
+            assert (audit.degree_k_plus_1_u, audit.degree_k_plus_1_w) == (
+                sum(g.degree_u(i) == k + 1 for i in range(n)),
+                sum(g.degree_w(j) == k + 1 for j in range(n)))
+            qual, _, _ = extendability._forest_check(u_rows, w_rows, connectivity._rows(d), k)
+            assert qual == sorted((i, j) for i, j in g.edges
+                                  if g.degree_u(i) >= k + 2 and g.degree_w(j) >= k + 2)
+
+
+def test_n4_extendable_listing_is_pinned(capsys):
+    """The whole n <= 4, k = 1 listing of the graph target, byte for byte
+    (the goldens stop at n = 3)."""
+    assert main(["search", "--target", "minimal_k_extendable", "--n-max", "4", "--k", "1",
+                 "--limit", "1000000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (hashlib.sha1(captured.out.encode()).hexdigest()
+            == "8e58cfdeada902498ea512662e28d37128fc827a")
 
 
 def test_search_decides_no_minimality(monkeypatch, capsys):
@@ -263,7 +341,8 @@ def test_mask_transfer_matches_is_k_extendable(n_max, k):
             outs, ins = connectivity._rows(d)
             for i in range(n):
                 extendable = is_k_extendable(g.without_edge((i, i)), k)
-                assert (search._extendable_without_matching_edge(outs, i, k)
+                assert (search._extendable_without_matching_edge(outs, ins, i, k,
+                                                                 search._bit_lists(n))
                         == extendable), (d, i)
                 # the degree bound ``_transfers`` skips on
                 if outs[i].bit_count() <= k or ins[i].bit_count() <= k:
@@ -274,8 +353,8 @@ def test_mask_transfer_matches_is_k_extendable(n_max, k):
 def test_transfer_makes_at_most_n_mask_calls_per_digraph(n, k, monkeypatch):
     """One call per matching edge up to the first deletable one (or all n)
     whose ends both keep more than k edges."""
-    monkeypatch.setattr(search, "minimal_k_strong_digraphs",
-                        lambda n, k: iter(minimal_strong(n, k)))
+    monkeypatch.setattr(search, "_minimal_k_strong_rows",
+                        lambda n, k: list(minimal_strong_rows(n, k)))
     calls = []
     original = search._mask_k_strong
 
@@ -285,9 +364,9 @@ def test_transfer_makes_at_most_n_mask_calls_per_digraph(n, k, monkeypatch):
 
     monkeypatch.setattr(search, "_mask_k_strong", counting)
     seen = 0
-    for d, edge in search._transfers(n, k):
+    for outs, edge in search._transfers(n, k):
         seen += 1
-        outs, ins = connectivity._rows(d)
+        ins = search._in_rows(outs)
         tested = n if edge is None else edge[0] + 1
         assert len(calls) <= n
         assert len(calls) == sum(outs[i].bit_count() > k and ins[i].bit_count() > k
@@ -365,13 +444,20 @@ def test_the_guard_is_not_reached_once_the_limit_is_met(capsys):
     assert captured.err == "" and "found: 3\n" in captured.out
 
 
+# the row generator ``search`` reads behind each public sweep
+ROWS_OF = {"minimal_k_strong_digraphs": "_minimal_k_strong_rows",
+           "minimal_k_extendable_graphs": "_minimal_k_extendable_rows",
+           "minimality_counterexamples": "_counterexample_rows"}
+
+
 @pytest.mark.parametrize("target, name", [
     ("minimal_k_strong", "minimal_k_strong_digraphs"),
     ("minimal_k_extendable", "minimal_k_extendable_graphs"),
     ("minimality_counterexample", "minimality_counterexamples")])
 def test_search_takes_no_more_hits_than_the_limit(monkeypatch, capsys, target, name):
-    """Each size is read lazily: the sweep is not asked for a hit past
-    ``--limit``."""
+    """Each size is read lazily: the row generator behind the sweep
+    ``name`` is not asked for a hit past ``--limit``."""
+    name = ROWS_OF[name]
     real = getattr(cli, name)
     pulled = []
 
@@ -390,7 +476,7 @@ def test_other_value_errors_are_not_notes(monkeypatch):
     def broken(n, k):
         raise ValueError("not a guard")
 
-    monkeypatch.setattr(cli, "minimal_k_strong_digraphs", broken)
+    monkeypatch.setattr(cli, "_minimal_k_strong_rows", broken)
     with pytest.raises(ValueError, match="not a guard"):
         main(["search", "--target", "minimal_k_strong", "--n-max", "3"])
 

@@ -10,7 +10,7 @@ and re-validates the witness structurally.
 
 Cost: every certificate takes one decision, a maximum matching and at
 most one ``is_k_strong`` call of O(k^2 n (n + m)), and a positive one at
-most six path flows more, on one flow network.  A negative witness is
+most six path flows more, of O(k (n + m)) each, on one flow kernel.  A negative witness is
 read off the decision itself: a separator, a deficient set or a zero
 block from the failing flow, or a Hall violator from the failing
 matching.

@@ -4,8 +4,9 @@ systems, ear decompositions, minimality and degree audits.
 Loops never influence anything here; every computation works on the
 loop-free view of its input, so callers pass digraphs with loops as they
 are.  Disjoint paths come from one flow kernel, ``_FlowNet``, at
-O(k (n + m)) per pair, built only by ``is_k_strong``, which takes O(k n)
-pairs, and ``_path_systems``, one pair per path system.  Each flow of
+O(k (n + m)) per pair and O(n) memory per flow, built only by
+``is_k_strong``, which takes O(k n) pairs for k >= 2 (k = 1 is two
+reaches), and ``_path_systems``, one pair per path system.  Each flow of
 ``is_k_strong`` first picks a greedy seed of short disjoint paths (the
 direct arc, then paths of length 2 and 3) on neighbourhood bitmasks and
 augments along shortest paths only when the seed falls short; the bound
@@ -138,113 +139,95 @@ def _sink_component(d: Digraph, removed) -> list:
 # unit-capacity flow with vertex splitting
 
 
-_BIG = 1 << 20
-
-
 class _FlowNet:
-    """A digraph's out- and in-neighbourhoods as bitmasks, one int per
-    vertex, and, built on demand, its split-vertex network as flat int
-    lists; both are reused for every source/sink pair.  Node 2v is "into
-    v", 2v+1 "out of v", joined by a split edge of capacity 1; arcs are
-    uncapped, so minimum cuts are vertices, except the direct arc s->t,
-    capped at 1 as that path counts once.  Edges e and e ^ 1 are a
-    forward/reverse pair; each node's edges are sorted by head node.  From
-    node 2s+1 to node 2s the paths are cycles through s, meeting only
-    there.
+    """Disjoint-path flows on a digraph's split-vertex network, reused for
+    every source/sink pair.  Node 2v is "into v" (v_in), 2v+1 "out of v"
+    (v_out), joined by a split edge of capacity 1; arcs are uncapped, so
+    minimum cuts are vertices, except the direct arc s->t, capped at 1 as
+    that path counts once.  From node 2s+1 to node 2s the paths are cycles
+    through s, meeting only there.
 
-    The masks are ``_rows``, the ones ``strong_components`` reaches
-    over, and take one pass over the arcs.  The network (``head``,
-    ``base``, ``adj``, ``arc_edge``) takes O(n + m) and is built by
-    the first flow whose seed falls short of its limit; a pair the greedy
-    seed settles (see ``_seed``) costs a few word operations on the masks
-    and never builds, copies or touches it."""
+    The network is never stored.  The flow on an arc also passes a split
+    edge, or the arc is the direct one, so it is at most 1, an uncapped arc
+    always has residual capacity, and the flow alone gives every residual
+    edge.  v_out has one to b_in for each b in N+(v), but the used direct
+    arc, and one to v_in when v carries flow.  v_in has one only: to v_out
+    when v is free, else back to a_out for the tail a of the flow arc into
+    v.  So a flow is ``back``, that out-node per vertex, and ``ends``, the
+    tails of the flow arcs into t.  ``succ[v]`` lists 2b for b in N+(v)
+    with 2v merged in at its place, so a scan meets v_out's residual edges
+    by head, the order of a stored network whose edge lists are sorted by
+    head, and searches visit nodes in that network's order.  The scan needs
+    no test of whether v carries flow: the v_out of a free v was reached
+    from v_in.  Only the source leaves out 2s, and 2t once the direct arc
+    is used, by hand.
+
+    ``succ`` is read off the masks (``_rows``), in O(n + m), by the first
+    flow whose seed falls short of its limit; a pair the greedy seed
+    settles (see ``_seed``) costs a few word operations."""
 
     def __init__(self, d: Digraph):
         self.n = d.n
         self.outs, self.ins = _rows(d)
-        self.head = None
-
-    def _build(self) -> None:
-        """The split-vertex network, read off the masks: edge 2v is v's
-        split edge, then one edge per arc in sorted order.  Tails are
-        walked in increasing order, so node 2a gets its split edge after
-        the arcs into a from smaller tails and before those from larger
-        ones, and node 2a+1 gets a's arcs by head with the reverse split
-        edge (head 2a) put in at the count of a's smaller out-neighbours:
-        every node's edges come sorted by head, with no sort."""
-        n, outs = self.n, self.outs
-        head = [z for v in range(n) for z in (2 * v + 1, 2 * v)]
-        base = [1, 0] * n
-        adj: list[list[int]] = [[] for _ in range(2 * n)]
-        arc_edge = {}
-        for a in range(n):
-            adj[2 * a].append(2 * a)
-            out_a = adj[2 * a + 1]
-            for b in _bits(outs[a]):
-                e = arc_edge[a, b] = len(head)
-                head += (2 * b, 2 * a + 1)
-                base += (_BIG, 0)
-                out_a.append(e)
-                adj[2 * b].append(e + 1)
-            out_a.insert((outs[a] & (1 << a) - 1).bit_count(), 2 * a + 1)
-        self.head, self.base, self.adj, self.arc_edge = head, base, adj, arc_edge
+        self.succ = None
 
     def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
-        """Disjoint s->t paths up to limit; leaves the residual network in
-        ``cap`` and, when it searched, the last reach in ``via``.  Seeded
-        (see ``_seed``), a pair whose short paths reach limit returns at
-        once, with no array built, copied or touched, and leaves ``cap``
-        and ``via`` as they were; otherwise the network is built if
-        missing, the base capacities are copied, the seed's paths are
-        pushed, and shortest augmenting paths take the flow on from there,
-        still at most limit searches of O(n + m).  An unseeded flow always
-        builds and copies, also at limit 0, so ``paths()`` after it reads
-        its own residual network.  ``_path_systems`` runs unseeded, so the
-        paths read off the flow are those of shortest augmenting paths
-        alone.
+        """Disjoint s->t paths up to limit; leaves the flow in ``back`` and
+        ``ends`` and, when it searched, the last reach in ``via``, each
+        reached node's parent.  Seeded (see ``_seed``), a pair whose short
+        paths reach limit returns at once and leaves all three as they
+        were; otherwise the seed's paths are pushed and shortest augmenting
+        paths take the flow on.  An unseeded flow always starts afresh,
+        also at limit 0, so ``paths()`` after it reads its own flow; as
+        ``_path_systems`` runs unseeded, its paths come from shortest
+        augmenting paths alone.  A path alternates out- and in-nodes, and
+        augmenting it sets ``back`` of each in-node on it to the out-node
+        before it: a new tail, or v_out itself when v is freed.
 
         Seeding cannot change the value or ``cut()``.  ``cut()`` is read
         only after a flow that stopped below its limit: such a flow ran a
-        search, so the network exists and ``via`` is its own, and it is
-        maximum.  Every maximum flow leaves the same residual reach from
-        the source: the minimum cut closest to s.  So the value, ``cut()``
-        and every ``KStrongResult`` are those of the unseeded flow."""
+        search, so ``via`` is its own, and it is maximum.  Every maximum
+        flow leaves the same residual reach from the source: the minimum
+        cut closest to s.  So the value, ``cut()`` and every
+        ``KStrongResult`` are those of the unseeded flow.
+        Time: O(n) to start, then at most limit searches of O(n + m)."""
         value, paths = self._seed(s, t, limit) if seeded else (0, ())
         if paths is None:
             return limit
-        if self.head is None:
-            self._build()
-        cap = self.cap = self.base[:]
-        head, adj, arc_edge = self.head, self.adj, self.arc_edge
-        if (s, t) in arc_edge:
-            cap[arc_edge[s, t]] = 1
+        if self.succ is None:
+            self.succ = [[2 * b for b in _bits(row | 1 << v)] for v, row in enumerate(self.outs)]
+        succ = self.succ
+        back = self.back = list(range(1, 2 * self.n, 2))
+        ends = self.ends = []
         for path in paths:
-            for x, y in zip(path, path[1:]):
-                e = arc_edge[x, y]
-                cap[e] -= 1
-                cap[e ^ 1] += 1
-            for x in path[1:-1]:
-                cap[2 * x] -= 1
-                cap[2 * x + 1] += 1
+            ends.append(path[-2])
+            for a, b in zip(path, path[1:-1]):
+                back[b] = 2 * a + 1
         src, snk = 2 * s + 1, 2 * t
         for value in range(value, limit):
-            via = self.via = [None] * len(adj)
+            via = self.via = [None] * (2 * self.n)
             via[src] = -1
-            queue = [src]
+            queue = [y for y in succ[s] if y != src - 1 and (y != snk or s not in ends)]
+            for y in queue:
+                via[y] = src
             for x in queue:
-                for e in adj[x]:
-                    if cap[e] and via[head[e]] is None:
-                        via[head[e]] = e
-                        queue.append(head[e])
                 if via[snk] is not None:
                     break
+                if x & 1:
+                    for y in succ[x >> 1]:
+                        if via[y] is None:
+                            via[y] = x
+                            queue.append(y)
+                elif via[back[x >> 1]] is None:
+                    via[back[x >> 1]] = x
+                    queue.append(back[x >> 1])
             if via[snk] is None:
                 return value
-            y = snk
-            while y != src:
-                cap[via[y]] -= 1
-                cap[via[y] ^ 1] += 1
-                y = head[via[y] ^ 1]
+            x = via[snk]
+            ends.append(x >> 1)
+            while x != src:
+                y = via[x]
+                x = back[y >> 1] = via[y]
         return limit
 
     def _seed(self, s: int, t: int, limit: int) -> tuple:
@@ -292,17 +275,17 @@ class _FlowNet:
                      if via[2 * v] is not None and via[2 * v + 1] is None)
 
     def paths(self, s: int, t: int) -> list:
-        """The s->t paths of the last flow, smallest next vertex first."""
-        head, cap = self.head, self.cap
-        used = [[head[e] >> 1 for e in self.adj[2 * a + 1] if not e & 1 and cap[e ^ 1]]
-                for a in range(self.n)]
+        """The s->t paths of the last flow, smallest next vertex first,
+        each walked back from its end along ``back``.
+        Time: O(n), the paths being internally disjoint."""
         paths = []
-        while used[s]:
-            path = [s, used[s].pop(0)]
-            while path[-1] != t:
-                path.append(used[path[-1]].pop(0))
-            paths.append(tuple(path))
-        return paths
+        for a in self.ends:
+            path = [t]
+            while a != s:
+                path.append(a)
+                a = self.back[a] >> 1
+            paths.append((s, *reversed(path)))
+        return sorted(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +339,15 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     lexicographic order: 2k(n-1) - k(k-1) flows of O(k (n + m)).  Each
     flow starts from a greedy seed of disjoint paths of length at most 3
     (``_FlowNet._seed``) on neighbourhood bitmasks.  A pair the seed
-    settles touches no flow array, and the split-vertex network is built,
-    once, only when some pair falls short, so on dense digraphs most calls
-    never build it.  The seed leaves value and separator unchanged (see
+    settles touches no flow list, and the out-lists are read, once, only
+    when some pair falls short, so on dense digraphs most calls never read
+    them.  The seed leaves value and separator unchanged (see
     ``_FlowNet.flow``).
+
+    At k = 1 the scan needs no flow: a pair fails iff t is not reached
+    from s, with the empty cut.  The first failing pair is (0, t) for the
+    least t that 0 does not reach, else (s, 0) for the least s that does
+    not reach 0, read off the out- and in-reach of 0.
 
     The scan over all n(n-1) pairs stops at the same pair.  Let (s, t) be
     its pair, S its separator (|S| < k), X what s reaches in D - S and Y
@@ -368,11 +356,20 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     separated by S, so its cut is vertices only, and it comes before
     (s, t): a contradiction.  Likewise no failing scheduled pair means D
     is k-strong.
+    Time: O(n) mask operations at k = 1, else O(k^2 n (n + m)).
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if d.n < k + 1:
         return KStrongResult(False, None, f"needs at least {k + 1} vertices, has {d.n}")
+    if k == 1:
+        full = (1 << d.n) - 1
+        for rows, pair in zip(_rows(d), ("from 0 to {}", "from {} to 0")):
+            missed = full & ~_reach(rows, 0, full)
+            if missed:
+                v = (missed & -missed).bit_length() - 1
+                return KStrongResult(False, (), "only 0 disjoint paths " + pair.format(v))
+        return KStrongResult(True)
     net = _FlowNet(d)
     impure = None
     for s in range(d.n):
@@ -464,10 +461,11 @@ def menger_paths(d: Digraph, s: int, t: int, k: int) -> PathSystem:
 
 def _path_systems(d: Digraph, pairs, k: int) -> list:
     """One PathSystem of k internally disjoint s->t paths per (s, t) in
-    pairs, all read off one flow network; for s == t, k cycles through s
-    meeting only there.  Each flow restarts from the base capacities, so
-    earlier pairs do not change the paths.  Raises InsufficientPathsError
-    at the first pair with fewer than k."""
+    pairs, all read off one ``_FlowNet``; for s == t, k cycles through s
+    meeting only there.  Each flow starts afresh, so earlier pairs do not
+    change the paths.  Raises InsufficientPathsError at the first pair
+    with fewer than k.
+    Time: O(k (n + m)) per pair, one unseeded flow and its check."""
     net = _FlowNet(d)
     systems = []
     for s, t in pairs:

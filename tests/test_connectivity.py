@@ -16,7 +16,7 @@ from extendix import (Digraph, InsufficientPathsError, complete_digraph,
 from extendix import connectivity
 from extendix.core import _bfs_path
 from extendix.connectivity import (EarDecompositionD, KStrongResult, PathSystem, _FlowNet,
-                                   _path_systems,
+                                   _bits, _path_systems, _rows,
                                    _out_lists, _shortest_cycle_through, _sink_component,
                                    check_ear_decomposition_digraph, check_path_system)
 
@@ -353,6 +353,20 @@ class TestPairSchedule:
             assert is_k_strong(d, k).holds == (k <= kappa)
             assert len(calls) <= 2 * k * (n - 1)
 
+    def test_k_one_runs_no_flow(self, monkeypatch):
+        """k = 1 reads the two reaches of vertex 0 and builds no flow
+        kernel, with the all-pairs scan's first failing pair."""
+        digraphs = [d for n in (2, 3) for d in iter_digraphs(n)]
+        digraphs += [random_digraph(5 + i % 20, 0.1 + i % 5 / 10, seed=i) for i in range(40)]
+        expected = [_k_strong_all_pairs(d, 1) for d in digraphs]
+
+        def refuse(d):
+            raise AssertionError("a flow kernel was built at k = 1")
+
+        monkeypatch.setattr(connectivity, "_FlowNet", refuse)
+        assert [is_k_strong(d, 1) for d in digraphs] == expected
+        assert vertex_connectivity(directed_cycle(2000)) == 1
+
     @staticmethod
     def _assert_kappa_calls(d: Digraph, monkeypatch) -> None:
         calls = []
@@ -379,6 +393,176 @@ class TestPairSchedule:
         for i in range(120):
             d = random_digraph(5 + i % 8, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=300 + i)
             self._assert_kappa_calls(d, monkeypatch)
+
+
+_BIG = 1 << 20
+
+
+class _ReferenceFlowNet:
+    """The flow kernel the library replaced, kept as the reference for
+    ``_FlowNet``: the split-vertex network stored as flat int lists.
+
+    A digraph's out- and in-neighbourhoods as bitmasks, one int per
+    vertex, and, built on demand, its split-vertex network as flat int
+    lists; both are reused for every source/sink pair.  Node 2v is "into
+    v", 2v+1 "out of v", joined by a split edge of capacity 1; arcs are
+    uncapped, so minimum cuts are vertices, except the direct arc s->t,
+    capped at 1 as that path counts once.  Edges e and e ^ 1 are a
+    forward/reverse pair; each node's edges are sorted by head node.  From
+    node 2s+1 to node 2s the paths are cycles through s, meeting only
+    there.
+
+    The masks are ``_rows``, the ones ``strong_components`` reaches
+    over, and take one pass over the arcs.  The network (``head``,
+    ``base``, ``adj``, ``arc_edge``) takes O(n + m) and is built by
+    the first flow whose seed falls short of its limit; a pair the greedy
+    seed settles (see ``_seed``) costs a few word operations on the masks
+    and never builds, copies or touches it."""
+
+    def __init__(self, d: Digraph):
+        self.n = d.n
+        self.outs, self.ins = _rows(d)
+        self.head = None
+
+    def _build(self) -> None:
+        """The split-vertex network, read off the masks: edge 2v is v's
+        split edge, then one edge per arc in sorted order.  Tails are
+        walked in increasing order, so node 2a gets its split edge after
+        the arcs into a from smaller tails and before those from larger
+        ones, and node 2a+1 gets a's arcs by head with the reverse split
+        edge (head 2a) put in at the count of a's smaller out-neighbours:
+        every node's edges come sorted by head, with no sort."""
+        n, outs = self.n, self.outs
+        head = [z for v in range(n) for z in (2 * v + 1, 2 * v)]
+        base = [1, 0] * n
+        adj: list[list[int]] = [[] for _ in range(2 * n)]
+        arc_edge = {}
+        for a in range(n):
+            adj[2 * a].append(2 * a)
+            out_a = adj[2 * a + 1]
+            for b in _bits(outs[a]):
+                e = arc_edge[a, b] = len(head)
+                head += (2 * b, 2 * a + 1)
+                base += (_BIG, 0)
+                out_a.append(e)
+                adj[2 * b].append(e + 1)
+            out_a.insert((outs[a] & (1 << a) - 1).bit_count(), 2 * a + 1)
+        self.head, self.base, self.adj, self.arc_edge = head, base, adj, arc_edge
+
+    def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
+        """Disjoint s->t paths up to limit; leaves the residual network in
+        ``cap`` and, when it searched, the last reach in ``via``.  Seeded
+        (see ``_seed``), a pair whose short paths reach limit returns at
+        once, with no array built, copied or touched, and leaves ``cap``
+        and ``via`` as they were; otherwise the network is built if
+        missing, the base capacities are copied, the seed's paths are
+        pushed, and shortest augmenting paths take the flow on from there,
+        still at most limit searches of O(n + m).  An unseeded flow always
+        builds and copies, also at limit 0, so ``paths()`` after it reads
+        its own residual network.  ``_path_systems`` runs unseeded, so the
+        paths read off the flow are those of shortest augmenting paths
+        alone.
+
+        Seeding cannot change the value or ``cut()``.  ``cut()`` is read
+        only after a flow that stopped below its limit: such a flow ran a
+        search, so the network exists and ``via`` is its own, and it is
+        maximum.  Every maximum flow leaves the same residual reach from
+        the source: the minimum cut closest to s.  So the value, ``cut()``
+        and every ``KStrongResult`` are those of the unseeded flow."""
+        value, paths = self._seed(s, t, limit) if seeded else (0, ())
+        if paths is None:
+            return limit
+        if self.head is None:
+            self._build()
+        cap = self.cap = self.base[:]
+        head, adj, arc_edge = self.head, self.adj, self.arc_edge
+        if (s, t) in arc_edge:
+            cap[arc_edge[s, t]] = 1
+        for path in paths:
+            for x, y in zip(path, path[1:]):
+                e = arc_edge[x, y]
+                cap[e] -= 1
+                cap[e ^ 1] += 1
+            for x in path[1:-1]:
+                cap[2 * x] -= 1
+                cap[2 * x + 1] += 1
+        src, snk = 2 * s + 1, 2 * t
+        for value in range(value, limit):
+            via = self.via = [None] * len(adj)
+            via[src] = -1
+            queue = [src]
+            for x in queue:
+                for e in adj[x]:
+                    if cap[e] and via[head[e]] is None:
+                        via[head[e]] = e
+                        queue.append(head[e])
+                if via[snk] is not None:
+                    break
+            if via[snk] is None:
+                return value
+            y = snk
+            while y != src:
+                cap[via[y]] -= 1
+                cap[via[y] ^ 1] += 1
+                y = head[via[y] ^ 1]
+        return limit
+
+    def _seed(self, s: int, t: int, limit: int) -> tuple:
+        """A greedy set of disjoint short s->t paths, read off the masks:
+        the direct arc, then every s->x->t, then one s->x->y->t for each x
+        still unused, x and y lowest first among the unused interior
+        vertices, stopping at limit.  Returns (limit, None) when these
+        reach limit, so a settled pair lists no paths; otherwise the value
+        and the paths as vertex tuples.  The direct arc and the paths of
+        length 2 are counted by popcount, so a pair they settle costs a
+        few word operations; each x tried costs a few more.  A y, having
+        an arc to t, is never a later x: such an x would be the middle of
+        a path of length 2, already taken."""
+        outs, ins = self.outs, self.ins
+        direct = outs[s] >> t & 1
+        used = 1 << s | 1 << t
+        mids = outs[s] & ins[t] & ~used
+        value = direct + mids.bit_count()
+        if value >= limit:
+            return limit, None
+        used |= mids
+        firsts, lasts = outs[s] & ~used, ins[t] & ~used
+        paths = []
+        while firsts and value < limit:
+            low = firsts & -firsts
+            firsts ^= low
+            x = low.bit_length() - 1
+            seconds = outs[x] & lasts
+            if seconds:
+                second = seconds & -seconds
+                lasts ^= second
+                paths.append((s, x, second.bit_length() - 1, t))
+                value += 1
+        if value == limit:
+            return limit, None
+        if direct:
+            paths.append((s, t))
+        return value, paths + [(s, x, t) for x in _bits(mids)]
+
+    def cut(self) -> tuple:
+        """After a flow below its limit: the vertices whose split edge
+        leaves the source side, a minimum cut."""
+        via = self.via
+        return tuple(v for v in range(self.n)
+                     if via[2 * v] is not None and via[2 * v + 1] is None)
+
+    def paths(self, s: int, t: int) -> list:
+        """The s->t paths of the last flow, smallest next vertex first."""
+        head, cap = self.head, self.cap
+        used = [[head[e] >> 1 for e in self.adj[2 * a + 1] if not e & 1 and cap[e ^ 1]]
+                for a in range(self.n)]
+        paths = []
+        while used[s]:
+            path = [s, used[s].pop(0)]
+            while path[-1] != t:
+                path.append(used[path[-1]].pop(0))
+            paths.append(tuple(path))
+        return paths
 
 
 def _assert_seed_keeps_value_and_cut(d: Digraph) -> None:
@@ -414,44 +598,80 @@ class TestSeededFlow:
     def test_kappa_at_n_80(self):
         assert vertex_connectivity(random_digraph(80, 0.5, seed=1)) == 25
 
-    def test_network_layout(self):
-        """Split edges first, then one edge pair per arc in sorted order;
-        every node lists each of its edges once, sorted by head."""
-        digraphs = list(iter_digraphs(3)) + [random_digraph(n, p, seed=950 + n)
-                                             for n, p in ((9, 0.3), (17, 0.6), (40, 0.2))]
-        for d in digraphs + [Digraph(3, frozenset({(0, 0), (0, 1), (1, 2)}), True)]:
-            net = _FlowNet(d)
-            net._build()
-            n, arcs = d.n, sorted(a for a in d.arcs if a[0] != a[1])
-            edges = [(2 * v, 2 * v + 1, 1) for v in range(n)]
-            edges += [(2 * a + 1, 2 * b, connectivity._BIG) for a, b in arcs]
-            assert net.head == [z for x, y, _ in edges for z in (y, x)]
-            assert net.base == [z for _, _, c in edges for z in (c, 0)]
-            assert net.arc_edge == {arc: 2 * (n + j) for j, arc in enumerate(arcs)}
-            for x, es in enumerate(net.adj):
-                assert all(net.head[e ^ 1] == x for e in es)
-                assert [net.head[e] for e in es] == sorted({net.head[e] for e in es})
-            assert sorted(e for es in net.adj for e in es) == list(range(len(net.head)))
+    def test_settled_pairs_run_no_search(self, monkeypatch):
+        """Pairs that short paths settle read no out-list and run no
+        search; a circulant, whose far pairs need augmenting, reads the
+        out-lists once per call."""
+        nets = []
+        init = _FlowNet.__init__
 
-    def test_network_built_only_when_the_seed_falls_short(self, monkeypatch):
-        """Pairs that short paths settle never build the split-vertex
-        network; a circulant, whose far pairs need augmenting, builds it
-        once per call."""
-        builds = []
-        build = _FlowNet._build
+        def spy(self, d):
+            init(self, d)
+            nets.append(self)
 
-        def counted(self):
-            builds.append(self.n)
-            build(self)
-
-        monkeypatch.setattr(_FlowNet, "_build", counted)
+        monkeypatch.setattr(_FlowNet, "__init__", spy)
         assert is_k_strong(random_digraph(80, 0.5, seed=1), 3).holds
         assert is_k_strong(complete_digraph(8), 7).holds
-        assert builds == []
-        c40 = Digraph(40, frozenset((v, (v + j) % 40) for v in range(40) for j in range(1, 6)))
-        for calls in (1, 2):
-            assert is_k_strong(c40, 5).holds
-            assert builds == [40] * calls
+        assert len(nets) == 2
+        assert all(net.succ is None and not hasattr(net, "via") for net in nets)
+        assert is_k_strong(_circulant(40, range(1, 6)), 5).holds
+        assert len(nets) == 3 and nets[2].succ is not None
+
+
+def _assert_matches_reference(d: Digraph, limits, pairs=None) -> None:
+    """Over the pairs (every ordered pair and s = t by default) and limits,
+    seeded and unseeded flows on ``_FlowNet`` and on the reference kernel,
+    each run one after another on one instance, give the same value and,
+    below the limit, the same ``cut()``; after an unseeded flow they give
+    the same ``paths()``."""
+    net, ref = _FlowNet(d), _ReferenceFlowNet(d)
+    for s, t in pairs or itertools.product(range(d.n), repeat=2):
+        for limit in limits:
+            for seeded in (False, True):
+                value = net.flow(s, t, limit, seeded=seeded)
+                assert value == ref.flow(s, t, limit, seeded=seeded), (d, s, t, limit)
+                if value < limit:
+                    assert net.cut() == ref.cut(), (d, s, t, limit)
+                if not seeded:
+                    assert net.paths(s, t) == ref.paths(s, t), (d, s, t, limit)
+
+
+class TestReferenceKernel:
+    """``_FlowNet`` keeps the split-vertex network implicit; its searches
+    visit nodes in the reference kernel's order, so values, cuts and paths
+    are the same."""
+
+    def test_every_digraph_up_to_3(self):
+        for n in (1, 2, 3):
+            for d in iter_digraphs(n):
+                _assert_matches_reference(d, range(n + 1))
+
+    def test_sample_at_4(self):
+        for d in itertools.islice(iter_digraphs(4), 0, None, 7):
+            _assert_matches_reference(d, range(5))
+
+    def test_seeded(self):
+        for i, n in enumerate(range(5, 41, 5)):
+            d = random_digraph(n, (0.15, 0.3, 0.5, 0.7)[i % 4], seed=960 + i)
+            pairs = random.Random(i).sample(list(itertools.product(range(n), repeat=2)), 24)
+            _assert_matches_reference(d, (1, 2, 3, n // 3, n), pairs)
+
+    def test_in_node_at_its_place(self):
+        """On this digraph the flow from 13 to 23 changes if a carrying
+        vertex's in-node is scanned after its out-neighbours rather than
+        at its place among them."""
+        _assert_matches_reference(random_digraph(25, 0.1, seed=258), (25,))
+
+    def test_circulants(self):
+        for n, steps in ((12, (1,)), (12, (1, 2)), (20, (1, 3, 5)), (40, range(1, 6))):
+            d = _circulant(n, steps)
+            pairs = [(0, t) for t in range(n)] + [(s, 0) for s in range(1, n, 3)]
+            _assert_matches_reference(d, (1, len(steps), n), pairs)
+
+    def test_loops(self):
+        d = Digraph(5, frozenset({(0, 0), (0, 1), (1, 2), (2, 0), (2, 2), (1, 3), (3, 4),
+                                  (4, 1), (3, 3), (4, 2)}), True)
+        _assert_matches_reference(d, range(6))
 
 
 class TestMengerPaths:

@@ -12,16 +12,19 @@ Regenerate (only when an output change is intended) with
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import random
 from pathlib import Path
 
 import pytest
 
-from extendix import (ZeroOneMatrix, complete_bipartite, random_bipartite_with_pm,
-                      random_digraph)
+from extendix import (Digraph, ZeroOneMatrix, complete_bipartite, cycle_bipartite,
+                      cycles_through_vertex, independent_path_system,
+                      random_bipartite_with_pm, random_digraph, vertex_connectivity)
+from extendix.certify import build_certificate
 from extendix.cli import main
-from extendix.fileio import write_instance
+from extendix.fileio import format_certificate, write_instance
 
 from conftest import make_c4_pendant, make_c6, make_p4
 
@@ -113,6 +116,40 @@ def test_golden_output(name, argv, code):
     got_code, out = _run(argv)
     assert got_code == code
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def _sha1(text: str) -> str:
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+_C40 = Digraph(40, frozenset((v, (v + j) % 40) for v in range(40) for j in range(1, 6)))
+_R20 = random_digraph(20, 0.4, seed=7)
+_BAND12 = ZeroOneMatrix(tuple(tuple(int((j - i) % 12 in (0, 1, 2, 5)) for j in range(12))
+                              for i in range(12)))
+
+
+@pytest.mark.parametrize("obj,claim,k,sha1", [
+    (_C40, "k-strong", 5, "fd7e0032504f9887d757457b6b3bad620e211d4c"),
+    (_R20, "k-strong", 3, "7561fca2c54fd2c7145b01506e98e97f65e3ece7"),
+    (cycle_bipartite(12), "k-extendable", 1, "516868eca839152eba076c8c38ba6592a33ad7c2"),
+    (_BAND12, "k-irreducible", 3, "1c685df9cfcbd4c116df5fec405113e4bab3bcc2"),
+], ids=["c40-k-strong-5", "r20-k-strong-kappa", "cycle12-k-extendable-1",
+        "band12-k-irreducible-3"])
+def test_certificate_paths_are_pinned(obj, claim, k, sha1):
+    """Positive certificates whose path systems take augmenting flows keep
+    their bytes (SHA-1s taken before the flow kernel kept its network
+    implicit)."""
+    cert = build_certificate(obj, claim, k)
+    assert cert.verdict
+    assert _sha1(format_certificate(cert)) == sha1
+
+
+def test_flow_path_results_are_pinned():
+    assert vertex_connectivity(_R20) == 3
+    assert (_sha1(repr(cycles_through_vertex(_C40, 3, 5)))
+            == "c0165edac38263d3f8b9d226a4d87f6651210d40")
+    assert (_sha1(repr(independent_path_system(_C40, (5, 6, 7, 8, 9), (0, 1, 2, 3, 4)).paths))
+            == "0dffa8fbea5c9ca45dbaac6d4f93de5931ce5ebf")
 
 
 if __name__ == "__main__":

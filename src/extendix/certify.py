@@ -39,13 +39,14 @@ _NOUNS = {BipartiteGraph: "bipartite graph", Digraph: "digraph", ZeroOneMatrix: 
 _SAMPLED = 6  # the most pairs a positive certificate carries path systems for
 
 
-def _sample(pairs: list, seed) -> list:
-    """All pairs when there are at most _SAMPLED of them, else a seeded
-    sorted sample of _SAMPLED."""
-    if len(pairs) <= _SAMPLED:
-        return pairs
-    rng = random.Random(seed)
-    return sorted(rng.sample(pairs, _SAMPLED))
+def _sample(count: int, seed) -> list[int]:
+    """The indices of a list of count pairs: all of them when there are at
+    most _SAMPLED, else a seeded sorted sample of _SAMPLED.  ``random.sample``
+    picks by position, so these are the positions it picks from the list
+    itself, and no list is built.  Time: O(1)."""
+    if count <= _SAMPLED:
+        return list(range(count))
+    return sorted(random.Random(seed).sample(range(count), _SAMPLED))
 
 
 def _edges_text(edges) -> str:
@@ -94,7 +95,7 @@ def _parse_walk(text: str) -> tuple:
 def _alt_system_lines(g: BipartiteGraph, m: Matching, k: int, seed) -> list[str]:
     """Path systems of a G known k-extendable, all read off one D(G, M)."""
     lines = ["matching: " + _edges_text(m.edges)]
-    pairs = _sample([(u, w) for u in range(g.n) for w in range(g.n)], seed)
+    pairs = [divmod(i, g.n) for i in _sample(g.n * g.n, seed)]  # pair i of (u, w) in row order
     for system in _alternating_paths(g, m, pairs, k):
         lines.append(f"pair: {u_label(system.u)} {w_label(system.w)}")
         lines += [f"path: {_walk_text(walk)}" for walk in system.paths]
@@ -104,8 +105,10 @@ def _alt_system_lines(g: BipartiteGraph, m: Matching, k: int, seed) -> list[str]
 def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
     """Menger systems of a D known k-strong, all read off one network."""
     lines = []
-    pairs = [(s, t) for s in range(d.n) for t in range(d.n) if s != t]
-    for system in _path_systems(d, _sample(pairs, seed), k):
+    # pair i of the pairs s != t in row order: (s, r) = divmod(i, n - 1), t = r below s, else r + 1
+    sampled = (divmod(i, d.n - 1) for i in _sample(d.n * (d.n - 1), seed))
+    pairs = [(s, r + (r >= s)) for s, r in sampled]
+    for system in _path_systems(d, pairs, k):
         lines.append(f"pair: {system.sources[0] + 1} {system.sinks[0] + 1}")
         lines += ["path: " + " ".join(str(v + 1) for v in p) for p in system.paths]
     return lines

@@ -25,8 +25,8 @@ from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                    is_int_token, random_digraph, u_label, w_label)
 from .correspond import (bipartite_of_digraph, bipartite_of_matrix, digraph_of,
                          digraph_of_matrix, reduced_adjacency)
-from .connectivity import (_anti_directed_trail, _bits, _degree_audit,
-                           ear_decomposition_digraph, strong_components, vertex_connectivity)
+from .connectivity import (_anti_directed_trail, _bits, _degree_audit, _ear_decomposition,
+                           strong_components, vertex_connectivity)
 from .extendability import (_degree_audit_bipartite, _forest_check,
                             elementary_components)
 from .matching import count_perfect_matchings, first_perfect_matching, max_matching
@@ -108,15 +108,16 @@ def _analyze_digraph(d: Digraph) -> str:
     strong = len(comps) == 1
     lines.append(f"strong: {'yes' if strong else 'no'}")
     lines.append(f"strong-components: {len(comps)}")
-    for idx, comp in enumerate(comps, 1):
-        lines.append(f"component {idx}: " + " ".join(str(v + 1) for v in sorted(comp)))
+    label = [str(v + 1) for v in range(d.n)].__getitem__
+    lines += [f"component {idx}: " + " ".join(map(label, sorted(comp)))
+              for idx, comp in enumerate(comps, 1)]
     kappa = vertex_connectivity(d)
     lines.append(f"kappa: {kappa}")
     if strong and d.n >= 2 and not d.has_loops():
-        dec = ear_decomposition_digraph(d)
+        dec = _ear_decomposition(d)
         lines.append(f"ear-decomposition: {dec.ear_count} ears")
-        for idx, ear in enumerate(dec.ears, 1):
-            lines.append(f"ear {idx}: " + " ".join(str(v + 1) for v in ear))
+        lines += [f"ear {idx}: " + " ".join(map(label, ear))
+                  for idx, ear in enumerate(dec.ears, 1)]
         summary = (f"strong, kappa={kappa}; ear decomposition with "
                    f"{dec.ear_count} ear" + ("s" if dec.ear_count != 1 else ""))
     elif strong:

@@ -4,14 +4,14 @@ systems, ear decompositions, minimality and degree audits.
 Loops never influence anything here; every computation works on the
 loop-free view of its input, so callers pass digraphs with loops as they
 are.  Disjoint paths come from one flow kernel, ``_FlowNet``, at
-O(k (n + m)) per pair and O(n) memory per flow, built only by
-``is_k_strong``, which takes O(k n) pairs for k >= 2 (k = 1 is two
-reaches), and ``_path_systems``, one pair per path system.  Each flow of
-``is_k_strong`` first picks a greedy seed of short disjoint paths (the
-direct arc, then paths of length 2 and 3) on neighbourhood bitmasks and
-augments along shortest paths only when the seed falls short; the bound
-per flow is unchanged.
-``vertex_connectivity`` makes at most delta - kappa + 1 ``is_k_strong``
+O(k (n + m)) per flow and O(n) memory, built only by ``is_k_strong``,
+which takes 2k(n-1) - k(k-1) pairs for k >= 2 (k = 1 is two reaches) and
+gives the separators, ``_fan_decision``, which takes k(k-1) pairs and
+2(n-k) fans and gives a value, and ``_path_systems``, one pair per path
+system.  Each decision flow first picks a greedy seed of short disjoint
+paths on neighbourhood bitmasks and augments along shortest paths only
+when the seed falls short; the bound per flow is unchanged.
+``vertex_connectivity`` makes at most delta - kappa + 1 ``_fan_decision``
 calls (delta the least in- or out-degree), one in the common case.
 """
 
@@ -162,13 +162,16 @@ class _FlowNet:
     from v_in.  Only the source leaves out 2s, and 2t once the direct arc
     is used, by hand.
 
-    ``succ`` is read off the masks (``_rows``), in O(n + m), by the first
-    flow whose seed falls short of its limit; a pair the greedy seed
-    settles (see ``_seed``) costs a few word operations."""
+    ``succ`` is the digraph's ``Digraph._succ``, read off the masks
+    (``_rows``) in O(n + m) by the first flow on the instance whose seed
+    falls short of its limit and kept there, so every net on one digraph
+    shares it; a pair the greedy seed settles (see ``_seed``) costs a few
+    word operations.  A net built with ``reverse`` runs on the reverse
+    digraph: its rows are swapped and its ``succ`` is ``Digraph._pred``."""
 
-    def __init__(self, d: Digraph):
-        self.n = d.n
-        self.outs, self.ins = _rows(d)
+    def __init__(self, d: Digraph, reverse: bool = False):
+        self.n, self.d, self.reverse = d.n, d, reverse
+        self.outs, self.ins = _rows(d)[::-1] if reverse else _rows(d)
         self.succ = None
 
     def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
@@ -180,9 +183,7 @@ class _FlowNet:
         paths take the flow on.  An unseeded flow always starts afresh,
         also at limit 0, so ``paths()`` after it reads its own flow; as
         ``_path_systems`` runs unseeded, its paths come from shortest
-        augmenting paths alone.  A path alternates out- and in-nodes, and
-        augmenting it sets ``back`` of each in-node on it to the out-node
-        before it: a new tail, or v_out itself when v is freed.
+        augmenting paths alone.
 
         Seeding cannot change the value or ``cut()``.  ``cut()`` is read
         only after a flow that stopped below its limit: such a flow ran a
@@ -194,8 +195,31 @@ class _FlowNet:
         value, paths = self._seed(s, t, limit) if seeded else (0, ())
         if paths is None:
             return limit
+        return self._augment(s, t, value, limit, paths)
+
+    def fan(self, j: int, limit: int) -> int:
+        """Paths from distinct vertices of {0..j-1} to j, disjoint but at j,
+        up to limit: a flow from j_out, which no path into j uses, joined by
+        an edge to b_in for each b < j, so the fan is a set of cycles
+        through j (a pair flow with s = t = j and these heads for j_out).
+        Its minimum cuts are vertices: each arc into j leaves an out-node
+        whose split edge is on the path.  Seeded as the pairs are, by
+        ``_fan_seed``; ``cut()`` and ``paths()`` are not read after it.
+        Time: that of ``flow``."""
+        value, paths = self._fan_seed(j, limit)
+        if paths is None:
+            return limit
+        return self._augment(j, j, value, limit, paths, range(0, 2 * j, 2))
+
+    def _augment(self, s: int, t: int, value: int, limit: int, paths, heads=None) -> int:
+        """The flow of ``value`` disjoint paths, pushed, taken on to limit by
+        shortest augmenting paths from s_out to t_in; heads, by default s's
+        out-list, are the heads of s_out's edges.  A path alternates out-
+        and in-nodes, and augmenting it sets ``back`` of each in-node on it
+        to the out-node before it: a new tail, or v_out itself when v is
+        freed."""
         if self.succ is None:
-            self.succ = [[2 * b for b in _bits(row | 1 << v)] for v, row in enumerate(self.outs)]
+            self.succ = self.d._pred if self.reverse else self.d._succ
         succ = self.succ
         back = self.back = list(range(1, 2 * self.n, 2))
         ends = self.ends = []
@@ -204,10 +228,11 @@ class _FlowNet:
             for a, b in zip(path, path[1:-1]):
                 back[b] = 2 * a + 1
         src, snk = 2 * s + 1, 2 * t
+        heads = succ[s] if heads is None else heads
         for value in range(value, limit):
             via = self.via = [None] * (2 * self.n)
             via[src] = -1
-            queue = [y for y in succ[s] if y != src - 1 and (y != snk or s not in ends)]
+            queue = [y for y in heads if y != src - 1 and (y != snk or s not in ends)]
             for y in queue:
                 via[y] = src
             for x in queue:
@@ -267,6 +292,35 @@ class _FlowNet:
             paths.append((s, t))
         return value, paths + [(s, x, t) for x in _bits(mids)]
 
+    def _fan_seed(self, j: int, limit: int) -> tuple:
+        """``_seed`` for the fan into j: the in-neighbours of j below j, each
+        a path by itself, then x->y->j for each y > j in N-(j), lowest
+        first, from the lowest x < j still unused with an arc to y,
+        stopping at limit.  Paths are written from j, the flow's source.
+        Returns (limit, None) when these reach limit, else the value and
+        the paths; a fan they settle costs a popcount, or a few word
+        operations per y tried."""
+        ins = self.ins
+        inside = (1 << j) - 1
+        direct = ins[j] & inside
+        value = direct.bit_count()
+        if value >= limit:
+            return limit, None
+        starts, mids = inside & ~direct, ins[j] & ~inside
+        paths = []
+        while mids and value < limit:
+            low = mids & -mids
+            mids ^= low
+            firsts = ins[low.bit_length() - 1] & starts
+            if firsts:
+                first = firsts & -firsts
+                starts ^= first
+                paths.append((j, first.bit_length() - 1, low.bit_length() - 1, j))
+                value += 1
+        if value == limit:
+            return limit, None
+        return value, paths + [(j, x, j) for x in _bits(direct)]
+
     def cut(self) -> tuple:
         """After a flow below its limit: the vertices whose split edge
         leaves the source side, a minimum cut."""
@@ -299,23 +353,68 @@ def vertex_connectivity(d: Digraph) -> int:
 
     The out- (in-) neighbours of a vertex of degree below n-1 separate it
     from another vertex, so kappa is at most the least in- or out-degree
-    delta.  k starts there, and each failing ``is_k_strong(d, k)`` sets k
-    to the order of its separator, an upper bound on kappa below k; the
-    first k that holds is kappa, after at most delta - kappa + 1 calls.
-    The strongness pass comes first because it answers 0 without flows,
-    where a failing scan at k = delta would pay several.
+    delta.  k starts there, and each ``_fan_decision(d, k)`` below k sets k
+    to its value, an upper bound on kappa below k; the first k that holds
+    is kappa, after at most delta - kappa + 1 decisions.  The strongness
+    pass comes first because it answers 0 without flows, and a strong D
+    with n >= 2 is 1-strong, so k = 1 needs no decision.
 
-    Time: O((delta - kappa + 1) delta^2 n (n + m)), the ``is_k_strong``
-    calls at k <= delta.
+    Time: O((delta - kappa + 1) (k^2 + n) k (n + m)), decisions of at most
+    k(k-1) + 2(n-k) flows of O(k (n + m)) at k <= delta.
     """
     n = d.n
     if n == 1 or not is_strong(d):
         return 0
     k = min(row.bit_count() for rows in _rows(d) for row in rows)
-    verdict = is_k_strong(d, k)
-    while not verdict.holds:
-        k = len(verdict.separator)
-        verdict = is_k_strong(d, k)
+    while k > 1 and (value := _fan_decision(d, k)) < k:
+        k = value
+    return k
+
+
+def _fan_decision(d: Digraph, k: int) -> int:
+    """k when D is k-strong, else an upper bound on kappa below k: n - 1
+    when D has at most k vertices, otherwise the value of the first check
+    that falls short, after S. Even, "An algorithm for determining whether
+    the connectivity of a graph is at least k" (SIAM J. Comput. 1975).  The
+    checks are the k(k-1) ordered pairs among 0..k-1, seeded flows on one
+    ``_FlowNet``, then, for j = k..n-1, the in-fan {0..j-1} -> j and the
+    out-fan j -> {0..j-1} (``_FlowNet.fan``, the out-fan on a net over the
+    swapped rows).  A fan that j's neighbours in the set and greedy 2-paths
+    settle runs no search.
+
+    A check of value v < k bounds kappa by v.  A fan's minimum cut C is
+    vertices, |C| = v, and the set has j >= k > v vertices, so one of them
+    lies outside C and is separated from j (or j from it) in D - C.  A
+    pair's cut is vertices, or the arc s->t and a set C of v - 1 vertices
+    meeting every other s->t path.  Then C + {s, t} is all of D, and kappa
+    <= n - 1 = v, or some w lies outside it: s does not reach w in
+    D - C - t, or w does not reach t in D - C - s, since a path avoiding s
+    or t avoids the arc, so C + {t} or C + {s} separates, and kappa <= v.
+
+    If every check holds, D is k-strong.  Otherwise take a separator S,
+    |S| < k, a split of D - S into X and Y with no arc from X to Y, and the
+    least vertex v outside S, so v < k.  Say v is in X, and let j be the
+    least vertex of Y.  If j < k, the pair (v, j) has no arc and S cuts it.
+    If j >= k, {0..j-1} lies in S + X, every path from it to j meets S, and
+    the in-fan of j has at most |S| disjoint paths.  v in Y is the mirror
+    case, with the pair (j, v) or the out-fan of j, j the least vertex of X.
+    Time: at most k(k-1) + 2(n-k) flows of O(k (n + m)).
+    """
+    n = d.n
+    if n < k + 1:
+        return n - 1
+    forward, reverse = _FlowNet(d), _FlowNet(d, reverse=True)
+    for s in range(k):
+        for t in range(k):
+            if s != t:
+                value = forward.flow(s, t, k)
+                if value < k:
+                    return value
+    for j in range(k, n):
+        for net in (forward, reverse):
+            value = net.fan(j, k)
+            if value < k:
+                return value
     return k
 
 
@@ -566,6 +665,20 @@ def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[
         problems.append(f"initial ear {first} is not a cycle")
     covered, seen = [0] * n, 0
     for idx, ear in enumerate(dec.ears):
+        if idx and len(ear) == 2:
+            # one arc: no interior, and two vertices or a loop, so only the
+            # arc and attachment rules can fail
+            a, b = ear
+            bit = 1 << b
+            if not outs[a] & bit and (a, b) not in d.arcs:
+                problems.append(f"ear {idx} uses missing arc {(a, b)}")
+            if covered[a] & bit:
+                problems.append(f"ear {idx} repeats arc {(a, b)}")
+            covered[a] |= bit
+            if not (seen >> a & 1 and seen & bit):
+                problems.append(_attach_problem(idx, a, b))
+            seen |= 1 << a | bit
+            continue
         x, inner, bit = ear[0], 0, 0
         for y in ear[1:]:
             inner |= bit  # every head but the last: the interior
@@ -580,8 +693,7 @@ def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[
         if idx:
             kind = "cycle" if a == b else "path"
             if not (seen >> a & 1 and seen >> b & 1):
-                problems.append(f"cycle ear {idx} attaches at a new vertex" if a == b else
-                                f"path ear {idx} endpoints must be distinct old vertices")
+                problems.append(_attach_problem(idx, a, b))
             if inner & seen:
                 problems.append(f"{kind} ear {idx} re-enters old vertices {_bits(inner & seen)}")
             # the vertices of a path ear, or of a cycle ear but its last, are distinct
@@ -593,6 +705,12 @@ def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[
     if tuple(covered) != outs:
         problems.append("arcs not exactly covered")
     return problems
+
+
+def _attach_problem(idx: int, a: int, b: int) -> str:
+    """The problem of ear idx, from a to b, not ending at old vertices."""
+    return (f"cycle ear {idx} attaches at a new vertex" if a == b else
+            f"path ear {idx} endpoints must be distinct old vertices")
 
 
 def _out_lists(d: Digraph) -> list[list[int]]:
@@ -625,7 +743,32 @@ def _shortest_cycle(adj) -> tuple | None:
 
 def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD:
     """Build an ear decomposition of a strong digraph; exists iff D is
-    strong.  Any directed cycle may serve as the starting ear.
+    strong.  Any directed cycle may serve as the starting ear; by default
+    the shortest (``_ear_decomposition``).
+    Time: O(n (n + m)), that of ``_ear_decomposition``."""
+    if d.has_loops():
+        raise ValueError("ear decomposition requires a loop-free digraph")
+    if d.n < 2:
+        raise ValueError("ear decomposition needs at least two vertices")
+    if not is_strong(d):
+        raise ValueError("digraph is not strong")
+    if start_cycle is not None:
+        start_cycle = tuple(start_cycle)
+        if len(start_cycle) >= 2 and start_cycle[0] == start_cycle[-1]:
+            start_cycle = start_cycle[:-1]
+        if len(set(start_cycle)) != len(start_cycle) or len(start_cycle) < 2:
+            raise ValueError(f"{start_cycle} is not a simple cycle")
+        closed = start_cycle + (start_cycle[0],)
+        for arc in zip(closed, closed[1:]):
+            if arc not in d.arcs:
+                raise ValueError(f"start cycle uses missing arc {arc}")
+    return _ear_decomposition(d, start_cycle)
+
+
+def _ear_decomposition(d: Digraph, start_cycle=None) -> EarDecompositionD:
+    """The ear decomposition from start_cycle, an open simple cycle of D,
+    or the shortest cycle (``_shortest_cycle``), of a loop-free strong D
+    with n >= 2, which the caller has checked.
 
     Each next ear is the smallest uncovered arc (u, v) with u already in,
     then, when v is new, the breadth-first path from v to the first old
@@ -634,43 +777,39 @@ def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD
     not empty.  Arcs compare by tail first, so the lowest bit of pending[u]
     for the lowest active u is the smallest such arc, the minimum a heap of
     them would give; as D is strong, no active vertex means every arc is
-    covered.  All the searches read one set of ``_out_lists``.
+    covered.  An ear (u, v) to an old v changes no mask but pending[u], so
+    the ears (u, v) for the old v below the least new one in pending[u]
+    come next, one after another, and are taken in one step.  All the
+    searches read one set of ``_out_lists``.
     Time: O(n (n + m)): at most n searches of O(n + m) for the start cycle,
-    one per path ear, which adds a vertex, and O(n) per ear otherwise.
+    one per path ear, which adds a vertex, and O(n) per run of single arcs
+    or per arc otherwise.
     """
-    if d.has_loops():
-        raise ValueError("ear decomposition requires a loop-free digraph")
-    if d.n < 2:
-        raise ValueError("ear decomposition needs at least two vertices")
-    if not is_strong(d):
-        raise ValueError("digraph is not strong")
     adj = _out_lists(d)
-    if start_cycle is None:
-        start_cycle = _shortest_cycle(adj)
-    start_cycle = tuple(start_cycle)
-    if len(start_cycle) >= 2 and start_cycle[0] == start_cycle[-1]:
-        start_cycle = start_cycle[:-1]
-    if len(set(start_cycle)) != len(start_cycle) or len(start_cycle) < 2:
-        raise ValueError(f"{start_cycle} is not a simple cycle")
-    closed = start_cycle + (start_cycle[0],)
-    for arc in zip(closed, closed[1:]):
-        if arc not in d.arcs:
-            raise ValueError(f"start cycle uses missing arc {arc}")
-
-    ears = [closed]
+    start_cycle = _shortest_cycle(adj) if start_cycle is None else start_cycle
+    ears = []
+    ear = start_cycle + (start_cycle[0],)
     pending = list(_rows(d)[0])
     members = active = 0
-    while True:
-        for x, y in zip(ears[-1], ears[-1][1:]):
+    while ear:
+        ears.append(ear)
+        for x, y in zip(ear, ear[1:]):
             members |= 1 << x
             pending[x] ^= 1 << y
             active = active | 1 << x if pending[x] else active & ~(1 << x)
-        if not active:
-            break
-        u = (active & -active).bit_length() - 1
-        v = (pending[u] & -pending[u]).bit_length() - 1
-        ears.append((u, v) if members >> v & 1 else
-                    (u, *_bfs_path(v, adj.__getitem__, lambda y: members >> y & 1)))
+        ear = None
+        while active and ear is None:
+            u = (active & -active).bit_length() - 1
+            new = pending[u] & ~members
+            # the arcs to old vertices below the least new one; all, if none
+            old = pending[u] & (new & -new) - 1
+            ears += [(u, v) for v in _bits(old)]
+            pending[u] ^= old
+            if new:
+                v = (new & -new).bit_length() - 1
+                ear = (u, *_bfs_path(v, adj.__getitem__, lambda y: members >> y & 1))
+            else:
+                active ^= 1 << u
     dec = EarDecompositionD(tuple(ears))
     problems = check_ear_decomposition_digraph(d, dec)
     if problems:

@@ -153,6 +153,60 @@ def random_digraph_suite(count: int = 120, n_lo: int = 5, n_hi: int = 6) -> list
 
 
 # ---------------------------------------------------------------------------
+# the ear decomposition one ear at a time
+
+
+def ear_decomposition_per_ear(d: Digraph, start_cycle=None):
+    """The digraph ear decomposition as the library built it before it took
+    runs of single arcs in one step, unchanged but for its name and this
+    line: each loop appends one ear, the smallest uncovered arc (u, v) with
+    u already in, or the path ear from it when v is new."""
+    from extendix.connectivity import (EarDecompositionD, _out_lists, _rows,
+                                       _shortest_cycle, check_ear_decomposition_digraph,
+                                       is_strong)
+    from extendix.core import _bfs_path
+
+    if d.has_loops():
+        raise ValueError("ear decomposition requires a loop-free digraph")
+    if d.n < 2:
+        raise ValueError("ear decomposition needs at least two vertices")
+    if not is_strong(d):
+        raise ValueError("digraph is not strong")
+    adj = _out_lists(d)
+    if start_cycle is None:
+        start_cycle = _shortest_cycle(adj)
+    start_cycle = tuple(start_cycle)
+    if len(start_cycle) >= 2 and start_cycle[0] == start_cycle[-1]:
+        start_cycle = start_cycle[:-1]
+    if len(set(start_cycle)) != len(start_cycle) or len(start_cycle) < 2:
+        raise ValueError(f"{start_cycle} is not a simple cycle")
+    closed = start_cycle + (start_cycle[0],)
+    for arc in zip(closed, closed[1:]):
+        if arc not in d.arcs:
+            raise ValueError(f"start cycle uses missing arc {arc}")
+
+    ears = [closed]
+    pending = list(_rows(d)[0])
+    members = active = 0
+    while True:
+        for x, y in zip(ears[-1], ears[-1][1:]):
+            members |= 1 << x
+            pending[x] ^= 1 << y
+            active = active | 1 << x if pending[x] else active & ~(1 << x)
+        if not active:
+            break
+        u = (active & -active).bit_length() - 1
+        v = (pending[u] & -pending[u]).bit_length() - 1
+        ears.append((u, v) if members >> v & 1 else
+                    (u, *_bfs_path(v, adj.__getitem__, lambda y: members >> y & 1)))
+    dec = EarDecompositionD(tuple(ears))
+    problems = check_ear_decomposition_digraph(d, dec)
+    if problems:
+        raise AssertionError(f"invalid ear decomposition produced: {problems}")
+    return dec
+
+
+# ---------------------------------------------------------------------------
 # perfect-matching count oracle
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_bipartite,
@@ -47,6 +50,53 @@ class TestAnalyze:
         assert "ear-decomposition: " in capsys.readouterr().out
         assert len(builds) == 1
         assert core._out_adj.cache_info().currsize == 0
+
+    # SHA-1 of the ``analyze`` stdout of random_digraph(20, 0.4, seed) for
+    # seeds 0-15, taken before the ear runs and the fan schedule
+    DG_STDOUT = (
+        "ede930baa813cbad007646cfe76db22b687c9282", "cf4439fb1fef9d9a77d1dc7d6cea62f63a4b3cb9",
+        "bbd2d809bf38ef5d001ab4f60910376b73712dc1", "ec7b8340b07930dc5bb22c2c08a5d892f14e8b7a",
+        "3829c4d542f4f8a8ca71cc4728edffb66670ea18", "650bc8504e1b833992afd91461bab059a292c27e",
+        "138fee37df6241c7b61414affdf3ce1531ab6931", "c85f6a53099f1daf3582416c70af0fc2cfaec38b",
+        "b2d6bfe3b76157b9b709e01d98655c8197aa56f5", "d900acef8590ceb5d7aba874c71ddb5c50fb86b1",
+        "7640c332081a20d6853e5f3dcc43c7d49576ef56", "f5555e22dafd9d0731532dcf783bb359fbc52546",
+        "9baecbc8bfbc8a918439bd1cfc4f4f6c777ff441", "1cc19592dbf0d14c6c3a1f3dfc8b6d27ded4a03b",
+        "845aa3d53350ecd3dae0e21a5a446d05aa4b4d52", "c9a3c3de716ab80951203119a08dfeed9b39244a",
+    )
+
+    def test_dg_stdout_is_pinned(self, tmp_path, capsys):
+        for seed, expected in enumerate(self.DG_STDOUT):
+            path = tmp_path / f"r{seed}.dg"
+            write_instance(random_digraph(20, 0.4, seed=seed), path)
+            assert main(["analyze", str(path)]) == 0
+            assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == expected, seed
+
+    def test_successor_lists_are_built_once_per_orientation(self, tmp_path, monkeypatch,
+                                                            capsys):
+        """The flow kernel's out-lists live on the digraph: ``analyze`` of a
+        ``dg`` file builds each orientation's at most once, and a positive
+        ``k-strong`` certificate builds the forward ones once, also on
+        C40(1..5) at k = 5, whose decision and path systems both search."""
+        builds = []
+        build = core._split_lists
+        monkeypatch.setattr(core, "_split_lists", lambda rows: builds.append(rows) or build(rows))
+        for seed in range(6):
+            path = tmp_path / f"r{seed}.dg"
+            write_instance(random_digraph(20, 0.4, seed=seed), path)
+            builds.clear()
+            assert main(["analyze", str(path)]) == 0
+            assert len(builds) <= 2 and len({id(rows) for rows in builds}) == len(builds)
+        circulant = Digraph(40, frozenset((v, (v + j) % 40)
+                                          for v in range(40) for j in range(1, 6)))
+        digraphs = [random_digraph(20, 0.4, seed=seed) for seed in range(4)]
+        for d, k in [(circulant, 5)] + [(d, vertex_connectivity(d)) for d in digraphs]:
+            path, cert = tmp_path / "c.dg", tmp_path / "c.cert"
+            write_instance(d, path)
+            builds.clear()
+            assert main(["certify", str(path), "--claim", "k-strong", "--k", str(k),
+                         "--out", str(cert)]) == 0
+            assert len(builds) == 1
+        capsys.readouterr()
 
     def test_c6_summary(self, files, capsys):
         assert main(["analyze", files["c6.bg"]]) == 0
@@ -287,6 +337,28 @@ class TestCertifyVerify:
                      "--out", cert_path])
         assert code == expected
         assert main(["verify", cert_path]) == 0
+
+    def test_sampled_pairs_are_those_of_the_pair_lists(self):
+        """Certificates sample pair indices, not pair lists.  ``random.sample``
+        picks by position, so the pairs are those it picks from the lists
+        themselves, at n <= 9 from its pool branch and above from its set
+        branch; n = 2-40, three seeds, for Menger and alternating systems."""
+        from extendix import cycle_bipartite
+        from extendix.certify import build_certificate
+
+        def expected(pairs, seed):
+            return pairs if len(pairs) <= 6 else sorted(random.Random(seed).sample(pairs, 6))
+
+        for n in range(2, 41):
+            ordered = [(s, t) for s in range(n) for t in range(n) if s != t]
+            square = [(u, w) for u in range(n) for w in range(n)]
+            for seed in range(3):
+                cert = build_certificate(directed_cycle(n), "k-strong", 1, seed)
+                assert [line for line in cert.witness_lines if line.startswith("pair:")] \
+                    == [f"pair: {s + 1} {t + 1}" for s, t in expected(ordered, seed)]
+                cert = build_certificate(cycle_bipartite(n), "k-extendable", 1, seed)
+                assert [line for line in cert.witness_lines if line.startswith("pair:")] \
+                    == [f"pair: u{u + 1} w{w + 1}" for u, w in expected(square, seed)]
 
     def test_staircase_beyond_the_recursion_limit(self, tmp_path, capsys):
         # u_i sees w_(i-1) and w_i: each augmenting search walks back

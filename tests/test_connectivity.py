@@ -20,6 +20,8 @@ from extendix.connectivity import (EarDecompositionD, KStrongResult, PathSystem,
                                    _out_lists, _shortest_cycle_through, _sink_component,
                                    check_ear_decomposition_digraph, check_path_system)
 
+from conftest import ear_decomposition_per_ear
+
 
 def _kappa_by_separator_search(d: Digraph) -> int:
     """Independent oracle: try every vertex subset as a separator."""
@@ -369,20 +371,23 @@ class TestPairSchedule:
 
     @staticmethod
     def _assert_kappa_calls(d: Digraph, monkeypatch) -> None:
+        """kappa takes at most delta - kappa + 1 fan decisions, at falling
+        k, the last at kappa unless kappa <= 1, which needs none."""
         calls = []
-        decide = connectivity.is_k_strong
+        decide = connectivity._fan_decision
 
         def counted(digraph, k):
             calls.append(k)
             return decide(digraph, k)
 
-        monkeypatch.setattr(connectivity, "is_k_strong", counted)
+        monkeypatch.setattr(connectivity, "_fan_decision", counted)
         kappa = vertex_connectivity(d)
         monkeypatch.undo()
         assert kappa == _kappa_pair_scan(d)
         delta = min(min(d.out_degree(v), d.in_degree(v)) for v in range(d.n))
         assert len(calls) <= delta - kappa + 1
-        assert calls == sorted(calls, reverse=True) and calls[-1:] in ([], [kappa])
+        assert calls == sorted(set(calls), reverse=True)
+        assert calls[-1:] == [kappa] if kappa > 1 else all(k > 1 for k in calls)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kappa_calls_exhaustive(self, n, monkeypatch):
@@ -393,6 +398,132 @@ class TestPairSchedule:
         for i in range(120):
             d = random_digraph(5 + i % 8, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=300 + i)
             self._assert_kappa_calls(d, monkeypatch)
+
+
+def _planted(sizes, seed: int) -> Digraph:
+    """X, S and Y of the given orders, every arc but those from X to Y, under
+    a random relabelling: kappa = |S|, with S the one small separator."""
+    x, s, y = sizes
+    n = x + s + y
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    return Digraph(n, frozenset((label[a], label[b]) for a in range(n) for b in range(n)
+                                if a != b and not (a < x and b >= x + s)))
+
+
+def _fan_count_bound(d: Digraph, k: int) -> int:
+    return k * (k - 1) + 2 * max(d.n - k, 0)
+
+
+class TestFanSchedule:
+    """``_fan_decision`` answers k-strong connectivity as the pair scan
+    does, with at most k(k-1) + 2(n-k) flows, and a failing check bounds
+    kappa below k; ``vertex_connectivity`` reads kappa off it."""
+
+    @staticmethod
+    def _assert_agrees(d: Digraph, ks) -> None:
+        kappa = _kappa_pair_scan(d)
+        for k in ks:
+            value = connectivity._fan_decision(d, k)
+            assert (value == k) == is_k_strong(d, k).holds, (d, k)
+            assert value == k or kappa <= value < k, (d, k, value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_digraph(self, n):
+        for d in iter_digraphs(n):
+            self._assert_agrees(d, range(1, n + 1))
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+    def test_seeded(self, p):
+        for i in range(36):
+            d = random_digraph(5 + i, p, seed=1500 + i)
+            kappa = vertex_connectivity(d)
+            assert kappa == _kappa_pair_scan(d)
+            self._assert_agrees(d, sorted({1, 2, kappa, kappa + 1, kappa + 2} - {0}))
+
+    @pytest.mark.parametrize("n,r", [(6, 2), (9, 3), (16, 4), (25, 6), (40, 5)])
+    def test_circulants(self, n, r):
+        d = _circulant(n, range(1, r + 1))
+        assert vertex_connectivity(d) == r
+        self._assert_agrees(d, range(1, r + 3))
+
+    def test_planted_separators(self):
+        """One separator of each order below k, its sides of several sizes."""
+        for k in (2, 3, 5):
+            for order in range(k):
+                for case, sides in enumerate(((1, 1), (1, 5), (4, 2), (6, 6))):
+                    d = _planted((sides[0], order, sides[1]), 100 * k + 10 * order + case)
+                    assert vertex_connectivity(d) == order
+                    self._assert_agrees(d, [k])
+
+    @pytest.mark.parametrize("n", [5, 30, 121])
+    def test_long_cycles_and_squares(self, n):
+        for d in (directed_cycle(n), _circulant(n, (1, 2))):
+            self._assert_agrees(d, (1, 2, 3))
+        assert vertex_connectivity(_circulant(n, (1, 2))) == 2
+
+    def test_flow_calls_per_decision(self, monkeypatch):
+        """At most k(k-1) pair flows and 2(n-k) fans per decision, every one
+        of them at k; a fan that the masks settle runs no search."""
+        calls, searches = [], []
+        flow, fan, augment = _FlowNet.flow, _FlowNet.fan, _FlowNet._augment
+
+        def counted_flow(self, s, t, limit):
+            calls.append(limit)
+            return flow(self, s, t, limit)
+
+        def counted_fan(self, j, limit):
+            calls.append(limit)
+            return fan(self, j, limit)
+
+        def counted_augment(self, *args):
+            searches.append(args)
+            return augment(self, *args)
+
+        monkeypatch.setattr(_FlowNet, "flow", counted_flow)
+        monkeypatch.setattr(_FlowNet, "fan", counted_fan)
+        monkeypatch.setattr(_FlowNet, "_augment", counted_augment)
+        digraphs = [_circulant(n, range(1, 11)) for n in (40, 80)]
+        digraphs += [random_digraph(n, 0.5, seed=n) for n in (20, 40, 80)]
+        for d in digraphs:
+            for k in range(1, vertex_connectivity(d) + 2):
+                calls.clear()
+                connectivity._fan_decision(d, k)
+                assert 0 < len(calls) <= _fan_count_bound(d, k) and set(calls) == {k}
+        d = complete_digraph(8)
+        net = _FlowNet(d, reverse=True)
+        searches.clear()
+        assert [net.fan(j, 4) for j in range(4, 8)] == [4] * 4 and searches == []
+        assert [_FlowNet(d).fan(j, 7) for j in range(1, 7)] == list(range(1, 7))
+        assert len(searches) == 6
+
+    def test_kappa_takes_no_pair_scan(self, monkeypatch):
+        def refuse(d, k):
+            raise AssertionError("vertex_connectivity called is_k_strong")
+
+        monkeypatch.setattr(connectivity, "is_k_strong", refuse)
+        assert vertex_connectivity(random_digraph(30, 0.5, seed=1)) >= 2
+        assert vertex_connectivity(_circulant(30, range(1, 6))) == 5
+
+    def test_fan_counts_disjoint_paths_into_and_out_of_j(self):
+        """The fan's value is the number of paths from distinct vertices
+        below j to j (from j, reversed), disjoint but at j: the reference
+        kernel's flow from a new vertex with an arc to each b < j, the
+        wiring of ``independent_path_system``.  Every digraph of order 4
+        and seeded ones of order 5-12, both orientations."""
+        digraphs = list(iter_digraphs(4))
+        digraphs += [random_digraph(5 + i % 8, (0.2, 0.4, 0.6)[i % 3], seed=40 + i)
+                     for i in range(48)]
+        for d in digraphs:
+            n = d.n
+            for reverse in (False, True):
+                arcs = {(b, a) for a, b in d.arcs} if reverse else d.arcs
+                for j in range(1, n):
+                    wired = Digraph(n + 1, frozenset(arcs | {(n, b) for b in range(j)}))
+                    expected = _ReferenceFlowNet(wired).flow(n, j, n, seeded=False)
+                    for limit in range(1, n):
+                        got = _FlowNet(d, reverse).fan(j, limit)
+                        assert got == min(limit, expected), (d, reverse, j, limit)
 
 
 _BIG = 1 << 20
@@ -1115,6 +1246,65 @@ class TestEarsAtProductionSizes:
         for ears, bad in [(((0, 1, 0), (1, 2), (2, 7)), 2), (((0, 1, 0), (), (1, -1)), 1)]:
             assert check_ear_decomposition_digraph(complete_digraph(3), EarDecompositionD(ears)) \
                 == [f"ear {bad} {ears[bad]} is not a sequence of vertices of D"]
+
+
+def _late_paths(core: int, chains: int, length: int, seed: int) -> Digraph:
+    """A dense strong core on the lowest labels, then chains of ``length``
+    new vertices, each from one old vertex to another, under a random
+    relabelling of the chains, so that the late ears are long paths among
+    runs of single arcs."""
+    rng = random.Random(seed)
+    arcs = {(a, b) for a in range(core) for b in range(core) if a != b and rng.random() < 0.6}
+    arcs |= {(v, (v + 1) % core) for v in range(core)}
+    n = core
+    for _ in range(chains):
+        a, b = rng.sample(range(n), 2)
+        path = [a, *range(n, n + length), b]
+        arcs |= set(zip(path, path[1:]))
+        arcs |= {(rng.randrange(n), v) for v in range(n, n + length) if rng.random() < 0.3}
+        n += length
+    label = list(range(core)) + rng.sample(range(core, n), n - core)
+    return Digraph(n, frozenset((label[a], label[b]) for a, b in arcs))
+
+
+class TestEarRuns:
+    """The ear route takes each run of single-arc ears in one step; its
+    ears are those of the per-ear route it replaced
+    (``conftest.ear_decomposition_per_ear``)."""
+
+    @staticmethod
+    def _assert_same_ears(d: Digraph, start_cycle=None) -> None:
+        assert ear_decomposition_digraph(d, start_cycle).ears \
+            == ear_decomposition_per_ear(d, start_cycle).ears, d
+
+    def test_seeded_strong_up_to_80(self):
+        strong = 0
+        for n in range(2, 81):
+            for p in (0.15, 0.4):
+                d = random_digraph(n, p if n > 6 else 0.6, seed=3000 + n)
+                if is_strong(d):
+                    strong += 1
+                    self._assert_same_ears(d)
+        assert strong >= 120
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 57])
+    def test_cycles_and_circulants(self, n):
+        self._assert_same_ears(directed_cycle(n))
+        for steps in ((1, 2), (1, 3, 7), range(1, min(n, 9))):
+            d = _circulant(n, [j for j in steps if j % n])
+            if d.m:
+                self._assert_same_ears(d)
+                self._assert_same_ears(d, tuple(range(n)))  # the cycle of step 1
+
+    def test_late_long_path_ears(self):
+        for case in range(12):
+            d = _late_paths(4 + case % 3, 2 + case % 4, 3 + 4 * (case % 3), seed=case)
+            assert is_strong(d)
+            ears = ear_decomposition_digraph(d).ears
+            assert max(len(ear) for ear in ears[len(ears) // 2:]) >= 4, ears
+            self._assert_same_ears(d)
+            cycle = ears[0][:-1]
+            self._assert_same_ears(d, cycle[1:] + cycle[:1])
 
 
 class TestMinimality:

@@ -111,6 +111,15 @@ def test_kappa_matches_reference_at_n_30_to_40(ref):
     assert vertex_connectivity(c40) == ref.kappa(c40.n, c40.arcs) == 5
 
 
+def test_kappa_matches_reference_up_to_n_80(ref):
+    """kappa from the fan schedule at n = 50 and n = 80, where the fans
+    outnumber the pairs among 0..k-1; the reference's flows take a few
+    seconds at n = 80, so the digraphs are sparse."""
+    for n, p, seed, kappa in ((50, 0.3, 1, 7), (80, 0.1, 4, 2)):
+        d = random_digraph(n, p, seed=seed)
+        assert vertex_connectivity(d) == ref.kappa(d.n, d.arcs) == kappa
+
+
 def test_max_extendability_matches_reference(ref):
     """Seeded bipartite graphs with n = 16-24, one without a perfect
     matching: max-extendability is kappa of D(G, M) for any perfect M."""

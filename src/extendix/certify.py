@@ -9,16 +9,18 @@ separator, a deficient vertex set read off a separator, or a zero block
 and re-validates the witness structurally.
 
 Cost: every certificate takes one decision, a maximum matching and at
-most one ``is_k_strong`` call of O(k^2 n (n + m)), and a positive one at
-most six path flows more, of O(k (n + m)) each, on one flow kernel.  A negative witness is
-read off the decision itself: a separator, a deficient set or a zero
-block from the failing flow, or a Hall violator from the failing
+most one ``is_k_strong`` call, at most k(k-1) + 2(n-k) flows of
+O(k (n + m)), and a positive one at most six path flows more, of
+O(k (n + m)) each, on one flow kernel.  A negative witness is read off
+the decision itself: a separator, a deficient set or a zero block from
+the cut of the first failing flow, or a Hall violator from the failing
 matching.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
                    connected, parse_vertex_label, u_label, w_label)
@@ -134,7 +136,12 @@ def _zero_block_certificate(claim: str, k: int, a: ZeroOneMatrix, w) -> Certific
 
 
 def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
-    """Decide the claim on the instance and package a re-checkable witness."""
+    """Decide the claim on the instance and package a re-checkable witness.
+    Time: O(n m) for a maximum matching, one ``is_k_strong`` call (O(n)
+    mask operations at k = 1, else at most k(k-1) + 2(n-k) flows of
+    O(k (n + m))), and for a positive certificate at most six path flows
+    of O(k (n + m)) more and, on the bipartite side, the first perfect
+    matching's at most m trial augmentations of O(n + m)."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     if not isinstance(obj, CLAIMS[claim]):
@@ -206,6 +213,14 @@ def _recompute_verdict(cert: Certificate) -> bool:
     raise ValueError(f"unknown claim {cert.claim!r}")
 
 
+def _path_line_problems(pair, texts, paths, labels: set, span: str) -> list[str]:
+    """A pair's empty path lines and paths through a vertex not in labels,
+    the instance's vertices, which span names in the certificate's terms."""
+    return [f"pair {pair} has an empty path line" if not path else
+            f"pair {pair} has path {text} with a vertex outside {span}"
+            for text, path in zip(texts, paths) if not path or not labels.issuperset(path)]
+
+
 def _split_sections(lines) -> list[tuple]:
     """Group 'pair:' headers with their 'path:' payloads."""
     sections = []
@@ -237,6 +252,8 @@ def _check_witness(cert: Certificate) -> list[str]:
             return [f"embedded matching invalid: {exc}"]
         if not matching.is_perfect:
             return ["embedded matching is not perfect"]
+        labels = {(side, v) for side in "uw" for v in range(g.n)}
+        span = f"u1..u{g.n} and w1..w{g.n}"
         for (pair, path_lines) in _split_sections(cert.witness_lines):
             ends = _parse_walk(" ".join(pair))
             if [side for side, _ in ends] != ["u", "w"]:
@@ -246,12 +263,16 @@ def _check_witness(cert: Certificate) -> list[str]:
             walks = tuple(_parse_walk(p) for p in path_lines)
             if len(walks) != k:
                 problems.append(f"pair {pair}: {len(walks)} paths, expected {k}")
+            if not all(walks) or not labels.issuperset(chain.from_iterable(walks)):
+                problems += _path_line_problems(pair, path_lines, walks, labels, span)
+                continue
             system = AltPathSystem(walks, matching, pu[1], pw[1])
             problems += check_alternating_path_system(g, system)
         return problems
 
     if kind == "menger-path-systems":
         d = obj if isinstance(obj, Digraph) else digraph_of_matrix(obj)
+        labels, span = set(range(d.n)), f"1..{d.n}"
         for (pair, path_lines) in _split_sections(cert.witness_lines):
             if len(pair) != 2:
                 problems.append(f"pair {pair} does not name exactly two vertices")
@@ -262,6 +283,9 @@ def _check_witness(cert: Certificate) -> list[str]:
             paths = tuple(tuple(int(x) - 1 for x in p.split()) for p in path_lines)
             if len(paths) != k:
                 problems.append(f"pair {pair}: {len(paths)} paths, expected {k}")
+            if not all(paths) or not labels.issuperset(chain.from_iterable(paths)):
+                problems += _path_line_problems(pair, path_lines, paths, labels, span)
+                continue
             system = PathSystem(paths, "internally_disjoint_same_endpoints",
                                 (s,), (t,))
             problems += check_path_system(d, system)
@@ -338,7 +362,9 @@ def _check_witness(cert: Certificate) -> list[str]:
 
 
 def check_certificate(cert: Certificate) -> list[str]:
-    """Re-derive the verdict and re-validate the witness; empty = verified."""
+    """Re-derive the verdict and re-validate the witness; empty = verified.
+    Time: the decision of ``build_certificate``, then O(k^2 n) per pair of
+    a path-system witness and O(n^2 + n m) for any other witness."""
     problems = []
     recomputed = _recompute_verdict(cert)
     if recomputed != cert.verdict:

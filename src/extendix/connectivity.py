@@ -5,13 +5,13 @@ Loops never influence anything here; every computation works on the
 loop-free view of its input, so callers pass digraphs with loops as they
 are.  Disjoint paths come from one flow kernel, ``_FlowNet``, at
 O(k (n + m)) per flow and O(n) memory, built only by ``is_k_strong``,
-which takes 2k(n-1) - k(k-1) pairs for k >= 2 (k = 1 is two reaches) and
-gives the separators, ``_fan_decision``, which takes k(k-1) pairs and
-2(n-k) fans and gives a value, and ``_path_systems``, one pair per path
-system.  Each decision flow first picks a greedy seed of short disjoint
-paths on neighbourhood bitmasks and augments along shortest paths only
-when the seed falls short; the bound per flow is unchanged.
-``vertex_connectivity`` makes at most delta - kappa + 1 ``_fan_decision``
+which decides with k(k-1) pairs and 2(n-k) fans for k >= 2 (k = 1 is two
+reaches) and gives the separators, and ``_path_systems``, one pair per
+path system; each turns a failing flow's minimum cut into its witness.
+Each decision flow first picks a greedy seed of short disjoint paths on
+neighbourhood bitmasks and augments along shortest paths only when the
+seed falls short; the bound per flow is unchanged.
+``vertex_connectivity`` makes at most delta - kappa + 1 ``is_k_strong``
 calls (delta the least in- or out-degree), one in the common case.
 """
 
@@ -203,8 +203,9 @@ class _FlowNet:
         an edge to b_in for each b < j, so the fan is a set of cycles
         through j (a pair flow with s = t = j and these heads for j_out).
         Its minimum cuts are vertices: each arc into j leaves an out-node
-        whose split edge is on the path.  Seeded as the pairs are, by
-        ``_fan_seed``; ``cut()`` and ``paths()`` are not read after it.
+        whose split edge is on the path, and never hold j, the sink.  Seeded
+        by ``_fan_seed``, which, as ``_seed`` does, leaves the value and
+        ``cut()`` unchanged; ``paths()`` is not read after it.
         Time: that of ``flow``."""
         value, paths = self._fan_seed(j, limit)
         if paths is None:
@@ -353,68 +354,20 @@ def vertex_connectivity(d: Digraph) -> int:
 
     The out- (in-) neighbours of a vertex of degree below n-1 separate it
     from another vertex, so kappa is at most the least in- or out-degree
-    delta.  k starts there, and each ``_fan_decision(d, k)`` below k sets k
-    to its value, an upper bound on kappa below k; the first k that holds
-    is kappa, after at most delta - kappa + 1 decisions.  The strongness
-    pass comes first because it answers 0 without flows, and a strong D
-    with n >= 2 is 1-strong, so k = 1 needs no decision.
+    delta.  k starts there, and each ``is_k_strong(d, k)`` that fails sets
+    k to the order of its separator, below k and at least kappa; the first
+    k that holds is kappa, after at most delta - kappa + 1 decisions.  The
+    strongness pass comes first because it answers 0 without flows, and a
+    strong D with n >= 2 is 1-strong, so k = 1 needs no decision.
 
     Time: O((delta - kappa + 1) (k^2 + n) k (n + m)), decisions of at most
     k(k-1) + 2(n-k) flows of O(k (n + m)) at k <= delta.
     """
-    n = d.n
-    if n == 1 or not is_strong(d):
+    if d.n == 1 or not is_strong(d):
         return 0
     k = min(row.bit_count() for rows in _rows(d) for row in rows)
-    while k > 1 and (value := _fan_decision(d, k)) < k:
-        k = value
-    return k
-
-
-def _fan_decision(d: Digraph, k: int) -> int:
-    """k when D is k-strong, else an upper bound on kappa below k: n - 1
-    when D has at most k vertices, otherwise the value of the first check
-    that falls short, after S. Even, "An algorithm for determining whether
-    the connectivity of a graph is at least k" (SIAM J. Comput. 1975).  The
-    checks are the k(k-1) ordered pairs among 0..k-1, seeded flows on one
-    ``_FlowNet``, then, for j = k..n-1, the in-fan {0..j-1} -> j and the
-    out-fan j -> {0..j-1} (``_FlowNet.fan``, the out-fan on a net over the
-    swapped rows).  A fan that j's neighbours in the set and greedy 2-paths
-    settle runs no search.
-
-    A check of value v < k bounds kappa by v.  A fan's minimum cut C is
-    vertices, |C| = v, and the set has j >= k > v vertices, so one of them
-    lies outside C and is separated from j (or j from it) in D - C.  A
-    pair's cut is vertices, or the arc s->t and a set C of v - 1 vertices
-    meeting every other s->t path.  Then C + {s, t} is all of D, and kappa
-    <= n - 1 = v, or some w lies outside it: s does not reach w in
-    D - C - t, or w does not reach t in D - C - s, since a path avoiding s
-    or t avoids the arc, so C + {t} or C + {s} separates, and kappa <= v.
-
-    If every check holds, D is k-strong.  Otherwise take a separator S,
-    |S| < k, a split of D - S into X and Y with no arc from X to Y, and the
-    least vertex v outside S, so v < k.  Say v is in X, and let j be the
-    least vertex of Y.  If j < k, the pair (v, j) has no arc and S cuts it.
-    If j >= k, {0..j-1} lies in S + X, every path from it to j meets S, and
-    the in-fan of j has at most |S| disjoint paths.  v in Y is the mirror
-    case, with the pair (j, v) or the out-fan of j, j the least vertex of X.
-    Time: at most k(k-1) + 2(n-k) flows of O(k (n + m)).
-    """
-    n = d.n
-    if n < k + 1:
-        return n - 1
-    forward, reverse = _FlowNet(d), _FlowNet(d, reverse=True)
-    for s in range(k):
-        for t in range(k):
-            if s != t:
-                value = forward.flow(s, t, k)
-                if value < k:
-                    return value
-    for j in range(k, n):
-        for net in (forward, reverse):
-            value = net.fan(j, k)
-            if value < k:
-                return value
+    while k > 1 and not (verdict := is_k_strong(d, k)):
+        k = len(verdict.separator)
     return k
 
 
@@ -432,30 +385,39 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     """Decide k-strong connectivity; on failure carry a separator of order
     below k (or the vertex-count obstruction).
 
-    A violating pair joined by a direct arc yields a cut containing that
-    arc, so the scan goes on until a pair fails with a cut of vertices
-    only.  It takes the ordered pairs (s, t) with s < k or t < k in
-    lexicographic order: 2k(n-1) - k(k-1) flows of O(k (n + m)).  Each
-    flow starts from a greedy seed of disjoint paths of length at most 3
-    (``_FlowNet._seed``) on neighbourhood bitmasks.  A pair the seed
-    settles touches no flow list, and the out-lists are read, once, only
-    when some pair falls short, so on dense digraphs most calls never read
-    them.  The seed leaves value and separator unchanged (see
-    ``_FlowNet.flow``).
+    The checks are S. Even's, "An algorithm for determining whether the
+    connectivity of a graph is at least k" (SIAM J. Comput. 1975): the
+    k(k-1) ordered pairs among 0..k-1, seeded flows on one ``_FlowNet``,
+    then, for j = k..n-1, the in-fan {0..j-1} -> j and the out-fan
+    j -> {0..j-1} (``_FlowNet.fan``, the out-fan on a net over the swapped
+    rows).  The separator is the minimum cut of the first check that falls
+    short with a cut of vertices only.  Each check starts from a greedy
+    seed of short disjoint paths on the masks, which leaves value and cut
+    unchanged (``_FlowNet.flow``); one the seed settles touches no flow
+    list, and each orientation's out-lists are read once, when needed.
 
-    At k = 1 the scan needs no flow: a pair fails iff t is not reached
-    from s, with the empty cut.  The first failing pair is (0, t) for the
-    least t that 0 does not reach, else (s, 0) for the least s that does
-    not reach 0, read off the out- and in-reach of 0.
+    Such a cut C, |C| = v < k, is a separator.  A pair's cut holds neither
+    s nor t, and is vertices only unless it holds the direct arc s->t; such
+    a pair is passed over.  A fan's cut is vertices and never holds j, and
+    the set has j >= k > v vertices, one of them outside C and cut off from
+    j (or j from it) in D - C.
 
-    The scan over all n(n-1) pairs stops at the same pair.  Let (s, t) be
-    its pair, S its separator (|S| < k), X what s reaches in D - S and Y
-    the rest.  Some v_i with i < k is not in S.  If s, t >= k, then
-    (v_i, t) for v_i in X, or (s, v_i) for v_i in Y, is non-adjacent and
-    separated by S, so its cut is vertices only, and it comes before
-    (s, t): a contradiction.  Likewise no failing scheduled pair means D
-    is k-strong.
-    Time: O(n) mask operations at k = 1, else O(k^2 n (n + m)).
+    If every check holds, D is k-strong.  Otherwise take a separator S,
+    |S| < k, a split of D - S into X and Y with no arc from X to Y, and the
+    least vertex v outside S, so v < k.  Say v is in X, and let j be the
+    least vertex of Y.  If j < k, the pair (v, j) has no arc and S cuts it.
+    If j >= k, {0..j-1} lies in S + X, every path from it to j meets S, and
+    the in-fan of j has at most |S| disjoint paths.  v in Y is the mirror
+    case, with the pair (j, v) or the out-fan of j, j the least vertex of X.
+    Both checks have cuts of vertices only, so a first such failure exists,
+    and the closing ``AssertionError``, a pair passed over with none after
+    it, is a self-check.
+
+    At k = 1 no flow is needed: the failing pair named, with the empty cut,
+    is (0, t) for the least t that 0 does not reach, else (s, 0) for the
+    least s that does not reach 0, read off the out- and in-reach of 0.
+    Time: O(n) mask operations at k = 1, else at most k(k-1) + 2(n-k)
+    flows of O(k (n + m)).
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -469,19 +431,23 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
                 v = (missed & -missed).bit_length() - 1
                 return KStrongResult(False, (), "only 0 disjoint paths " + pair.format(v))
         return KStrongResult(True)
-    net = _FlowNet(d)
+    forward = _FlowNet(d)
+    fans = ((forward, "into {} from 0..{}"), (_FlowNet(d, reverse=True), "from {} into 0..{}"))
     impure = None
-    for s in range(d.n):
-        for t in range(d.n) if s < k else range(k):
-            if s == t:
-                continue
-            value = net.flow(s, t, k)
-            if value < k:
-                sep = net.cut()
+    for s in range(k):
+        for t in range(k):
+            if s != t and (value := forward.flow(s, t, k)) < k:
+                sep = forward.cut()
                 if len(sep) == value:
                     return KStrongResult(False, sep,
                                          f"only {value} disjoint paths from {s} to {t}")
                 impure = (s, t, value)
+    for j in range(k, d.n):
+        for net, text in fans:
+            value = net.fan(j, k)
+            if value < k:
+                return KStrongResult(False, net.cut(),
+                                     f"only {value} disjoint paths " + text.format(j, j - 1))
     if impure is None:
         return KStrongResult(True)
     raise AssertionError(f"no vertex separator recovered although pair {impure} violates")

@@ -67,6 +67,10 @@ def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None) -> list
 
     pairs is a maximum matching of G as ``max_matching_pairs`` returns
     it, computed here when the caller holds none.
+    Time: O(n m) for that matching, then one augmenting search of
+    O(n + m), or D(G, M) in O(n + m), one ``is_k_strong`` call (O(n) mask
+    operations at k = 1, else at most k(k-1) + 2(n-k) flows of
+    O(k (n + m))) and one strong-component pass of O(n^2) mask operations.
     """
     if pairs is None:
         pairs = max_matching_pairs(g)

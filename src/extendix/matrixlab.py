@@ -6,14 +6,14 @@ l x (n-l) block (equivalently: its digraph is not strong), and partly
 decomposable when independent row/column permutations do (equivalently:
 its bipartite graph is not 1-extendable).  The k-variants relax the block
 to l x (n-k+1-l) and line up with k-strong connectivity respectively
-k-extendability.  Decisions and witnesses come from the same failing
-flow: a k-reducible block is the last strong component of D(A) - S
-against the rest of D(A) - S, for the separator S of ``is_k_strong``; a
-k-partly decomposable block is a deficient row set X of B(A) (see
-``extendability._deficient_set``) against the columns outside N(X).  Each
-costs one ``is_k_strong`` call, plus a maximum matching on the bipartite
-side.  The block and permutation searches are definitional test oracles
-only.
+k-extendability.  Witnesses come from the decision itself,
+``is_k_strong``, whose first failing flow's cut is the separator S: a
+k-reducible block is the last strong component of D(A) - S against the
+rest of D(A) - S; a k-partly decomposable block is a deficient row set X
+of B(A) (see ``extendability._deficient_set``) against the columns outside
+N(X).  Each costs one ``is_k_strong`` call, at most k(k-1) + 2(n-k) flows
+on S. Even's schedule, plus a maximum matching on the bipartite side.
+The block and permutation searches are definitional test oracles only.
 
 Boundary cases pinned here rather than discovered later:
 

@@ -20,7 +20,7 @@ from extendix.connectivity import (EarDecompositionD, KStrongResult, PathSystem,
                                    _out_lists, _shortest_cycle_through, _sink_component,
                                    check_ear_decomposition_digraph, check_path_system)
 
-from conftest import ear_decomposition_per_ear
+from conftest import ear_decomposition_per_ear, k_strong_pair_scan
 
 
 def _kappa_by_separator_search(d: Digraph) -> int:
@@ -317,23 +317,45 @@ def _kappa_pair_scan(d: Digraph) -> int:
     return best
 
 
+def _assert_against_pair_scan(d: Digraph, ks, kappa: int) -> None:
+    """At each k, is_k_strong gives the pair scan's verdict, and the same
+    result at k = 1 and in the vertex-count case; a failing separator S
+    has |S| < k, leaves at least two vertices, splits D - S into more than
+    one strong component, and has kappa <= |S|."""
+    for k in ks:
+        res, ref = is_k_strong(d, k), k_strong_pair_scan(d, k)
+        assert res.holds == ref.holds, (d, k)
+        if res.holds or k == 1 or ref.separator is None:
+            assert res == ref, (d, k)
+            continue
+        sep = res.separator
+        assert len(sep) < k and d.n - len(sep) >= 2, (d, k, res)
+        assert len(strong_components(d, sep)) > 1, (d, k, res)
+        assert kappa <= len(sep), (d, k, res)
+
+
 class TestPairSchedule:
-    """is_k_strong scans O(k n) pairs and vertex_connectivity calls it at
-    most delta - kappa + 1 times; the scan over all ordered pairs and the
-    replaced kappa scan are the references."""
+    """vertex_connectivity calls is_k_strong at most delta - kappa + 1
+    times; the scan over all ordered pairs, the pair scan is_k_strong ran
+    before S. Even's schedule (``conftest.k_strong_pair_scan``) and the
+    replaced kappa scan are the references.  The pair scan still gives the
+    all-pairs result, and is_k_strong its verdict with a true separator."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_same_result_as_all_pairs_exhaustive(self, n):
         for d in iter_digraphs(n):
             for k in range(1, n + 1):
-                assert is_k_strong(d, k) == _k_strong_all_pairs(d, k)
+                assert k_strong_pair_scan(d, k) == _k_strong_all_pairs(d, k)
+            _assert_against_pair_scan(d, range(1, n + 1), _kappa_pair_scan(d))
 
     def test_same_result_as_all_pairs_seeded(self):
         for i in range(120):
             d = random_digraph(5 + i % 8, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=300 + i)
             for k in range(1, 5):
-                assert is_k_strong(d, k) == _k_strong_all_pairs(d, k)
+                assert k_strong_pair_scan(d, k) == _k_strong_all_pairs(d, k)
             kappa = vertex_connectivity(d)
+            assert kappa == _kappa_pair_scan(d)
+            _assert_against_pair_scan(d, range(1, 5), kappa)
             assert kappa == 0 or is_k_strong(d, kappa).holds
             assert not is_k_strong(d, kappa + 1).holds
 
@@ -371,16 +393,16 @@ class TestPairSchedule:
 
     @staticmethod
     def _assert_kappa_calls(d: Digraph, monkeypatch) -> None:
-        """kappa takes at most delta - kappa + 1 fan decisions, at falling
-        k, the last at kappa unless kappa <= 1, which needs none."""
+        """kappa takes at most delta - kappa + 1 is_k_strong decisions, at
+        falling k, the last at kappa unless kappa <= 1, which needs none."""
         calls = []
-        decide = connectivity._fan_decision
+        decide = connectivity.is_k_strong
 
         def counted(digraph, k):
             calls.append(k)
             return decide(digraph, k)
 
-        monkeypatch.setattr(connectivity, "_fan_decision", counted)
+        monkeypatch.setattr(connectivity, "is_k_strong", counted)
         kappa = vertex_connectivity(d)
         monkeypatch.undo()
         assert kappa == _kappa_pair_scan(d)
@@ -416,17 +438,14 @@ def _fan_count_bound(d: Digraph, k: int) -> int:
 
 
 class TestFanSchedule:
-    """``_fan_decision`` answers k-strong connectivity as the pair scan
-    does, with at most k(k-1) + 2(n-k) flows, and a failing check bounds
-    kappa below k; ``vertex_connectivity`` reads kappa off it."""
+    """``is_k_strong`` answers k-strong connectivity as the pair scan does,
+    with at most k(k-1) pair flows and 2(n-k) fans, and a failing one
+    carries a true separator of order in [kappa, k); ``vertex_connectivity``
+    reads kappa off it."""
 
     @staticmethod
     def _assert_agrees(d: Digraph, ks) -> None:
-        kappa = _kappa_pair_scan(d)
-        for k in ks:
-            value = connectivity._fan_decision(d, k)
-            assert (value == k) == is_k_strong(d, k).holds, (d, k)
-            assert value == k or kappa <= value < k, (d, k, value)
+        _assert_against_pair_scan(d, ks, _kappa_pair_scan(d))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_digraph(self, n):
@@ -463,17 +482,18 @@ class TestFanSchedule:
         assert vertex_connectivity(_circulant(n, (1, 2))) == 2
 
     def test_flow_calls_per_decision(self, monkeypatch):
-        """At most k(k-1) pair flows and 2(n-k) fans per decision, every one
-        of them at k; a fan that the masks settle runs no search."""
-        calls, searches = [], []
+        """At most k(k-1) pair flows, each between two of 0..k-1, and 2(n-k)
+        fans per decision at k >= 2, every one of them at k; a fan that the
+        masks settle runs no search."""
+        pairs, fans, searches = [], [], []
         flow, fan, augment = _FlowNet.flow, _FlowNet.fan, _FlowNet._augment
 
         def counted_flow(self, s, t, limit):
-            calls.append(limit)
+            pairs.append((s, t, limit))
             return flow(self, s, t, limit)
 
         def counted_fan(self, j, limit):
-            calls.append(limit)
+            fans.append(limit)
             return fan(self, j, limit)
 
         def counted_augment(self, *args):
@@ -486,10 +506,14 @@ class TestFanSchedule:
         digraphs = [_circulant(n, range(1, 11)) for n in (40, 80)]
         digraphs += [random_digraph(n, 0.5, seed=n) for n in (20, 40, 80)]
         for d in digraphs:
-            for k in range(1, vertex_connectivity(d) + 2):
-                calls.clear()
-                connectivity._fan_decision(d, k)
-                assert 0 < len(calls) <= _fan_count_bound(d, k) and set(calls) == {k}
+            for k in range(2, vertex_connectivity(d) + 2):
+                pairs.clear()
+                fans.clear()
+                is_k_strong(d, k)
+                assert 0 < len(pairs) + len(fans) <= _fan_count_bound(d, k)
+                assert len(pairs) <= k * (k - 1) and len(fans) <= 2 * (d.n - k)
+                assert all(s < k and t < k and limit == k for s, t, limit in pairs)
+                assert set(fans) <= {k}
         d = complete_digraph(8)
         net = _FlowNet(d, reverse=True)
         searches.clear()
@@ -498,12 +522,19 @@ class TestFanSchedule:
         assert len(searches) == 6
 
     def test_kappa_takes_no_pair_scan(self, monkeypatch):
-        def refuse(d, k):
-            raise AssertionError("vertex_connectivity called is_k_strong")
+        """Every pair flow of kappa's decisions joins two of 0..k-1: none
+        of the scan's pairs with s >= k or t >= k is run."""
+        pairs = []
+        flow = _FlowNet.flow
 
-        monkeypatch.setattr(connectivity, "is_k_strong", refuse)
+        def counted(self, s, t, limit):
+            pairs.append((s, t, limit))
+            return flow(self, s, t, limit)
+
+        monkeypatch.setattr(_FlowNet, "flow", counted)
         assert vertex_connectivity(random_digraph(30, 0.5, seed=1)) >= 2
         assert vertex_connectivity(_circulant(30, range(1, 6))) == 5
+        assert pairs and all(s < limit and t < limit for s, t, limit in pairs)
 
     def test_fan_counts_disjoint_paths_into_and_out_of_j(self):
         """The fan's value is the number of paths from distinct vertices
@@ -736,17 +767,17 @@ class TestSeededFlow:
         nets = []
         init = _FlowNet.__init__
 
-        def spy(self, d):
-            init(self, d)
+        def spy(self, d, reverse=False):
+            init(self, d, reverse)
             nets.append(self)
 
         monkeypatch.setattr(_FlowNet, "__init__", spy)
         assert is_k_strong(random_digraph(80, 0.5, seed=1), 3).holds
         assert is_k_strong(complete_digraph(8), 7).holds
-        assert len(nets) == 2
+        assert len(nets) == 4
         assert all(net.succ is None and not hasattr(net, "via") for net in nets)
         assert is_k_strong(_circulant(40, range(1, 6)), 5).holds
-        assert len(nets) == 3 and nets[2].succ is not None
+        assert len(nets) == 6 and nets[4].succ is not None
 
 
 def _assert_matches_reference(d: Digraph, limits, pairs=None) -> None:

@@ -49,6 +49,8 @@ def _instances() -> dict:
         "bg10.bg": random_bipartite_with_pm(10, 0.25, seed=75),
         # strong, kappa 1
         "dg6.dg": random_digraph(6, 0.45, seed=4),
+        # kappa 3; at k = 4 the separator is the cut of an out-fan
+        "dg20.dg": random_digraph(20, 0.4, seed=5),
         # partly decomposable and reducible
         "dec6.mat": _seeded_matrix(6, 0.35, seed=0),
         # fully indecomposable and irreducible
@@ -75,6 +77,7 @@ CERTIFY = [
     ("bg10.bg", "k-extendable", 1, 1),
     ("dg6.dg", "k-strong", 1, 0),
     ("dg6.dg", "k-strong", 2, 1),
+    ("dg20.dg", "k-strong", 4, 1),
     ("full6.mat", "k-indecomposable", 1, 0),
     ("j3.mat", "k-indecomposable", 2, 0),
     ("dec6.mat", "k-indecomposable", 1, 1),

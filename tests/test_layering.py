@@ -1,10 +1,11 @@
 """The flow kernel stays inside ``connectivity``, and no module strips loops.
 
-``_FlowNet`` is built by three functions only: ``is_k_strong``, which
-decides k-strong connectivity with a separator, ``_fan_decision``, which
-decides it for ``vertex_connectivity`` with a value only, and
-``_path_systems``, which reads every disjoint path system.  Every other
-module asks them, and every separator printed comes from ``is_k_strong``.
+``_FlowNet`` is built by two functions only: ``is_k_strong``, which
+decides k-strong connectivity with a separator, also for each k of
+``vertex_connectivity``, and ``_path_systems``, which reads every disjoint
+path system.  They are also the only readers of a flow's minimum cut, so
+there is one way to turn a cut into a witness.  Every other module asks
+them, and every separator printed comes from ``is_k_strong``.
 Only ``_path_systems`` runs the flow unseeded, so the paths it reads, and
 the certificate path lines built from them, come from shortest augmenting
 paths alone.  Every
@@ -24,7 +25,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "extendix"
-FLOW_BUILDERS = {"is_k_strong", "_fan_decision", "_path_systems"}
+FLOW_BUILDERS = {"is_k_strong", "_path_systems"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -70,10 +71,19 @@ def test_flow_net_is_named_in_connectivity_only():
     assert naming == ["connectivity.py"]
 
 
-def test_flow_net_is_built_by_three_functions_only():
+def test_flow_net_is_built_by_two_functions_only():
     builders = {enclosing for enclosing, call in _calls(_modules()["connectivity.py"])
                 if _callee(call) == "_FlowNet"}
     assert builders == FLOW_BUILDERS
+
+
+def test_only_the_flow_builders_read_a_cut():
+    """``_FlowNet.cut()`` is called where a net is built and nowhere else:
+    the separators of ``is_k_strong`` and the cut witness of
+    ``_path_systems``."""
+    readers = {(module, enclosing) for module, tree in _modules().items()
+               for enclosing, call in _calls(tree) if _callee(call) == "cut"}
+    assert readers == {("connectivity.py", name) for name in FLOW_BUILDERS}
 
 
 def test_only_path_systems_runs_the_flow_unseeded():
@@ -243,34 +253,40 @@ def test_every_budget_is_checked():
 
 
 # ---------------------------------------------------------------------------
-# kappa from the fan schedule, separators from the pair scan
+# kappa and the separators from one decision on the fan schedule
 
 
 def test_kappa_reaches_the_fan_route_and_not_the_pair_scan():
-    reached = _reachable(_call_graph(), "vertex_connectivity")
-    assert "_fan_decision" in reached
-    assert "is_k_strong" not in reached
+    """``vertex_connectivity`` decides each k with ``is_k_strong``, which
+    runs the fan schedule; no second decision route is left."""
+    graph = _call_graph()
+    assert "is_k_strong" in _reachable(graph, "vertex_connectivity")
+    assert "_fan_decision" not in graph
 
 
 def _separator_sources(fn: ast.AST) -> list[str]:
     """For each ``name.separator`` read in fn, the callee of the call that
-    fn binds name to ("" when fn binds it to no call)."""
+    fn binds name to, by ``=`` or ``:=`` ("" when fn binds it to no call)."""
     bound = {target.id: _callee(node.value) for node in ast.walk(fn)
-             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-             for target in node.targets if isinstance(target, ast.Name)}
+             if isinstance(node, (ast.Assign, ast.NamedExpr))
+             and isinstance(node.value, ast.Call)
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
     return [bound.get(node.value.id, "") for node in ast.walk(fn)
             if isinstance(node, ast.Attribute) and node.attr == "separator"
             and isinstance(node.value, ast.Name)]
 
 
-def test_every_printed_separator_comes_from_the_pair_scan():
+def test_every_printed_separator_comes_from_is_k_strong():
     """``certify``'s separator lines, ``extendability._deficient_set`` and
     ``matrixlab._reducible`` read the separator of an ``is_k_strong``
-    verdict, and no other function of the package reads one."""
+    verdict, ``vertex_connectivity`` reads its order, and no other function
+    of the package reads one."""
     readers = {(module, node.name): _separator_sources(node)
                for module, tree in _modules().items() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and _separator_sources(node)}
     assert set(readers) == {("certify.py", "build_certificate"),
+                            ("connectivity.py", "vertex_connectivity"),
                             ("extendability.py", "_deficient_set"),
                             ("matrixlab.py", "_reducible")}
     assert all(set(sources) == {"is_k_strong"} for sources in readers.values()), readers

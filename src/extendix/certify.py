@@ -23,11 +23,11 @@ import random
 from itertools import chain
 
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
-                   connected, parse_vertex_label, u_label, w_label)
+                   connected, is_int_token, parse_vertex_label, u_label, w_label)
 from .correspond import bipartite_of_matrix, digraph_of_matrix
 from .connectivity import (_path_systems, is_k_strong, strong_components,
                            check_path_system, PathSystem)
-from .extendability import (AltPathSystem, _alternating_paths, _deficient_set,
+from .extendability import (AltPathSystem, _alternating_paths, _deficient_set, _walk_text,
                             check_alternating_path_system, is_k_extendable)
 from .fileio import CLAIMS, Certificate
 from .matching import (first_perfect_matching, has_perfect_matching, matching_extends,
@@ -58,8 +58,18 @@ def _edges_text(edges) -> str:
 
 def _parse_edges(text: str) -> frozenset:
     """Inverse of _edges_text."""
-    return frozenset((int(i) - 1, int(j) - 1)
-                     for i, j in (token.split("-") for token in text.split()))
+    ends = (_numbers(token.split("-"), "edge", token) for token in text.split())
+    return frozenset((i, j) for i, j in ends)
+
+
+def _numbers(tokens, *where) -> list[int]:
+    """1-based numbers as 0-based indices; a ValueError names the first
+    token that is not an integer as the instance formats write one
+    (``core.is_int_token``) and where, whose parts are joined only then."""
+    for token in tokens:
+        if not is_int_token(token, True):
+            raise ValueError(f"{' '.join(map(str, where))} has {token!r}, which is not a number")
+    return [int(token) - 1 for token in tokens]
 
 
 def _field(lines, prefix: str) -> str | None:
@@ -73,11 +83,7 @@ def _field(lines, prefix: str) -> str | None:
 
 def _indices(lines, prefix: str) -> list[int]:
     """The 1-based numbers of a ``prefix`` line as 0-based indices."""
-    return [int(x) - 1 for x in (_field(lines, prefix) or "").split()]
-
-
-def _walk_text(walk) -> str:
-    return " ".join((u_label(v) if side == "u" else w_label(v)) for side, v in walk)
+    return _numbers((_field(lines, prefix) or "").split(), "the", prefix, "line")
 
 
 def _parse_walk(text: str) -> tuple:
@@ -267,7 +273,7 @@ def _check_witness(cert: Certificate) -> list[str]:
                 problems += _path_line_problems(pair, path_lines, walks, labels, span)
                 continue
             system = AltPathSystem(walks, matching, pu[1], pw[1])
-            problems += check_alternating_path_system(g, system)
+            problems += [f"pair {pair}: {p}" for p in check_alternating_path_system(g, system)]
         return problems
 
     if kind == "menger-path-systems":
@@ -277,10 +283,11 @@ def _check_witness(cert: Certificate) -> list[str]:
             if len(pair) != 2:
                 problems.append(f"pair {pair} does not name exactly two vertices")
                 continue
-            s, t = int(pair[0]) - 1, int(pair[1]) - 1
+            s, t = _numbers(pair, "pair", pair)
             if s == t:
                 problems.append(f"pair {pair} does not join two vertices")
-            paths = tuple(tuple(int(x) - 1 for x in p.split()) for p in path_lines)
+            paths = tuple(tuple(_numbers(p.split(), "pair", pair, "path", i))
+                          for i, p in enumerate(path_lines, 1))
             if len(paths) != k:
                 problems.append(f"pair {pair}: {len(paths)} paths, expected {k}")
             if not all(paths) or not labels.issuperset(chain.from_iterable(paths)):
@@ -288,7 +295,7 @@ def _check_witness(cert: Certificate) -> list[str]:
                 continue
             system = PathSystem(paths, "internally_disjoint_same_endpoints",
                                 (s,), (t,))
-            problems += check_path_system(d, system)
+            problems += [f"pair {pair}: {p}" for p in check_path_system(d, system)]
         return problems
 
     if kind == "separator":

@@ -4,10 +4,12 @@ systems, ear decompositions, minimality and degree audits.
 Loops never influence anything here; every computation works on the
 loop-free view of its input, so callers pass digraphs with loops as they
 are.  Disjoint paths come from one flow kernel, ``_FlowNet``, at
-O(k (n + m)) per flow and O(n) memory, built only by ``is_k_strong``,
-which decides with k(k-1) pairs and 2(n-k) fans for k >= 2 (k = 1 is two
-reaches) and gives the separators, and ``_path_systems``, one pair per
-path system; each turns a failing flow's minimum cut into its witness.
+O(k (n + m)) per flow and O(n) memory, which leaves the arc s->t out, so
+every cut is vertices.  It is built only by ``is_k_strong``, which
+decides with the pairs among 0..k-1 no arc joins and 2(n-k) fans for k >= 2
+(k = 1 is two reaches) and gives the separators, and ``_path_systems``,
+which adds the arc s->t as a path of its own; each turns a failing
+flow's minimum cut into its witness.
 Each decision flow first picks a greedy seed of short disjoint paths on
 neighbourhood bitmasks and augments along shortest paths only when the
 seed falls short; the bound per flow is unchanged.
@@ -18,8 +20,6 @@ calls (delta the least in- or out-degree), one in the common case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-
 from .core import Digraph, ExtendixError, _bfs_path, check_budget
 
 
@@ -142,25 +142,24 @@ def _sink_component(d: Digraph, removed) -> list:
 class _FlowNet:
     """Disjoint-path flows on a digraph's split-vertex network, reused for
     every source/sink pair.  Node 2v is "into v" (v_in), 2v+1 "out of v"
-    (v_out), joined by a split edge of capacity 1; arcs are uncapped, so
-    minimum cuts are vertices, except the direct arc s->t, capped at 1 as
-    that path counts once.  From node 2s+1 to node 2s the paths are cycles
-    through s, meeting only there.
+    (v_out), joined by a split edge of capacity 1; arcs are uncapped, and
+    the arc s->t is left out, so a flow counts the s->t paths of length at
+    least 2 and its minimum cuts are vertices.  From node 2s+1 to node 2s
+    the paths are cycles through s, meeting only there.
 
-    The network is never stored.  The flow on an arc also passes a split
-    edge, or the arc is the direct one, so it is at most 1, an uncapped arc
-    always has residual capacity, and the flow alone gives every residual
-    edge.  v_out has one to b_in for each b in N+(v), but the used direct
-    arc, and one to v_in when v carries flow.  v_in has one only: to v_out
-    when v is free, else back to a_out for the tail a of the flow arc into
-    v.  So a flow is ``back``, that out-node per vertex, and ``ends``, the
-    tails of the flow arcs into t.  ``succ[v]`` lists 2b for b in N+(v)
+    The network is never stored.  Every arc of a path of length at least 2
+    has an interior end, so the flow on it also passes a split edge and is
+    at most 1, an uncapped arc always has residual capacity, and the flow
+    alone gives every residual edge.  v_out has one to b_in for each b in
+    N+(v), and one to v_in when v carries flow.  v_in has one only: to
+    v_out when v is free, else back to a_out for the tail a of the flow arc
+    into v.  So a flow is ``back``, that out-node per vertex, and ``ends``,
+    the tails of the flow arcs into t.  ``succ[v]`` lists 2b for b in N+(v)
     with 2v merged in at its place, so a scan meets v_out's residual edges
     by head, the order of a stored network whose edge lists are sorted by
     head, and searches visit nodes in that network's order.  The scan needs
     no test of whether v carries flow: the v_out of a free v was reached
-    from v_in.  Only the source leaves out 2s, and 2t once the direct arc
-    is used, by hand.
+    from v_in.  Only the source leaves out 2s and 2t, by hand.
 
     ``succ`` is the digraph's ``Digraph._succ``, read off the masks
     (``_rows``) in O(n + m) by the first flow on the instance whose seed
@@ -175,9 +174,9 @@ class _FlowNet:
         self.succ = None
 
     def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
-        """Disjoint s->t paths up to limit; leaves the flow in ``back`` and
-        ``ends`` and, when it searched, the last reach in ``via``, each
-        reached node's parent.  Seeded (see ``_seed``), a pair whose short
+        """Disjoint s->t paths of length at least 2 up to limit; leaves the
+        flow in ``back`` and ``ends`` and, when it searched, the last reach
+        in ``via``, each reached node's parent.  Seeded (see ``_seed``), a pair whose short
         paths reach limit returns at once and leaves all three as they
         were; otherwise the seed's paths are pushed and shortest augmenting
         paths take the flow on.  An unseeded flow always starts afresh,
@@ -233,7 +232,7 @@ class _FlowNet:
         for value in range(value, limit):
             via = self.via = [None] * (2 * self.n)
             via[src] = -1
-            queue = [y for y in heads if y != src - 1 and (y != snk or s not in ends)]
+            queue = [y for y in heads if y != src - 1 and y != snk]
             for y in queue:
                 via[y] = src
             for x in queue:
@@ -258,20 +257,18 @@ class _FlowNet:
 
     def _seed(self, s: int, t: int, limit: int) -> tuple:
         """A greedy set of disjoint short s->t paths, read off the masks:
-        the direct arc, then every s->x->t, then one s->x->y->t for each x
-        still unused, x and y lowest first among the unused interior
-        vertices, stopping at limit.  Returns (limit, None) when these
-        reach limit, so a settled pair lists no paths; otherwise the value
-        and the paths as vertex tuples.  The direct arc and the paths of
-        length 2 are counted by popcount, so a pair they settle costs a
-        few word operations; each x tried costs a few more.  A y, having
-        an arc to t, is never a later x: such an x would be the middle of
-        a path of length 2, already taken."""
+        every s->x->t, then one s->x->y->t for each x still unused, x and y
+        lowest first among the unused interior vertices, stopping at limit.
+        Returns (limit, None) when these reach limit, so a settled pair
+        lists no paths; otherwise the value and the paths as vertex tuples.
+        The paths of length 2 are counted by popcount, so a pair they settle
+        costs a few word operations; each x tried costs a few more.  A y,
+        having an arc to t, is never a later x: such an x would be the
+        middle of a path of length 2, already taken."""
         outs, ins = self.outs, self.ins
-        direct = outs[s] >> t & 1
         used = 1 << s | 1 << t
         mids = outs[s] & ins[t] & ~used
-        value = direct + mids.bit_count()
+        value = mids.bit_count()
         if value >= limit:
             return limit, None
         used |= mids
@@ -289,8 +286,6 @@ class _FlowNet:
                 value += 1
         if value == limit:
             return limit, None
-        if direct:
-            paths.append((s, t))
         return value, paths + [(s, x, t) for x in _bits(mids)]
 
     def _fan_seed(self, j: int, limit: int) -> tuple:
@@ -387,20 +382,19 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
 
     The checks are S. Even's, "An algorithm for determining whether the
     connectivity of a graph is at least k" (SIAM J. Comput. 1975): the
-    k(k-1) ordered pairs among 0..k-1, seeded flows on one ``_FlowNet``,
-    then, for j = k..n-1, the in-fan {0..j-1} -> j and the out-fan
-    j -> {0..j-1} (``_FlowNet.fan``, the out-fan on a net over the swapped
-    rows).  The separator is the minimum cut of the first check that falls
-    short with a cut of vertices only.  Each check starts from a greedy
-    seed of short disjoint paths on the masks, which leaves value and cut
-    unchanged (``_FlowNet.flow``); one the seed settles touches no flow
-    list, and each orientation's out-lists are read once, when needed.
+    ordered pairs (s, t) among 0..k-1 that no arc s->t joins, seeded flows
+    on one ``_FlowNet``, then, for j = k..n-1, the in-fan {0..j-1} -> j and
+    the out-fan j -> {0..j-1} (``_FlowNet.fan``, the out-fan on a net over
+    the swapped rows).  The separator is the minimum cut of the first check
+    that falls short.  Each check starts from a greedy seed of short
+    disjoint paths on the masks, which leaves value and cut unchanged
+    (``_FlowNet.flow``); one the seed settles touches no flow list, and
+    each orientation's out-lists are read once, when needed.
 
     Such a cut C, |C| = v < k, is a separator.  A pair's cut holds neither
-    s nor t, and is vertices only unless it holds the direct arc s->t; such
-    a pair is passed over.  A fan's cut is vertices and never holds j, and
-    the set has j >= k > v vertices, one of them outside C and cut off from
-    j (or j from it) in D - C.
+    s nor t and, as no arc joins them, meets every s->t path.  A fan's cut
+    never holds j, and the set has j >= k > v vertices, one of them
+    outside C and cut off from j (or j from it) in D - C.
 
     If every check holds, D is k-strong.  Otherwise take a separator S,
     |S| < k, a split of D - S into X and Y with no arc from X to Y, and the
@@ -409,9 +403,7 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     If j >= k, {0..j-1} lies in S + X, every path from it to j meets S, and
     the in-fan of j has at most |S| disjoint paths.  v in Y is the mirror
     case, with the pair (j, v) or the out-fan of j, j the least vertex of X.
-    Both checks have cuts of vertices only, so a first such failure exists,
-    and the closing ``AssertionError``, a pair passed over with none after
-    it, is a self-check.
+    So some check fails.
 
     At k = 1 no flow is needed: the failing pair named, with the empty cut,
     is (0, t) for the least t that 0 does not reach, else (s, 0) for the
@@ -433,24 +425,18 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
         return KStrongResult(True)
     forward = _FlowNet(d)
     fans = ((forward, "into {} from 0..{}"), (_FlowNet(d, reverse=True), "from {} into 0..{}"))
-    impure = None
     for s in range(k):
         for t in range(k):
-            if s != t and (value := forward.flow(s, t, k)) < k:
-                sep = forward.cut()
-                if len(sep) == value:
-                    return KStrongResult(False, sep,
-                                         f"only {value} disjoint paths from {s} to {t}")
-                impure = (s, t, value)
+            if s != t and not forward.outs[s] >> t & 1 and (value := forward.flow(s, t, k)) < k:
+                return KStrongResult(False, forward.cut(),
+                                     f"only {value} disjoint paths from {s} to {t}")
     for j in range(k, d.n):
         for net, text in fans:
             value = net.fan(j, k)
             if value < k:
                 return KStrongResult(False, net.cut(),
                                      f"only {value} disjoint paths " + text.format(j, j - 1))
-    if impure is None:
-        return KStrongResult(True)
-    raise AssertionError(f"no vertex separator recovered although pair {impure} violates")
+    return KStrongResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -470,27 +456,29 @@ class PathSystem:
 
 
 def check_path_system(d: Digraph, system: PathSystem) -> list[str]:
-    """Structural verification; returns a list of problems (empty = valid)."""
+    """Structural verification; returns a list of problems (empty = valid),
+    naming vertices and paths 1-based, as a certificate does."""
     problems = []
     cycles = system.sources == system.sinks and system.mode != "independent_multi_endpoint"
-    for path in system.paths:
+    for i, path in enumerate(system.paths, 1):
         for x, y in zip(path, path[1:]):
             if x == y or (x, y) not in d.arcs:
-                problems.append(f"missing arc {(x, y)} in path {path}")
+                problems.append(f"missing arc {x + 1} -> {y + 1} in path {i}")
         if len(set(path)) != len(path) - (cycles and len(path) > 2):
-            problems.append(f"repeated vertex in path {path}")
+            problems.append(f"repeated vertex in path {i}")
     if system.mode == "internally_disjoint_same_endpoints":
         s, t = system.sources[0], system.sinks[0]
         interior = []
-        for path in system.paths:
+        for i, path in enumerate(system.paths, 1):
             if path[0] != s or path[-1] != t:
-                problems.append(f"path {path} does not run {s} -> {t}")
+                problems.append(f"path {i} does not run {s + 1} -> {t + 1}")
             interior.append(set(path[1:-1]))
         for a in range(len(interior)):
             for b in range(a + 1, len(interior)):
                 shared = interior[a] & interior[b]
                 if shared:
-                    problems.append(f"paths {a} and {b} share interior {sorted(shared)}")
+                    problems.append(f"paths {a + 1} and {b + 1} share interior "
+                                    f"{sorted(v + 1 for v in shared)}")
         if len(set(system.paths)) != len(system.paths):
             problems.append("duplicate path")
     else:
@@ -500,7 +488,7 @@ def check_path_system(d: Digraph, system: PathSystem) -> list[str]:
             used_sinks.append(path[-1])
             overlap = all_vertices & set(path)
             if overlap:
-                problems.append(f"paths share vertices {sorted(overlap)}")
+                problems.append(f"paths share vertices {sorted(v + 1 for v in overlap)}")
             all_vertices |= set(path)
         if sorted(used_sources) != sorted(system.sources):
             problems.append("sources not used exactly once each")
@@ -527,24 +515,23 @@ def menger_paths(d: Digraph, s: int, t: int, k: int) -> PathSystem:
 def _path_systems(d: Digraph, pairs, k: int) -> list:
     """One PathSystem of k internally disjoint s->t paths per (s, t) in
     pairs, all read off one ``_FlowNet``; for s == t, k cycles through s
-    meeting only there.  Each flow starts afresh, so earlier pairs do not
-    change the paths.  Raises InsufficientPathsError at the first pair
-    with fewer than k.
+    meeting only there.  The arc s->t, when there is one, is a path of its
+    own, and the flow, which leaves it out, gives the rest.  Each flow
+    starts afresh, so earlier pairs do not change the paths.  Raises
+    InsufficientPathsError at the first pair with fewer than k.
     Time: O(k (n + m)) per pair, one unseeded flow and its check."""
     net = _FlowNet(d)
     systems = []
     for s, t in pairs:
-        value = net.flow(s, t, k, seeded=False)
+        direct = k > 0 and net.outs[s] >> t & 1
+        value = direct + net.flow(s, t, k - direct, seeded=False)
         if value < k:
             raise InsufficientPathsError(k, value, net.cut())
-        system = PathSystem(tuple(net.paths(s, t)),
+        system = PathSystem(tuple(sorted(net.paths(s, t) + [(s, t)] * direct)),
                             "internally_disjoint_same_endpoints", (s,), (t,))
         problems = check_path_system(d, system)
         if problems:
             raise AssertionError(f"invalid path system produced: {problems}")
-        if s == t and any(set(a) & set(b) != {s}
-                          for a, b in combinations(system.paths, 2)):
-            raise AssertionError("cycles intersect outside the hub vertex")
         systems.append(system)
     return systems
 

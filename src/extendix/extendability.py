@@ -367,34 +367,45 @@ class AltPathSystem:
 
 
 def check_alternating_path_system(g: BipartiteGraph, system: AltPathSystem) -> list[str]:
+    """Structural verification; returns a list of problems (empty = valid),
+    naming vertices and edges by label and paths 1-based, as certificates do."""
     problems = []
     m_edges = system.matching.edges
     interiors = []
-    for walk in system.paths:
+    for i, walk in enumerate(system.paths, 1):
         if walk[0] != ("u", system.u) or walk[-1] != ("w", system.w):
-            problems.append(f"walk {walk} does not join "
+            problems.append(f"path {i} does not join "
                             f"{u_label(system.u)} and {w_label(system.w)}")
         if len(set(walk)) != len(walk):
-            problems.append(f"walk {walk} repeats a vertex")
+            problems.append(f"path {i} repeats a vertex")
         edges = _walk_edges(walk)
         if len(edges) % 2 == 0:
-            problems.append(f"walk {walk} has even length")
-        for pos, e in enumerate(edges):
+            problems.append(f"path {i} has even length")
+        for pos, e in enumerate(edges, 1):
             if e not in g.edges:
-                problems.append(f"walk uses missing edge {e}")
-            if pos % 2 == 0 and e in m_edges:
-                problems.append(f"edge {e} at even position lies in the matching")
-            if pos % 2 == 1 and e not in m_edges:
-                problems.append(f"edge {e} at odd position is not a matching edge")
+                problems.append(f"path {i} uses missing edge {_edge_text(e)}")
+            if pos % 2 and e in m_edges:
+                problems.append(f"edge {pos} of path {i}, {_edge_text(e)}, lies in the matching")
+            if not pos % 2 and e not in m_edges:
+                problems.append(f"edge {pos} of path {i}, {_edge_text(e)}, is not a matching edge")
         interiors.append(set(walk[1:-1]))
     for a in range(len(interiors)):
         for b in range(a + 1, len(interiors)):
             shared = interiors[a] & interiors[b]
             if shared:
-                problems.append(f"walks {a} and {b} share interior {sorted(shared)}")
+                problems.append(f"paths {a + 1} and {b + 1} share interior "
+                                f"{_walk_text(sorted(shared))}")
     if len(set(system.paths)) != len(system.paths):
-        problems.append("duplicate walk")
+        problems.append("duplicate path")
     return problems
+
+
+def _walk_text(walk) -> str:
+    return " ".join((u_label(v) if side == "u" else w_label(v)) for side, v in walk)
+
+
+def _edge_text(edge) -> str:
+    return f"{u_label(edge[0])} {w_label(edge[1])}"
 
 
 def alternating_path_system(g: BipartiteGraph, m: Matching, u: int, w: int,
@@ -480,6 +491,8 @@ def elementary_components(g: BipartiteGraph, matching: Matching | None = None) -
     plus the non-matching edges whose arcs stay inside C; every arc
     between components is a fixed single edge.  M defaults to a maximum
     matching of G.
+    Time: O(n (n + m)) for that matching, O(n + m) for D(G, M) and the
+    pieces, and O(n^2) mask operations for the strong components.
     """
     if matching is None:
         matching = max_matching(g)

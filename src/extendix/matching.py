@@ -52,7 +52,8 @@ def max_matching_pairs(g: BipartiteGraph,
                        dead_u: frozenset = frozenset(),
                        dead_w: frozenset = frozenset()) -> dict[int, int]:
     """u -> w pairing of a maximum matching, optionally avoiding vertices.
-    Deterministic for a fixed graph."""
+    Deterministic for a fixed graph.
+    Time: O(n (n + m)), one augmenting search of O(n + m) per row."""
     adj = []
     for i in range(g.n):
         if i in dead_u:
@@ -140,7 +141,9 @@ def first_perfect_matching(g: BipartiteGraph, pairs: dict | None = None) -> Matc
     u_1..u_i seen, so only the rows after u_i move.  A failed search
     leaves the matching untouched, so two entries undo the trial.  The
     result does not depend on the maximum matching it starts from: pairs,
-    as ``max_matching_pairs`` returns it, when the caller holds one."""
+    as ``max_matching_pairs`` returns it, when the caller holds one.
+    Time: O(m (n + m)): at most m trials, the columns tried before a
+    row's own, of one O(n + m) search each, after O(n (n + m)) for pairs."""
     if pairs is None:
         pairs = max_matching_pairs(g)
     if len(pairs) < g.n:

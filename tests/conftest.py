@@ -16,6 +16,7 @@ import pytest
 
 from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix,
                       random_bipartite_with_pm)
+from extendix.connectivity import _bits, _rows
 from extendix.search import _minimal_k_strong_rows, minimal_k_strong_digraphs
 
 
@@ -207,12 +208,187 @@ def ear_decomposition_per_ear(d: Digraph, start_cycle=None):
 
 
 # ---------------------------------------------------------------------------
+# the reference flow kernel: a stored network that still counts the arc s->t
+
+
+_BIG = 1 << 20
+
+
+class _ReferenceFlowNet:
+    """The flow kernel the library replaced, kept as the reference for
+    ``_FlowNet``: the split-vertex network stored as flat int lists.
+
+    A digraph's out- and in-neighbourhoods as bitmasks, one int per
+    vertex, and, built on demand, its split-vertex network as flat int
+    lists; both are reused for every source/sink pair.  Node 2v is "into
+    v", 2v+1 "out of v", joined by a split edge of capacity 1; arcs are
+    uncapped, so minimum cuts are vertices, except the direct arc s->t,
+    capped at 1 as that path counts once.  Edges e and e ^ 1 are a
+    forward/reverse pair; each node's edges are sorted by head node.  From
+    node 2s+1 to node 2s the paths are cycles through s, meeting only
+    there.
+
+    The masks are ``_rows``, the ones ``strong_components`` reaches
+    over, and take one pass over the arcs.  The network (``head``,
+    ``base``, ``adj``, ``arc_edge``) takes O(n + m) and is built by
+    the first flow whose seed falls short of its limit; a pair the greedy
+    seed settles (see ``_seed``) costs a few word operations on the masks
+    and never builds, copies or touches it."""
+
+    def __init__(self, d: Digraph):
+        self.n = d.n
+        self.outs, self.ins = _rows(d)
+        self.head = None
+
+    def _build(self) -> None:
+        """The split-vertex network, read off the masks: edge 2v is v's
+        split edge, then one edge per arc in sorted order.  Tails are
+        walked in increasing order, so node 2a gets its split edge after
+        the arcs into a from smaller tails and before those from larger
+        ones, and node 2a+1 gets a's arcs by head with the reverse split
+        edge (head 2a) put in at the count of a's smaller out-neighbours:
+        every node's edges come sorted by head, with no sort."""
+        n, outs = self.n, self.outs
+        head = [z for v in range(n) for z in (2 * v + 1, 2 * v)]
+        base = [1, 0] * n
+        adj: list[list[int]] = [[] for _ in range(2 * n)]
+        arc_edge = {}
+        for a in range(n):
+            adj[2 * a].append(2 * a)
+            out_a = adj[2 * a + 1]
+            for b in _bits(outs[a]):
+                e = arc_edge[a, b] = len(head)
+                head += (2 * b, 2 * a + 1)
+                base += (_BIG, 0)
+                out_a.append(e)
+                adj[2 * b].append(e + 1)
+            out_a.insert((outs[a] & (1 << a) - 1).bit_count(), 2 * a + 1)
+        self.head, self.base, self.adj, self.arc_edge = head, base, adj, arc_edge
+
+    def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
+        """Disjoint s->t paths up to limit; leaves the residual network in
+        ``cap`` and, when it searched, the last reach in ``via``.  Seeded
+        (see ``_seed``), a pair whose short paths reach limit returns at
+        once, with no array built, copied or touched, and leaves ``cap``
+        and ``via`` as they were; otherwise the network is built if
+        missing, the base capacities are copied, the seed's paths are
+        pushed, and shortest augmenting paths take the flow on from there,
+        still at most limit searches of O(n + m).  An unseeded flow always
+        builds and copies, also at limit 0, so ``paths()`` after it reads
+        its own residual network.  ``_path_systems`` runs unseeded, so the
+        paths read off the flow are those of shortest augmenting paths
+        alone.
+
+        Seeding cannot change the value or ``cut()``.  ``cut()`` is read
+        only after a flow that stopped below its limit: such a flow ran a
+        search, so the network exists and ``via`` is its own, and it is
+        maximum.  Every maximum flow leaves the same residual reach from
+        the source: the minimum cut closest to s.  So the value, ``cut()``
+        and every ``KStrongResult`` are those of the unseeded flow."""
+        value, paths = self._seed(s, t, limit) if seeded else (0, ())
+        if paths is None:
+            return limit
+        if self.head is None:
+            self._build()
+        cap = self.cap = self.base[:]
+        head, adj, arc_edge = self.head, self.adj, self.arc_edge
+        if (s, t) in arc_edge:
+            cap[arc_edge[s, t]] = 1
+        for path in paths:
+            for x, y in zip(path, path[1:]):
+                e = arc_edge[x, y]
+                cap[e] -= 1
+                cap[e ^ 1] += 1
+            for x in path[1:-1]:
+                cap[2 * x] -= 1
+                cap[2 * x + 1] += 1
+        src, snk = 2 * s + 1, 2 * t
+        for value in range(value, limit):
+            via = self.via = [None] * len(adj)
+            via[src] = -1
+            queue = [src]
+            for x in queue:
+                for e in adj[x]:
+                    if cap[e] and via[head[e]] is None:
+                        via[head[e]] = e
+                        queue.append(head[e])
+                if via[snk] is not None:
+                    break
+            if via[snk] is None:
+                return value
+            y = snk
+            while y != src:
+                cap[via[y]] -= 1
+                cap[via[y] ^ 1] += 1
+                y = head[via[y] ^ 1]
+        return limit
+
+    def _seed(self, s: int, t: int, limit: int) -> tuple:
+        """A greedy set of disjoint short s->t paths, read off the masks:
+        the direct arc, then every s->x->t, then one s->x->y->t for each x
+        still unused, x and y lowest first among the unused interior
+        vertices, stopping at limit.  Returns (limit, None) when these
+        reach limit, so a settled pair lists no paths; otherwise the value
+        and the paths as vertex tuples.  The direct arc and the paths of
+        length 2 are counted by popcount, so a pair they settle costs a
+        few word operations; each x tried costs a few more.  A y, having
+        an arc to t, is never a later x: such an x would be the middle of
+        a path of length 2, already taken."""
+        outs, ins = self.outs, self.ins
+        direct = outs[s] >> t & 1
+        used = 1 << s | 1 << t
+        mids = outs[s] & ins[t] & ~used
+        value = direct + mids.bit_count()
+        if value >= limit:
+            return limit, None
+        used |= mids
+        firsts, lasts = outs[s] & ~used, ins[t] & ~used
+        paths = []
+        while firsts and value < limit:
+            low = firsts & -firsts
+            firsts ^= low
+            x = low.bit_length() - 1
+            seconds = outs[x] & lasts
+            if seconds:
+                second = seconds & -seconds
+                lasts ^= second
+                paths.append((s, x, second.bit_length() - 1, t))
+                value += 1
+        if value == limit:
+            return limit, None
+        if direct:
+            paths.append((s, t))
+        return value, paths + [(s, x, t) for x in _bits(mids)]
+
+    def cut(self) -> tuple:
+        """After a flow below its limit: the vertices whose split edge
+        leaves the source side, a minimum cut."""
+        via = self.via
+        return tuple(v for v in range(self.n)
+                     if via[2 * v] is not None and via[2 * v + 1] is None)
+
+    def paths(self, s: int, t: int) -> list:
+        """The s->t paths of the last flow, smallest next vertex first."""
+        head, cap = self.head, self.cap
+        used = [[head[e] >> 1 for e in self.adj[2 * a + 1] if not e & 1 and cap[e ^ 1]]
+                for a in range(self.n)]
+        paths = []
+        while used[s]:
+            path = [s, used[s].pop(0)]
+            while path[-1] != t:
+                path.append(used[path[-1]].pop(0))
+            paths.append(tuple(path))
+        return paths
+
+
+# ---------------------------------------------------------------------------
 # the k-strong decision on the pair scan
 
 
 def k_strong_pair_scan(d: Digraph, k: int):
     """``is_k_strong`` as the library had it before it ran S. Even's
-    schedule, unchanged but for its name and its import line: decide
+    schedule, unchanged but for its name, its import line and its flow
+    kernel, which is ``_ReferenceFlowNet`` in place of ``_FlowNet``: decide
     k-strong connectivity; on failure carry a separator of order below k
     (or the vertex-count obstruction).
 
@@ -221,11 +397,11 @@ def k_strong_pair_scan(d: Digraph, k: int):
     only.  It takes the ordered pairs (s, t) with s < k or t < k in
     lexicographic order: 2k(n-1) - k(k-1) flows of O(k (n + m)).  Each
     flow starts from a greedy seed of disjoint paths of length at most 3
-    (``_FlowNet._seed``) on neighbourhood bitmasks.  A pair the seed
+    (``_ReferenceFlowNet._seed``) on neighbourhood bitmasks.  A pair the seed
     settles touches no flow list, and the out-lists are read, once, only
     when some pair falls short, so on dense digraphs most calls never read
     them.  The seed leaves value and separator unchanged (see
-    ``_FlowNet.flow``).
+    ``_ReferenceFlowNet.flow``).
 
     At k = 1 the scan needs no flow: a pair fails iff t is not reached
     from s, with the empty cut.  The first failing pair is (0, t) for the
@@ -241,7 +417,7 @@ def k_strong_pair_scan(d: Digraph, k: int):
     is k-strong.
     Time: O(n) mask operations at k = 1, else O(k^2 n (n + m)).
     """
-    from extendix.connectivity import KStrongResult, _FlowNet, _reach, _rows
+    from extendix.connectivity import KStrongResult, _reach
 
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -255,7 +431,7 @@ def k_strong_pair_scan(d: Digraph, k: int):
                 v = (missed & -missed).bit_length() - 1
                 return KStrongResult(False, (), "only 0 disjoint paths " + pair.format(v))
         return KStrongResult(True)
-    net = _FlowNet(d)
+    net = _ReferenceFlowNet(d)
     impure = None
     for s in range(d.n):
         for t in range(d.n) if s < k else range(k):

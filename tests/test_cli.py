@@ -4,7 +4,7 @@ import random
 import pytest
 
 from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_bipartite,
-                      connected, directed_cycle, max_extendability,
+                      complete_digraph, connected, directed_cycle, max_extendability,
                       random_bipartite_with_pm, random_digraph, reduced_adjacency,
                       vertex_connectivity)
 from extendix import core
@@ -505,6 +505,81 @@ class TestCertifyVerify:
         capsys.readouterr()
         assert main(["verify", str(cert_path)]) == 1
         assert capsys.readouterr().out == f"certificate INVALID:\n  - pair {pair} {problem}\n"
+
+    @pytest.mark.parametrize("name,claim,k,paths,problems", [
+        ("d3.dg", "k-strong", 1, ["1 3 2"],
+         ["missing arc 1 -> 3 in path 1", "missing arc 3 -> 2 in path 1"]),
+        ("d3.dg", "k-strong", 1, ["1 2 3 1 2"], ["repeated vertex in path 1"]),
+        ("d3.dg", "k-strong", 1, ["2 3 1"], ["path 1 does not run 1 -> 2"]),
+        ("k3.dg", "k-strong", 2, ["1 3 2", "1 3 2"],
+         ["paths 1 and 2 share interior [3]", "duplicate path"]),
+        ("k3.dg", "k-strong", 2, ["1 2", "1 2"], ["duplicate path"]),
+        ("c6.bg", "k-extendable", 1, ["u2 w3 u3 w1"], ["path 1 does not join u1 and w1"]),
+        ("c6.bg", "k-extendable", 1, ["u1 w2 u2"],
+         ["path 1 does not join u1 and w1", "path 1 has even length"]),
+        ("c6.bg", "k-extendable", 1, ["u1 w2 u2 w1"], ["path 1 uses missing edge u2 w1"]),
+        ("c6.bg", "k-extendable", 1, ["u1 w1"],
+         ["edge 1 of path 1, u1 w1, lies in the matching"]),
+        ("c6.bg", "k-extendable", 1, ["u1 w2 u1 w1"],
+         ["path 1 repeats a vertex", "edge 2 of path 1, u1 w2, is not a matching edge",
+          "edge 3 of path 1, u1 w1, lies in the matching"]),
+        ("k33.bg", "k-extendable", 2, ["u1 w2 u2 w1", "u1 w2 u2 w1"],
+         ["paths 1 and 2 share interior u2 w2", "duplicate path"]),
+    ])
+    def test_path_problems_in_the_certificate_terms(self, files, tmp_path, capsys, name,
+                                                    claim, k, paths, problems):
+        """The path lines of the first pair are replaced; each problem the
+        structural check finds names the pair, its paths by their 1-based
+        place, and vertices and edges as the certificate writes them."""
+        if name == "k3.dg":
+            write_instance(complete_digraph(3), tmp_path / name)
+            files[name] = str(tmp_path / name)
+        cert_path = tmp_path / "paths.cert"
+        assert main(["certify", files[name], "--claim", claim, "--k", str(k),
+                     "--out", str(cert_path)]) == 0
+        lines = cert_path.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line.startswith("pair:"))
+        pair = lines[first].split()[1:]
+        lines[first + 1:first + 1 + k] = [f"path: {path}\n" for path in paths]
+        cert_path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path)]) == 1
+        assert capsys.readouterr().out == "certificate INVALID:\n" + "".join(
+            f"  - pair {pair}: {problem}\n" for problem in problems)
+
+    @pytest.mark.parametrize("name,claim,k,old,new,problem", [
+        ("d3.dg", "k-strong", 1, "pair: 1 2\n", "pair: +1 2\n",
+         "witness payload malformed: pair ['+1', '2'] has '+1', which is not a number"),
+        ("d3.dg", "k-strong", 1, "pair: 1 2\npath: 1 2\n", "pair: 1 2\npath: 1 2_0\n",
+         "witness payload malformed: pair ['1', '2'] path 1 has '2_0', which is not a number"),
+        ("p4.dg", "k-strong", 3, "vertices: 2\n", "vertices: 1_0\n",
+         "witness payload malformed: the vertices: line has '1_0', which is not a number"),
+        ("c6.bg", "k-extendable", 2, "u-set: 1\n", "u-set: +1\n",
+         "witness payload malformed: the u-set: line has '+1', which is not a number"),
+        ("c6.bg", "k-extendable", 1, "matching: 1-1 ", "matching: 1-+1 ",
+         "embedded matching invalid: edge 1-+1 has '+1', which is not a number"),
+        ("p4.bg", "k-extendable", 0, "edges: 1-1 ", "edges: +1-1 ",
+         "witness matching invalid: edge +1-1 has '+1', which is not a number"),
+        ("lt.mat", "k-indecomposable", 1, "rows: 1\n", "rows: +1\n",
+         "witness payload malformed: the rows: line has '+1', which is not a number"),
+    ])
+    def test_witness_numbers_are_read_as_the_formats_write_them(
+            self, files, tmp_path, capsys, name, claim, k, old, new, problem):
+        """A witness number that ``int`` reads but the instance format does
+        not, with a plus sign or an underscore, is a problem line of its
+        own: the payload is malformed, or the matching it spells invalid."""
+        instances = {"p4.dg": "dg 4 3\n1 2\n2 3\n3 4\n", "lt.mat": "mat 2\n10\n11\n"}
+        if name in instances:
+            (tmp_path / name).write_text(instances[name])
+            files[name] = str(tmp_path / name)
+        cert_path = tmp_path / "numbers.cert"
+        main(["certify", files[name], "--claim", claim, "--k", str(k), "--out", str(cert_path)])
+        text = cert_path.read_text()
+        assert old in text
+        cert_path.write_text(text.replace(old, new, 1))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path)]) == 1
+        assert capsys.readouterr().out == f"certificate INVALID:\n  - {problem}\n"
 
     def test_loops_leave_k_strong_witnesses_alone(self, tmp_path, capsys):
         plain = random_digraph(8, 0.6, seed=1)

@@ -16,11 +16,11 @@ from extendix import (Digraph, InsufficientPathsError, complete_digraph,
 from extendix import connectivity
 from extendix.core import _bfs_path
 from extendix.connectivity import (EarDecompositionD, KStrongResult, PathSystem, _FlowNet,
-                                   _bits, _path_systems, _rows,
+                                   _path_systems, _rows,
                                    _out_lists, _shortest_cycle_through, _sink_component,
                                    check_ear_decomposition_digraph, check_path_system)
 
-from conftest import ear_decomposition_per_ear, k_strong_pair_scan
+from conftest import _ReferenceFlowNet, ear_decomposition_per_ear, k_strong_pair_scan
 
 
 def _kappa_by_separator_search(d: Digraph) -> int:
@@ -288,11 +288,11 @@ class TestIsKStrong:
 
 def _k_strong_all_pairs(d: Digraph, k: int) -> KStrongResult:
     """The rule of is_k_strong over all n(n-1) ordered pairs, on the
-    unseeded flow kernel: stop at the first failing pair whose cut is all
-    vertices."""
+    unseeded reference kernel: stop at the first failing pair whose cut is
+    all vertices."""
     if d.n < k + 1:
         return KStrongResult(False, None, f"needs at least {k + 1} vertices, has {d.n}")
-    net = _FlowNet(d)
+    net = _ReferenceFlowNet(d)
     for s, t in itertools.permutations(range(d.n), 2):
         value = net.flow(s, t, k, seeded=False)
         if value < k and len(net.cut()) == value:
@@ -302,11 +302,12 @@ def _k_strong_all_pairs(d: Digraph, k: int) -> KStrongResult:
 
 def _kappa_pair_scan(d: Digraph) -> int:
     """The kappa route the library replaced: flows from v_i to every later
-    vertex and back for i = 0, 1, ... while i <= the best value so far."""
+    vertex and back for i = 0, 1, ... while i <= the best value so far, on
+    the reference kernel."""
     n = d.n
     if n == 1 or not is_strong(d):
         return 0
-    net = _FlowNet(d)
+    net = _ReferenceFlowNet(d)
     best = n - 1
     i = 0
     while i <= best:
@@ -557,176 +558,6 @@ class TestFanSchedule:
                         assert got == min(limit, expected), (d, reverse, j, limit)
 
 
-_BIG = 1 << 20
-
-
-class _ReferenceFlowNet:
-    """The flow kernel the library replaced, kept as the reference for
-    ``_FlowNet``: the split-vertex network stored as flat int lists.
-
-    A digraph's out- and in-neighbourhoods as bitmasks, one int per
-    vertex, and, built on demand, its split-vertex network as flat int
-    lists; both are reused for every source/sink pair.  Node 2v is "into
-    v", 2v+1 "out of v", joined by a split edge of capacity 1; arcs are
-    uncapped, so minimum cuts are vertices, except the direct arc s->t,
-    capped at 1 as that path counts once.  Edges e and e ^ 1 are a
-    forward/reverse pair; each node's edges are sorted by head node.  From
-    node 2s+1 to node 2s the paths are cycles through s, meeting only
-    there.
-
-    The masks are ``_rows``, the ones ``strong_components`` reaches
-    over, and take one pass over the arcs.  The network (``head``,
-    ``base``, ``adj``, ``arc_edge``) takes O(n + m) and is built by
-    the first flow whose seed falls short of its limit; a pair the greedy
-    seed settles (see ``_seed``) costs a few word operations on the masks
-    and never builds, copies or touches it."""
-
-    def __init__(self, d: Digraph):
-        self.n = d.n
-        self.outs, self.ins = _rows(d)
-        self.head = None
-
-    def _build(self) -> None:
-        """The split-vertex network, read off the masks: edge 2v is v's
-        split edge, then one edge per arc in sorted order.  Tails are
-        walked in increasing order, so node 2a gets its split edge after
-        the arcs into a from smaller tails and before those from larger
-        ones, and node 2a+1 gets a's arcs by head with the reverse split
-        edge (head 2a) put in at the count of a's smaller out-neighbours:
-        every node's edges come sorted by head, with no sort."""
-        n, outs = self.n, self.outs
-        head = [z for v in range(n) for z in (2 * v + 1, 2 * v)]
-        base = [1, 0] * n
-        adj: list[list[int]] = [[] for _ in range(2 * n)]
-        arc_edge = {}
-        for a in range(n):
-            adj[2 * a].append(2 * a)
-            out_a = adj[2 * a + 1]
-            for b in _bits(outs[a]):
-                e = arc_edge[a, b] = len(head)
-                head += (2 * b, 2 * a + 1)
-                base += (_BIG, 0)
-                out_a.append(e)
-                adj[2 * b].append(e + 1)
-            out_a.insert((outs[a] & (1 << a) - 1).bit_count(), 2 * a + 1)
-        self.head, self.base, self.adj, self.arc_edge = head, base, adj, arc_edge
-
-    def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
-        """Disjoint s->t paths up to limit; leaves the residual network in
-        ``cap`` and, when it searched, the last reach in ``via``.  Seeded
-        (see ``_seed``), a pair whose short paths reach limit returns at
-        once, with no array built, copied or touched, and leaves ``cap``
-        and ``via`` as they were; otherwise the network is built if
-        missing, the base capacities are copied, the seed's paths are
-        pushed, and shortest augmenting paths take the flow on from there,
-        still at most limit searches of O(n + m).  An unseeded flow always
-        builds and copies, also at limit 0, so ``paths()`` after it reads
-        its own residual network.  ``_path_systems`` runs unseeded, so the
-        paths read off the flow are those of shortest augmenting paths
-        alone.
-
-        Seeding cannot change the value or ``cut()``.  ``cut()`` is read
-        only after a flow that stopped below its limit: such a flow ran a
-        search, so the network exists and ``via`` is its own, and it is
-        maximum.  Every maximum flow leaves the same residual reach from
-        the source: the minimum cut closest to s.  So the value, ``cut()``
-        and every ``KStrongResult`` are those of the unseeded flow."""
-        value, paths = self._seed(s, t, limit) if seeded else (0, ())
-        if paths is None:
-            return limit
-        if self.head is None:
-            self._build()
-        cap = self.cap = self.base[:]
-        head, adj, arc_edge = self.head, self.adj, self.arc_edge
-        if (s, t) in arc_edge:
-            cap[arc_edge[s, t]] = 1
-        for path in paths:
-            for x, y in zip(path, path[1:]):
-                e = arc_edge[x, y]
-                cap[e] -= 1
-                cap[e ^ 1] += 1
-            for x in path[1:-1]:
-                cap[2 * x] -= 1
-                cap[2 * x + 1] += 1
-        src, snk = 2 * s + 1, 2 * t
-        for value in range(value, limit):
-            via = self.via = [None] * len(adj)
-            via[src] = -1
-            queue = [src]
-            for x in queue:
-                for e in adj[x]:
-                    if cap[e] and via[head[e]] is None:
-                        via[head[e]] = e
-                        queue.append(head[e])
-                if via[snk] is not None:
-                    break
-            if via[snk] is None:
-                return value
-            y = snk
-            while y != src:
-                cap[via[y]] -= 1
-                cap[via[y] ^ 1] += 1
-                y = head[via[y] ^ 1]
-        return limit
-
-    def _seed(self, s: int, t: int, limit: int) -> tuple:
-        """A greedy set of disjoint short s->t paths, read off the masks:
-        the direct arc, then every s->x->t, then one s->x->y->t for each x
-        still unused, x and y lowest first among the unused interior
-        vertices, stopping at limit.  Returns (limit, None) when these
-        reach limit, so a settled pair lists no paths; otherwise the value
-        and the paths as vertex tuples.  The direct arc and the paths of
-        length 2 are counted by popcount, so a pair they settle costs a
-        few word operations; each x tried costs a few more.  A y, having
-        an arc to t, is never a later x: such an x would be the middle of
-        a path of length 2, already taken."""
-        outs, ins = self.outs, self.ins
-        direct = outs[s] >> t & 1
-        used = 1 << s | 1 << t
-        mids = outs[s] & ins[t] & ~used
-        value = direct + mids.bit_count()
-        if value >= limit:
-            return limit, None
-        used |= mids
-        firsts, lasts = outs[s] & ~used, ins[t] & ~used
-        paths = []
-        while firsts and value < limit:
-            low = firsts & -firsts
-            firsts ^= low
-            x = low.bit_length() - 1
-            seconds = outs[x] & lasts
-            if seconds:
-                second = seconds & -seconds
-                lasts ^= second
-                paths.append((s, x, second.bit_length() - 1, t))
-                value += 1
-        if value == limit:
-            return limit, None
-        if direct:
-            paths.append((s, t))
-        return value, paths + [(s, x, t) for x in _bits(mids)]
-
-    def cut(self) -> tuple:
-        """After a flow below its limit: the vertices whose split edge
-        leaves the source side, a minimum cut."""
-        via = self.via
-        return tuple(v for v in range(self.n)
-                     if via[2 * v] is not None and via[2 * v + 1] is None)
-
-    def paths(self, s: int, t: int) -> list:
-        """The s->t paths of the last flow, smallest next vertex first."""
-        head, cap = self.head, self.cap
-        used = [[head[e] >> 1 for e in self.adj[2 * a + 1] if not e & 1 and cap[e ^ 1]]
-                for a in range(self.n)]
-        paths = []
-        while used[s]:
-            path = [s, used[s].pop(0)]
-            while path[-1] != t:
-                path.append(used[path[-1]].pop(0))
-            paths.append(tuple(path))
-        return paths
-
-
 def _assert_seed_keeps_value_and_cut(d: Digraph) -> None:
     """Seeded and unseeded flows agree on the value and, below the limit,
     on ``cut()``, for every ordered pair at every limit 1..n.  The unseeded
@@ -785,9 +616,13 @@ def _assert_matches_reference(d: Digraph, limits, pairs=None) -> None:
     seeded and unseeded flows on ``_FlowNet`` and on the reference kernel,
     each run one after another on one instance, give the same value and,
     below the limit, the same ``cut()``; after an unseeded flow they give
-    the same ``paths()``."""
-    net, ref = _FlowNet(d), _ReferenceFlowNet(d)
+    the same ``paths()``.  ``_FlowNet`` leaves the arc s->t out and the
+    reference counts it, so a pair an arc joins runs the reference on
+    D - st, one instance per pair."""
+    net, ref_d = _FlowNet(d), _ReferenceFlowNet(d)
+    outs = _rows(d)[0]
     for s, t in pairs or itertools.product(range(d.n), repeat=2):
+        ref = _ReferenceFlowNet(d.without_arc((s, t))) if outs[s] >> t & 1 else ref_d
         for limit in limits:
             for seeded in (False, True):
                 value = net.flow(s, t, limit, seeded=seeded)
@@ -834,6 +669,120 @@ class TestReferenceKernel:
         d = Digraph(5, frozenset({(0, 0), (0, 1), (1, 2), (2, 0), (2, 2), (1, 3), (3, 4),
                                   (4, 1), (3, 3), (4, 2)}), True)
         _assert_matches_reference(d, range(6))
+
+    def test_adjacent_pairs(self):
+        """Complete and dense digraphs, where an arc joins every pair or
+        nearly: each flow is the reference's on D - st."""
+        _assert_matches_reference(complete_digraph(5), range(6))
+        for i, n in enumerate((6, 9, 14)):
+            d = random_digraph(n, 0.85, seed=410 + i)
+            _assert_matches_reference(d, (1, 2, n // 2, n))
+
+
+def _k_strong_schedule_on_reference(d: Digraph, k: int) -> KStrongResult:
+    """S. Even's schedule as ``is_k_strong`` ran it while its flows still
+    counted the arc s->t, for k >= 2 and n > k, on the reference kernel:
+    every ordered pair among 0..k-1, one whose cut is not all vertices (it
+    then holds the arc s->t) passed over, then the in- and out-fan of each
+    j >= k, each a flow from a new vertex with an arc to every b < j (the
+    wiring of ``test_fan_counts_disjoint_paths_into_and_out_of_j``); the
+    first failure whose cut is all vertices, as ``is_k_strong`` words it."""
+    n, net = d.n, _ReferenceFlowNet(d)
+    for s, t in itertools.permutations(range(k), 2):
+        if (value := net.flow(s, t, k)) < k and len(net.cut()) == value:
+            return KStrongResult(False, net.cut(), f"only {value} disjoint paths from {s} to {t}")
+    arcs = {a for a in d.arcs if a[0] != a[1]}
+    backward = {(b, a) for a, b in arcs}
+    for j in range(k, n):
+        for oriented, text in ((arcs, "into {} from 0..{}"), (backward, "from {} into 0..{}")):
+            fan = _ReferenceFlowNet(Digraph(n + 1, frozenset(oriented | {(n, b) for b in range(j)})))
+            if (value := fan.flow(n, j, k, seeded=False)) < k:
+                return KStrongResult(False, fan.cut(),
+                                     f"only {value} disjoint paths " + text.format(j, j - 1))
+    return KStrongResult(True)
+
+
+def _reference_path_system(ref: _ReferenceFlowNet, s: int, t: int, k: int):
+    """The paths of k unseeded reference augmentations from s to t, the
+    direct arc among them, or (requested, achievable, cut) when fewer
+    exist."""
+    value = ref.flow(s, t, k, seeded=False)
+    return tuple(ref.paths(s, t)) if value == k else (k, value, ref.cut())
+
+
+def _library_path_system(d: Digraph, s: int, t: int, k: int):
+    try:
+        return _path_systems(d, [(s, t)], k)[0].paths
+    except InsufficientPathsError as err:
+        return err.requested, err.achievable, err.cut
+
+
+class TestNoDirectArc:
+    """``_FlowNet`` leaves the arc s->t out: ``is_k_strong`` flows only
+    the pairs no arc joins, and ``_path_systems`` lays the arc as a path of
+    its own.  Verdicts, separators, reasons, path systems and their errors
+    are those of the reference kernel, which counts the arc."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_digraph(self, n):
+        for d in iter_digraphs(n):
+            for k in range(1, n + 1):
+                expected = (k_strong_pair_scan(d, k) if k == 1 or n <= k
+                            else _k_strong_schedule_on_reference(d, k))
+                assert is_k_strong(d, k) == expected, (d, k)
+            ref = _ReferenceFlowNet(d)
+            for k in range(n + 1):
+                for s, t in itertools.product(range(n), repeat=2):
+                    assert (_library_path_system(d, s, t, k)
+                            == _reference_path_system(ref, s, t, k)), (d, s, t, k)
+
+    def test_seeded(self):
+        for i in range(30):
+            n = 5 + i % 16
+            d = random_digraph(n, (0.2, 0.4, 0.6, 0.85)[i % 4], seed=1700 + i)
+            for k in range(2, min(n, 6)):
+                assert is_k_strong(d, k) == _k_strong_schedule_on_reference(d, k), (d, k)
+            ref = _ReferenceFlowNet(d)
+            for s, t in random.Random(i).sample(list(itertools.product(range(n), repeat=2)), 12):
+                for k in (1, 2, 3, n // 2):
+                    assert (_library_path_system(d, s, t, k)
+                            == _reference_path_system(ref, s, t, k)), (d, s, t, k)
+
+    def test_no_flow_on_an_arc(self, monkeypatch):
+        """No pair flow of ``is_k_strong`` runs between the ends of an arc
+        s->t, and a separator has as many vertices as the value of the
+        check that failed, the last one run."""
+        pairs, values = [], []
+        flow, fan = _FlowNet.flow, _FlowNet.fan
+
+        def spy_flow(self, s, t, limit, **kwargs):
+            pairs.append((self.d, s, t))
+            values.append(flow(self, s, t, limit, **kwargs))
+            return values[-1]
+
+        def spy_fan(self, j, limit):
+            values.append(fan(self, j, limit))
+            return values[-1]
+
+        monkeypatch.setattr(_FlowNet, "flow", spy_flow)
+        monkeypatch.setattr(_FlowNet, "fan", spy_fan)
+        digraphs = [d for n in (3, 4) for d in iter_digraphs(n)]
+        digraphs += [random_digraph(5 + i, (0.3, 0.5, 0.8)[i % 3], seed=1800 + i)
+                     for i in range(30)]
+        digraphs += [_circulant(n, range(1, r + 1)) for n, r in ((9, 3), (16, 4), (25, 6))]
+        failures = 0
+        for d in digraphs:
+            for k in range(2, d.n):
+                values.clear()
+                res = is_k_strong(d, k)
+                if not res.holds:
+                    failures += 1
+                    assert len(res.separator) == values[-1] < k, (d, k, res)
+                    assert res.reason.startswith(f"only {values[-1]} "), (d, k, res)
+                else:
+                    assert values.count(k) == len(values), (d, k)
+        assert failures > 1000 and pairs
+        assert not [(d, s, t) for d, s, t in pairs if (s, t) in d.arcs]
 
 
 class TestMengerPaths:
@@ -1497,5 +1446,11 @@ def test_loop_steps_are_missing_arcs():
     loopy = Digraph(3, plain.arcs | {(0, 0)}, loops_allowed=True)
     forged = PathSystem(((0, 0, 1),), "internally_disjoint_same_endpoints", (0,), (1,))
     assert check_path_system(loopy, forged) == check_path_system(plain, forged) == [
-        "missing arc (0, 0) in path (0, 0, 1)", "repeated vertex in path (0, 0, 1)"]
+        "missing arc 1 -> 1 in path 1", "repeated vertex in path 1"]
+
+
+def test_independent_paths_name_shared_vertices_1_based():
+    d = directed_cycle(4)
+    system = PathSystem(((0, 1), (1, 2)), "independent_multi_endpoint", (0, 1), (1, 2))
+    assert check_path_system(d, system) == ["paths share vertices [2]"]
 

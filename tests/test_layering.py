@@ -15,7 +15,8 @@ over them (``_reach``) are defined once, in ``connectivity``: strong
 components, the flow kernel's masks and the exhaustive sweep in
 ``search`` share them.  Every size budget is enforced by one helper,
 ``core.check_budget``, and from every command but ``search`` the call
-graph reaches no budget check but the count's.
+graph reaches no budget check but the count's.  Every name a module
+imports is read in it, so a deletion leaves no dead import behind.
 The sources are read with ``ast``, so the check sees names, not behaviour.
 """
 
@@ -290,3 +291,23 @@ def test_every_printed_separator_comes_from_is_k_strong():
                             ("extendability.py", "_deficient_set"),
                             ("matrixlab.py", "_reducible")}
     assert all(set(sources) == {"is_k_strong"} for sources in readers.values()), readers
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """The names a module's imports bind, at any depth, ``__future__``
+    features left out: the alias, else the first part of the name."""
+    return [alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__" for alias in node.names]
+
+
+def test_every_import_is_used():
+    """Each name a module but ``__init__`` imports is read in that module,
+    so a deletion leaves no dead import behind."""
+    unused = {}
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused[name] = sorted(set(_imported(tree)) - read)
+    assert unused == {name: [] for name in unused}

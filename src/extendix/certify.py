@@ -29,7 +29,7 @@ from .connectivity import (_path_systems, is_k_strong, strong_components,
                            check_path_system, PathSystem)
 from .extendability import (AltPathSystem, _alternating_paths, _deficient_set, _walk_text,
                             check_alternating_path_system, is_k_extendable)
-from .fileio import CLAIMS, Certificate
+from .fileio import CLAIMS, Certificate, LabelIndex, vertex_labels
 from .matching import (first_perfect_matching, has_perfect_matching, matching_extends,
                        max_matching_pairs)
 from .matrixlab import (_decomposable, _distinct_in_range, _independent_witness, _reducible,
@@ -72,6 +72,17 @@ def _numbers(tokens, *where) -> list[int]:
     return [int(token) - 1 for token in tokens]
 
 
+def _vertices(index: LabelIndex, tokens, *where) -> list[int]:
+    """``_numbers`` of tokens, read through the instance's label index; a
+    token outside it, no number of 1..n, goes to ``_numbers``, which names
+    a token that is no number or gives the index out of range that the
+    caller reports.  Time: O(len(tokens))."""
+    try:
+        return list(map(index.__getitem__, tokens))
+    except KeyError:
+        return _numbers(tokens, *where)
+
+
 def _field(lines, prefix: str) -> str | None:
     """The text after ``prefix`` on the last line that starts with it."""
     value = None
@@ -86,9 +97,25 @@ def _indices(lines, prefix: str) -> list[int]:
     return _numbers((_field(lines, prefix) or "").split(), "the", prefix, "line")
 
 
-def _parse_walk(text: str) -> tuple:
+def _walk_index(n: int) -> dict:
+    """``{"u3": ("u", 2), ...}``: the u and w labels of order n, read off
+    one ``vertex_labels`` table.  Time: O(n)."""
+    return {side + label: (side, v) for side in "uw" for v, label in enumerate(vertex_labels(n))}
+
+
+def _parse_walk(text: str, index: dict) -> tuple:
+    """The (side, v) of each vertex of text, read through index, the
+    instance's ``_walk_index``; a token outside it goes to
+    ``parse_vertex_label``, which gives the vertex out of range that the
+    caller reports or, for no vertex label, a ValueError.
+    Time: O(len(text))."""
+    tokens = text.split()
+    try:
+        return tuple(map(index.__getitem__, tokens))
+    except KeyError:
+        pass
     out = []
-    for token in text.split():
+    for token in tokens:
         parsed = parse_vertex_label(token)
         if parsed is None:
             raise ValueError(f"bad walk vertex {token!r}")
@@ -116,9 +143,10 @@ def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
     # pair i of the pairs s != t in row order: (s, r) = divmod(i, n - 1), t = r below s, else r + 1
     sampled = (divmod(i, d.n - 1) for i in _sample(d.n * (d.n - 1), seed))
     pairs = [(s, r + (r >= s)) for s, r in sampled]
+    label = vertex_labels(d.n)
     for system in _path_systems(d, pairs, k):
-        lines.append(f"pair: {system.sources[0] + 1} {system.sinks[0] + 1}")
-        lines += ["path: " + " ".join(str(v + 1) for v in p) for p in system.paths]
+        lines.append(f"pair: {label[system.sources[0]]} {label[system.sinks[0]]}")
+        lines += ["path: " + " ".join([label[v] for v in p]) for p in system.paths]
     return lines
 
 
@@ -219,7 +247,7 @@ def _recompute_verdict(cert: Certificate) -> bool:
     raise ValueError(f"unknown claim {cert.claim!r}")
 
 
-def _path_line_problems(pair, texts, paths, labels: set, span: str) -> list[str]:
+def _path_line_problems(pair: str, texts, paths, labels: set, span: str) -> list[str]:
     """A pair's empty path lines and paths through a vertex not in labels,
     the instance's vertices, which span names in the certificate's terms."""
     return [f"pair {pair} has an empty path line" if not path else
@@ -228,17 +256,19 @@ def _path_line_problems(pair, texts, paths, labels: set, span: str) -> list[str]
 
 
 def _split_sections(lines) -> list[tuple]:
-    """Group 'pair:' headers with their 'path:' payloads."""
+    """Group 'pair:' headers with their 'path:' payloads: (the pair's
+    tokens, its name as the certificate writes it, its path texts)."""
     sections = []
     current = None
     for line in lines:
         if line.startswith("pair:"):
-            current = (line[len("pair:"):].split(), [])
+            tokens = line[len("pair:"):].split()
+            current = (tokens, " ".join(tokens), [])
             sections.append(current)
         elif line.startswith("path:"):
             if current is None:
                 raise ValueError("path line before any pair line")
-            current[1].append(line[len("path:"):].strip())
+            current[2].append(line[len("path:"):].strip())
     return sections
 
 
@@ -258,15 +288,19 @@ def _check_witness(cert: Certificate) -> list[str]:
             return [f"embedded matching invalid: {exc}"]
         if not matching.is_perfect:
             return ["embedded matching is not perfect"]
-        labels = {(side, v) for side in "uw" for v in range(g.n)}
+        index = _walk_index(g.n)
+        labels = set(index.values())
         span = f"u1..u{g.n} and w1..w{g.n}"
-        for (pair, path_lines) in _split_sections(cert.witness_lines):
-            ends = _parse_walk(" ".join(pair))
+        for (tokens, pair, path_lines) in _split_sections(cert.witness_lines):
+            ends = _parse_walk(pair, index)
             if [side for side, _ in ends] != ["u", "w"]:
                 problems.append(f"pair {pair} does not name a U vertex and then a W vertex")
                 continue
+            if not labels.issuperset(ends):
+                problems.append(f"pair {pair} names a vertex outside {span}")
+                continue
             pu, pw = ends
-            walks = tuple(_parse_walk(p) for p in path_lines)
+            walks = tuple(_parse_walk(p, index) for p in path_lines)
             if len(walks) != k:
                 problems.append(f"pair {pair}: {len(walks)} paths, expected {k}")
             if not all(walks) or not labels.issuperset(chain.from_iterable(walks)):
@@ -279,14 +313,18 @@ def _check_witness(cert: Certificate) -> list[str]:
     if kind == "menger-path-systems":
         d = obj if isinstance(obj, Digraph) else digraph_of_matrix(obj)
         labels, span = set(range(d.n)), f"1..{d.n}"
-        for (pair, path_lines) in _split_sections(cert.witness_lines):
-            if len(pair) != 2:
+        index = LabelIndex(d.n)
+        for (tokens, pair, path_lines) in _split_sections(cert.witness_lines):
+            if len(tokens) != 2:
                 problems.append(f"pair {pair} does not name exactly two vertices")
                 continue
-            s, t = _numbers(pair, "pair", pair)
+            s, t = _vertices(index, tokens, "pair", pair)
+            if not labels.issuperset((s, t)):
+                problems.append(f"pair {pair} names a vertex outside {span}")
+                continue
             if s == t:
                 problems.append(f"pair {pair} does not join two vertices")
-            paths = tuple(tuple(_numbers(p.split(), "pair", pair, "path", i))
+            paths = tuple(tuple(_vertices(index, p.split(), "pair", pair, "path", i))
                           for i, p in enumerate(path_lines, 1))
             if len(paths) != k:
                 problems.append(f"pair {pair}: {len(paths)} paths, expected {k}")
@@ -378,5 +416,8 @@ def check_certificate(cert: Certificate) -> list[str]:
         problems.append(
             f"verdict says {'holds' if cert.verdict else 'fails'} but the claim "
             f"{'holds' if recomputed else 'fails'} on the embedded instance")
-    problems += _check_witness(cert)
+    try:
+        problems += _check_witness(cert)
+    except ValueError as exc:
+        problems.append(f"witness payload malformed: {exc}")
     return problems

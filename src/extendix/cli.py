@@ -33,7 +33,7 @@ from .matching import count_perfect_matchings, first_perfect_matching, max_match
 from .certify import build_certificate, check_certificate
 from .fileio import (CLAIMS, format_certificate, format_correspondence,
                      format_instance, instance_kind, read_certificate,
-                     read_instance)
+                     read_instance, vertex_labels)
 from .search import (_counterexample_rows, _in_rows, _minimal_k_extendable_rows,
                      _minimal_k_strong_rows, _with_diagonal)
 
@@ -108,7 +108,7 @@ def _analyze_digraph(d: Digraph) -> str:
     strong = len(comps) == 1
     lines.append(f"strong: {'yes' if strong else 'no'}")
     lines.append(f"strong-components: {len(comps)}")
-    label = [str(v + 1) for v in range(d.n)].__getitem__
+    label = vertex_labels(d.n).__getitem__
     lines += [f"component {idx}: " + " ".join(map(label, sorted(comp)))
               for idx, comp in enumerate(comps, 1)]
     kappa = vertex_connectivity(d)
@@ -162,6 +162,11 @@ def _analyze_matrix(a: ZeroOneMatrix) -> str:
 
 
 def cmd_analyze(args) -> int:
+    """Time: reading the file (``fileio.read_instance``: O(n + m), O(n^2)
+    for a matrix), then for a graph or matrix one component map of
+    O(n (n + m)), the count within its budget and ``vertex_connectivity``,
+    and for a digraph the strong components, O(n^2) mask operations,
+    ``vertex_connectivity`` and the ear decomposition, O(n (n + m))."""
     obj = read_instance(args.path)
     kind = instance_kind(obj)
     if args.kind and args.kind != kind:
@@ -193,6 +198,10 @@ def _parse_matching_arg(g: BipartiteGraph, text: str) -> Matching:
 
 
 def cmd_convert(args) -> int:
+    """Time: reading the file, O(n + m) (O(n^2) for a matrix); for g2d
+    with ``auto`` the first perfect matching, O(m (n + m)); the
+    translation, O(n + m), or O(n^2) to or from a matrix; and writing it,
+    O(n + m log m)."""
     obj = read_instance(args.path)
     direction = args.direction
     if direction == "g2d":
@@ -250,6 +259,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    """Time: reading the file, then ``certify.build_certificate`` and
+    writing the certificate, O(n + m log m) plus its witness lines."""
     obj = read_instance(args.path)
     try:
         cert = build_certificate(obj, args.claim, args.k, args.seed)
@@ -264,6 +275,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Time: reading the certificate (``fileio.read_certificate``, O(n + m)
+    for its instance), then ``certify.check_certificate``."""
     cert = read_certificate(args.path)
     try:
         problems = check_certificate(cert)

@@ -199,7 +199,9 @@ class Digraph:
         return len(self.arcs)
 
     def has_loops(self) -> bool:
-        return any(a == b for a, b in self.arcs)
+        """Whether some vertex has an arc to itself.  Time: O(n), one
+        lookup per possible loop (v, v)."""
+        return not self.arcs.isdisjoint(zip(range(self.n), range(self.n)))
 
     def loop_free(self) -> "Digraph":
         return Digraph(self.n, frozenset((a, b) for a, b in self.arcs if a != b))

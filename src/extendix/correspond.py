@@ -96,29 +96,6 @@ class CorrespondenceMap:
     def matching_edges(self) -> list[tuple[int, int]]:
         return [(i, self.w_relabel[i]) for i in range(self.n)]
 
-    def check_bijections(self, g: BipartiteGraph, m: Matching, d: Digraph) -> bool:
-        """Verify the two maps are inverse bijections covering exactly
-        M <-> V(D) and E(G)\\M <-> A(D)."""
-        if sorted(self.w_relabel) != list(range(self.n)):
-            return False
-        if frozenset(self.matching_edges()) != m.edges:
-            return False
-        seen_vertices = set()
-        for e in m.edges:
-            v = self.vertex_of_matching_edge(e)
-            if self.matching_edge_of_vertex(v) != tuple(e):
-                return False
-            seen_vertices.add(v)
-        if seen_vertices != set(range(d.n)):
-            return False
-        seen_arcs = set()
-        for e in sorted(g.edges - m.edges):
-            arc = self.arc_of_nonmatching_edge(e)
-            if self.nonmatching_edge_of_arc(arc) != tuple(e):
-                return False
-            seen_arcs.add(arc)
-        return seen_arcs == set(d.arcs)
-
 
 # ---------------------------------------------------------------------------
 # bipartite graph + perfect matching -> digraph
@@ -173,20 +150,3 @@ def alternating_path_from_digraph_path(cmap: CorrespondenceMap, dpath) -> tuple:
         walk.append(("u", v))
     walk.append(("w", cmap.w_relabel[dpath[-1]]))
     return tuple(walk)
-
-
-def alternating_cycle_edges_from_digraph_cycle(cmap: CorrespondenceMap, dcycle) -> tuple:
-    """Edge sequence of the alternating cycle in G above a directed cycle.
-
-    ``dcycle`` is a closed vertex sequence (first == last).  The result
-    alternates non-matching and matching edges and has even length.
-    """
-    dcycle = tuple(dcycle)
-    if len(dcycle) < 2 or dcycle[0] != dcycle[-1]:
-        raise ValueError("expected a closed vertex sequence (first == last)")
-    edges = []
-    for t in range(len(dcycle) - 1):
-        a, b = dcycle[t], dcycle[t + 1]
-        edges.append((a, cmap.w_relabel[b]))   # non-matching edge of the arc
-        edges.append((b, cmap.w_relabel[b]))   # matching edge of the head
-    return tuple(edges)

@@ -584,3 +584,140 @@ def assert_components_match(cm, oracle) -> None:
            for p in cm.pieces]
     assert got == expected
     assert cm.fixed_single_edges == single
+
+
+# ---------------------------------------------------------------------------
+# correspondence checks on the map of one derived digraph
+
+
+def check_bijections(cmap, g: BipartiteGraph, m, d: Digraph) -> bool:
+    """Whether the two maps of cmap are inverse bijections covering exactly
+    M <-> V(D) and E(G)\\M <-> A(D)."""
+    if sorted(cmap.w_relabel) != list(range(cmap.n)):
+        return False
+    if frozenset(cmap.matching_edges()) != m.edges:
+        return False
+    seen_vertices = set()
+    for e in m.edges:
+        v = cmap.vertex_of_matching_edge(e)
+        if cmap.matching_edge_of_vertex(v) != tuple(e):
+            return False
+        seen_vertices.add(v)
+    if seen_vertices != set(range(d.n)):
+        return False
+    seen_arcs = set()
+    for e in sorted(g.edges - m.edges):
+        arc = cmap.arc_of_nonmatching_edge(e)
+        if cmap.nonmatching_edge_of_arc(arc) != tuple(e):
+            return False
+        seen_arcs.add(arc)
+    return seen_arcs == set(d.arcs)
+
+
+def alternating_cycle_edges_from_digraph_cycle(cmap, dcycle) -> tuple:
+    """Edge sequence of the alternating cycle in G above a directed cycle.
+
+    ``dcycle`` is a closed vertex sequence (first == last).  The result
+    alternates non-matching and matching edges and has even length.
+    """
+    dcycle = tuple(dcycle)
+    if len(dcycle) < 2 or dcycle[0] != dcycle[-1]:
+        raise ValueError("expected a closed vertex sequence (first == last)")
+    edges = []
+    for t in range(len(dcycle) - 1):
+        a, b = dcycle[t], dcycle[t + 1]
+        edges.append((a, cmap.w_relabel[b]))   # non-matching edge of the arc
+        edges.append((b, cmap.w_relabel[b]))   # matching edge of the head
+    return tuple(edges)
+
+
+# ---------------------------------------------------------------------------
+# the text readers as they were before the label table: one is_int_token
+# and int per token, one generator per matrix row
+
+
+def reference_parse_instance(text: str):
+    """``fileio.parse_instance`` before vertex numbers were read through a
+    ``LabelIndex``, unchanged but for its name and its line-by-line pair
+    and row readers inlined."""
+    from collections import Counter
+
+    from extendix.core import is_int_token
+    from extendix.fileio import ParseError
+
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ParseError(1, "empty file")
+    head = lines[0].split()
+    if not head:
+        raise ParseError(1, "blank header line")
+    if head[0] in ("bg", "dg"):
+        noun = "edge" if head[0] == "bg" else "arc"
+        if len(head) != 3 or not is_int_token(head[1]) or not is_int_token(head[2]):
+            raise ParseError(1, f"malformed header {lines[0]!r}")
+        n, m = int(head[1]), int(head[2])
+        if n < 1:
+            raise ParseError(1, "n must be at least 1")
+        if len(lines) - 1 != m:
+            raise ParseError(1, f"header promises {m} {noun}s, file has {len(lines) - 1}")
+        pairs = []
+        for line_no, line in enumerate(lines[1:], 2):
+            parts = line.split()
+            if len(parts) != 2 or not (is_int_token(parts[0], True)
+                                       and is_int_token(parts[1], True)):
+                raise ParseError(line_no, f"expected two integers, got {line!r}")
+            a, b = int(parts[0]), int(parts[1])
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ParseError(line_no, f"index out of range 1..{n} in {(a, b)}")
+            pairs.append((a - 1, b - 1))
+        pair_set = frozenset(pairs)
+        if len(pair_set) != len(pairs):
+            dup = min(p for p, count in Counter(pairs).items() if count > 1)
+            raise ParseError(1, f"duplicate {noun} {dup[0] + 1} {dup[1] + 1}")
+        if head[0] == "bg":
+            return BipartiteGraph(n, pair_set)
+        return Digraph(n, pair_set, loops_allowed=any(a == b for a, b in pairs))
+    if head[0] == "mat":
+        if len(head) != 2 or not is_int_token(head[1]):
+            raise ParseError(1, f"malformed header {lines[0]!r}")
+        n = int(head[1])
+        if n < 1:
+            raise ParseError(1, "n must be at least 1")
+        if len(lines) - 1 != n:
+            raise ParseError(1, f"header promises {n} rows, file has {len(lines) - 1}")
+        rows = []
+        for i in range(n):
+            row = lines[1 + i].strip()
+            if len(row) != n or any(c not in "01" for c in row):
+                raise ParseError(2 + i, f"expected {n} characters from 0/1, got {row!r}")
+            rows.append(tuple(int(c) for c in row))
+        return ZeroOneMatrix(tuple(rows))
+    raise ParseError(1, f"unknown header {head[0]!r} (expected bg, dg or mat)")
+
+
+def reference_numbers(tokens, *where) -> list[int]:
+    """``certify._numbers``, the witness number reader that pair and path
+    lines went through before the label index: 1-based numbers as 0-based
+    indices, or a ValueError naming the first token that is no number."""
+    from extendix.core import is_int_token
+
+    for token in tokens:
+        if not is_int_token(token, True):
+            raise ValueError(f"{' '.join(map(str, where))} has {token!r}, which is not a number")
+    return [int(token) - 1 for token in tokens]
+
+
+def reference_parse_walk(text: str) -> tuple:
+    """``certify._parse_walk`` before the walk label index: every token
+    through ``core.parse_vertex_label``."""
+    from extendix.core import parse_vertex_label
+
+    out = []
+    for token in text.split():
+        parsed = parse_vertex_label(token)
+        if parsed is None:
+            raise ValueError(f"bad walk vertex {token!r}")
+        out.append(parsed)
+    return tuple(out)

@@ -463,6 +463,10 @@ class TestCertifyVerify:
         ("d3.dg", "k-strong", "1 2 3", "does not name exactly two vertices"),
         ("d3.dg", "k-strong", "1", "does not name exactly two vertices"),
         ("j3.mat", "k-irreducible", "1 2 1", "does not name exactly two vertices"),
+        ("d3.dg", "k-strong", "1 9", "names a vertex outside 1..3"),
+        ("d3.dg", "k-strong", "0 2", "names a vertex outside 1..3"),
+        ("c6.bg", "k-extendable", "u1 w9", "names a vertex outside u1..u3 and w1..w3"),
+        ("j3.mat", "k-indecomposable", "u4 w1", "names a vertex outside u1..u3 and w1..w3"),
     ])
     def test_pair_lines_name_their_two_ends(self, files, tmp_path, capsys, name, claim,
                                             pair, problem):
@@ -480,8 +484,7 @@ class TestCertifyVerify:
             assert capsys.readouterr().out == f"certificate verified: {claim} k=1 holds\n"
         else:
             assert main(["verify", str(cert_path)]) == 1
-            assert capsys.readouterr().out == (f"certificate INVALID:\n  - pair "
-                                               f"{pair.split()} {problem}\n")
+            assert capsys.readouterr().out == f"certificate INVALID:\n  - pair {pair} {problem}\n"
 
     @pytest.mark.parametrize("name,claim,path,problem", [
         ("d3.dg", "k-strong", "", "has an empty path line"),
@@ -498,8 +501,8 @@ class TestCertifyVerify:
                      "--out", str(cert_path)]) == 0
         lines = cert_path.read_text().splitlines(keepends=True)
         first = next(i for i, line in enumerate(lines) if line.startswith("path:"))
-        pair = lines[first - 1].split()[1:]
-        assert pair in (["u1", "w1"], ["1", "2"])
+        pair = lines[first - 1].removeprefix("pair: ").rstrip("\n")
+        assert pair in ("u1 w1", "1 2")
         lines[first] = f"path: {path}\n"
         cert_path.write_text("".join(lines))
         capsys.readouterr()
@@ -539,7 +542,7 @@ class TestCertifyVerify:
                      "--out", str(cert_path)]) == 0
         lines = cert_path.read_text().splitlines(keepends=True)
         first = next(i for i, line in enumerate(lines) if line.startswith("pair:"))
-        pair = lines[first].split()[1:]
+        pair = lines[first].removeprefix("pair: ").rstrip("\n")
         lines[first + 1:first + 1 + k] = [f"path: {path}\n" for path in paths]
         cert_path.write_text("".join(lines))
         capsys.readouterr()
@@ -549,9 +552,9 @@ class TestCertifyVerify:
 
     @pytest.mark.parametrize("name,claim,k,old,new,problem", [
         ("d3.dg", "k-strong", 1, "pair: 1 2\n", "pair: +1 2\n",
-         "witness payload malformed: pair ['+1', '2'] has '+1', which is not a number"),
+         "witness payload malformed: pair +1 2 has '+1', which is not a number"),
         ("d3.dg", "k-strong", 1, "pair: 1 2\npath: 1 2\n", "pair: 1 2\npath: 1 2_0\n",
-         "witness payload malformed: pair ['1', '2'] path 1 has '2_0', which is not a number"),
+         "witness payload malformed: pair 1 2 path 1 has '2_0', which is not a number"),
         ("p4.dg", "k-strong", 3, "vertices: 2\n", "vertices: 1_0\n",
          "witness payload malformed: the vertices: line has '1_0', which is not a number"),
         ("c6.bg", "k-extendable", 2, "u-set: 1\n", "u-set: +1\n",
@@ -580,6 +583,24 @@ class TestCertifyVerify:
         capsys.readouterr()
         assert main(["verify", str(cert_path)]) == 1
         assert capsys.readouterr().out == f"certificate INVALID:\n  - {problem}\n"
+
+    def test_a_malformed_payload_follows_the_verdict_problem(self, files, capsys):
+        """The directed 3-cycle is not 2-strong; its certificate, edited to
+        claim it is and to carry a separator number the formats do not
+        write, gets both problems, the verdict's first."""
+        cert_path = files["dir"] / "both.cert"
+        assert main(["certify", files["d3.dg"], "--claim", "k-strong", "--k", "2",
+                     "--out", str(cert_path)]) == 1
+        text = cert_path.read_text()
+        assert "verdict: fails\n" in text and "vertices: 3\n" in text
+        cert_path.write_text(text.replace("verdict: fails\n", "verdict: holds\n")
+                             .replace("vertices: 3\n", "vertices: +1\n"))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path)]) == 1
+        assert capsys.readouterr().out == (
+            "certificate INVALID:\n"
+            "  - verdict says holds but the claim fails on the embedded instance\n"
+            "  - witness payload malformed: the vertices: line has '+1', which is not a number\n")
 
     def test_loops_leave_k_strong_witnesses_alone(self, tmp_path, capsys):
         plain = random_digraph(8, 0.6, seed=1)

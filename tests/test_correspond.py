@@ -10,9 +10,8 @@ from extendix import (Digraph, Matching, ZeroOneMatrix,
                       iter_bipartite_with_canonical, iter_digraphs, matching_graph,
                       matrix_of_digraph, max_matching, perfect_matchings,
                       random_bipartite_with_pm, reduced_adjacency)
-from extendix.correspond import alternating_cycle_edges_from_digraph_cycle
-
-from conftest import make_c6, make_p4
+from conftest import (alternating_cycle_edges_from_digraph_cycle, check_bijections, make_c6,
+                      make_p4)
 
 
 @st.composite
@@ -95,7 +94,7 @@ class TestDigraphOf:
         other = Matching(frozenset({(0, 1), (1, 2), (2, 0)}), g)
         d, cmap = digraph_of(g, other)
         assert cmap.w_relabel == (1, 2, 0)
-        assert cmap.check_bijections(g, other, d)
+        assert check_bijections(cmap, g, other, d)
         # the remaining non-matching edges are the canonical ones; the
         # contraction is again a directed triangle
         assert len(d.arcs) == 3
@@ -105,7 +104,7 @@ class TestDigraphOf:
             for m in perfect_matchings(g):
                 d, cmap = digraph_of(g, m)
                 assert d.m == g.m - g.n
-                assert cmap.check_bijections(g, m, d)
+                assert check_bijections(cmap, g, m, d)
 
     def test_equals_matrix_route_exhaustive(self):
         for n in (1, 2, 3):

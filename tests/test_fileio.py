@@ -1,14 +1,17 @@
 import time
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_digraph,
-                      cycle_bipartite, directed_cycle)
-from extendix.fileio import (Certificate, ParseError, format_certificate,
+                      cycle_bipartite, directed_cycle, random_bipartite_with_pm, random_digraph)
+from extendix.certify import _parse_walk, _vertices, _walk_index, build_certificate
+from extendix.fileio import (Certificate, LabelIndex, ParseError, format_certificate,
                              format_instance, parse_certificate, parse_instance,
                              read_instance, write_instance)
 
-from conftest import make_c6
+from conftest import (make_c6, reference_numbers, reference_parse_instance,
+                      reference_parse_walk)
 
 
 class TestInstanceFormats:
@@ -108,3 +111,176 @@ class TestCertificateFormat:
             Certificate("k-strong", 1, True, directed_cycle(2), "x", ()))
         with pytest.raises(ParseError):
             parse_certificate(text.replace("k-strong", "k-magic"))
+
+
+# ---------------------------------------------------------------------------
+# the label-table readers against the line-by-line readers they replaced
+
+_ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                      "\u0665\u0666\u0667\u0668\u0669")
+_FULLWIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
+
+
+def _token_variants(token: str, n: int) -> list[str]:
+    """Spellings of a number token that the formats read, or must reject."""
+    return ["0" + token, "00" + token, "+" + token, "-" + token, token[:1] + "_" + token[1:],
+            token.translate(_ARABIC), token.translate(_FULLWIDTH), str(n + 1), "0", "-0",
+            token + "\u00b2", token + ".0", "x", token + token, str(10 ** 30)]
+
+
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\u00a0", "\u3000"]
+
+
+@st.composite
+def _canonical_files(draw):
+    """A canonical bg, dg or mat file of order 1..6."""
+    kind = draw(st.sampled_from(["bg", "dg", "mat"]))
+    n = draw(st.integers(1, 6))
+    if kind == "mat":
+        rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        return format_instance(ZeroOneMatrix(tuple(map(tuple, rows))))
+    cells = [(a, b) for a in range(n) for b in range(n) if kind == "bg" or a != b]
+    pairs = draw(st.sets(st.sampled_from(cells))) if cells else set()
+    obj = (BipartiteGraph(n, frozenset(pairs)) if kind == "bg" else Digraph(n, frozenset(pairs)))
+    return format_instance(obj)
+
+
+@st.composite
+def _mutated_files(draw):
+    """A canonical file with a few lines after the header rewritten: token
+    spellings, separators, CRLF, blank, short and long lines, duplicated
+    and loop lines, and stray characters in matrix rows."""
+    lines = draw(_canonical_files()).split("\n")[:-1]
+    head = lines[0].split()
+    n = int(head[1])
+    for _ in range(draw(st.integers(0, 3))):
+        if len(lines) < 2:
+            break
+        i = draw(st.integers(1, len(lines) - 1))
+        line = lines[i]
+        tokens = line.split()
+        if head[0] == "mat":
+            kind = draw(st.sampled_from(["stray", "pad", "crlf", "drop", "extra"]))
+            if kind == "stray":
+                j = draw(st.integers(0, len(line)))
+                c = draw(st.sampled_from(["2", "x", " ", "\t", "\u0661", "O", "l", "\x0c"]))
+                lines[i] = line[:j] + c + line[j + 1:]
+            elif kind == "pad":
+                lines[i] = draw(st.sampled_from(_SEPARATORS)) + line + draw(
+                    st.sampled_from(_SEPARATORS))
+            elif kind == "crlf":
+                lines[i] = line + "\r"
+            elif kind == "drop":
+                lines[i] = line[1:]
+            else:
+                lines[i] = line + draw(st.sampled_from("01"))
+            continue
+        if len(tokens) != 2:  # already made short, long or blank
+            continue
+        kind = draw(st.sampled_from(["token", "separator", "crlf", "blank", "one", "three",
+                                     "duplicate", "loop"]))
+        if kind == "token":
+            j = draw(st.integers(0, 1))
+            tokens[j] = draw(st.sampled_from(_token_variants(tokens[j], n)))
+            lines[i] = " ".join(tokens)
+        elif kind == "separator":
+            lines[i] = draw(st.sampled_from(_SEPARATORS)).join(
+                [draw(st.sampled_from(["", " ", "\t"]))] + tokens
+                + [draw(st.sampled_from(["", " ", "\t"]))])
+        elif kind == "crlf":
+            lines[i] = line + "\r"
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t"])))
+        elif kind == "one":
+            lines[i] = tokens[0]
+        elif kind == "three":
+            lines[i] = line + " " + tokens[1]
+        elif kind == "duplicate":
+            lines.insert(i, line)
+        else:
+            lines[i] = f"{tokens[0]} {tokens[0]}"
+        if kind in ("blank", "duplicate") and draw(st.booleans()):
+            lines[0] = f"{head[0]} {head[1]} {len(lines) - 1}"
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+
+
+def _outcome(parse, text):
+    try:
+        return "instance", parse(text)
+    except ParseError as exc:
+        return "error", exc.line_no, str(exc)
+
+
+@seed(31)
+@settings(max_examples=400, deadline=None)
+@given(_mutated_files())
+def test_the_reader_agrees_with_the_line_by_line_reader(text):
+    """Every mutated file reads to the equal instance, loops flag included,
+    or fails on the equal line with the equal message."""
+    assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+
+
+@pytest.mark.parametrize("text", [
+    "dg 3 2\n1 2\n3 1\n", "dg 3 2\n01 2\n  3\t1  \n", "dg 3 2\n1 2\r\n3 1\r\n",
+    "dg 3 2\n1 2\n+3 1\n", "dg 3 2\n1 2\n3 1_0\n", "dg 3 2\n1 2\n4 1\n",
+    "dg 3 2\n1 2\n1\n", "dg 3 2\n1 2 3\n3 1\n", "dg 3 2\n1 2\n-1 1\n",
+    "bg 2 2\n1 1\n2 2\n", "dg 2 2\n1 1\n1 2\n", "dg 3 2\n3 1\n3 1\n",
+    "mat 2\n10\n01\n", "mat 2\n 10 \n01\r\n", "mat 2\n10\n0 1\n", "mat 2\n12\n01\n",
+    "mat 2\n1\n011\n", "mat 2\n\u0661\u0660\n01\n",
+])
+def test_the_reader_agrees_on_each_rule(text):
+    assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+
+
+def _numbers_outcome(read, tokens, where):
+    try:
+        return "vertices", read(tokens, *where)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@seed(31)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 50), st.data())
+def test_witness_numbers_agree_with_the_number_reader(n, graph_seed, data):
+    """The pair and path lines of a Menger certificate, with tokens
+    respelled, read through the instance's label index to the vertices the
+    plain number reader gives, or to its error message."""
+    d = random_digraph(n, 0.8, seed=graph_seed)
+    cert = build_certificate(d, "k-strong", 1)
+    lines = [line.split(": ", 1)[1] for line in cert.witness_lines
+             if line.startswith(("pair:", "path:"))] or ["1 2"]
+    text = data.draw(st.sampled_from(lines))
+    tokens = text.split()
+    for _ in range(data.draw(st.integers(0, 2))):
+        j = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = data.draw(st.sampled_from(_token_variants(tokens[j], n)))
+    where = ("pair", text, "path", 1)
+    index = LabelIndex(n)
+    got = _numbers_outcome(lambda *a: _vertices(index, *a), tokens, where)
+    assert got == _numbers_outcome(reference_numbers, tokens, where)
+
+
+@seed(31)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 50), st.data())
+def test_walk_labels_agree_with_the_vertex_label_reader(n, graph_seed, data):
+    """The pair and path lines of an alternating-path certificate, with
+    labels respelled, read through the walk label index to the vertices
+    ``core.parse_vertex_label`` gives, or to the same error message."""
+    g = random_bipartite_with_pm(n, 0.9, seed=graph_seed)
+    cert = build_certificate(g, "k-extendable", 1)
+    lines = [line.split(": ", 1)[1] for line in cert.witness_lines
+             if line.startswith(("pair:", "path:"))] or ["u1 w1"]
+    tokens = data.draw(st.sampled_from(lines)).split()
+    for _ in range(data.draw(st.integers(0, 2))):
+        j = data.draw(st.integers(0, len(tokens) - 1))
+        side, number = tokens[j][0], tokens[j][1:]
+        tokens[j] = data.draw(st.sampled_from(
+            [side + v for v in _token_variants(number, n)] + [number, "uw"[side == "u"] + number,
+                                                              side.upper() + number, side]))
+    text = " ".join(tokens)
+    index = _walk_index(n)
+    got = _numbers_outcome(lambda t: _parse_walk(t, index), text, ())
+    assert got == _numbers_outcome(reference_parse_walk, text, ())

@@ -1,20 +1,22 @@
-"""Building and re-checking certificates for the four claim kinds.
+"""Building and checking certificates for the four claim kinds.
 
 A positive certificate carries path systems (alternating ones on the
 bipartite side, vertex-disjoint ones on the digraph side) or a perfect
 matching for the k = 0 boundary; a negative certificate carries a
 separator, a deficient vertex set read off a separator, or a zero block
 (older certificates may carry a non-extendable matching).
-``check_certificate`` re-derives the verdict from the embedded instance
-and re-validates the witness structurally.
+``check_certificate`` checks the witness first.  A witness whose check
+alone proves the verdict (every negative one, a perfect matching at
+k = 0, the size cap of k-irreducibility) is the whole proof, and no
+decider runs; for sampled path systems, and for a witness that fails its
+check, the verdict is re-derived from the embedded instance as well.
 
-Cost: every certificate takes one decision, a maximum matching and at
-most one ``is_k_strong`` call, at most k(k-1) + 2(n-k) flows of
-O(k (n + m)), and a positive one at most six path flows more, of
-O(k (n + m)) each, on one flow kernel.  A negative witness is read off
-the decision itself: a separator, a deficient set or a zero block from
-the cut of the first failing flow, or a Hall violator from the failing
-matching.
+Cost: building takes one decision, a maximum matching and at most one
+``is_k_strong`` call, at most k(k-1) + 2(n-k) flows of O(k (n + m)), and
+a positive certificate at most six path flows more, of O(k (n + m))
+each, on one flow kernel.  A negative witness is read off the decision
+itself: a separator, a deficient set or a zero block from the cut of the
+first failing flow, or a Hall violator from the failing matching.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from .connectivity import (_path_systems, is_k_strong, strong_components,
 from .extendability import (AltPathSystem, _alternating_paths, _deficient_set, _walk_text,
                             check_alternating_path_system, is_k_extendable)
 from .fileio import CLAIMS, Certificate, LabelIndex, vertex_labels
-from .matching import (first_perfect_matching, has_perfect_matching, matching_extends,
-                       max_matching_pairs)
+from .matching import first_perfect_matching, has_perfect_matching, max_matching_pairs
 from .matrixlab import (_decomposable, _distinct_in_range, _independent_witness, _reducible,
                         _symmetric_witness, check_witness, is_k_partly_decomposable,
                         is_k_reducible)
@@ -235,6 +236,9 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
 
 
 def _recompute_verdict(cert: Certificate) -> bool:
+    """The claim's decider on the embedded instance: the proof behind a
+    witness that does not prove its verdict alone, sampled path systems
+    above all."""
     obj, k = cert.instance, cert.k
     if cert.claim == "k-extendable":
         return is_k_extendable(obj, k)
@@ -356,7 +360,8 @@ def _check_witness(cert: Certificate) -> list[str]:
             return [f"witness matching invalid: {exc}"]
         if m0.size != k:
             problems.append(f"witness matching has size {m0.size}, expected {k}")
-        if matching_extends(g, m0):
+        if has_perfect_matching(g, frozenset(i for i, _ in m0.edges),
+                                frozenset(j for _, j in m0.edges)):
             problems.append("witness matching extends to a perfect matching")
         return problems
 
@@ -378,11 +383,13 @@ def _check_witness(cert: Certificate) -> list[str]:
                                                        rows, cols, k))
 
     if kind == "perfect-matching":
+        if k != 0:
+            problems.append(f"perfect-matching needs k = 0, has k={k}")
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
         try:
             m = Matching(_parse_edges(_field(cert.witness_lines, "edges:") or ""), g)
         except ValueError as exc:
-            return [f"witness matching invalid: {exc}"]
+            return problems + [f"witness matching invalid: {exc}"]
         if not m.is_perfect:
             problems.append("witness matching is not perfect")
         return problems
@@ -400,24 +407,92 @@ def _check_witness(cert: Certificate) -> list[str]:
             problems.append("instance has a perfect matching")
         return problems
 
-    if kind in ("size-cap", "too-few-vertices"):
-        return problems
+    if kind == "size-cap":
+        if cert.claim == "k-irreducible":
+            return [] if k == obj.n else [f"size-cap needs k = n={obj.n}, has k={k}"]
+        return [] if k > obj.n - 1 else [f"size-cap needs k > n-1={obj.n - 1}, has k={k}"]
+
+    if kind == "too-few-vertices":
+        return [] if obj.n < k + 1 else [f"too-few-vertices needs n < k+1={k + 1}, has n={obj.n}"]
 
     return [f"unknown witness kind {kind!r}"]
 
 
-def check_certificate(cert: Certificate) -> list[str]:
-    """Re-derive the verdict and re-validate the witness; empty = verified.
-    Time: the decision of ``build_certificate``, then O(k^2 n) per pair of
-    a path-system witness and O(n^2 + n m) for any other witness."""
-    problems = []
-    recomputed = _recompute_verdict(cert)
-    if recomputed != cert.verdict:
-        problems.append(
-            f"verdict says {'holds' if cert.verdict else 'fails'} but the claim "
-            f"{'holds' if recomputed else 'fails'} on the embedded instance")
+def _witness_problems(cert: Certificate) -> list[str]:
+    """``_check_witness``, with a payload it cannot read as one problem."""
     try:
-        problems += _check_witness(cert)
+        return _check_witness(cert)
     except ValueError as exc:
-        problems.append(f"witness payload malformed: {exc}")
-    return problems
+        return [f"witness payload malformed: {exc}"]
+
+
+# (claim, verdict) -> the witness kinds whose check alone proves that
+# verdict; ``check_certificate`` gives the proofs
+_SELF_PROVING = {
+    ("k-extendable", False): {"deficient-set", "disconnected", "no-perfect-matching",
+                              "non-extendable-matching", "size-cap"},
+    ("k-extendable", True): {"perfect-matching"},
+    ("k-strong", False): {"separator", "too-few-vertices"},
+    ("k-indecomposable", False): {"zero-block"},
+    ("k-indecomposable", True): {"perfect-matching"},
+    ("k-irreducible", False): {"zero-block"},
+    ("k-irreducible", True): {"size-cap"},
+}
+
+
+def _self_proving(cert: Certificate) -> bool:
+    """Whether cert's witness kind proves its verdict once its check
+    passes, on an instance and a k that the claim's decider takes (it
+    raises on any other k, and so must ``check_certificate``)."""
+    obj, k = cert.instance, cert.k
+    if cert.witness_kind not in _SELF_PROVING.get((cert.claim, cert.verdict), ()) \
+            or not isinstance(obj, CLAIMS[cert.claim]):
+        return False
+    return {"k-extendable": 0 <= k, "k-strong": 1 <= k,
+            "k-indecomposable": 0 <= k <= obj.n - 1,
+            "k-irreducible": 1 <= k <= obj.n}[cert.claim]
+
+
+def check_certificate(cert: Certificate) -> list[str]:
+    """The problems of the certificate; empty = verified.
+
+    The witness is checked first.  When its kind proves the verdict
+    (``_SELF_PROVING``) and its check finds no problem, the certificate
+    is verified and no decider runs.  Why each check is a proof, for G
+    with n vertices a side, D a digraph, A an n x n matrix:
+
+    * ``deficient-set`` X, 1 <= |X| <= n-k, |N(X)| < |X|+k: at k = 0 it
+      breaks Hall's condition; at k >= 1, G has no perfect matching, or
+      for each one M the out-neighbours of X in D(G, M) outside X, fewer
+      than k, cut X from the vertex that X and they leave over, so
+      D(G, M) is not k-strong;
+    * ``disconnected``, k >= 1: a k-extendable graph is connected;
+    * ``no-perfect-matching``: a k-extendable graph has a perfect matching;
+    * ``non-extendable-matching``: a k-matching in no perfect matching is
+      what k-extendability rules out;
+    * ``size-cap``, k > n-1: k-extendability asks k <= n-1; and for
+      k-irreducible, k = n: a k-reducing block has a row and a column, so
+      n-k+1 >= 2 lines, and k = n leaves one;
+    * ``separator`` S, |S| < k: D - S has two vertices and is not strong;
+    * ``too-few-vertices``, n < k+1: a k-strong digraph has k+1 vertices;
+    * ``zero-block``: an all-zero l x (n-k+1-l) block of A, on disjoint
+      row and column sets for k-irreducible, is the definition of the
+      failing property;
+    * ``perfect-matching``, k = 0: 0-extendable and (Frobenius-Koenig)
+      0-indecomposable both mean that a perfect matching exists.
+
+    Otherwise (sampled path systems, a witness that fails its check, a
+    kind that proves another claim or verdict) the verdict is re-derived
+    from the embedded instance, and its problem, if any, comes first.
+    Time: a self-proving witness costs its check alone, at most a maximum
+    matching of O(n m) or a strong-component pass of O(n^2) mask steps;
+    otherwise the decision of ``build_certificate`` as well, and O(k^2 n)
+    per pair of a path-system witness."""
+    witness = _witness_problems(cert) if _self_proving(cert) else None
+    if witness == []:
+        return []
+    recomputed = _recompute_verdict(cert)
+    problems = [] if recomputed == cert.verdict else [
+        f"verdict says {'holds' if cert.verdict else 'fails'} but the claim "
+        f"{'holds' if recomputed else 'fails'} on the embedded instance"]
+    return problems + (_witness_problems(cert) if witness is None else witness)

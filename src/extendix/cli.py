@@ -275,8 +275,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Time: reading the certificate (``fileio.read_certificate``, O(n + m)
-    for its instance), then ``certify.check_certificate``."""
+    """Check a certificate file.  A witness that proves its verdict alone
+    (every negative one, a perfect matching at k = 0, the size cap) is
+    checked and nothing more; sampled path systems, and a witness that
+    fails its check, also have the verdict re-derived by the decider.
+    Time: reading the certificate (``fileio.read_certificate``, O(n + m)
+    for its instance), then ``certify.check_certificate``: the witness
+    check alone, at most O(n m), for a self-proving witness."""
     cert = read_certificate(args.path)
     try:
         problems = check_certificate(cert)
@@ -388,6 +393,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_randgen(args) -> int:
+    """Time: O(n^2), one random draw per ordered pair or matrix entry, then
+    writing the instance in O(n + m) (O(n^2) for a matrix)."""
     if args.n < 1:
         print("error: n must be at least 1", file=sys.stderr)
         return 2

@@ -721,3 +721,194 @@ def reference_parse_walk(text: str) -> tuple:
             raise ValueError(f"bad walk vertex {token!r}")
         out.append(parsed)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# certificate checking as it was before a self-proving witness stood alone:
+# the decider re-run on every certificate
+
+
+def reference_recompute_verdict(cert) -> bool:
+    """``certify._recompute_verdict``: the claim's decider, imported from
+    its own module, so that a spy on ``certify``'s names misses it."""
+    from extendix.connectivity import is_k_strong
+    from extendix.extendability import is_k_extendable
+    from extendix.matrixlab import is_k_partly_decomposable, is_k_reducible
+
+    obj, k = cert.instance, cert.k
+    if cert.claim == "k-extendable":
+        return is_k_extendable(obj, k)
+    if cert.claim == "k-strong":
+        return is_k_strong(obj, k).holds
+    if cert.claim == "k-indecomposable":
+        return not is_k_partly_decomposable(obj, k).holds
+    if cert.claim == "k-irreducible":
+        return not is_k_reducible(obj, k).holds
+    raise ValueError(f"unknown claim {cert.claim!r}")
+
+
+def reference_check_witness(cert) -> list[str]:
+    """``certify._check_witness`` before witnesses checked the bound they
+    state and before the legacy matching left the global cache."""
+    from itertools import chain
+
+    from extendix.certify import (_field, _indices, _parse_edges, _parse_walk,
+                                  _path_line_problems, _split_sections, _vertices,
+                                  _walk_index)
+    from extendix.connectivity import PathSystem, check_path_system, strong_components
+    from extendix.core import Matching, connected
+    from extendix.correspond import bipartite_of_matrix, digraph_of_matrix
+    from extendix.extendability import AltPathSystem, check_alternating_path_system
+    from extendix.fileio import LabelIndex
+    from extendix.matching import has_perfect_matching, matching_extends
+    from extendix.matrixlab import (_distinct_in_range, _independent_witness,
+                                    _symmetric_witness, check_witness)
+
+    obj, k = cert.instance, cert.k
+    kind = cert.witness_kind
+    problems: list[str] = []
+
+    if kind == "alt-path-systems":
+        g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
+        m_text = _field(cert.witness_lines, "matching:")
+        if m_text is None:
+            return ["alt-path witness is missing its matching line"]
+        try:
+            matching = Matching(_parse_edges(m_text), g)
+        except ValueError as exc:
+            return [f"embedded matching invalid: {exc}"]
+        if not matching.is_perfect:
+            return ["embedded matching is not perfect"]
+        index = _walk_index(g.n)
+        labels = set(index.values())
+        span = f"u1..u{g.n} and w1..w{g.n}"
+        for (tokens, pair, path_lines) in _split_sections(cert.witness_lines):
+            ends = _parse_walk(pair, index)
+            if [side for side, _ in ends] != ["u", "w"]:
+                problems.append(f"pair {pair} does not name a U vertex and then a W vertex")
+                continue
+            if not labels.issuperset(ends):
+                problems.append(f"pair {pair} names a vertex outside {span}")
+                continue
+            pu, pw = ends
+            walks = tuple(_parse_walk(p, index) for p in path_lines)
+            if len(walks) != k:
+                problems.append(f"pair {pair}: {len(walks)} paths, expected {k}")
+            if not all(walks) or not labels.issuperset(chain.from_iterable(walks)):
+                problems += _path_line_problems(pair, path_lines, walks, labels, span)
+                continue
+            system = AltPathSystem(walks, matching, pu[1], pw[1])
+            problems += [f"pair {pair}: {p}" for p in check_alternating_path_system(g, system)]
+        return problems
+
+    if kind == "menger-path-systems":
+        d = obj if isinstance(obj, Digraph) else digraph_of_matrix(obj)
+        labels, span = set(range(d.n)), f"1..{d.n}"
+        index = LabelIndex(d.n)
+        for (tokens, pair, path_lines) in _split_sections(cert.witness_lines):
+            if len(tokens) != 2:
+                problems.append(f"pair {pair} does not name exactly two vertices")
+                continue
+            s, t = _vertices(index, tokens, "pair", pair)
+            if not labels.issuperset((s, t)):
+                problems.append(f"pair {pair} names a vertex outside {span}")
+                continue
+            if s == t:
+                problems.append(f"pair {pair} does not join two vertices")
+            paths = tuple(tuple(_vertices(index, p.split(), "pair", pair, "path", i))
+                          for i, p in enumerate(path_lines, 1))
+            if len(paths) != k:
+                problems.append(f"pair {pair}: {len(paths)} paths, expected {k}")
+            if not all(paths) or not labels.issuperset(chain.from_iterable(paths)):
+                problems += _path_line_problems(pair, path_lines, paths, labels, span)
+                continue
+            system = PathSystem(paths, "internally_disjoint_same_endpoints",
+                                (s,), (t,))
+            problems += [f"pair {pair}: {p}" for p in check_path_system(d, system)]
+        return problems
+
+    if kind == "separator":
+        sep = _indices(cert.witness_lines, "vertices:")
+        if not _distinct_in_range(sep, obj.n):
+            return [f"separator must list distinct vertices of 1..{obj.n}"]
+        if len(sep) >= k:
+            problems.append(f"separator has order {len(sep)}, not below k={k}")
+        if obj.n - len(sep) < 2:
+            problems.append("separator leaves fewer than two vertices")
+        if len(strong_components(obj, sep)) == 1:
+            problems.append("removing the separator leaves a strong digraph")
+        return problems
+
+    if kind == "non-extendable-matching":
+        g = obj
+        try:
+            m0 = Matching(_parse_edges(_field(cert.witness_lines, "edges:") or ""), g)
+        except ValueError as exc:
+            return [f"witness matching invalid: {exc}"]
+        if m0.size != k:
+            problems.append(f"witness matching has size {m0.size}, expected {k}")
+        if matching_extends(g, m0):
+            problems.append("witness matching extends to a perfect matching")
+        return problems
+
+    if kind == "deficient-set":
+        g = obj
+        x = _indices(cert.witness_lines, "u-set:")
+        if not (_distinct_in_range(x, g.n) and 1 <= len(x) <= g.n - k):
+            return [f"deficient set must be 1 to n-k={g.n - k} distinct vertices of U"]
+        if len({j for i in x for j in g.u_neighbors(i)}) >= len(x) + k:
+            problems.append("the set is not deficient")
+        return problems
+
+    if kind == "zero-block":
+        rows = tuple(_indices(cert.witness_lines, "rows:"))
+        cols = tuple(_indices(cert.witness_lines, "cols:"))
+        if cert.claim == "k-irreducible":
+            return check_witness(obj, _symmetric_witness("k_reducible", obj, rows, cols, k))
+        return check_witness(obj, _independent_witness("k_partly_decomposable", obj,
+                                                       rows, cols, k))
+
+    if kind == "perfect-matching":
+        g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
+        try:
+            m = Matching(_parse_edges(_field(cert.witness_lines, "edges:") or ""), g)
+        except ValueError as exc:
+            return [f"witness matching invalid: {exc}"]
+        if not m.is_perfect:
+            problems.append("witness matching is not perfect")
+        return problems
+
+    if kind == "disconnected":
+        if k == 0:
+            problems.append("a disconnected graph can still be 0-extendable")
+        if connected(obj):
+            problems.append("instance is connected")
+        return problems
+
+    if kind == "no-perfect-matching":
+        g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
+        if has_perfect_matching(g):
+            problems.append("instance has a perfect matching")
+        return problems
+
+    if kind in ("size-cap", "too-few-vertices"):
+        return problems
+
+    return [f"unknown witness kind {kind!r}"]
+
+
+def reference_check_certificate(cert) -> list[str]:
+    """``certify.check_certificate`` as it was before a self-proving
+    witness stood alone: the decider first on every certificate, then the
+    witness."""
+    problems = []
+    recomputed = reference_recompute_verdict(cert)
+    if recomputed != cert.verdict:
+        problems.append(
+            f"verdict says {'holds' if cert.verdict else 'fails'} but the claim "
+            f"{'holds' if recomputed else 'fails'} on the embedded instance")
+    try:
+        problems += reference_check_witness(cert)
+    except ValueError as exc:
+        problems.append(f"witness payload malformed: {exc}")
+    return problems

@@ -311,3 +311,24 @@ def test_every_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused[name] = sorted(set(_imported(tree)) - read)
     assert unused == {name: [] for name in unused}
+
+
+# ---------------------------------------------------------------------------
+# verify: the witness is the proof, the deciders a fallback
+
+
+CERTIFY_DECIDERS = {"is_k_extendable", "is_k_strong", "is_k_partly_decomposable",
+                    "is_k_reducible"}
+
+
+def test_certify_calls_the_deciders_in_two_functions_only():
+    """``build_certificate`` decides; ``check_certificate`` reaches a
+    decider only through ``_recompute_verdict``, called at one site, which
+    a self-proving witness never reaches."""
+    calls = _calls(_modules()["certify.py"])
+    deciding = {enclosing for enclosing, call in calls if _callee(call) in CERTIFY_DECIDERS}
+    assert deciding <= {"build_certificate", "_recompute_verdict"}
+    assert "_recompute_verdict" in deciding
+    recomputing = [enclosing for enclosing, call in calls
+                   if _callee(call) == "_recompute_verdict"]
+    assert recomputing == ["check_certificate"]

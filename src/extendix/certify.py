@@ -31,7 +31,7 @@ from .connectivity import (_path_systems, is_k_strong, strong_components,
                            check_path_system, PathSystem)
 from .extendability import (AltPathSystem, _alternating_paths, _deficient_set, _walk_text,
                             check_alternating_path_system, is_k_extendable)
-from .fileio import CLAIMS, Certificate, LabelIndex, vertex_labels
+from .fileio import CLAIMS, Certificate, LabelIndex, k_range, vertex_labels
 from .matching import first_perfect_matching, has_perfect_matching, max_matching_pairs
 from .matrixlab import (_decomposable, _distinct_in_range, _independent_witness, _reducible,
                         _symmetric_witness, check_witness, is_k_partly_decomposable,
@@ -172,11 +172,12 @@ def _zero_block_certificate(claim: str, k: int, a: ZeroOneMatrix, w) -> Certific
 
 def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
     """Decide the claim on the instance and package a re-checkable witness.
-    Time: O(n m) for a maximum matching, one ``is_k_strong`` call (O(n)
-    mask operations at k = 1, else at most k(k-1) + 2(n-k) flows of
-    O(k (n + m))), and for a positive certificate at most six path flows
-    of O(k (n + m)) more and, on the bipartite side, the first perfect
-    matching's at most m trial augmentations of O(n + m)."""
+    Time: O(n^2) mask operations for a maximum matching, one
+    ``is_k_strong`` call (O(n) mask operations at k = 1, else at most
+    k(k-1) + 2(n-k) flows of O(k (n + m))), and for a positive
+    certificate at most six path flows of O(k (n + m)) more and, on the
+    bipartite side, the first perfect matching's at most m trial
+    augmentations of O(n) mask operations."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     if not isinstance(obj, CLAIMS[claim]):
@@ -442,15 +443,15 @@ _SELF_PROVING = {
 
 def _self_proving(cert: Certificate) -> bool:
     """Whether cert's witness kind proves its verdict once its check
-    passes, on an instance and a k that the claim's decider takes (it
-    raises on any other k, and so must ``check_certificate``)."""
+    passes, on an instance and a k that the claim's decider takes
+    (``fileio.k_range``; it raises on any other k, and so must
+    ``check_certificate``)."""
     obj, k = cert.instance, cert.k
     if cert.witness_kind not in _SELF_PROVING.get((cert.claim, cert.verdict), ()) \
             or not isinstance(obj, CLAIMS[cert.claim]):
         return False
-    return {"k-extendable": 0 <= k, "k-strong": 1 <= k,
-            "k-indecomposable": 0 <= k <= obj.n - 1,
-            "k-irreducible": 1 <= k <= obj.n}[cert.claim]
+    least, most = k_range(cert.claim, obj.n)
+    return least <= k and (most is None or k <= most)
 
 
 def check_certificate(cert: Certificate) -> list[str]:
@@ -485,7 +486,7 @@ def check_certificate(cert: Certificate) -> list[str]:
     kind that proves another claim or verdict) the verdict is re-derived
     from the embedded instance, and its problem, if any, comes first.
     Time: a self-proving witness costs its check alone, at most a maximum
-    matching of O(n m) or a strong-component pass of O(n^2) mask steps;
+    matching or a strong-component pass, each O(n^2) mask steps;
     otherwise the decision of ``build_certificate`` as well, and O(k^2 n)
     per pair of a path-system witness."""
     witness = _witness_problems(cert) if _self_proving(cert) else None

@@ -164,8 +164,8 @@ def _analyze_matrix(a: ZeroOneMatrix) -> str:
 def cmd_analyze(args) -> int:
     """Time: reading the file (``fileio.read_instance``: O(n + m), O(n^2)
     for a matrix), then for a graph or matrix one component map of
-    O(n (n + m)), the count within its budget and ``vertex_connectivity``,
-    and for a digraph the strong components, O(n^2) mask operations,
+    O(n + m) and O(n^2) mask operations, the count within its budget and
+    ``vertex_connectivity``, and for a digraph the strong components, O(n^2) mask operations,
     ``vertex_connectivity`` and the ear decomposition, O(n (n + m))."""
     obj = read_instance(args.path)
     kind = instance_kind(obj)
@@ -199,7 +199,7 @@ def _parse_matching_arg(g: BipartiteGraph, text: str) -> Matching:
 
 def cmd_convert(args) -> int:
     """Time: reading the file, O(n + m) (O(n^2) for a matrix); for g2d
-    with ``auto`` the first perfect matching, O(m (n + m)); the
+    with ``auto`` the first perfect matching, O(m n) mask operations; the
     translation, O(n + m), or O(n^2) to or from a matrix; and writing it,
     O(n + m log m)."""
     obj = read_instance(args.path)
@@ -275,13 +275,16 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Check a certificate file.  A witness that proves its verdict alone
-    (every negative one, a perfect matching at k = 0, the size cap) is
-    checked and nothing more; sampled path systems, and a witness that
-    fails its check, also have the verdict re-derived by the decider.
+    """Check a certificate file; a k that the claim does not take
+    (``fileio.k_range``) is a header error of the file.  A witness that
+    proves its verdict alone (every negative one, a perfect matching at
+    k = 0, the size cap) is checked and nothing more; sampled path
+    systems, and a witness that fails its check, also have the verdict
+    re-derived by the decider.
     Time: reading the certificate (``fileio.read_certificate``, O(n + m)
     for its instance), then ``certify.check_certificate``: the witness
-    check alone, at most O(n m), for a self-proving witness."""
+    check alone, at most a maximum matching of O(n^2) mask operations,
+    for a self-proving witness."""
     cert = read_certificate(args.path)
     try:
         problems = check_certificate(cert)

@@ -6,8 +6,9 @@ intra-class edges are unrepresentable by construction.  Labels such as
 ``u3``/``w1`` (1-based) appear only in file formats and rendered output.
 
 All types are immutable after construction; nothing here mutates shared
-state, so concurrent readers are always safe.  A digraph builds its
-neighbourhood bitmasks on first use and keeps them, outside its fields.
+state, so concurrent readers are always safe.  A bipartite graph builds its
+u- and w-rows, and a digraph its neighbourhood bitmasks, on first use and
+keeps them, outside its fields.
 """
 
 from __future__ import annotations
@@ -100,7 +101,13 @@ def parse_vertex_label(text: str) -> tuple[str, int] | None:
 class BipartiteGraph:
     """A balanced bipartite graph on U = W = {0..n-1}.
 
-    ``edges`` holds pairs ``(i, j)`` meaning u_i -- w_j.
+    ``edges`` holds pairs ``(i, j)`` meaning u_i -- w_j.  Its rows are the
+    neighbourhoods as bitmasks, one int per vertex: bit j of the u-row
+    ``_u_rows[i]`` and bit i of the w-row ``_w_rows[j]`` for each edge
+    u_i w_j.  Each is built on first read and kept, but not as a field:
+    equality, hashing, repr and the constructor do not see them.  Every
+    production route reads the rows; ``u_neighbors`` and the other
+    methods below serve library callers.
     """
 
     n: int
@@ -118,6 +125,22 @@ class BipartiteGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _u_rows(self) -> tuple[int, ...]:
+        """Bit j of row i for each edge u_i w_j.  Time: O(n + m)."""
+        rows = [0] * self.n
+        for i, j in self.edges:
+            rows[i] |= 1 << j
+        return tuple(rows)
+
+    @cached_property
+    def _w_rows(self) -> tuple[int, ...]:
+        """Bit i of row j for each edge u_i w_j.  Time: O(n + m)."""
+        rows = [0] * self.n
+        for i, j in self.edges:
+            rows[j] |= 1 << i
+        return tuple(rows)
 
     def u_neighbors(self, i: int) -> tuple[int, ...]:
         return _u_adj(self)[i]
@@ -211,6 +234,14 @@ class Digraph:
         """``_neighbourhood_masks``, built on first use and kept, but not as a
         field: equality, hashing, repr and the constructor do not see it."""
         return _neighbourhood_masks(self)
+
+    @classmethod
+    def _with_masks(cls, n: int, arcs: frozenset, outs: tuple, ins: tuple) -> "Digraph":
+        """The loop-free digraph on arcs, with ``_masks`` set to (outs, ins),
+        its out- and in-rows, for a builder that made them with the arcs."""
+        d = cls(n, arcs)
+        d.__dict__["_masks"] = (outs, ins)
+        return d
 
     @cached_property
     def _succ(self) -> tuple[list[int], ...]:
@@ -485,25 +516,33 @@ def canonical_matching(g: BipartiteGraph) -> Matching:
     return Matching(edges, g)
 
 
+def _union_of_rows(rows, mask: int) -> int:
+    """The OR of rows[v] over the bits v of mask."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= rows[low.bit_length() - 1]
+        mask ^= low
+    return union
+
+
 def connected(g: BipartiteGraph) -> bool:
-    """Connectivity of the underlying graph on the 2n tagged vertices."""
+    """Connectivity of the underlying graph on the 2n tagged vertices:
+    alternating reaches from u_0, each new u-vertex ORing in its u-row and
+    each new w-vertex its w-row.
+    Time: O(n) mask operations once the rows exist, O(n + m) to build them."""
     if g.n == 0:
         return True
-    seen_u, seen_w = {0}, set()
-    stack = [("u", 0)]
-    while stack:
-        side, v = stack.pop()
-        if side == "u":
-            for j in g.u_neighbors(v):
-                if j not in seen_w:
-                    seen_w.add(j)
-                    stack.append(("w", j))
-        else:
-            for i in g.w_neighbors(v):
-                if i not in seen_u:
-                    seen_u.add(i)
-                    stack.append(("u", i))
-    return len(seen_u) == g.n and len(seen_w) == g.n
+    u_rows, w_rows = g._u_rows, g._w_rows
+    seen_u = frontier = 1
+    seen_w = 0
+    while frontier:
+        cols = _union_of_rows(u_rows, frontier) & ~seen_w
+        seen_w |= cols
+        frontier = _union_of_rows(w_rows, cols) & ~seen_u
+        seen_u |= frontier
+    full = (1 << g.n) - 1
+    return seen_u == full and seen_w == full
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .core import (BipartiteGraph, Digraph, Matching, check_budget, connected,
                    u_label, w_label)
 from .correspond import alternating_path_from_digraph_path, digraph_of
-from .matching import (_augment, enumerate_matchings, has_perfect_matching,
+from .matching import (_augment, _match_w, enumerate_matchings, has_perfect_matching,
                        matching_extends, max_matching, max_matching_pairs)
 from .connectivity import (ear_decomposition_digraph, is_k_strong,
                            is_minimal_k_strong, strong_components, MinimalityResult,
@@ -41,7 +41,7 @@ from .connectivity import (ear_decomposition_digraph, is_k_strong,
 
 def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
     """The fast decision: no deficient set (see ``_deficient_set``).
-    O(n m) for the matching plus one ``is_k_strong`` call."""
+    O(n^2) mask operations for the matching plus one ``is_k_strong`` call."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     return k <= g.n - 1 and _deficient_set(g, k) is None
@@ -67,19 +67,19 @@ def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None) -> list
 
     pairs is a maximum matching of G as ``max_matching_pairs`` returns
     it, computed here when the caller holds none.
-    Time: O(n m) for that matching, then one augmenting search of
-    O(n + m), or D(G, M) in O(n + m), one ``is_k_strong`` call (O(n) mask
-    operations at k = 1, else at most k(k-1) + 2(n-k) flows of
-    O(k (n + m))) and one strong-component pass of O(n^2) mask operations.
+    Time: O(n^2) mask operations for that matching, then one augmenting
+    search of O(n) mask operations, or D(G, M) in O(n + m), one
+    ``is_k_strong`` call (O(n) mask operations at k = 1, else at most
+    k(k-1) + 2(n-k) flows of O(k (n + m))) and one strong-component pass
+    of O(n^2) mask operations.
     """
     if pairs is None:
         pairs = max_matching_pairs(g)
     if len(pairs) < g.n:
-        match_w = {j: i for i, j in pairs.items()}
+        match_w = _match_w(g, pairs)
         root = min(i for i in range(g.n) if i not in pairs)
-        seen: set = set()
-        _augment([g.u_neighbors(i) for i in range(g.n)], match_w, root, seen)
-        x = sorted([root] + [match_w[j] for j in seen])
+        seen = _augment(g._u_rows, match_w, root, 0)
+        x = sorted([root] + [match_w[j] for j in _bits(seen)])
     elif k == 0:
         return None
     else:
@@ -491,31 +491,28 @@ def elementary_components(g: BipartiteGraph, matching: Matching | None = None) -
     plus the non-matching edges whose arcs stay inside C; every arc
     between components is a fixed single edge.  M defaults to a maximum
     matching of G.
-    Time: O(n (n + m)) for that matching, O(n + m) for D(G, M) and the
-    pieces, and O(n^2) mask operations for the strong components.
+    The arcs are read off D's out-rows, each within or outside its tail's
+    component, and an arc t -> h is the edge u_t w_M(h).
+    Time: O(n^2) mask operations for that matching, O(n + m) for D(G, M)
+    and the pieces, and O(n^2) mask operations for the strong components.
     """
     if matching is None:
         matching = max_matching(g)
     if not matching.is_perfect:
         raise ValueError("graph has no perfect matching")
     d, cmap = digraph_of(g, matching)
-    sccs = sorted(strong_components(d), key=min)
-    comp_of = {v: idx for idx, c in enumerate(sccs) for v in c}
-    inside = [set() for _ in sccs]
-    fixed_single = set()
-    for t, h in d.arcs:
-        edge = cmap.nonmatching_edge_of_arc((t, h))
-        if comp_of[t] == comp_of[h]:
-            inside[comp_of[t]].add(edge)
-        else:
-            fixed_single.add(edge)
-    pieces = []
-    for c, inner in zip(sccs, inside):
-        mpart = frozenset(cmap.matching_edge_of_vertex(v) for v in c)
+    outs, w_of = _rows(d)[0], cmap.w_relabel
+    pieces, fixed_single = [], []
+    for c in sorted(strong_components(d), key=min):
+        inside = sum(1 << v for v in c)
+        mpart = frozenset((v, w_of[v]) for v in c)
+        edges = set(mpart)
+        for t in c:
+            edges.update((t, w_of[h]) for h in _bits(outs[t] & inside))
+            fixed_single += [(t, w_of[h]) for h in _bits(outs[t] & ~inside)]
         kind = "fixed_double" if len(c) == 1 else "elementary"
-        pieces.append(ComponentPiece(kind, frozenset(e[0] for e in mpart),
-                                     frozenset(e[1] for e in mpart),
-                                     mpart | inner, mpart, c))
+        pieces.append(ComponentPiece(kind, frozenset(c), frozenset(w_of[v] for v in c),
+                                     frozenset(edges), mpart, c))
     return ComponentMap(g, matching, d, tuple(pieces), frozenset(fixed_single))
 
 
@@ -538,17 +535,7 @@ def minimal_k_extendable_degree_audit(g: BipartiteGraph, k: int) -> BipartiteDeg
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
-    return _degree_audit_bipartite(*_bipartite_rows(g), k)
-
-
-def _bipartite_rows(g: BipartiteGraph) -> tuple[list[int], list[int]]:
-    """G's neighbourhoods as bitmasks: bit j of the u-row i and bit i of the
-    w-row j for each edge u_i w_j.  One pass over the edges."""
-    u_rows, w_rows = [0] * g.n, [0] * g.n
-    for i, j in g.edges:
-        u_rows[i] |= 1 << j
-        w_rows[j] |= 1 << i
-    return u_rows, w_rows
+    return _degree_audit_bipartite(g._u_rows, g._w_rows, k)
 
 
 def _degree_audit_bipartite(u_rows, w_rows, k: int) -> BipartiteDegreeAuditReport:
@@ -582,7 +569,7 @@ def high_degree_subgraph_forest_check(g: BipartiteGraph, k: int) -> ForestCheckR
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
-    qual, cycle, trail = _forest_check(*_bipartite_rows(g),
+    qual, cycle, trail = _forest_check(g._u_rows, g._w_rows,
                                        _rows(digraph_of(g, max_matching(g))[0]), k)
     return ForestCheckReport(cycle is None, k, frozenset(qual), cycle, trail)
 

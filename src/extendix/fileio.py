@@ -261,6 +261,14 @@ CLAIMS = {"k-extendable": BipartiteGraph, "k-strong": Digraph,
           "k-indecomposable": ZeroOneMatrix, "k-irreducible": ZeroOneMatrix}
 
 
+def k_range(claim: str, n: int) -> tuple[int, int | None]:
+    """The least and the most k (None: no most) that the claim's decider
+    takes on an instance of order n.  A k past n - 1 is still a claim for
+    k-extendable and k-strong, refuted by the size cap or too few vertices."""
+    return {"k-extendable": (0, None), "k-strong": (1, None),
+            "k-indecomposable": (0, n - 1), "k-irreducible": (1, n)}[claim]
+
+
 def format_certificate(cert: Certificate) -> str:
     """Time: that of ``format_instance``, plus the witness lines' length."""
     lines = ["extendix-cert 1",
@@ -278,7 +286,9 @@ def format_certificate(cert: Certificate) -> str:
 
 def parse_certificate(text: str) -> Certificate:
     """The certificate in text; the witness lines are kept as text, for
-    ``certify.check_certificate`` to read.  Time: that of
+    ``certify.check_certificate`` to read.  A k outside the claim's
+    ``k_range`` for the embedded instance is a header error on line 3.
+    Time: that of
     ``parse_instance`` on the embedded instance, plus O(len(text))."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -309,11 +319,18 @@ def parse_certificate(text: str) -> Certificate:
     if not isinstance(instance, CLAIMS[claim]):
         raise ParseError(6, f"{claim} needs a {_KINDS[CLAIMS[claim]]} instance, "
                             f"got {instance_kind(instance)}")
+    k = int(k_text)
+    least, most = k_range(claim, instance.n)
+    if most is None and k < least:
+        raise ParseError(3, f"k must be at least {least} for {claim}, got {k}")
+    if most is not None and not least <= k <= most:
+        raise ParseError(3, f"k must lie in {least}..{most} for {claim} at n={instance.n}, "
+                            f"got {k}")
     witness_kind = expect(end_instance + 1, "witness:")
     if lines[-1] != "end-witness":
         raise ParseError(len(lines), "missing end-witness")
     witness_lines = tuple(lines[end_instance + 2:-1])
-    return Certificate(claim, int(k_text), verdict_text == "holds", instance,
+    return Certificate(claim, k, verdict_text == "holds", instance,
                        witness_kind, witness_lines)
 
 

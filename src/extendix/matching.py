@@ -22,53 +22,66 @@ from .core import BipartiteGraph, Matching, TooLargeError, check_budget
 # maximum matching (augmenting paths; deterministic scan order)
 
 
-def _augment(adj, match_w, i, seen) -> bool:
-    """Depth-first search for an augmenting path from row i, entering each
-    column once, in adjacency order, and adding it to seen; on success the
-    rows on the path shift columns.  Iterative: no recursion limit on paths."""
-    below = []  # (row, its scan, column taken) for each row below the current one
-    scan = iter(adj[i])
+def _augment(rows, match_w: list, i: int, seen: int) -> int | None:
+    """Depth-first search for an augmenting path from row i: the one
+    augmenting-path kernel of the package.  rows[r] is row r's columns as a
+    bitmask, match_w[j] the row that holds column j, or -1 when it is free,
+    and seen a mask of columns not to enter.  The search enters each other
+    column once, a row's lowest unentered column first, and descends to its
+    holder; a row with none left returns to the row below it.  On reaching
+    a free column the rows on the path shift columns and the result is
+    None; otherwise match_w is untouched and the result is seen with every
+    column entered added.  Iterative: no recursion limit on paths.
+    Time: O(n) mask operations: each column is entered once, and a row's
+    scan is one AND on entering it and on each return to it."""
+    below = []  # (row, column it took) for each row below the current one
     while True:
-        for j in scan:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_w.get(j) is None:
+        free = rows[i] & ~seen
+        if free:
+            low = free & -free
+            seen |= low
+            j = low.bit_length() - 1
+            holder = match_w[j]
+            if holder < 0:
                 match_w[j] = i
-                for row, _, col in below:
+                for row, col in below:
                     match_w[col] = row
-                return True
-            below.append((i, scan, j))
-            i = match_w[j]
-            scan = iter(adj[i])
-            break
+                return None
+            below.append((i, j))
+            i = holder
+        elif below:
+            i = below.pop()[0]
         else:
-            if not below:
-                return False
-            i, scan, _ = below.pop()
+            return seen
+
+
+def _match_w(g: BipartiteGraph, pairs: dict) -> list:
+    """The column -> row list of the pairing, -1 for a free column."""
+    match_w = [-1] * g.n
+    for i, j in pairs.items():
+        match_w[j] = i
+    return match_w
 
 
 def max_matching_pairs(g: BipartiteGraph,
                        dead_u: frozenset = frozenset(),
                        dead_w: frozenset = frozenset()) -> dict[int, int]:
-    """u -> w pairing of a maximum matching, optionally avoiding vertices.
-    Deterministic for a fixed graph.
-    Time: O(n (n + m)), one augmenting search of O(n + m) per row."""
-    adj = []
-    for i in range(g.n):
-        if i in dead_u:
-            adj.append(())
-        else:
-            adj.append(tuple(j for j in g.u_neighbors(i) if j not in dead_w))
-    match_w: dict[int, int] = {}
+    """u -> w pairing of a maximum matching, optionally avoiding vertices:
+    one ``_augment`` per live row on the u-rows, in row order, with the
+    dead columns seen from the start.  Deterministic for a fixed graph.
+    Time: O(n + m) for the rows, then O(n^2) mask operations, one
+    augmenting search of O(n) per row."""
+    rows, dead = g._u_rows, sum(1 << j for j in dead_w)
+    match_w = [-1] * g.n
     for i in range(g.n):
         if i not in dead_u:
-            _augment(adj, match_w, i, set())
-    return {i: j for j, i in match_w.items()}
+            _augment(rows, match_w, i, dead)
+    return {i: j for j, i in enumerate(match_w) if i >= 0}
 
 
 def max_matching(g: BipartiteGraph) -> Matching:
-    """A maximum matching of g; perfect exactly when its size is n."""
+    """A maximum matching of g; perfect exactly when its size is n.
+    Time: that of ``max_matching_pairs``, O(n^2) mask operations."""
     pairs = max_matching_pairs(g)
     return Matching(frozenset(pairs.items()), g)
 
@@ -77,7 +90,8 @@ def has_perfect_matching(g: BipartiteGraph,
                          dead_u: frozenset = frozenset(),
                          dead_w: frozenset = frozenset()) -> bool:
     """Whether the graph minus the given vertices has a matching that
-    saturates every remaining vertex (requires |dead_u| == |dead_w|)."""
+    saturates every remaining vertex (requires |dead_u| == |dead_w|).
+    Time: that of ``max_matching_pairs``, O(n^2) mask operations."""
     if len(dead_u) != len(dead_w):
         return False
     pairs = max_matching_pairs(g, dead_u, dead_w)
@@ -142,29 +156,30 @@ def first_perfect_matching(g: BipartiteGraph, pairs: dict | None = None) -> Matc
     leaves the matching untouched, so two entries undo the trial.  The
     result does not depend on the maximum matching it starts from: pairs,
     as ``max_matching_pairs`` returns it, when the caller holds one.
-    Time: O(m (n + m)): at most m trials, the columns tried before a
-    row's own, of one O(n + m) search each, after O(n (n + m)) for pairs."""
+    Time: O(m n) mask operations: at most m trials, the columns tried
+    before a row's own, of one O(n) search each, after O(n^2) for pairs."""
     if pairs is None:
         pairs = max_matching_pairs(g)
     if len(pairs) < g.n:
         return None
-    adj = [g.u_neighbors(i) for i in range(g.n)]
-    match_w = {j: i for i, j in pairs.items()}
-    fixed: set = set()
-    for i in range(g.n):
-        c = next(j for j in adj[i] if match_w[j] == i)
-        for j in adj[i]:
-            if j == c:
-                break
+    rows = g._u_rows
+    match_w = _match_w(g, pairs)
+    fixed = 0  # the columns of u_1..u_(i-1)
+    for i, row in enumerate(rows):
+        c = match_w.index(i)
+        trials = row & ((1 << c) - 1) & ~fixed
+        while trials:
+            low = trials & -trials
+            j = low.bit_length() - 1
             r = match_w[j]
-            if r > i:
-                match_w[j] = i
-                del match_w[c]
-                if _augment(adj, match_w, r, fixed | {j}):
-                    break
-                match_w[j], match_w[c] = r, i
-        fixed.add(j)
-    return Matching(frozenset((i, j) for j, i in match_w.items()), g)
+            match_w[j], match_w[c] = i, -1
+            if _augment(rows, match_w, r, fixed | low) is None:
+                c = j
+                break
+            match_w[j], match_w[c] = r, i
+            trials ^= low
+        fixed |= 1 << c
+    return Matching(frozenset((i, j) for j, i in enumerate(match_w)), g)
 
 
 def count_perfect_matchings(g: BipartiteGraph, comap=None) -> int:

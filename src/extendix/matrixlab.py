@@ -38,7 +38,7 @@ from .core import ZeroOneMatrix, check_budget
 from .correspond import bipartite_of_matrix, digraph_of_matrix
 from .connectivity import _sink_component, is_k_strong
 from .extendability import _deficient_set
-from .matching import _augment, count_perfect_matchings
+from .matching import _augment, _match_w, count_perfect_matchings, max_matching_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +282,21 @@ def fully_indecomposable_by_diagonals(a: ZeroOneMatrix) -> bool:
     less its edges at i and j misses only row M^-1(j) and column M(i), so
     by Berge's theorem one ``_augment`` from that row, never entering
     column j, decides.
-    Time: O(n^2 (n + m)), m the number of ones."""
+    Time: O(n^2) mask operations for M, then n^2 - n searches of O(n)
+    mask operations each, O(n^3) mask operations in all."""
     n = a.n
-    adj = [[j for j in range(n) if row[j]] for row in a.rows]
-    match_w: dict = {}
-    for i in range(n):
-        _augment(adj, match_w, i, set())
-    if n == 1 or len(match_w) < n:
+    g = bipartite_of_matrix(a)
+    pairs = max_matching_pairs(g)
+    if n == 1 or len(pairs) < n:
         return n == 1
-    for column_of_i in match_w:  # M(i), for every row i
+    rows, match_w = g._u_rows, _match_w(g, pairs)
+    for c in range(n):  # M(i), for the row i that holds column c
         for j in range(n):
-            if j != column_of_i and not _augment(adj, {**match_w, column_of_i: None},
-                                                 match_w[j], {j}):
-                return False
+            if j != c:
+                freed = match_w.copy()
+                freed[c] = -1
+                if _augment(rows, freed, match_w[j], 1 << j) is not None:
+                    return False
     return True
 
 

@@ -912,3 +912,105 @@ def reference_check_certificate(cert) -> list[str]:
     except ValueError as exc:
         problems.append(f"witness payload malformed: {exc}")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# the matching routes as they were on sorted adjacency lists, before the
+# one mask kernel: the set-and-dict augmenting search and its four callers
+
+
+def reference_augment(adj, match_w, i, seen) -> bool:
+    """Depth-first search for an augmenting path from row i, entering each
+    column once, in adjacency order, and adding it to seen; on success the
+    rows on the path shift columns.  Iterative: no recursion limit on paths."""
+    below = []  # (row, its scan, column taken) for each row below the current one
+    scan = iter(adj[i])
+    while True:
+        for j in scan:
+            if j in seen:
+                continue
+            seen.add(j)
+            if match_w.get(j) is None:
+                match_w[j] = i
+                for row, _, col in below:
+                    match_w[col] = row
+                return True
+            below.append((i, scan, j))
+            i = match_w[j]
+            scan = iter(adj[i])
+            break
+        else:
+            if not below:
+                return False
+            i, scan, _ = below.pop()
+
+
+def _reference_adj(g: BipartiteGraph) -> list:
+    """Each row's columns in increasing order, as ``core._u_adj`` sorts them."""
+    adj = [[] for _ in range(g.n)]
+    for i, j in sorted(g.edges):
+        adj[i].append(j)
+    return adj
+
+
+def reference_max_matching_pairs(g: BipartiteGraph, dead_u=frozenset(),
+                                 dead_w=frozenset()) -> dict:
+    adj = [() if i in dead_u else tuple(j for j in row if j not in dead_w)
+           for i, row in enumerate(_reference_adj(g))]
+    match_w: dict = {}
+    for i in range(g.n):
+        if i not in dead_u:
+            reference_augment(adj, match_w, i, set())
+    return {i: j for j, i in match_w.items()}
+
+
+def reference_first_perfect_matching(g: BipartiteGraph):
+    """The lexicographically first perfect matching as a u -> w dict, or None."""
+    pairs = reference_max_matching_pairs(g)
+    if len(pairs) < g.n:
+        return None
+    adj = _reference_adj(g)
+    match_w = {j: i for i, j in pairs.items()}
+    fixed: set = set()
+    for i in range(g.n):
+        c = next(j for j in adj[i] if match_w[j] == i)
+        for j in adj[i]:
+            if j == c:
+                break
+            r = match_w[j]
+            if r > i:
+                match_w[j] = i
+                del match_w[c]
+                if reference_augment(adj, match_w, r, fixed | {j}):
+                    break
+                match_w[j], match_w[c] = r, i
+        fixed.add(j)
+    return {i: j for j, i in match_w.items()}
+
+
+def reference_koenig_set(g: BipartiteGraph, k: int) -> list:
+    """``extendability._deficient_set`` for a G without a perfect matching:
+    the rows reached from the first unmatched row, the n - k smallest."""
+    pairs = reference_max_matching_pairs(g)
+    assert len(pairs) < g.n
+    match_w = {j: i for i, j in pairs.items()}
+    root = min(i for i in range(g.n) if i not in pairs)
+    seen: set = set()
+    reference_augment(_reference_adj(g), match_w, root, seen)
+    return sorted([root] + [match_w[j] for j in seen])[:g.n - k]
+
+
+def reference_fully_indecomposable_by_diagonals(a: ZeroOneMatrix) -> bool:
+    n = a.n
+    adj = [[j for j in range(n) if row[j]] for row in a.rows]
+    match_w: dict = {}
+    for i in range(n):
+        reference_augment(adj, match_w, i, set())
+    if n == 1 or len(match_w) < n:
+        return n == 1
+    for column_of_i in match_w:  # M(i), for every row i
+        for j in range(n):
+            if j != column_of_i and not reference_augment(
+                    adj, {**match_w, column_of_i: None}, match_w[j], {j}):
+                return False
+    return True

@@ -806,3 +806,85 @@ def test_python_m_reports_missing_file(module, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert proc.stdout == ""
+
+
+def _cert_text(claim: str, k: int, instance: str, witness: str) -> str:
+    return (f"extendix-cert 1\nclaim: {claim}\nk: {k}\nverdict: fails\ninstance:\n"
+            f"{instance}end-instance\nwitness: {witness}\nend-witness\n")
+
+
+_D3, _C4, _J2 = "dg 3 3\n1 2\n2 3\n3 1\n", "bg 2 4\n1 1\n1 2\n2 1\n2 2\n", "mat 2\n11\n11\n"
+
+
+@pytest.mark.parametrize("claim,k,instance,witness,message", [
+    pytest.param("k-extendable", -1, _C4, "deficient-set",
+                 "k must be at least 0 for k-extendable, got -1", id="extendable-below-0"),
+    pytest.param("k-strong", 0, _D3, "separator",
+                 "k must be at least 1 for k-strong, got 0", id="strong-below-1"),
+    pytest.param("k-indecomposable", -1, _J2, "zero-block",
+                 "k must lie in 0..1 for k-indecomposable at n=2, got -1",
+                 id="indecomposable-below-0"),
+    pytest.param("k-indecomposable", 2, _J2, "zero-block",
+                 "k must lie in 0..1 for k-indecomposable at n=2, got 2",
+                 id="indecomposable-above-n-1"),
+    pytest.param("k-irreducible", 0, _J2, "zero-block",
+                 "k must lie in 1..2 for k-irreducible at n=2, got 0", id="irreducible-below-1"),
+    pytest.param("k-irreducible", 3, _J2, "zero-block",
+                 "k must lie in 1..2 for k-irreducible at n=2, got 3", id="irreducible-above-n"),
+])
+def test_verify_reports_a_k_outside_the_claims_range_as_a_header_error(
+        claim, k, instance, witness, message, tmp_path, capsys):
+    """A k the claim's decider does not take is an error on the ``k:``
+    line, exit 2, like any other malformed header, and not a malformed
+    witness with the exit code of an invalid certificate."""
+    path = tmp_path / "bad.cert"
+    path.write_text(_cert_text(claim, k, instance, witness), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: line 3: {message}\n")
+
+
+@pytest.mark.parametrize("name,claim,k,kind", [
+    ("c6.bg", "k-extendable", 9, "size-cap"),
+    ("d3.dg", "k-strong", 9, "too-few-vertices"),
+    ("j3.mat", "k-indecomposable", 2, None),
+    ("j3.mat", "k-irreducible", 3, "size-cap"),
+    ("j3.mat", "k-irreducible", 1, None),
+])
+def test_verify_takes_every_k_in_the_claims_range(name, claim, k, kind, files, capsys):
+    """The range ends and a large k for the two claims without a most k
+    verify as before: the size cap and too few vertices refute them."""
+    cert = str(files["dir"] / "in-range.cert")
+    assert main(["certify", files[name], "--claim", claim, "--k", str(k), "--out", cert]) in (0, 1)
+    if kind is not None:
+        assert read_certificate(cert).witness_kind == kind
+    capsys.readouterr()
+    assert main(["verify", cert]) == 0
+    assert capsys.readouterr().out.startswith(f"certificate verified: {claim} k={k} ")
+
+
+def test_bg_commands_rebuild_no_digraph_masks(tmp_path, monkeypatch, capsys):
+    """Every D(G, M) that ``analyze``, ``certify``, ``verify`` and g2d make
+    of a graph comes with its masks from ``digraph_of``."""
+    path, cert = tmp_path / "r.bg", str(tmp_path / "r.cert")
+    write_instance(random_bipartite_with_pm(14, 0.3, seed=5), path)
+    builds = []
+    monkeypatch.setattr(core, "_neighbourhood_masks", lambda d: builds.append(d))
+    for argv in (["analyze", str(path)], ["convert", str(path), "--direction", "g2d"],
+                 ["certify", str(path), "--claim", "k-extendable", "--k", "1", "--out", cert],
+                 ["verify", cert],
+                 ["certify", str(path), "--claim", "k-extendable", "--k", "9", "--out", cert],
+                 ["verify", cert]):
+        assert main(argv) in (0, 1)
+    assert builds == [] and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name,direction", [("d3.dg", "d2g"), ("j3.mat", "m2g")])
+def test_translations_into_a_graph_build_no_rows(name, direction, files, monkeypatch, capsys):
+    """d2g and m2g write the graph from its edges and never read its rows."""
+    def refuse(self):
+        raise AssertionError("rows read")
+
+    monkeypatch.setattr(BipartiteGraph, "_u_rows", property(refuse))
+    monkeypatch.setattr(BipartiteGraph, "_w_rows", property(refuse))
+    assert main(["convert", files[name], "--direction", direction]) == 0
+    assert capsys.readouterr().out.startswith("bg 3 ")

@@ -219,3 +219,44 @@ class TestBfsPath:
                 for stop in ((lambda y: y == v), (lambda y: y > v), (lambda y: y % 3 == 0)):
                     assert (_bfs_path(v, d.out_neighbors, stop)
                             == _smallest_path_by_enumeration(d, v, stop))
+
+
+class TestBipartiteRows:
+    def test_rows_are_the_neighbourhoods(self):
+        for seed in range(20):
+            g = random_bipartite_with_pm(9, 0.3, seed=seed)
+            assert g._u_rows == tuple(sum(1 << j for j in g.u_neighbors(i)) for i in range(g.n))
+            assert g._w_rows == tuple(sum(1 << i for i in g.w_neighbors(j)) for j in range(g.n))
+
+    def test_rows_stay_outside_equality_hash_and_repr(self):
+        g, h = cycle_bipartite(5), cycle_bipartite(5)
+        text = repr(g)
+        g._u_rows, g._w_rows
+        assert "_u_rows" not in h.__dict__
+        assert g == h and hash(g) == hash(h) and repr(g) == text == repr(h)
+        assert [f.name for f in dataclasses.fields(g)] == ["n", "edges"]
+
+    def test_connected_against_a_search_on_the_neighbour_lists(self):
+        def by_lists(g):
+            seen, stack = {("u", 0)}, [("u", 0)]
+            while stack:
+                side, v = stack.pop()
+                for x in (g.u_neighbors(v) if side == "u" else g.w_neighbors(v)):
+                    other = ("w" if side == "u" else "u", x)
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+            return len(seen) == 2 * g.n
+
+        checked = [0, 0]
+        for n in (1, 2, 3):
+            cells = [(i, j) for i in range(n) for j in range(n)]
+            for mask in range(1 << len(cells)):
+                g = BipartiteGraph(n, frozenset(c for b, c in enumerate(cells) if mask >> b & 1))
+                assert connected(g) == by_lists(g)
+                checked[connected(g)] += 1
+        for seed in range(200):
+            g = random_bipartite_with_pm(12 + seed % 20, 0.02 + seed % 7 / 50, seed=seed)
+            assert connected(g) == by_lists(g)
+            checked[connected(g)] += 1
+        assert min(checked) >= 50

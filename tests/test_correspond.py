@@ -206,3 +206,23 @@ class TestCycleTransport:
             closed = tuple(cyc) + (cyc[0],)
             edges = alternating_cycle_edges_from_digraph_cycle(cmap, closed)
             assert flip_alternating_cycle(m, edges).is_perfect
+
+
+def test_digraph_of_hands_d_its_masks(monkeypatch):
+    """D(G, M) gets its out- and in-rows from ``digraph_of``: they equal a
+    rebuild from its arcs, and the strong components, the flows of kappa
+    and the elementary components read them without one."""
+    from extendix import core, elementary_components, strong_components, vertex_connectivity
+
+    rebuild = core._neighbourhood_masks
+    builds = []
+    monkeypatch.setattr(core, "_neighbourhood_masks", lambda d: builds.append(d) or rebuild(d))
+    for seed in range(30):
+        g = random_bipartite_with_pm(12, 0.25, seed=seed)
+        for m in (canonical_matching(g), max_matching(g)):
+            d, _ = digraph_of(g, m)
+            strong_components(d)
+            vertex_connectivity(d)
+            elementary_components(g, m)
+            assert builds == []
+            assert d._masks == rebuild(d)

@@ -62,7 +62,7 @@ def _instances() -> dict:
 # (output name, argv with instance names relative to GOLDEN, exit code)
 CASES = [(f"analyze-{name.split('.')[0]}", ["analyze", name], 0)
          for name in ("c6.bg", "p4.bg", "c4_pendant.bg", "k33.bg", "bg10.bg",
-                      "dg6.dg", "dec6.mat", "full6.mat")]
+                      "dg6.dg", "dg20.dg", "dec6.mat", "full6.mat")]
 CASES += [(f"convert-g2d-{name.split('.')[0]}",
            ["convert", name, "--direction", "g2d"], 0)
           for name in ("c6.bg", "c4_pendant.bg", "bg10.bg")]

@@ -15,7 +15,10 @@ over them (``_reach``) are defined once, in ``connectivity``: strong
 components, the flow kernel's masks and the exhaustive sweep in
 ``search`` share them.  Every size budget is enforced by one helper,
 ``core.check_budget``, and from every command but ``search`` the call
-graph reaches no budget check but the count's.  Every name a module
+graph reaches no budget check but the count's.  One augmenting-path
+search, ``matching._augment``, serves every matching route, and no module
+but ``core`` and the ``deficient-set`` witness check reads a graph's
+neighbour lists.  Every name a module
 imports is read in it, so a deletion leaves no dead import behind.
 The sources are read with ``ast``, so the check sees names, not behaviour.
 """
@@ -332,3 +335,53 @@ def test_certify_calls_the_deciders_in_two_functions_only():
     recomputing = [enclosing for enclosing, call in calls
                    if _callee(call) == "_recompute_verdict"]
     assert recomputing == ["check_certificate"]
+
+
+# ---------------------------------------------------------------------------
+# one matching kernel, on the instance's rows
+
+NEIGHBOUR_LISTS = {"u_neighbors", "w_neighbors", "degree_u", "degree_w", "_u_adj", "_w_adj"}
+
+
+def _uses(node: ast.AST, enclosing: str = "") -> list[tuple[str, str]]:
+    """(innermost enclosing function name, identifier) for every name and
+    attribute under node."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        name = child.name if isinstance(child, ast.FunctionDef) else enclosing
+        if isinstance(child, ast.Name):
+            out.append((enclosing, child.id))
+        elif isinstance(child, ast.Attribute):
+            out.append((enclosing, child.attr))
+        out += _uses(child, name)
+    return out
+
+
+def test_matching_defines_the_one_augmenting_path_search():
+    """Besides the flow kernel's method, ``matching._augment`` is the only
+    augmenting-path function, and ``extendability`` (the Koenig set) and
+    ``matrixlab`` (the minors of the diagonal criterion) import and call it
+    instead of keeping their own."""
+    modules = _modules()
+    defining = sorted((name, fn) for name, tree in modules.items()
+                      for fn in _defined(tree) if "augment" in fn)
+    assert defining == [("connectivity.py", "_augment"), ("matching.py", "_augment")]
+    flow_net = next(node for node in ast.walk(modules["connectivity.py"])
+                    if isinstance(node, ast.ClassDef) and node.name == "_FlowNet")
+    assert "_augment" in _defined(flow_net)
+    for module in ("extendability.py", "matrixlab.py"):
+        tree = modules[module]
+        imported = {(node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert ("matching", "_augment") in imported
+        assert any(_callee(call) == "_augment" for _, call in _calls(tree))
+
+
+def test_only_core_and_the_witness_check_read_neighbour_lists():
+    """Every production route reads the graph's rows.  The neighbour-list
+    methods and their global caches serve library callers, and the
+    ``deficient-set`` witness check, which must raise the same
+    ``AttributeError`` on an instance of another type."""
+    readers = {(module, enclosing) for module, tree in _modules().items() if module != "core.py"
+               for enclosing, name in _uses(tree) if name in NEIGHBOUR_LISTS}
+    assert readers == {("certify.py", "_check_witness")}

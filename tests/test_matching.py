@@ -529,17 +529,24 @@ def _augment_recursive(adj, match_w, i, seen) -> bool:
 
 class TestIterativeAugment:
     def test_same_matching_and_seen_sets_as_recursive(self):
+        """The mask kernel on bitmask rows against the recursive search on
+        the same adjacency lists: the same matching after every search,
+        and on a failed search the same columns seen (after a success the
+        kernel returns None and no caller reads the columns)."""
         rng = random.Random(5)
         for _ in range(400):
             n = rng.randint(1, 12)
             p = rng.choice((0.1, 0.2, 0.3, 0.5))
             adj = [tuple(j for j in range(n) if rng.random() < p) for _ in range(n)]
-            mine, theirs = {}, {}
+            rows = [sum(1 << j for j in row) for row in adj]
+            mine, theirs = [-1] * n, {}
             for i in range(n):
-                seen_mine, seen_theirs = set(), set()
-                assert (_augment(adj, mine, i, seen_mine)
-                        == _augment_recursive(adj, theirs, i, seen_theirs))
-                assert (mine, seen_mine) == (theirs, seen_theirs)
+                seen_theirs = set()
+                seen_mine = _augment(rows, mine, i, 0)
+                assert (seen_mine is None) == _augment_recursive(adj, theirs, i, seen_theirs)
+                assert {j: r for j, r in enumerate(mine) if r >= 0} == theirs
+                if seen_mine is not None:
+                    assert seen_mine == sum(1 << j for j in seen_theirs)
 
 
 def _first_pm_by_rematch(g: BipartiteGraph) -> Matching | None:

@@ -291,7 +291,7 @@ def test_rows_audits_match_their_definitions(n_max, k):
     for n in range(2, n_max + 1):
         for d in minimal_strong(n, k):
             g = bipartite_of_digraph(d)[0]
-            u_rows, w_rows = extendability._bipartite_rows(g)
+            u_rows, w_rows = g._u_rows, g._w_rows
             audit = connectivity._degree_audit(*connectivity._rows(d), k)
             assert (audit.out_degree_k_count, audit.in_degree_k_count) == (
                 sum(d.out_degree(v) == k for v in range(n)),

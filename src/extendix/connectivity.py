@@ -4,12 +4,16 @@ systems, ear decompositions, minimality and degree audits.
 Loops never influence anything here; every computation works on the
 loop-free view of its input, so callers pass digraphs with loops as they
 are.  Disjoint paths come from one flow kernel, ``_FlowNet``, at
-O(k (n + m)) per flow and O(n) memory, which leaves the arc s->t out, so
-every cut is vertices.  It is built only by ``is_k_strong``, which
-decides with the pairs among 0..k-1 no arc joins and 2(n-k) fans for k >= 2
-(k = 1 is two reaches) and gives the separators, and ``_path_systems``,
-which adds the arc s->t as a path of its own; each turns a failing
-flow's minimum cut into its witness.
+O(k (n + m)) per flow and O(n) memory, which runs on a digraph's out- and
+in-rows, builds its own out-lists at its first search, and leaves the arc
+s->t out, so every cut is vertices.  Three functions build it:
+``_k_strong``, the body of ``is_k_strong`` and the sweep's decision, which
+decides with the pairs among 0..k-1 no arc joins and 2(n-k) fans for
+k >= 2 (k = 1 is two reaches) and gives the separators;
+``_minimal_k_strong``, the body of ``is_minimal_k_strong``, which settles
+each arc with one pair flow on D itself (the arc lemma); and
+``_path_systems``, which adds the arc s->t as a path of its own.  The
+first and the last turn a failing flow's minimum cut into its witness.
 Each decision flow first picks a greedy seed of short disjoint paths on
 neighbourhood bitmasks and augments along shortest paths only when the
 seed falls short; the bound per flow is unchanged.
@@ -139,6 +143,23 @@ def _sink_component(d: Digraph, removed) -> list:
 # unit-capacity flow with vertex splitting
 
 
+def _split_lists(rows) -> tuple[list[int], ...]:
+    """For each vertex v, 2b for every b in row v with 2v merged in at its
+    place, in increasing order: the heads of v_out's residual edges in the
+    split-vertex network of ``_FlowNet``, node 2b being b_in.
+    Time: O(n + m)."""
+    lists = []
+    for v, row in enumerate(rows):
+        row |= 1 << v
+        heads = []
+        while row:
+            low = row & -row
+            heads.append(2 * low.bit_length() - 2)
+            row ^= low
+        lists.append(heads)
+    return tuple(lists)
+
+
 class _FlowNet:
     """Disjoint-path flows on a digraph's split-vertex network, reused for
     every source/sink pair.  Node 2v is "into v" (v_in), 2v+1 "out of v"
@@ -161,16 +182,16 @@ class _FlowNet:
     no test of whether v carries flow: the v_out of a free v was reached
     from v_in.  Only the source leaves out 2s and 2t, by hand.
 
-    ``succ`` is the digraph's ``Digraph._succ``, read off the masks
-    (``_rows``) in O(n + m) by the first flow on the instance whose seed
-    falls short of its limit and kept there, so every net on one digraph
-    shares it; a pair the greedy seed settles (see ``_seed``) costs a few
-    word operations.  A net built with ``reverse`` runs on the reverse
-    digraph: its rows are swapped and its ``succ`` is ``Digraph._pred``."""
+    The net runs on the out- and in-rows it is given (``_rows``, or a
+    sweep's own rows), loops left out; the reverse digraph's net is
+    ``_FlowNet(ins, outs)``.  ``succ`` is ``_split_lists`` of the out-rows,
+    built in O(n + m) by the net's first search and kept for its later
+    ones, so a net whose every flow the greedy seed settles (``_seed``,
+    ``_fan_seed``) builds none, and such a flow costs a few word
+    operations."""
 
-    def __init__(self, d: Digraph, reverse: bool = False):
-        self.n, self.d, self.reverse = d.n, d, reverse
-        self.outs, self.ins = _rows(d)[::-1] if reverse else _rows(d)
+    def __init__(self, outs, ins):
+        self.n, self.outs, self.ins = len(outs), outs, ins
         self.succ = None
 
     def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
@@ -219,7 +240,7 @@ class _FlowNet:
         to the out-node before it: a new tail, or v_out itself when v is
         freed."""
         if self.succ is None:
-            self.succ = self.d._pred if self.reverse else self.d._succ
+            self.succ = _split_lists(self.outs)
         succ = self.succ
         back = self.back = list(range(1, 2 * self.n, 2))
         ends = self.ends = []
@@ -389,7 +410,7 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     that falls short.  Each check starts from a greedy seed of short
     disjoint paths on the masks, which leaves value and cut unchanged
     (``_FlowNet.flow``); one the seed settles touches no flow list, and
-    each orientation's out-lists are read once, when needed.
+    each net builds its out-lists once, at its first search.
 
     Such a cut C, |C| = v < k, is a separator.  A pair's cut holds neither
     s nor t and, as no arc joins them, meets every s->t path.  A fan's cut
@@ -413,24 +434,31 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if d.n < k + 1:
-        return KStrongResult(False, None, f"needs at least {k + 1} vertices, has {d.n}")
+    return _k_strong(*_rows(d), k)
+
+
+def _k_strong(outs, ins, k: int) -> KStrongResult:
+    """The body of is_k_strong on D's out- and in-rows, loops left out, for
+    k >= 1: the decision of the library and of the ``search`` sweep."""
+    n = len(outs)
+    if n < k + 1:
+        return KStrongResult(False, None, f"needs at least {k + 1} vertices, has {n}")
     if k == 1:
-        full = (1 << d.n) - 1
-        for rows, pair in zip(_rows(d), ("from 0 to {}", "from {} to 0")):
+        full = (1 << n) - 1
+        for rows, pair in ((outs, "from 0 to {}"), (ins, "from {} to 0")):
             missed = full & ~_reach(rows, 0, full)
             if missed:
                 v = (missed & -missed).bit_length() - 1
                 return KStrongResult(False, (), "only 0 disjoint paths " + pair.format(v))
         return KStrongResult(True)
-    forward = _FlowNet(d)
-    fans = ((forward, "into {} from 0..{}"), (_FlowNet(d, reverse=True), "from {} into 0..{}"))
+    forward = _FlowNet(outs, ins)
+    fans = ((forward, "into {} from 0..{}"), (_FlowNet(ins, outs), "from {} into 0..{}"))
     for s in range(k):
         for t in range(k):
-            if s != t and not forward.outs[s] >> t & 1 and (value := forward.flow(s, t, k)) < k:
+            if s != t and not outs[s] >> t & 1 and (value := forward.flow(s, t, k)) < k:
                 return KStrongResult(False, forward.cut(),
                                      f"only {value} disjoint paths from {s} to {t}")
-    for j in range(k, d.n):
+    for j in range(k, n):
         for net, text in fans:
             value = net.fan(j, k)
             if value < k:
@@ -457,10 +485,16 @@ class PathSystem:
 
 def check_path_system(d: Digraph, system: PathSystem) -> list[str]:
     """Structural verification; returns a list of problems (empty = valid),
-    naming vertices and paths 1-based, as a certificate does."""
+    naming vertices and paths 1-based, as a certificate does.  An empty
+    path is a problem by itself, and no other check reads it."""
     problems = []
     cycles = system.sources == system.sinks and system.mode != "independent_multi_endpoint"
+    paths = []  # (1-based place, path) of every nonempty path
     for i, path in enumerate(system.paths, 1):
+        if not path:
+            problems.append(f"path {i} is empty")
+            continue
+        paths.append((i, path))
         for x, y in zip(path, path[1:]):
             if x == y or (x, y) not in d.arcs:
                 problems.append(f"missing arc {x + 1} -> {y + 1} in path {i}")
@@ -469,21 +503,21 @@ def check_path_system(d: Digraph, system: PathSystem) -> list[str]:
     if system.mode == "internally_disjoint_same_endpoints":
         s, t = system.sources[0], system.sinks[0]
         interior = []
-        for i, path in enumerate(system.paths, 1):
+        for i, path in paths:
             if path[0] != s or path[-1] != t:
                 problems.append(f"path {i} does not run {s + 1} -> {t + 1}")
-            interior.append(set(path[1:-1]))
-        for a in range(len(interior)):
-            for b in range(a + 1, len(interior)):
-                shared = interior[a] & interior[b]
+            interior.append((i, set(path[1:-1])))
+        for x, (a, inner) in enumerate(interior):
+            for b, other in interior[x + 1:]:
+                shared = inner & other
                 if shared:
-                    problems.append(f"paths {a + 1} and {b + 1} share interior "
+                    problems.append(f"paths {a} and {b} share interior "
                                     f"{sorted(v + 1 for v in shared)}")
-        if len(set(system.paths)) != len(system.paths):
+        if len({path for _, path in paths}) != len(paths):
             problems.append("duplicate path")
     else:
         used_sources, used_sinks, all_vertices = [], [], set()
-        for path in system.paths:
+        for _, path in paths:
             used_sources.append(path[0])
             used_sinks.append(path[-1])
             overlap = all_vertices & set(path)
@@ -520,7 +554,7 @@ def _path_systems(d: Digraph, pairs, k: int) -> list:
     starts afresh, so earlier pairs do not change the paths.  Raises
     InsufficientPathsError at the first pair with fewer than k.
     Time: O(k (n + m)) per pair, one unseeded flow and its check."""
-    net = _FlowNet(d)
+    net = _FlowNet(*_rows(d))
     systems = []
     for s, t in pairs:
         direct = k > 0 and net.outs[s] >> t & 1
@@ -785,14 +819,36 @@ class MinimalityResult:
 
 
 def is_minimal_k_strong(d: Digraph, k: int) -> MinimalityResult:
-    """k-strong, and every single-arc deletion destroys that."""
-    if not is_k_strong(d, k).holds:
+    """k-strong, and every single-arc deletion destroys that; when not
+    minimal, the witness is the first deletable arc in sorted order.
+
+    Arc lemma: for D k-strong and an arc ab, D - ab is k-strong iff D - ab
+    has k internally disjoint a->b paths.  (=>) is Menger's theorem.  (<=)
+    D - ab keeps the n >= k + 1 vertices.  Take S, |S| < k, with D - ab - S
+    not strong.  D - S is strong, so a and b lie outside S, and b is cut
+    off from a in D - S - ab (Lemma A of ``search``).  Yet S misses one of
+    the k paths, which runs from a to b there.
+    ``_FlowNet.flow(a, b, k)`` leaves the arc a->b out, so on D itself it
+    counts the a->b paths of D - ab, and ab is deletable iff it reaches k.
+    Time: one ``is_k_strong`` decision, then at most m seeded pair flows of
+    O(k (n + m)), all on one net.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    return _minimal_k_strong(*_rows(d), k)
+
+
+def _minimal_k_strong(outs, ins, k: int) -> MinimalityResult:
+    """The body of is_minimal_k_strong on D's out- and in-rows, loops left
+    out, for k >= 1: one ``_k_strong`` decision, then one pair flow per
+    arc, in row order, then bit order, which is sorted order."""
+    if not _k_strong(outs, ins, k).holds:
         return MinimalityResult(False, None, f"not {k}-strong")
-    for arc in d.sorted_arcs():
-        if arc[0] == arc[1]:
-            continue
-        if is_k_strong(d.without_arc(arc), k).holds:
-            return MinimalityResult(False, arc, "arc is deletable")
+    net = _FlowNet(outs, ins)
+    for a, row in enumerate(outs):
+        for b in _bits(row):
+            if net.flow(a, b, k) >= k:
+                return MinimalityResult(False, (a, b), "arc is deletable")
     return MinimalityResult(True)
 
 

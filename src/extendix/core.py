@@ -243,19 +243,6 @@ class Digraph:
         d.__dict__["_masks"] = (outs, ins)
         return d
 
-    @cached_property
-    def _succ(self) -> tuple[list[int], ...]:
-        """``_split_lists`` of the out-rows: the flow kernel's out-lists,
-        built on first use and kept, so every flow on this instance reads
-        one build."""
-        return _split_lists(self._masks[0])
-
-    @cached_property
-    def _pred(self) -> tuple[list[int], ...]:
-        """``_split_lists`` of the in-rows: the out-lists of the reverse
-        digraph, for flows run against the arcs."""
-        return _split_lists(self._masks[1])
-
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return _out_adj(self)[v]
 
@@ -370,23 +357,6 @@ def _neighbourhood_masks(d: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
             outs[a] |= 1 << b
             ins[b] |= 1 << a
     return tuple(outs), tuple(ins)
-
-
-def _split_lists(rows) -> tuple[list[int], ...]:
-    """For each vertex v, 2b for every b in row v with 2v merged in at its
-    place, in increasing order: the heads of v_out's residual edges in the
-    split-vertex network of ``connectivity._FlowNet``, node 2b being b_in.
-    Time: O(n + m)."""
-    lists = []
-    for v, row in enumerate(rows):
-        row |= 1 << v
-        heads = []
-        while row:
-            low = row & -row
-            heads.append(2 * low.bit_length() - 2)
-            row ^= low
-        lists.append(heads)
-    return tuple(lists)
 
 
 def _bfs_path(start, neighbors, stop) -> list | None:

@@ -368,11 +368,16 @@ class AltPathSystem:
 
 def check_alternating_path_system(g: BipartiteGraph, system: AltPathSystem) -> list[str]:
     """Structural verification; returns a list of problems (empty = valid),
-    naming vertices and edges by label and paths 1-based, as certificates do."""
+    naming vertices and edges by label and paths 1-based, as certificates do.
+    An empty path is a problem by itself, and no other check reads it."""
     problems = []
     m_edges = system.matching.edges
-    interiors = []
+    interiors, walks = [], []
     for i, walk in enumerate(system.paths, 1):
+        if not walk:
+            problems.append(f"path {i} is empty")
+            continue
+        walks.append(walk)
         if walk[0] != ("u", system.u) or walk[-1] != ("w", system.w):
             problems.append(f"path {i} does not join "
                             f"{u_label(system.u)} and {w_label(system.w)}")
@@ -388,14 +393,14 @@ def check_alternating_path_system(g: BipartiteGraph, system: AltPathSystem) -> l
                 problems.append(f"edge {pos} of path {i}, {_edge_text(e)}, lies in the matching")
             if not pos % 2 and e not in m_edges:
                 problems.append(f"edge {pos} of path {i}, {_edge_text(e)}, is not a matching edge")
-        interiors.append(set(walk[1:-1]))
-    for a in range(len(interiors)):
-        for b in range(a + 1, len(interiors)):
-            shared = interiors[a] & interiors[b]
+        interiors.append((i, set(walk[1:-1])))
+    for x, (a, inner) in enumerate(interiors):
+        for b, other in interiors[x + 1:]:
+            shared = inner & other
             if shared:
-                problems.append(f"paths {a + 1} and {b + 1} share interior "
+                problems.append(f"paths {a} and {b} share interior "
                                 f"{_walk_text(sorted(shared))}")
-    if len(set(system.paths)) != len(system.paths):
+    if len(set(walks)) != len(walks):
         problems.append("duplicate path")
     return problems
 

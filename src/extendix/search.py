@@ -8,22 +8,25 @@ k-strong, and deleting its non-matching edge u_a w_b deletes the arc
 and no matching edge of B(D) is deletable; a deletable one shows that
 minimality does not transfer back from D to B(D).
 
-The sweep works on neighbourhood bitmasks, and every reach in it is
-``connectivity._reach``, the search ``strong_components`` runs.  For
-k = 1 it builds every minimal strong digraph as a smaller one plus one
-ear through new vertices, and accepts or rejects each ear with one bit
-test (``_ear_ends``, ``_minimal_strong_rows``): at n = 5 it reads the
-1,069 digraphs off 355 smaller ones with 3,400 reaches, and at n = 6 the
+The sweep works on neighbourhood bitmasks and takes its decisions from
+``connectivity``: every reach in it is ``connectivity._reach``, the
+search ``strong_components`` runs, and every k-strong and minimality
+test is ``_k_strong`` or ``_minimal_k_strong``, the bodies of
+``is_k_strong`` and ``is_minimal_k_strong`` on rows.  For k = 1 it
+builds every minimal strong digraph as a smaller one plus one ear
+through new vertices, and accepts or rejects each ear with one bit test
+(``_ear_ends``, ``_minimal_strong_rows``): at n = 5 it reads the 1,069
+digraphs off 355 smaller ones with 3,400 reaches, and at n = 6 the
 27,816 off 7,405 with 96,180 reaches.  For k >= 2 it picks the
 out-neighbourhood rows of D one vertex at a time, each of at least k
 bits; a row set that leaves some in-degree below k is dropped before
-any k-strong test (``_is_minimal_k_strong``).  Whether a matching edge
-u_i w_i of B(D) is deletable is decided without a flow or a matching.
+its minimality test.  Whether a matching edge u_i w_i of B(D) is
+deletable is decided without a matching, and at k = 1 without a flow.
 It is not when u_i or w_i keeps k or fewer edges in B(D) - u_i w_i.
 Otherwise B(D) - u_i w_i has a perfect matching rotated along a cycle of
 D through i, and its digraph is k-strong iff the graph is k-extendable
 (``_extendable_without_matching_edge``).  At n = 5, k = 1 the transfer
-makes 845 ``_mask_k_strong`` calls on the 1,069 digraphs, at most n per
+makes 845 ``_k_strong`` calls on the 1,069 digraphs, at most n per
 digraph.  The sweep is guarded by the ``sweep_k1`` budget (n <= 6) for
 k = 1 and by ``sweep`` (n <= 4) for k >= 2 and for the graph target.
 
@@ -36,31 +39,15 @@ its rows; only the public functions build the ordinary types.
 
 from __future__ import annotations
 
-from itertools import combinations, islice, permutations, product
+from itertools import islice, permutations, product
 from typing import Iterator
 
-from .connectivity import _bits, _reach
+from .connectivity import _bits, _k_strong, _minimal_k_strong, _reach
 from .core import BipartiteGraph, Digraph, TooLargeError, _bfs_path, check_budget
 
 
 # ---------------------------------------------------------------------------
-# bitmask k-strong connectivity
-
-
-def _mask_k_strong(outs: list[int], ins: list[int], k: int) -> bool:
-    """For the small k used in sweeps: n >= k + 1 and D - S strong for every
-    vertex set S of size below k, so no mask is 0.  O(n^(k-1) (n + m))."""
-    n = len(outs)
-    if n < k + 1 or 0 in outs or 0 in ins:
-        return False
-    for size in range(k):
-        for removed in combinations(range(n), size):
-            keep = (1 << n) - 1 - sum(1 << v for v in removed)
-            start = (keep & -keep).bit_length() - 1
-            if (_reach(outs, start, keep) != keep
-                    or _reach(ins, start, keep) != keep):
-                return False
-    return True
+# rows
 
 
 def _in_rows(outs: list[int]) -> list[int]:
@@ -74,34 +61,11 @@ def _in_rows(outs: list[int]) -> list[int]:
     return ins
 
 
-def _is_minimal_k_strong(outs: list[int], k: int) -> bool:
-    """k-strong, and not k-strong after any single-arc deletion, which
-    clears one bit of ``outs`` and one of ``ins`` and sets them back.  A
-    row set with an in-degree below k is dropped before ``_mask_k_strong``
-    runs."""
-    ins = _in_rows(outs)
-    if min(row.bit_count() for row in ins) < k or not _mask_k_strong(outs, ins, k):
-        return False
-    for a, row in enumerate(outs):
-        rest = row
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            b = bit.bit_length() - 1
-            outs[a] = row ^ bit
-            ins[b] ^= 1 << a
-            deletable = _mask_k_strong(outs, ins, k)
-            ins[b] ^= 1 << a
-            outs[a] = row
-            if deletable:
-                return False
-    return True
-
-
 def _extendable_without_matching_edge(outs, ins, i: int, k: int, bits: list) -> bool:
     """Whether G' = B(D) - u_i w_i is k-extendable, for D strong with
     out- and in-rows ``outs`` and ``ins``, decided on one rotated digraph
-    and no flow; ``bits`` is ``_bit_lists(n)``.
+    with no matching, and at k = 1 with no flow; ``bits`` is
+    ``_bit_lists(n)``.
 
     Let C be a cycle of D through i (the shortest, by ``core._bfs_path``;
     any would do), and sigma the permutation that moves each vertex of C
@@ -117,7 +81,7 @@ def _extendable_without_matching_edge(outs, ins, i: int, k: int, bits: list) -> 
     paper's theorem that holds for every perfect matching.
 
     Time: O(n + m) for the search and the rotation, each bit of a row read
-    off its bit list, then one ``_mask_k_strong``."""
+    off its bit list, then one ``connectivity._k_strong``."""
     cycle = _bfs_path(i, lambda v: bits[outs[v]], lambda v: v == i)
     ahead = list(range(len(outs)))  # sigma
     moved = [1 << v for v in ahead]  # the bit of sigma^-1(v)
@@ -128,7 +92,7 @@ def _extendable_without_matching_edge(outs, ins, i: int, k: int, bits: list) -> 
                     for a, row in enumerate(outs)]
     rotated_ins = [(ins[c] if c == i else ins[c] | 1 << c) & ~(1 << b)
                    for b, c in enumerate(ahead)]
-    return _mask_k_strong(rotated_outs, rotated_ins, k)
+    return _k_strong(rotated_outs, rotated_ins, k).holds
 
 
 def _bit_lists(n: int) -> list[list[int]]:
@@ -239,8 +203,9 @@ def _minimal_strong_rows(n: int) -> set[tuple[int, ...]]:
 def _row_walk(n: int, k: int) -> list[tuple[int, ...]]:
     """The out-rows of all minimal k-strong digraphs on {0..n-1}, for
     k >= 2, in no particular order: every choice of rows of at least k
-    other vertices that gives every vertex an in-arc, tested by
-    ``_is_minimal_k_strong``."""
+    other vertices that gives every vertex an in-arc.  A row set that
+    leaves some in-degree below k is dropped; the rest are tested by
+    ``connectivity._minimal_k_strong``."""
     full = (1 << n) - 1
     choices = [[row for row in range(1 << n) if not row >> v & 1 and row.bit_count() >= k]
                for v in range(n)]
@@ -249,8 +214,10 @@ def _row_walk(n: int, k: int) -> list[tuple[int, ...]]:
         union = 0
         for row in outs:
             union |= row
-        if union == full and _is_minimal_k_strong(list(outs), k):
-            hits.append(outs)
+        if union == full:
+            ins = _in_rows(outs)
+            if min(map(int.bit_count, ins)) >= k and _minimal_k_strong(outs, ins, k).holds:
+                hits.append(outs)
     return hits
 
 
@@ -331,7 +298,7 @@ def _transfers(n: int, k: int) -> Iterator[tuple]:
 
     Time: after the sweep, O(n + m) per D for its in-rows and at most n
     ``_extendable_without_matching_edge`` calls, so at most n
-    ``_mask_k_strong`` calls; one table of 2^n bit lists per call."""
+    ``_k_strong`` calls; one table of 2^n bit lists per call."""
     hits = _minimal_k_strong_rows(n, k)
     bits = _bit_lists(n)
     for outs in hits:

@@ -93,15 +93,53 @@ def minimal_strong_rows(n: int, k: int) -> tuple:
     return tuple(_minimal_k_strong_rows(n, k))
 
 
+def reference_mask_k_strong(outs: list[int], ins: list[int], k: int) -> bool:
+    """The sweep's k-strong test before it took ``connectivity._k_strong``,
+    moved unchanged but for its name: for the small k used in sweeps,
+    n >= k + 1 and D - S strong for every vertex set S of size below k, so
+    no mask is 0.  O(n^(k-1) (n + m))."""
+    from itertools import combinations
+
+    from extendix.connectivity import _reach
+
+    n = len(outs)
+    if n < k + 1 or 0 in outs or 0 in ins:
+        return False
+    for size in range(k):
+        for removed in combinations(range(n), size):
+            keep = (1 << n) - 1 - sum(1 << v for v in removed)
+            start = (keep & -keep).bit_length() - 1
+            if (_reach(outs, start, keep) != keep
+                    or _reach(ins, start, keep) != keep):
+                return False
+    return True
+
+
+def reference_is_minimal_k_strong(d: Digraph, k: int):
+    """``is_minimal_k_strong`` as the library had it before the arc lemma,
+    unchanged but for its name and import line: k-strong, and every
+    single-arc deletion destroys that, one new digraph and one decision
+    per arc."""
+    from extendix.connectivity import MinimalityResult, is_k_strong
+
+    if not is_k_strong(d, k).holds:
+        return MinimalityResult(False, None, f"not {k}-strong")
+    for arc in d.sorted_arcs():
+        if arc[0] == arc[1]:
+            continue
+        if is_k_strong(d.without_arc(arc), k).holds:
+            return MinimalityResult(False, arc, "arc is deletable")
+    return MinimalityResult(True)
+
+
 def minimal_strong_by_arc_sets(n: int, k: int) -> list:
     """Minimal k-strong digraphs by the walk the sweep used to take: every
     arc set in ``combinations`` order over the off-diagonal cells, by size
-    n..2(n-1) for k = 1, filtered by ``_mask_k_strong`` on the set and on
-    each single-arc deletion.  About a second at n = 5."""
+    n..2(n-1) for k = 1, filtered by ``reference_mask_k_strong`` on the set
+    and on each single-arc deletion.  About a second at n = 5."""
     from itertools import combinations
 
     from extendix.core import _off_diagonal_cells
-    from extendix.search import _mask_k_strong
 
     cells = _off_diagonal_cells(n)
     found = []
@@ -111,12 +149,12 @@ def minimal_strong_by_arc_sets(n: int, k: int) -> list:
             for a, b in chosen:
                 outs[a] |= 1 << b
                 ins[b] |= 1 << a
-            if not _mask_k_strong(outs, ins, k):
+            if not reference_mask_k_strong(outs, ins, k):
                 continue
             for a, b in chosen:
                 outs[a] ^= 1 << b
                 ins[b] ^= 1 << a
-                deletable = _mask_k_strong(outs, ins, k)
+                deletable = reference_mask_k_strong(outs, ins, k)
                 outs[a] ^= 1 << b
                 ins[b] ^= 1 << a
                 if deletable:

@@ -7,7 +7,7 @@ from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_bipartite
                       complete_digraph, connected, directed_cycle, max_extendability,
                       random_bipartite_with_pm, random_digraph, reduced_adjacency,
                       vertex_connectivity)
-from extendix import core
+from extendix import connectivity, core
 from extendix.cli import main
 from extendix.core import BUDGETS
 from extendix.fileio import read_certificate, write_instance
@@ -71,32 +71,55 @@ class TestAnalyze:
             assert main(["analyze", str(path)]) == 0
             assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == expected, seed
 
-    def test_successor_lists_are_built_once_per_orientation(self, tmp_path, monkeypatch,
-                                                            capsys):
-        """The flow kernel's out-lists live on the digraph: ``analyze`` of a
-        ``dg`` file builds each orientation's at most once, and so does a
-        positive ``k-strong`` certificate, whose path systems build the
-        forward ones, also on C40(1..5) at k = 5, whose decision and path
-        systems both search."""
-        builds = []
-        build = core._split_lists
-        monkeypatch.setattr(core, "_split_lists", lambda rows: builds.append(rows) or build(rows))
+    def test_each_flow_net_builds_its_lists_at_most_once(self, tmp_path, monkeypatch, capsys):
+        """Each flow net builds the out-lists of its own rows at its first
+        search and keeps them, and a net whose every check the greedy seed
+        settles builds none: on ``analyze`` of ``dg`` files and on positive
+        ``k-strong`` certificates, also of C40(1..5) at k = 5, whose
+        decision and path systems both search."""
+        builds, nets, searched = [], [], set()
+        build, init, augment = (connectivity._split_lists, connectivity._FlowNet.__init__,
+                                connectivity._FlowNet._augment)
+
+        def spy_init(self, outs, ins):
+            init(self, outs, ins)
+            nets.append(self)
+
+        def spy_augment(self, *args):
+            searched.add(id(self))
+            return augment(self, *args)
+
+        monkeypatch.setattr(connectivity, "_split_lists",
+                            lambda rows: builds.append(build(rows)) or builds[-1])
+        monkeypatch.setattr(connectivity._FlowNet, "__init__", spy_init)
+        monkeypatch.setattr(connectivity._FlowNet, "_augment", spy_augment)
+
+        def run(args) -> None:
+            builds.clear()
+            nets.clear()
+            searched.clear()
+            assert main(args) == 0
+            listed = [net for net in nets if net.succ is not None]
+            assert sorted(map(id, builds)) == sorted(id(net.succ) for net in listed)
+            assert {id(net) for net in listed} == searched
+            for net in listed:
+                assert net.succ == build(net.outs)
+
+        settled = 0
         for seed in range(6):
             path = tmp_path / f"r{seed}.dg"
             write_instance(random_digraph(20, 0.4, seed=seed), path)
-            builds.clear()
-            assert main(["analyze", str(path)]) == 0
-            assert len(builds) <= 2 and len({id(rows) for rows in builds}) == len(builds)
+            run(["analyze", str(path)])
+            settled += len(nets) - len(builds)
         circulant = Digraph(40, frozenset((v, (v + j) % 40)
                                           for v in range(40) for j in range(1, 6)))
         digraphs = [random_digraph(20, 0.4, seed=seed) for seed in range(4)]
         for d, k in [(circulant, 5)] + [(d, vertex_connectivity(d)) for d in digraphs]:
             path, cert = tmp_path / "c.dg", tmp_path / "c.cert"
             write_instance(d, path)
-            builds.clear()
-            assert main(["certify", str(path), "--claim", "k-strong", "--k", str(k),
-                         "--out", str(cert)]) == 0
-            assert 1 <= len(builds) <= 2 and len({id(rows) for rows in builds}) == len(builds)
+            run(["certify", str(path), "--claim", "k-strong", "--k", str(k), "--out", str(cert)])
+            assert builds
+        assert settled > 0
         capsys.readouterr()
 
     def test_c6_summary(self, files, capsys):

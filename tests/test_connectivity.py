@@ -16,11 +16,12 @@ from extendix import (Digraph, InsufficientPathsError, complete_digraph,
 from extendix import connectivity
 from extendix.core import _bfs_path
 from extendix.connectivity import (EarDecompositionD, KStrongResult, PathSystem, _FlowNet,
-                                   _path_systems, _rows,
+                                   _k_strong, _path_systems, _rows,
                                    _out_lists, _shortest_cycle_through, _sink_component,
                                    check_ear_decomposition_digraph, check_path_system)
 
-from conftest import _ReferenceFlowNet, ear_decomposition_per_ear, k_strong_pair_scan
+from conftest import (_ReferenceFlowNet, ear_decomposition_per_ear, k_strong_pair_scan,
+                      reference_is_minimal_k_strong, reference_mask_k_strong)
 
 
 def _kappa_by_separator_search(d: Digraph) -> int:
@@ -515,11 +516,11 @@ class TestFanSchedule:
                 assert len(pairs) <= k * (k - 1) and len(fans) <= 2 * (d.n - k)
                 assert all(s < k and t < k and limit == k for s, t, limit in pairs)
                 assert set(fans) <= {k}
-        d = complete_digraph(8)
-        net = _FlowNet(d, reverse=True)
+        outs, ins = _rows(complete_digraph(8))
+        net = _FlowNet(ins, outs)
         searches.clear()
         assert [net.fan(j, 4) for j in range(4, 8)] == [4] * 4 and searches == []
-        assert [_FlowNet(d).fan(j, 7) for j in range(1, 7)] == list(range(1, 7))
+        assert [_FlowNet(outs, ins).fan(j, 7) for j in range(1, 7)] == list(range(1, 7))
         assert len(searches) == 6
 
     def test_kappa_takes_no_pair_scan(self, monkeypatch):
@@ -547,14 +548,14 @@ class TestFanSchedule:
         digraphs += [random_digraph(5 + i % 8, (0.2, 0.4, 0.6)[i % 3], seed=40 + i)
                      for i in range(48)]
         for d in digraphs:
-            n = d.n
+            n, rows = d.n, _rows(d)
             for reverse in (False, True):
                 arcs = {(b, a) for a, b in d.arcs} if reverse else d.arcs
                 for j in range(1, n):
                     wired = Digraph(n + 1, frozenset(arcs | {(n, b) for b in range(j)}))
                     expected = _ReferenceFlowNet(wired).flow(n, j, n, seeded=False)
                     for limit in range(1, n):
-                        got = _FlowNet(d, reverse).fan(j, limit)
+                        got = _FlowNet(*rows[::-1] if reverse else rows).fan(j, limit)
                         assert got == min(limit, expected), (d, reverse, j, limit)
 
 
@@ -563,7 +564,7 @@ def _assert_seed_keeps_value_and_cut(d: Digraph) -> None:
     on ``cut()``, for every ordered pair at every limit 1..n.  The unseeded
     flow at limit L makes the first L augmentations of the flow at limit
     n, so one unseeded flow per pair gives the reference at every limit."""
-    net = _FlowNet(d)
+    net = _FlowNet(*_rows(d))
     for s, t in itertools.permutations(range(d.n), 2):
         best = net.flow(s, t, d.n, seeded=False)
         cut = net.cut() if best < d.n else None
@@ -593,13 +594,13 @@ class TestSeededFlow:
 
     def test_settled_pairs_run_no_search(self, monkeypatch):
         """Pairs that short paths settle read no out-list and run no
-        search; a circulant, whose far pairs need augmenting, reads the
-        out-lists once per call."""
+        search; a circulant, whose far pairs need augmenting, builds the
+        out-lists of its forward net."""
         nets = []
         init = _FlowNet.__init__
 
-        def spy(self, d, reverse=False):
-            init(self, d, reverse)
+        def spy(self, outs, ins):
+            init(self, outs, ins)
             nets.append(self)
 
         monkeypatch.setattr(_FlowNet, "__init__", spy)
@@ -619,8 +620,8 @@ def _assert_matches_reference(d: Digraph, limits, pairs=None) -> None:
     the same ``paths()``.  ``_FlowNet`` leaves the arc s->t out and the
     reference counts it, so a pair an arc joins runs the reference on
     D - st, one instance per pair."""
-    net, ref_d = _FlowNet(d), _ReferenceFlowNet(d)
-    outs = _rows(d)[0]
+    outs, ins = _rows(d)
+    net, ref_d = _FlowNet(outs, ins), _ReferenceFlowNet(d)
     for s, t in pairs or itertools.product(range(d.n), repeat=2):
         ref = _ReferenceFlowNet(d.without_arc((s, t))) if outs[s] >> t & 1 else ref_d
         for limit in limits:
@@ -756,7 +757,7 @@ class TestNoDirectArc:
         flow, fan = _FlowNet.flow, _FlowNet.fan
 
         def spy_flow(self, s, t, limit, **kwargs):
-            pairs.append((self.d, s, t))
+            pairs.append((self.outs, s, t))
             values.append(flow(self, s, t, limit, **kwargs))
             return values[-1]
 
@@ -782,7 +783,7 @@ class TestNoDirectArc:
                 else:
                     assert values.count(k) == len(values), (d, k)
         assert failures > 1000 and pairs
-        assert not [(d, s, t) for d, s, t in pairs if (s, t) in d.arcs]
+        assert not [(outs, s, t) for outs, s, t in pairs if outs[s] >> t & 1]
 
 
 class TestMengerPaths:
@@ -1303,6 +1304,69 @@ class TestMinimality:
     def test_complete_k_plus_1_is_minimal_k_strong(self):
         assert is_minimal_k_strong(complete_digraph(3), 2).holds
 
+    def test_k_below_one_is_refused(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+                is_minimal_k_strong(directed_cycle(3), k)
+
+    def test_no_digraph_is_built_and_no_arc_deleted(self, monkeypatch):
+        """The arc lemma decides every arc on D's own rows: no
+        ``without_arc`` copy and no new ``Digraph``."""
+        digraphs = [_circulant(40, (1, 2, 3)), complete_digraph(6), directed_cycle(5)]
+        digraphs += [random_digraph(12, 0.6, seed=seed) for seed in range(6)]
+        expected = [reference_is_minimal_k_strong(d, k) for d in digraphs for k in (1, 2, 3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a digraph was built")
+
+        monkeypatch.setattr(Digraph, "without_arc", refuse)
+        monkeypatch.setattr(Digraph, "__init__", refuse)
+        assert [is_minimal_k_strong(d, k) for d in digraphs for k in (1, 2, 3)] == expected
+        assert [r.witness is None for r in expected].count(False) > 3
+
+
+def _with_loops(d: Digraph) -> Digraph:
+    """D with a loop at every even vertex, as a file with ``loops_allowed``
+    may hold."""
+    return Digraph(d.n, d.arcs | {(v, v) for v in range(0, d.n, 2)}, True)
+
+
+def _row_decision_digraphs(n_max: int = 4):
+    """Every digraph of order at most n_max, each also with loops added."""
+    for n in range(1, n_max + 1):
+        for d in iter_digraphs(n):
+            yield d
+            yield _with_loops(d)
+
+
+class TestRowsDecisions:
+    """``_k_strong`` and ``_minimal_k_strong`` on the rows against the
+    frozen routes they replaced: the sweep's vertex-set removal test (no
+    flow) and the per-arc copy and decision of ``is_minimal_k_strong``."""
+
+    @staticmethod
+    def _assert_same(d: Digraph, ks) -> None:
+        outs, ins = _rows(d)
+        for k in ks:
+            assert _k_strong(outs, ins, k).holds == reference_mask_k_strong(outs, ins, k), (d, k)
+            assert is_minimal_k_strong(d, k) == reference_is_minimal_k_strong(d, k), (d, k)
+
+    def test_every_digraph_up_to_4(self):
+        for d in _row_decision_digraphs():
+            self._assert_same(d, (1, 2, 3))
+
+    @pytest.mark.parametrize("n", [5, 8, 12, 20, 31, 40])
+    def test_circulants(self, n):
+        for steps in ((1,), (1, 2), (1, 3), (1, 2, 3), (2, 5), range(1, 5)):
+            d = _circulant(n, steps)
+            self._assert_same(d, (1, 2, 3))
+            self._assert_same(_with_loops(d), (2,))
+
+    def test_seeded(self):
+        for i in range(36):
+            d = random_digraph(5 + i, (0.25, 0.5, 0.8)[i % 3], seed=2100 + i)
+            self._assert_same(d, (1, 2, 3))
+
 
 class TestOneWayPairs:
     def test_triangle_passes_k1(self):
@@ -1453,4 +1517,20 @@ def test_independent_paths_name_shared_vertices_1_based():
     d = directed_cycle(4)
     system = PathSystem(((0, 1), (1, 2)), "independent_multi_endpoint", (0, 1), (1, 2))
     assert check_path_system(d, system) == ["paths share vertices [2]"]
+
+
+@pytest.mark.parametrize("mode", ["internally_disjoint_same_endpoints",
+                                  "independent_multi_endpoint"])
+def test_an_empty_path_is_a_problem_of_its_own(mode):
+    """An empty path is reported by its place and read by no other check,
+    in both modes; the paths around it keep their places."""
+    d = directed_cycle(3)
+    assert check_path_system(d, PathSystem(((),), mode, (0,), (1,))) == (
+        ["path 1 is empty"] + (["sources not used exactly once each",
+                                "sinks not used exactly once each"]
+                               if mode == "independent_multi_endpoint" else []))
+    between = PathSystem(((0, 1), (), (2, 0)), mode, (0, 2), (1, 0))
+    assert check_path_system(d, between) == ["path 2 is empty"] + (
+        ["path 3 does not run 1 -> 2"] if mode == "internally_disjoint_same_endpoints"
+        else ["paths share vertices [1]"])
 

@@ -13,7 +13,7 @@ from extendix import (BipartiteGraph, alternating_path_system,
                       matching_graph, max_extendability, max_matching,
                       minimal_k_extendable_degree_audit, minimality_transfer_check,
                       perfect_matchings, random_bipartite_with_pm)
-from extendix.extendability import (_deficient_set, check_alternating_path_system,
+from extendix.extendability import (AltPathSystem, _deficient_set, check_alternating_path_system,
                                     check_bipartite_ear_decomposition)
 
 from conftest import (assert_components_match, components_by_enumeration,
@@ -223,6 +223,17 @@ class TestAlternatingPaths:
         system = alternating_path_system(c6, m, 0, w, 0)
         assert system.paths == ()
         assert not check_alternating_path_system(c6, system)
+
+    def test_an_empty_path_is_a_problem_of_its_own(self, c6):
+        """An empty path is reported by its place and read by no other
+        check; the paths around it keep their places."""
+        m = canonical_matching(c6)
+        assert check_alternating_path_system(c6, AltPathSystem(((),), m, 0, 1)) == [
+            "path 1 is empty"]
+        walk = (("u", 0), ("w", 1))
+        system = AltPathSystem(((), walk, (), walk), m, 0, 1)
+        assert check_alternating_path_system(c6, system) == [
+            "path 1 is empty", "path 3 is empty", "duplicate path"]
 
     def test_p4_rejected(self):
         g = make_p4()

@@ -1,11 +1,16 @@
 """The flow kernel stays inside ``connectivity``, and no module strips loops.
 
-``_FlowNet`` is built by two functions only: ``is_k_strong``, which
-decides k-strong connectivity with a separator, also for each k of
-``vertex_connectivity``, and ``_path_systems``, which reads every disjoint
-path system.  They are also the only readers of a flow's minimum cut, so
-there is one way to turn a cut into a witness.  Every other module asks
-them, and every separator printed comes from ``is_k_strong``.
+``_FlowNet`` is built by three functions only, each on a digraph's rows:
+``_k_strong``, the body of ``is_k_strong``, which decides k-strong
+connectivity with a separator, also for each k of ``vertex_connectivity``
+and in the ``search`` sweep; ``_minimal_k_strong``, the body of
+``is_minimal_k_strong``, which runs one pair flow per arc on D itself; and
+``_path_systems``, which reads every disjoint path system.  The first and
+the last are the only readers of a flow's minimum cut, so there is one way
+to turn a cut into a witness.  Every other module asks them, and every
+separator printed comes from ``is_k_strong``.  The flow kernel's
+out-lists are built per net, in ``connectivity``, not kept on the
+instance.
 Only ``_path_systems`` runs the flow unseeded, so the paths it reads, and
 the certificate path lines built from them, come from shortest augmenting
 paths alone.  Every
@@ -29,7 +34,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "extendix"
-FLOW_BUILDERS = {"is_k_strong", "_path_systems"}
+FLOW_BUILDERS = {"_k_strong", "_minimal_k_strong", "_path_systems"}
+CUT_READERS = {"_k_strong", "_path_systems"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -75,7 +81,7 @@ def test_flow_net_is_named_in_connectivity_only():
     assert naming == ["connectivity.py"]
 
 
-def test_flow_net_is_built_by_two_functions_only():
+def test_flow_net_is_built_by_three_functions_only():
     builders = {enclosing for enclosing, call in _calls(_modules()["connectivity.py"])
                 if _callee(call) == "_FlowNet"}
     assert builders == FLOW_BUILDERS
@@ -84,10 +90,30 @@ def test_flow_net_is_built_by_two_functions_only():
 def test_only_the_flow_builders_read_a_cut():
     """``_FlowNet.cut()`` is called where a net is built and nowhere else:
     the separators of ``is_k_strong`` and the cut witness of
-    ``_path_systems``."""
+    ``_path_systems``; the minimality test reads only flow values."""
     readers = {(module, enclosing) for module, tree in _modules().items()
                for enclosing, call in _calls(tree) if _callee(call) == "cut"}
-    assert readers == {("connectivity.py", name) for name in FLOW_BUILDERS}
+    assert readers == {("connectivity.py", name) for name in CUT_READERS}
+
+
+def test_flow_net_reads_rows_and_keeps_its_own_lists():
+    """``_FlowNet.__init__`` takes the out- and in-rows only, its out-lists
+    come from ``connectivity._split_lists``, and ``core`` keeps no flow
+    lists on the digraph; no connectivity route copies a digraph to
+    delete an arc."""
+    modules = _modules()
+    flow_net = next(node for node in ast.walk(modules["connectivity.py"])
+                    if isinstance(node, ast.ClassDef) and node.name == "_FlowNet")
+    init = next(node for node in flow_net.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert [arg.arg for arg in init.args.args] == ["self", "outs", "ins"]
+    assert not init.args.kwonlyargs and not init.args.defaults
+    assert not {"_succ", "_pred", "_split_lists"} & _names(modules["core.py"])
+    defining = sorted((name, fn) for name, tree in modules.items()
+                      for fn in _defined(tree) if fn == "_split_lists")
+    assert defining == [("connectivity.py", "_split_lists")]
+    assert not [call for _, call in _calls(modules["connectivity.py"])
+                if _callee(call) == "without_arc"]
 
 
 def test_only_path_systems_runs_the_flow_unseeded():
@@ -116,6 +142,23 @@ def test_rows_and_reach_are_defined_once_in_connectivity():
         defining = sorted((name, fn) for name, tree in modules.items()
                           for fn in _defined(tree) if fn == helper)
         assert defining == [("connectivity.py", helper)]
+
+
+def test_search_takes_its_decisions_from_connectivity():
+    """``search`` defines no k-strong decision or minimality test of its
+    own: it imports ``_k_strong`` and ``_minimal_k_strong`` and calls each
+    in one place, the rotated digraph of a matching edge and the k >= 2
+    row walk."""
+    tree = _modules()["search.py"]
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {("connectivity", "_k_strong"), ("connectivity", "_minimal_k_strong")} <= imported
+    assert sorted(fn for fn in _defined(tree) if "strong" in fn) == [
+        "_minimal_k_strong_rows", "_minimal_strong_rows", "minimal_k_strong_digraphs"]
+    callers = {(enclosing, _callee(call)) for enclosing, call in _calls(tree)
+               if _callee(call) in {"_k_strong", "_minimal_k_strong"}}
+    assert callers == {("_extendable_without_matching_edge", "_k_strong"),
+                       ("_row_walk", "_minimal_k_strong")}
 
 
 def test_search_imports_the_one_reach():

@@ -33,7 +33,8 @@ from extendix.core import _off_diagonal_cells
 from extendix.search import (find_minimality_counterexamples,
                              minimal_k_extendable_graphs, minimal_k_strong_digraphs)
 
-from conftest import minimal_strong, minimal_strong_by_arc_sets, minimal_strong_rows
+from conftest import (minimal_strong, minimal_strong_by_arc_sets, minimal_strong_rows,
+                      reference_mask_k_strong)
 
 TARGETS = ("minimal_k_strong", "minimal_k_extendable", "minimality_counterexample")
 
@@ -63,7 +64,7 @@ def test_mask_kernel_matches_is_k_strong(n):
         strong = True
         for k in KS:
             strong = strong and is_k_strong(d, k).holds
-            assert search._mask_k_strong(outs, ins, k) == strong
+            assert reference_mask_k_strong(outs, ins, k) == strong
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -119,18 +120,22 @@ def test_no_digraph_with_a_transitive_triangle_is_minimal_strong(n):
 
 @pytest.mark.parametrize("n,k,leaves", [(4, 2, 240)])
 def test_sweep_leaf_counts(n, k, leaves, monkeypatch):
-    """The complete row sets the k >= 2 row walk hands to
-    ``_is_minimal_k_strong``: those that give every vertex an in-arc."""
-    calls = []
-    original = search._is_minimal_k_strong
+    """The complete row sets of the k >= 2 row walk, those that give every
+    vertex an in-arc: each gets its in-rows, and those whose in-degrees
+    all reach k go on to ``connectivity._minimal_k_strong``."""
+    complete, tested = [], []
+    in_rows, minimal = search._in_rows, search._minimal_k_strong
 
-    def counting(outs, k):
-        calls.append(len(outs))
-        return original(outs, k)
+    def counting(outs, ins, k):
+        tested.append(outs)
+        return minimal(outs, ins, k)
 
-    monkeypatch.setattr(search, "_is_minimal_k_strong", counting)
+    monkeypatch.setattr(search, "_in_rows", lambda outs: complete.append(outs) or in_rows(outs))
+    monkeypatch.setattr(search, "_minimal_k_strong", counting)
     list(minimal_k_strong_digraphs(n, k))
-    assert len(calls) == leaves
+    assert len(complete) == leaves
+    assert tested == [outs for outs in complete if min(map(int.bit_count, in_rows(outs))) >= k]
+    assert len(tested) == 108
 
 
 @pytest.mark.parametrize("n,bases,reaches", [(4, 30, 168), (5, 355, 3400)])
@@ -351,18 +356,18 @@ def test_mask_transfer_matches_is_k_extendable(n_max, k):
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (5, 1), (4, 2)])
 def test_transfer_makes_at_most_n_mask_calls_per_digraph(n, k, monkeypatch):
-    """One call per matching edge up to the first deletable one (or all n)
-    whose ends both keep more than k edges."""
+    """One ``_k_strong`` call per matching edge up to the first deletable
+    one (or all n) whose ends both keep more than k edges."""
     monkeypatch.setattr(search, "_minimal_k_strong_rows",
                         lambda n, k: list(minimal_strong_rows(n, k)))
     calls = []
-    original = search._mask_k_strong
+    original = search._k_strong
 
     def counting(outs, ins, k):
         calls.append(len(outs))
         return original(outs, ins, k)
 
-    monkeypatch.setattr(search, "_mask_k_strong", counting)
+    monkeypatch.setattr(search, "_k_strong", counting)
     seen = 0
     for outs, edge in search._transfers(n, k):
         seen += 1

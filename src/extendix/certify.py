@@ -1,22 +1,31 @@
 """Building and checking certificates for the four claim kinds.
 
-A positive certificate carries path systems (alternating ones on the
-bipartite side, vertex-disjoint ones on the digraph side) or a perfect
-matching for the k = 0 boundary; a negative certificate carries a
-separator, a deficient vertex set read off a separator, or a zero block
-(older certificates may carry a non-extendable matching).
+A positive certificate carries reach trees at k = 1, path systems
+(alternating ones on the bipartite side, vertex-disjoint ones on the
+digraph side) above, or a perfect matching for the k = 0 boundary; a
+negative certificate carries a separator, a deficient vertex set read
+off a separator, or a zero block (older certificates may carry a
+non-extendable matching, and older positive ones path systems at k = 1).
+At k = 1 every claim is that one digraph is strong: D itself, D(A), or
+D(G, M) and D(B(A), M) for the maximum matching M that building takes
+anyway.  The out-tree and in-tree from vertex 1 that the two reaches of
+that decision grow prove it.
 ``check_certificate`` checks the witness first.  A witness whose check
-alone proves the verdict (every negative one, a perfect matching at
-k = 0, the size cap of k-irreducibility) is the whole proof, and no
-decider runs; for sampled path systems, and for a witness that fails its
-check, the verdict is re-derived from the embedded instance as well.
+alone proves the verdict (every negative one, reach trees, a perfect
+matching at k = 0, the size cap of k-irreducibility) is the whole proof,
+and no decider runs; for sampled path systems, and for a witness that
+fails its check, the verdict is re-derived from the embedded instance as
+well.
 
 Cost: building takes one decision, a maximum matching and at most one
-``is_k_strong`` call, at most k(k-1) + 2(n-k) flows of O(k (n + m)), and
-a positive certificate at most six path flows more, of O(k (n + m))
-each, on one flow kernel.  A negative witness is read off the decision
-itself: a separator, a deficient set or a zero block from the cut of the
-first failing flow, or a Hall violator from the failing matching.
+``is_k_strong`` call: at k = 1 two reaches of O(n) mask operations,
+which also give the trees, else at most k(k-1) + 2(n-k) flows of
+O(k (n + m)), and a positive certificate at most six path flows more,
+of O(k (n + m)) each, on one flow kernel.  A negative witness is read
+off the decision itself: a separator, a deficient set or a zero block
+from the cut of the first failing flow (at k = 1 the empty cut of the
+failing reach, on the D the reaches ran on), or a Hall violator from the
+failing matching.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ from itertools import chain
 
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
                    connected, is_int_token, parse_vertex_label, u_label, w_label)
-from .correspond import bipartite_of_matrix, digraph_of_matrix
-from .connectivity import (_path_systems, is_k_strong, strong_components,
+from .correspond import bipartite_of_matrix, digraph_of, digraph_of_matrix
+from .connectivity import (_path_systems, _reach_tree, _rows, is_k_strong, strong_components,
                            check_path_system, PathSystem)
 from .extendability import (AltPathSystem, _alternating_paths, _deficient_set, _walk_text,
                             check_alternating_path_system, is_k_extendable)
@@ -151,6 +160,35 @@ def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
     return lines
 
 
+def _reach_trees(claim: str, obj, d: Digraph, head=()) -> Certificate | None:
+    """The certificate of a claim that holds at k = 1 because d, its
+    digraph, is strong and has n >= 2 vertices; None otherwise.  Its lines
+    are head (the matching line of the bipartite side), then the parent of
+    each of vertices 2..n in the breadth-first out-tree and in-tree from
+    vertex 1 (``connectivity._reach_tree``, on d's rows).
+    Time: O(n) mask operations, the two reaches that decide k = 1."""
+    if d.n < 2:
+        return None
+    full, label, lines = (1 << d.n) - 1, vertex_labels(d.n), list(head)
+    for name, rows in zip(("out-tree: ", "in-tree: "), _rows(d)):
+        reach, parent = _reach_tree(rows, 0, full)
+        if reach != full:
+            return None
+        lines.append(name + " ".join([label[p] for p in parent[1:]]))
+    return Certificate(claim, 1, True, obj, "reach-trees", tuple(lines))
+
+
+def _matched_trees(claim: str, k: int, obj, g: BipartiteGraph, pairs: dict) -> tuple:
+    """At k = 1, when pairs, a maximum matching of g, is a perfect one M:
+    D(g, M), and ``_reach_trees`` of it with M's line first.  Otherwise
+    (None, None)."""
+    if k != 1 or len(pairs) < g.n:
+        return None, None
+    m = Matching(frozenset(pairs.items()), g)
+    d, _ = digraph_of(g, m)
+    return d, _reach_trees(claim, obj, d, ("matching: " + _edges_text(m.edges),))
+
+
 def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, seed,
                           pairs: dict) -> Certificate:
     """Positive certificate for a k-extendable graph g (obj is g or its
@@ -172,12 +210,15 @@ def _zero_block_certificate(claim: str, k: int, a: ZeroOneMatrix, w) -> Certific
 
 def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
     """Decide the claim on the instance and package a re-checkable witness.
-    Time: O(n^2) mask operations for a maximum matching, one
-    ``is_k_strong`` call (O(n) mask operations at k = 1, else at most
-    k(k-1) + 2(n-k) flows of O(k (n + m))), and for a positive
-    certificate at most six path flows of O(k (n + m)) more and, on the
-    bipartite side, the first perfect matching's at most m trial
-    augmentations of O(n) mask operations."""
+    Time: O(n^2) mask operations for a maximum matching, and O(n + m) for
+    the claim's digraph on the bipartite side at k = 1.  Then, at k = 1,
+    two reaches of O(n) mask operations, the whole of a positive
+    certificate, which a failing claim repeats (``is_k_strong``) before the
+    O(n^2) strong-component pass of its witness; at k >= 2 one
+    ``is_k_strong`` call of at most k(k-1) + 2(n-k) flows of
+    O(k (n + m)), and for a positive certificate at most six path flows of
+    O(k (n + m)) more and, on the bipartite side, the first perfect
+    matching's at most m trial augmentations of O(n) mask operations."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     if not isinstance(obj, CLAIMS[claim]):
@@ -189,7 +230,10 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             return Certificate(claim, k, False, obj, "size-cap",
                                (f"reason: k={k} exceeds n-1={obj.n - 1}",))
         pairs = max_matching_pairs(obj)
-        x = _deficient_set(obj, k, pairs)
+        d, cert = _matched_trees(claim, k, obj, obj, pairs)
+        if cert:
+            return cert
+        x = _deficient_set(obj, k, pairs, d)
         if x is None:
             return _matching_certificate(claim, k, obj, obj, seed, pairs)
         if k >= 1 and not connected(obj):
@@ -202,6 +246,8 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
     if claim == "k-strong":
         if k < 1:
             raise ValueError("k must be at least 1")
+        if k == 1 and (cert := _reach_trees(claim, obj, obj)):
+            return cert
         verdict = is_k_strong(obj, k)
         if verdict.holds:
             return Certificate(claim, k, True, obj, "menger-path-systems",
@@ -215,13 +261,18 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
     if claim == "k-indecomposable":
         g = bipartite_of_matrix(obj)
         pairs = max_matching_pairs(g)
-        res = _decomposable(obj, k, "k_partly_decomposable", g, pairs)
+        d, cert = _matched_trees(claim, k, obj, g, pairs)
+        if cert:
+            return cert
+        res = _decomposable(obj, k, "k_partly_decomposable", g, pairs, d)
         if res.holds:
             return _zero_block_certificate(claim, k, obj, res.witness)
         return _matching_certificate(claim, k, obj, g, seed, pairs)
 
     if claim == "k-irreducible":
         d = digraph_of_matrix(obj)
+        if k == 1 and (cert := _reach_trees(claim, obj, d)):
+            return cert
         res = _reducible(obj, k, "k_reducible", d)
         if res.holds:
             return _zero_block_certificate(claim, k, obj, res.witness)
@@ -239,7 +290,7 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
 def _recompute_verdict(cert: Certificate) -> bool:
     """The claim's decider on the embedded instance: the proof behind a
     witness that does not prove its verdict alone, sampled path systems
-    above all."""
+    (k >= 2, and k = 1 certificates of the first format) above all."""
     obj, k = cert.instance, cert.k
     if cert.claim == "k-extendable":
         return is_k_extendable(obj, k)
@@ -277,10 +328,117 @@ def _split_sections(lines) -> list[tuple]:
     return sections
 
 
+def _one_line(lines, prefix: str) -> tuple[str | None, str | None]:
+    """(the text after prefix on the one line that starts with it, None),
+    or (None, the problem) when no line or more than one does."""
+    found = [line[len(prefix):] for line in lines if line.startswith(prefix)]
+    if len(found) == 1:
+        return found[0], None
+    return None, f"reach-trees needs one {prefix} line, has {len(found)}"
+
+
+def _perfect_mate(lines, has, n: int) -> tuple[list | None, str | None]:
+    """(M(v) for each vertex v, None) for the perfect matching M of the
+    ``matching:`` line, each edge (i, j) one that has(i, j) finds in the
+    instance; (None, the problem) when there is no such M."""
+    text, problem = _one_line(lines, "matching:")
+    if problem:
+        return None, problem
+    edges = _parse_edges(text)
+    for i, j in sorted(edges):
+        if not (0 <= i < n and 0 <= j < n and has(i, j)):
+            return None, f"embedded matching invalid: edge {i + 1}-{j + 1} is not in the instance"
+    mate = dict(edges)
+    if len(mate) != len(edges) or len(set(mate.values())) != len(edges):
+        return None, "embedded matching invalid: matching edges share an endpoint"
+    if len(edges) != n:
+        return None, "embedded matching is not perfect"
+    return [mate[v] for v in range(n)], None
+
+
+def _cycle_vertex(parent: list) -> int | None:
+    """A vertex on a cycle of the parent map, whose root 0 has none; None
+    when every vertex's parents lead to 0.  Time: O(n), as a vertex is
+    walked over once before it is known to lead to 0."""
+    state = [0] * len(parent)  # 0 unseen, 1 on the current walk, 2 leads to 0
+    state[0] = 2
+    for start in range(1, len(parent)):
+        walk, v = [], start
+        while state[v] == 0:
+            state[v] = 1
+            walk.append(v)
+            v = parent[v]
+        if state[v] == 1:
+            return v
+        for u in walk:
+            state[u] = 2
+    return None
+
+
+def _lookup(obj):
+    """has(i, j): whether the instance holds the arc i->j, the edge u_i w_j
+    or the one a_ij, for i and j in range.  Time: O(1) per call."""
+    if isinstance(obj, ZeroOneMatrix):
+        return lambda i, j: obj.rows[i][j] == 1
+    held = obj.arcs if isinstance(obj, Digraph) else obj.edges
+    return lambda i, j: (i, j) in held
+
+
+# the digraph whose arcs the trees of a claim's reach-trees witness use
+_TREE_DIGRAPH = {"k-strong": "the digraph", "k-irreducible": "D(A)",
+                 "k-extendable": "D(G, M)", "k-indecomposable": "D(B(A), M)"}
+
+
+def _reach_tree_problems(cert: Certificate) -> list[str]:
+    """The ``reach-trees`` check.  It asks k = 1 and n >= 2; on the
+    bipartite side a perfect matching M of the instance; and per tree line
+    one parent in 1..n for each of vertices 2..n, never the vertex itself,
+    joined to it by a tree arc of the claim's digraph (``_TREE_DIGRAPH``;
+    vertex a is u_a on the bipartite side), with no cycle among the
+    parents.  Each arc is one lookup in the instance: p->v is a_pv of A,
+    or the edge u_p w_M(v) of G or B(A).  No decider, flow net or mask
+    build runs.  Time: O(n) lookups and O(n log n) to sort the matching."""
+    obj, n = cert.instance, cert.instance.n
+    if cert.k != 1:
+        return [f"reach-trees needs k = 1, has k={cert.k}"]
+    if n < 2:
+        return [f"reach-trees needs n >= 2, has n={n}"]
+    has, mate = _lookup(obj), range(n)
+    if cert.claim in ("k-extendable", "k-indecomposable"):
+        mate, problem = _perfect_mate(cert.witness_lines, has, n)
+        if problem:
+            return [problem]
+    index, digraph, problems = LabelIndex(n), _TREE_DIGRAPH[cert.claim], []
+    for name, out in (("out-tree", True), ("in-tree", False)):
+        text, problem = _one_line(cert.witness_lines, name + ":")
+        tokens = [] if problem else text.split()
+        if problem or len(tokens) != n - 1:
+            problems.append(problem or f"{name} has {len(tokens)} parents, expected n-1={n - 1}")
+            continue
+        parent = [-1] + _vertices(index, tokens, "the", name, "line")
+        found = len(problems)
+        for v in range(1, n):
+            p = parent[v]
+            if not 0 <= p < n:
+                problems.append(f"{name} gives vertex {v + 1} the parent {p + 1}, "
+                                f"outside 1..{n}")
+            elif p == v:
+                problems.append(f"{name} gives vertex {v + 1} itself as its parent")
+            elif not (has(p, mate[v]) if out else has(v, mate[p])):
+                tail, head = (p, v) if out else (v, p)
+                problems.append(f"{name} arc {tail + 1} -> {head + 1} is not in {digraph}")
+        if len(problems) == found and (c := _cycle_vertex(parent)) is not None:
+            problems.append(f"{name} parents run in a cycle through vertex {c + 1}")
+    return problems
+
+
 def _check_witness(cert: Certificate) -> list[str]:
     obj, k = cert.instance, cert.k
     kind = cert.witness_kind
     problems: list[str] = []
+
+    if kind == "reach-trees":
+        return _reach_tree_problems(cert)
 
     if kind == "alt-path-systems":
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
@@ -432,12 +590,13 @@ def _witness_problems(cert: Certificate) -> list[str]:
 _SELF_PROVING = {
     ("k-extendable", False): {"deficient-set", "disconnected", "no-perfect-matching",
                               "non-extendable-matching", "size-cap"},
-    ("k-extendable", True): {"perfect-matching"},
+    ("k-extendable", True): {"perfect-matching", "reach-trees"},
     ("k-strong", False): {"separator", "too-few-vertices"},
+    ("k-strong", True): {"reach-trees"},
     ("k-indecomposable", False): {"zero-block"},
-    ("k-indecomposable", True): {"perfect-matching"},
+    ("k-indecomposable", True): {"perfect-matching", "reach-trees"},
     ("k-irreducible", False): {"zero-block"},
-    ("k-irreducible", True): {"size-cap"},
+    ("k-irreducible", True): {"size-cap", "reach-trees"},
 }
 
 
@@ -480,15 +639,24 @@ def check_certificate(cert: Certificate) -> list[str]:
       row and column sets for k-irreducible, is the definition of the
       failing property;
     * ``perfect-matching``, k = 0: 0-extendable and (Frobenius-Koenig)
-      0-indecomposable both mean that a perfect matching exists.
+      0-indecomposable both mean that a perfect matching exists;
+    * ``reach-trees``, k = 1, n >= 2: n - 1 parents in 1..n, none its own
+      vertex and none on a cycle, lead every vertex to vertex 1, so the
+      out-tree's arcs give a path from 1 to every vertex and the
+      in-tree's a path from every vertex to 1: the claim's digraph is
+      strong.  For k-strong that is the claim.  A is irreducible iff
+      D(A) is strong; for a perfect matching M of G, G is 1-extendable iff
+      D(G, M) is strong; and A is fully indecomposable iff B(A) is
+      1-extendable, so iff D(B(A), M) is strong.
 
     Otherwise (sampled path systems, a witness that fails its check, a
     kind that proves another claim or verdict) the verdict is re-derived
     from the embedded instance, and its problem, if any, comes first.
     Time: a self-proving witness costs its check alone, at most a maximum
-    matching or a strong-component pass, each O(n^2) mask steps;
-    otherwise the decision of ``build_certificate`` as well, and O(k^2 n)
-    per pair of a path-system witness."""
+    matching or a strong-component pass, each O(n^2) mask steps, and
+    O(n log n) for reach trees (one instance lookup per parent and
+    matching edge); otherwise the decision of ``build_certificate`` as
+    well, and O(k^2 n) per pair of a path-system witness."""
     witness = _witness_problems(cert) if _self_proving(cert) else None
     if witness == []:
         return []

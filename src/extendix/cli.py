@@ -259,7 +259,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    """Time: reading the file, then ``certify.build_certificate`` and
+    """Time: reading the file, then ``certify.build_certificate`` (two
+    reaches of O(n) mask operations after the matching at k = 1) and
     writing the certificate, O(n + m log m) plus its witness lines."""
     obj = read_instance(args.path)
     try:
@@ -277,14 +278,14 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     """Check a certificate file; a k that the claim does not take
     (``fileio.k_range``) is a header error of the file.  A witness that
-    proves its verdict alone (every negative one, a perfect matching at
-    k = 0, the size cap) is checked and nothing more; sampled path
-    systems, and a witness that fails its check, also have the verdict
-    re-derived by the decider.
+    proves its verdict alone (every negative one, reach trees at k = 1, a
+    perfect matching at k = 0, the size cap) is checked and nothing more;
+    sampled path systems, and a witness that fails its check, also have
+    the verdict re-derived by the decider.
     Time: reading the certificate (``fileio.read_certificate``, O(n + m)
     for its instance), then ``certify.check_certificate``: the witness
     check alone, at most a maximum matching of O(n^2) mask operations,
-    for a self-proving witness."""
+    and O(n log n) lookups for reach trees, for a self-proving witness."""
     cert = read_certificate(args.path)
     try:
         problems = check_certificate(cert)

@@ -47,7 +47,8 @@ def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
     return k <= g.n - 1 and _deficient_set(g, k) is None
 
 
-def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None) -> list | None:
+def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None,
+                   d: Digraph | None = None) -> list | None:
     """For 0 <= k <= n-1: None when G is k-extendable, else a sorted X in
     U (vertex i is u_i) with 1 <= |X| <= n-k and |N(X)| < |X| + k.
 
@@ -66,7 +67,8 @@ def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None) -> list
     |N(U_X')| <= n - 1 < |X'| + k.
 
     pairs is a maximum matching of G as ``max_matching_pairs`` returns
-    it, computed here when the caller holds none.
+    it, computed here when the caller holds none, and d is D(G, M) for
+    that matching, when it is perfect and the caller holds D.
     Time: O(n^2) mask operations for that matching, then one augmenting
     search of O(n) mask operations, or D(G, M) in O(n + m), one
     ``is_k_strong`` call (O(n) mask operations at k = 1, else at most
@@ -83,7 +85,7 @@ def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None) -> list
     elif k == 0:
         return None
     else:
-        d, _ = digraph_of(g, Matching(frozenset(pairs.items()), g))
+        d = d or digraph_of(g, Matching(frozenset(pairs.items()), g))[0]
         verdict = is_k_strong(d, k)
         if verdict.holds:
             return None

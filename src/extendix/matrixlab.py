@@ -229,13 +229,14 @@ def _reducible(a: ZeroOneMatrix, k: int, kind: str, d=None) -> MatrixPropertyRes
 
 
 def _decomposable(a: ZeroOneMatrix, k: int, kind: str, g=None,
-                  pairs=None) -> MatrixPropertyResult:
+                  pairs=None, d=None) -> MatrixPropertyResult:
     """Rows: a deficient set X of B(A) (|X| <= n - k, |N(X)| < |X| + k);
     columns: those outside N(X), at least n - k + 1 - |X| of them.  g is
-    B(A) and pairs a maximum matching of it when the caller holds them."""
+    B(A), pairs a maximum matching of it and d the D(B(A), M) of a perfect
+    one when the caller holds them."""
     if not 0 <= k <= a.n - 1:
         raise ValueError(f"k must lie in 0..{a.n - 1}")
-    rows = _deficient_set(g or bipartite_of_matrix(a), k, pairs)
+    rows = _deficient_set(g or bipartite_of_matrix(a), k, pairs, d)
     if rows is None:
         return MatrixPropertyResult(False)
     cols = _zero_columns(a, rows)

@@ -7,7 +7,9 @@ decider on every certificate, on every certificate ``build_certificate``
 emits for the instances of order at most 4 (listed in ``_small``) and a
 seeded suite of order 10 to 20, and on mutants of each.  Problem lists,
 exception types and exception messages must be equal, but for the bounds
-a witness states, which only the new checker reads (``_bound_problem``).
+a witness states, which only the new checker reads (``_bound_problem``),
+and for ``reach-trees``, a kind the reference checker does not know, which
+is held to the decider instead (``_held_to_the_decider``).
 The spy tests replace the deciders that ``certify`` calls.
 """
 
@@ -108,7 +110,8 @@ def _mutants(i: int, cert: Certificate, pool: list) -> list[Certificate]:
     witness of another claim (the pool's witnesses of its order taken in
     turn, i modulo their number), and per witness kind: a separator with a
     vertex added or dropped, a set that is not deficient, a 1 inside the
-    zero block."""
+    zero block, the out-tree and in-tree lines swapped and every parent
+    made vertex 1."""
     n, lines = cert.instance.n, cert.witness_lines
     others = [(kind, other) for order, claim, kind, other in pool
               if order == n and claim != cert.claim]
@@ -130,6 +133,12 @@ def _mutants(i: int, cert: Certificate, pool: list) -> list[Certificate]:
         rows = [list(row) for row in cert.instance.rows]
         rows[r][c] = 1
         out.append(replace(cert, instance=ZeroOneMatrix(tuple(map(tuple, rows)))))
+    if cert.witness_kind == "reach-trees":
+        *head, out_tree, in_tree = lines
+        star = " ".join(["1"] * (n - 1))
+        out += [replace(cert, witness_lines=(*head, "out-tree:" + in_tree[len("in-tree:"):],
+                                             "in-tree:" + out_tree[len("out-tree:"):])),
+                replace(cert, witness_lines=(*head, "out-tree: " + star, "in-tree: " + star))]
     return out
 
 
@@ -157,13 +166,27 @@ def _bound_problem(cert: Certificate) -> str | None:
     return None
 
 
+def _held_to_the_decider(cert: Certificate, new, old) -> None:
+    """A ``reach-trees`` cert, which the reference checker reads as the
+    decider's verdict and an unknown kind: ``check_certificate`` verifies
+    it only when the verdict is the decider's, and otherwise names the
+    false verdict first, then its own witness problems."""
+    assert isinstance(old, list) and old[-1] == "unknown witness kind 'reach-trees'", (cert, old)
+    verdict_problem = old[:-1]
+    assert isinstance(new, list) and new[:len(verdict_problem)] == verdict_problem, (cert, new)
+
+
 def _compare(certs) -> set:
-    """Assert both checkers agree on every cert but for the bound
-    problems; return the (claim, kind) of those that told them apart."""
+    """Assert both checkers agree on every cert but for the bound problems
+    and the reach trees; return the (claim, kind) of the certs a bound
+    told apart."""
     told_apart = set()
     for cert in certs:
         new, old = _outcome(check_certificate, cert), _outcome(reference_check_certificate, cert)
         if new == old:
+            continue
+        if cert.witness_kind == "reach-trees":
+            _held_to_the_decider(cert, new, old)
             continue
         bound = _bound_problem(cert)
         assert bound is not None and isinstance(old, list), (cert, new, old)
@@ -272,7 +295,7 @@ def test_a_lying_decider_leaves_separators_alone(monkeypatch):
 @pytest.mark.parametrize("obj, claim, k, decider, lie", [
     (random_digraph(12, 0.5, seed=4), "k-strong", 2, "is_k_strong",
      KStrongResult(False, (), "always fails")),
-    (random_bipartite_with_pm(8, 0.6, seed=4), "k-extendable", 1, "is_k_extendable", False),
+    (random_bipartite_with_pm(14, 0.45, seed=2), "k-extendable", 2, "is_k_extendable", False),
     (ZeroOneMatrix.from_rows([[1] * 4] * 4), "k-indecomposable", 2, "is_k_partly_decomposable",
      MatrixPropertyResult(True)),
     (ZeroOneMatrix.from_rows([[1] * 4] * 4), "k-irreducible", 2, "is_k_reducible",

@@ -1,12 +1,13 @@
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
-from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, complete_bipartite,
-                      complete_digraph, connected, directed_cycle, max_extendability,
-                      random_bipartite_with_pm, random_digraph, reduced_adjacency,
-                      vertex_connectivity)
+from extendix import (BipartiteGraph, Digraph, ZeroOneMatrix, bipartite_of_digraph,
+                      complete_bipartite, complete_digraph, connected, directed_cycle,
+                      max_extendability, random_bipartite_with_pm, random_digraph,
+                      reduced_adjacency, vertex_connectivity)
 from extendix import connectivity, core
 from extendix.cli import main
 from extendix.core import BUDGETS
@@ -344,6 +345,25 @@ class TestConvert:
         assert capsys.readouterr().out.startswith("mat 3")
 
 
+# positive k = 1 certificates as the first format wrote them, with sampled
+# path systems, of the ``files`` instances c6.bg, d3.dg and j3.mat
+V1 = Path(__file__).parent / "golden" / "v1"
+
+
+def _certificate_to_edit(files, cert_path, name: str, claim: str, k: int) -> int:
+    """Write to cert_path the certificate of files[name] that a test edits
+    and return the exit code that vouches for it: certify's output and
+    code, but where ``V1`` holds the claim at k, as for every positive
+    k = 1 claim, on which certify writes reach trees, the first format's
+    text with its sampled path systems, and verify's code for it."""
+    frozen = V1 / f"certify-{claim}-{k}-{name.split('.')[0]}.out"
+    if not frozen.is_file():
+        return main(["certify", files[name], "--claim", claim, "--k", str(k),
+                     "--out", str(cert_path)])
+    cert_path.write_text(frozen.read_text())
+    return main(["verify", str(cert_path)])
+
+
 class TestCertifyVerify:
     @pytest.mark.parametrize("name,claim,k,expected", [
         ("k33.bg", "k-extendable", 2, 0),
@@ -366,21 +386,24 @@ class TestCertifyVerify:
         """Certificates sample pair indices, not pair lists.  ``random.sample``
         picks by position, so the pairs are those it picks from the lists
         themselves, at n <= 9 from its pool branch and above from its set
-        branch; n = 2-40, three seeds, for Menger and alternating systems."""
-        from extendix import cycle_bipartite
+        branch; n = 3-40, three seeds, for Menger and alternating systems
+        at k = 2 (k = 1 certificates carry reach trees), on C_n(1, 2) and
+        the graph whose D(G, M) it is."""
         from extendix.certify import build_certificate
 
         def expected(pairs, seed):
             return pairs if len(pairs) <= 6 else sorted(random.Random(seed).sample(pairs, 6))
 
-        for n in range(2, 41):
+        for n in range(3, 41):
             ordered = [(s, t) for s in range(n) for t in range(n) if s != t]
             square = [(u, w) for u in range(n) for w in range(n)]
+            d = Digraph(n, frozenset((v, (v + j) % n) for v in range(n) for j in (1, 2)))
+            g = bipartite_of_digraph(d)[0]
             for seed in range(3):
-                cert = build_certificate(directed_cycle(n), "k-strong", 1, seed)
+                cert = build_certificate(d, "k-strong", 2, seed)
                 assert [line for line in cert.witness_lines if line.startswith("pair:")] \
                     == [f"pair: {s + 1} {t + 1}" for s, t in expected(ordered, seed)]
-                cert = build_certificate(cycle_bipartite(n), "k-extendable", 1, seed)
+                cert = build_certificate(g, "k-extendable", 2, seed)
                 assert [line for line in cert.witness_lines if line.startswith("pair:")] \
                     == [f"pair: u{u + 1} w{w + 1}" for u, w in expected(square, seed)]
 
@@ -467,8 +490,7 @@ class TestCertifyVerify:
         # a cycle through vertex 1 is a valid closed path system, but not a
         # Menger system for a pair of the certificate
         cert_path = tmp_path / "loop.cert"
-        assert main(["certify", files["d3.dg"], "--claim", "k-strong",
-                     "--k", "1", "--out", str(cert_path)]) == 0
+        assert _certificate_to_edit(files, cert_path, "d3.dg", "k-strong", 1) == 0
         text = cert_path.read_text()
         cert_path.write_text(text.replace("pair: 1 2\npath: 1 2\n",
                                           "pair: 1 1\npath: 1 2 3 1\n"))
@@ -495,8 +517,7 @@ class TestCertifyVerify:
                                             pair, problem):
         # the first pair of each certificate is u1 w1 or 1 2; its path lines stay
         cert_path = tmp_path / "pair.cert"
-        assert main(["certify", files[name], "--claim", claim, "--k", "1",
-                     "--out", str(cert_path)]) == 0
+        assert _certificate_to_edit(files, cert_path, name, claim, 1) == 0
         text = cert_path.read_text()
         first = "pair: u1 w1\n" if "alt-path" in text else "pair: 1 2\n"
         assert first in text
@@ -520,8 +541,7 @@ class TestCertifyVerify:
                                                       claim, path, problem):
         # the first path line of the first pair, u1 w1 or 1 2, is replaced
         cert_path = tmp_path / "path.cert"
-        assert main(["certify", files[name], "--claim", claim, "--k", "1",
-                     "--out", str(cert_path)]) == 0
+        assert _certificate_to_edit(files, cert_path, name, claim, 1) == 0
         lines = cert_path.read_text().splitlines(keepends=True)
         first = next(i for i, line in enumerate(lines) if line.startswith("path:"))
         pair = lines[first - 1].removeprefix("pair: ").rstrip("\n")
@@ -561,8 +581,7 @@ class TestCertifyVerify:
             write_instance(complete_digraph(3), tmp_path / name)
             files[name] = str(tmp_path / name)
         cert_path = tmp_path / "paths.cert"
-        assert main(["certify", files[name], "--claim", claim, "--k", str(k),
-                     "--out", str(cert_path)]) == 0
+        assert _certificate_to_edit(files, cert_path, name, claim, k) == 0
         lines = cert_path.read_text().splitlines(keepends=True)
         first = next(i for i, line in enumerate(lines) if line.startswith("pair:"))
         pair = lines[first].removeprefix("pair: ").rstrip("\n")
@@ -599,7 +618,7 @@ class TestCertifyVerify:
             (tmp_path / name).write_text(instances[name])
             files[name] = str(tmp_path / name)
         cert_path = tmp_path / "numbers.cert"
-        main(["certify", files[name], "--claim", claim, "--k", str(k), "--out", str(cert_path)])
+        _certificate_to_edit(files, cert_path, name, claim, k)
         text = cert_path.read_text()
         assert old in text
         cert_path.write_text(text.replace(old, new, 1))

@@ -253,6 +253,8 @@ class TestAlternatingPaths:
                             assert not check_alternating_path_system(g, system)
 
     def test_positive_certificate_decides_once(self, monkeypatch):
+        """At k = 2, where path systems are still sampled (the reach trees
+        of k = 1 are their own decision)."""
         import extendix.extendability as ext
         from extendix.certify import build_certificate, check_certificate
 
@@ -261,16 +263,17 @@ class TestAlternatingPaths:
         monkeypatch.setattr(ext, "is_k_strong",
                             lambda d, k: calls.append(k) or decide(d, k))
         g = random_bipartite_with_pm(14, 0.45, seed=2)
-        cert = build_certificate(g, "k-extendable", 1)
-        assert cert.verdict and calls == [1]
+        cert = build_certificate(g, "k-extendable", 2)
+        assert cert.verdict and calls == [2]
         assert check_certificate(cert) == []
 
     @pytest.mark.parametrize("g, k, kind", [
         (random_bipartite_with_pm(14, 0.45, seed=2), 0, "perfect-matching"),
-        (random_bipartite_with_pm(14, 0.45, seed=2), 1, "alt-path-systems"),
+        (random_bipartite_with_pm(14, 0.45, seed=2), 2, "alt-path-systems"),
         (random_bipartite_with_pm(14, 0.45, seed=2), 3, "deficient-set"),
         (BipartiteGraph(3, frozenset({(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)})), 1,
-         "no-perfect-matching")])
+         "no-perfect-matching"),
+        (random_bipartite_with_pm(14, 0.45, seed=2), 1, "reach-trees")])
     def test_certificate_takes_one_maximum_matching(self, g, k, kind):
         import extendix.certify as cert_mod
         import extendix.extendability as ext

@@ -3,7 +3,9 @@
 The files under ``tests/golden/`` pin what ``analyze``, ``convert``,
 ``certify``, ``verify`` and ``search`` print.  A refactor of the library
 must leave every one of them unchanged.  The ``certify`` outputs double as
-inputs of the ``verify`` cases.
+inputs of the ``verify`` cases.  ``tests/golden/v1/`` keeps positive k = 1
+certificates as the first format wrote them, with sampled path systems
+where ``certify`` now writes reach trees; they must still verify.
 
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -134,17 +136,42 @@ _BAND12 = ZeroOneMatrix(tuple(tuple(int((j - i) % 12 in (0, 1, 2, 5)) for j in r
 @pytest.mark.parametrize("obj,claim,k,sha1", [
     (_C40, "k-strong", 5, "fd7e0032504f9887d757457b6b3bad620e211d4c"),
     (_R20, "k-strong", 3, "7561fca2c54fd2c7145b01506e98e97f65e3ece7"),
-    (cycle_bipartite(12), "k-extendable", 1, "516868eca839152eba076c8c38ba6592a33ad7c2"),
+    (cycle_bipartite(12), "k-extendable", 1, "dd803009ebca786e315a72c3f02246137f7ad84a"),
+    (random_bipartite_with_pm(12, 0.5, seed=1), "k-extendable", 2,
+     "33692c3b19c9a2d19e6b2584db563c9e58082751"),
     (_BAND12, "k-irreducible", 3, "1c685df9cfcbd4c116df5fec405113e4bab3bcc2"),
 ], ids=["c40-k-strong-5", "r20-k-strong-kappa", "cycle12-k-extendable-1",
-        "band12-k-irreducible-3"])
+        "r12-k-extendable-2", "band12-k-irreducible-3"])
 def test_certificate_paths_are_pinned(obj, claim, k, sha1):
-    """Positive certificates whose path systems take augmenting flows keep
-    their bytes (SHA-1s taken before the flow kernel kept its network
-    implicit)."""
+    """Positive certificates keep their bytes.  Every pin but the
+    12-cycle's holds path systems that take augmenting flows (SHA-1s taken
+    before the flow kernel kept its network implicit, and before positive
+    k = 1 certificates carried reach trees); the 12-cycle's holds its
+    reach trees."""
     cert = build_certificate(obj, claim, k)
     assert cert.verdict
     assert _sha1(format_certificate(cert)) == sha1
+
+
+# the positive k = 1 goldens as the first certificate format wrote them
+V1 = ["k-extendable-1-c6", "k-strong-1-dg6", "k-indecomposable-1-full6",
+      "k-irreducible-1-full6"]
+
+
+@pytest.mark.parametrize("stem", V1)
+def test_first_format_certificates_still_verify(stem, monkeypatch):
+    """Sampled path systems prove nothing alone, so ``verify`` re-derives
+    their verdict with the decider, once, and prints the verify golden."""
+    import extendix.certify as certify
+
+    recompute, calls = certify._recompute_verdict, []
+    monkeypatch.setattr(certify, "_recompute_verdict",
+                        lambda cert: calls.append(cert.claim) or recompute(cert))
+    text = (GOLDEN / "v1" / f"certify-{stem}.out").read_text(encoding="utf-8")
+    assert "path-systems" in text and "reach-trees" not in text
+    assert _run(["verify", f"v1/certify-{stem}.out"]) == (
+        0, (GOLDEN / f"verify-{stem}.out").read_text(encoding="utf-8"))
+    assert calls == [stem.split("-1-")[0]]
 
 
 def test_flow_path_results_are_pinned():

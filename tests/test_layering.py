@@ -20,7 +20,9 @@ over them (``_reach``) are defined once, in ``connectivity``: strong
 components, the flow kernel's masks and the exhaustive sweep in
 ``search`` share them.  Every size budget is enforced by one helper,
 ``core.check_budget``, and from every command but ``search`` the call
-graph reaches no budget check but the count's.  One augmenting-path
+graph reaches no budget check but the count's.  The ``reach-trees``
+check, the whole proof of a positive k = 1 claim, reaches no decider and
+reads no row mask.  One augmenting-path
 search, ``matching._augment``, serves every matching route, and no module
 but ``core`` and the ``deficient-set`` witness check reads a graph's
 neighbour lists.  Every name a module
@@ -378,6 +380,20 @@ def test_certify_calls_the_deciders_in_two_functions_only():
     recomputing = [enclosing for enclosing, call in calls
                    if _callee(call) == "_recompute_verdict"]
     assert recomputing == ["check_certificate"]
+
+
+def test_the_reach_tree_check_reaches_no_decider():
+    """A ``reach-trees`` witness is the whole proof of its claim: on the
+    call graph its check reaches no decider, no ``_recompute_verdict``, no
+    flow kernel or matching search and no mask build, and no function it
+    reaches names the flow net or a row mask."""
+    graph, functions = _call_graph(), _functions()
+    reached = _reachable(graph, "_reach_tree_problems")
+    assert {"_perfect_mate", "_cycle_vertex", "_vertices", "_lookup"} <= reached
+    assert not reached & (CERTIFY_DECIDERS | {"_recompute_verdict", "_k_strong", "_augment",
+                                              "max_matching_pairs", "_neighbourhood_masks"})
+    named = {name for fn in reached for node in functions[fn] for name in _names(node)}
+    assert not named & {"_FlowNet", "_masks", "_rows", "_u_rows", "_w_rows"}
 
 
 # ---------------------------------------------------------------------------

@@ -94,12 +94,13 @@ def _vertices(index: LabelIndex, tokens, *where) -> list[int]:
 
 
 def _field(lines, prefix: str) -> str | None:
-    """The text after ``prefix`` on the last line that starts with it."""
-    value = None
-    for line in lines:
-        if line.startswith(prefix):
-            value = line[len(prefix):]
-    return value
+    """The text after ``prefix`` on the one line that starts with it, None
+    when no line does; a ValueError when more than one does, so a witness
+    cannot hide its own line behind another."""
+    found = [line[len(prefix):] for line in lines if line.startswith(prefix)]
+    if len(found) > 1:
+        raise ValueError(f"the {prefix} line appears {len(found)} times")
+    return found[0] if found else None
 
 
 def _indices(lines, prefix: str) -> list[int]:
@@ -512,9 +513,9 @@ def _check_witness(cert: Certificate) -> list[str]:
         return problems
 
     if kind == "non-extendable-matching":
-        g = obj
+        g, text = obj, _field(cert.witness_lines, "edges:") or ""
         try:
-            m0 = Matching(_parse_edges(_field(cert.witness_lines, "edges:") or ""), g)
+            m0 = Matching(_parse_edges(text), g)
         except ValueError as exc:
             return [f"witness matching invalid: {exc}"]
         if m0.size != k:
@@ -545,8 +546,9 @@ def _check_witness(cert: Certificate) -> list[str]:
         if k != 0:
             problems.append(f"perfect-matching needs k = 0, has k={k}")
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
+        text = _field(cert.witness_lines, "edges:") or ""
         try:
-            m = Matching(_parse_edges(_field(cert.witness_lines, "edges:") or ""), g)
+            m = Matching(_parse_edges(text), g)
         except ValueError as exc:
             return problems + [f"witness matching invalid: {exc}"]
         if not m.is_perfect:

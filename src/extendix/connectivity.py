@@ -10,8 +10,10 @@ s->t out, so every cut is vertices.  Three functions build it:
 ``_k_strong``, the body of ``is_k_strong`` and the sweep's decision, which
 decides with the pairs among 0..k-1 no arc joins and 2(n-k) fans for
 k >= 2 (k = 1 is two reaches) and gives the separators;
-``_minimal_k_strong``, the body of ``is_minimal_k_strong``, which settles
-each arc with one pair flow on D itself (the arc lemma); and
+``_arc_test``, which settles whether an arc of a k-strong D is
+deletable with one pair flow on D itself (the arc lemma), for
+``_minimal_k_strong``, the body of ``is_minimal_k_strong``, and for the
+non-matching edges of ``extendability.is_minimal_k_extendable``; and
 ``_path_systems``, which adds the arc s->t as a path of its own.  The
 first and the last turn a failing flow's minimum cut into its witness.
 Each decision flow first picks a greedy seed of short disjoint paths on
@@ -869,12 +871,21 @@ def _minimal_k_strong(outs, ins, k: int) -> MinimalityResult:
     arc, in row order, then bit order, which is sorted order."""
     if not _k_strong(outs, ins, k).holds:
         return MinimalityResult(False, None, f"not {k}-strong")
-    net = _FlowNet(outs, ins)
+    deletable = _arc_test(outs, ins, k)
     for a, row in enumerate(outs):
         for b in _bits(row):
-            if net.flow(a, b, k) >= k:
+            if deletable(a, b):
                 return MinimalityResult(False, (a, b), "arc is deletable")
     return MinimalityResult(True)
+
+
+def _arc_test(outs, ins, k: int):
+    """deletable(a, b), whether D - ab is k-strong, for an arc ab of a
+    k-strong D with out- and in-rows ``outs`` and ``ins``: the arc lemma
+    (``is_minimal_k_strong``), one seeded pair flow per call, all on one
+    net.  At k = 0 every arc is deletable, and the flow returns at once."""
+    net = _FlowNet(outs, ins)
+    return lambda a, b: net.flow(a, b, k) >= k
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ decides this through the derived digraph (k-extendable iff the digraph of
 (G, M) is k-strong, for any perfect matching M); the enumeration oracle and
 the neighborhood-count criterion exist as independent checks.
 
+Minimality runs on the D(G, M) that its decision builds: a non-matching
+edge is an arc of D, settled by the arc lemma's pair flow
+(``connectivity._arc_test``), and a matching edge by one decision on a
+rotated D (``_extendable_without_matching_edge``), the test the
+``search`` sweep runs on the matching edges of B(D).
+
 Conventions at the margins:
 
 * 0-extendable means "has a perfect matching" (no connectivity demand).
@@ -23,16 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (BipartiteGraph, Digraph, Matching, check_budget, connected,
+from .core import (BipartiteGraph, Digraph, Matching, _bfs_path, check_budget, connected,
                    u_label, w_label)
 from .correspond import alternating_path_from_digraph_path, digraph_of
 from .matching import (_augment, _match_w, enumerate_matchings, has_perfect_matching,
                        matching_extends, max_matching, max_matching_pairs)
 from .connectivity import (ear_decomposition_digraph, is_k_strong,
                            is_minimal_k_strong, strong_components, MinimalityResult,
-                           vertex_connectivity, _anti_directed_trail, _bipartite_cycle,
-                           _bits, _out_lists, _path_systems, _rows, _shortest_cycle_through,
-                           _sink_component)
+                           vertex_connectivity, _anti_directed_trail, _arc_test,
+                           _bipartite_cycle, _bits, _k_strong, _out_lists, _path_systems,
+                           _rows, _shortest_cycle_through, _sink_component)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +213,104 @@ def is_k_extendable_via_neighborhood(g: BipartiteGraph, k: int) -> NeighborhoodV
 
 
 def is_minimal_k_extendable(g: BipartiteGraph, k: int) -> MinimalityResult:
-    """k-extendable, and every single-edge deletion destroys that."""
-    if not is_k_extendable(g, k):
-        return MinimalityResult(False, None, f"not {k}-extendable")
-    for edge in g.sorted_edges():
-        if is_k_extendable(g.without_edge(edge), k):
-            return MinimalityResult(False, edge, "edge is deletable")
+    """k-extendable, and every single-edge deletion destroys that; when not
+    minimal, the witness is the first deletable edge in sorted order.
+
+    The decision builds D = D(G, M) for a maximum matching M, when M is
+    perfect and k <= n - 1, and is ``_k_strong`` on D's rows for k >= 1.
+    Every edge is then settled on that D.  G - e keeps G's 2n vertices,
+    so k <= n - 1 still holds for it.
+
+    * A non-matching edge e = u_a w_M(b), b != a, is the arc ab of D.  M is
+      a perfect matching of G - e, and D(G - e, M) = D - ab.  At k = 0,
+      G - e is 0-extendable.  At k >= 1, G - e is k-extendable iff
+      D - ab is k-strong (the paper's theorem, for any perfect matching),
+      and, D being k-strong, iff the pair flow from a to b on D reaches k
+      (the arc lemma, ``connectivity._arc_test``).
+    * A matching edge e = u_a w_M(a).  If M' is a perfect matching of
+      G - e, M xor M' is a union of disjoint M-alternating cycles of G,
+      each the pullback of a cycle of D, and the one through u_a gives a
+      cycle of D through a.  Conversely, a cycle C of D through a rotates M
+      into a perfect matching M_C of G - e.  So at k = 0, e is deletable
+      iff some cycle of D passes through a.  At k >= 1, D is strong and
+      such a C exists; G - e is k-extendable iff D(G - e, M_C) is
+      k-strong.  Relabelled through M, G is B(D), the graph with the
+      canonical matching whose digraph is D, so this is the rotation test
+      of the ``search`` sweep, ``_extendable_without_matching_edge``, on
+      D's rows.
+
+    Time: one decision (O(n^2) mask operations for the matching, O(n + m)
+    for D and one ``_k_strong`` on it), O(m log m) to sort the edges, then
+    at most m seeded pair flows of O(k (n + m)) on one net and at most n
+    rotated decisions, each O(n + m) and one ``_k_strong``.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    failed = MinimalityResult(False, None, f"not {k}-extendable")
+    if k > g.n - 1 or len(pairs := max_matching_pairs(g)) < g.n:
+        return failed
+    outs, ins = _rows(digraph_of(g, Matching(frozenset(pairs.items()), g))[0])
+    if k and not _k_strong(outs, ins, k).holds:
+        return failed
+    deletable, owner = _arc_test(outs, ins, k), _match_w(g, pairs)
+    bits = {row: _bits(row) for a, out in enumerate(outs) for row in (out, out | 1 << a)}
+    for a, j in g.sorted_edges():
+        b = owner[j]
+        if deletable(a, b) if b != a else _extendable_without_matching_edge(outs, ins, a, k, bits):
+            return MinimalityResult(False, (a, j), "edge is deletable")
     return MinimalityResult(True)
+
+
+def _extendable_without_matching_edge(outs, ins, i: int, k: int, bits) -> bool:
+    """Whether G' = B(D) - u_i w_i is k-extendable, for a k-extendable
+    B(D), the graph with the canonical matching whose digraph D has out-
+    and in-rows ``outs`` and ``ins``: decided on one rotated digraph with
+    no matching, and at k = 1 with no flow.  ``bits[row]`` is
+    ``_bits(row)`` for every outs[a] and outs[a] | 1 << a: the sweep
+    passes its table of 2^n bit lists, ``is_minimal_k_extendable`` a dict
+    of those 2n rows.
+
+    In G', u_i keeps d+(i) edges and w_i keeps d-(i).  If G' is
+    k-extendable, D(G', M) is k-strong for a perfect matching M, so each
+    of its n >= k + 1 vertices has in- and out-degree at least k; the
+    vertex of the edge at u_i has out-degree deg(u_i) - 1, and the one at
+    w_i in-degree deg(w_i) - 1.  So an i with d+(i) <= k or d-(i) <= k
+    answers False at once; the bound is Plummer's, "On n-extendable
+    graphs" (1980): a k-extendable graph on at least 2k + 2 vertices is
+    (k+1)-connected.
+
+    Otherwise let C be a cycle of D through i (the shortest, by
+    ``core._bfs_path``; any would do); G' has no perfect matching when
+    there is none (``is_minimal_k_extendable``).  Let sigma be the
+    permutation that moves each vertex of C to its successor on C and fixes
+    the rest.  Then M_C = {u_a w_sigma(a)} is a perfect matching of G':
+    for a on C, u_a w_sigma(a) is the edge of the arc (a, sigma(a)), and
+    for a off C it is the matching edge u_a w_a, a != i.  In D(G', M_C)
+    vertex a stands for u_a w_sigma(a), and a -> b (b != a) is an arc iff
+    u_a is adjacent in G' to w_sigma(b), the partner of u_b; so the
+    out-row of a is sigma^-1(N_G'(u_a)) - {a}, where N_G'(u_a) is outs[a]
+    plus a itself unless a = i, and the in-row of b is
+    N_G'(w_sigma(b)) - {b}, where N_G'(w_c) is ins[c] plus c itself unless
+    c = i.  G' is k-extendable iff D(G', M_C) is k-strong, by the paper's
+    theorem that holds for every perfect matching, and at k = 0 it is.
+
+    Time: O(n + m) for the search and the rotation, each bit of a row read
+    off its bit list, then one ``connectivity._k_strong`` for k >= 1."""
+    if outs[i].bit_count() <= k or ins[i].bit_count() <= k:
+        return False
+    cycle = _bfs_path(i, lambda v: bits[outs[v]], lambda v: v == i)
+    if cycle is None or k == 0:
+        return cycle is not None
+    ahead = list(range(len(outs)))  # sigma
+    moved = [1 << v for v in ahead]  # the bit of sigma^-1(v)
+    for a, b in zip(cycle, cycle[1:]):
+        ahead[a] = b
+        moved[b] = 1 << a
+    rotated_outs = [sum([moved[b] for b in bits[row if a == i else row | 1 << a]]) & ~(1 << a)
+                    for a, row in enumerate(outs)]
+    rotated_ins = [(ins[c] if c == i else ins[c] | 1 << c) & ~(1 << b)
+                   for b, c in enumerate(ahead)]
+    return _k_strong(rotated_outs, rotated_ins, k).holds
 
 
 @dataclass(frozen=True)
@@ -227,7 +324,10 @@ def minimality_transfer_check(g: BipartiteGraph, m: Matching, k: int) -> Transfe
     """For a minimal k-extendable G, the digraph of (G, M) must be minimal
     k-strong.  The converse direction is not asserted anywhere: a minimal
     digraph may sit above a non-minimal graph (deleting a matching edge is
-    invisible on the arc side)."""
+    invisible on the arc side).
+    Time: one ``is_minimal_k_extendable``, then O(n + m) for D(G, M) and
+    one ``is_minimal_k_strong`` on it: one decision and at most m seeded
+    pair flows of O(k (n + m))."""
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
@@ -538,7 +638,8 @@ class BipartiteDegreeAuditReport:
 
 def minimal_k_extendable_degree_audit(g: BipartiteGraph, k: int) -> BipartiteDegreeAuditReport:
     """A minimal k-extendable graph carries at least 2k+2 vertices of degree
-    k+1, at least k+1 of them in each colour class."""
+    k+1, at least k+1 of them in each colour class.
+    Time: one ``is_minimal_k_extendable``, then O(n) popcounts."""
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
@@ -572,6 +673,9 @@ def high_degree_subgraph_forest_check(g: BipartiteGraph, k: int) -> ForestCheckR
     the high-degree arcs of the derived digraph would pull back to a closed
     trail inside the qualifying edges, so a passing forest check forces the
     digraph-side search to come up empty as well.
+    Time: one ``is_minimal_k_extendable``, then O(n^2) mask operations for
+    a maximum matching, O(n + m) for D(G, M), and O(m log m) for each of
+    the two cycle searches.
     """
     verdict = is_minimal_k_extendable(g, k)
     if not verdict.holds:

@@ -8,11 +8,13 @@ k-strong, and deleting its non-matching edge u_a w_b deletes the arc
 and no matching edge of B(D) is deletable; a deletable one shows that
 minimality does not transfer back from D to B(D).
 
-The sweep works on neighbourhood bitmasks and takes its decisions from
-``connectivity``: every reach in it is ``connectivity._reach``, the
-search ``strong_components`` runs, and every k-strong and minimality
-test is ``_k_strong`` or ``_minimal_k_strong``, the bodies of
-``is_k_strong`` and ``is_minimal_k_strong`` on rows.  For k = 1 it
+The sweep works on neighbourhood bitmasks and defines no decision of
+its own: every reach in it is ``connectivity._reach``, the search
+``strong_components`` runs, every minimality test of D is
+``connectivity._minimal_k_strong``, the body of ``is_minimal_k_strong``
+on rows, and every matching-edge test is
+``extendability._extendable_without_matching_edge``, the one that
+``is_minimal_k_extendable`` runs.  For k = 1 it
 builds every minimal strong digraph as a smaller one plus one ear
 through new vertices, and accepts or rejects each ear with one bit test
 (``_ear_ends``, ``_minimal_strong_rows``): at n = 5 it reads the 1,069
@@ -25,7 +27,8 @@ deletable is decided without a matching, and at k = 1 without a flow.
 It is not when u_i or w_i keeps k or fewer edges in B(D) - u_i w_i.
 Otherwise B(D) - u_i w_i has a perfect matching rotated along a cycle of
 D through i, and its digraph is k-strong iff the graph is k-extendable
-(``_extendable_without_matching_edge``).  At n = 5, k = 1 the transfer
+(``_extendable_without_matching_edge``, one ``_k_strong`` on the rotated
+rows).  At n = 5, k = 1 the transfer
 makes 845 ``_k_strong`` calls on the 1,069 digraphs, at most n per
 digraph.  The sweep is guarded by the ``sweep_k1`` budget (n <= 6) for
 k = 1 and by ``sweep`` (n <= 4) for k >= 2 and for the graph target.
@@ -42,8 +45,9 @@ from __future__ import annotations
 from itertools import islice, permutations, product
 from typing import Iterator
 
-from .connectivity import _bits, _k_strong, _minimal_k_strong, _reach
-from .core import BipartiteGraph, Digraph, TooLargeError, _bfs_path, check_budget
+from .connectivity import _bits, _minimal_k_strong, _reach
+from .core import BipartiteGraph, Digraph, TooLargeError, check_budget
+from .extendability import _extendable_without_matching_edge
 
 
 # ---------------------------------------------------------------------------
@@ -59,40 +63,6 @@ def _in_rows(outs: list[int]) -> list[int]:
             row ^= bit
             ins[bit.bit_length() - 1] |= 1 << a
     return ins
-
-
-def _extendable_without_matching_edge(outs, ins, i: int, k: int, bits: list) -> bool:
-    """Whether G' = B(D) - u_i w_i is k-extendable, for D strong with
-    out- and in-rows ``outs`` and ``ins``, decided on one rotated digraph
-    with no matching, and at k = 1 with no flow; ``bits`` is
-    ``_bit_lists(n)``.
-
-    Let C be a cycle of D through i (the shortest, by ``core._bfs_path``;
-    any would do), and sigma the permutation that moves each vertex of C
-    to its successor on C and fixes the rest.  Then M_C = {u_a w_sigma(a)}
-    is a perfect matching of G': for a on C, u_a w_sigma(a) is the edge of
-    the arc (a, sigma(a)), and for a off C it is the matching edge u_a
-    w_a, a != i.  In D(G', M_C) vertex a stands for u_a w_sigma(a), and
-    a -> b (b != a) is an arc iff u_a is adjacent in G' to w_sigma(b), the
-    partner of u_b; so the out-row of a is sigma^-1(N_G'(u_a)) - {a},
-    where N_G'(u_a) is outs[a] plus a itself unless a = i, and the in-row
-    of b is N_G'(w_sigma(b)) - {b}, where N_G'(w_c) is ins[c] plus c itself
-    unless c = i.  G' is k-extendable iff D(G', M_C) is k-strong, by the
-    paper's theorem that holds for every perfect matching.
-
-    Time: O(n + m) for the search and the rotation, each bit of a row read
-    off its bit list, then one ``connectivity._k_strong``."""
-    cycle = _bfs_path(i, lambda v: bits[outs[v]], lambda v: v == i)
-    ahead = list(range(len(outs)))  # sigma
-    moved = [1 << v for v in ahead]  # the bit of sigma^-1(v)
-    for a, b in zip(cycle, cycle[1:]):
-        ahead[a] = b
-        moved[b] = 1 << a
-    rotated_outs = [sum([moved[b] for b in bits[row if a == i else row | 1 << a]]) & ~(1 << a)
-                    for a, row in enumerate(outs)]
-    rotated_ins = [(ins[c] if c == i else ins[c] | 1 << c) & ~(1 << b)
-                   for b, c in enumerate(ahead)]
-    return _k_strong(rotated_outs, rotated_ins, k).holds
 
 
 def _bit_lists(n: int) -> list[list[int]]:
@@ -285,16 +255,9 @@ def _transfers(n: int, k: int) -> Iterator[tuple]:
     out-rows: edge is the first matching edge (i, i) whose deletion leaves
     B(D) k-extendable, or None when B(D) is minimal k-extendable.  No
     non-matching edge is deletable, so this is the first deletable edge of
-    B(D) overall.
-
-    In G' = B(D) - u_i w_i, u_i keeps d+(i) edges and w_i keeps d-(i).  If
-    G' is k-extendable, D(G', M) is k-strong for a perfect matching M, so
-    each of its n >= k + 1 vertices has in- and out-degree at least k;
-    the vertex of the edge at u_i has out-degree deg(u_i) - 1, and the one
-    at w_i in-degree deg(w_i) - 1.  So an i with d+(i) <= k or d-(i) <= k
-    is skipped; the bound is Plummer's, "On n-extendable graphs" (1980):
-    a k-extendable graph on at least 2k + 2 vertices is (k+1)-connected.
-    Every other i costs one ``_extendable_without_matching_edge``.
+    B(D) overall.  Each i costs one ``_extendable_without_matching_edge``,
+    the test ``is_minimal_k_extendable`` runs on its matching edges, which
+    answers at once for an i of out- or in-degree at most k.
 
     Time: after the sweep, O(n + m) per D for its in-rows and at most n
     ``_extendable_without_matching_edge`` calls, so at most n
@@ -304,8 +267,7 @@ def _transfers(n: int, k: int) -> Iterator[tuple]:
     for outs in hits:
         ins = _in_rows(outs)
         edge = next(((i, i) for i in range(n)
-                     if outs[i].bit_count() > k and ins[i].bit_count() > k
-                     and _extendable_without_matching_edge(outs, ins, i, k, bits)), None)
+                     if _extendable_without_matching_edge(outs, ins, i, k, bits)), None)
         yield outs, edge
 
 

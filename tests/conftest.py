@@ -132,6 +132,22 @@ def reference_is_minimal_k_strong(d: Digraph, k: int):
     return MinimalityResult(True)
 
 
+def reference_is_minimal_k_extendable(g: BipartiteGraph, k: int):
+    """``is_minimal_k_extendable`` as the library had it before it ran on
+    D(G, M), unchanged but for its name and import line: k-extendable, and
+    every single-edge deletion destroys that, one new graph and one
+    decision per edge."""
+    from extendix.connectivity import MinimalityResult
+    from extendix.extendability import is_k_extendable
+
+    if not is_k_extendable(g, k):
+        return MinimalityResult(False, None, f"not {k}-extendable")
+    for edge in g.sorted_edges():
+        if is_k_extendable(g.without_edge(edge), k):
+            return MinimalityResult(False, edge, "edge is deletable")
+    return MinimalityResult(True)
+
+
 def minimal_strong_by_arc_sets(n: int, k: int) -> list:
     """Minimal k-strong digraphs by the walk the sweep used to take: every
     arc set in ``combinations`` order over the off-diagonal cells, by size
@@ -785,14 +801,31 @@ def reference_recompute_verdict(cert) -> bool:
     raise ValueError(f"unknown claim {cert.claim!r}")
 
 
+def _reference_field(lines, prefix: str) -> str | None:
+    """``certify._field`` before it refused a repeated line: the text after
+    ``prefix`` on the last line that starts with it."""
+    value = None
+    for line in lines:
+        if line.startswith(prefix):
+            value = line[len(prefix):]
+    return value
+
+
+def _reference_indices(lines, prefix: str) -> list[int]:
+    """``certify._indices`` over ``_reference_field``."""
+    from extendix.certify import _numbers
+
+    return _numbers((_reference_field(lines, prefix) or "").split(), "the", prefix, "line")
+
+
 def reference_check_witness(cert) -> list[str]:
     """``certify._check_witness`` before witnesses checked the bound they
-    state and before the legacy matching left the global cache."""
+    state, before the legacy matching left the global cache and before a
+    repeated witness line was refused (``_reference_field``)."""
     from itertools import chain
 
-    from extendix.certify import (_field, _indices, _parse_edges, _parse_walk,
-                                  _path_line_problems, _split_sections, _vertices,
-                                  _walk_index)
+    from extendix.certify import (_parse_edges, _parse_walk, _path_line_problems,
+                                  _split_sections, _vertices, _walk_index)
     from extendix.connectivity import PathSystem, check_path_system, strong_components
     from extendix.core import Matching, connected
     from extendix.correspond import bipartite_of_matrix, digraph_of_matrix
@@ -808,7 +841,7 @@ def reference_check_witness(cert) -> list[str]:
 
     if kind == "alt-path-systems":
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
-        m_text = _field(cert.witness_lines, "matching:")
+        m_text = _reference_field(cert.witness_lines, "matching:")
         if m_text is None:
             return ["alt-path witness is missing its matching line"]
         try:
@@ -866,7 +899,7 @@ def reference_check_witness(cert) -> list[str]:
         return problems
 
     if kind == "separator":
-        sep = _indices(cert.witness_lines, "vertices:")
+        sep = _reference_indices(cert.witness_lines, "vertices:")
         if not _distinct_in_range(sep, obj.n):
             return [f"separator must list distinct vertices of 1..{obj.n}"]
         if len(sep) >= k:
@@ -880,7 +913,7 @@ def reference_check_witness(cert) -> list[str]:
     if kind == "non-extendable-matching":
         g = obj
         try:
-            m0 = Matching(_parse_edges(_field(cert.witness_lines, "edges:") or ""), g)
+            m0 = Matching(_parse_edges(_reference_field(cert.witness_lines, "edges:") or ""), g)
         except ValueError as exc:
             return [f"witness matching invalid: {exc}"]
         if m0.size != k:
@@ -891,7 +924,7 @@ def reference_check_witness(cert) -> list[str]:
 
     if kind == "deficient-set":
         g = obj
-        x = _indices(cert.witness_lines, "u-set:")
+        x = _reference_indices(cert.witness_lines, "u-set:")
         if not (_distinct_in_range(x, g.n) and 1 <= len(x) <= g.n - k):
             return [f"deficient set must be 1 to n-k={g.n - k} distinct vertices of U"]
         if len({j for i in x for j in g.u_neighbors(i)}) >= len(x) + k:
@@ -899,8 +932,8 @@ def reference_check_witness(cert) -> list[str]:
         return problems
 
     if kind == "zero-block":
-        rows = tuple(_indices(cert.witness_lines, "rows:"))
-        cols = tuple(_indices(cert.witness_lines, "cols:"))
+        rows = tuple(_reference_indices(cert.witness_lines, "rows:"))
+        cols = tuple(_reference_indices(cert.witness_lines, "cols:"))
         if cert.claim == "k-irreducible":
             return check_witness(obj, _symmetric_witness("k_reducible", obj, rows, cols, k))
         return check_witness(obj, _independent_witness("k_partly_decomposable", obj,
@@ -909,7 +942,7 @@ def reference_check_witness(cert) -> list[str]:
     if kind == "perfect-matching":
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
         try:
-            m = Matching(_parse_edges(_field(cert.witness_lines, "edges:") or ""), g)
+            m = Matching(_parse_edges(_reference_field(cert.witness_lines, "edges:") or ""), g)
         except ValueError as exc:
             return [f"witness matching invalid: {exc}"]
         if not m.is_perfect:

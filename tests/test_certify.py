@@ -249,6 +249,62 @@ def test_a_witness_that_states_a_bound_checks_it(cert, problem):
 
 
 # ---------------------------------------------------------------------------
+# a witness line given twice
+
+
+_PATH3 = Digraph(3, frozenset({(0, 1), (1, 2)}))
+_P4 = BipartiteGraph(2, frozenset({(0, 0), (0, 1), (1, 1)}))
+_DEC6 = _matrix([0b010001, 0b001010, 0b001100, 0b001001, 0b010001, 0b100001])  # dec6.mat
+
+
+@pytest.mark.parametrize("obj, claim, k, decoy", [
+    (_PATH3, "k-strong", 2, "vertices: 1 2 3"),
+    (_P4, "k-extendable", 1, "u-set:"),
+    (_DEC6, "k-irreducible", 1, "rows:"),
+    (_DEC6, "k-irreducible", 1, "cols:"),
+    (_P4, "k-extendable", 0, "edges:"),
+    (BipartiteGraph(3, frozenset((i, j) for i in range(3) for j in range(3))),
+     "k-extendable", 2, "matching:")])
+def test_a_repeated_witness_line_is_malformed(obj, claim, k, decoy):
+    """A second line with a prefix that the witness reads once: the decoy
+    when it is a whole line, else a copy of the certificate's own line,
+    put first.  The reference checker read the last line and verified
+    each one, among them the path 1 -> 2 -> 3 with the separator it
+    would cut given as 1 2 3."""
+    cert = build_certificate(obj, claim, k)
+    prefix = decoy.split()[0]
+    own = [line for line in cert.witness_lines if line.startswith(prefix)]
+    assert len(own) == 1, cert.witness_lines
+    doubled = replace(cert, witness_lines=(decoy if decoy != prefix else own[0],
+                                           *cert.witness_lines))
+    assert check_certificate(cert) == []
+    assert reference_check_certificate(doubled) == []
+    assert check_certificate(doubled) == [
+        f"witness payload malformed: the {prefix} line appears 2 times"]
+
+
+def test_a_repeated_legacy_matching_line_is_malformed():
+    doubled = replace(LEGACY, witness_lines=("edges: 1-1", *LEGACY.witness_lines))
+    assert reference_check_certificate(doubled) == []
+    assert check_certificate(doubled) == [
+        "witness payload malformed: the edges: line appears 2 times"]
+
+
+def test_verify_lists_a_repeated_separator_line(tmp_path, capsys):
+    from extendix.cli import main
+    from extendix.fileio import format_certificate
+
+    cert = build_certificate(_PATH3, "k-strong", 2)
+    doubled = replace(cert, witness_lines=("vertices: 1 2 3", *cert.witness_lines))
+    path = tmp_path / "path3.cert"
+    path.write_text(format_certificate(doubled))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "certificate INVALID:\n"
+        "  - witness payload malformed: the vertices: line appears 2 times\n")
+
+
+# ---------------------------------------------------------------------------
 # spies on the deciders
 
 

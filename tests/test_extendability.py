@@ -17,7 +17,7 @@ from extendix.extendability import (AltPathSystem, _deficient_set, check_alterna
                                     check_bipartite_ear_decomposition)
 
 from conftest import (assert_components_match, components_by_enumeration,
-                      make_c4_pendant, make_c6, make_p4)
+                      make_c4_pendant, make_c6, make_p4, reference_is_minimal_k_extendable)
 
 
 class TestOracle:
@@ -154,6 +154,87 @@ class TestMinimality:
                           for e in g.sorted_edges())
         assert by_deletion
         assert is_minimal_k_extendable(g, 2).holds
+
+    @staticmethod
+    def _outcome(route, g, k):
+        try:
+            return route(g, k)
+        except ValueError as exc:  # compared, message and all
+            return str(exc)
+
+    def _same_as_the_per_edge_route(self, graphs, ks) -> int:
+        """Assert ``is_minimal_k_extendable`` gives what the per-edge route
+        gives, ValueError included, on every graph at every k; return how
+        many results held, so a caller can see the corpus is not trivial."""
+        held = 0
+        for g in graphs:
+            for k in ks:
+                new = self._outcome(is_minimal_k_extendable, g, k)
+                assert new == self._outcome(reference_is_minimal_k_extendable, g, k), (g, k)
+                held += getattr(new, "holds", False)
+        return held
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_small_graph_matches_the_per_edge_route(self, n):
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        graphs = [BipartiteGraph(n, frozenset(c for b, c in enumerate(cells) if mask >> b & 1))
+                  for mask in range(1 << len(cells))]
+        held = self._same_as_the_per_edge_route(graphs, range(-1, n + 2))
+        assert held or n == 0
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_order_4_matches_the_per_edge_route(self, relabel):
+        """Every graph with the canonical matching at order 4, as given and
+        with W relabelled by j -> (j + 1) mod 4, so that the perfect
+        matching found is not the identity."""
+        shift = [1, 2, 3, 0] if relabel else [0, 1, 2, 3]
+        graphs = [BipartiteGraph(4, frozenset((i, shift[j]) for i, j in g.edges))
+                  for g in iter_bipartite_with_canonical(4)]
+        assert self._same_as_the_per_edge_route(graphs, range(4))
+
+    def test_seeded_graphs_match_the_per_edge_route(self):
+        """Seeded graphs with n = 5..20 under a random W relabelling, at
+        k = 0..3: random ones of three densities, and the circulants
+        u_i ~ w_(i+s), 0 <= s <= r, which are minimal r-extendable, each
+        also with one random edge added, which is then the edge found."""
+        rng = random.Random(36)
+        graphs = []
+        for n in range(5, 21):
+            edge_sets = [random_bipartite_with_pm(n, p, seed=rng.randrange(10 ** 6)).edges
+                         for p in (0.25, 0.45, 0.7) for _ in range(2)]
+            for r in (1, 2, 3):
+                circulant = {(i, (i + s) % n) for i in range(n) for s in range(r + 1)}
+                extra = {(rng.randrange(n), rng.randrange(n))}
+                edge_sets += [circulant, circulant | extra]
+            for edges in edge_sets:
+                perm = rng.sample(range(n), n)
+                graphs.append(BipartiteGraph(n, frozenset((i, perm[j]) for i, j in edges)))
+        assert self._same_as_the_per_edge_route(graphs, range(4))
+
+    def test_the_edges_are_settled_on_one_digraph(self):
+        """One D(G, M), and no graph copy or decision per edge: on
+        B(C_8(1, 2)), minimal 2-extendable, every edge is walked."""
+        import extendix.extendability as extendability
+
+        built = []
+        original = extendability.digraph_of
+
+        def counting(g, m):
+            built.append(g)
+            return original(g, m)
+
+        def refuse(*args):
+            raise AssertionError("per-edge route taken")
+
+        g = BipartiteGraph(8, frozenset((i, (i + s) % 8) for i in range(8) for s in (0, 1, 2)))
+        with mock.patch.object(extendability, "digraph_of", counting), \
+                mock.patch.object(extendability, "is_k_extendable", refuse), \
+                mock.patch.object(BipartiteGraph, "without_edge", refuse):
+            assert is_minimal_k_extendable(g, 2).holds
+            assert built == [g]
+            assert is_minimal_k_extendable(g, 1).witness == (0, 0)
+            assert not is_minimal_k_extendable(g, 3).holds
+        assert len(built) == 3
 
     def test_transfer_c6(self):
         rep = minimality_transfer_check(make_c6(), canonical_matching(make_c6()), 1)

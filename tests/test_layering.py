@@ -3,14 +3,16 @@
 ``_FlowNet`` is built by three functions only, each on a digraph's rows:
 ``_k_strong``, the body of ``is_k_strong``, which decides k-strong
 connectivity with a separator, also for each k of ``vertex_connectivity``
-and in the ``search`` sweep; ``_minimal_k_strong``, the body of
-``is_minimal_k_strong``, which runs one pair flow per arc on D itself; and
+and in the ``search`` sweep; ``_arc_test``, the arc lemma's test of
+whether an arc is deletable, one pair flow per arc on D itself, for
+``_minimal_k_strong`` and ``is_minimal_k_extendable``; and
 ``_path_systems``, which reads every disjoint path system.  The first and
 the last are the only readers of a flow's minimum cut, so there is one way
 to turn a cut into a witness.  Every other module asks them, and every
 separator printed comes from ``is_k_strong``.  The flow kernel's
 out-lists are built per net, in ``connectivity``, not kept on the
 instance.
+No module copies an instance to delete an edge or an arc.
 Only ``_path_systems`` runs the flow unseeded, so the paths it reads, and
 the certificate path lines built from them, come from shortest augmenting
 paths alone.  Every
@@ -36,7 +38,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "extendix"
-FLOW_BUILDERS = {"_k_strong", "_minimal_k_strong", "_path_systems"}
+FLOW_BUILDERS = {"_k_strong", "_arc_test", "_path_systems"}
 CUT_READERS = {"_k_strong", "_path_systems"}
 
 
@@ -118,6 +120,15 @@ def test_flow_net_reads_rows_and_keeps_its_own_lists():
                 if _callee(call) == "without_arc"]
 
 
+def test_no_module_copies_an_instance_to_delete_an_edge():
+    """Minimality is decided on one D(G, M) or one D, per edge and per arc
+    alike, so no module calls ``without_edge`` or ``without_arc``."""
+    copying = sorted((module, enclosing) for module, tree in _modules().items()
+                     for enclosing, call in _calls(tree)
+                     if _callee(call) in {"without_edge", "without_arc"})
+    assert copying == []
+
+
 def test_only_path_systems_runs_the_flow_unseeded():
     unseeded = sorted((module, enclosing) for module, tree in _modules().items()
                       for enclosing, call in _calls(tree)
@@ -147,19 +158,25 @@ def test_rows_and_reach_are_defined_once_in_connectivity():
 
 
 def test_search_takes_its_decisions_from_connectivity():
-    """``search`` defines no k-strong decision or minimality test of its
-    own: it imports ``_k_strong`` and ``_minimal_k_strong`` and calls each
-    in one place, the rotated digraph of a matching edge and the k >= 2
-    row walk."""
+    """``search`` defines no k-strong decision, minimality test or
+    matching-edge test of its own: it imports ``_minimal_k_strong`` from
+    ``connectivity`` and calls it in one place, the k >= 2 row walk, and
+    imports the matching-edge test of ``is_minimal_k_extendable`` from
+    ``extendability`` and calls it in one place, the transfer; the
+    k-strong decision it reaches only through those two."""
     tree = _modules()["search.py"]
     imported = {(node.module, alias.name) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert {("connectivity", "_k_strong"), ("connectivity", "_minimal_k_strong")} <= imported
+    assert {("connectivity", "_minimal_k_strong"),
+            ("extendability", "_extendable_without_matching_edge")} <= imported
     assert sorted(fn for fn in _defined(tree) if "strong" in fn) == [
         "_minimal_k_strong_rows", "_minimal_strong_rows", "minimal_k_strong_digraphs"]
+    assert sorted(fn for fn in _defined(tree) if "extendable" in fn) == [
+        "_minimal_k_extendable_rows", "minimal_k_extendable_graphs"]
+    decisions = {"_k_strong", "_minimal_k_strong", "_extendable_without_matching_edge"}
     callers = {(enclosing, _callee(call)) for enclosing, call in _calls(tree)
-               if _callee(call) in {"_k_strong", "_minimal_k_strong"}}
-    assert callers == {("_extendable_without_matching_edge", "_k_strong"),
+               if _callee(call) in decisions}
+    assert callers == {("_transfers", "_extendable_without_matching_edge"),
                        ("_row_walk", "_minimal_k_strong")}
 
 

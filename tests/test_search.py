@@ -346,10 +346,9 @@ def test_mask_transfer_matches_is_k_extendable(n_max, k):
             outs, ins = connectivity._rows(d)
             for i in range(n):
                 extendable = is_k_extendable(g.without_edge((i, i)), k)
-                assert (search._extendable_without_matching_edge(outs, ins, i, k,
-                                                                 search._bit_lists(n))
-                        == extendable), (d, i)
-                # the degree bound ``_transfers`` skips on
+                assert (extendability._extendable_without_matching_edge(
+                    outs, ins, i, k, search._bit_lists(n)) == extendable), (d, i)
+                # the degree bound the rotation test answers on at once
                 if outs[i].bit_count() <= k or ins[i].bit_count() <= k:
                     assert not extendable, (d, i)
 
@@ -357,17 +356,18 @@ def test_mask_transfer_matches_is_k_extendable(n_max, k):
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (5, 1), (4, 2)])
 def test_transfer_makes_at_most_n_mask_calls_per_digraph(n, k, monkeypatch):
     """One ``_k_strong`` call per matching edge up to the first deletable
-    one (or all n) whose ends both keep more than k edges."""
+    one (or all n) whose ends both keep more than k edges: the rotation
+    test, in ``extendability``, skips the others by degree."""
     monkeypatch.setattr(search, "_minimal_k_strong_rows",
                         lambda n, k: list(minimal_strong_rows(n, k)))
     calls = []
-    original = search._k_strong
+    original = extendability._k_strong
 
     def counting(outs, ins, k):
         calls.append(len(outs))
         return original(outs, ins, k)
 
-    monkeypatch.setattr(search, "_k_strong", counting)
+    monkeypatch.setattr(extendability, "_k_strong", counting)
     seen = 0
     for outs, edge in search._transfers(n, k):
         seen += 1

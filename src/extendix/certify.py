@@ -1,45 +1,46 @@
 """Building and checking certificates for the four claim kinds.
 
-A positive certificate carries reach trees at k = 1, path systems
-(alternating ones on the bipartite side, vertex-disjoint ones on the
-digraph side) above, or a perfect matching for the k = 0 boundary; a
-negative certificate carries a separator, a deficient vertex set read
-off a separator, or a zero block (older certificates may carry a
-non-extendable matching, and older positive ones path systems at k = 1).
-At k = 1 every claim is that one digraph is strong: D itself, D(A), or
-D(G, M) and D(B(A), M) for the maximum matching M that building takes
-anyway.  The out-tree and in-tree from vertex 1 that the two reaches of
-that decision grow prove it.
+A positive certificate carries reach trees at k = 1, fan paths above, or
+a perfect matching for the k = 0 boundary; a negative certificate carries
+a separator, a deficient vertex set read off a separator, or a zero block
+(older certificates may carry a non-extendable matching, and older
+positive ones sampled path systems).  Above k = 0 every claim is that one
+digraph is k-strong: D itself, D(A), or D(G, M) and D(B(A), M) for the
+maximum matching M that building takes anyway.  At k = 1 the out-tree and
+in-tree from vertex 1 that the two reaches of that decision grow prove
+it.  At k >= 2 S. Even's schedule (``connectivity.is_k_strong``) decides,
+and a holding decision hands over the paths of every check that the arcs
+leave open (``connectivity._short_check``): the witness of a certifying
+algorithm in the sense of McConnell, Mehlhorn, Naeher and Schweitzer
+(Comput. Sci. Rev. 2011).
 ``check_certificate`` checks the witness first.  A witness whose check
-alone proves the verdict (every negative one, reach trees, a perfect
-matching at k = 0, the size cap of k-irreducibility) is the whole proof,
-and no decider runs; for sampled path systems, and for a witness that
-fails its check, the verdict is re-derived from the embedded instance as
-well.
+alone proves the verdict (every negative one, reach trees, fan paths, a
+perfect matching at k = 0, the size cap of k-irreducibility) is the whole
+proof, and no decider runs; for the sampled path systems of earlier
+versions, and for a witness that fails its check, the verdict is
+re-derived from the embedded instance as well.
 
 Cost: building takes one decision, a maximum matching and at most one
 ``is_k_strong`` call: at k = 1 two reaches of O(n) mask operations,
 which also give the trees, else at most k(k-1) + 2(n-k) flows of
-O(k (n + m)), and a positive certificate at most six path flows more,
-of O(k (n + m)) each, on one flow kernel.  A negative witness is read
-off the decision itself: a separator, a deficient set or a zero block
-from the cut of the first failing flow (at k = 1 the empty cut of the
-failing reach, on the D the reaches ran on), or a Hall violator from the
-failing matching.
+O(k (n + m)) on one net per orientation, whose proof a positive
+certificate writes.  A negative witness is read off the decision itself:
+a separator, a deficient set or a zero block from the cut of the first
+failing flow (at k = 1 the empty cut of the failing reach, on the D the
+reaches ran on), or a Hall violator from the failing matching.
 """
 
 from __future__ import annotations
 
-import random
-from itertools import chain
+from itertools import chain, compress
 
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
-                   connected, is_int_token, parse_vertex_label, u_label, w_label)
+                   connected, is_int_token, parse_vertex_label)
 from .correspond import bipartite_of_matrix, digraph_of, digraph_of_matrix
-from .connectivity import (_path_systems, _reach_tree, _rows, is_k_strong, strong_components,
+from .connectivity import (_reach_tree, _rows, is_k_strong, strong_components,
                            check_path_system, PathSystem)
-from .extendability import (AltPathSystem, _alternating_paths, _deficient_set, _walk_text,
-                            check_alternating_path_system, is_k_extendable)
+from .extendability import (AltPathSystem, _deficient_set, check_alternating_path_system,
+                            is_k_extendable)
 from .fileio import CLAIMS, Certificate, LabelIndex, k_range, vertex_labels
 from .matching import first_perfect_matching, has_perfect_matching, max_matching_pairs
 from .matrixlab import (_decomposable, _distinct_in_range, _independent_witness, _reducible,
@@ -48,17 +49,6 @@ from .matrixlab import (_decomposable, _distinct_in_range, _independent_witness,
 
 
 _NOUNS = {BipartiteGraph: "bipartite graph", Digraph: "digraph", ZeroOneMatrix: "matrix"}
-_SAMPLED = 6  # the most pairs a positive certificate carries path systems for
-
-
-def _sample(count: int, seed) -> list[int]:
-    """The indices of a list of count pairs: all of them when there are at
-    most _SAMPLED, else a seeded sorted sample of _SAMPLED.  ``random.sample``
-    picks by position, so these are the positions it picks from the list
-    itself, and no list is built.  Time: O(1)."""
-    if count <= _SAMPLED:
-        return list(range(count))
-    return sorted(random.Random(seed).sample(range(count), _SAMPLED))
 
 
 def _edges_text(edges) -> str:
@@ -66,9 +56,10 @@ def _edges_text(edges) -> str:
     return " ".join(f"{i + 1}-{j + 1}" for i, j in sorted(edges))
 
 
-def _parse_edges(text: str) -> frozenset:
-    """Inverse of _edges_text."""
-    ends = (_numbers(token.split("-"), "edge", token) for token in text.split())
+def _parse_edges(text: str, index: LabelIndex) -> frozenset:
+    """Inverse of _edges_text, each number read through index, the
+    instance's ``LabelIndex``, as ``_vertices`` reads it."""
+    ends = (_vertices(index, token.split("-"), "edge", token) for token in text.split())
     return frozenset((i, j) for i, j in ends)
 
 
@@ -138,29 +129,6 @@ def _parse_walk(text: str, index: dict) -> tuple:
 # building
 
 
-def _alt_system_lines(g: BipartiteGraph, m: Matching, k: int, seed) -> list[str]:
-    """Path systems of a G known k-extendable, all read off one D(G, M)."""
-    lines = ["matching: " + _edges_text(m.edges)]
-    pairs = [divmod(i, g.n) for i in _sample(g.n * g.n, seed)]  # pair i of (u, w) in row order
-    for system in _alternating_paths(g, m, pairs, k):
-        lines.append(f"pair: {u_label(system.u)} {w_label(system.w)}")
-        lines += [f"path: {_walk_text(walk)}" for walk in system.paths]
-    return lines
-
-
-def _menger_lines(d: Digraph, k: int, seed) -> list[str]:
-    """Menger systems of a D known k-strong, all read off one network."""
-    lines = []
-    # pair i of the pairs s != t in row order: (s, r) = divmod(i, n - 1), t = r below s, else r + 1
-    sampled = (divmod(i, d.n - 1) for i in _sample(d.n * (d.n - 1), seed))
-    pairs = [(s, r + (r >= s)) for s, r in sampled]
-    label = vertex_labels(d.n)
-    for system in _path_systems(d, pairs, k):
-        lines.append(f"pair: {label[system.sources[0]]} {label[system.sinks[0]]}")
-        lines += ["path: " + " ".join([label[v] for v in p]) for p in system.paths]
-    return lines
-
-
 def _reach_trees(claim: str, obj, d: Digraph, head=()) -> Certificate | None:
     """The certificate of a claim that holds at k = 1 because d, its
     digraph, is strong and has n >= 2 vertices; None otherwise.  Its lines
@@ -179,28 +147,41 @@ def _reach_trees(claim: str, obj, d: Digraph, head=()) -> Certificate | None:
     return Certificate(claim, 1, True, obj, "reach-trees", tuple(lines))
 
 
-def _matched_trees(claim: str, k: int, obj, g: BipartiteGraph, pairs: dict) -> tuple:
-    """At k = 1, when pairs, a maximum matching of g, is a perfect one M:
-    D(g, M), and ``_reach_trees`` of it with M's line first.  Otherwise
-    (None, None)."""
-    if k != 1 or len(pairs) < g.n:
-        return None, None
+def _fan_paths(claim: str, k: int, obj, n: int, proof: list, head=()) -> Certificate:
+    """The certificate of a claim that holds at k >= 2 because its digraph,
+    of order n, is k-strong: head (the matching line of the bipartite
+    side), then per entry of proof, the schedule's proof
+    (``connectivity._short_check``), the check's line and one line per
+    path.  Time: O(n) plus the length of the paths."""
+    label, lines = vertex_labels(n), list(head)
+    for (name, *ends), paths in proof:
+        lines.append(f"{name}: " + " ".join([label[v] for v in ends]))
+        lines += ["path: " + " ".join([label[v] for v in path]) for path in paths]
+    return Certificate(claim, k, True, obj, "fan-paths", tuple(lines))
+
+
+def _matched(claim: str, k: int, obj, g: BipartiteGraph, pairs: dict) -> tuple:
+    """For k >= 1, when pairs, a maximum matching of g, is a perfect one M:
+    D(g, M), M's line, and at k = 1 ``_reach_trees`` of D with that line
+    first.  Otherwise (None, (), None)."""
+    if k < 1 or len(pairs) < g.n:
+        return None, (), None
     m = Matching(frozenset(pairs.items()), g)
-    d, _ = digraph_of(g, m)
-    return d, _reach_trees(claim, obj, d, ("matching: " + _edges_text(m.edges),))
+    d, head = digraph_of(g, m)[0], ("matching: " + _edges_text(m.edges),)
+    return d, head, _reach_trees(claim, obj, d, head) if k == 1 else None
 
 
-def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, seed,
-                          pairs: dict) -> Certificate:
+def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, pairs: dict,
+                          proof: list, head: tuple) -> Certificate:
     """Positive certificate for a k-extendable graph g (obj is g or its
-    matrix): a perfect matching at k = 0, alternating path systems above.
-    pairs is a maximum matching of g."""
-    m = first_perfect_matching(g, pairs)
+    matrix): the first perfect matching at k = 0, else the fan paths of
+    proof on D(g, M) after M's line, head, M being pairs, a maximum
+    matching of g."""
     if k == 0:
+        m = first_perfect_matching(g, pairs)
         return Certificate(claim, k, True, obj, "perfect-matching",
                            ("edges: " + _edges_text(m.edges),))
-    return Certificate(claim, k, True, obj, "alt-path-systems",
-                       tuple(_alt_system_lines(g, m, k, seed)))
+    return _fan_paths(claim, k, obj, g.n, proof, head)
 
 
 def _zero_block_certificate(claim: str, k: int, a: ZeroOneMatrix, w) -> Certificate:
@@ -209,21 +190,22 @@ def _zero_block_certificate(claim: str, k: int, a: ZeroOneMatrix, w) -> Certific
         "cols: " + " ".join(str(j + 1) for j in w.col_subset)))
 
 
-def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
+def build_certificate(obj, claim: str, k: int) -> Certificate:
     """Decide the claim on the instance and package a re-checkable witness.
     Time: O(n^2) mask operations for a maximum matching, and O(n + m) for
-    the claim's digraph on the bipartite side at k = 1.  Then, at k = 1,
+    the claim's digraph on the bipartite side at k >= 1.  Then, at k = 1,
     two reaches of O(n) mask operations, the whole of a positive
     certificate, which a failing claim repeats (``is_k_strong``) before the
     O(n^2) strong-component pass of its witness; at k >= 2 one
     ``is_k_strong`` call of at most k(k-1) + 2(n-k) flows of
-    O(k (n + m)), and for a positive certificate at most six path flows of
-    O(k (n + m)) more and, on the bipartite side, the first perfect
-    matching's at most m trial augmentations of O(n) mask operations."""
+    O(k (n + m)), on one net per orientation, whose proof a positive
+    certificate writes: O(n) per check listed, the sum of the listed path
+    lengths, at most k(k-1) + 2(n-k) checks of k paths, O(k n^2) labels."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     if not isinstance(obj, CLAIMS[claim]):
         raise ValueError(f"{claim} applies to {_NOUNS[CLAIMS[claim]]} instances")
+    proof: list = []
     if claim == "k-extendable":
         if k < 0:
             raise ValueError("k must be nonnegative")
@@ -231,12 +213,12 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             return Certificate(claim, k, False, obj, "size-cap",
                                (f"reason: k={k} exceeds n-1={obj.n - 1}",))
         pairs = max_matching_pairs(obj)
-        d, cert = _matched_trees(claim, k, obj, obj, pairs)
+        d, head, cert = _matched(claim, k, obj, obj, pairs)
         if cert:
             return cert
-        x = _deficient_set(obj, k, pairs, d)
+        x = _deficient_set(obj, k, pairs, d, proof)
         if x is None:
-            return _matching_certificate(claim, k, obj, obj, seed, pairs)
+            return _matching_certificate(claim, k, obj, obj, pairs, proof, head)
         if k >= 1 and not connected(obj):
             return Certificate(claim, k, False, obj, "disconnected", ())
         if len(pairs) < obj.n:
@@ -249,10 +231,9 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
             raise ValueError("k must be at least 1")
         if k == 1 and (cert := _reach_trees(claim, obj, obj)):
             return cert
-        verdict = is_k_strong(obj, k)
+        verdict = is_k_strong(obj, k, proof)
         if verdict.holds:
-            return Certificate(claim, k, True, obj, "menger-path-systems",
-                               tuple(_menger_lines(obj, k, seed)))
+            return _fan_paths(claim, k, obj, obj.n, proof)
         if verdict.separator is None:
             return Certificate(claim, k, False, obj, "too-few-vertices",
                                (f"reason: {verdict.reason}",))
@@ -262,26 +243,25 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
     if claim == "k-indecomposable":
         g = bipartite_of_matrix(obj)
         pairs = max_matching_pairs(g)
-        d, cert = _matched_trees(claim, k, obj, g, pairs)
+        d, head, cert = _matched(claim, k, obj, g, pairs)
         if cert:
             return cert
-        res = _decomposable(obj, k, "k_partly_decomposable", g, pairs, d)
+        res = _decomposable(obj, k, "k_partly_decomposable", g, pairs, d, proof)
         if res.holds:
             return _zero_block_certificate(claim, k, obj, res.witness)
-        return _matching_certificate(claim, k, obj, g, seed, pairs)
+        return _matching_certificate(claim, k, obj, g, pairs, proof, head)
 
     if claim == "k-irreducible":
         d = digraph_of_matrix(obj)
         if k == 1 and (cert := _reach_trees(claim, obj, d)):
             return cert
-        res = _reducible(obj, k, "k_reducible", d)
+        res = _reducible(obj, k, "k_reducible", d, proof)
         if res.holds:
             return _zero_block_certificate(claim, k, obj, res.witness)
         if k == obj.n:
             return Certificate(claim, k, True, obj, "size-cap",
                                ("reason: no matrix of order n is n-reducible",))
-        return Certificate(claim, k, True, obj, "menger-path-systems",
-                           tuple(_menger_lines(d, k, seed)))
+        return _fan_paths(claim, k, obj, obj.n, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +270,9 @@ def build_certificate(obj, claim: str, k: int, seed=0) -> Certificate:
 
 def _recompute_verdict(cert: Certificate) -> bool:
     """The claim's decider on the embedded instance: the proof behind a
-    witness that does not prove its verdict alone, sampled path systems
-    (k >= 2, and k = 1 certificates of the first format) above all."""
+    witness that does not prove its verdict alone, the sampled path
+    systems of earlier versions, and the verdict problem of a witness that
+    fails its check."""
     obj, k = cert.instance, cert.k
     if cert.claim == "k-extendable":
         return is_k_extendable(obj, k)
@@ -338,14 +319,13 @@ def _one_line(lines, prefix: str) -> tuple[str | None, str | None]:
     return None, f"reach-trees needs one {prefix} line, has {len(found)}"
 
 
-def _perfect_mate(lines, has, n: int) -> tuple[list | None, str | None]:
-    """(M(v) for each vertex v, None) for the perfect matching M of the
-    ``matching:`` line, each edge (i, j) one that has(i, j) finds in the
+def _perfect_mate(text: str, has, index: LabelIndex) -> tuple[list | None, str | None]:
+    """(M(v) for each vertex v, None) for the perfect matching M of text,
+    a ``matching:`` line's, read through index, the instance's
+    ``LabelIndex``, each edge (i, j) one that has(i, j) finds in the
     instance; (None, the problem) when there is no such M."""
-    text, problem = _one_line(lines, "matching:")
-    if problem:
-        return None, problem
-    edges = _parse_edges(text)
+    n = index.n
+    edges = _parse_edges(text, index)
     for i, j in sorted(edges):
         if not (0 <= i < n and 0 <= j < n and has(i, j)):
             return None, f"embedded matching invalid: edge {i + 1}-{j + 1} is not in the instance"
@@ -385,9 +365,9 @@ def _lookup(obj):
     return lambda i, j: (i, j) in held
 
 
-# the digraph whose arcs the trees of a claim's reach-trees witness use
-_TREE_DIGRAPH = {"k-strong": "the digraph", "k-irreducible": "D(A)",
-                 "k-extendable": "D(G, M)", "k-indecomposable": "D(B(A), M)"}
+# the digraph whose arcs the trees and paths of a claim's positive witness use
+_DIGRAPH = {"k-strong": "the digraph", "k-irreducible": "D(A)",
+            "k-extendable": "D(G, M)", "k-indecomposable": "D(B(A), M)"}
 
 
 def _reach_tree_problems(cert: Certificate) -> list[str]:
@@ -404,12 +384,13 @@ def _reach_tree_problems(cert: Certificate) -> list[str]:
         return [f"reach-trees needs k = 1, has k={cert.k}"]
     if n < 2:
         return [f"reach-trees needs n >= 2, has n={n}"]
-    has, mate = _lookup(obj), range(n)
+    has, mate, index = _lookup(obj), range(n), LabelIndex(n)
     if cert.claim in ("k-extendable", "k-indecomposable"):
-        mate, problem = _perfect_mate(cert.witness_lines, has, n)
+        text, problem = _one_line(cert.witness_lines, "matching:")
+        mate, problem = (None, problem) if problem else _perfect_mate(text, has, index)
         if problem:
             return [problem]
-    index, digraph, problems = LabelIndex(n), _TREE_DIGRAPH[cert.claim], []
+    digraph, problems = _DIGRAPH[cert.claim], []
     for name, out in (("out-tree", True), ("in-tree", False)):
         text, problem = _one_line(cert.witness_lines, name + ":")
         tokens = [] if problem else text.split()
@@ -433,6 +414,151 @@ def _reach_tree_problems(cert: Certificate) -> list[str]:
     return problems
 
 
+def _fan_digraph(cert: Certificate, index: LabelIndex) -> tuple:
+    """((out-rows, in-rows), None) of the digraph whose k-strength a
+    ``fan-paths`` witness proves: D, D(A), or D(G, M) and D(B(A), M) for
+    the perfect matching M of the ``matching:`` line, read through index;
+    (None, the problem) when that line gives no perfect matching of the
+    instance.  D(G, M) has the arc p->v for each edge u_p w_M(v), p != v,
+    and D(A) the arc p->v for each one a_pv, p != v: the same relabelling
+    of B(A) with M(v) = v.
+    Time: O(n + m), or O(n^2) for a matrix."""
+    obj, claim, n = cert.instance, cert.claim, cert.instance.n
+    if claim == "k-strong":
+        return _rows(obj), None
+    mate = range(n)
+    if claim != "k-irreducible":
+        text = _field(cert.witness_lines, "matching:")
+        if text is None:
+            return None, "fan-paths needs a matching: line"
+        mate, problem = _perfect_mate(text, _lookup(obj), index)
+        if problem:
+            return None, problem
+    owner, outs, ins = [0] * n, [0] * n, [0] * n
+    for v, w in enumerate(mate):
+        owner[w] = v
+    edges = obj.edges if isinstance(obj, BipartiteGraph) else (
+        (p, j) for p, row in enumerate(obj.rows) for j in compress(range(n), row))
+    for p, j in edges:
+        if (v := owner[j]) != p:
+            outs[p] |= 1 << v
+            ins[v] |= 1 << p
+    return (outs, ins), None
+
+
+def _fan_sections(lines, index: LabelIndex, matched: bool) -> dict:
+    """{check: (its name as written, its paths' token lists)} for the check
+    lines of a ``fan-paths`` witness, each check ("pair", s, t),
+    ("in-fan", j) or ("out-fan", j) in 0-based vertices, read through
+    index.  A ValueError names a path line before any check line, a check
+    given twice, and a line of another kind (``matching:`` is one only
+    when not matched).  Time: O(len(lines)) plus the tokens."""
+    sections, listed = {}, None
+    for line in lines:
+        kind, _, rest = line.partition(":")
+        tokens = rest.split()
+        if kind == "path":
+            if listed is None:
+                raise ValueError("path line before any check line")
+            listed.append(tokens)
+        elif kind in ("pair", "in-fan", "out-fan"):
+            check = (kind, *_vertices(index, tokens, "the", kind, "line"))
+            if check in sections:
+                raise ValueError(f"the line {line!r} appears twice")
+            listed = []
+            sections[check] = (" ".join([kind, *tokens]), listed)
+        elif not (matched and kind == "matching"):
+            raise ValueError(f"fan-paths has no {kind}: lines")
+    return sections
+
+
+def _open_checks(outs, ins, k: int):
+    """The checks of S. Even's schedule (``connectivity.is_k_strong``) that
+    the arcs leave open, for n >= k + 1, as (check, the paths it needs, the
+    mask of its direct tails or heads): each ordered pair s != t < k with
+    no arc s->t, needing k paths; for each j >= k, the in-fan into j and
+    the out-fan from j, needing k less the arcs between j and {0..j-1}
+    that run its way, when that is positive.  Time: O(k^2 + n)."""
+    for s in range(k):
+        for t in range(k):
+            if s != t and not outs[s] >> t & 1:
+                yield ("pair", s, t), k, 0
+    for j in range(k, len(outs)):
+        below = (1 << j) - 1
+        for name, rows in (("in-fan", ins), ("out-fan", outs)):
+            direct = rows[j] & below
+            if direct.bit_count() < k:
+                yield (name, j), k - direct.bit_count(), direct
+
+
+def _fan_path_problems(cert: Certificate) -> list[str]:
+    """The ``fan-paths`` check.  It asks k >= 1 and n >= k + 1; on the
+    bipartite side a perfect matching M of the instance; one line per
+    check the arcs leave open (``_open_checks``) and none for any other;
+    and under each, at least as many paths as the check needs, each a path
+    of the claim's digraph (``_DIGRAPH``): from s to t for a pair; from a
+    vertex below j to j for an in-fan, and from j to one for an out-fan.  One
+    mask per check holds the vertices taken: a pair's ends and its paths'
+    inner vertices; a fan's j, its direct tails (heads) and every other
+    vertex of its paths.  A vertex met twice is a problem.  Each arc is
+    one row lookup.  No decider, flow net or matching search runs.
+    Time: O(n + m) for the rows, O(k^2 + n) for the schedule, and linear
+    in the witness lines."""
+    obj, k = cert.instance, cert.k
+    n = obj.n
+    if k < 1:
+        return [f"fan-paths needs k >= 1, has k={k}"]
+    if n < k + 1:
+        return [f"fan-paths needs n >= k+1={k + 1}, has n={n}"]
+    index = LabelIndex(n)
+    rows, problem = _fan_digraph(cert, index)
+    if problem:
+        return [problem]
+    outs, ins = rows
+    digraph, problems = _DIGRAPH[cert.claim], []
+    sections = _fan_sections(cert.witness_lines, index,
+                             cert.claim in ("k-extendable", "k-indecomposable"))
+    for check, need, direct in _open_checks(outs, ins, k):
+        name, *ends = check
+        if check not in sections:
+            problems.append(f"{name} {' '.join(str(v + 1) for v in ends)} has no line")
+            continue
+        shown, listed = sections.pop(check)
+        if len(listed) < need:
+            problems.append(f"{shown} has {len(listed)} paths, needs {need}")
+        # the ends each path must have, -1 for any vertex below j; the
+        # slice of it whose vertices the check's mask takes
+        if name == "pair":
+            first, last, inner = ends[0], ends[1], slice(1, -1)
+        elif name == "in-fan":
+            first, last, inner = -1, ends[0], slice(0, -1)
+        else:
+            first, last, inner = ends[0], -1, slice(1, None)
+        used = direct | 1 << ends[0] | 1 << ends[-1]
+        tail = "tail" if name == "in-fan" else "head"
+        for i, tokens in enumerate(listed, 1):
+            path = _vertices(index, tokens, shown, "path", i)
+            where = f"{shown} path {i}"
+            if not path or min(path) < 0 or max(path) >= n:
+                problems.append(f"{where} is empty" if not path else
+                                f"{where} has a vertex outside 1..{n}")
+                continue
+            if not ((path[0] == first if first >= 0 else path[0] < ends[0])
+                    and (path[-1] == last if last >= 0 else path[-1] < ends[0])):
+                start, stop = (str(end + 1) if end >= 0 else f"a vertex below {ends[0] + 1}"
+                               for end in (first, last))
+                problems.append(f"{where} does not run from {start} to {stop}")
+            problems += [f"{where} uses the arc {a + 1} -> {b + 1}, not in {digraph}"
+                         for a, b in zip(path, path[1:]) if not outs[a] >> b & 1]
+            for v in path[inner]:
+                if used >> v & 1:
+                    problems.append(f"{where} meets the direct {tail} {v + 1}"
+                                    if direct >> v & 1 else f"{where} meets {v + 1} twice")
+                used |= 1 << v
+    return problems + [f"{shown} is no check that the arcs leave open"
+                       for shown, _ in sections.values()]
+
+
 def _check_witness(cert: Certificate) -> list[str]:
     obj, k = cert.instance, cert.k
     kind = cert.witness_kind
@@ -441,13 +567,16 @@ def _check_witness(cert: Certificate) -> list[str]:
     if kind == "reach-trees":
         return _reach_tree_problems(cert)
 
+    if kind == "fan-paths":
+        return _fan_path_problems(cert)
+
     if kind == "alt-path-systems":
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
         m_text = _field(cert.witness_lines, "matching:")
         if m_text is None:
             return ["alt-path witness is missing its matching line"]
         try:
-            matching = Matching(_parse_edges(m_text), g)
+            matching = Matching(_parse_edges(m_text, LabelIndex(g.n)), g)
         except ValueError as exc:
             return [f"embedded matching invalid: {exc}"]
         if not matching.is_perfect:
@@ -515,7 +644,7 @@ def _check_witness(cert: Certificate) -> list[str]:
     if kind == "non-extendable-matching":
         g, text = obj, _field(cert.witness_lines, "edges:") or ""
         try:
-            m0 = Matching(_parse_edges(text), g)
+            m0 = Matching(_parse_edges(text, LabelIndex(g.n)), g)
         except ValueError as exc:
             return [f"witness matching invalid: {exc}"]
         if m0.size != k:
@@ -548,7 +677,7 @@ def _check_witness(cert: Certificate) -> list[str]:
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
         text = _field(cert.witness_lines, "edges:") or ""
         try:
-            m = Matching(_parse_edges(text), g)
+            m = Matching(_parse_edges(text, LabelIndex(g.n)), g)
         except ValueError as exc:
             return problems + [f"witness matching invalid: {exc}"]
         if not m.is_perfect:
@@ -592,13 +721,13 @@ def _witness_problems(cert: Certificate) -> list[str]:
 _SELF_PROVING = {
     ("k-extendable", False): {"deficient-set", "disconnected", "no-perfect-matching",
                               "non-extendable-matching", "size-cap"},
-    ("k-extendable", True): {"perfect-matching", "reach-trees"},
+    ("k-extendable", True): {"perfect-matching", "reach-trees", "fan-paths"},
     ("k-strong", False): {"separator", "too-few-vertices"},
-    ("k-strong", True): {"reach-trees"},
+    ("k-strong", True): {"reach-trees", "fan-paths"},
     ("k-indecomposable", False): {"zero-block"},
-    ("k-indecomposable", True): {"perfect-matching", "reach-trees"},
+    ("k-indecomposable", True): {"perfect-matching", "reach-trees", "fan-paths"},
     ("k-irreducible", False): {"zero-block"},
-    ("k-irreducible", True): {"size-cap", "reach-trees"},
+    ("k-irreducible", True): {"size-cap", "reach-trees", "fan-paths"},
 }
 
 
@@ -649,16 +778,35 @@ def check_certificate(cert: Certificate) -> list[str]:
       strong.  For k-strong that is the claim.  A is irreducible iff
       D(A) is strong; for a perfect matching M of G, G is 1-extendable iff
       D(G, M) is strong; and A is fully indecomposable iff B(A) is
-      1-extendable, so iff D(B(A), M) is strong.
+      1-extendable, so iff D(B(A), M) is strong.  The same three
+      equivalences hold for every k >= 1, with k-strong for strong;
+    * ``fan-paths``, n >= k + 1: the claim's digraph D is k-strong.  Take
+      S, |S| < k, and a split of D - S into X and Y with no arc from X to
+      Y, and let v be the least vertex outside S, so v < k.  Say v is in
+      X, and j is the least vertex of Y.  If j < k, no arc runs from v to
+      j, so the pair (v, j) is a check the arcs leave open, and each of
+      its k listed paths, internally disjoint, has an inner vertex in S.
+      If j >= k, {0..j-1} lies in S + X, so every direct tail of j (an
+      in-neighbour below j) lies in S, and every listed path of the
+      in-fan of j, from a vertex below j to j, meets S; the paths are
+      disjoint but at j and miss the direct tails, so the direct tails
+      and the paths, at least k of them, claim distinct vertices of S.
+      v in Y is the mirror case: the pair (j, v), or the out-fan of j,
+      j the least vertex of X.  Either way |S| >= k, a contradiction; and
+      D has the k + 1 vertices k-strength asks.
 
     Otherwise (sampled path systems, a witness that fails its check, a
     kind that proves another claim or verdict) the verdict is re-derived
     from the embedded instance, and its problem, if any, comes first.
     Time: a self-proving witness costs its check alone, at most a maximum
-    matching or a strong-component pass, each O(n^2) mask steps, and
+    matching or a strong-component pass, each O(n^2) mask steps,
     O(n log n) for reach trees (one instance lookup per parent and
-    matching edge); otherwise the decision of ``build_certificate`` as
-    well, and O(k^2 n) per pair of a path-system witness."""
+    matching edge), and for fan paths the O(n + m) rows of D (O(n^2) for
+    a matrix), O(k^2 + n) for the schedule and one row lookup per listed
+    arc: linear in the certificate, whose paths hold at most
+    k(k-1) + 2(n-k) checks of k paths, O(k n^2) labels; otherwise the
+    decision of ``build_certificate`` as well, and O(k^2 n) per pair of a
+    path-system witness."""
     witness = _witness_problems(cert) if _self_proving(cert) else None
     if witness == []:
         return []

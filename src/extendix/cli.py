@@ -264,7 +264,7 @@ def cmd_certify(args) -> int:
     writing the certificate, O(n + m log m) plus its witness lines."""
     obj = read_instance(args.path)
     try:
-        cert = build_certificate(obj, args.claim, args.k, args.seed)
+        cert = build_certificate(obj, args.claim, args.k)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -451,7 +451,6 @@ _ARGUMENTS = {
     "certify": (("path",), (
         _Option("--claim", choices=CLAIMS, required=True),
         _Option("--k", type=int, required=True),
-        _Option("--seed", type=int, default=0),
         _Option("--out"))),
     "verify": (("path",), ()),
     "search": ((), (

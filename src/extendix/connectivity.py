@@ -217,6 +217,9 @@ class _FlowNet:
     ``_fan_seed``) builds none, and such a flow costs a few word
     operations."""
 
+    keep = False  # whether a check that reaches its limit leaves its paths in ``kept``
+    kept = ()
+
     def __init__(self, outs, ins):
         self.n, self.outs, self.ins = len(outs), outs, ins
         self.succ = None
@@ -224,13 +227,15 @@ class _FlowNet:
     def flow(self, s: int, t: int, limit: int, *, seeded: bool = True) -> int:
         """Disjoint s->t paths of length at least 2 up to limit; leaves the
         flow in ``back`` and ``ends`` and, when it searched, the last reach
-        in ``via``, each reached node's parent.  Seeded (see ``_seed``), a pair whose short
-        paths reach limit returns at once and leaves all three as they
-        were; otherwise the seed's paths are pushed and shortest augmenting
-        paths take the flow on.  An unseeded flow always starts afresh,
-        also at limit 0, so ``paths()`` after it reads its own flow; as
-        ``_path_systems`` runs unseeded, its paths come from shortest
-        augmenting paths alone.
+        in ``via``, each reached node's parent.  Seeded (see ``_seed``), a
+        pair whose short paths reach limit returns at once and leaves all
+        three as they were; otherwise the seed's paths are pushed and
+        shortest augmenting paths take the flow on.  An unseeded flow
+        always starts afresh, also at limit 0, so ``paths()`` after it
+        reads its own flow; as ``_path_systems`` runs unseeded, its paths
+        come from shortest augmenting paths alone.  On a net that keeps
+        paths (``keep``), a flow that reaches limit leaves its paths, the
+        seed's when they settle it, in ``kept``, as ``paths()`` gives them.
 
         Seeding cannot change the value or ``cut()``.  ``cut()`` is read
         only after a flow that stopped below its limit: such a flow ran a
@@ -242,7 +247,10 @@ class _FlowNet:
         value, paths = self._seed(s, t, limit) if seeded else (0, ())
         if paths is None:
             return limit
-        return self._augment(s, t, value, limit, paths)
+        value = self._augment(s, t, value, limit, paths)
+        if self.keep and value == limit:
+            self.kept = self.paths(s, t)
+        return value
 
     def fan(self, j: int, limit: int) -> int:
         """Paths from distinct vertices of {0..j-1} to j, disjoint but at j,
@@ -252,12 +260,33 @@ class _FlowNet:
         Its minimum cuts are vertices: each arc into j leaves an out-node
         whose split edge is on the path, and never hold j, the sink.  Seeded
         by ``_fan_seed``, which, as ``_seed`` does, leaves the value and
-        ``cut()`` unchanged; ``paths()`` is not read after it.
+        ``cut()`` unchanged.  On a net that keeps paths, a fan that reaches
+        limit leaves in ``kept`` the paths that the arcs into j from
+        {0..j-1}, its direct tails, leave to prove (``_fan_cut``), none
+        when they alone reach limit.
         Time: that of ``flow``."""
         value, paths = self._fan_seed(j, limit)
         if paths is None:
             return limit
-        return self._augment(j, j, value, limit, paths, range(0, 2 * j, 2))
+        value = self._augment(j, j, value, limit, paths, range(0, 2 * j, 2))
+        if self.keep and value == limit:
+            self.kept = self._fan_cut(j, limit)
+        return value
+
+    def _fan_cut(self, j: int, limit: int) -> list:
+        """The paths of the fan into j, which reached limit with fewer
+        direct tails (in-neighbours of j below j): each flow path cut at
+        its last vertex below j, so the rest of it lies above j; a path
+        whose cut starts at a direct tail dropped, as that arc counts it;
+        and the first limit - |direct tails| of the others, in order.
+        Time: O(n), the paths being disjoint but at j."""
+        direct = self.ins[j] & ((1 << j) - 1)
+        cut = []
+        for path in self.paths(j, j):  # (j, b, ..., j), b the path's first vertex
+            i = max(i for i in range(1, len(path) - 1) if path[i] < j)
+            if not direct >> path[i] & 1:
+                cut.append(path[i:])
+        return sorted(cut)[:limit - direct.bit_count()]
 
     def _augment(self, s: int, t: int, value: int, limit: int, paths, heads=None) -> int:
         """The flow of ``value`` disjoint paths, pushed, taken on to limit by
@@ -308,7 +337,8 @@ class _FlowNet:
         every s->x->t, then one s->x->y->t for each x still unused, x and y
         lowest first among the unused interior vertices, stopping at limit.
         Returns (limit, None) when these reach limit, so a settled pair
-        lists no paths; otherwise the value and the paths as vertex tuples.
+        lists no paths (a net that keeps paths keeps them, sorted);
+        otherwise the value and the paths as vertex tuples.
         The paths of length 2 are counted by popcount, so a pair they settle
         costs a few word operations; each x tried costs a few more.  A y,
         having an arc to t, is never a later x: such an x would be the
@@ -318,6 +348,8 @@ class _FlowNet:
         mids = outs[s] & ins[t] & ~used
         value = mids.bit_count()
         if value >= limit:
+            if self.keep:
+                self.kept = [(s, x, t) for x in _bits(mids)[:limit]]
             return limit, None
         used |= mids
         firsts, lasts = outs[s] & ~used, ins[t] & ~used
@@ -332,18 +364,22 @@ class _FlowNet:
                 lasts ^= second
                 paths.append((s, x, second.bit_length() - 1, t))
                 value += 1
+        paths += [(s, x, t) for x in _bits(mids)]
         if value == limit:
+            if self.keep:
+                self.kept = sorted(paths)
             return limit, None
-        return value, paths + [(s, x, t) for x in _bits(mids)]
+        return value, paths
 
     def _fan_seed(self, j: int, limit: int) -> tuple:
         """``_seed`` for the fan into j: the in-neighbours of j below j, each
         a path by itself, then x->y->j for each y > j in N-(j), lowest
         first, from the lowest x < j still unused with an arc to y,
         stopping at limit.  Paths are written from j, the flow's source.
-        Returns (limit, None) when these reach limit, else the value and
-        the paths; a fan they settle costs a popcount, or a few word
-        operations per y tried."""
+        Returns (limit, None) when these reach limit (a net that keeps
+        paths keeps the 2-paths, as ``_fan_cut`` cuts them: x->y->j), else
+        the value and the paths; a fan they settle costs a popcount, or a
+        few word operations per y tried."""
         ins = self.ins
         inside = (1 << j) - 1
         direct = ins[j] & inside
@@ -362,6 +398,8 @@ class _FlowNet:
                 paths.append((j, first.bit_length() - 1, low.bit_length() - 1, j))
                 value += 1
         if value == limit:
+            if self.keep:
+                self.kept = sorted(path[1:] for path in paths)
             return limit, None
         return value, paths + [(j, x, j) for x in _bits(direct)]
 
@@ -397,20 +435,24 @@ def vertex_connectivity(d: Digraph) -> int:
 
     The out- (in-) neighbours of a vertex of degree below n-1 separate it
     from another vertex, so kappa is at most the least in- or out-degree
-    delta.  k starts there, and each ``is_k_strong(d, k)`` that fails sets
-    k to the order of its separator, below k and at least kappa; the first
-    k that holds is kappa, after at most delta - kappa + 1 decisions.  The
-    strongness pass comes first because it answers 0 without flows, and a
-    strong D with n >= 2 is 1-strong, so k = 1 needs no decision.
+    delta.  k starts there, and each decision ``is_k_strong(d, k)`` that
+    fails sets k to the order of its separator, below k and at least kappa;
+    the first k that holds is kappa, after at most delta - kappa + 1
+    decisions.  That order is the value of the failing check's flow
+    (Menger), so the decision is ``_short_check``, which reads no cut and
+    words no reason.  The strongness pass comes first because it answers 0
+    without flows, and a strong D with n >= 2 is 1-strong, so k = 1 needs
+    no decision.
 
     Time: O((delta - kappa + 1) (k^2 + n) k (n + m)), decisions of at most
     k(k-1) + 2(n-k) flows of O(k (n + m)) at k <= delta.
     """
     if d.n == 1 or not is_strong(d):
         return 0
-    k = min(row.bit_count() for rows in _rows(d) for row in rows)
-    while k > 1 and not (verdict := is_k_strong(d, k)):
-        k = len(verdict.separator)
+    outs, ins = _rows(d)
+    k = min(row.bit_count() for rows in (outs, ins) for row in rows)
+    while k > 1 and (short := _short_check(outs, ins, k)):
+        k = short[1]
     return k
 
 
@@ -424,9 +466,12 @@ class KStrongResult:
         return self.holds
 
 
-def is_k_strong(d: Digraph, k: int) -> KStrongResult:
+def is_k_strong(d: Digraph, k: int, proof: list | None = None) -> KStrongResult:
     """Decide k-strong connectivity; on failure carry a separator of order
-    below k (or the vertex-count obstruction).
+    below k (or the vertex-count obstruction).  Given a list, proof, a
+    holding decision at k >= 2 also leaves there the paths of every check
+    that the arcs do not settle (``_short_check``), a whole proof of the
+    verdict by the argument below.
 
     The checks are S. Even's, "An algorithm for determining whether the
     connectivity of a graph is at least k" (SIAM J. Comput. 1975): the
@@ -461,10 +506,15 @@ def is_k_strong(d: Digraph, k: int) -> KStrongResult:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    return _k_strong(*_rows(d), k)
+    return _k_strong(*_rows(d), k, proof)
 
 
-def _k_strong(outs, ins, k: int) -> KStrongResult:
+# the reason a failing check gives, by its name in a proof and a certificate
+_SHORT = {"pair": "from {} to {}", "in-fan": "into {} from 0..{}",
+          "out-fan": "from {} into 0..{}"}
+
+
+def _k_strong(outs, ins, k: int, proof: list | None = None) -> KStrongResult:
     """The body of is_k_strong on D's out- and in-rows, loops left out, for
     k >= 1: the decision of the library and of the ``search`` sweep."""
     n = len(outs)
@@ -478,20 +528,49 @@ def _k_strong(outs, ins, k: int) -> KStrongResult:
                 v = (missed & -missed).bit_length() - 1
                 return KStrongResult(False, (), "only 0 disjoint paths " + pair.format(v))
         return KStrongResult(True)
-    forward = _FlowNet(outs, ins)
-    fans = ((forward, "into {} from 0..{}"), (_FlowNet(ins, outs), "from {} into 0..{}"))
+    short = _short_check(outs, ins, k, proof)
+    if short is None:
+        return KStrongResult(True)
+    net, value, (name, *ends) = short
+    ends = ends if name == "pair" else (ends[0], ends[0] - 1)
+    return KStrongResult(False, net.cut(),
+                         f"only {value} disjoint paths " + _SHORT[name].format(*ends))
+
+
+def _short_check(outs, ins, k: int, proof: list | None = None) -> tuple | None:
+    """The first check of S. Even's schedule (``is_k_strong``) that falls
+    short of k, as (its net, its flow value, the check), for k >= 2 and
+    n >= k + 1; None when every check holds.  A check is ("pair", s, t),
+    ("in-fan", j) or ("out-fan", j).  The value is the order of the net's
+    ``cut()``, a minimum cut.
+
+    Given a list, proof, each check that holds and that the arcs do not
+    settle appends (the check, its paths), in schedule order: a pair's k
+    internally disjoint s->t paths; a fan's ``kept`` paths, the in-fan's
+    as paths into j and the out-fan's, found on the reverse net, turned
+    round to run from j.  So a seed's short paths are listed when they
+    settle a check, and a decision-only call builds no path.
+    Time: at most k(k-1) + 2(n-k) flows of O(k (n + m)), and with proof
+    O(n) more per check listed."""
+    keep = proof is not None
+    forward, backward = _FlowNet(outs, ins), _FlowNet(ins, outs)
+    forward.keep = backward.keep = keep
     for s in range(k):
         for t in range(k):
-            if s != t and not outs[s] >> t & 1 and (value := forward.flow(s, t, k)) < k:
-                return KStrongResult(False, forward.cut(),
-                                     f"only {value} disjoint paths from {s} to {t}")
-    for j in range(k, n):
-        for net, text in fans:
-            value = net.fan(j, k)
-            if value < k:
-                return KStrongResult(False, net.cut(),
-                                     f"only {value} disjoint paths " + text.format(j, j - 1))
-    return KStrongResult(True)
+            if s != t and not outs[s] >> t & 1:
+                if (value := forward.flow(s, t, k)) < k:
+                    return forward, value, ("pair", s, t)
+                if keep:
+                    proof.append((("pair", s, t), forward.kept))
+    fans = ((forward, "in-fan", 1), (backward, "out-fan", -1))
+    for j in range(k, len(outs)):
+        for net, name, way in fans:
+            net.kept = ()
+            if (value := net.fan(j, k)) < k:
+                return net, value, (name, j)
+            if net.kept:
+                proof.append(((name, j), [path[::way] for path in net.kept]))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
 
 
 def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None,
-                   d: Digraph | None = None) -> list | None:
+                   d: Digraph | None = None, proof: list | None = None) -> list | None:
     """For 0 <= k <= n-1: None when G is k-extendable, else a sorted X in
     U (vertex i is u_i) with 1 <= |X| <= n-k and |N(X)| < |X| + k.
 
@@ -74,7 +74,8 @@ def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None,
 
     pairs is a maximum matching of G as ``max_matching_pairs`` returns
     it, computed here when the caller holds none, and d is D(G, M) for
-    that matching, when it is perfect and the caller holds D.
+    that matching, when it is perfect and the caller holds D; proof, a
+    list, receives the proof of a holding ``is_k_strong`` decision.
     Time: O(n^2) mask operations for that matching, then one augmenting
     search of O(n) mask operations, or D(G, M) in O(n + m), one
     ``is_k_strong`` call (O(n) mask operations at k = 1, else at most
@@ -92,7 +93,7 @@ def _deficient_set(g: BipartiteGraph, k: int, pairs: dict | None = None,
         return None
     else:
         d = d or digraph_of(g, Matching(frozenset(pairs.items()), g))[0]
-        verdict = is_k_strong(d, k)
+        verdict = is_k_strong(d, k, proof)
         if verdict.holds:
             return None
         x = _sink_component(d, verdict.separator)
@@ -246,19 +247,26 @@ def is_minimal_k_extendable(g: BipartiteGraph, k: int) -> MinimalityResult:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    return _minimal_k_extendable(g, k)[0]
+
+
+def _minimal_k_extendable(g: BipartiteGraph, k: int) -> tuple:
+    """The body of is_minimal_k_extendable for k >= 0: its result, and the
+    out- and in-rows of the D(G, M) it decided on (None when G has no
+    perfect matching or k > n - 1)."""
     failed = MinimalityResult(False, None, f"not {k}-extendable")
     if k > g.n - 1 or len(pairs := max_matching_pairs(g)) < g.n:
-        return failed
-    outs, ins = _rows(digraph_of(g, Matching(frozenset(pairs.items()), g))[0])
+        return failed, None
+    outs, ins = rows = _rows(digraph_of(g, Matching(frozenset(pairs.items()), g))[0])
     if k and not _k_strong(outs, ins, k).holds:
-        return failed
+        return failed, rows
     deletable, owner = _arc_test(outs, ins, k), _match_w(g, pairs)
     bits = {row: _bits(row) for a, out in enumerate(outs) for row in (out, out | 1 << a)}
     for a, j in g.sorted_edges():
         b = owner[j]
         if deletable(a, b) if b != a else _extendable_without_matching_edge(outs, ins, a, k, bits):
-            return MinimalityResult(False, (a, j), "edge is deletable")
-    return MinimalityResult(True)
+            return MinimalityResult(False, (a, j), "edge is deletable"), rows
+    return MinimalityResult(True), rows
 
 
 def _extendable_without_matching_edge(outs, ins, i: int, k: int, bits) -> bool:
@@ -530,27 +538,16 @@ def alternating_path_system(g: BipartiteGraph, m: Matching, u: int, w: int,
         raise ValueError("need a perfect matching of the graph")
     if not is_k_extendable(g, k):
         raise ValueError(f"graph is not {k}-extendable")
-    return _alternating_paths(g, m, [(u, w)], k)[0]
-
-
-def _alternating_paths(g: BipartiteGraph, m: Matching, pairs, k: int) -> list:
-    """alternating_path_system for each (u, w) in pairs, for a G known
-    k-extendable: D(G, M) is built once and every digraph path system is
-    pulled back."""
     d, cmap = digraph_of(g, m)
-    pairing = m.pairing()
     owner = {j: i for i, j in m.edges}
-    ends = [(cmap.vertex_of_matching_edge((u, pairing[u])),
-             cmap.vertex_of_matching_edge((owner[w], w))) for u, w in pairs]
-    systems = []
-    for (u, w), paths in zip(pairs, _path_systems(d, ends, k)):
-        system = AltPathSystem(tuple(alternating_path_from_digraph_path(cmap, p)
-                                     for p in paths.paths), m, u, w)
-        problems = check_alternating_path_system(g, system)
-        if problems:
-            raise AssertionError(f"invalid alternating path system: {problems}")
-        systems.append(system)
-    return systems
+    ends = (cmap.vertex_of_matching_edge((u, m.pairing()[u])),
+            cmap.vertex_of_matching_edge((owner[w], w)))
+    system = AltPathSystem(tuple(alternating_path_from_digraph_path(cmap, p)
+                                 for p in _path_systems(d, [ends], k)[0].paths), m, u, w)
+    problems = check_alternating_path_system(g, system)
+    if problems:
+        raise AssertionError(f"invalid alternating path system: {problems}")
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -672,16 +669,17 @@ def high_degree_subgraph_forest_check(g: BipartiteGraph, k: int) -> ForestCheckR
     Cross-check through the correspondence: an anti-directed trail among
     the high-degree arcs of the derived digraph would pull back to a closed
     trail inside the qualifying edges, so a passing forest check forces the
-    digraph-side search to come up empty as well.
-    Time: one ``is_minimal_k_extendable``, then O(n^2) mask operations for
-    a maximum matching, O(n + m) for D(G, M), and O(m log m) for each of
-    the two cycle searches.
+    digraph-side search to come up empty as well, run on the D(G, M) that
+    the minimality decision built.
+    Time: one ``is_minimal_k_extendable``, then O(m log m) for each of the
+    two cycle searches.
     """
-    verdict = is_minimal_k_extendable(g, k)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    verdict, d_rows = _minimal_k_extendable(g, k)
     if not verdict.holds:
         raise ValueError(f"graph is not minimal {k}-extendable: {verdict.reason}")
-    qual, cycle, trail = _forest_check(g._u_rows, g._w_rows,
-                                       _rows(digraph_of(g, max_matching(g))[0]), k)
+    qual, cycle, trail = _forest_check(g._u_rows, g._w_rows, d_rows, k)
     return ForestCheckReport(cycle is None, k, frozenset(qual), cycle, trail)
 
 

@@ -208,17 +208,19 @@ class MatrixPropertyResult:
         return self.holds
 
 
-def _reducible(a: ZeroOneMatrix, k: int, kind: str, d=None) -> MatrixPropertyResult:
+def _reducible(a: ZeroOneMatrix, k: int, kind: str, d=None,
+               proof: list | None = None) -> MatrixPropertyResult:
     """Rows: the last strong component X of D(A) - S for the separator S
     (|S| < k) of ``is_k_strong``; columns: the rest of D(A) - S.  No arc
     runs from X to them, and together they hold n - |S| >= n - k + 1.  d
-    is D(A) when the caller holds it."""
+    is D(A) when the caller holds it; proof, a list, receives the proof of
+    a holding ``is_k_strong`` decision."""
     if not 1 <= k <= a.n:
         raise ValueError(f"k must lie in 1..{a.n}")
     if k == a.n:
         return MatrixPropertyResult(False)
     d = d or digraph_of_matrix(a)
-    verdict = is_k_strong(d, k)
+    verdict = is_k_strong(d, k, proof)
     if verdict.holds:
         return MatrixPropertyResult(False)
     sep = verdict.separator
@@ -229,14 +231,14 @@ def _reducible(a: ZeroOneMatrix, k: int, kind: str, d=None) -> MatrixPropertyRes
 
 
 def _decomposable(a: ZeroOneMatrix, k: int, kind: str, g=None,
-                  pairs=None, d=None) -> MatrixPropertyResult:
+                  pairs=None, d=None, proof: list | None = None) -> MatrixPropertyResult:
     """Rows: a deficient set X of B(A) (|X| <= n - k, |N(X)| < |X| + k);
     columns: those outside N(X), at least n - k + 1 - |X| of them.  g is
     B(A), pairs a maximum matching of it and d the D(B(A), M) of a perfect
-    one when the caller holds them."""
+    one when the caller holds them; proof goes to ``_deficient_set``."""
     if not 0 <= k <= a.n - 1:
         raise ValueError(f"k must lie in 0..{a.n - 1}")
-    rows = _deficient_set(g or bipartite_of_matrix(a), k, pairs, d)
+    rows = _deficient_set(g or bipartite_of_matrix(a), k, pairs, d, proof)
     if rows is None:
         return MatrixPropertyResult(False)
     cols = _zero_columns(a, rows)

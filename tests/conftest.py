@@ -763,6 +763,13 @@ def reference_numbers(tokens, *where) -> list[int]:
     return [int(token) - 1 for token in tokens]
 
 
+def reference_parse_edges(text: str) -> frozenset:
+    """``certify._parse_edges`` before the label index: each end through
+    ``reference_numbers``."""
+    ends = (reference_numbers(token.split("-"), "edge", token) for token in text.split())
+    return frozenset((i, j) for i, j in ends)
+
+
 def reference_parse_walk(text: str) -> tuple:
     """``certify._parse_walk`` before the walk label index: every token
     through ``core.parse_vertex_label``."""
@@ -824,7 +831,7 @@ def reference_check_witness(cert) -> list[str]:
     repeated witness line was refused (``_reference_field``)."""
     from itertools import chain
 
-    from extendix.certify import (_parse_edges, _parse_walk, _path_line_problems,
+    from extendix.certify import (_parse_walk, _path_line_problems,
                                   _split_sections, _vertices, _walk_index)
     from extendix.connectivity import PathSystem, check_path_system, strong_components
     from extendix.core import Matching, connected
@@ -845,7 +852,7 @@ def reference_check_witness(cert) -> list[str]:
         if m_text is None:
             return ["alt-path witness is missing its matching line"]
         try:
-            matching = Matching(_parse_edges(m_text), g)
+            matching = Matching(reference_parse_edges(m_text), g)
         except ValueError as exc:
             return [f"embedded matching invalid: {exc}"]
         if not matching.is_perfect:
@@ -913,7 +920,7 @@ def reference_check_witness(cert) -> list[str]:
     if kind == "non-extendable-matching":
         g = obj
         try:
-            m0 = Matching(_parse_edges(_reference_field(cert.witness_lines, "edges:") or ""), g)
+            m0 = Matching(reference_parse_edges(_reference_field(cert.witness_lines, "edges:") or ""), g)
         except ValueError as exc:
             return [f"witness matching invalid: {exc}"]
         if m0.size != k:
@@ -942,7 +949,7 @@ def reference_check_witness(cert) -> list[str]:
     if kind == "perfect-matching":
         g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
         try:
-            m = Matching(_parse_edges(_reference_field(cert.witness_lines, "edges:") or ""), g)
+            m = Matching(reference_parse_edges(_reference_field(cert.witness_lines, "edges:") or ""), g)
         except ValueError as exc:
             return [f"witness matching invalid: {exc}"]
         if not m.is_perfect:

@@ -8,8 +8,9 @@ emits for the instances of order at most 4 (listed in ``_small``) and a
 seeded suite of order 10 to 20, and on mutants of each.  Problem lists,
 exception types and exception messages must be equal, but for the bounds
 a witness states, which only the new checker reads (``_bound_problem``),
-and for ``reach-trees``, a kind the reference checker does not know, which
-is held to the decider instead (``_held_to_the_decider``).
+and for ``reach-trees`` and ``fan-paths``, kinds the reference checker
+does not know, which are held to the decider instead
+(``_held_to_the_decider``).
 The spy tests replace the deciders that ``certify`` calls.
 """
 
@@ -86,7 +87,7 @@ def _seeded() -> list:
 
 
 def _certificates(instances) -> list[Certificate]:
-    return [build_certificate(obj, claim, k, seed=k)
+    return [build_certificate(obj, claim, k)
             for claim, obj in instances for k in _ks(claim, obj.n)]
 
 
@@ -166,12 +167,18 @@ def _bound_problem(cert: Certificate) -> str | None:
     return None
 
 
+# the self-proving kinds the reference checker does not know
+_NEW_KINDS = ("reach-trees", "fan-paths")
+
+
 def _held_to_the_decider(cert: Certificate, new, old) -> None:
-    """A ``reach-trees`` cert, which the reference checker reads as the
-    decider's verdict and an unknown kind: ``check_certificate`` verifies
-    it only when the verdict is the decider's, and otherwise names the
-    false verdict first, then its own witness problems."""
-    assert isinstance(old, list) and old[-1] == "unknown witness kind 'reach-trees'", (cert, old)
+    """A ``reach-trees`` or ``fan-paths`` cert, which the reference checker
+    reads as the decider's verdict and an unknown kind:
+    ``check_certificate`` verifies it only when the verdict is the
+    decider's, and otherwise names the false verdict first, then its own
+    witness problems."""
+    unknown = f"unknown witness kind {cert.witness_kind!r}"
+    assert isinstance(old, list) and old[-1] == unknown, (cert, old)
     verdict_problem = old[:-1]
     assert isinstance(new, list) and new[:len(verdict_problem)] == verdict_problem, (cert, new)
 
@@ -185,7 +192,7 @@ def _compare(certs) -> set:
         new, old = _outcome(check_certificate, cert), _outcome(reference_check_certificate, cert)
         if new == old:
             continue
-        if cert.witness_kind == "reach-trees":
+        if cert.witness_kind in _NEW_KINDS:
             _held_to_the_decider(cert, new, old)
             continue
         bound = _bound_problem(cert)
@@ -270,7 +277,8 @@ def test_a_repeated_witness_line_is_malformed(obj, claim, k, decoy):
     when it is a whole line, else a copy of the certificate's own line,
     put first.  The reference checker read the last line and verified
     each one, among them the path 1 -> 2 -> 3 with the separator it
-    would cut given as 1 2 3."""
+    would cut given as 1 2 3; it does not know the ``fan-paths`` witness
+    of the last case, which takes its verdict from the decider alone."""
     cert = build_certificate(obj, claim, k)
     prefix = decoy.split()[0]
     own = [line for line in cert.witness_lines if line.startswith(prefix)]
@@ -278,7 +286,8 @@ def test_a_repeated_witness_line_is_malformed(obj, claim, k, decoy):
     doubled = replace(cert, witness_lines=(decoy if decoy != prefix else own[0],
                                            *cert.witness_lines))
     assert check_certificate(cert) == []
-    assert reference_check_certificate(doubled) == []
+    assert reference_check_certificate(doubled) == (
+        [] if cert.witness_kind not in _NEW_KINDS else ["unknown witness kind 'fan-paths'"])
     assert check_certificate(doubled) == [
         f"witness payload malformed: the {prefix} line appears 2 times"]
 
@@ -357,13 +366,22 @@ def test_a_lying_decider_leaves_separators_alone(monkeypatch):
     (ZeroOneMatrix.from_rows([[1] * 4] * 4), "k-irreducible", 2, "is_k_reducible",
      MatrixPropertyResult(True))])
 def test_a_lying_decider_fails_sampled_path_systems(monkeypatch, obj, claim, k, decider, lie):
-    """Path systems for a few sampled pairs prove nothing alone, so they
-    still go through the decider, and its lie shows."""
+    """Path systems for a few sampled pairs, the positive witness of the
+    first format, prove nothing alone, so they still go through the
+    decider, and its lie shows.  Here the fan paths ``certify`` writes
+    stand in for such a witness with no pair sampled (the matching line
+    kept on the bipartite side); the fan paths themselves need no
+    decider, and the lie changes nothing for them."""
     cert = build_certificate(obj, claim, k)
-    assert cert.verdict and cert.witness_kind.endswith("path-systems")
+    assert cert.verdict and cert.witness_kind == "fan-paths"
+    kind = "menger-path-systems" if claim in ("k-strong", "k-irreducible") else "alt-path-systems"
+    sampled = replace(cert, witness_kind=kind,
+                      witness_lines=cert.witness_lines[:1] if kind == "alt-path-systems" else ())
+    assert check_certificate(sampled) == []
     monkeypatch.setattr(certify, decider, lambda *args: lie)
-    assert check_certificate(cert) == [
+    assert check_certificate(sampled) == [
         "verdict says holds but the claim fails on the embedded instance"]
+    assert check_certificate(cert) == []
 
 
 def test_the_legacy_matching_leaves_the_global_cache_alone():

@@ -98,7 +98,7 @@ WELL_FORMED = [
     ["convert", "x", "--direction", "d2g"],
     ["convert", "--matching", "1-1,2-2", "--direction", "g2d", "x", "--out", ""],
     ["certify", "x", "--claim", "k-strong", "--k", "1"],
-    ["certify", "x", "--k", "0", "--claim", "k-extendable", "--seed", "3", "--k", "2"],
+    ["certify", "x", "--k", "0", "--claim", "k-extendable", "--out", "3", "--k", "2"],
     ["verify", ""], ["verify", "a b"],
     ["search", "--target", "minimal_k_strong", "--n-max", "5"],
     ["search", "--n-max", "4", "--target", "minimality_counterexample", "--k", "2",

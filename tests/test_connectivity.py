@@ -395,16 +395,17 @@ class TestPairSchedule:
 
     @staticmethod
     def _assert_kappa_calls(d: Digraph, monkeypatch) -> None:
-        """kappa takes at most delta - kappa + 1 is_k_strong decisions, at
-        falling k, the last at kappa unless kappa <= 1, which needs none."""
+        """kappa takes at most delta - kappa + 1 decisions of the schedule
+        (``_short_check``, which reads no cut), at falling k, the last at
+        kappa unless kappa <= 1, which needs none."""
         calls = []
-        decide = connectivity.is_k_strong
+        decide = connectivity._short_check
 
-        def counted(digraph, k):
+        def counted(outs, ins, k):
             calls.append(k)
-            return decide(digraph, k)
+            return decide(outs, ins, k)
 
-        monkeypatch.setattr(connectivity, "is_k_strong", counted)
+        monkeypatch.setattr(connectivity, "_short_check", counted)
         kappa = vertex_connectivity(d)
         monkeypatch.undo()
         assert kappa == _kappa_pair_scan(d)
@@ -412,6 +413,19 @@ class TestPairSchedule:
         assert len(calls) <= delta - kappa + 1
         assert calls == sorted(set(calls), reverse=True)
         assert calls[-1:] == [kappa] if kappa > 1 else all(k > 1 for k in calls)
+
+    def test_kappa_reads_no_cut_and_words_no_reason(self, monkeypatch):
+        """kappa reads the failing check's flow value, which is the order of
+        its cut: no cut is read and no KStrongResult is made."""
+        digraphs = [random_digraph(12 + i % 9, (0.3, 0.5, 0.7)[i % 3], seed=2500 + i)
+                    for i in range(30)]
+        digraphs.append(_circulant(30, range(1, 6)))
+        expected = [_kappa_pair_scan(d) for d in digraphs]
+        monkeypatch.setattr(_FlowNet, "cut", lambda self: pytest.fail("cut() ran"))
+        monkeypatch.setattr(connectivity, "KStrongResult",
+                            lambda *args: pytest.fail("a KStrongResult was made"))
+        assert [vertex_connectivity(d) for d in digraphs] == expected
+        assert len(set(expected)) > 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kappa_calls_exhaustive(self, n, monkeypatch):

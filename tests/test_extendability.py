@@ -334,15 +334,15 @@ class TestAlternatingPaths:
                             assert not check_alternating_path_system(g, system)
 
     def test_positive_certificate_decides_once(self, monkeypatch):
-        """At k = 2, where path systems are still sampled (the reach trees
-        of k = 1 are their own decision)."""
+        """At k = 2, where the fan paths are read off the one decision (the
+        reach trees of k = 1 are their own decision)."""
         import extendix.extendability as ext
         from extendix.certify import build_certificate, check_certificate
 
         calls = []
         decide = ext.is_k_strong
         monkeypatch.setattr(ext, "is_k_strong",
-                            lambda d, k: calls.append(k) or decide(d, k))
+                            lambda d, k, proof=None: calls.append(k) or decide(d, k, proof))
         g = random_bipartite_with_pm(14, 0.45, seed=2)
         cert = build_certificate(g, "k-extendable", 2)
         assert cert.verdict and calls == [2]
@@ -350,7 +350,7 @@ class TestAlternatingPaths:
 
     @pytest.mark.parametrize("g, k, kind", [
         (random_bipartite_with_pm(14, 0.45, seed=2), 0, "perfect-matching"),
-        (random_bipartite_with_pm(14, 0.45, seed=2), 2, "alt-path-systems"),
+        (random_bipartite_with_pm(14, 0.45, seed=2), 2, "fan-paths"),
         (random_bipartite_with_pm(14, 0.45, seed=2), 3, "deficient-set"),
         (BipartiteGraph(3, frozenset({(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)})), 1,
          "no-perfect-matching"),
@@ -376,8 +376,8 @@ class TestAlternatingPaths:
         calls = []
         for mod in (ext, cert_mod):
             monkeypatch.setattr(mod, "is_k_strong",
-                                lambda d, k, decide=mod.is_k_strong:
-                                calls.append(k) or decide(d, k))
+                                lambda d, k, proof=None, decide=mod.is_k_strong:
+                                calls.append(k) or decide(d, k, proof))
         failing = 0
         for seed in range(6):
             g = random_bipartite_with_pm(24, 0.25, seed=seed)
@@ -539,6 +539,22 @@ class TestAudits:
         assert _bipartite_cycle(sorted(c6_edges)) == \
             ((2, 0), (0, 0), (0, 1), (1, 1), (1, 2), (2, 2))
         assert _bipartite_cycle(sorted({(0, 0), (0, 1), (1, 1)})) is None
+
+    def test_forest_check_reads_the_decisions_digraph(self):
+        """The forest check runs on the D(G, M) that the minimality decision
+        built: one digraph and one maximum matching."""
+        import extendix as ex
+        import extendix.extendability as ext
+        import extendix.matching as mat
+
+        spies = {name: mock.Mock(wraps=getattr(ext, name))
+                 for name in ("digraph_of", "max_matching_pairs")}
+        with mock.patch.object(ext, "digraph_of", spies["digraph_of"]), \
+                mock.patch.object(ext, "max_matching_pairs", spies["max_matching_pairs"]), \
+                mock.patch.object(mat, "max_matching_pairs", spies["max_matching_pairs"]):
+            rep = high_degree_subgraph_forest_check(ex.cycle_bipartite(5), 1)
+        assert rep.ok
+        assert [spy.call_count for spy in spies.values()] == [1, 1]
 
     def test_forest_check_rejects_non_minimal(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,10 @@
 The files under ``tests/golden/`` pin what ``analyze``, ``convert``,
 ``certify``, ``verify`` and ``search`` print.  A refactor of the library
 must leave every one of them unchanged.  The ``certify`` outputs double as
-inputs of the ``verify`` cases.  ``tests/golden/v1/`` keeps positive k = 1
+inputs of the ``verify`` cases.  ``tests/golden/v1/`` keeps positive
 certificates as the first format wrote them, with sampled path systems
-where ``certify`` now writes reach trees; they must still verify.
+where ``certify`` now writes reach trees (k = 1) or fan paths (k >= 2);
+they must still verify.
 
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -79,11 +80,13 @@ CERTIFY = [
     ("bg10.bg", "k-extendable", 1, 1),
     ("dg6.dg", "k-strong", 1, 0),
     ("dg6.dg", "k-strong", 2, 1),
+    ("dg20.dg", "k-strong", 3, 0),
     ("dg20.dg", "k-strong", 4, 1),
     ("full6.mat", "k-indecomposable", 1, 0),
     ("j3.mat", "k-indecomposable", 2, 0),
     ("dec6.mat", "k-indecomposable", 1, 1),
     ("full6.mat", "k-irreducible", 1, 0),
+    ("j3.mat", "k-irreducible", 2, 0),
     ("dec6.mat", "k-irreducible", 1, 1),
 ]
 for _name, _claim, _k, _code in CERTIFY:
@@ -134,28 +137,28 @@ _BAND12 = ZeroOneMatrix(tuple(tuple(int((j - i) % 12 in (0, 1, 2, 5)) for j in r
 
 
 @pytest.mark.parametrize("obj,claim,k,sha1", [
-    (_C40, "k-strong", 5, "fd7e0032504f9887d757457b6b3bad620e211d4c"),
-    (_R20, "k-strong", 3, "7561fca2c54fd2c7145b01506e98e97f65e3ece7"),
+    (_C40, "k-strong", 5, "8680423bf7733c9e6c44b8cc0d530ecc0b0426c3"),
+    (_R20, "k-strong", 3, "fd5a0231645b12c5a5b9e22695fc8a2faadbce97"),
     (cycle_bipartite(12), "k-extendable", 1, "dd803009ebca786e315a72c3f02246137f7ad84a"),
     (random_bipartite_with_pm(12, 0.5, seed=1), "k-extendable", 2,
-     "33692c3b19c9a2d19e6b2584db563c9e58082751"),
-    (_BAND12, "k-irreducible", 3, "1c685df9cfcbd4c116df5fec405113e4bab3bcc2"),
+     "297e3af905336474700c9ba59651d2b1c3ac508d"),
+    (_BAND12, "k-irreducible", 3, "f987a7196b14faf47fe90cd2f6a35787fbc451b1"),
 ], ids=["c40-k-strong-5", "r20-k-strong-kappa", "cycle12-k-extendable-1",
         "r12-k-extendable-2", "band12-k-irreducible-3"])
 def test_certificate_paths_are_pinned(obj, claim, k, sha1):
     """Positive certificates keep their bytes.  Every pin but the
-    12-cycle's holds path systems that take augmenting flows (SHA-1s taken
-    before the flow kernel kept its network implicit, and before positive
-    k = 1 certificates carried reach trees); the 12-cycle's holds its
-    reach trees."""
+    12-cycle's holds the fan paths of a schedule that takes augmenting
+    flows (SHA-1s taken when positive k >= 2 certificates came to carry
+    them); the 12-cycle's holds its reach trees."""
     cert = build_certificate(obj, claim, k)
     assert cert.verdict
     assert _sha1(format_certificate(cert)) == sha1
 
 
-# the positive k = 1 goldens as the first certificate format wrote them
+# positive goldens as the first certificate format wrote them: at k = 1,
+# before reach trees, and at k = 2, before fan paths
 V1 = ["k-extendable-1-c6", "k-strong-1-dg6", "k-indecomposable-1-full6",
-      "k-irreducible-1-full6"]
+      "k-irreducible-1-full6", "k-extendable-2-k33", "k-indecomposable-2-j3"]
 
 
 @pytest.mark.parametrize("stem", V1)
@@ -168,10 +171,10 @@ def test_first_format_certificates_still_verify(stem, monkeypatch):
     monkeypatch.setattr(certify, "_recompute_verdict",
                         lambda cert: calls.append(cert.claim) or recompute(cert))
     text = (GOLDEN / "v1" / f"certify-{stem}.out").read_text(encoding="utf-8")
-    assert "path-systems" in text and "reach-trees" not in text
+    assert "path-systems" in text and "reach-trees" not in text and "fan-paths" not in text
     assert _run(["verify", f"v1/certify-{stem}.out"]) == (
         0, (GOLDEN / f"verify-{stem}.out").read_text(encoding="utf-8"))
-    assert calls == [stem.split("-1-")[0]]
+    assert calls == [stem.rsplit("-", 2)[0]]
 
 
 def test_flow_path_results_are_pinned():

@@ -38,7 +38,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "extendix"
-FLOW_BUILDERS = {"_k_strong", "_arc_test", "_path_systems"}
+FLOW_BUILDERS = {"_short_check", "_arc_test", "_path_systems"}
 CUT_READERS = {"_k_strong", "_path_systems"}
 
 
@@ -92,9 +92,10 @@ def test_flow_net_is_built_by_three_functions_only():
 
 
 def test_only_the_flow_builders_read_a_cut():
-    """``_FlowNet.cut()`` is called where a net is built and nowhere else:
-    the separators of ``is_k_strong`` and the cut witness of
-    ``_path_systems``; the minimality test reads only flow values."""
+    """``_FlowNet.cut()`` is called for the separators of ``is_k_strong``,
+    on the net of the failing check that ``_short_check`` hands back, and
+    for the cut witness of ``_path_systems``; κ and the minimality test
+    read only flow values."""
     readers = {(module, enclosing) for module, tree in _modules().items()
                for enclosing, call in _calls(tree) if _callee(call) == "cut"}
     assert readers == {("connectivity.py", name) for name in CUT_READERS}
@@ -323,10 +324,11 @@ def test_every_budget_is_checked():
 
 
 def test_kappa_reaches_the_fan_route_and_not_the_pair_scan():
-    """``vertex_connectivity`` decides each k with ``is_k_strong``, which
-    runs the fan schedule; no second decision route is left."""
+    """``vertex_connectivity`` decides each k with ``_short_check``, the
+    fan schedule of ``is_k_strong``; no second decision route is left."""
     graph = _call_graph()
-    assert "is_k_strong" in _reachable(graph, "vertex_connectivity")
+    assert "_short_check" in _reachable(graph, "vertex_connectivity")
+    assert "_short_check" in _reachable(graph, "is_k_strong")
     assert "_fan_decision" not in graph
 
 
@@ -346,13 +348,12 @@ def _separator_sources(fn: ast.AST) -> list[str]:
 def test_every_printed_separator_comes_from_is_k_strong():
     """``certify``'s separator lines, ``extendability._deficient_set`` and
     ``matrixlab._reducible`` read the separator of an ``is_k_strong``
-    verdict, ``vertex_connectivity`` reads its order, and no other function
-    of the package reads one."""
+    verdict, and no other function of the package reads one;
+    ``vertex_connectivity`` reads only the failing check's flow value."""
     readers = {(module, node.name): _separator_sources(node)
                for module, tree in _modules().items() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and _separator_sources(node)}
     assert set(readers) == {("certify.py", "build_certificate"),
-                            ("connectivity.py", "vertex_connectivity"),
                             ("extendability.py", "_deficient_set"),
                             ("matrixlab.py", "_reducible")}
     assert all(set(sources) == {"is_k_strong"} for sources in readers.values()), readers
@@ -411,6 +412,22 @@ def test_the_reach_tree_check_reaches_no_decider():
                                               "max_matching_pairs", "_neighbourhood_masks"})
     named = {name for fn in reached for node in functions[fn] for name in _names(node)}
     assert not named & {"_FlowNet", "_masks", "_rows", "_u_rows", "_w_rows"}
+
+
+def test_the_fan_path_check_reaches_no_decider():
+    """A ``fan-paths`` witness is the whole proof of its claim: on the call
+    graph its check reaches no decider, no ``_recompute_verdict``, neither
+    the schedule nor the flow kernel and no matching search, and no
+    function it reaches names the flow net.  It reads the digraph's row
+    masks, which counting the arcs of a check needs."""
+    graph, functions = _call_graph(), _functions()
+    reached = _reachable(graph, "_fan_path_problems")
+    assert {"_fan_digraph", "_fan_sections", "_open_checks", "_perfect_mate", "_rows",
+            "_vertices"} <= reached
+    assert not reached & (CERTIFY_DECIDERS | {"_recompute_verdict", "_k_strong", "_short_check",
+                                              "_augment", "max_matching_pairs", "digraph_of"})
+    named = {name for fn in reached for node in functions[fn] for name in _names(node)}
+    assert "_FlowNet" not in named
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ class TestFlowRoute:
         ("k-indecomposable", ("bipartite_of_matrix", "max_matching_pairs")),
         ("k-irreducible", ("digraph_of_matrix",))], ids=["k-indecomposable", "k-irreducible"])
     def test_certificate_builds_each_view_once(self, claim, built, monkeypatch):
-        """A positive certificate reads its path systems off the B(A) and
+        """A positive certificate reads its fan paths off the B(A) and
         maximum matching, or the D(A), that decided the claim."""
         import sys
         from unittest import mock
@@ -363,8 +363,7 @@ class TestFlowRoute:
                 if mod_name.startswith("extendix") and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, spies[name])
         cert = cert_mod.build_certificate(with_unit_diagonal(_seeded(10, 0.6, 0)), claim, 2)
-        assert cert.verdict and cert.witness_kind in ("alt-path-systems",
-                                                      "menger-path-systems")
+        assert cert.verdict and cert.witness_kind == "fan-paths"
         assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(
             built, 1)
 

@@ -277,8 +277,7 @@ _MATRICES = [ZeroOneMatrix.from_rows(rows) for rows in
 
 def test_certify_at_k1_runs_no_flow_and_no_first_matching(monkeypatch):
     monkeypatch.setattr(connectivity._FlowNet, "__init__", _refuse("_FlowNet"))
-    for name in ("_path_systems", "first_perfect_matching"):
-        monkeypatch.setattr(certify, name, _refuse(name))
+    monkeypatch.setattr(certify, "first_perfect_matching", _refuse("first_perfect_matching"))
     kinds = {build_certificate(g, "k-extendable", 1).witness_kind for g in _BIPARTITE}
     kinds |= {build_certificate(a, claim, 1).witness_kind for a in _MATRICES
               for claim in ("k-indecomposable", "k-irreducible")}

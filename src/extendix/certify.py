@@ -559,10 +559,30 @@ def _fan_path_problems(cert: Certificate) -> list[str]:
                        for shown, _ in sections.values()]
 
 
+_ANY = (BipartiteGraph, Digraph, ZeroOneMatrix)
+# witness kind -> the instance types its check reads; a kind given with an
+# instance of another type is a problem, not an AttributeError
+_WITNESS_INSTANCES = {
+    "reach-trees": _ANY, "fan-paths": _ANY, "size-cap": _ANY, "too-few-vertices": _ANY,
+    "alt-path-systems": (BipartiteGraph, ZeroOneMatrix),
+    "perfect-matching": (BipartiteGraph, ZeroOneMatrix),
+    "no-perfect-matching": (BipartiteGraph, ZeroOneMatrix),
+    "menger-path-systems": (Digraph, ZeroOneMatrix),
+    "deficient-set": (BipartiteGraph,), "disconnected": (BipartiteGraph,),
+    "non-extendable-matching": (BipartiteGraph,),
+    "separator": (Digraph,), "zero-block": (ZeroOneMatrix,),
+}
+
+
 def _check_witness(cert: Certificate) -> list[str]:
     obj, k = cert.instance, cert.k
     kind = cert.witness_kind
     problems: list[str] = []
+
+    if kind not in _WITNESS_INSTANCES:
+        return [f"unknown witness kind {kind!r}"]
+    if not isinstance(obj, _WITNESS_INSTANCES[kind]):
+        return [f"witness kind {kind!r} does not apply to a {_NOUNS[type(obj)]}"]
 
     if kind == "reach-trees":
         return _reach_tree_problems(cert)
@@ -659,7 +679,10 @@ def _check_witness(cert: Certificate) -> list[str]:
         x = _indices(cert.witness_lines, "u-set:")
         if not (_distinct_in_range(x, g.n) and 1 <= len(x) <= g.n - k):
             return [f"deficient set must be 1 to n-k={g.n - k} distinct vertices of U"]
-        if len({j for i in x for j in g.u_neighbors(i)}) >= len(x) + k:
+        neighbours = 0
+        for i in x:
+            neighbours |= g._u_rows[i]
+        if neighbours.bit_count() >= len(x) + k:
             problems.append("the set is not deficient")
         return problems
 
@@ -702,10 +725,8 @@ def _check_witness(cert: Certificate) -> list[str]:
             return [] if k == obj.n else [f"size-cap needs k = n={obj.n}, has k={k}"]
         return [] if k > obj.n - 1 else [f"size-cap needs k > n-1={obj.n - 1}, has k={k}"]
 
-    if kind == "too-few-vertices":
-        return [] if obj.n < k + 1 else [f"too-few-vertices needs n < k+1={k + 1}, has n={obj.n}"]
-
-    return [f"unknown witness kind {kind!r}"]
+    # too-few-vertices
+    return [] if obj.n < k + 1 else [f"too-few-vertices needs n < k+1={k + 1}, has n={obj.n}"]
 
 
 def _witness_problems(cert: Certificate) -> list[str]:

@@ -108,7 +108,8 @@ def _analyze_digraph(d: Digraph) -> str:
     strong = len(comps) == 1
     lines.append(f"strong: {'yes' if strong else 'no'}")
     lines.append(f"strong-components: {len(comps)}")
-    label = vertex_labels(d.n).__getitem__
+    labels = vertex_labels(d.n)
+    label = labels.__getitem__
     lines += [f"component {idx}: " + " ".join(map(label, sorted(comp)))
               for idx, comp in enumerate(comps, 1)]
     kappa = vertex_connectivity(d)
@@ -116,7 +117,8 @@ def _analyze_digraph(d: Digraph) -> str:
     if strong and d.n >= 2 and not d.has_loops():
         dec = _ear_decomposition(d)
         lines.append(f"ear-decomposition: {dec.ear_count} ears")
-        lines += [f"ear {idx}: " + " ".join(map(label, ear))
+        lines += [f"ear {idx}: {labels[ear[0]]} {labels[ear[1]]}" if len(ear) == 2 else
+                  f"ear {idx}: " + " ".join(map(label, ear))
                   for idx, ear in enumerate(dec.ears, 1)]
         summary = (f"strong, kappa={kappa}; ear decomposition with "
                    f"{dec.ear_count} ear" + ("s" if dec.ear_count != 1 else ""))
@@ -166,7 +168,10 @@ def cmd_analyze(args) -> int:
     for a matrix), then for a graph or matrix one component map of
     O(n + m) and O(n^2) mask operations, the count within its budget and
     ``vertex_connectivity``, and for a digraph the strong components, O(n^2) mask operations,
-    ``vertex_connectivity`` and the ear decomposition, O(n (n + m))."""
+    ``vertex_connectivity`` and the ear decomposition, O(n (n + m)) for
+    its start cycle, then O(n) mask steps per ear run and a search only
+    for a path ear whose new vertex has no old out-neighbour, and one
+    line per ear."""
     obj = read_instance(args.path)
     kind = instance_kind(obj)
     if args.kind and args.kind != kind:

@@ -742,27 +742,45 @@ class EarDecompositionD:
 def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[str]:
     """Verify arc-disjointness, the attachment rules, and exact coverage, on
     masks of the vertices met and, per tail, of the arcs covered so far.  An
-    ear that is empty or holds a non-vertex of D is reported alone.
-    Time: O(n + m + L) mask operations, L the total length of the ears."""
+    ear that is empty or holds a non-vertex of D, such as 1.0, is reported
+    alone; a later ear of one vertex has no arc and is a problem.
+    Time: O(n + m + L) mask operations, L the total length of the ears: one
+    condition for each single-arc ear that passes, and O(1) per vertex of
+    the others."""
     if not dec.ears:
         return ["empty decomposition"]
+    vertices = set(range(d.n))
+    if all(dec.ears) and set().union(*dec.ears) <= vertices:
+        try:
+            return _ear_problems(d, dec.ears)
+        except TypeError:
+            # a vertex equal to an int but of another type (1.0) passes the
+            # set test above and fails the first shift or row lookup
+            pass
+    idx = next(idx for idx, ear in enumerate(dec.ears)
+               if not ear or not all(isinstance(v, int) for v in ear)
+               or not vertices.issuperset(ear))
+    return [f"ear {idx} {dec.ears[idx]} is not a sequence of vertices of D"]
+
+
+def _ear_problems(d: Digraph, ears) -> list[str]:
+    """The problems of ``check_ear_decomposition_digraph`` for non-empty
+    ears of vertices of D equal to ints."""
     n, outs = d.n, _rows(d)[0]
-    vertices = set(range(n))
-    if not all(dec.ears) or not set().union(*dec.ears) <= vertices:
-        idx = next(idx for idx, ear in enumerate(dec.ears)
-                   if not ear or not vertices.issuperset(ear))
-        return [f"ear {idx} {dec.ears[idx]} is not a sequence of vertices of D"]
     problems = []
-    first = dec.ears[0]
+    first = ears[0]
     if len(first) < 3 or first[0] != first[-1] or len(set(first[:-1])) != len(first) - 1:
         problems.append(f"initial ear {first} is not a cycle")
     covered, seen = [0] * n, 0
-    for idx, ear in enumerate(dec.ears):
+    for idx, ear in enumerate(ears):
         if idx and len(ear) == 2:
             # one arc: no interior, and two vertices or a loop, so only the
             # arc and attachment rules can fail
             a, b = ear
             bit = 1 << b
+            if outs[a] & ~covered[a] & bit and seen >> a & 1 and seen & bit:
+                covered[a] |= bit
+                continue
             if not outs[a] & bit and (a, b) not in d.arcs:
                 problems.append(f"ear {idx} uses missing arc {(a, b)}")
             if covered[a] & bit:
@@ -771,6 +789,9 @@ def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[
             if not (seen >> a & 1 and seen & bit):
                 problems.append(_attach_problem(idx, a, b))
             seen |= 1 << a | bit
+            continue
+        if idx and len(ear) == 1:
+            problems.append(f"ear {idx} {ear} has no arc")
             continue
         x, inner, bit = ear[0], 0, 0
         for y in ear[1:]:
@@ -790,7 +811,7 @@ def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[
             if inner & seen:
                 problems.append(f"{kind} ear {idx} re-enters old vertices {_bits(inner & seen)}")
             # the vertices of a path ear, or of a cycle ear but its last, are distinct
-            if len(ear) > 1 and (inner | ends).bit_count() != len(ear) - (a == b):
+            if (inner | ends).bit_count() != len(ear) - (a == b):
                 problems.append(f"{kind} ear {idx} repeats a vertex")
         seen |= inner | ends
     if seen != (1 << n) - 1:
@@ -838,7 +859,9 @@ def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD
     """Build an ear decomposition of a strong digraph; exists iff D is
     strong.  Any directed cycle may serve as the starting ear; by default
     the shortest (``_ear_decomposition``).
-    Time: O(n (n + m)), that of ``_ear_decomposition``."""
+    Time: O(n (n + m)), that of ``_ear_decomposition``: at most n searches
+    for the start cycle, then O(n) mask steps per ear run, and a search
+    only for a path ear whose new vertex has no old out-neighbour."""
     if d.has_loops():
         raise ValueError("ear decomposition requires a loop-free digraph")
     if d.n < 2:
@@ -847,6 +870,8 @@ def ear_decomposition_digraph(d: Digraph, start_cycle=None) -> EarDecompositionD
         raise ValueError("digraph is not strong")
     if start_cycle is not None:
         start_cycle = tuple(start_cycle)
+        if not all(isinstance(v, int) for v in start_cycle):
+            raise ValueError(f"start cycle {start_cycle} is not a sequence of vertices of D")
         if len(start_cycle) >= 2 and start_cycle[0] == start_cycle[-1]:
             start_cycle = start_cycle[:-1]
         if len(set(start_cycle)) != len(start_cycle) or len(start_cycle) < 2:
@@ -872,17 +897,25 @@ def _ear_decomposition(d: Digraph, start_cycle=None) -> EarDecompositionD:
     them would give; as D is strong, no active vertex means every arc is
     covered.  An ear (u, v) to an old v changes no mask but pending[u], so
     the ears (u, v) for the old v below the least new one in pending[u]
-    come next, one after another, and are taken in one step.  All the
-    searches read one set of ``_out_lists``.
-    Time: O(n (n + m)): at most n searches of O(n + m) for the start cycle,
-    one per path ear, which adds a vertex, and O(n) per run of single arcs
-    or per arc otherwise.
+    come next, one after another, and are taken in one step.
+
+    A path ear whose new v has an old out-neighbour is (u, v, y), y the
+    lowest bit of outs[v] & members, with no search: the search pops v
+    first and scans v's sorted out-list before any other vertex's, and it
+    stops at the first old vertex it meets there, which is y (v is new and
+    D has no loop, so no earlier entry stops it).  Only the other path
+    ears search, all on one set of ``_out_lists``.
+    Time: O(n (n + m)) for the start cycle, at most n searches of
+    O(n + m); then O(n) mask steps per path ear, which adds a vertex, and
+    per run of single arcs or per arc otherwise, plus a search of
+    O(n + m) only for a path ear whose new vertex has no old
+    out-neighbour.
     """
-    adj = _out_lists(d)
+    adj, outs = _out_lists(d), _rows(d)[0]
     start_cycle = _shortest_cycle(adj) if start_cycle is None else start_cycle
     ears = []
     ear = start_cycle + (start_cycle[0],)
-    pending = list(_rows(d)[0])
+    pending = list(outs)
     members = active = 0
     while ear:
         ears.append(ear)
@@ -896,11 +929,16 @@ def _ear_decomposition(d: Digraph, start_cycle=None) -> EarDecompositionD:
             new = pending[u] & ~members
             # the arcs to old vertices below the least new one; all, if none
             old = pending[u] & (new & -new) - 1
-            ears += [(u, v) for v in _bits(old)]
             pending[u] ^= old
+            while old:
+                low = old & -old
+                ears.append((u, low.bit_length() - 1))
+                old ^= low
             if new:
                 v = (new & -new).bit_length() - 1
-                ear = (u, *_bfs_path(v, adj.__getitem__, lambda y: members >> y & 1))
+                hit = outs[v] & members
+                ear = ((u, v, (hit & -hit).bit_length() - 1) if hit else
+                       (u, *_bfs_path(v, adj.__getitem__, lambda y: members >> y & 1)))
             else:
                 active ^= 1 << u
     dec = EarDecompositionD(tuple(ears))

@@ -261,6 +261,104 @@ def ear_decomposition_per_ear(d: Digraph, start_cycle=None):
     return dec
 
 
+def ear_decomposition_by_runs(d: Digraph, start_cycle=None):
+    """The ear loop as the library ran it before a path ear with an old
+    out-neighbour skipped its search, unchanged but for its name and this
+    line: runs of single arcs in one step, and a breadth-first search for
+    every path ear.  The caller has checked D and start_cycle."""
+    from extendix.connectivity import EarDecompositionD, _out_lists, _shortest_cycle
+    from extendix.core import _bfs_path
+
+    adj = _out_lists(d)
+    start_cycle = _shortest_cycle(adj) if start_cycle is None else start_cycle
+    ears = []
+    ear = start_cycle + (start_cycle[0],)
+    pending = list(_rows(d)[0])
+    members = active = 0
+    while ear:
+        ears.append(ear)
+        for x, y in zip(ear, ear[1:]):
+            members |= 1 << x
+            pending[x] ^= 1 << y
+            active = active | 1 << x if pending[x] else active & ~(1 << x)
+        ear = None
+        while active and ear is None:
+            u = (active & -active).bit_length() - 1
+            new = pending[u] & ~members
+            # the arcs to old vertices below the least new one; all, if none
+            old = pending[u] & (new & -new) - 1
+            ears += [(u, v) for v in _bits(old)]
+            pending[u] ^= old
+            if new:
+                v = (new & -new).bit_length() - 1
+                ear = (u, *_bfs_path(v, adj.__getitem__, lambda y: members >> y & 1))
+            else:
+                active ^= 1 << u
+    return EarDecompositionD(tuple(ears))
+
+
+def reference_check_ear_decomposition(d: Digraph, dec) -> list[str]:
+    """The mask checker before single-arc ears took one condition, unchanged
+    but for its name and this line: it passes a later ear of one vertex,
+    and a vertex equal to an int but of another type (1.0) raises."""
+    from extendix.connectivity import _attach_problem
+
+    if not dec.ears:
+        return ["empty decomposition"]
+    n, outs = d.n, _rows(d)[0]
+    vertices = set(range(n))
+    if not all(dec.ears) or not set().union(*dec.ears) <= vertices:
+        idx = next(idx for idx, ear in enumerate(dec.ears)
+                   if not ear or not vertices.issuperset(ear))
+        return [f"ear {idx} {dec.ears[idx]} is not a sequence of vertices of D"]
+    problems = []
+    first = dec.ears[0]
+    if len(first) < 3 or first[0] != first[-1] or len(set(first[:-1])) != len(first) - 1:
+        problems.append(f"initial ear {first} is not a cycle")
+    covered, seen = [0] * n, 0
+    for idx, ear in enumerate(dec.ears):
+        if idx and len(ear) == 2:
+            # one arc: no interior, and two vertices or a loop, so only the
+            # arc and attachment rules can fail
+            a, b = ear
+            bit = 1 << b
+            if not outs[a] & bit and (a, b) not in d.arcs:
+                problems.append(f"ear {idx} uses missing arc {(a, b)}")
+            if covered[a] & bit:
+                problems.append(f"ear {idx} repeats arc {(a, b)}")
+            covered[a] |= bit
+            if not (seen >> a & 1 and seen & bit):
+                problems.append(_attach_problem(idx, a, b))
+            seen |= 1 << a | bit
+            continue
+        x, inner, bit = ear[0], 0, 0
+        for y in ear[1:]:
+            inner |= bit  # every head but the last: the interior
+            bit = 1 << y
+            if not outs[x] & bit and (x, y) not in d.arcs:
+                problems.append(f"ear {idx} uses missing arc {(x, y)}")
+            if covered[x] & bit:
+                problems.append(f"ear {idx} repeats arc {(x, y)}")
+            covered[x] |= bit
+            x = y
+        a, b, ends = ear[0], x, 1 << ear[0] | 1 << x
+        if idx:
+            kind = "cycle" if a == b else "path"
+            if not (seen >> a & 1 and seen >> b & 1):
+                problems.append(_attach_problem(idx, a, b))
+            if inner & seen:
+                problems.append(f"{kind} ear {idx} re-enters old vertices {_bits(inner & seen)}")
+            # the vertices of a path ear, or of a cycle ear but its last, are distinct
+            if len(ear) > 1 and (inner | ends).bit_count() != len(ear) - (a == b):
+                problems.append(f"{kind} ear {idx} repeats a vertex")
+        seen |= inner | ends
+    if seen != (1 << n) - 1:
+        problems.append("vertices not fully covered")
+    if tuple(covered) != outs:
+        problems.append("arcs not exactly covered")
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # the reference flow kernel: a stored network that still counts the arc s->t
 

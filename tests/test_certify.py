@@ -183,10 +183,23 @@ def _held_to_the_decider(cert: Certificate, new, old) -> None:
     assert isinstance(new, list) and new[:len(verdict_problem)] == verdict_problem, (cert, new)
 
 
+def _named_as_of_another_type(cert: Certificate, new, old) -> None:
+    """A witness kind whose check reads an instance of another type: the
+    reference checker read what it could, and ended in an
+    ``AttributeError`` or in the problems of a payload it could not read;
+    ``check_certificate`` names the kind after the same verdict problem."""
+    assert not isinstance(cert.instance, certify._WITNESS_INSTANCES[cert.witness_kind])
+    named = (f"witness kind {cert.witness_kind!r} does not apply to a "
+             f"{certify._NOUNS[type(cert.instance)]}")
+    assert isinstance(new, list) and new[-1] == named, (cert, new, old)
+    verdict = [p for p in (new if isinstance(old, tuple) else old) if p.startswith("verdict says")]
+    assert new[:-1] == verdict, (cert, new, old)
+
+
 def _compare(certs) -> set:
-    """Assert both checkers agree on every cert but for the bound problems
-    and the reach trees; return the (claim, kind) of the certs a bound
-    told apart."""
+    """Assert both checkers agree on every cert but for the bound problems,
+    the reach trees and a kind of another instance type; return the
+    (claim, kind) of the certs a bound told apart."""
     told_apart = set()
     for cert in certs:
         new, old = _outcome(check_certificate, cert), _outcome(reference_check_certificate, cert)
@@ -194,6 +207,9 @@ def _compare(certs) -> set:
             continue
         if cert.witness_kind in _NEW_KINDS:
             _held_to_the_decider(cert, new, old)
+            continue
+        if not isinstance(cert.instance, certify._WITNESS_INSTANCES[cert.witness_kind]):
+            _named_as_of_another_type(cert, new, old)
             continue
         bound = _bound_problem(cert)
         assert bound is not None and isinstance(old, list), (cert, new, old)

@@ -665,6 +665,51 @@ class TestCertifyVerify:
         assert capsys.readouterr() == (
             "", f"error: line 6: {claim} needs a {wanted} instance, got {kind}\n")
 
+    # each witness kind with a payload of its lines, each as short as the
+    # reader takes
+    MINIMAL_PAYLOADS = {
+        "reach-trees": "out-tree: 1\nin-tree: 1\n", "fan-paths": "check: 1 2\npath: 1 2\n",
+        "alt-path-systems": "matching: 1-1\npair: u1 w1\n", "menger-path-systems": "pair: 1 2\n",
+        "separator": "vertices: 1\n", "non-extendable-matching": "edges: 1-1\n",
+        "deficient-set": "u-set: 1\n", "zero-block": "rows: 1\ncols: 1\n",
+        "perfect-matching": "edges: 1-1\n", "disconnected": "", "no-perfect-matching": "",
+        "size-cap": "", "too-few-vertices": ""}
+
+    @pytest.mark.parametrize("verdict", ["holds", "fails"])
+    @pytest.mark.parametrize("kind", sorted(MINIMAL_PAYLOADS))
+    @pytest.mark.parametrize("claim", ["k-extendable", "k-strong", "k-indecomposable",
+                                       "k-irreducible"])
+    def test_every_witness_kind_with_every_claim_is_checked(self, tmp_path, capsys,
+                                                           claim, kind, verdict):
+        """K_{3,3}, the directed 3-cycle and J_3 at k = 1, with every witness
+        kind and a minimal payload: ``certificate INVALID``, exit 1, and
+        nothing on stderr, also where the kind's check reads an instance of
+        another type."""
+        instance = {"k-extendable": "bg 3 9\n" + "".join(f"{i} {j}\n" for i in (1, 2, 3)
+                                                          for j in (1, 2, 3)),
+                    "k-strong": "dg 3 3\n1 2\n2 3\n3 1\n"}.get(claim, "mat 3\n111\n111\n111\n")
+        path = tmp_path / "kind.cert"
+        path.write_text(f"extendix-cert 1\nclaim: {claim}\nk: 1\nverdict: {verdict}\n"
+                        f"instance:\n{instance}end-instance\nwitness: {kind}\n"
+                        f"{self.MINIMAL_PAYLOADS[kind]}end-witness\n")
+        assert main(["verify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("certificate INVALID:\n") and err == ""
+
+    def test_a_witness_kind_of_another_instance_type_is_named(self, files, tmp_path, capsys):
+        cert_path = tmp_path / "d3.cert"
+        assert main(["certify", files["d3.dg"], "--claim", "k-strong", "--k", "1",
+                     "--out", str(cert_path)]) == 0
+        text = cert_path.read_text()
+        witness = text[text.index("witness: "):]
+        cert_path.write_text(text.replace(witness, "witness: deficient-set\nu-set: 1\n"
+                                                   "end-witness\n"))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path)]) == 1
+        assert capsys.readouterr() == (
+            "certificate INVALID:\n"
+            "  - witness kind 'deficient-set' does not apply to a digraph\n", "")
+
 
 class TestSearch:
     def test_counterexample_found(self, capsys):

@@ -54,6 +54,9 @@ def _instances() -> dict:
         "dg6.dg": random_digraph(6, 0.45, seed=4),
         # kappa 3; at k = 4 the separator is the cut of an out-fan
         "dg20.dg": random_digraph(20, 0.4, seed=5),
+        # C_12(1, 3): 24 arcs, 13 ears, three of them found by a search of
+        # depth 2, the rest read off the masks
+        "c12_13.dg": Digraph(12, frozenset((v, (v + j) % 12) for v in range(12) for j in (1, 3))),
         # partly decomposable and reducible
         "dec6.mat": _seeded_matrix(6, 0.35, seed=0),
         # fully indecomposable and irreducible
@@ -65,7 +68,7 @@ def _instances() -> dict:
 # (output name, argv with instance names relative to GOLDEN, exit code)
 CASES = [(f"analyze-{name.split('.')[0]}", ["analyze", name], 0)
          for name in ("c6.bg", "p4.bg", "c4_pendant.bg", "k33.bg", "bg10.bg",
-                      "dg6.dg", "dg20.dg", "dec6.mat", "full6.mat")]
+                      "dg6.dg", "dg20.dg", "c12_13.dg", "dec6.mat", "full6.mat")]
 CASES += [(f"convert-g2d-{name.split('.')[0]}",
            ["convert", name, "--direction", "g2d"], 0)
           for name in ("c6.bg", "c4_pendant.bg", "bg10.bg")]

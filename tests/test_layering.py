@@ -470,11 +470,10 @@ def test_matching_defines_the_one_augmenting_path_search():
         assert any(_callee(call) == "_augment" for _, call in _calls(tree))
 
 
-def test_only_core_and_the_witness_check_read_neighbour_lists():
-    """Every production route reads the graph's rows.  The neighbour-list
-    methods and their global caches serve library callers, and the
-    ``deficient-set`` witness check, which must raise the same
-    ``AttributeError`` on an instance of another type."""
+def test_only_core_reads_neighbour_lists():
+    """Every production route, the ``deficient-set`` witness check among
+    them, reads the graph's rows.  The neighbour-list methods and their
+    global caches serve library callers only."""
     readers = {(module, enclosing) for module, tree in _modules().items() if module != "core.py"
                for enclosing, name in _uses(tree) if name in NEIGHBOUR_LISTS}
-    assert readers == {("certify.py", "_check_witness")}
+    assert readers == set()

@@ -2,13 +2,13 @@
 the sizes of the test suite, each row in a fresh subprocess under a cap.
 
     python3 scale/run.py                       # the default rows
-    python3 scale/run.py --row random:40:0.4:1 --row c13:200 --repeats 5 --cap 120
+    python3 scale/run.py --row random:40:0.4:1 --row c13:200 --cap 120
     python3 scale/run.py --out BENCH_scale.json
 
 A row spec is ``random:N:P:SEED`` (``random_digraph(N, P, seed=SEED)``) or
 ``c13:N`` (the circulant C_N(1, 3), arcs v -> v+1 and v -> v+3 mod N); the
 command is ``analyze`` on the row's ``dg`` file.  The child writes the
-file, times ``cli.main`` on it ``--repeats`` times in one process, and
+file, times ``cli.main`` on it ``REPEATS`` (5) times in one process, and
 reports the median, n, m and its peak RSS.  The parent records the child's
 wall time beside it.  A row past ``--cap`` seconds is killed and recorded
 as timed out, and the run goes on.  The rows, the git SHA ("-dirty" after
@@ -35,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # dg-connectivity files, where nearly every path ear is read off the masks,
 # and on C_n(1, 3), where the start cycle takes n searches
 DEFAULT_ROWS = ("random:40:0.4:1", "random:80:0.4:1", "random:160:0.4:1", "c13:200", "c13:400")
+# timed calls per row, in one child process; the row reports their median
+REPEATS = 5
 
 
 def parse_row(spec: str) -> dict:
@@ -57,7 +59,7 @@ def _instance(row: dict):
     return Digraph(n, frozenset((v, (v + j) % n) for v in range(n) for j in (1, 3)))
 
 
-def child(spec: str, repeats: int, work: Path) -> dict:
+def child(spec: str, work: Path) -> dict:
     """Run in the subprocess: time ``analyze`` on the row's file."""
     import contextlib
     import io
@@ -71,7 +73,7 @@ def child(spec: str, repeats: int, work: Path) -> dict:
     path = work / f"{spec.replace(':', '_')}.dg"
     write_instance(d, path)
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         out = io.StringIO()
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(out):
@@ -84,10 +86,10 @@ def child(spec: str, repeats: int, work: Path) -> dict:
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
 
 
-def run_row(spec: str, repeats: int, cap: float, work: Path) -> dict:
+def run_row(spec: str, cap: float, work: Path) -> dict:
     """One row in a fresh interpreter under ``cap`` seconds."""
     argv = [sys.executable, str(Path(__file__).resolve()), "--child", spec,
-            "--repeats", str(repeats), "--work", str(work)]
+            "--work", str(work)]
     t0 = time.perf_counter()
     try:
         proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=cap)
@@ -114,17 +116,16 @@ def _git_sha() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="extendix scale rows")
     parser.add_argument("--row", action="append", help="random:N:P:SEED or c13:N")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--cap", type=float, default=300.0, help="seconds per row")
     parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--work", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.cap <= 0:
-        parser.error("--repeats must be at least 1 and --cap positive")
+    if args.cap <= 0:
+        parser.error("--cap must be positive")
     if args.child:
         sys.path.insert(0, str(ROOT / "src"))
-        print(json.dumps(child(args.child, args.repeats, Path(args.work))))
+        print(json.dumps(child(args.child, Path(args.work))))
         return 0
     specs = args.row or list(DEFAULT_ROWS)
     try:
@@ -135,13 +136,13 @@ def main(argv=None) -> int:
     rows = []
     with tempfile.TemporaryDirectory() as work:
         for spec in specs:
-            rows.append(run_row(spec, args.repeats, args.cap, Path(work)))
+            rows.append(run_row(spec, args.cap, Path(work)))
             row = rows[-1]
-            shown = (f"{row['median_s'] * 1e3:.2f} ms median of {args.repeats}"
+            shown = (f"{row['median_s'] * 1e3:.2f} ms median of {REPEATS}"
                      if row["status"] == "ok" else row["status"])
             print(f"{spec}: {shown}", file=sys.stderr)
     result = {"git_sha": _git_sha(), "python": platform.python_version(),
-              "repeats": args.repeats, "cap_s": args.cap, "rows": rows}
+              "repeats": REPEATS, "cap_s": args.cap, "rows": rows}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -25,6 +25,7 @@ calls (delta the least in- or out-degree), one in the common case.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from .core import Digraph, ExtendixError, _bfs_path, check_budget
 
@@ -742,8 +743,9 @@ class EarDecompositionD:
 def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[str]:
     """Verify arc-disjointness, the attachment rules, and exact coverage, on
     masks of the vertices met and, per tail, of the arcs covered so far.  An
-    ear that is empty or holds a non-vertex of D, such as 1.0, is reported
-    alone; a later ear of one vertex has no arc and is a problem.
+    ear that is empty, holds a non-vertex of D, such as 1.0, or cannot be
+    indexed, such as a set, is reported alone; a later ear of one vertex
+    has no arc and is a problem.
     Time: O(n + m + L) mask operations, L the total length of the ears: one
     condition for each single-arc ear that passes, and O(1) per vertex of
     the others."""
@@ -755,12 +757,23 @@ def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[
             return _ear_problems(d, dec.ears)
         except TypeError:
             # a vertex equal to an int but of another type (1.0) passes the
-            # set test above and fails the first shift or row lookup
-            pass
-    idx = next(idx for idx, ear in enumerate(dec.ears)
-               if not ear or not all(isinstance(v, int) for v in ear)
-               or not vertices.issuperset(ear))
+            # set test above and fails the first shift or row lookup, and an
+            # ear that is no sequence fails its first index
+            idx = _non_vertex_ear(dec.ears, vertices)
+            if idx is None:
+                raise
+    else:
+        idx = _non_vertex_ear(dec.ears, vertices)
     return [f"ear {idx} {dec.ears[idx]} is not a sequence of vertices of D"]
+
+
+def _non_vertex_ear(ears, vertices: set) -> int | None:
+    """The index of the first ear that is not a non-empty sequence of int
+    vertices of D, or None."""
+    return next((idx for idx, ear in enumerate(ears)
+                 if not isinstance(ear, Sequence) or not ear
+                 or not all(isinstance(v, int) for v in ear)
+                 or not vertices.issuperset(ear)), None)
 
 
 def _ear_problems(d: Digraph, ears) -> list[str]:
@@ -930,6 +943,7 @@ def _ear_decomposition(d: Digraph, start_cycle=None) -> EarDecompositionD:
             # the arcs to old vertices below the least new one; all, if none
             old = pending[u] & (new & -new) - 1
             pending[u] ^= old
+            # _bits inlined: no call and no list per run
             while old:
                 low = old & -old
                 ears.append((u, low.bit_length() - 1))

@@ -202,6 +202,22 @@ class TestCheckerProblems:
         assert check_ear_decomposition_digraph(d, dec) == [
             "ear 1 (1, 2.0) is not a sequence of vertices of D"]
 
+    def test_an_ear_that_cannot_be_indexed_is_named(self):
+        d = _circulant(3, (1, 2))
+        dec = EarDecompositionD(((0, 1, 2, 0), frozenset({0, 1, 2})))
+        with pytest.raises(TypeError):
+            reference_check_ear_decomposition(d, dec)
+        assert check_ear_decomposition_digraph(d, dec) == [
+            f"ear 1 {frozenset({0, 1, 2})} is not a sequence of vertices of D"]
+
+    def test_a_type_error_of_sound_ears_is_raised(self, monkeypatch):
+        def broken(d, ears):
+            raise TypeError("not from the ears")
+
+        monkeypatch.setattr(connectivity, "_ear_problems", broken)
+        with pytest.raises(TypeError, match="not from the ears"):
+            check_ear_decomposition_digraph(directed_cycle(3), EarDecompositionD(((0, 1, 2, 0),)))
+
     def test_a_start_cycle_of_another_type_is_a_value_error(self):
         with pytest.raises(ValueError, match="not a sequence of vertices of D"):
             ear_decomposition_digraph(directed_cycle(3), start_cycle=(0, 1.0, 2))

@@ -35,13 +35,14 @@ from __future__ import annotations
 from itertools import chain, compress
 
 from .core import (BipartiteGraph, Digraph, Matching, ZeroOneMatrix,
-                   connected, is_int_token, parse_vertex_label)
+                   connected, parse_vertex_label)
 from .correspond import bipartite_of_matrix, digraph_of, digraph_of_matrix
 from .connectivity import (_reach_tree, _rows, is_k_strong, strong_components,
                            check_path_system, PathSystem)
 from .extendability import (AltPathSystem, _deficient_set, check_alternating_path_system,
                             is_k_extendable)
-from .fileio import CLAIMS, Certificate, LabelIndex, k_range, vertex_labels
+from .fileio import (CLAIMS, Certificate, LabelIndex, _numbers, format_matching, k_range,
+                     read_matching, vertex_labels)
 from .matching import first_perfect_matching, has_perfect_matching, max_matching_pairs
 from .matrixlab import (_decomposable, _distinct_in_range, _independent_witness, _reducible,
                         _symmetric_witness, check_witness, is_k_partly_decomposable,
@@ -49,28 +50,6 @@ from .matrixlab import (_decomposable, _distinct_in_range, _independent_witness,
 
 
 _NOUNS = {BipartiteGraph: "bipartite graph", Digraph: "digraph", ZeroOneMatrix: "matrix"}
-
-
-def _edges_text(edges) -> str:
-    """Edge list as ``1-2 3-1 ...`` (1-based, sorted)."""
-    return " ".join(f"{i + 1}-{j + 1}" for i, j in sorted(edges))
-
-
-def _parse_edges(text: str, index: LabelIndex) -> frozenset:
-    """Inverse of _edges_text, each number read through index, the
-    instance's ``LabelIndex``, as ``_vertices`` reads it."""
-    ends = (_vertices(index, token.split("-"), "edge", token) for token in text.split())
-    return frozenset((i, j) for i, j in ends)
-
-
-def _numbers(tokens, *where) -> list[int]:
-    """1-based numbers as 0-based indices; a ValueError names the first
-    token that is not an integer as the instance formats write one
-    (``core.is_int_token``) and where, whose parts are joined only then."""
-    for token in tokens:
-        if not is_int_token(token, True):
-            raise ValueError(f"{' '.join(map(str, where))} has {token!r}, which is not a number")
-    return [int(token) - 1 for token in tokens]
 
 
 def _vertices(index: LabelIndex, tokens, *where) -> list[int]:
@@ -167,7 +146,7 @@ def _matched(claim: str, k: int, obj, g: BipartiteGraph, pairs: dict) -> tuple:
     if k < 1 or len(pairs) < g.n:
         return None, (), None
     m = Matching(frozenset(pairs.items()), g)
-    d, head = digraph_of(g, m)[0], ("matching: " + _edges_text(m.edges),)
+    d, head = digraph_of(g, m)[0], ("matching: " + format_matching(m.edges),)
     return d, head, _reach_trees(claim, obj, d, head) if k == 1 else None
 
 
@@ -180,7 +159,7 @@ def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, pairs: dic
     if k == 0:
         m = first_perfect_matching(g, pairs)
         return Certificate(claim, k, True, obj, "perfect-matching",
-                           ("edges: " + _edges_text(m.edges),))
+                           ("edges: " + format_matching(m.edges),))
     return _fan_paths(claim, k, obj, g.n, proof, head)
 
 
@@ -310,31 +289,24 @@ def _split_sections(lines) -> list[tuple]:
     return sections
 
 
-def _one_line(lines, prefix: str) -> tuple[str | None, str | None]:
-    """(the text after prefix on the one line that starts with it, None),
-    or (None, the problem) when no line or more than one does."""
-    found = [line[len(prefix):] for line in lines if line.startswith(prefix)]
-    if len(found) == 1:
-        return found[0], None
-    return None, f"reach-trees needs one {prefix} line, has {len(found)}"
+def _mate(text: str, has, index: LabelIndex, noun: str) -> tuple[dict | None, str | None]:
+    """(the matching of text as ``{i: j}``, None), read by
+    ``fileio.read_matching`` through index and has, the instance's; (None,
+    its problem after "noun matching invalid:") when the reader refuses it."""
+    try:
+        return read_matching(text.split(), index, has), None
+    except ValueError as exc:
+        return None, f"{noun} matching invalid: {exc}"
 
 
 def _perfect_mate(text: str, has, index: LabelIndex) -> tuple[list | None, str | None]:
     """(M(v) for each vertex v, None) for the perfect matching M of text,
-    a ``matching:`` line's, read through index, the instance's
-    ``LabelIndex``, each edge (i, j) one that has(i, j) finds in the
-    instance; (None, the problem) when there is no such M."""
-    n = index.n
-    edges = _parse_edges(text, index)
-    for i, j in sorted(edges):
-        if not (0 <= i < n and 0 <= j < n and has(i, j)):
-            return None, f"embedded matching invalid: edge {i + 1}-{j + 1} is not in the instance"
-    mate = dict(edges)
-    if len(mate) != len(edges) or len(set(mate.values())) != len(edges):
-        return None, "embedded matching invalid: matching edges share an endpoint"
-    if len(edges) != n:
-        return None, "embedded matching is not perfect"
-    return [mate[v] for v in range(n)], None
+    a ``matching:`` line's, read by ``_mate``; (None, the problem) when
+    there is no such M."""
+    mate, problem = _mate(text, has, index, "embedded")
+    if problem or len(mate) != index.n:
+        return None, problem or "embedded matching is not perfect"
+    return [mate[v] for v in range(index.n)], None
 
 
 def _cycle_vertex(parent: list) -> int | None:
@@ -378,7 +350,7 @@ def _reach_tree_problems(cert: Certificate) -> list[str]:
     vertex a is u_a on the bipartite side), with no cycle among the
     parents.  Each arc is one lookup in the instance: p->v is a_pv of A,
     or the edge u_p w_M(v) of G or B(A).  No decider, flow net or mask
-    build runs.  Time: O(n) lookups and O(n log n) to sort the matching."""
+    build runs.  Time: O(n) lookups."""
     obj, n = cert.instance, cert.instance.n
     if cert.k != 1:
         return [f"reach-trees needs k = 1, has k={cert.k}"]
@@ -386,16 +358,18 @@ def _reach_tree_problems(cert: Certificate) -> list[str]:
         return [f"reach-trees needs n >= 2, has n={n}"]
     has, mate, index = _lookup(obj), range(n), LabelIndex(n)
     if cert.claim in ("k-extendable", "k-indecomposable"):
-        text, problem = _one_line(cert.witness_lines, "matching:")
-        mate, problem = (None, problem) if problem else _perfect_mate(text, has, index)
+        text = _field(cert.witness_lines, "matching:")
+        mate, problem = (_perfect_mate(text, has, index) if text is not None
+                         else (None, "reach-trees needs one matching: line, has 0"))
         if problem:
             return [problem]
     digraph, problems = _DIGRAPH[cert.claim], []
     for name, out in (("out-tree", True), ("in-tree", False)):
-        text, problem = _one_line(cert.witness_lines, name + ":")
-        tokens = [] if problem else text.split()
-        if problem or len(tokens) != n - 1:
-            problems.append(problem or f"{name} has {len(tokens)} parents, expected n-1={n - 1}")
+        text = _field(cert.witness_lines, name + ":")
+        tokens = (text or "").split()
+        if text is None or len(tokens) != n - 1:
+            problems.append(f"reach-trees needs one {name}: line, has 0" if text is None
+                            else f"{name} has {len(tokens)} parents, expected n-1={n - 1}")
             continue
         parent = [-1] + _vertices(index, tokens, "the", name, "line")
         found = len(problems)
@@ -595,12 +569,10 @@ def _check_witness(cert: Certificate) -> list[str]:
         m_text = _field(cert.witness_lines, "matching:")
         if m_text is None:
             return ["alt-path witness is missing its matching line"]
-        try:
-            matching = Matching(_parse_edges(m_text, LabelIndex(g.n)), g)
-        except ValueError as exc:
-            return [f"embedded matching invalid: {exc}"]
-        if not matching.is_perfect:
-            return ["embedded matching is not perfect"]
+        mate, problem = _perfect_mate(m_text, _lookup(obj), LabelIndex(g.n))
+        if problem:
+            return [problem]
+        matching = Matching(frozenset(enumerate(mate)), g)
         index = _walk_index(g.n)
         labels = set(index.values())
         span = f"u1..u{g.n} and w1..w{g.n}"
@@ -662,15 +634,13 @@ def _check_witness(cert: Certificate) -> list[str]:
         return problems
 
     if kind == "non-extendable-matching":
-        g, text = obj, _field(cert.witness_lines, "edges:") or ""
-        try:
-            m0 = Matching(_parse_edges(text, LabelIndex(g.n)), g)
-        except ValueError as exc:
-            return [f"witness matching invalid: {exc}"]
-        if m0.size != k:
-            problems.append(f"witness matching has size {m0.size}, expected {k}")
-        if has_perfect_matching(g, frozenset(i for i, _ in m0.edges),
-                                frozenset(j for _, j in m0.edges)):
+        mate, problem = _mate(_field(cert.witness_lines, "edges:") or "", _lookup(obj),
+                              LabelIndex(obj.n), "witness")
+        if problem:
+            return [problem]
+        if len(mate) != k:
+            problems.append(f"witness matching has size {len(mate)}, expected {k}")
+        if has_perfect_matching(obj, frozenset(mate), frozenset(mate.values())):
             problems.append("witness matching extends to a perfect matching")
         return problems
 
@@ -697,14 +667,10 @@ def _check_witness(cert: Certificate) -> list[str]:
     if kind == "perfect-matching":
         if k != 0:
             problems.append(f"perfect-matching needs k = 0, has k={k}")
-        g = obj if isinstance(obj, BipartiteGraph) else bipartite_of_matrix(obj)
-        text = _field(cert.witness_lines, "edges:") or ""
-        try:
-            m = Matching(_parse_edges(text, LabelIndex(g.n)), g)
-        except ValueError as exc:
-            return problems + [f"witness matching invalid: {exc}"]
-        if not m.is_perfect:
-            problems.append("witness matching is not perfect")
+        mate, problem = _mate(_field(cert.witness_lines, "edges:") or "", _lookup(obj),
+                              LabelIndex(obj.n), "witness")
+        if problem or len(mate) != obj.n:
+            problems.append(problem or "witness matching is not perfect")
         return problems
 
     if kind == "disconnected":
@@ -821,8 +787,8 @@ def check_certificate(cert: Certificate) -> list[str]:
     from the embedded instance, and its problem, if any, comes first.
     Time: a self-proving witness costs its check alone, at most a maximum
     matching or a strong-component pass, each O(n^2) mask steps,
-    O(n log n) for reach trees (one instance lookup per parent and
-    matching edge), and for fan paths the O(n + m) rows of D (O(n^2) for
+    O(n) for reach trees (one instance lookup per parent and matching
+    edge), and for fan paths the O(n + m) rows of D (O(n^2) for
     a matrix), O(k^2 + n) for the schedule and one row lookup per listed
     arc: linear in the certificate, whose paths hold at most
     k(k-1) + 2(n-k) checks of k paths, O(k n^2) labels; otherwise the

@@ -22,7 +22,7 @@ from typing import Callable, Collection, NamedTuple
 
 from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
                    TooLargeError, ZeroOneMatrix, connected, random_bipartite_with_pm,
-                   is_int_token, random_digraph, u_label, w_label)
+                   random_digraph, u_label, w_label)
 from .correspond import (bipartite_of_digraph, bipartite_of_matrix, digraph_of,
                          digraph_of_matrix, reduced_adjacency)
 from .connectivity import (_anti_directed_trail, _bits, _degree_audit, _ear_decomposition,
@@ -30,10 +30,10 @@ from .connectivity import (_anti_directed_trail, _bits, _degree_audit, _ear_deco
 from .extendability import (_degree_audit_bipartite, _forest_check,
                             elementary_components)
 from .matching import count_perfect_matchings, first_perfect_matching, max_matching
-from .certify import build_certificate, check_certificate
-from .fileio import (CLAIMS, format_certificate, format_correspondence,
+from .certify import _lookup, build_certificate, check_certificate
+from .fileio import (CLAIMS, LabelIndex, format_certificate, format_correspondence,
                      format_instance, instance_kind, read_certificate,
-                     read_instance, vertex_labels)
+                     read_instance, read_matching, vertex_labels)
 from .search import (_counterexample_rows, _in_rows, _minimal_k_extendable_rows,
                      _minimal_k_strong_rows, _with_diagonal)
 
@@ -191,22 +191,12 @@ def cmd_analyze(args) -> int:
 # convert
 
 
-def _parse_matching_arg(g: BipartiteGraph, text: str) -> Matching:
-    edges = set()
-    for token in text.split(","):
-        token = token.strip()
-        halves = token.split("-")
-        if len(halves) != 2 or not all(map(is_int_token, halves)):
-            raise ValueError(f"bad matching token {token!r}, expected like 1-2")
-        edges.add((int(halves[0]) - 1, int(halves[1]) - 1))
-    return Matching(frozenset(edges), g)
-
-
 def cmd_convert(args) -> int:
     """Time: reading the file, O(n + m) (O(n^2) for a matrix); for g2d
-    with ``auto`` the first perfect matching, O(m n) mask operations; the
-    translation, O(n + m), or O(n^2) to or from a matrix; and writing it,
-    O(n + m log m)."""
+    with ``auto`` the first perfect matching, O(m n) mask operations, and
+    with an explicit one O(n) plus O(1) per token (``fileio.read_matching``);
+    the translation, O(n + m), or O(n^2) to or from a matrix; and writing
+    it, O(n + m log m)."""
     obj = read_instance(args.path)
     direction = args.direction
     if direction == "g2d":
@@ -220,10 +210,12 @@ def cmd_convert(args) -> int:
                 return 2
         else:
             try:
-                m = _parse_matching_arg(obj, args.matching)
+                mate = read_matching([token.strip() for token in args.matching.split(",")],
+                                     LabelIndex(obj.n), _lookup(obj))
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
+            m = Matching(frozenset(mate.items()), obj)
             if not m.is_perfect:
                 print("error: the given matching is not perfect", file=sys.stderr)
                 return 2
@@ -290,7 +282,7 @@ def cmd_verify(args) -> int:
     Time: reading the certificate (``fileio.read_certificate``, O(n + m)
     for its instance), then ``certify.check_certificate``: the witness
     check alone, at most a maximum matching of O(n^2) mask operations,
-    and O(n log n) lookups for reach trees, for a self-proving witness."""
+    and O(n) lookups for reach trees, for a self-proving witness."""
     cert = read_certificate(args.path)
     try:
         problems = check_certificate(cert)

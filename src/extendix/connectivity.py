@@ -743,42 +743,42 @@ class EarDecompositionD:
 def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[str]:
     """Verify arc-disjointness, the attachment rules, and exact coverage, on
     masks of the vertices met and, per tail, of the arcs covered so far.  An
-    ear that is empty, holds a non-vertex of D, such as 1.0, or cannot be
-    indexed, such as a set, is reported alone; a later ear of one vertex
+    ear that is empty, holds a non-vertex of D, such as 1.0, or is no
+    sequence, such as a set, is reported alone; a later ear of one vertex
     has no arc and is a problem.
     Time: O(n + m + L) mask operations, L the total length of the ears: one
     condition for each single-arc ear that passes, and O(1) per vertex of
-    the others."""
+    the others, each vertex tested as it is shifted in; only a non-vertex
+    costs a second pass (``_non_vertex_ear``), to name its ear."""
     if not dec.ears:
         return ["empty decomposition"]
-    vertices = set(range(d.n))
-    if all(dec.ears) and set().union(*dec.ears) <= vertices:
-        try:
-            return _ear_problems(d, dec.ears)
-        except TypeError:
-            # a vertex equal to an int but of another type (1.0) passes the
-            # set test above and fails the first shift or row lookup, and an
-            # ear that is no sequence fails its first index
-            idx = _non_vertex_ear(dec.ears, vertices)
-            if idx is None:
-                raise
-    else:
-        idx = _non_vertex_ear(dec.ears, vertices)
-    return [f"ear {idx} {dec.ears[idx]} is not a sequence of vertices of D"]
+    try:
+        return _ear_problems(d, dec.ears)
+    except (TypeError, ValueError, LookupError):
+        # the mask loop is the vertex test: a non-vertex fails a shift (1.0,
+        # -1) or a bound test (n), and an ear that is no sequence fails len
+        # or its first index
+        problem = _non_vertex_ear(dec.ears, d.n)
+        if problem is None:
+            raise
+        return [problem]
 
 
-def _non_vertex_ear(ears, vertices: set) -> int | None:
-    """The index of the first ear that is not a non-empty sequence of int
-    vertices of D, or None."""
-    return next((idx for idx, ear in enumerate(ears)
+def _non_vertex_ear(ears, n: int) -> str | None:
+    """The problem of the first ear that is not a non-empty sequence of int
+    vertices 0..n-1, or None."""
+    vertices = set(range(n))
+    return next((f"ear {idx} {ear} is not a sequence of vertices of D"
+                 for idx, ear in enumerate(ears)
                  if not isinstance(ear, Sequence) or not ear
                  or not all(isinstance(v, int) for v in ear)
                  or not vertices.issuperset(ear)), None)
 
 
 def _ear_problems(d: Digraph, ears) -> list[str]:
-    """The problems of ``check_ear_decomposition_digraph`` for non-empty
-    ears of vertices of D equal to ints."""
+    """The problems of ``check_ear_decomposition_digraph``; a LookupError,
+    TypeError or ValueError when an ear is not a non-empty sequence of
+    vertices of D."""
     n, outs = d.n, _rows(d)[0]
     problems = []
     first = ears[0]
@@ -787,31 +787,28 @@ def _ear_problems(d: Digraph, ears) -> list[str]:
     covered, seen = [0] * n, 0
     for idx, ear in enumerate(ears):
         if idx and len(ear) == 2:
-            # one arc: no interior, and two vertices or a loop, so only the
-            # arc and attachment rules can fail
-            a, b = ear
-            bit = 1 << b
-            if outs[a] & ~covered[a] & bit and seen >> a & 1 and seen & bit:
-                covered[a] |= bit
+            # one arc, new and between old vertices, passes in one condition,
+            # b tested by a right shift before 1 << b; any other goes on to
+            # the checks of a longer ear
+            a, b = ear[0], ear[1]
+            if (outs[a] & ~covered[a] & seen) >> b & 1 and seen >> a & 1:
+                covered[a] |= 1 << b
                 continue
-            if not outs[a] & bit and (a, b) not in d.arcs:
-                problems.append(f"ear {idx} uses missing arc {(a, b)}")
-            if covered[a] & bit:
-                problems.append(f"ear {idx} repeats arc {(a, b)}")
-            covered[a] |= bit
-            if not (seen >> a & 1 and seen & bit):
-                problems.append(_attach_problem(idx, a, b))
-            seen |= 1 << a | bit
-            continue
-        if idx and len(ear) == 1:
-            problems.append(f"ear {idx} {ear} has no arc")
-            continue
+        if len(ear) == 1:
+            if ear[0] not in range(n):
+                raise LookupError(ear[0])
+            if idx:
+                problems.append(f"ear {idx} {ear} has no arc")
+                continue
         x, inner, bit = ear[0], 0, 0
         for y in ear[1:]:
             inner |= bit  # every head but the last: the interior
+            if not outs[x] >> y & 1:  # y is a vertex before 1 << y
+                if y >= n:
+                    raise LookupError(y)
+                if (x, y) not in d.arcs:
+                    problems.append(f"ear {idx} uses missing arc {(x, y)}")
             bit = 1 << y
-            if not outs[x] & bit and (x, y) not in d.arcs:
-                problems.append(f"ear {idx} uses missing arc {(x, y)}")
             if covered[x] & bit:
                 problems.append(f"ear {idx} repeats arc {(x, y)}")
             covered[x] |= bit

@@ -75,6 +75,16 @@ class LabelIndex(dict):
         raise KeyError(token)
 
 
+def _numbers(tokens, *where) -> list[int]:
+    """1-based numbers as 0-based indices; a ValueError names the first
+    token that is not an integer as the instance formats write one
+    (``core.is_int_token``) and where, whose parts are joined only then."""
+    for token in tokens:
+        if not is_int_token(token, True):
+            raise ValueError(f"{' '.join(map(str, where))} has {token!r}, which is not a number")
+    return [int(token) - 1 for token in tokens]
+
+
 # matrix rows: the characters 0/1 to the bytes 0/1, and back
 _BITS = bytes.maketrans(b"01", b"\0\1")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -227,6 +237,40 @@ def instance_kind(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
+# matchings: ``convert --matching``, the ``.map`` sidecar and every witness
+# that embeds M write the edge u_i w_j as the token ``a-b``, a = i + 1 and
+# b = j + 1
+
+
+def format_matching(edges) -> str:
+    """The edges as ``a-b`` tokens, sorted.  Time: O(n log n)."""
+    return " ".join(f"{i + 1}-{j + 1}" for i, j in sorted(edges))
+
+
+def read_matching(tokens, index: LabelIndex, has) -> dict:
+    """``{i: j}`` for the edges u_i w_j of the ``a-b`` tokens, each end
+    read through index, the instance's ``LabelIndex``, and each edge one
+    that has(i, j) finds in the instance; an edge given twice counts once.
+    A ValueError names, as the text writes it, the first token that is not
+    two vertices and the first edge outside the instance, or says that an
+    edge shares an end with an earlier one.  Time: O(1) per token."""
+    mate, owner, n = {}, {}, index.n
+    for token in tokens:
+        ends = token.split("-")
+        try:
+            i, j = map(index.__getitem__, ends)
+        except (KeyError, ValueError):
+            if len(ends) != 2:
+                raise ValueError(f"edge {token!r} is not two vertices a-b") from None
+            i, j = _numbers(ends, "edge", token)
+        if not (0 <= i < n and 0 <= j < n and has(i, j)):
+            raise ValueError(f"edge {token} is not in the instance")
+        if mate.setdefault(i, j) != j or owner.setdefault(j, i) != i:
+            raise ValueError("matching edges share an endpoint")
+    return mate
+
+
+# ---------------------------------------------------------------------------
 # correspondence sidecar
 
 
@@ -234,8 +278,7 @@ def format_correspondence(cmap, matching: Matching) -> str:
     """The ``.map`` sidecar of one translation.  Time: O(n log n)."""
     lines = ["map 1", f"n: {cmap.n}"]
     lines.append("w-relabel: " + " ".join(str(j + 1) for j in cmap.w_relabel))
-    lines.append("matching: " + " ".join(
-        f"{i + 1}-{j + 1}" for i, j in sorted(matching.edges)))
+    lines.append("matching: " + format_matching(matching.edges))
     for v in range(cmap.n):
         i, j = cmap.matching_edge_of_vertex(v)
         lines.append(f"vertex {v + 1} = u{i + 1}-w{j + 1}")

@@ -925,8 +925,13 @@ def _reference_indices(lines, prefix: str) -> list[int]:
 
 def reference_check_witness(cert) -> list[str]:
     """``certify._check_witness`` before witnesses checked the bound they
-    state, before the legacy matching left the global cache and before a
-    repeated witness line was refused (``_reference_field``)."""
+    state, before the legacy matching left the global cache, before a
+    repeated witness line was refused (``_reference_field``) and before one
+    reader (``fileio.read_matching``) read every embedded matching.  Its
+    matching problems are ``core.Matching``'s: a stray edge is named
+    0-based, ``edges not in host graph: [(0, 2)]``, where the certificate
+    writes ``1-3`` (``test_certify._as_written``), and a token that is not
+    two vertices ends in Python's unpack message."""
     from itertools import chain
 
     from extendix.certify import (_parse_walk, _path_line_problems,

@@ -8,9 +8,10 @@ emits for the instances of order at most 4 (listed in ``_small``) and a
 seeded suite of order 10 to 20, and on mutants of each.  Problem lists,
 exception types and exception messages must be equal, but for the bounds
 a witness states, which only the new checker reads (``_bound_problem``),
-and for ``reach-trees`` and ``fan-paths``, kinds the reference checker
-does not know, which are held to the decider instead
-(``_held_to_the_decider``).
+for a stray matching edge, which the new checker names as the
+certificate writes it (``_as_written``), and for ``reach-trees`` and
+``fan-paths``, kinds the reference checker does not know, which are held
+to the decider instead (``_held_to_the_decider``).
 The spy tests replace the deciders that ``certify`` calls.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
@@ -196,10 +198,28 @@ def _named_as_of_another_type(cert: Certificate, new, old) -> None:
     assert new[:-1] == verdict, (cert, new, old)
 
 
+# a stray edge as ``core.Matching`` named it for the reference checker:
+# every stray edge, 0-based and sorted
+_STRAY = re.compile(r"edges not in host graph: \[\((\d+), (\d+)\)(, \(\d+, \d+\))*\]")
+
+
+def _as_written(problem: str) -> str:
+    """The one intended change of the matching problems: the first stray
+    edge, named 0-based and with every other stray edge by ``core.Matching``
+    for the reference checker, is named as the certificate writes it by
+    ``fileio.read_matching``.  On an emitted witness, sorted by
+    ``fileio.format_matching``, the first in token order is the first in
+    sorted order."""
+    return _STRAY.sub(lambda m: f"edge {int(m[1]) + 1}-{int(m[2]) + 1} is not in the instance",
+                      problem)
+
+
 def _compare(certs) -> set:
     """Assert both checkers agree on every cert but for the bound problems,
-    the reach trees and a kind of another instance type; return the
-    (claim, kind) of the certs a bound told apart."""
+    the reach trees, a kind of another instance type and a stray matching
+    edge named as written (``_as_written``); return the (claim, kind) of
+    the certs a bound told apart, and (claim, "stray matching edge") for
+    those a stray edge did."""
     told_apart = set()
     for cert in certs:
         new, old = _outcome(check_certificate, cert), _outcome(reference_check_certificate, cert)
@@ -211,6 +231,11 @@ def _compare(certs) -> set:
         if not isinstance(cert.instance, certify._WITNESS_INSTANCES[cert.witness_kind]):
             _named_as_of_another_type(cert, new, old)
             continue
+        if isinstance(old, list) and (written := list(map(_as_written, old))) != old:
+            told_apart.add((cert.claim, "stray matching edge"))
+            old = written
+            if new == old:
+                continue
         bound = _bound_problem(cert)
         assert bound is not None and isinstance(old, list), (cert, new, old)
         head = old[:1] if old and old[0].startswith("verdict says") else []
@@ -237,17 +262,21 @@ def test_seeded_certificates_and_their_mutants_check_as_before():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mutants_check_as_before_but_for_the_bounds(n):
     """Mutants of every certificate up to order 3, and of a sample at
-    order 4.  Only the three bounds tell the checkers apart, each on a
-    mutant with k one off or a witness of another claim."""
+    order 4.  Only the three bounds and a stray matching edge tell the
+    checkers apart: the bounds on a mutant with k one off or a witness of
+    another claim, the stray edge on a perfect matching of another
+    claim's instance."""
     certs = _emitted(n) if n <= 3 else _emitted(n)[::23]
     pool = _swap_pool(certs)
     told_apart = _compare([m for i, cert in enumerate(certs) for m in _mutants(i, cert, pool)])
     assert {kind for _, kind in told_apart} <= {"size-cap", "too-few-vertices",
-                                                "perfect-matching"}
+                                                "perfect-matching", "stray matching edge"}
     if n >= 2:
         assert {("k-extendable", "size-cap"), ("k-irreducible", "size-cap"),
                 ("k-strong", "too-few-vertices"), ("k-extendable", "perfect-matching"),
-                ("k-indecomposable", "perfect-matching")} <= told_apart
+                ("k-indecomposable", "perfect-matching"),
+                ("k-extendable", "stray matching edge"),
+                ("k-irreducible", "stray matching edge")} <= told_apart
 
 
 @pytest.mark.parametrize("cert, problem", [

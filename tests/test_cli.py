@@ -811,15 +811,17 @@ _CERT = ("extendix-cert 1\nclaim: k-strong\nk: {k}\nverdict: holds\ninstance:\n"
     pytest.param("verify", _CERT.format(k="\u00b2"),
                  "line 3: k must be an integer, got '\u00b2'", id="cert-k-superscript"),
     pytest.param("convert --direction g2d --matching 1-\u00b2", "bg 2 2\n1 1\n2 2\n",
-                 "bad matching token '1-\u00b2', expected like 1-2", id="matching-superscript"),
+                 "edge 1-\u00b2 has '\u00b2', which is not a number", id="matching-superscript"),
     pytest.param("convert --direction g2d --matching 1-1,2-\u00b2", "bg 2 2\n1 1\n2 2\n",
-                 "bad matching token '2-\u00b2', expected like 1-2", id="matching-second-token"),
+                 "edge 2-\u00b2 has '\u00b2', which is not a number",
+                 id="matching-second-token"),
 ])
 def test_malformed_numbers_exit_2(command, text, message, tmp_path, capsys):
     """A token that looks numeric but is no integer of the format (a
     superscript digit, a doubled sign, a plus sign, an underscore) is a
-    parse error with its line, or for ``--matching`` the option's own
-    message, never a traceback or Python's ``int`` message."""
+    parse error with its line, or for ``--matching`` the matching reader's
+    message, which names the edge as written, never a traceback or
+    Python's ``int`` message."""
     path = tmp_path / "input"
     path.write_text(text, encoding="utf-8")
     name, *options = command.split()

@@ -7,7 +7,8 @@ and of the per-ear reference.  The checker tests a single-arc ear in one
 condition first; its problem lists equal those of the checker it replaced
 (``reference_check_ear_decomposition``) but for two intended changes: a
 later ear of one vertex has no arc, and a vertex equal to an int but of
-another type is not a vertex of D.
+another type, and an ear that is no sequence (a set, a dict, an int), are
+not vertices of D.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 
 import extendix.connectivity as connectivity
 import extendix.extendability as extendability
-from extendix import (Digraph, bipartite_ear_decomposition, directed_cycle,
+from extendix import (Digraph, bipartite_ear_decomposition, complete_digraph, directed_cycle,
                       ear_decomposition_digraph, is_k_extendable, is_strong,
                       random_bipartite_with_pm, random_digraph)
 from extendix.connectivity import EarDecompositionD, check_ear_decomposition_digraph
@@ -209,6 +210,34 @@ class TestCheckerProblems:
             reference_check_ear_decomposition(d, dec)
         assert check_ear_decomposition_digraph(d, dec) == [
             f"ear 1 {frozenset({0, 1, 2})} is not a sequence of vertices of D"]
+
+    @pytest.mark.parametrize("ear", [frozenset({1, 2}), {1: "x", 2: "y"}], ids=["set", "dict"])
+    def test_a_two_element_set_or_dict_is_no_arc(self, ear):
+        """The single-arc check reads its two vertices by index; unpacked,
+        a set or a dict read as the arc 1 -> 2 and the decomposition
+        passed."""
+        dec = EarDecompositionD(((0, 1, 0), (0, 2, 0), ear, (2, 1)))
+        assert reference_check_ear_decomposition(complete_digraph(3), dec) == []
+        assert check_ear_decomposition_digraph(complete_digraph(3), dec) == [
+            f"ear 2 {ear} is not a sequence of vertices of D"]
+
+    def test_an_int_ear_is_named(self):
+        """The union of the ears' vertices, which the mask loop replaced,
+        raised on an ear that is no iterable."""
+        dec = EarDecompositionD(((0, 1, 2, 0), 5))
+        with pytest.raises(TypeError):
+            reference_check_ear_decomposition(directed_cycle(3), dec)
+        assert check_ear_decomposition_digraph(directed_cycle(3), dec) == [
+            "ear 1 5 is not a sequence of vertices of D"]
+
+    @pytest.mark.parametrize("ears, bad", [
+        (((0, 1, 2, 0), (1, 10 ** 30)), 1), (((0, 1, 2, 0), (1, 10 ** 30, 2)), 1),
+        (((0, 1, 2, 0), (10 ** 30,)), 1), (((10 ** 30,),), 0), (((0, 1, 2, 0), (1, -1)), 1)])
+    def test_a_vertex_outside_d_is_named_before_its_bit_is_built(self, ears, bad):
+        """No vertex is shifted into a mask before it is known to lie in
+        0..n-1, so a vertex far past n is named, not built as a bit."""
+        assert check_ear_decomposition_digraph(directed_cycle(3), EarDecompositionD(ears)) == [
+            f"ear {bad} {ears[bad]} is not a sequence of vertices of D"]
 
     def test_a_type_error_of_sound_ears_is_raised(self, monkeypatch):
         def broken(d, ears):

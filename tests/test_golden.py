@@ -129,6 +129,21 @@ def test_golden_output(name, argv, code):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+# the explicit-matching g2d with --out, which writes the .map sidecar too
+SIDECAR = ["convert", "c6.bg", "--direction", "g2d", "--matching", "1-2,2-3,3-1", "--out"]
+
+
+def test_sidecar_is_pinned(tmp_path):
+    """The digraph and the ``.map`` sidecar of an explicit matching, whose
+    ``matching:`` line ``fileio.format_matching`` writes."""
+    out = tmp_path / "c6.dg"
+    assert _run(SIDECAR + [str(out)]) == (0, "")
+    assert out.read_text(encoding="utf-8") == (
+        GOLDEN / "convert-g2d-c6-explicit.out").read_text(encoding="utf-8")
+    assert (tmp_path / "c6.dg.map").read_text(encoding="utf-8") == (
+        GOLDEN / "convert-g2d-c6-explicit.map").read_text(encoding="utf-8")
+
+
 def _sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
@@ -196,3 +211,5 @@ if __name__ == "__main__":
         got_code, out = _run(argv)
         assert got_code == code, (name, got_code)
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+    assert _run(SIDECAR + [str(GOLDEN / "convert-g2d-c6-explicit")]) == (0, "")
+    (GOLDEN / "convert-g2d-c6-explicit").unlink()

@@ -24,7 +24,9 @@ components, the flow kernel's masks and the exhaustive sweep in
 ``core.check_budget``, and from every command but ``search`` the call
 graph reaches no budget check but the count's.  The ``reach-trees``
 check, the whole proof of a positive k = 1 claim, reaches no decider and
-reads no row mask.  One augmenting-path
+reads no row mask, and neither it nor the ``fan-paths`` check builds a
+``Matching`` or B(A).  One function, ``fileio.read_matching``, splits a
+matching token on "-".  One augmenting-path
 search, ``matching._augment``, serves every matching route, and no module
 but ``core`` and the ``deficient-set`` witness check reads a graph's
 neighbour lists.  Every name a module
@@ -407,11 +409,12 @@ def test_the_reach_tree_check_reaches_no_decider():
     reaches names the flow net or a row mask."""
     graph, functions = _call_graph(), _functions()
     reached = _reachable(graph, "_reach_tree_problems")
-    assert {"_perfect_mate", "_cycle_vertex", "_vertices", "_lookup"} <= reached
+    assert {"_perfect_mate", "read_matching", "_cycle_vertex", "_vertices", "_lookup"} <= reached
     assert not reached & (CERTIFY_DECIDERS | {"_recompute_verdict", "_k_strong", "_augment",
                                               "max_matching_pairs", "_neighbourhood_masks"})
     named = {name for fn in reached for node in functions[fn] for name in _names(node)}
-    assert not named & {"_FlowNet", "_masks", "_rows", "_u_rows", "_w_rows"}
+    assert not named & {"_FlowNet", "_masks", "_rows", "_u_rows", "_w_rows", "Matching",
+                        "bipartite_of_matrix"}
 
 
 def test_the_fan_path_check_reaches_no_decider():
@@ -422,12 +425,25 @@ def test_the_fan_path_check_reaches_no_decider():
     masks, which counting the arcs of a check needs."""
     graph, functions = _call_graph(), _functions()
     reached = _reachable(graph, "_fan_path_problems")
-    assert {"_fan_digraph", "_fan_sections", "_open_checks", "_perfect_mate", "_rows",
-            "_vertices"} <= reached
+    assert {"_fan_digraph", "_fan_sections", "_open_checks", "_perfect_mate", "read_matching",
+            "_rows", "_vertices"} <= reached
     assert not reached & (CERTIFY_DECIDERS | {"_recompute_verdict", "_k_strong", "_short_check",
                                               "_augment", "max_matching_pairs", "digraph_of"})
     named = {name for fn in reached for node in functions[fn] for name in _names(node)}
-    assert "_FlowNet" not in named
+    assert not named & {"_FlowNet", "Matching", "bipartite_of_matrix"}
+
+
+def test_one_function_splits_a_matching_token():
+    """``fileio.read_matching`` is the one function that splits a token on
+    "-": ``convert --matching`` and every witness that embeds M read their
+    matching through it."""
+    splitting = sorted((name, enclosing) for name, tree in _modules().items()
+                       for enclosing, call in _calls(tree)
+                       if isinstance(call.func, ast.Attribute)
+                       and call.func.attr in ("split", "rsplit", "partition", "rpartition")
+                       and any(isinstance(arg, ast.Constant) and arg.value == "-"
+                               for arg in call.args))
+    assert splitting == [("fileio.py", "read_matching")]
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_the_mutant_bases_are_as_described():
     (_edited(_STRONG, out_tree="0 1 1"), ["out-tree gives vertex 2 the parent 0, outside 1..4"]),
     (_edited(_STRONG, in_tree=None), ["reach-trees needs one in-tree: line, has 0"]),
     (replace(_STRONG, witness_lines=_STRONG.witness_lines + ("out-tree: 1 1 1",)),
-     ["reach-trees needs one out-tree: line, has 2"]),
+     ["witness payload malformed: the out-tree: line appears 2 times"]),
     (_edited(_STRONG, out_tree="+1 1 1"),
      ["witness payload malformed: the out-tree line has '+1', which is not a number"]),
     (_edited(_STRONG, in_tree="1 1_0 1"),

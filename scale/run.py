@@ -1,4 +1,4 @@
-"""Scale rows for the extendix CLI: one command on one instance well past
+"""Scale rows for the extendix CLI: two commands on one instance well past
 the sizes of the test suite, each row in a fresh subprocess under a cap.
 
     python3 scale/run.py                       # the default rows
@@ -7,13 +7,16 @@ the sizes of the test suite, each row in a fresh subprocess under a cap.
 
 A row spec is ``random:N:P:SEED`` (``random_digraph(N, P, seed=SEED)``) or
 ``c13:N`` (the circulant C_N(1, 3), arcs v -> v+1 and v -> v+3 mod N); the
-command is ``analyze`` on the row's ``dg`` file.  The child writes the
-file, times ``cli.main`` on it ``REPEATS`` (5) times in one process, and
-reports the median, n, m and its peak RSS.  The parent records the child's
-wall time beside it.  A row past ``--cap`` seconds is killed and recorded
-as timed out, and the run goes on.  The rows, the git SHA ("-dirty" after
-it when tracked files differ from HEAD) and the Python version go to
-``--out`` (``BENCH_scale.json`` at the root of the checkout by default).
+commands are ``analyze`` and ``convert --direction d2g`` on the row's
+``dg`` file.  The child writes the file, times ``cli.main`` on it
+``REPEATS`` (5) times per command in one process, and reports the medians
+(``median_s`` for ``analyze``, ``convert_median_s`` for the text layer:
+reading the file, D -> G and writing G), n, m and its peak RSS.  The
+parent records the child's wall time beside it.  A row past ``--cap``
+seconds is killed and recorded as timed out, and the run goes on.  The
+rows, the git SHA ("-dirty" after it when tracked files differ from HEAD)
+and the Python version go to ``--out`` (``BENCH_scale.json`` at the root
+of the checkout by default).
 The child imports ``src/extendix`` of the same checkout.
 """
 
@@ -35,7 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # dg-connectivity files, where nearly every path ear is read off the masks,
 # and on C_n(1, 3), where the start cycle takes n searches
 DEFAULT_ROWS = ("random:40:0.4:1", "random:80:0.4:1", "random:160:0.4:1", "c13:200", "c13:400")
-# timed calls per row, in one child process; the row reports their median
+# timed calls per row and command, in one child process; the row reports
+# their medians
 REPEATS = 5
 
 
@@ -59,30 +63,41 @@ def _instance(row: dict):
     return Digraph(n, frozenset((v, (v + j) % n) for v in range(n) for j in (1, 3)))
 
 
-def child(spec: str, work: Path) -> dict:
-    """Run in the subprocess: time ``analyze`` on the row's file."""
+def _times(argv: list) -> list:
+    """``REPEATS`` timings of ``cli.main(argv)``, its output discarded."""
     import contextlib
     import io
-    import resource
 
     from extendix.cli import main
+
+    times = []
+    for _ in range(REPEATS):
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        times.append(time.perf_counter() - t0)
+        if code != 0:
+            raise SystemExit(f"{argv[0]} exited {code}")
+    return times
+
+
+def child(spec: str, work: Path) -> dict:
+    """Run in the subprocess: time ``analyze`` and ``convert --direction
+    d2g`` on the row's file."""
+    import resource
+
     from extendix.fileio import write_instance
 
     row = parse_row(spec)
     d = _instance(row)
     path = work / f"{spec.replace(':', '_')}.dg"
     write_instance(d, path)
-    times = []
-    for _ in range(REPEATS):
-        out = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(out):
-            code = main(["analyze", str(path)])
-        times.append(time.perf_counter() - t0)
-        if code != 0:
-            raise SystemExit(f"analyze exited {code}")
+    times = _times(["analyze", str(path)])
+    convert = _times(["convert", str(path), "--direction", "d2g"])
     return {**row, "m": d.m, "command": "analyze", "times_s": times,
-            "median_s": statistics.median(times),
+            "median_s": statistics.median(times), "convert_times_s": convert,
+            "convert_median_s": statistics.median(convert),
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
 
 
@@ -138,7 +153,8 @@ def main(argv=None) -> int:
         for spec in specs:
             rows.append(run_row(spec, args.cap, Path(work)))
             row = rows[-1]
-            shown = (f"{row['median_s'] * 1e3:.2f} ms median of {REPEATS}"
+            shown = (f"analyze {row['median_s'] * 1e3:.2f} ms, convert d2g "
+                     f"{row['convert_median_s'] * 1e3:.2f} ms, medians of {REPEATS}"
                      if row["status"] == "ok" else row["status"])
             print(f"{spec}: {shown}", file=sys.stderr)
     result = {"git_sha": _git_sha(), "python": platform.python_version(),

@@ -146,7 +146,7 @@ def _matched(claim: str, k: int, obj, g: BipartiteGraph, pairs: dict) -> tuple:
     if k < 1 or len(pairs) < g.n:
         return None, (), None
     m = Matching(frozenset(pairs.items()), g)
-    d, head = digraph_of(g, m)[0], ("matching: " + format_matching(m.edges),)
+    d, head = digraph_of(g, m)[0], ("matching: " + format_matching(m.edges, g.n),)
     return d, head, _reach_trees(claim, obj, d, head) if k == 1 else None
 
 
@@ -159,14 +159,15 @@ def _matching_certificate(claim: str, k: int, obj, g: BipartiteGraph, pairs: dic
     if k == 0:
         m = first_perfect_matching(g, pairs)
         return Certificate(claim, k, True, obj, "perfect-matching",
-                           ("edges: " + format_matching(m.edges),))
+                           ("edges: " + format_matching(m.edges, g.n),))
     return _fan_paths(claim, k, obj, g.n, proof, head)
 
 
 def _zero_block_certificate(claim: str, k: int, a: ZeroOneMatrix, w) -> Certificate:
+    label = vertex_labels(a.n)
     return Certificate(claim, k, False, a, "zero-block", (
-        "rows: " + " ".join(str(i + 1) for i in w.row_subset),
-        "cols: " + " ".join(str(j + 1) for j in w.col_subset)))
+        "rows: " + " ".join([label[i] for i in w.row_subset]),
+        "cols: " + " ".join([label[j] for j in w.col_subset])))
 
 
 def build_certificate(obj, claim: str, k: int) -> Certificate:
@@ -202,8 +203,9 @@ def build_certificate(obj, claim: str, k: int) -> Certificate:
             return Certificate(claim, k, False, obj, "disconnected", ())
         if len(pairs) < obj.n:
             return Certificate(claim, k, False, obj, "no-perfect-matching", ())
+        label = vertex_labels(obj.n)
         return Certificate(claim, k, False, obj, "deficient-set",
-                           ("u-set: " + " ".join(str(i + 1) for i in x),))
+                           ("u-set: " + " ".join([label[i] for i in x]),))
 
     if claim == "k-strong":
         if k < 1:
@@ -216,7 +218,8 @@ def build_certificate(obj, claim: str, k: int) -> Certificate:
         if verdict.separator is None:
             return Certificate(claim, k, False, obj, "too-few-vertices",
                                (f"reason: {verdict.reason}",))
-        sep = " ".join(str(v + 1) for v in verdict.separator)
+        label = vertex_labels(obj.n)
+        sep = " ".join([label[v] for v in verdict.separator])
         return Certificate(claim, k, False, obj, "separator", (f"vertices: {sep}",))
 
     if claim == "k-indecomposable":

@@ -196,7 +196,10 @@ def cmd_convert(args) -> int:
     with ``auto`` the first perfect matching, O(m n) mask operations, and
     with an explicit one O(n) plus O(1) per token (``fileio.read_matching``);
     the translation, O(n + m), or O(n^2) to or from a matrix; and writing
-    it, O(n + m log m)."""
+    it, O(n + m) when its pairs were listed sorted, else O(n + m log m) for
+    the sort.  d2g lists G's edges as the diagonal and then the file's
+    arcs, and m2g lists B(A)'s row by row, so on a sorted file neither
+    sorts more than one merge; g2d sorts D's arcs."""
     obj = read_instance(args.path)
     direction = args.direction
     if direction == "g2d":

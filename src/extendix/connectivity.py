@@ -747,9 +747,10 @@ def check_ear_decomposition_digraph(d: Digraph, dec: EarDecompositionD) -> list[
     sequence, such as a set, is reported alone; a later ear of one vertex
     has no arc and is a problem.
     Time: O(n + m + L) mask operations, L the total length of the ears: one
-    condition for each single-arc ear that passes, and O(1) per vertex of
-    the others, each vertex tested as it is shifted in; only a non-vertex
-    costs a second pass (``_non_vertex_ear``), to name its ear."""
+    condition for each single-arc ear that passes and is a tuple, as every
+    builder writes one, and O(1) per vertex of the others, each vertex
+    tested as it is shifted in; only a non-vertex costs a second pass
+    (``_non_vertex_ear``), to name its ear."""
     if not dec.ears:
         return ["empty decomposition"]
     try:
@@ -786,10 +787,11 @@ def _ear_problems(d: Digraph, ears) -> list[str]:
         problems.append(f"initial ear {first} is not a cycle")
     covered, seen = [0] * n, 0
     for idx, ear in enumerate(ears):
-        if idx and len(ear) == 2:
+        if idx and len(ear) == 2 and type(ear) is tuple:
             # one arc, new and between old vertices, passes in one condition,
-            # b tested by a right shift before 1 << b; any other goes on to
-            # the checks of a longer ear
+            # b tested by a right shift before 1 << b; any other, and any
+            # two-vertex ear that is no tuple, such as a dict keyed 0 and 1,
+            # goes on to the checks of a longer ear
             a, b = ear[0], ear[1]
             if (outs[a] & ~covered[a] & seen) >> b & 1 and seen >> a & 1:
                 covered[a] |= 1 << b

@@ -8,7 +8,9 @@ intra-class edges are unrepresentable by construction.  Labels such as
 All types are immutable after construction; nothing here mutates shared
 state, so concurrent readers are always safe.  A bipartite graph builds its
 u- and w-rows, and a digraph its neighbourhood bitmasks, on first use and
-keeps them, outside its fields.
+keeps them, outside its fields.  A reader or builder that made the edges or
+arcs from a list can hand the list over (``_with_pairs``), also outside the
+fields, and ``sorted_edges``/``sorted_arcs`` then sort it in its order.
 """
 
 from __future__ import annotations
@@ -157,8 +159,16 @@ class BipartiteGraph:
     def without_edge(self, edge: tuple[int, int]) -> "BipartiteGraph":
         return BipartiteGraph(self.n, self.edges - {tuple(edge)})
 
+    @cached_property
+    def _pairs(self):
+        """The edges in the order a builder listed them (``_with_pairs``),
+        else the edge set."""
+        return self.edges
+
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Time: O(m) when the edges were listed sorted (``_with_pairs``),
+        else O(m log m)."""
+        return sorted(self._pairs)
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(n={self.n}, edges={self.sorted_edges()})"
@@ -259,8 +269,16 @@ class Digraph:
     def without_arc(self, arc: tuple[int, int]) -> "Digraph":
         return Digraph(self.n, self.arcs - {tuple(arc)}, self.loops_allowed)
 
+    @cached_property
+    def _pairs(self):
+        """The arcs in the order a builder listed them (``_with_pairs``),
+        else the arc set."""
+        return self.arcs
+
     def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
+        """Time: O(m) when the arcs were listed sorted (``_with_pairs``),
+        else O(m log m)."""
+        return sorted(self._pairs)
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.sorted_arcs()})"
@@ -308,6 +326,17 @@ class ZeroOneMatrix:
 
     def __repr__(self) -> str:
         return f"ZeroOneMatrix({list(list(r) for r in self.rows)})"
+
+
+def _with_pairs(obj, pairs: list):
+    """obj, a graph or digraph, with ``_pairs`` set to pairs, the list its
+    edges or arcs were made from, each pair once, in the order listed; not
+    as a field: equality, hashing, repr and the constructor do not see it.
+    Nothing changes the list.  Timsort (T. Peters, CPython's ``listsort.txt``)
+    sorts a sorted list in m - 1 comparisons and two sorted runs in one
+    merge."""
+    obj.__dict__["_pairs"] = pairs
+    return obj
 
 
 # ---------------------------------------------------------------------------

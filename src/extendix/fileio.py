@@ -9,23 +9,24 @@ Instance formats (indices are 1-based on disk, 0-based in memory):
 Certificates embed the instance, the verdict and a witness section, so a
 verifier needs nothing but the certificate file.
 
-Every vertex number is written and read through one table of labels per
-order n, built per call in O(n): ``vertex_labels(n)`` holds the label
-``str(v + 1)`` of each vertex v, and ``LabelIndex`` maps each label back
-to its vertex.  A pair block is read with no Python call per token on
-the accept path; the line-by-line reader runs only after a rejection, to
-name the first bad line.
+Every vertex number of an instance, a ``.map`` sidecar or a certificate
+is written and read through one table of labels per order n, built per
+call in O(n): ``vertex_labels(n)`` holds the label ``str(v + 1)`` of each
+vertex v, and ``LabelIndex`` maps each label back to its vertex.  A pair
+block of lines ``<digits> <digits>`` is read in one pass with no Python
+call per token; any other block is read line by line, which names the
+first bad line.  A graph or digraph read from a file keeps its pairs in
+the order the file listed them, so writing it back sorts in O(m) when
+the file was sorted, as every file written here is.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import NoReturn
 
 from .core import (BipartiteGraph, Digraph, InvalidInstanceError, Matching,
-                   ValidationReport, ZeroOneMatrix, is_int_token)
+                   ValidationReport, ZeroOneMatrix, _with_pairs, is_int_token)
 
 
 class ParseError(InvalidInstanceError):
@@ -85,6 +86,8 @@ def _numbers(tokens, *where) -> list[int]:
     return [int(token) - 1 for token in tokens]
 
 
+# a pair block with its ASCII digits deleted: the one-pass reader's shape test
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 # matrix rows: the characters 0/1 to the bytes 0/1, and back
 _BITS = bytes.maketrans(b"01", b"\0\1")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -101,12 +104,14 @@ def _format_pairs(header: str, n: int, pairs) -> str:
 
 
 def format_bipartite(g: BipartiteGraph) -> str:
-    """Time: O(n + m log m), the sort of the edges."""
+    """Time: O(n + m) when the edges were listed sorted, as a file read
+    lists them (``core._with_pairs``), else O(n + m log m) for the sort."""
     return _format_pairs(f"bg {g.n} {g.m}", g.n, g.sorted_edges())
 
 
 def format_digraph(d: Digraph) -> str:
-    """Time: O(n + m log m), the sort of the arcs."""
+    """Time: O(n + m) when the arcs were listed sorted, as a file read
+    lists them (``core._with_pairs``), else O(n + m log m) for the sort."""
     return _format_pairs(f"dg {d.n} {d.m}", d.n, d.sorted_arcs())
 
 
@@ -118,8 +123,9 @@ def format_matrix(a: ZeroOneMatrix) -> str:
 
 
 def format_instance(obj) -> str:
-    """The instance's file text.  Time: O(n + m log m) for a graph or
-    digraph, O(n^2) for a matrix."""
+    """The instance's file text.  Time: for a graph or digraph, O(n + m)
+    when its pairs were listed sorted, else O(n + m log m); O(n^2) for a
+    matrix."""
     if isinstance(obj, BipartiteGraph):
         return format_bipartite(obj)
     if isinstance(obj, Digraph):
@@ -130,24 +136,31 @@ def format_instance(obj) -> str:
 
 
 def _parse_pairs(lines, n: int) -> list[tuple[int, int]]:
-    """The lines after the header as 0-based pairs, each line two integers
-    in 1..n, every token read through one ``LabelIndex``.  The index takes
-    exactly the tokens ``_raise_bad_pair_line`` takes, so after a rejection
-    that reader names the first bad line.  The caller has matched the line
-    count against the header.  Time: O(n + m)."""
-    rows = [line.split() for line in lines[1:]]
-    if {*map(len, rows)} <= {2}:
-        vertices = map(LabelIndex(n).__getitem__, chain.from_iterable(rows))
+    """The lines after the header as 0-based pairs, in the order listed,
+    each line two integers in 1..n.  A block of lines ``<digits> <digits>``,
+    ASCII digits, is read in one pass: one ``split`` of the joined lines,
+    one ``translate`` that must leave one space per line, and every token
+    read through one ``LabelIndex``.  Any other block, or a label the
+    index refuses, goes to ``_parse_pair_lines``, which takes the same
+    pairs and names the first bad line.  The caller has matched the line
+    count m against the header.  Time: O(n + m)."""
+    block = "\n".join(lines[1:])
+    tokens = block.split()
+    m = len(lines) - 1
+    if len(tokens) == 2 * m and block.translate(_NO_DIGITS) == " \n" * (m - 1) + " ":
+        vertices = map(LabelIndex(n).__getitem__, tokens)
         try:
             return list(zip(vertices, vertices))
         except KeyError:
             pass
-    _raise_bad_pair_line(lines, n)
+    return _parse_pair_lines(lines, n)
 
 
-def _raise_bad_pair_line(lines, n: int) -> NoReturn:
-    """Raise the ParseError of the first line after the header that is not
-    two integers in 1..n, read line by line."""
+def _parse_pair_lines(lines, n: int) -> list[tuple[int, int]]:
+    """``_parse_pairs`` one line at a time: the pairs, or the ParseError of
+    the first line after the header that is not two integers in 1..n.
+    Time: O(n + m)."""
+    pairs = []
     for line_no, line in enumerate(lines[1:], 2):
         parts = line.split()
         if len(parts) != 2 or not (is_int_token(parts[0], True)
@@ -156,6 +169,8 @@ def _raise_bad_pair_line(lines, n: int) -> NoReturn:
         a, b = int(parts[0]), int(parts[1])
         if not (1 <= a <= n and 1 <= b <= n):
             raise ParseError(line_no, f"index out of range 1..{n} in {(a, b)}")
+        pairs.append((a - 1, b - 1))
+    return pairs
 
 
 def _parse_rows(lines, n: int) -> ZeroOneMatrix:
@@ -201,9 +216,11 @@ def _parse_lines(lines: list):
             dup = min(p for p, count in Counter(pairs).items() if count > 1)
             raise ParseError(1, f"duplicate {noun} {dup[0] + 1} {dup[1] + 1}")
         if head[0] == "bg":
-            return BipartiteGraph(n, pair_set)
+            return _with_pairs(BipartiteGraph(n, pair_set), pairs)
         d = Digraph(n, pair_set)
-        return Digraph(n, pair_set, loops_allowed=True) if d.has_loops() else d
+        if d.has_loops():
+            d = Digraph(n, pair_set, loops_allowed=True)
+        return _with_pairs(d, pairs)
     if head[0] == "mat":
         if len(head) != 2 or not is_int_token(head[1]):
             raise ParseError(1, f"malformed header {lines[0]!r}")
@@ -242,9 +259,11 @@ def instance_kind(obj) -> str:
 # b = j + 1
 
 
-def format_matching(edges) -> str:
-    """The edges as ``a-b`` tokens, sorted.  Time: O(n log n)."""
-    return " ".join(f"{i + 1}-{j + 1}" for i, j in sorted(edges))
+def format_matching(edges, n: int) -> str:
+    """The edges, of a graph of order n, as ``a-b`` tokens, sorted.
+    Time: O(n log n)."""
+    label = vertex_labels(n)
+    return " ".join([f"{label[i]}-{label[j]}" for i, j in sorted(edges)])
 
 
 def read_matching(tokens, index: LabelIndex, has) -> dict:
@@ -276,12 +295,13 @@ def read_matching(tokens, index: LabelIndex, has) -> dict:
 
 def format_correspondence(cmap, matching: Matching) -> str:
     """The ``.map`` sidecar of one translation.  Time: O(n log n)."""
+    label = vertex_labels(cmap.n)
     lines = ["map 1", f"n: {cmap.n}"]
-    lines.append("w-relabel: " + " ".join(str(j + 1) for j in cmap.w_relabel))
-    lines.append("matching: " + format_matching(matching.edges))
+    lines.append("w-relabel: " + " ".join([label[j] for j in cmap.w_relabel]))
+    lines.append("matching: " + format_matching(matching.edges, cmap.n))
     for v in range(cmap.n):
         i, j = cmap.matching_edge_of_vertex(v)
-        lines.append(f"vertex {v + 1} = u{i + 1}-w{j + 1}")
+        lines.append(f"vertex {label[v]} = u{label[i]}-w{label[j]}")
     return "\n".join(lines) + "\n"
 
 

@@ -883,6 +883,46 @@ def reference_parse_walk(text: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# the pair-block reader before the one-pass accept path: per-line token
+# counts before one label index on the accept path, and a line-by-line
+# reader that only raises
+
+
+def reference_parse_pairs(lines, n: int) -> list[tuple[int, int]]:
+    """``fileio._parse_pairs`` before the one-pass accept path, unchanged
+    but for its name and the name of its line reader."""
+    from itertools import chain
+
+    from extendix.fileio import LabelIndex
+
+    rows = [line.split() for line in lines[1:]]
+    if {*map(len, rows)} <= {2}:
+        vertices = map(LabelIndex(n).__getitem__, chain.from_iterable(rows))
+        try:
+            return list(zip(vertices, vertices))
+        except KeyError:
+            pass
+    reference_raise_bad_pair_line(lines, n)
+
+
+def reference_raise_bad_pair_line(lines, n: int) -> None:
+    """``fileio._raise_bad_pair_line`` before it returned the pairs:
+    raise the ParseError of the first line after the header that is not
+    two integers in 1..n, read line by line."""
+    from extendix.core import is_int_token
+    from extendix.fileio import ParseError
+
+    for line_no, line in enumerate(lines[1:], 2):
+        parts = line.split()
+        if len(parts) != 2 or not (is_int_token(parts[0], True)
+                                   and is_int_token(parts[1], True)):
+            raise ParseError(line_no, f"expected two integers, got {line!r}")
+        a, b = int(parts[0]), int(parts[1])
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ParseError(line_no, f"index out of range 1..{n} in {(a, b)}")
+
+
+# ---------------------------------------------------------------------------
 # certificate checking as it was before a self-proving witness stood alone:
 # the decider re-run on every certificate
 

@@ -3,8 +3,8 @@
 The builder reads a path ear off the masks when its new vertex has an old
 out-neighbour, and searches only for the other path ears; its ears equal
 those of the run-wise builder it replaced (``ear_decomposition_by_runs``)
-and of the per-ear reference.  The checker tests a single-arc ear in one
-condition first; its problem lists equal those of the checker it replaced
+and of the per-ear reference.  The checker tests a single-arc ear given
+as a tuple in one condition first; its problem lists equal those of the checker it replaced
 (``reference_check_ear_decomposition``) but for two intended changes: a
 later ear of one vertex has no arc, and a vertex equal to an int but of
 another type, and an ear that is no sequence (a set, a dict, an int), are
@@ -220,6 +220,20 @@ class TestCheckerProblems:
         assert reference_check_ear_decomposition(complete_digraph(3), dec) == []
         assert check_ear_decomposition_digraph(complete_digraph(3), dec) == [
             f"ear 2 {ear} is not a sequence of vertices of D"]
+
+    def test_a_dict_keyed_0_and_1_is_no_arc(self):
+        """Read by index, ``{0: 1, 1: 7}`` is the arc 1 -> 7: put in place
+        of that single-arc ear of a sound decomposition, it checked clean
+        when the one-condition test took any two-vertex ear.  Only a tuple,
+        which every builder writes, takes that test now."""
+        d = random_digraph(8, 0.5, seed=3)
+        ears = list(ear_decomposition_digraph(d).ears)
+        assert ears[6] == (1, 7)
+        ears[6] = {0: 1, 1: 7}
+        assert check_ear_decomposition_digraph(d, EarDecompositionD(tuple(ears))) == [
+            "ear 6 {0: 1, 1: 7} is not a sequence of vertices of D"]
+        ears[6] = [1, 7]
+        assert check_ear_decomposition_digraph(d, EarDecompositionD(tuple(ears))) == []
 
     def test_an_int_ear_is_named(self):
         """The union of the ears' vertices, which the mask loop replaced,

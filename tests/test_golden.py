@@ -73,7 +73,10 @@ CASES += [(f"convert-g2d-{name.split('.')[0]}",
            ["convert", name, "--direction", "g2d"], 0)
           for name in ("c6.bg", "c4_pendant.bg", "bg10.bg")]
 CASES += [("convert-g2d-c6-explicit",
-           ["convert", "c6.bg", "--direction", "g2d", "--matching", "1-2,2-3,3-1"], 0)]
+           ["convert", "c6.bg", "--direction", "g2d", "--matching", "1-2,2-3,3-1"], 0),
+          ("convert-d2g-dg20", ["convert", "dg20.dg", "--direction", "d2g"], 0),
+          ("convert-g2m-bg10", ["convert", "bg10.bg", "--direction", "g2m"], 0),
+          ("convert-m2g-full6", ["convert", "full6.mat", "--direction", "m2g"], 0)]
 CERTIFY = [
     ("p4.bg", "k-extendable", 0, 0),
     ("c6.bg", "k-extendable", 1, 0),
@@ -129,19 +132,60 @@ def test_golden_output(name, argv, code):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-# the explicit-matching g2d with --out, which writes the .map sidecar too
-SIDECAR = ["convert", "c6.bg", "--direction", "g2d", "--matching", "1-2,2-3,3-1", "--out"]
+# the translations with --out, which write the .map sidecar too: an
+# explicit matching g2d and a d2g; (golden name, argv but the --out path)
+SIDECARS = [("convert-g2d-c6-explicit",
+             ["convert", "c6.bg", "--direction", "g2d", "--matching", "1-2,2-3,3-1", "--out"]),
+            ("convert-d2g-dg20", ["convert", "dg20.dg", "--direction", "d2g", "--out"])]
+
+
+def _assert_sidecar(name, argv, tmp_path) -> None:
+    out = tmp_path / "out"
+    assert _run(argv + [str(out)]) == (0, "")
+    assert out.read_text(encoding="utf-8") == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert (tmp_path / "out.map").read_text(encoding="utf-8") == (
+        GOLDEN / f"{name}.map").read_text(encoding="utf-8")
 
 
 def test_sidecar_is_pinned(tmp_path):
     """The digraph and the ``.map`` sidecar of an explicit matching, whose
     ``matching:`` line ``fileio.format_matching`` writes."""
-    out = tmp_path / "c6.dg"
-    assert _run(SIDECAR + [str(out)]) == (0, "")
-    assert out.read_text(encoding="utf-8") == (
-        GOLDEN / "convert-g2d-c6-explicit.out").read_text(encoding="utf-8")
-    assert (tmp_path / "c6.dg.map").read_text(encoding="utf-8") == (
-        GOLDEN / "convert-g2d-c6-explicit.map").read_text(encoding="utf-8")
+    _assert_sidecar(*SIDECARS[0], tmp_path)
+
+
+def test_d2g_sidecar_is_pinned(tmp_path):
+    """The graph of a d2g, its edges sorted in one merge, and its sidecar."""
+    _assert_sidecar(*SIDECARS[1], tmp_path)
+
+
+def _noncanonical(text: str) -> str:
+    """The dg file text with its arcs shuffled, CRLF line ends, one tab,
+    padding and a leading zero: a file the reader takes, but no writer
+    writes."""
+    head, *lines = text.splitlines()
+    random.Random(20).shuffle(lines)
+    lines[0] = lines[0].replace(" ", "\t")
+    lines[1] = "  " + lines[1] + " "
+    lines[2] = "0" + lines[2]
+    return "\r\n".join([head, *lines]) + "\r\n"
+
+
+def test_the_noncanonical_fixture_keeps_its_bytes():
+    """``.gitattributes`` keeps git from normalising its CRLF line ends."""
+    text = _noncanonical((GOLDEN / "dg20.dg").read_text(encoding="utf-8"))
+    assert (GOLDEN / "dg20-noncanonical.dg").read_bytes() == text.encode()
+    assert text.count("\r\n") == text.count("\n") and "\t" in text
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["convert", "--direction", "d2g"],
+                                  ["certify", "--claim", "k-strong", "--k", "3"]],
+                         ids=["analyze", "convert-d2g", "certify-k-strong-3"])
+def test_a_noncanonical_file_prints_what_its_canonical_twin_prints(argv):
+    """The shuffled file is read line by line and its pairs sorted in full,
+    the canonical one in one pass with a linear sort: the output is one."""
+    code, out = _run([argv[0], "dg20-noncanonical.dg", *argv[1:]])
+    assert (code, out) == _run([argv[0], "dg20.dg", *argv[1:]])
+    assert out and code == 0
 
 
 def _sha1(text: str) -> str:
@@ -211,5 +255,8 @@ if __name__ == "__main__":
         got_code, out = _run(argv)
         assert got_code == code, (name, got_code)
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
-    assert _run(SIDECAR + [str(GOLDEN / "convert-g2d-c6-explicit")]) == (0, "")
-    (GOLDEN / "convert-g2d-c6-explicit").unlink()
+    (GOLDEN / "dg20-noncanonical.dg").write_bytes(
+        _noncanonical((GOLDEN / "dg20.dg").read_text(encoding="utf-8")).encode())
+    for name, argv in SIDECARS:
+        assert _run(argv + [str(GOLDEN / name)]) == (0, "")
+        (GOLDEN / name).unlink()

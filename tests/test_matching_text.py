@@ -143,7 +143,7 @@ def test_the_writer_round_trips_through_the_reader():
             sparse = BipartiteGraph(n, frozenset(e for e in g.edges if rng.random() < 0.5))
             for h in (g, sparse):
                 edges = max_matching(h).edges
-                text = format_matching(edges)
+                text = format_matching(edges, n)
                 assert text.split() == sorted(text.split(), key=lambda t: [
                     int(x) for x in t.split("-")])
                 assert read_matching(text.split(), LabelIndex(n), _lookup(h)) == dict(edges)

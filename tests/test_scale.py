@@ -28,6 +28,8 @@ def test_two_tiny_rows(tmp_path):
     assert (circulant["n"], circulant["m"], circulant["seed"]) == (12, 24, None)
     for row in result["rows"]:
         assert len(row["times_s"]) == 5 and row["median_s"] == sorted(row["times_s"])[2]
+        assert (len(row["convert_times_s"]) == 5
+                and row["convert_median_s"] == sorted(row["convert_times_s"])[2])
         assert row["peak_rss_kb"] > 0 and row["process_wall_s"] >= row["median_s"]
     assert list(tmp_path.iterdir()) == [tmp_path / "BENCH_scale.json"]
 
